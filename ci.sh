@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints as errors, and the tier-1 test suite.
+# Local CI gate: formatting, lints as errors, and the tier-1 test suite
+# (`cargo test -q` covers the whole workspace via `default-members`).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -10,8 +11,9 @@ cargo test -q
 GSAMPLER_THREADS=2 cargo test -q
 
 # Differential fuzz smoke: 50 arbitrary graphs, every algorithm, every
-# pass ablation, fixed seed. Failures shrink to minimal repros saved in
-# tests/corpus/ with replay commands printed by the fuzzer.
+# pass ablation and the super-batched epoch bit-exact, fixed seed.
+# Failures shrink to minimal repros saved in tests/corpus/ with replay
+# commands printed by the fuzzer.
 cargo run -q --release -p gsampler-testkit --bin gsampler-fuzz -- --cases 50 --seed 7
 
 # Replay committed corpus fixtures (empty/absent corpus passes).

@@ -3,7 +3,6 @@
 //! visit counting, subgraph induction, and bandit arm updates.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,7 +72,9 @@ pub fn run_walk_batch(
 
 /// Drive several batches of walks *together* as one super-batch per step
 /// (paper §4.4: walk batches are tiny, so stepping many at once is what
-/// fills the device). Returns one trace per group.
+/// fills the device). Returns one trace per group. Group `g` draws only
+/// from `RngPool::new(stream + g)`, so its trace is the one
+/// [`run_walk_batch`] returns for it alone on stream `stream + g`.
 pub fn run_walk_groups(
     sampler: &Sampler,
     seed_groups: Vec<Vec<NodeId>>,
@@ -82,8 +83,29 @@ pub fn run_walk_groups(
     restart: f32,
     stream: u64,
 ) -> Result<Vec<WalkTrace>> {
-    let pool = gsampler_engine::RngPool::new(stream);
-    let mut restart_rng = StdRng::seed_from_u64(stream ^ 0x5EED);
+    let keys: Vec<u64> = (0..seed_groups.len() as u64).map(|g| stream + g).collect();
+    walk_groups(sampler, seed_groups, length, node2vec, restart, &keys)
+}
+
+/// [`run_walk_groups`] with one explicit RNG key per group: group `g`'s
+/// steps draw from `RngPool::new(keys[g])` and its restarts from a stream
+/// of their own, so a group's trace depends on its key and nothing else.
+fn walk_groups(
+    sampler: &Sampler,
+    seed_groups: Vec<Vec<NodeId>>,
+    length: usize,
+    node2vec: bool,
+    restart: f32,
+    keys: &[u64],
+) -> Result<Vec<WalkTrace>> {
+    let pools: Vec<gsampler_engine::RngPool> = keys
+        .iter()
+        .map(|&k| gsampler_engine::RngPool::new(k))
+        .collect();
+    let mut restart_rngs: Vec<StdRng> = keys
+        .iter()
+        .map(|&k| StdRng::seed_from_u64(k ^ 0x5EED))
+        .collect();
     let mut frontiers: Vec<Vec<NodeId>> = seed_groups.clone();
     let mut positions: Vec<Vec<Vec<NodeId>>> = seed_groups
         .iter()
@@ -104,8 +126,8 @@ pub fn run_walk_groups(
             };
             bindings = bindings.node_list("prev", prev);
         }
-        let mut rng = pool.stream(step as u64);
-        let outs = sampler.sample_groups(frontiers.clone(), &bindings, &mut rng)?;
+        let mut rngs: Vec<StdRng> = pools.iter().map(|p| p.stream(step as u64)).collect();
+        let outs = sampler.sample_groups(frontiers.clone(), &bindings, &mut rngs)?;
         for (g, out) in outs.into_iter().enumerate() {
             let mut next = out.layers[0]
                 .last()
@@ -115,7 +137,7 @@ pub fn run_walk_groups(
             debug_assert_eq!(next.len(), frontiers[g].len());
             if restart > 0.0 {
                 for (w, pos) in next.iter_mut().enumerate() {
-                    if restart_rng.gen_range(0.0f32..1.0) < restart {
+                    if restart_rngs[g].gen_range(0.0f32..1.0) < restart {
                         *pos = seed_groups[g][w];
                     }
                 }
@@ -131,8 +153,9 @@ pub fn run_walk_groups(
         .collect())
 }
 
-/// Run a full walk epoch over `seeds` in mini-batches, returning the
-/// device-session report (and discarding traces — timing runs).
+/// Run a full walk epoch over `seeds` in mini-batches of the sampler's
+/// compiled batch size (which `hyper.batch_size` must equal), returning
+/// the device-session report (and discarding traces — timing runs).
 pub fn run_walk_epoch(
     sampler: &Sampler,
     seeds: &[NodeId],
@@ -140,37 +163,36 @@ pub fn run_walk_epoch(
     node2vec: bool,
     epoch: u64,
 ) -> Result<EpochReport> {
-    sampler.reset_stats();
-    let wall = Instant::now();
-    let factor = sampler.super_batch_factor().max(1);
-    let mut batches = 0usize;
-    let mut chunks = seeds.chunks(hyper.batch_size.max(1)).peekable();
-    let mut exec = 0u64;
-    while chunks.peek().is_some() {
-        let groups: Vec<Vec<NodeId>> = chunks.by_ref().take(factor).map(|c| c.to_vec()).collect();
-        batches += groups.len();
-        run_walk_groups(
-            sampler,
-            groups,
-            hyper.walk_length,
-            node2vec,
-            0.0,
-            epoch * 65_536 + exec,
-        )?;
-        exec += 1;
-    }
-    let mut stats = sampler.device().stats();
-    stats.compact_records();
-    let faults = stats.faults;
-    Ok(EpochReport {
-        modeled_time: stats.total_time,
-        wall_time: wall.elapsed().as_secs_f64(),
-        batches,
-        stats,
-        memory: sampler.device().memory(),
-        super_batch: factor,
-        faults,
-    })
+    run_walk_epoch_with(sampler, seeds, hyper, node2vec, epoch, |_, _| {})
+}
+
+/// [`run_walk_epoch`], handing each mini-batch's trace to `consume` with
+/// its batch index. Runs on [`Sampler::drive_epoch`], so walk epochs share
+/// its super-batch windows, degradation ladder, quarantine and
+/// cancellation; batch `b`'s walk is keyed by the first draw of the
+/// stream the driver hands it, at any super-batch factor.
+pub fn run_walk_epoch_with(
+    sampler: &Sampler,
+    seeds: &[NodeId],
+    hyper: &Hyper,
+    node2vec: bool,
+    epoch: u64,
+    consume: impl FnMut(usize, WalkTrace),
+) -> Result<EpochReport> {
+    debug_assert_eq!(
+        hyper.batch_size,
+        sampler.config_batch_size(),
+        "walk epochs cut batches by the sampler's compiled batch size"
+    );
+    sampler.drive_epoch(
+        seeds,
+        epoch,
+        |groups, rngs| {
+            let keys: Vec<u64> = rngs.iter_mut().map(|r| r.gen()).collect();
+            walk_groups(sampler, groups, hyper.walk_length, node2vec, 0.0, &keys)
+        },
+        consume,
+    )
 }
 
 /// PinSAGE neighbourhoods: run `walks_per_seed` restarts-enabled walks per
@@ -182,44 +204,19 @@ pub fn pinsage_neighbors(
     hyper: &Hyper,
     stream: u64,
 ) -> Result<Vec<Vec<NodeId>>> {
-    // One walker per (seed, repeat).
-    let mut walkers: Vec<NodeId> = Vec::with_capacity(seeds.len() * hyper.walks_per_seed);
-    for &s in seeds {
-        for _ in 0..hyper.walks_per_seed {
-            walkers.push(s);
-        }
-    }
-    let trace = run_walk_batch(
-        sampler,
-        &walkers,
-        hyper.walk_length,
-        false,
-        hyper.restart,
-        stream,
-    )?;
-    let mut out = Vec::with_capacity(seeds.len());
-    for (si, &seed) in seeds.iter().enumerate() {
-        let mut counts: HashMap<NodeId, usize> = HashMap::new();
-        for w in 0..hyper.walks_per_seed {
-            let walker = si * hyper.walks_per_seed + w;
-            for step in &trace.positions {
-                let v = step[walker];
-                if v != seed {
-                    *counts.entry(v).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut ranked: Vec<(NodeId, usize)> = counts.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.push(
+    let counts = pinsage_like_counts(sampler, seeds, hyper, stream)?;
+    Ok(counts
+        .into_iter()
+        .map(|counts| {
+            let mut ranked: Vec<(NodeId, usize)> = counts.into_iter().collect();
+            ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             ranked
                 .into_iter()
                 .take(hyper.top_k)
                 .map(|(v, _)| v)
-                .collect(),
-        );
-    }
-    Ok(out)
+                .collect()
+        })
+        .collect())
 }
 
 /// HetGNN neighbourhoods: like PinSAGE, but the top-k is taken *per node

@@ -87,12 +87,7 @@ impl EagerSampler {
         let bindings = Bindings::new();
         let ctx = ExecCtx::plain(&self.graph, &bindings);
         kernels::kernel_for(op)
-            .run(
-                op,
-                inputs,
-                &ctx,
-                &mut gsampler_core::SessionRng::Shared(rng),
-            )
+            .run(op, inputs, &ctx, std::slice::from_mut(rng))
             .expect("eager kernel")
     }
 
@@ -351,28 +346,6 @@ impl EagerSampler {
         let out = self.edge_broadcast(&sampled, &sel, EltOp::Div, Axis::Row);
         self.device.free(sub.data.size_bytes());
         self.device.free(sub_csr.data.size_bytes());
-        out
-    }
-
-    /// Multi-layer FastGCN batch on an explicit RNG stream, mirroring
-    /// [`Self::graphsage_batch`]/[`Self::ladies_batch`] so differential
-    /// harnesses can drive every eager layer-wise path with the same
-    /// `(seed, stream)` pair the optimized pipeline uses.
-    pub fn fastgcn_batch(
-        &self,
-        frontiers: &[NodeId],
-        width: usize,
-        layers: usize,
-        stream: u64,
-    ) -> Vec<GraphMatrix> {
-        let mut rng = self.pool.stream(stream);
-        let mut cur: Vec<NodeId> = frontiers.to_vec();
-        let mut out = Vec::with_capacity(layers);
-        for _ in 0..layers {
-            let m = self.fastgcn_layer(&cur, width, &mut rng);
-            cur = m.row_nodes();
-            out.push(m);
-        }
         out
     }
 
@@ -724,8 +697,7 @@ mod tests {
 
         let bindings = Bindings::new();
         let ctx = ExecCtx::plain(&g, &bindings);
-        let mut rng = RngPool::new(11).stream(7);
-        let mut rng = gsampler_core::SessionRng::Shared(&mut rng);
+        let mut rng = [RngPool::new(11).stream(7)];
         let gv = Value::Matrix(g.matrix.clone());
         let fv = Value::Nodes(frontiers);
         let sub = kernels::kernel_for(&Op::SliceCols)

@@ -22,10 +22,10 @@ use rand::SeedableRng;
 
 use gsampler_core::kernels::slice_sample::{fused_extract_select, fused_sample_relabel};
 use gsampler_core::kernels::ExecCtx;
-use gsampler_core::{Bindings, SessionRng};
-use gsampler_engine::parallel::parallel_scatter;
+use gsampler_core::Bindings;
 use gsampler_graphs::{Dataset, DatasetKind};
 use gsampler_matrix::{eltwise, spmm, Dense, EltOp, GraphMatrix, NodeId, SparseMatrix};
+use gsampler_runtime::parallel::parallel_scatter;
 
 /// The full PD preset: large enough that one SpMM is milliseconds and the
 /// cache-blocking actually has something to block. The adjacency is
@@ -156,7 +156,7 @@ fn bench_fused_sample_relabel(c: &mut Criterion) {
                     10,
                     false,
                     &setup.ctx,
-                    &mut SessionRng::Shared(&mut rng),
+                    std::slice::from_mut(&mut rng),
                 )
                 .unwrap();
                 black_box(v.as_matrix().unwrap().compact_rows())
@@ -173,7 +173,7 @@ fn bench_fused_sample_relabel(c: &mut Criterion) {
                         10,
                         false,
                         &setup.ctx,
-                        &mut SessionRng::Shared(&mut rng),
+                        std::slice::from_mut(&mut rng),
                     )
                     .unwrap(),
                 )
@@ -260,7 +260,7 @@ fn write_artifact() {
             10,
             false,
             &setup.ctx,
-            &mut SessionRng::Shared(&mut rng),
+            std::slice::from_mut(&mut rng),
         )
         .unwrap()
         .as_matrix()
@@ -277,7 +277,7 @@ fn write_artifact() {
                     10,
                     false,
                     &setup.ctx,
-                    &mut SessionRng::Shared(&mut rng),
+                    std::slice::from_mut(&mut rng),
                 )
                 .unwrap();
                 black_box(v.as_matrix().unwrap().compact_rows());
@@ -290,7 +290,7 @@ fn write_artifact() {
                         10,
                         false,
                         &setup.ctx,
-                        &mut SessionRng::Shared(&mut rng),
+                        std::slice::from_mut(&mut rng),
                     )
                     .unwrap(),
                 );

@@ -272,15 +272,6 @@ impl Mat {
         self.reduce(ReduceOp::Count, axis)
     }
 
-    /// Total of all edge values.
-    pub fn sum_all(&self) -> Scal {
-        let id = self.add(Op::ReduceAll(ReduceOp::Sum), vec![self.id]);
-        Scal {
-            program: self.program.clone(),
-            id,
-        }
-    }
-
     /// `A @ D` — SpMM.
     pub fn spmm(&self, d: &Dns) -> Dns {
         let id = self.add(Op::Spmm, vec![self.id, d.id]);
@@ -307,16 +298,6 @@ impl Mat {
             inputs.push(p.id);
         }
         let id = self.add(Op::IndividualSample { k, replace: false }, inputs);
-        self.mat(id)
-    }
-
-    /// Node-wise select with replacement (random-walk semantics).
-    pub fn individual_sample_replace(&self, k: usize, probs: Option<&Mat>) -> Mat {
-        let mut inputs = vec![self.id];
-        if let Some(p) = probs {
-            inputs.push(p.id);
-        }
-        let id = self.add(Op::IndividualSample { k, replace: true }, inputs);
         self.mat(id)
     }
 

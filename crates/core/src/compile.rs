@@ -24,22 +24,23 @@ use gsampler_ir::passes::{
 use gsampler_ir::superbatch;
 use gsampler_ir::GraphStats;
 use gsampler_matrix::NodeId;
+use rand::rngs::StdRng;
 
 use crate::builder::Layer;
 use crate::error::{Error, Result};
 use crate::exec::{self, Bindings};
 use crate::graph::Graph;
-use crate::session_rng::SessionRng;
 use crate::value::Value;
 
 /// How the epoch drivers respond to faults: bounded retry for transient
 /// failures, a degradation ladder for memory pressure, and optional
 /// quarantine of batches that exhaust both.
 ///
-/// Recovery is deterministic by construction: a retried execution restores
-/// the RNG checkpoint taken before the failed attempt, so a run that
-/// recovers from a transient fault produces **bit-identical** samples to a
-/// clean run, and reruns of one seed + fault schedule always match.
+/// Recovery is invisible in the samples by construction: a retried
+/// execution restores the RNG checkpoint taken before the failed attempt,
+/// and every mini-batch keeps its own RNG stream when its window is
+/// regrouped, so a run that retries, degrades or quarantines delivers the
+/// clean run's samples (see [`Sampler`]) for every batch it delivers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
     /// Maximum plain retries per execution for transient faults
@@ -174,6 +175,15 @@ pub struct CompiledLayer {
 
 /// A compiled, executable multi-layer sampler bound to one graph and one
 /// device session.
+///
+/// Every path from seeds to samples (single batches, epochs, walks,
+/// multi-GPU shards, serving) goes through [`Sampler::sample_groups`] with
+/// one RNG stream per mini-batch, so how batches share executions is
+/// invisible: a degraded or super-batched epoch delivers each batch's
+/// plain-epoch edges (values included), node lists and vectors. Only
+/// matrix row layout may differ (splitting a group out of a block-diagonal
+/// execution compacts its empty rows). Programs that cannot be grouped
+/// ([`exec::superbatch_compatible`]) compile to factor 1.
 pub struct Sampler {
     graph: Arc<Graph>,
     graph_value: Arc<Value>,
@@ -225,13 +235,13 @@ fn execute_recovering(
     bindings: &Bindings,
     precomputed: &[Arc<Value>],
     device: &Device,
-    mut rng: SessionRng<'_>,
+    rngs: &mut [StdRng],
 ) -> Result<Vec<Vec<Value>>> {
-    let checkpoint = rng.checkpoint();
+    let checkpoint = rngs.to_vec();
     let mut retries = 0u32;
     let mut tried_spill = false;
     loop {
-        match exec::execute_session(
+        match exec::execute(
             program,
             graph,
             graph_value,
@@ -239,7 +249,7 @@ fn execute_recovering(
             bindings,
             precomputed,
             device,
-            rng.reborrow(),
+            rngs,
         ) {
             Ok(out) => return Ok(out),
             Err(e) if e.is_transient() && retries < policy.max_retries => {
@@ -248,7 +258,7 @@ fn execute_recovering(
                 // to a clean run) and surface the cancellation, not the
                 // fault it interrupted.
                 if let Some(cause) = gsampler_runtime::cancel::poll() {
-                    rng.restore(&checkpoint);
+                    rngs.clone_from_slice(&checkpoint);
                     return Err(Error::from_cancel(cause));
                 }
                 retries += 1;
@@ -286,7 +296,7 @@ fn execute_recovering(
                                     ),
                                 ],
                             );
-                            rng.restore(&checkpoint);
+                            rngs.clone_from_slice(&checkpoint);
                             let budget_ms = gsampler_runtime::cancel::current()
                                 .and_then(|t| t.budget_ms())
                                 .unwrap_or(0);
@@ -298,7 +308,7 @@ fn execute_recovering(
                         _ => std::thread::sleep(backoff),
                     }
                 }
-                rng.restore(&checkpoint);
+                rngs.clone_from_slice(&checkpoint);
             }
             Err(Error::Oom(oom))
                 if policy.allow_degrade
@@ -320,7 +330,7 @@ fn execute_recovering(
                         gsampler_obs::Arg::from(oom.requested as f64),
                     )],
                 );
-                rng.restore(&checkpoint);
+                rngs.clone_from_slice(&checkpoint);
             }
             Err(e) => return Err(e),
         }
@@ -577,7 +587,7 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
                 &Bindings::new(),
                 &[],
                 &device,
-                SessionRng::Shared(&mut rng),
+                std::slice::from_mut(&mut rng),
             )?;
             out.into_iter()
                 .next()
@@ -788,14 +798,6 @@ impl Sampler {
         self.config.batch_size.max(1)
     }
 
-    /// The root RNG seed this sampler was compiled with. External drivers
-    /// (the eager baseline, differential test harnesses) seed their own
-    /// [`RngPool`] with this value to share the sampler's RNG streams and
-    /// compare outputs bit-exactly.
-    pub fn seed(&self) -> u64 {
-        self.config.seed
-    }
-
     /// The device session (stats/memory snapshots).
     pub fn device(&self) -> &Device {
         &self.device
@@ -822,41 +824,66 @@ impl Sampler {
         stream: u64,
     ) -> Result<GraphSample> {
         let mut rng = self.pool.stream(stream);
-        let mut samples = self.sample_groups(vec![frontiers.to_vec()], bindings, &mut rng)?;
+        let mut samples = self.sample_groups(
+            vec![frontiers.to_vec()],
+            bindings,
+            std::slice::from_mut(&mut rng),
+        )?;
         Ok(samples.pop().expect("one group in, one sample out"))
     }
 
-    /// Sample several mini-batches together (one super-batch execution);
-    /// returns one [`GraphSample`] per input group.
+    /// The one door from frontiers to samples: execute every layer over
+    /// `groups` together (one super-batch execution) and return one
+    /// [`GraphSample`] per group. `rngs` carries one stream per group and
+    /// group `b` draws only from `rngs[b]` — exactly the sequence it would
+    /// consume sampled alone with that stream — so how mini-batches (or
+    /// independent tenants' requests, given [`Sampler::pack_exact`]) are
+    /// grouped onto executions never shows in the samples.
     ///
     /// Runs under the configured [`RecoveryPolicy`]: transient faults are
-    /// retried (bit-identically — the RNG is checkpointed per layer
+    /// retried (bit-identically — the RNGs are checkpointed per layer
     /// execution), and single-group memory pressure falls back to the
     /// streaming layout. Multi-group OOM propagates so the epoch driver
     /// can walk the super-batch degradation ladder instead.
     pub fn sample_groups(
         &self,
-        groups: Vec<Vec<NodeId>>,
+        mut groups: Vec<Vec<NodeId>>,
         bindings: &Bindings,
-        rng: &mut rand::rngs::StdRng,
+        rngs: &mut [StdRng],
     ) -> Result<Vec<GraphSample>> {
-        self.sample_groups_session(groups, bindings, SessionRng::Shared(rng))
-    }
-
-    /// [`Sampler::sample_groups`] with one *independent* RNG stream per
-    /// group: group `b` draws only from `rngs[b]`, exactly the sequence it
-    /// would consume running alone through [`Sampler::sample_groups`] with
-    /// that stream. This is the serving layer's cross-request packing
-    /// primitive — combined with [`Sampler::pack_exact`] it makes
-    /// coalescing independent callers into one block-diagonal super-batch
-    /// bit-invisible to each of them.
-    pub fn sample_groups_isolated(
-        &self,
-        groups: Vec<Vec<NodeId>>,
-        bindings: &Bindings,
-        rngs: &mut [rand::rngs::StdRng],
-    ) -> Result<Vec<GraphSample>> {
-        self.sample_groups_session(groups, bindings, SessionRng::PerGroup(rngs))
+        let s = groups.len();
+        let mut exec_span = gsampler_obs::span("exec", "sample_groups");
+        exec_span.arg("groups", s);
+        let mut per_group: Vec<GraphSample> =
+            (0..s).map(|_| GraphSample { layers: Vec::new() }).collect();
+        for layer in &self.layers {
+            let outputs = execute_recovering(
+                &self.config.recovery,
+                &layer.optimized.program,
+                &self.graph,
+                &self.graph_value,
+                &groups,
+                bindings,
+                &layer.precomputed,
+                &self.device,
+                rngs,
+            )?;
+            // Chain next-layer frontiers per group.
+            if let Some(pos) = layer.layer.next_frontier_output {
+                let mut next_groups = Vec::with_capacity(s);
+                for out in &outputs {
+                    let nodes = out.get(pos).and_then(|v| v.as_nodes()).ok_or_else(|| {
+                        Error::Execution("next-frontier output is not a node list".to_string())
+                    })?;
+                    next_groups.push(nodes.to_vec());
+                }
+                groups = next_groups;
+            }
+            for (g, out) in outputs.into_iter().enumerate() {
+                per_group[g].layers.push(out);
+            }
+        }
+        Ok(per_group)
     }
 
     /// True if multi-group executions of this sampler's compiled layers
@@ -903,65 +930,47 @@ impl Sampler {
         (base + tail_staging) as u64
     }
 
-    fn sample_groups_session(
-        &self,
-        mut groups: Vec<Vec<NodeId>>,
-        bindings: &Bindings,
-        mut rng: SessionRng<'_>,
-    ) -> Result<Vec<GraphSample>> {
-        let s = groups.len();
-        let mut exec_span = gsampler_obs::span("exec", "sample_groups");
-        exec_span.arg("groups", s);
-        let mut per_group: Vec<GraphSample> =
-            (0..s).map(|_| GraphSample { layers: Vec::new() }).collect();
-        for layer in &self.layers {
-            let outputs = execute_recovering(
-                &self.config.recovery,
-                &layer.optimized.program,
-                &self.graph,
-                &self.graph_value,
-                &groups,
-                bindings,
-                &layer.precomputed,
-                &self.device,
-                rng.reborrow(),
-            )?;
-            // Chain next-layer frontiers per group.
-            if let Some(pos) = layer.layer.next_frontier_output {
-                let mut next_groups = Vec::with_capacity(s);
-                for out in &outputs {
-                    let nodes = out.get(pos).and_then(|v| v.as_nodes()).ok_or_else(|| {
-                        Error::Execution("next-frontier output is not a node list".to_string())
-                    })?;
-                    next_groups.push(nodes.to_vec());
-                }
-                groups = next_groups;
-            }
-            for (g, out) in outputs.into_iter().enumerate() {
-                per_group[g].layers.push(out);
-            }
-        }
-        Ok(per_group)
-    }
-
     /// Run one epoch: go through `seeds` once in mini-batches of the
-    /// configured size, sampling `super_batch` batches per execution.
-    /// `consume` is called once per mini-batch with its sample.
-    ///
-    /// Epochs are checkpointed per window: a failed super-batch window is
-    /// re-executed — walking the degradation ladder (halve the factor →
-    /// per-minibatch execution → streaming layout) under memory pressure —
-    /// without redoing batches that already succeeded. Windows that
-    /// exhaust the [`RecoveryPolicy`] are quarantined (skipped, counted in
-    /// the [`FaultReport`]) when the policy allows, and fail the epoch
-    /// otherwise. Mini-batch indices passed to `consume` stay stable
-    /// across quarantines.
+    /// configured size, sampling `super_batch` batches per execution
+    /// ([`Sampler::drive_epoch`] is the window loop). `consume` is called
+    /// once per mini-batch with its sample. Mini-batch `b` always draws
+    /// from `pool.subpool(epoch).stream(b)`, so super-batched, degraded
+    /// and quarantining epochs deliver the plain factor-1 epoch's samples.
     pub fn run_epoch_with(
         &self,
         seeds: &[NodeId],
         bindings: &Bindings,
         epoch: u64,
-        mut consume: impl FnMut(usize, GraphSample),
+        consume: impl FnMut(usize, GraphSample),
+    ) -> Result<EpochReport> {
+        self.drive_epoch(
+            seeds,
+            epoch,
+            |groups, rngs| self.sample_groups(groups, bindings, rngs),
+            consume,
+        )
+    }
+
+    /// The epoch driver: cut `seeds` into mini-batches of the configured
+    /// size and hand `run_window` up to `super_batch` of them at a time,
+    /// as one frontier group per batch plus one RNG stream per group —
+    /// batch `b`'s is always `pool.subpool(epoch).stream(b)`, however
+    /// windows are regrouped. `run_window` returns one item per group,
+    /// each passed to `consume` with its mini-batch index.
+    ///
+    /// Epochs are checkpointed per window: a failed window is re-executed
+    /// — walking the degradation ladder (halve the factor → per-minibatch
+    /// execution → streaming layout) under memory pressure — without
+    /// redoing batches that already succeeded. Windows that exhaust the
+    /// [`RecoveryPolicy`] are quarantined (skipped, counted in the
+    /// [`FaultReport`]) when the policy allows, and fail the epoch
+    /// otherwise. Mini-batch indices stay stable across quarantines.
+    pub fn drive_epoch<T>(
+        &self,
+        seeds: &[NodeId],
+        epoch: u64,
+        mut run_window: impl FnMut(Vec<Vec<NodeId>>, &mut [StdRng]) -> Result<Vec<T>>,
+        mut consume: impl FnMut(usize, T),
     ) -> Result<EpochReport> {
         self.device.reset();
         let mut epoch_span = gsampler_obs::span("epoch", "run_epoch");
@@ -1017,7 +1026,6 @@ impl Sampler {
             let mut factor = self.super_batch.max(1);
             let mut batch_idx = 0usize;
             let mut start = 0usize;
-            let mut exec_idx = 0u64;
             // (rows, modeled time at spawn, gather thread handle)
             let mut pending: Option<(usize, f64, std::thread::ScopedJoinHandle<'_, f64>)> = None;
             // Join the in-flight prefetch and charge its gather with the
@@ -1055,9 +1063,9 @@ impl Sampler {
                 };
             while start < seeds.len() {
                 // Window boundary is the coarse cancellation check point:
-                // epoch RNG streams are derived fresh per window, so
-                // stopping here needs no RNG restore — a rerun replays the
-                // remaining windows bit-identically.
+                // RNG streams are derived fresh per batch, so stopping
+                // here needs no RNG restore — a rerun replays the
+                // remaining batches bit-identically.
                 if let Some(cause) = gsampler_runtime::cancel::poll() {
                     return Err(Error::from_cancel(cause));
                 }
@@ -1087,10 +1095,11 @@ impl Sampler {
                     }
                 }
                 let window_batches = groups.len();
-                let mut rng = pool.stream(exec_idx);
-                match self.sample_groups(groups, bindings, &mut rng) {
+                let mut rngs: Vec<StdRng> = (batch_idx..batch_idx + window_batches)
+                    .map(|b| pool.stream(b as u64))
+                    .collect();
+                match run_window(groups, &mut rngs) {
                     Ok(samples) => {
-                        exec_idx += 1;
                         start = end;
                         settle(&mut pending);
                         for sample in samples {
@@ -1133,7 +1142,6 @@ impl Sampler {
                                 ("error", gsampler_obs::Arg::from(e.to_string())),
                             ],
                         );
-                        exec_idx += 1;
                         start = end;
                         settle(&mut pending);
                         batch_idx += window_batches;

@@ -21,13 +21,12 @@ use rand::rngs::StdRng;
 
 use gsampler_engine::Device;
 use gsampler_ir::costing;
-use gsampler_ir::{Op, Program};
+use gsampler_ir::{Node, Op, Program};
 use gsampler_matrix::{Dense, NodeId};
 
 use crate::error::{Error, Result};
 use crate::graph::Graph;
 use crate::kernels::{self, superbatch, ExecCtx};
-use crate::session_rng::SessionRng;
 use crate::value::Value;
 
 /// Named inputs bound per batch (model weights, feature tables, bias
@@ -81,20 +80,33 @@ impl Bindings {
 
 /// True if a program can run in super-batched (block-diagonal) mode: all
 /// base-graph extractions must consume the frontier input directly, so
-/// the executor knows how to segment them.
+/// the executor knows how to segment them, and per-column sampling must
+/// read a matrix whose columns are the frontiers, so each column's draw
+/// belongs to one group's RNG stream.
 pub fn superbatch_compatible(program: &Program) -> bool {
-    let frontier_ids: Vec<usize> = program
-        .nodes()
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| matches!(n.op, Op::InputFrontiers))
-        .map(|(id, _)| id)
-        .collect();
-    program.nodes().iter().all(|node| match node.op {
+    let nodes = program.nodes();
+    let by_frontiers = |n: &Node| matches!(nodes[n.inputs[1]].op, Op::InputFrontiers);
+    // Columns are the frontiers after a frontier-keyed extraction and
+    // through every matrix operator that keeps its first input's columns.
+    let frontier_cols = |mut id: usize| loop {
+        let n = &nodes[id];
+        match n.op {
+            Op::SliceCols | Op::FusedExtractSelect { .. } | Op::FusedSampleRelabel { .. } => {
+                return by_frontiers(n)
+            }
+            Op::CompactCols => return false,
+            _ => match n.inputs.first() {
+                Some(&p) => id = p,
+                None => return false,
+            },
+        }
+    };
+    nodes.iter().all(|node| match node.op {
         Op::SliceCols
         | Op::SliceRows
         | Op::FusedExtractSelect { .. }
-        | Op::FusedSampleRelabel { .. } => frontier_ids.contains(&node.inputs[1]),
+        | Op::FusedSampleRelabel { .. } => by_frontiers(node),
+        Op::IndividualSample { .. } => frontier_cols(node.inputs[0]),
         Op::InduceSubgraph | Op::ReduceAll(..) | Op::SpmmT => false,
         _ => true,
     })
@@ -120,7 +132,9 @@ pub fn scatter_exact(program: &Program) -> bool {
 ///
 /// Returns one value list per group (in `program.outputs()` order). With a
 /// single group this is ordinary mini-batch execution; with several, the
-/// groups are sampled together as one super-batch.
+/// groups are sampled together as one super-batch. `rngs` carries one
+/// stream per group (see [`crate::session_rng`]): group `b` draws only
+/// from `rngs[b]`, so its values do not depend on what it is packed with.
 // The parameters are the execution context in full; bundling them into a
 // struct would only move the same list one level down.
 #[allow(clippy::too_many_arguments)]
@@ -132,35 +146,7 @@ pub fn execute(
     bindings: &Bindings,
     precomputed: &[Arc<Value>],
     device: &Device,
-    rng: &mut StdRng,
-) -> Result<Vec<Vec<Value>>> {
-    execute_session(
-        program,
-        graph,
-        graph_value,
-        frontier_groups,
-        bindings,
-        precomputed,
-        device,
-        SessionRng::Shared(rng),
-    )
-}
-
-/// [`execute`] with an explicit RNG view: [`SessionRng::Shared`] is the
-/// historical single-stream semantics; [`SessionRng::PerGroup`] gives each
-/// frontier group its own stream (one per group, validated against the
-/// group count) so packing independent callers into one super-batch is
-/// RNG-invisible to each of them.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_session(
-    program: &Program,
-    graph: &Graph,
-    graph_value: &Arc<Value>,
-    frontier_groups: &[Vec<NodeId>],
-    bindings: &Bindings,
-    precomputed: &[Arc<Value>],
-    device: &Device,
-    mut rng: SessionRng<'_>,
+    rngs: &mut [StdRng],
 ) -> Result<Vec<Vec<Value>>> {
     let s = frontier_groups.len().max(1);
     let n = graph.num_nodes();
@@ -169,12 +155,11 @@ pub fn execute_session(
             "program is not super-batch compatible".to_string(),
         ));
     }
-    if let Some(groups) = rng.isolated_groups() {
-        if groups != s {
-            return Err(Error::Execution(format!(
-                "per-group RNG has {groups} streams but the execution has {s} groups"
-            )));
-        }
+    if rngs.len() != s {
+        return Err(Error::Execution(format!(
+            "{} RNG streams but the execution has {s} groups",
+            rngs.len()
+        )));
     }
     let mut col_offsets = Vec::with_capacity(s + 1);
     col_offsets.push(0usize);
@@ -212,7 +197,7 @@ pub fn execute_session(
         graph_value,
         precomputed,
         device,
-        rng: &mut rng,
+        rngs,
         ctx: &ctx,
         refcount: &mut refcount,
         resident: &resident,
@@ -245,25 +230,25 @@ pub fn execute_session(
 
 /// Borrows of everything the node-evaluation loop touches, split out of
 /// [`execute`] so the error path can inspect the environment afterwards.
-struct RunArgs<'a, 'b, 'c> {
+struct RunArgs<'a, 'b> {
     program: &'a Program,
     graph_value: &'a Arc<Value>,
     precomputed: &'a [Arc<Value>],
     device: &'a Device,
-    rng: &'a mut SessionRng<'c>,
+    rngs: &'a mut [StdRng],
     ctx: &'a ExecCtx<'b>,
     refcount: &'a mut [usize],
     resident: &'a [bool],
     env: &'a mut [Option<Arc<Value>>],
 }
 
-fn run_nodes(args: RunArgs<'_, '_, '_>) -> Result<()> {
+fn run_nodes(args: RunArgs<'_, '_>) -> Result<()> {
     let RunArgs {
         program,
         graph_value,
         precomputed,
         device,
-        rng,
+        rngs,
         ctx,
         refcount,
         resident,
@@ -298,7 +283,7 @@ fn run_nodes(args: RunArgs<'_, '_, '_>) -> Result<()> {
             .collect::<Result<Vec<_>>>()?;
 
         let graph_input = node.inputs.first().map(|&i| resident[i]).unwrap_or(false);
-        let value = kernels::dispatch(&node.op, &inputs, graph_input, ctx, device, rng)?;
+        let value = kernels::dispatch(&node.op, &inputs, graph_input, ctx, device, rngs)?;
         device.try_alloc(value.bytes()).map_err(Error::Oom)?;
         env[id] = Some(Arc::new(value));
 

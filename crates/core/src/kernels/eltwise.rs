@@ -9,12 +9,13 @@
 
 use std::collections::HashMap;
 
+use rand::rngs::StdRng;
+
 use gsampler_ir::op::EdgeMapStep;
 use gsampler_ir::Op;
 use gsampler_matrix::{broadcast, eltwise, reduce, Axis, GraphMatrix, NodeId, SparseMatrix};
 
 use crate::error::{Error, Result};
-use crate::session_rng::SessionRng;
 use crate::value::Value;
 
 use super::{ExecCtx, Kernel};
@@ -193,7 +194,7 @@ impl Kernel for EltwiseKernels {
         op: &Op,
         inputs: &[&Value],
         ctx: &ExecCtx<'_>,
-        _rng: &mut SessionRng<'_>,
+        _rngs: &mut [StdRng],
     ) -> Result<Value> {
         match op {
             Op::ScalarOp(o, s) => {

@@ -1,11 +1,12 @@
 //! Matrix-algebra kernels: SpMM, SDDMM, dense GEMM, softmax, and the
 //! dense/edge-value plumbing the model-driven samplers use.
 
+use rand::rngs::StdRng;
+
 use gsampler_ir::Op;
 use gsampler_matrix::{eltwise, spmm, Dense, GraphMatrix, NodeId, SparseMatrix};
 
 use crate::error::{Error, Result};
-use crate::session_rng::SessionRng;
 use crate::value::Value;
 
 use super::eltwise::{want_matrix, want_nodes, with_data};
@@ -77,7 +78,7 @@ impl Kernel for MatmulKernels {
         op: &Op,
         inputs: &[&Value],
         ctx: &ExecCtx<'_>,
-        _rng: &mut SessionRng<'_>,
+        _rngs: &mut [StdRng],
     ) -> Result<Value> {
         match op {
             Op::Spmm => {

@@ -32,11 +32,11 @@ use gsampler_engine::{
 };
 use gsampler_ir::{costing, Op, ShapeEst};
 use gsampler_matrix::{Format, NodeId};
+use rand::rngs::StdRng;
 
 use crate::error::{Error, Result};
 use crate::exec::Bindings;
 use crate::graph::Graph;
-use crate::session_rng::SessionRng;
 use crate::value::Value;
 
 /// Everything an operator evaluation can see: the bound graph, the
@@ -111,7 +111,7 @@ pub trait Kernel: Sync {
         op: &Op,
         inputs: &[&Value],
         ctx: &ExecCtx<'_>,
-        rng: &mut SessionRng<'_>,
+        rngs: &mut [StdRng],
     ) -> Result<Value>;
 
     /// The modeled workload of one invocation; `None` for free operators
@@ -141,7 +141,7 @@ impl Kernel for InputKernels {
         op: &Op,
         _inputs: &[&Value],
         ctx: &ExecCtx<'_>,
-        _rng: &mut SessionRng<'_>,
+        _rngs: &mut [StdRng],
     ) -> Result<Value> {
         match op {
             Op::InputFrontiers => Ok(Value::Nodes(ctx.concat_frontiers.to_vec())),
@@ -267,7 +267,7 @@ pub fn dispatch(
     graph_input_resident: bool,
     ctx: &ExecCtx<'_>,
     device: &Device,
-    rng: &mut SessionRng<'_>,
+    rngs: &mut [StdRng],
 ) -> Result<Value> {
     let kernel = kernel_for(op);
     let in_fmts: Vec<Option<Format>> = inputs
@@ -309,7 +309,7 @@ pub fn dispatch(
     // `PoolError` (the pool has already respawned the worker). Contain it
     // as a transient, retryable failure of just this kernel; any other
     // panic is a real bug and keeps unwinding.
-    let run_result = catch_unwind(AssertUnwindSafe(|| kernel.run(op, inputs, ctx, rng)));
+    let run_result = catch_unwind(AssertUnwindSafe(|| kernel.run(op, inputs, ctx, rngs)));
     let value = match run_result {
         Ok(result) => result?,
         Err(payload) => match payload.downcast::<PoolError>() {
@@ -395,7 +395,6 @@ mod tests {
     use super::*;
     use gsampler_engine::DeviceProfile;
     use gsampler_matrix::{EltOp, ReduceOp};
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn graph() -> Graph {
@@ -428,8 +427,7 @@ mod tests {
         let bindings = Bindings::new();
         let ctx = ExecCtx::plain(&g, &bindings);
         let device = Device::new(DeviceProfile::v100());
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut rng = SessionRng::Shared(&mut rng);
+        let mut rng = [StdRng::seed_from_u64(1)];
         let gv = Value::Matrix(g.matrix.clone());
         let out = dispatch(
             &Op::ScalarOp(EltOp::Mul, 2.0),
@@ -456,8 +454,7 @@ mod tests {
             let bindings = Bindings::new();
             let ctx = ExecCtx::plain(&g, &bindings);
             let device = Device::new(DeviceProfile::v100());
-            let mut rng = StdRng::seed_from_u64(1);
-            let mut rng = SessionRng::Shared(&mut rng);
+            let mut rng = [StdRng::seed_from_u64(1)];
             let gv = Value::Matrix(g.matrix.clone());
             let frontiers = Value::Nodes(vec![1, 5, 9, 13]);
             dispatch(
@@ -481,8 +478,7 @@ mod tests {
         let bindings = Bindings::new();
         let ctx = ExecCtx::plain(&g, &bindings);
         let device = Device::new(DeviceProfile::v100());
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut rng = SessionRng::Shared(&mut rng);
+        let mut rng = [StdRng::seed_from_u64(1)];
         let gv = Value::Matrix(g.matrix.clone());
         let frontiers = Value::Nodes(vec![1, 5]);
         dispatch(
@@ -506,8 +502,7 @@ mod tests {
             .node_list("prev", vec![3, 4]);
         let ctx = ExecCtx::plain(&g, &bindings);
         let device = Device::new(DeviceProfile::v100());
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut rng = SessionRng::Shared(&mut rng);
+        let mut rng = [StdRng::seed_from_u64(1)];
         let v = dispatch(
             &Op::InputVector("w".into()),
             &[],

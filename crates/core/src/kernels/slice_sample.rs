@@ -2,18 +2,19 @@
 //! node-wise and layer-wise sampling, the fused extract+select kernel,
 //! format conversion, and compaction.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 
-use gsampler_engine::parallel::{parallel_map, parallel_scatter, parallel_scatter2};
 use gsampler_engine::{take_scratch, take_scratch_filled};
 use gsampler_ir::Op;
 use gsampler_matrix::sample::{
     individual_sample_seeded, individual_sample_with_replacement_seeded, StreamSource,
 };
 use gsampler_matrix::{Csc, GraphMatrix, NodeId, SparseMatrix};
+use gsampler_runtime::parallel::{parallel_map, parallel_scatter, parallel_scatter2};
 
 use crate::error::{Error, Result};
-use crate::session_rng::{ColStreams, SessionRng};
+use crate::session_rng::ColStreams;
 use crate::value::Value;
 
 use super::eltwise::{want_matrix, want_nodes, want_vector, with_data};
@@ -33,16 +34,16 @@ struct FrontierPicks {
 /// Plan the sampled neighbour offsets for every frontier column.
 ///
 /// Frontier-parallel on the worker pool: column `c` always draws from RNG
-/// stream `c` of [`ColStreams`] seeded once from the session RNG (once per
-/// group in per-group mode), so the plan is bit-identical at any thread
-/// count — and consumes exactly one `rng.gen::<u64>()` per stream, keeping
-/// downstream RNG alignment whichever fused kernel executes it.
+/// stream `c` of [`ColStreams`] seeded once per group from that group's
+/// RNG, so the plan is bit-identical at any thread count — and consumes
+/// exactly one `gen::<u64>()` per group stream, keeping downstream RNG
+/// alignment whichever fused kernel executes it.
 fn plan_frontier_picks(
     csc: &Csc,
     k: usize,
     replace: bool,
     ctx: &ExecCtx<'_>,
-    rng: &mut SessionRng<'_>,
+    rngs: &mut [StdRng],
     op_name: &'static str,
 ) -> Result<FrontierPicks> {
     let n = ctx.n;
@@ -69,7 +70,7 @@ fn plan_frontier_picks(
         }
     }
 
-    let pool = ColStreams::draw(rng, ctx.col_offsets, total_cols)?;
+    let pool = ColStreams::draw(rngs, ctx.col_offsets, total_cols)?;
     let picks: Vec<Vec<usize>> = parallel_map(
         cols_f.len(),
         par_gate(cols_f.len().saturating_mul(k.max(1))),
@@ -118,7 +119,7 @@ pub fn fused_extract_select(
     k: usize,
     replace: bool,
     ctx: &ExecCtx<'_>,
-    rng: &mut SessionRng<'_>,
+    rngs: &mut [StdRng],
 ) -> Result<Value> {
     let n = ctx.n;
     let csc = m.data.to_csc();
@@ -128,7 +129,7 @@ pub fn fused_extract_select(
         row_off,
         picks,
         indptr,
-    } = plan_frontier_picks(&csc, k, replace, ctx, rng, "fused_extract_select")?;
+    } = plan_frontier_picks(&csc, k, replace, ctx, rngs, "fused_extract_select")?;
 
     let out_nnz = *indptr.last().unwrap();
     let mut indices = vec![0 as NodeId; out_nnz];
@@ -179,7 +180,7 @@ pub fn fused_extract_select(
 /// time.
 ///
 /// The sampling plan is shared with [`fused_extract_select`] (same RNG
-/// pool, same single `rng.gen::<u64>()` draw), and the kept rows are the
+/// pools, same one draw per group stream), and the kept rows are the
 /// sorted distinct sampled rows — exactly the ascending order
 /// `GraphMatrix::compact_rows` produces — so the output is bit-identical
 /// to the unfused pair. Relabelling by rank is monotone, preserving each
@@ -192,7 +193,7 @@ pub fn fused_sample_relabel(
     k: usize,
     replace: bool,
     ctx: &ExecCtx<'_>,
-    rng: &mut SessionRng<'_>,
+    rngs: &mut [StdRng],
 ) -> Result<Value> {
     let csc = m.data.to_csc();
     let total_cols = ctx.concat_frontiers.len();
@@ -201,7 +202,7 @@ pub fn fused_sample_relabel(
         row_off,
         picks,
         indptr,
-    } = plan_frontier_picks(&csc, k, replace, ctx, rng, "fused_sample_relabel")?;
+    } = plan_frontier_picks(&csc, k, replace, ctx, rngs, "fused_sample_relabel")?;
 
     let out_nnz = *indptr.last().unwrap();
 
@@ -297,7 +298,7 @@ impl Kernel for SliceSampleKernels {
         op: &Op,
         inputs: &[&Value],
         ctx: &ExecCtx<'_>,
-        rng: &mut SessionRng<'_>,
+        rngs: &mut [StdRng],
     ) -> Result<Value> {
         match op {
             Op::SliceCols => {
@@ -325,11 +326,11 @@ impl Kernel for SliceSampleKernels {
                     Some(v) => Some(want_matrix(v, "individual_sample probs")?),
                     None => None,
                 };
-                // Per-column streams from the session RNG; in per-group
-                // mode the matrix columns must still be the concatenated
-                // frontiers (validated by `ColStreams::draw`), so each
-                // group draws exactly what it would alone.
-                let streams = ColStreams::draw(rng, ctx.col_offsets, m.shape().1)?;
+                // With several groups the matrix columns are the
+                // concatenated frontiers (`exec::superbatch_compatible`
+                // admits nothing else; `ColStreams::draw` re-checks), so
+                // each group draws exactly what it would alone.
+                let streams = ColStreams::draw(rngs, ctx.col_offsets, m.shape().1)?;
                 let data = if *replace {
                     individual_sample_with_replacement_seeded(
                         &m.data,
@@ -348,15 +349,15 @@ impl Kernel for SliceSampleKernels {
                     Some(v) => Some(want_vector(v, "collective_sample probs")?),
                     None => None,
                 };
-                superbatch::segmented_collective_sample(m, *k, probs, ctx, rng)
+                superbatch::segmented_collective_sample(m, *k, probs, ctx, rngs)
             }
             Op::FusedExtractSelect { k, replace } => {
                 let m = want_matrix(inputs[0], "fused_extract_select")?;
-                fused_extract_select(m, *k, *replace, ctx, rng)
+                fused_extract_select(m, *k, *replace, ctx, rngs)
             }
             Op::FusedSampleRelabel { k, replace } => {
                 let m = want_matrix(inputs[0], "fused_sample_relabel")?;
-                fused_sample_relabel(m, *k, *replace, ctx, rng)
+                fused_sample_relabel(m, *k, *replace, ctx, rngs)
             }
             Op::Convert(fmt) => {
                 let m = want_matrix(inputs[0], "convert")?;
@@ -395,7 +396,6 @@ impl Kernel for SliceSampleKernels {
 mod tests {
     use super::*;
     use crate::{Bindings, Graph};
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn test_graph() -> Graph {
@@ -432,27 +432,15 @@ mod tests {
                 precomputed: &[],
             };
             for replace in [false, true] {
-                let mut rng_a = StdRng::seed_from_u64(9);
-                let mut rng_b = StdRng::seed_from_u64(9);
-                let unfused = fused_extract_select(
-                    &graph.matrix,
-                    3,
-                    replace,
-                    &ctx,
-                    &mut SessionRng::Shared(&mut rng_a),
-                )
-                .unwrap()
-                .as_matrix()
-                .unwrap()
-                .compact_rows();
-                let fused = fused_sample_relabel(
-                    &graph.matrix,
-                    3,
-                    replace,
-                    &ctx,
-                    &mut SessionRng::Shared(&mut rng_b),
-                )
-                .unwrap();
+                let mut rng_a: Vec<StdRng> = (0..s as u64).map(StdRng::seed_from_u64).collect();
+                let mut rng_b = rng_a.clone();
+                let unfused = fused_extract_select(&graph.matrix, 3, replace, &ctx, &mut rng_a)
+                    .unwrap()
+                    .as_matrix()
+                    .unwrap()
+                    .compact_rows();
+                let fused =
+                    fused_sample_relabel(&graph.matrix, 3, replace, &ctx, &mut rng_b).unwrap();
                 let fused = fused.as_matrix().unwrap();
                 assert_eq!(
                     fused, &unfused,
@@ -460,8 +448,8 @@ mod tests {
                 );
                 assert!(fused.data.to_csc().nrows < 50 * s, "nothing was compacted");
                 assert_eq!(
-                    rng_a.gen::<u64>(),
-                    rng_b.gen::<u64>(),
+                    rng_a.iter_mut().map(|r| r.gen()).collect::<Vec<u64>>(),
+                    rng_b.iter_mut().map(|r| r.gen()).collect::<Vec<u64>>(),
                     "RNG streams desynced (s={s}, replace={replace})"
                 );
             }

@@ -5,20 +5,21 @@
 //! `[b·N, (b+1)·N)`, so the groups cannot interfere. The segmented kernels
 //! here are thin wrappers over the same base selection primitives the
 //! plain path uses (`weighted_sample_without_replacement_seeded` etc.) —
-//! each group draws from its own RNG subpool derived from one session-RNG
-//! draw, which is what keeps seeded outputs bit-identical across batch
-//! modes and thread counts. [`split_outputs`] undoes the blocking at
+//! each group draws from a subpool of its own RNG stream, which is what
+//! keeps seeded outputs bit-identical across batch modes and thread
+//! counts. [`split_outputs`] undoes the blocking at
 //! program exit.
 
 use std::sync::Arc;
 
-use gsampler_engine::parallel::{parallel_scatter, parallel_scatter2};
 use gsampler_ir::{Op, Program};
 use gsampler_matrix::sample::weighted_sample_without_replacement_seeded;
 use gsampler_matrix::{slice, Csc, GraphMatrix, NodeId, SparseMatrix};
+use gsampler_runtime::parallel::{parallel_scatter, parallel_scatter2};
+use rand::rngs::StdRng;
 
 use crate::error::Result;
-use crate::session_rng::SessionRng;
+use crate::session_rng::segment_subpools;
 use crate::value::Value;
 
 use super::eltwise::fit_row_vector;
@@ -107,7 +108,7 @@ pub fn segmented_collective_sample(
     k: usize,
     probs: Option<&[f32]>,
     ctx: &ExecCtx<'_>,
-    rng: &mut SessionRng<'_>,
+    rngs: &mut [StdRng],
 ) -> Result<Value> {
     let nrows = m.shape().0;
     let weights: Vec<f32> = match probs {
@@ -135,12 +136,10 @@ pub fn segmented_collective_sample(
         }
     }
 
-    // One RNG subpool per segment: in shared mode all are derived from a
-    // single session-RNG draw (segment `b` samples from subpool `b`); in
-    // per-group mode each segment gets the subpool its group would build
-    // running alone. The seeded sampler assigns candidate `i` to stream
-    // `i` within the subpool — bit-identical output at any thread count.
-    let pools = rng.segment_subpools(segments)?;
+    // One RNG subpool per segment — the one its group would build running
+    // alone. The seeded sampler assigns candidate `i` to stream `i` within
+    // the subpool — bit-identical output at any thread count.
+    let pools = segment_subpools(rngs, segments)?;
     let mut selected: Vec<NodeId> = Vec::new();
     for (seg, cands) in per_segment.iter().enumerate() {
         if cands.len() <= k {

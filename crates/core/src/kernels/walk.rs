@@ -1,11 +1,12 @@
 //! Random-walk kernels: per-walker frontier advancement and the
 //! second-order Node2Vec transition bias.
 
+use rand::rngs::StdRng;
+
 use gsampler_ir::Op;
 use gsampler_matrix::{GraphMatrix, NodeId};
 
 use crate::error::{Error, Result};
-use crate::session_rng::SessionRng;
 use crate::value::Value;
 
 use super::eltwise::{want_matrix, want_nodes, with_data};
@@ -101,7 +102,7 @@ impl Kernel for WalkKernels {
         op: &Op,
         inputs: &[&Value],
         ctx: &ExecCtx<'_>,
-        _rng: &mut SessionRng<'_>,
+        _rngs: &mut [StdRng],
     ) -> Result<Value> {
         match op {
             Op::NextWalkFrontier => {

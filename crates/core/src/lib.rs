@@ -63,7 +63,6 @@ pub use exec::Bindings;
 pub use export::{to_edge_index_graph, to_message_flow_graph, EdgeIndexGraph, MessageFlowGraph};
 pub use graph::Graph;
 pub use multi_gpu::{MultiGpuReport, MultiGpuSampler};
-pub use session_rng::{RngCheckpoint, SessionRng};
 pub use value::Value;
 
 // Re-export the configuration surface users need alongside the API.

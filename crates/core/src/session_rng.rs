@@ -1,17 +1,15 @@
-//! Session RNG views: one shared stream, or one stream per super-batch
-//! group.
+//! The RNG discipline: one stream per frontier group.
 //!
-//! Every randomized kernel draws exactly **one** `u64` per invocation from
-//! the session RNG and fans per-column streams out of it. Under ordinary
-//! super-batching that single draw is shared by all groups (the paper's
-//! §4.4 semantics: a super-batch is one sampling event). A *serving*
-//! layer packing independent tenants' requests into one block-diagonal
-//! batch needs the opposite guarantee: each group must observe exactly the
-//! RNG sequence it would see running alone, so coalescing is semantically
-//! invisible. [`SessionRng::PerGroup`] provides that — each group carries
-//! its own `StdRng`, every randomized kernel draws one seed *per group*,
-//! and the per-column streams are keyed by the **in-group** column index
-//! instead of the concatenated one.
+//! Every execution carries exactly one `StdRng` per frontier group, and
+//! group `b` draws only from `rngs[b]`: every randomized kernel takes one
+//! `u64` *per group* and fans per-column streams out of it, keyed by the
+//! **in-group** column index. A group therefore observes exactly the RNG
+//! sequence it would see running alone, which makes how groups are packed
+//! onto one execution — super-batching an epoch, coalescing tenants'
+//! requests, halving a window under memory pressure — invisible in the
+//! samples. Callers own the mapping from a mini-batch to its stream (an
+//! epoch uses `pool.subpool(epoch).stream(batch)`), so a mini-batch's
+//! randomness is a function of (sampler seed, epoch, batch index) only.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -21,138 +19,57 @@ use gsampler_matrix::sample::StreamSource;
 
 use crate::error::{Error, Result};
 
-/// The RNG view one program execution draws from.
-pub enum SessionRng<'a> {
-    /// One stream shared by all groups — ordinary execution. Bit-identical
-    /// to the historical `&mut StdRng` plumbing.
-    Shared(&'a mut StdRng),
-    /// One stream per super-batch group (`rngs.len() == s`): group `b`
-    /// draws only from `rngs[b]`, exactly as if it ran alone.
-    PerGroup(&'a mut [StdRng]),
+/// One RNG subpool per super-batch segment, for segmented collective
+/// sampling: segment `b` gets the subpool its group would build running
+/// alone (`RngPool::new(draw_b).subpool(0)`).
+pub fn segment_subpools(rngs: &mut [StdRng], segments: usize) -> Result<Vec<RngPool>> {
+    if rngs.len() != segments {
+        return Err(Error::Execution(format!(
+            "{} RNG streams but the execution has {segments} segments",
+            rngs.len()
+        )));
+    }
+    Ok(rngs
+        .iter_mut()
+        .map(|r| RngPool::new(r.gen::<u64>()).subpool(0))
+        .collect())
 }
 
-/// A saved copy of the session RNG state, for deterministic retry: restore
-/// before re-executing and the recovered run is bit-identical to a clean
-/// one.
-#[derive(Clone)]
-pub enum RngCheckpoint {
-    /// Checkpoint of a [`SessionRng::Shared`] stream.
-    Shared(StdRng),
-    /// Checkpoint of every per-group stream.
-    PerGroup(Vec<StdRng>),
-}
-
-impl<'a> SessionRng<'a> {
-    /// Reborrow with a shorter lifetime (pass down a call chain without
-    /// consuming the original).
-    pub fn reborrow(&mut self) -> SessionRng<'_> {
-        match self {
-            SessionRng::Shared(r) => SessionRng::Shared(r),
-            SessionRng::PerGroup(v) => SessionRng::PerGroup(v),
-        }
-    }
-
-    /// Number of per-group streams, or `None` in shared mode.
-    pub fn isolated_groups(&self) -> Option<usize> {
-        match self {
-            SessionRng::Shared(_) => None,
-            SessionRng::PerGroup(v) => Some(v.len()),
-        }
-    }
-
-    /// Snapshot the RNG state.
-    pub fn checkpoint(&self) -> RngCheckpoint {
-        match self {
-            SessionRng::Shared(r) => RngCheckpoint::Shared((**r).clone()),
-            SessionRng::PerGroup(v) => RngCheckpoint::PerGroup(v.to_vec()),
-        }
-    }
-
-    /// Restore a snapshot taken from the same mode.
-    pub fn restore(&mut self, cp: &RngCheckpoint) {
-        match (self, cp) {
-            (SessionRng::Shared(r), RngCheckpoint::Shared(saved)) => **r = saved.clone(),
-            (SessionRng::PerGroup(v), RngCheckpoint::PerGroup(saved)) => {
-                v.clone_from_slice(saved);
-            }
-            _ => unreachable!("checkpoint mode matches the session it was taken from"),
-        }
-    }
-
-    /// One RNG subpool per super-batch segment, for segmented collective
-    /// sampling. Shared mode derives all subpools from a single session
-    /// draw (`pool.subpool(seg)` — historical semantics); per-group mode
-    /// gives segment `b` the subpool its group would build running alone
-    /// (`RngPool::new(draw_b).subpool(0)`).
-    pub fn segment_subpools(&mut self, segments: usize) -> Result<Vec<RngPool>> {
-        match self {
-            SessionRng::Shared(r) => {
-                let pool = RngPool::new(r.gen::<u64>());
-                Ok((0..segments).map(|b| pool.subpool(b as u64)).collect())
-            }
-            SessionRng::PerGroup(rngs) => {
-                if rngs.len() != segments {
-                    return Err(Error::Execution(format!(
-                        "per-group RNG has {} streams but the execution has {segments} segments",
-                        rngs.len()
-                    )));
-                }
-                Ok(rngs
-                    .iter_mut()
-                    .map(|r| RngPool::new(r.gen::<u64>()).subpool(0))
-                    .collect())
-            }
-        }
-    }
-}
-
-/// Per-column RNG streams for one randomized kernel invocation.
-///
-/// Shared mode: a single pool keyed by the global (concatenated) column
-/// index — the historical behavior, bit-identical to
-/// `RngPool::new(rng.gen()).stream(c)`. Per-group mode: one pool per
-/// group, keyed by the in-group column index, so column `c` of group `b`
-/// draws exactly what it would draw if group `b` ran alone.
+/// Per-column RNG streams for one randomized kernel invocation: one pool
+/// per group, keyed by the in-group column index, so column `c` of group
+/// `b` draws exactly what it would draw if group `b` ran alone.
 pub struct ColStreams {
     pools: Vec<RngPool>,
     offsets: Vec<usize>,
 }
 
 impl ColStreams {
-    /// Draw the per-invocation pool seed(s) from the session RNG — exactly
-    /// one `u64` per stream, preserving downstream RNG alignment in both
-    /// modes. `col_offsets` are the group prefix sums (`ExecCtx`'s), and
-    /// `ncols` the column count of the matrix being sampled; per-group
-    /// mode requires them to agree (a column-compacted matrix cannot be
-    /// attributed back to groups).
-    pub fn draw(
-        rng: &mut SessionRng<'_>,
-        col_offsets: &[usize],
-        ncols: usize,
-    ) -> Result<ColStreams> {
-        match rng {
-            SessionRng::Shared(r) => Ok(ColStreams {
-                pools: vec![RngPool::new(r.gen::<u64>())],
-                offsets: vec![0, ncols],
-            }),
-            SessionRng::PerGroup(rngs) => {
-                if col_offsets.len() != rngs.len() + 1 || *col_offsets.last().unwrap() != ncols {
-                    return Err(Error::Execution(format!(
-                        "cannot isolate per-group column streams: {} groups, col_offsets {:?}, \
-                         matrix has {ncols} columns",
-                        rngs.len(),
-                        col_offsets
-                    )));
-                }
-                Ok(ColStreams {
-                    pools: rngs
-                        .iter_mut()
-                        .map(|r| RngPool::new(r.gen::<u64>()))
-                        .collect(),
-                    offsets: col_offsets.to_vec(),
-                })
-            }
-        }
+    /// Draw the per-invocation pool seeds — exactly one `u64` per group
+    /// stream, preserving downstream RNG alignment. `col_offsets` are the
+    /// group prefix sums (`ExecCtx`'s) and `ncols` the column count of the
+    /// matrix being sampled. With several groups the two must agree
+    /// (`exec::superbatch_compatible` keeps other column spaces at one
+    /// group); a single group owns every column whatever the matrix is.
+    pub fn draw(rngs: &mut [StdRng], col_offsets: &[usize], ncols: usize) -> Result<ColStreams> {
+        let offsets = if rngs.len() == 1 {
+            vec![0, ncols]
+        } else if col_offsets.len() == rngs.len() + 1 && col_offsets.last() == Some(&ncols) {
+            col_offsets.to_vec()
+        } else {
+            return Err(Error::Execution(format!(
+                "cannot isolate per-group column streams: {} groups, col_offsets {:?}, \
+                 matrix has {ncols} columns",
+                rngs.len(),
+                col_offsets
+            )));
+        };
+        Ok(ColStreams {
+            pools: rngs
+                .iter_mut()
+                .map(|r| RngPool::new(r.gen::<u64>()))
+                .collect(),
+            offsets,
+        })
     }
 }
 
@@ -171,35 +88,33 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn shared_col_streams_match_plain_pool() {
-        let mut a = StdRng::seed_from_u64(5);
+    fn one_group_col_streams_match_plain_pool() {
+        let mut a = [StdRng::seed_from_u64(5)];
         let mut b = StdRng::seed_from_u64(5);
-        let mut session = SessionRng::Shared(&mut a);
-        let streams = ColStreams::draw(&mut session, &[0, 2, 5], 5).unwrap();
+        // Offsets that disagree with the matrix are fine for one group.
+        let streams = ColStreams::draw(&mut a, &[0], 5).unwrap();
         let pool = RngPool::new(b.gen::<u64>());
         for c in 0..5u64 {
             assert_eq!(
                 streams.stream(c).gen::<u64>(),
                 pool.stream(c).gen::<u64>(),
-                "column {c} diverged from the historical keying"
+                "column {c} diverged from the plain-pool keying"
             );
         }
-        // Both consumed exactly one session draw.
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        // Both consumed exactly one draw.
+        assert_eq!(a[0].gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]
-    fn per_group_col_streams_match_each_group_alone() {
+    fn packed_col_streams_match_each_group_alone() {
         // Packed: two groups of sizes 2 and 3.
-        let mut g0 = StdRng::seed_from_u64(10);
-        let mut g1 = StdRng::seed_from_u64(11);
-        let mut packed = vec![g0.clone(), g1.clone()];
-        let mut session = SessionRng::PerGroup(&mut packed);
-        let streams = ColStreams::draw(&mut session, &[0, 2, 5], 5).unwrap();
+        let mut g0 = [StdRng::seed_from_u64(10)];
+        let mut g1 = [StdRng::seed_from_u64(11)];
+        let mut packed = vec![g0[0].clone(), g1[0].clone()];
+        let streams = ColStreams::draw(&mut packed, &[0, 2, 5], 5).unwrap();
 
-        // Solo: each group is its own shared session over its own columns.
-        let solo0 = ColStreams::draw(&mut SessionRng::Shared(&mut g0), &[0, 2], 2).unwrap();
-        let solo1 = ColStreams::draw(&mut SessionRng::Shared(&mut g1), &[0, 3], 3).unwrap();
+        let solo0 = ColStreams::draw(&mut g0, &[0, 2], 2).unwrap();
+        let solo1 = ColStreams::draw(&mut g1, &[0, 3], 3).unwrap();
         for c in 0..2u64 {
             assert_eq!(streams.stream(c).gen::<u64>(), solo0.stream(c).gen::<u64>());
         }
@@ -209,33 +124,28 @@ mod tests {
                 solo1.stream(c).gen::<u64>()
             );
         }
-        // Group streams advanced exactly like the solo sessions.
-        assert_eq!(packed[0].gen::<u64>(), g0.gen::<u64>());
-        assert_eq!(packed[1].gen::<u64>(), g1.gen::<u64>());
+        // Group streams advanced exactly like the solo ones.
+        assert_eq!(packed[0].gen::<u64>(), g0[0].gen::<u64>());
+        assert_eq!(packed[1].gen::<u64>(), g1[0].gen::<u64>());
     }
 
     #[test]
-    fn per_group_rejects_mismatched_offsets() {
-        let mut rngs = vec![StdRng::seed_from_u64(1), StdRng::seed_from_u64(2)];
-        let mut session = SessionRng::PerGroup(&mut rngs);
-        assert!(ColStreams::draw(&mut session, &[0, 2, 5], 4).is_err());
-        assert!(ColStreams::draw(&mut session, &[0, 5], 5).is_err());
+    fn packed_segment_subpools_match_each_group_alone() {
+        let mut solo = [StdRng::seed_from_u64(11)];
+        let mut packed = vec![StdRng::seed_from_u64(10), solo[0].clone()];
+        let pools = segment_subpools(&mut packed, 2).unwrap();
+        let alone = segment_subpools(&mut solo, 1).unwrap();
+        assert_eq!(
+            pools[1].stream(3).gen::<u64>(),
+            alone[0].stream(3).gen::<u64>()
+        );
+        assert!(segment_subpools(&mut packed, 3).is_err());
     }
 
     #[test]
-    fn checkpoint_restores_per_group_state() {
+    fn rejects_mismatched_offsets() {
         let mut rngs = vec![StdRng::seed_from_u64(1), StdRng::seed_from_u64(2)];
-        let mut session = SessionRng::PerGroup(&mut rngs);
-        let cp = session.checkpoint();
-        let before: Vec<u64> = match &mut session {
-            SessionRng::PerGroup(v) => v.iter_mut().map(|r| r.gen()).collect(),
-            _ => unreachable!(),
-        };
-        session.restore(&cp);
-        let after: Vec<u64> = match &mut session {
-            SessionRng::PerGroup(v) => v.iter_mut().map(|r| r.gen()).collect(),
-            _ => unreachable!(),
-        };
-        assert_eq!(before, after);
+        assert!(ColStreams::draw(&mut rngs, &[0, 2, 5], 4).is_err());
+        assert!(ColStreams::draw(&mut rngs, &[0, 5], 5).is_err());
     }
 }

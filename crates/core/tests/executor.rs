@@ -365,6 +365,56 @@ fn superbatch_compatibility_detection() {
     b.output(&s2);
     let two_hop = b.build();
     assert!(!superbatch_compatible(&two_hop.program));
+    // Per-column sampling over a matrix whose columns are not the
+    // frontiers (a row slice keeps the base graph's columns): a column's
+    // draw cannot be attributed to a group, so not compatible.
+    assert!(!superbatch_compatible(&row_slice_sample_layer().program));
+}
+
+fn row_slice_sample_layer() -> Layer {
+    let b = LayerBuilder::new();
+    let a = b.graph();
+    let f = b.frontiers();
+    let s = a.slice_rows(&f).individual_sample(2, None);
+    b.output(&s);
+    b.build()
+}
+
+#[test]
+fn unattributable_column_sampling_falls_back_to_factor_one() {
+    // Asking for (or auto-planning) a super-batch factor on a program that
+    // samples columns outside frontier space must clamp to factor 1 at
+    // compile time, not fail every window at run time.
+    let seeds: Vec<NodeId> = (0..32).collect();
+    let epoch = |cfg: SamplerConfig| {
+        let sampler = compile(test_graph(), vec![row_slice_sample_layer()], cfg).unwrap();
+        assert_eq!(sampler.super_batch_factor(), 1);
+        assert!(!sampler.pack_exact());
+        let mut samples = Vec::new();
+        let report = sampler
+            .run_epoch_with(&seeds, &Bindings::new(), 0, |_, s| {
+                samples.push(format!("{:?}", s.layers))
+            })
+            .unwrap();
+        assert_eq!(report.batches, 4);
+        assert!(!report.faults.any());
+        samples
+    };
+    let base = SamplerConfig {
+        batch_size: 8,
+        ..SamplerConfig::new()
+    };
+    let plain = epoch(base.clone());
+    let asked = epoch(SamplerConfig {
+        opt: OptConfig::all().with_super_batch(2),
+        ..base.clone()
+    });
+    let planned = epoch(SamplerConfig {
+        auto_super_batch_budget: Some(1e12),
+        ..base
+    });
+    assert_eq!(plain, asked);
+    assert_eq!(plain, planned);
 }
 
 #[test]

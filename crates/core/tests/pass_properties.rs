@@ -205,9 +205,11 @@ proptest! {
             })
             .collect();
         use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut rngs: Vec<rand::rngs::StdRng> = (0..groups.len() as u64)
+            .map(rand::rngs::StdRng::seed_from_u64)
+            .collect();
         let outs = sampler
-            .sample_groups(groups.clone(), &Bindings::new(), &mut rng)
+            .sample_groups(groups.clone(), &Bindings::new(), &mut rngs)
             .expect("grouped run");
         prop_assert_eq!(outs.len(), groups.len());
         for (g, out) in groups.iter().zip(&outs) {

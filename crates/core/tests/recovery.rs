@@ -1,8 +1,9 @@
 //! Fault-recovery tests for the epoch drivers: bounded retry for
 //! transient kernel faults, the super-batch degradation ladder under
 //! memory pressure, quarantine of unrecoverable windows, and the
-//! determinism contract (recovered runs are bit-identical to clean runs
-//! for retries, and bit-identical across reruns for one fault schedule).
+//! determinism contract: a batch's RNG stream depends on its index only,
+//! so retried, degraded and quarantine-surviving batches are all
+//! bit-identical to the clean run's.
 //!
 //! The fault plane is process-global, so every test that installs a
 //! schedule serializes on [`serial`] and clears the plane before and
@@ -154,6 +155,28 @@ fn exhausted_retries_fail_the_epoch_unless_quarantined() {
     assert_eq!(report.faults.quarantined_batches, 4);
     assert!(report.faults.kernel_retries >= 4);
     faults::clear();
+
+    // One unrecoverable window out of two: the survivors are exactly the
+    // clean run's batches, under their clean-run indices.
+    let fail_fast = compile(
+        graph(),
+        vec![sage_layer(3)],
+        config(
+            RecoveryPolicy {
+                max_retries: 0,
+                quarantine: true,
+                ..RecoveryPolicy::default()
+            },
+            2,
+        ),
+    )
+    .unwrap();
+    let (clean, _) = run_epoch_fingerprints(&fail_fast, &seeds, 0);
+    faults::install(FaultSpec::parse("kernel:at=1").unwrap());
+    let (survivors, report) = run_epoch_fingerprints(&fail_fast, &seeds, 0);
+    assert_eq!(report.faults.quarantined_batches, 2, "the first window");
+    assert_eq!(survivors, clean[2..], "survivors must equal the clean run");
+    faults::clear();
 }
 
 #[test]
@@ -167,9 +190,11 @@ fn injected_oom_walks_the_superbatch_ladder_deterministically() {
     )
     .unwrap();
     assert_eq!(sampler.super_batch_factor(), 4);
+    let (clean, _) = run_epoch_fingerprints(&sampler, &seeds, 0);
 
     faults::install(FaultSpec::parse("oom:at=1").unwrap());
     let (first, report) = run_epoch_fingerprints(&sampler, &seeds, 0);
+    assert_eq!(first, clean, "a degraded epoch must equal its clean run");
     assert_eq!(report.faults.injected_oom, 1);
     assert_eq!(report.faults.degrade_steps, 1, "one rung: factor 4 -> 2");
     assert_eq!(report.faults.batch_retries, 1);

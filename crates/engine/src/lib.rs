@@ -21,8 +21,6 @@
 //! - [`Device`]: a recording session — every kernel executed through it
 //!   accumulates modeled time, launches, bytes, memory high-water mark and
 //!   SM utilization into [`ExecStats`].
-//! - [`parallel`]: the persistent worker-pool runtime (re-exported from
-//!   `gsampler-runtime`) used by heavy kernels.
 
 #![warn(missing_docs)]
 
@@ -31,9 +29,7 @@ pub mod cost;
 pub mod device;
 pub mod faults;
 pub mod memory;
-pub mod parallel;
 pub mod plandb;
-pub mod rng;
 pub mod stats;
 pub mod workload;
 
@@ -43,14 +39,13 @@ pub use device::{DeviceProfile, Residency};
 pub use faults::{FaultKind, FaultSpec, InjectedCounts};
 pub use gsampler_runtime::{
     arena_metrics, pool_metrics, take_scratch, take_scratch_filled, ArenaMetrics, PoolError,
-    PoolMetrics, Recycled,
+    PoolMetrics, Recycled, RngPool,
 };
 pub use memory::{MemoryTracker, OomError};
 pub use plandb::{
     GraphSummary, LayerPlanRec, LayoutDecisionRec, Lookup, PlanArtifact, PlanDb, PlanDbStats,
     PlanKey, SuperBatchRec,
 };
-pub use rng::RngPool;
 pub use stats::{ExecStats, FaultReport, KernelAgg, KernelRecord};
 pub use workload::{KernelDesc, EDGE_BYTES, UVA_TRANSACTION_FACTOR};
 
@@ -194,14 +189,6 @@ impl Device {
     pub fn set_memory_budget(&self, bytes: Option<u64>) {
         self.budget_bytes
             .store(bytes.unwrap_or(u64::MAX), Ordering::SeqCst);
-    }
-
-    /// The enforced budget, if one is set.
-    pub fn memory_budget(&self) -> Option<u64> {
-        match self.budget_bytes.load(Ordering::SeqCst) {
-            u64::MAX => None,
-            b => Some(b),
-        }
     }
 
     /// Enter the streaming (spill) degradation mode: from here on,
@@ -368,7 +355,6 @@ mod tests {
     fn try_alloc_without_budget_always_succeeds() {
         let dev = Device::new(DeviceProfile::v100());
         assert!(dev.try_alloc(usize::MAX / 2).is_ok());
-        assert_eq!(dev.memory_budget(), None);
     }
 
     #[test]

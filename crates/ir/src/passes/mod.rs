@@ -46,14 +46,6 @@ pub struct OptConfig {
     /// callers wanting a private or on-disk database set
     /// `SamplerConfig::plan_db` instead.
     pub plan_cache: bool,
-    /// Drive-time flag (not a compiler pass, deliberately excluded from
-    /// plan keys): route chained sampling through the serving layer's
-    /// cross-request packing path — the request is super-batched together
-    /// with a decoy co-tenant request under per-group RNG isolation and
-    /// its group scattered back out. Semantics must be unchanged; the
-    /// differential oracle uses this ablation to prove packing is
-    /// bit-invisible.
-    pub serve_batching: bool,
 }
 
 impl OptConfig {
@@ -68,7 +60,6 @@ impl OptConfig {
             fuse_sample_relabel: true,
             super_batch: 1,
             plan_cache: false,
-            serve_batching: false,
         }
     }
 
@@ -84,7 +75,6 @@ impl OptConfig {
             fuse_sample_relabel: false,
             super_batch: 1,
             plan_cache: false,
-            serve_batching: false,
         }
     }
 
@@ -166,13 +156,6 @@ impl OptConfig {
                 "fused-sample-relabel",
                 OptConfig {
                     fuse_sample_relabel: false,
-                    ..all()
-                },
-            ),
-            (
-                "serve-batching",
-                OptConfig {
-                    serve_batching: true,
                     ..all()
                 },
             ),

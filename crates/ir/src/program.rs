@@ -513,17 +513,6 @@ pub fn cse_key(node: &Node) -> Option<(String, Vec<OpId>)> {
     Some((format!("{:?}", node.op), node.inputs.clone()))
 }
 
-/// Build a CSE lookup table for a program.
-pub fn cse_table(program: &Program) -> HashMap<(String, Vec<OpId>), OpId> {
-    let mut table = HashMap::new();
-    for (id, node) in program.nodes().iter().enumerate() {
-        if let Some(key) = cse_key(node) {
-            table.entry(key).or_insert(id);
-        }
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

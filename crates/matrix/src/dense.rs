@@ -43,26 +43,6 @@ impl Dense {
         Ok(Dense { rows, cols, data })
     }
 
-    /// Create a `1 × n` row vector.
-    pub fn row_vector(data: Vec<f32>) -> Dense {
-        let cols = data.len();
-        Dense {
-            rows: 1,
-            cols,
-            data,
-        }
-    }
-
-    /// Create an `n × 1` column vector.
-    pub fn col_vector(data: Vec<f32>) -> Dense {
-        let rows = data.len();
-        Dense {
-            rows,
-            cols: 1,
-            data,
-        }
-    }
-
     /// Fill with uniform random values in `[-scale, scale)` (Xavier-ish init).
     pub fn random(rows: usize, cols: usize, scale: f32, rng: &mut impl rand::Rng) -> Dense {
         let data = (0..rows * cols)
@@ -333,11 +313,6 @@ impl Dense {
         }
     }
 
-    /// Sum of each row (length `rows`).
-    pub fn row_sums(&self) -> Vec<f32> {
-        (0..self.rows).map(|r| self.row(r).iter().sum()).collect()
-    }
-
     /// Sum of each column (length `cols`).
     pub fn col_sums(&self) -> Vec<f32> {
         let mut out = vec![0f32; self.cols];
@@ -431,7 +406,7 @@ mod tests {
 
     #[test]
     fn softmax_flat_distribution() {
-        let m = Dense::row_vector(vec![0.0, 0.0, 0.0]);
+        let m = Dense::from_vec(1, 3, vec![0.0, 0.0, 0.0]).unwrap();
         let s = m.softmax_flat();
         for c in 0..3 {
             assert!((s.get(0, c) - 1.0 / 3.0).abs() < 1e-6);
@@ -451,7 +426,6 @@ mod tests {
     #[test]
     fn reductions() {
         let m = Dense::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(m.row_sums(), vec![3.0, 7.0]);
         assert_eq!(m.col_sums(), vec![4.0, 6.0]);
         assert_eq!(m.argmax_rows(), vec![1, 1]);
         assert!((m.norm() - (30f32).sqrt()).abs() < 1e-6);

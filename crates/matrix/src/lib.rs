@@ -129,17 +129,6 @@ pub enum Axis {
     Col,
 }
 
-impl Axis {
-    /// Numeric alias used in the paper's Pythonic examples (`axis=0` → rows).
-    pub fn from_index(i: usize) -> Option<Axis> {
-        match i {
-            0 => Some(Axis::Row),
-            1 => Some(Axis::Col),
-            _ => None,
-        }
-    }
-}
-
 /// Binary element-wise operation on edge values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EltOp {

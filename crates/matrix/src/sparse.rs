@@ -167,22 +167,6 @@ impl SparseMatrix {
         }
     }
 
-    /// Borrow as CSR if that is the current format.
-    pub fn as_csr(&self) -> Option<&Csr> {
-        match self {
-            SparseMatrix::Csr(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Borrow as COO if that is the current format.
-    pub fn as_coo(&self) -> Option<&Coo> {
-        match self {
-            SparseMatrix::Coo(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// Iterate over all stored edges as `(row, col, value)` triples.
     ///
     /// The iteration order depends on the current format (column-major for

@@ -258,12 +258,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so byte
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Consume the whole run up to the next quote or escape.
+                // Both are ASCII, so they never fall inside a multi-byte
+                // scalar and the run is valid UTF-8 (the input is a &str);
+                // validating only the run keeps parsing linear.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(
+                    std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid UTF-8")?,
+                );
             }
         }
     }
@@ -312,6 +317,40 @@ mod tests {
         // Serialize → parse is the identity.
         let again = Json::parse(&v.to_string()).unwrap();
         assert_eq!(again, v);
+    }
+
+    #[test]
+    fn large_trace_shaped_document_round_trips() {
+        // Parsing used to re-validate the whole remaining input once per
+        // string character — seconds per megabyte. A trace-sized document
+        // (long names, escapes, multi-byte text) must round-trip promptly.
+        let event = |i: usize| {
+            Json::Obj(vec![
+                (
+                    "name".to_string(),
+                    Json::Str(format!("kernel::slice_sample::op{i} \"é→\u{1F600}\"\n")),
+                ),
+                ("cat".to_string(), Json::Str("kernel".to_string())),
+                ("ts".to_string(), Json::Num(i as f64)),
+            ])
+        };
+        let doc = Json::Obj(vec![(
+            "traceEvents".to_string(),
+            Json::Arr((0..30_000).map(event).collect()),
+        )]);
+        let text = doc.to_string();
+        assert!(
+            text.len() >= 2 << 20,
+            "document is only {} bytes",
+            text.len()
+        );
+        let started = std::time::Instant::now();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "parse took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -44,3 +44,13 @@ pub use parallel::{
 };
 pub use rng::RngPool;
 pub use watchdog::{set_stall_threshold_ms, stall_threshold_ms, watchdog_metrics, WatchdogMetrics};
+
+/// Serializes every unit test of this binary that touches a process-global
+/// test knob — the one-slot worker fault hook or the stall-threshold
+/// override — so none of them can clear or overwrite another's setting
+/// between installing it and dispatching the region it is meant for.
+#[cfg(test)]
+pub(crate) fn test_globals_guard() -> std::sync::MutexGuard<'static, ()> {
+    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GUARD.lock().unwrap_or_else(|p| p.into_inner())
+}

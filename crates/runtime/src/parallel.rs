@@ -987,6 +987,7 @@ mod tests {
         if num_threads() < 2 {
             return;
         }
+        let _globals = crate::test_globals_guard();
         set_worker_fault_hook(Some(one_shot_hook(WorkerFault::Panic)));
         let result = catch_unwind(|| parallel_map(10_000, 1, |i| i * 3));
         set_worker_fault_hook(None);
@@ -1002,6 +1003,7 @@ mod tests {
         if num_threads() < 2 {
             return;
         }
+        let _globals = crate::test_globals_guard();
         // Fast threshold so the test does not sit out the 1s default;
         // other tests in this binary only run short shares, so the
         // lowered bound cannot misfire on them (warnings are the worst
@@ -1030,10 +1032,7 @@ mod tests {
         if num_threads() < 2 {
             return;
         }
-        // Serialize against the reclaim test above: both mutate the
-        // process-global threshold override.
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _globals = crate::test_globals_guard();
         crate::watchdog::set_stall_threshold_ms(Some(0));
         set_worker_fault_hook(Some(one_shot_hook(WorkerFault::Hang)));
         let started = Instant::now();
@@ -1094,6 +1093,7 @@ mod tests {
         if num_threads() < 2 {
             return;
         }
+        let _globals = crate::test_globals_guard();
         set_worker_fault_hook(Some(one_shot_hook(WorkerFault::Stall { ms: 2 })));
         let out = parallel_map(10_000, 1, |i| i + 7);
         set_worker_fault_hook(None);

@@ -232,6 +232,7 @@ mod tests {
 
     #[test]
     fn threshold_override_wins_and_restores() {
+        let _globals = crate::test_globals_guard();
         let base = stall_threshold_ms();
         set_stall_threshold_ms(Some(12345));
         assert_eq!(stall_threshold_ms(), 12345);

@@ -16,9 +16,9 @@
 //! - **Cross-request super-batching** ([`EpochServer`]): the scheduler
 //!   drains the queue and packs same-program requests from *different*
 //!   tenants into one block-diagonal super-batch
-//!   (`Sampler::sample_groups_isolated`, the §4.4 planner extended to
+//!   (`Sampler::sample_groups`, the §4.4 planner extended to
 //!   heterogeneous request sizes), then scatters per-tenant results back
-//!   out exactly. Per-group RNG isolation keeps each tenant's draws a
+//!   out exactly. One RNG stream per group keeps each tenant's draws a
 //!   pure function of its own seed and stream.
 //! - **Fault isolation**: an injected fault (e.g. OOM) against one tenant
 //!   runs that request solo under the engine's recovery policy and, if

@@ -4,7 +4,6 @@
 
 use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Counters for one tenant.
 #[derive(Debug, Clone, Default)]
@@ -87,7 +86,6 @@ impl MetricsSnapshot {
 /// Metrics hub shared by the submit path and the scheduler thread.
 pub struct Metrics {
     tenants: Mutex<HashMap<String, TenantCounters>>,
-    started: Instant,
 }
 
 impl Metrics {
@@ -95,7 +93,6 @@ impl Metrics {
     pub fn new() -> Metrics {
         Metrics {
             tenants: Mutex::new(HashMap::new()),
-            started: Instant::now(),
         }
     }
 
@@ -169,11 +166,6 @@ impl Metrics {
             &[("tenant", gsampler_obs::Arg::Str(tenant.to_string()))],
         );
         gsampler_obs::counter("serve.queue_depth", -1.0);
-    }
-
-    /// Seconds since the hub was created (throughput denominator).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
     }
 
     /// Copy out the counters.

@@ -12,10 +12,9 @@
 //!   shared plan database), and whose programs pass
 //!   [`Sampler::pack_exact`] (every output provably scatters back
 //!   exactly);
-//! - each packed group runs under per-group RNG isolation
-//!   ([`Sampler::sample_groups_isolated`]): group `b` draws only from
-//!   that tenant's own `RngPool` stream, the same stream a solo call
-//!   would use.
+//! - [`Sampler::sample_groups`] gives every group its own RNG stream:
+//!   group `b` draws only from that tenant's own `RngPool` stream, the
+//!   same stream a solo call would use.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -600,7 +599,7 @@ fn run_packed(inner: &Inner, group: Vec<QueuedRequest>) {
         let _scope = token
             .as_ref()
             .map(|t| gsampler_runtime::cancel::scope(t.clone()));
-        executor.sample_groups_isolated(seeds, &Bindings::new(), &mut rngs)
+        executor.sample_groups(seeds, &Bindings::new(), &mut rngs)
     };
     match result {
         Ok(samples) => {

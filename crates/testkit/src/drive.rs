@@ -104,35 +104,10 @@ pub fn run_algorithm(
     };
     match driver {
         Driver::Chained => {
-            // The serve-batching ablation routes each step through the
-            // serving layer's packing primitive: the request shares a
-            // block-diagonal super-batch with a decoy co-tenant (reversed
-            // frontiers on a distant RNG stream) under per-group RNG
-            // isolation. Group 0's result must stay bit-identical to the
-            // solo `sample_batch_seeded` run the baseline performs.
-            // Algorithms whose outputs cannot be proven to scatter back
-            // exactly fall through to the solo path, where the ablation
-            // trivially equals the baseline.
-            let serve_pack = opt.serve_batching && sampler.pack_exact();
             for step in 0..2u64 {
-                let s = if serve_pack {
-                    let decoy: Vec<u32> = frontiers.iter().rev().copied().collect();
-                    let pool = gsampler_engine::RngPool::new(sampler.seed());
-                    let mut rngs = [pool.stream(step), pool.stream(step + 1000)];
-                    let mut samples = sampler
-                        .sample_groups_isolated(
-                            vec![frontiers.to_vec(), decoy],
-                            &Bindings::new(),
-                            &mut rngs,
-                        )
-                        .map_err(fail)?;
-                    samples.truncate(1);
-                    samples.pop().expect("group 0 comes back")
-                } else {
-                    sampler
-                        .sample_batch_seeded(frontiers, &Bindings::new(), step)
-                        .map_err(fail)?
-                };
+                let s = sampler
+                    .sample_batch_seeded(frontiers, &Bindings::new(), step)
+                    .map_err(fail)?;
                 push_sample(&mut out, s);
             }
         }

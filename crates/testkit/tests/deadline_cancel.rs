@@ -9,6 +9,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
+use gsampler_algos::drivers::run_walk_epoch_with;
 use gsampler_core::{compile, Bindings, OptConfig, Sampler};
 use gsampler_runtime::{arena_metrics, watchdog_metrics, CancelToken};
 use gsampler_testkit::chaos::{chaos_lock, run_schedule};
@@ -41,11 +42,11 @@ fn pool_heavy_spec() -> GraphSpec {
     }
 }
 
-fn graphsage_layers(h: &gsampler_algos::Hyper) -> Vec<gsampler_core::builder::Layer> {
+fn layers_of(h: &gsampler_algos::Hyper, algo: &str) -> Vec<gsampler_core::builder::Layer> {
     gsampler_algos::all_algorithms(h)
         .into_iter()
-        .find(|s| s.name == "GraphSAGE")
-        .expect("GraphSAGE is registered")
+        .find(|s| s.name == algo)
+        .expect("algorithm is registered")
         .layers
 }
 
@@ -141,7 +142,7 @@ fn epoch_deadline_fails_cleanly_and_a_generous_one_is_invisible() {
     // point with the typed error, before producing anything.
     let mut config = sampler_config(OptConfig::all(), 11, 8);
     config.deadline = Some(Duration::ZERO);
-    let sampler = compile(graph.clone(), graphsage_layers(&h), config).unwrap();
+    let sampler = compile(graph.clone(), layers_of(&h, "GraphSAGE"), config).unwrap();
     let (prints, report) = epoch_prints(&sampler, &seeds);
     let err = report.expect_err("a zero deadline must fail the epoch");
     assert!(err.is_deadline() && err.is_cancelled(), "got: {err}");
@@ -154,7 +155,7 @@ fn epoch_deadline_fails_cleanly_and_a_generous_one_is_invisible() {
     // bit for bit (the armed token is polled but never fires).
     let no_deadline = compile(
         graph.clone(),
-        graphsage_layers(&h),
+        layers_of(&h, "GraphSAGE"),
         sampler_config(OptConfig::all(), 11, 8),
     )
     .unwrap();
@@ -162,7 +163,7 @@ fn epoch_deadline_fails_cleanly_and_a_generous_one_is_invisible() {
     report.expect("clean epoch");
     let mut config = sampler_config(OptConfig::all(), 11, 8);
     config.deadline = Some(Duration::from_secs(3600));
-    let generous = compile(graph, graphsage_layers(&h), config).unwrap();
+    let generous = compile(graph, layers_of(&h, "GraphSAGE"), config).unwrap();
     let (armed, report) = epoch_prints(&generous, &seeds);
     let report = report.expect("generous deadline epoch");
     assert_eq!(clean, armed, "a live (unfired) deadline must be invisible");
@@ -189,7 +190,7 @@ fn mid_epoch_cancel_leaves_pool_and_arenas_reusable() {
     // Warm to arena steady state with a clean sampler.
     let clean_sampler = compile(
         graph.clone(),
-        graphsage_layers(&h),
+        layers_of(&h, "GraphSAGE"),
         sampler_config(OptConfig::all(), 11, 8),
     )
     .unwrap();
@@ -210,7 +211,7 @@ fn mid_epoch_cancel_leaves_pool_and_arenas_reusable() {
     let token = CancelToken::new();
     let mut config = sampler_config(OptConfig::all(), 11, 8);
     config.cancel = Some(token.clone());
-    let cancel_sampler = compile(graph, graphsage_layers(&h), config).unwrap();
+    let cancel_sampler = compile(graph.clone(), layers_of(&h, "GraphSAGE"), config).unwrap();
     let mut prints: Vec<u64> = Vec::new();
     let err = cancel_sampler
         .run_epoch_with(&seeds, &Bindings::new(), 0, |idx, sample| {
@@ -234,6 +235,31 @@ fn mid_epoch_cancel_leaves_pool_and_arenas_reusable() {
         clean[..prints.len()],
         "delivered prefix must be bit-identical to the clean run"
     );
+
+    // Walk epochs run on the same epoch driver, so they stop the same way:
+    // cancelled after batch 0, the delivered traces are a prefix of the
+    // clean walk epoch's.
+    let h = gsampler_algos::Hyper { batch_size: 8, ..h };
+    let walk_epoch = |cancel: Option<CancelToken>| {
+        let mut config = sampler_config(OptConfig::all(), 11, h.batch_size);
+        config.cancel = cancel.clone();
+        let sampler = compile(graph.clone(), layers_of(&h, "DeepWalk"), config).unwrap();
+        let mut traces: Vec<Vec<Vec<u32>>> = Vec::new();
+        let result = run_walk_epoch_with(&sampler, &seeds, &h, false, 0, |idx, trace| {
+            traces.push(trace.positions);
+            if let (0, Some(token)) = (idx, &cancel) {
+                token.cancel();
+            }
+        });
+        (traces, result)
+    };
+    let (clean_walks, report) = walk_epoch(None);
+    assert_eq!(report.expect("clean walk epoch").batches, clean.len());
+    let (walks, result) = walk_epoch(Some(CancelToken::new()));
+    let err = result.expect_err("a cancelled walk epoch must not complete");
+    assert!(err.is_cancelled() && !err.is_deadline(), "got: {err}");
+    assert!(!walks.is_empty() && walks.len() < clean_walks.len());
+    assert_eq!(walks[..], clean_walks[..walks.len()]);
 
     // The abandoned epoch left nothing behind: the next clean run is
     // bit-identical and allocation-free at steady state (every scratch

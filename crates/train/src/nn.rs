@@ -32,16 +32,6 @@ impl Linear {
         }
     }
 
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.w.nrows()
-    }
-
-    /// Output dimension.
-    pub fn output_dim(&self) -> usize {
-        self.w.ncols()
-    }
-
     /// Forward: `x (n, in) -> (n, out)`.
     pub fn forward(&self, x: &Dense) -> Dense {
         let mut y = x.matmul(&self.w).expect("linear dims");

@@ -172,6 +172,22 @@ fn walk_traces_follow_graph_edges() {
 }
 
 #[test]
+fn walk_groups_match_each_group_walked_alone() {
+    // Group `g` of a super-batched walk draws only from stream
+    // `stream + g` — sampling and restarts alike — so stepping groups
+    // together returns each group's solo trace.
+    let (graph, h) = setup();
+    let spec = all_algorithms(&h).remove(0); // DeepWalk
+    let sampler = compile_spec(&graph, spec, &h);
+    let groups: Vec<Vec<u32>> = vec![vec![0, 1, 2, 3], vec![4, 5], vec![6, 7, 8]];
+    let packed = drivers::run_walk_groups(&sampler, groups.clone(), 6, false, 0.3, 40).unwrap();
+    for (g, (seeds, trace)) in groups.iter().zip(&packed).enumerate() {
+        let alone = drivers::run_walk_batch(&sampler, seeds, 6, false, 0.3, 40 + g as u64).unwrap();
+        assert_eq!(trace.positions, alone.positions, "group {g} diverged");
+    }
+}
+
+#[test]
 fn node2vec_bias_prefers_return_with_small_p() {
     // With p tiny, returning to the previous node dominates.
     let (graph, mut h) = setup();

@@ -7,11 +7,17 @@
 //! fingerprint identically. The dataset here is large enough (tens of
 //! thousands of edges) that the size gates actually engage the parallel
 //! paths at widths > 1 — on a tiny graph this test would pass vacuously.
+//!
+//! The same run pins grouping invisibility: a mini-batch's randomness is a
+//! function of (seed, epoch, batch index) only, so every epoch-driven
+//! algorithm must fingerprint identically batch for batch at every
+//! super-batch factor as well as every thread count.
 
 use std::sync::Arc;
 
+use gsampler::algos::drivers::{self, BanditRule, BanditState};
 use gsampler::algos::{all_algorithms, nodewise, Driver, Hyper};
-use gsampler::core::{compile, Bindings, MultiGpuSampler, OptConfig, SamplerConfig, Value};
+use gsampler::core::{compile, Bindings, Graph, MultiGpuSampler, OptConfig, SamplerConfig, Value};
 use gsampler::engine::RngPool;
 use gsampler::graphs::{Dataset, DatasetKind};
 use gsampler::matrix::sample::{collective_sample_seeded, individual_sample_seeded};
@@ -197,15 +203,97 @@ fn fingerprint_workload() -> u64 {
     h
 }
 
+/// Fold a value *semantically*: matrices as their sorted global edge list
+/// (splitting a group out of a block-diagonal super-batch compacts its
+/// empty rows away, which is layout, not sampling); everything else, node
+/// order included, exactly.
+fn fold_semantic(h: &mut u64, v: &Value) {
+    let Value::Matrix(m) = v else {
+        return fold_value(h, v);
+    };
+    let mut edges = m.global_edges();
+    edges.sort_by_key(|e| (e.0, e.1, e.2.to_bits()));
+    fold(h, b"edges");
+    for (r, c, w) in edges {
+        fold(h, &r.to_le_bytes());
+        fold(h, &c.to_le_bytes());
+        fold(h, &w.to_bits().to_le_bytes());
+    }
+}
+
+/// Per-batch fingerprints of one epoch of every epoch-driven registry
+/// algorithm (the ten chained / model-driven / bandit algorithms through
+/// `run_epoch_with`, the two walks through `run_walk_epoch_with`) at
+/// super-batch factor `factor`: eight mini-batches of 16, so the factors
+/// under test cut them into windows of 1, 2, 3+3+2 and 8.
+fn epoch_prints(graph: &Arc<Graph>, frontiers: &[u32], factor: usize) -> Vec<(String, Vec<u64>)> {
+    let hyper = Hyper::small();
+    let config = SamplerConfig {
+        opt: OptConfig::all().with_super_batch(factor),
+        batch_size: 16,
+        ..SamplerConfig::new()
+    };
+    let dim = graph.features.as_ref().map_or(0, |f| f.ncols());
+    let mut out = Vec::new();
+    for spec in all_algorithms(&hyper) {
+        let walk = matches!(spec.driver, Driver::Walk);
+        let bindings = match (spec.driver, spec.name) {
+            (Driver::Chained, _) | (Driver::ChainedInduce, "ShaDow") | (Driver::Walk, _) => {
+                Bindings::new()
+            }
+            (Driver::ChainedInduce, _) => drivers::seal_bindings(graph),
+            (Driver::ModelDriven, "PASS") => drivers::pass_bindings(dim, hyper.hidden, 3),
+            (Driver::ModelDriven, _) => drivers::asgcn_bindings(dim, 3),
+            (Driver::Bandit, name) => {
+                let rule = if name == "GCN-BS" {
+                    BanditRule::GcnBs
+                } else {
+                    BanditRule::Thanos
+                };
+                BanditState::new(graph.num_nodes(), rule).bindings()
+            }
+            _ => continue,
+        };
+        let sampler = compile(graph.clone(), spec.layers, config.clone())
+            .unwrap_or_else(|e| panic!("{}: compile failed: {e}", spec.name));
+        let mut prints = vec![FNV_OFFSET; frontiers.len().div_ceil(16)];
+        if walk {
+            let n2v = spec.name == "Node2Vec";
+            drivers::run_walk_epoch_with(&sampler, frontiers, &hyper, n2v, 2, |batch, trace| {
+                for step in &trace.positions {
+                    fold_semantic(&mut prints[batch], &Value::Nodes(step.clone()));
+                }
+            })
+        } else {
+            sampler.run_epoch_with(frontiers, &bindings, 2, |batch, sample| {
+                for v in sample.layers.iter().flatten() {
+                    fold_semantic(&mut prints[batch], v);
+                }
+            })
+        }
+        .unwrap_or_else(|e| panic!("{} at factor {factor}: epoch failed: {e}", spec.name));
+        out.push((spec.name.to_string(), prints));
+    }
+    assert_eq!(out.len(), 12, "ten epoch-driven algorithms plus two walks");
+    out
+}
+
 #[test]
-fn outputs_identical_across_thread_counts() {
+fn outputs_identical_across_thread_counts_and_super_batch_factors() {
     // This is the only test in this binary, so mutating the process
     // environment between runs cannot race another test thread.
     let saved = std::env::var("GSAMPLER_THREADS").ok();
+    let d = Dataset::generate(DatasetKind::OgbnProducts, 0.02, 7);
+    let frontiers: Vec<u32> = d.frontiers.iter().take(128).copied().collect();
+    let graph = Arc::new(d.graph);
     let mut prints = Vec::new();
+    let mut epochs = Vec::new();
     for threads in ["1", "2", "8"] {
         std::env::set_var("GSAMPLER_THREADS", threads);
         prints.push((threads, fingerprint_workload()));
+        for factor in [1, 2, 3, 16] {
+            epochs.push((threads, factor, epoch_prints(&graph, &frontiers, factor)));
+        }
     }
     match saved {
         Some(v) => std::env::set_var("GSAMPLER_THREADS", v),
@@ -217,5 +305,15 @@ fn outputs_identical_across_thread_counts() {
             got, base,
             "GSAMPLER_THREADS={threads} diverged: 0x{got:016X} vs 0x{base:016X}"
         );
+    }
+    let (_, _, plain) = &epochs[0];
+    for (threads, factor, got) in &epochs {
+        for ((name, want), (_, have)) in plain.iter().zip(got) {
+            assert_eq!(
+                have, want,
+                "{name}: per-batch samples at super-batch factor {factor}, \
+                 GSAMPLER_THREADS={threads} differ from the factor-1 single-thread epoch"
+            );
+        }
     }
 }
