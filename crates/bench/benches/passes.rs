@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use gsampler_algos::{layerwise, nodewise, Hyper};
 use gsampler_engine::{CostModel, DeviceProfile, Residency};
-use gsampler_ir::passes::{run_passes, OptConfig};
+use gsampler_ir::passes::{layout, run_passes, OptConfig};
 use gsampler_ir::GraphStats;
 
 fn stats() -> GraphStats {
@@ -48,17 +48,17 @@ fn bench_layout_search(c: &mut Criterion) {
     let program = layerwise::ladies_layer(512).program;
     c.bench_function("layout_search_ladies", |b| {
         b.iter(|| {
-            gsampler_ir::passes::layout::run(
+            let plan = layout::search(
                 &program,
-                gsampler_ir::passes::LayoutMode::CostAware,
+                layout::LayoutMode::CostAware,
                 &stats(),
                 512,
                 &model,
                 Residency::HostUva {
                     cache_hit_rate: 0.7,
                 },
-                true,
-            )
+            );
+            layout::apply(&program, &plan)
         });
     });
 }

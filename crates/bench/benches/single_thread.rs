@@ -3,7 +3,7 @@
 //! compaction, and the fused sample+relabel kernel against the unfused
 //! sample-then-compact pair — all pinned to `GSAMPLER_THREADS=1`, since
 //! this is the per-core throughput the end-to-end numbers bottom out on
-//! when `host_parallelism` is 1 (see `BENCH_parallel.json`).
+//! when `host_parallelism` is 1.
 //!
 //! `cargo bench --bench single_thread` writes
 //! `results/BENCH_single_thread.json` (or `GS_BENCH_OUT`) and enforces the

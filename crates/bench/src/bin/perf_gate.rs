@@ -1,6 +1,6 @@
 //! `perf-gate` — diff two bench artifact JSON files and fail on
 //! regressions, so a PR cannot silently slow down what
-//! `results/BENCH_parallel.json` records.
+//! the committed `results/BENCH_*.json` artifacts record.
 //!
 //! ```text
 //! perf-gate <baseline.json> <current.json> [options]

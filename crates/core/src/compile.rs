@@ -10,19 +10,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gsampler_engine::plandb::{
-    self, GraphSummary, LayerPlanRec, LayoutDecisionRec, Lookup, PlanArtifact, PlanDb, PlanDbStats,
-    PlanKey, SuperBatchRec,
-};
+use gsampler_engine::plandb::{PlanDb, PlanDbStats, SuperBatchRec};
 use gsampler_engine::{
     workload, Device, DeviceProfile, ExecStats, FaultReport, MemoryTracker, Residency, RngPool,
 };
-use gsampler_ir::passes::{
-    run_passes, run_passes_replay, run_passes_revalidate, LayoutDecision, LayoutPlan, OptConfig,
-    OptimizedProgram,
-};
+use gsampler_ir::passes::{run_passes_with, OptConfig, OptimizedProgram};
 use gsampler_ir::superbatch;
-use gsampler_ir::GraphStats;
 use gsampler_matrix::NodeId;
 use rand::rngs::StdRng;
 
@@ -30,6 +23,7 @@ use crate::builder::Layer;
 use crate::error::{Error, Result};
 use crate::exec::{self, Bindings};
 use crate::graph::Graph;
+use crate::plan_session::PlanSession;
 use crate::value::Value;
 
 /// How the epoch drivers respond to faults: bounded retry for transient
@@ -105,9 +99,7 @@ pub struct SamplerConfig {
     pub recovery: RecoveryPolicy,
     /// Plan database to consult before running the expensive layout /
     /// super-batch searches (and to insert fresh plans into on a miss).
-    /// `None` with `opt.plan_cache` set routes through the process-global
-    /// in-memory database ([`plandb::global`]); `None` without it disables
-    /// plan caching entirely.
+    /// `None` disables plan caching.
     pub plan_db: Option<Arc<PlanDb>>,
     /// Overlap the *next* window's frontier feature extraction with the
     /// current window's compute on a prefetch thread (the Snippet-3
@@ -337,118 +329,6 @@ fn execute_recovering(
     }
 }
 
-/// The plan-database key side of a graph: exact stats as floats (the
-/// artifact stores these as the drift reference; the key uses the
-/// log₂-bucketed form).
-fn graph_summary(stats: &GraphStats) -> GraphSummary {
-    GraphSummary {
-        num_nodes: stats.num_nodes as f64,
-        num_edges: stats.num_edges as f64,
-        feature_dim: stats.feature_dim as f64,
-    }
-}
-
-/// Convert a cached layer record back into a replayable layout plan.
-fn layout_plan_of(rec: &LayerPlanRec) -> LayoutPlan {
-    LayoutPlan {
-        decisions: rec
-            .decisions
-            .iter()
-            .map(|d| LayoutDecision {
-                op_id: d.op_id,
-                format: d.format,
-                compact: d.compact,
-            })
-            .collect(),
-        est_time: rec.est_time,
-        natural_time: rec.natural_time,
-    }
-}
-
-/// Snapshot a freshly-searched layout plan as a cacheable layer record.
-fn layer_rec_of(fingerprint: u64, plan: &LayoutPlan) -> LayerPlanRec {
-    LayerPlanRec {
-        fingerprint,
-        decisions: plan
-            .decisions
-            .iter()
-            .map(|d| LayoutDecisionRec {
-                op_id: d.op_id,
-                format: d.format,
-                compact: d.compact,
-            })
-            .collect(),
-        est_time: plan.est_time,
-        natural_time: plan.natural_time,
-    }
-}
-
-/// Build the plan-database key: an FNV-1a fold of every layer's canonical
-/// program fingerprint plus each compile knob that changes what the
-/// planner would decide (pass config, batch size, budget, residency),
-/// combined with the bucketed graph summary and the device profile name.
-/// Two compiles that agree on all of these would search identical plans —
-/// exactly the condition under which replaying a cached one is sound.
-fn plan_key(layer_fps: &[u64], config: &SamplerConfig, graph: &Graph) -> PlanKey {
-    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    let mut fold = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for fp in layer_fps {
-        fold(&fp.to_le_bytes());
-    }
-    let o = &config.opt;
-    fold(&[
-        u8::from(o.dce),
-        u8::from(o.cse),
-        u8::from(o.preprocess),
-        u8::from(o.fusion),
-    ]);
-    fold(format!("{:?}", o.layout).as_bytes());
-    fold(&(o.super_batch as u64).to_le_bytes());
-    fold(&(config.batch_size as u64).to_le_bytes());
-    match config.auto_super_batch_budget {
-        Some(b) => fold(&b.to_bits().to_le_bytes()),
-        None => fold(b"no-budget"),
-    }
-    fold(&(config.max_super_batch as u64).to_le_bytes());
-    fold(format!("{:?}", graph.residency).as_bytes());
-    PlanKey {
-        program_fp: h,
-        graph_bucket: graph_summary(&graph.stats()).bucket(),
-        device: config.device.name.to_string(),
-    }
-}
-
-/// Fully-compiled result attached to an in-memory plan entry (the
-/// type-erased payload behind [`PlanDb::attach_payload`]). A serialized
-/// plan must be *replayed* — front passes plus one apply — but within one
-/// process the compiler can do better: reuse the compiled programs and
-/// precomputed values outright. Plans are transferable across graphs in
-/// the same stat bucket; compiled values are not, so the payload pins the
-/// exact graph object and the exact source programs and is ignored on any
-/// mismatch.
-struct CompiledPayload {
-    /// The graph this was compiled against (identity, not stats: two
-    /// graphs can share a bucket yet differ edge-for-edge).
-    graph: std::sync::Weak<Graph>,
-    layers: Vec<PayloadLayer>,
-}
-
-struct PayloadLayer {
-    /// The layer's source program, pre-optimization. Equality against the
-    /// incoming program is the guarantee that reusing `optimized` is
-    /// bit-identical to recompiling (the passes are deterministic).
-    source: gsampler_ir::Program,
-    optimized: Arc<OptimizedProgram>,
-    precomputed: Vec<Arc<Value>>,
-}
-
 /// Compile `layers` for `graph` under `config`.
 pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> Result<Sampler> {
     let mut compile_span = gsampler_obs::span("compile", "compile");
@@ -459,118 +339,37 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
     let graph_value = graph.matrix_value();
     let pool = RngPool::new(config.seed);
 
-    // Plan database: an explicit handle wins; `opt.plan_cache` routes
-    // through the process-global in-memory database.
-    let db: Option<Arc<PlanDb>> = config
-        .plan_db
-        .clone()
-        .or_else(|| config.opt.plan_cache.then(plandb::global));
-    let summary = graph_summary(&stats);
-    let db_stats_before = db.as_ref().map(|d| d.stats());
-
-    let mut layer_fps: Vec<u64> = Vec::new();
-    let mut key: Option<PlanKey> = None;
-    let mut cached: Option<PlanArtifact> = None;
-    let mut drifted = false;
-    // Whether the database entry for `key` needs (re)writing: a miss, a
-    // drifted entry, or a cached plan that failed to replay.
-    let mut plan_dirty = false;
-    if let Some(db) = &db {
-        layer_fps = layers.iter().map(|l| l.program.fingerprint()).collect();
-        let k = plan_key(&layer_fps, &config, &graph);
-        match db.lookup(&k, &summary) {
-            Lookup::Hit(a) if a.layers.len() == layers.len() => cached = Some(a),
-            Lookup::Drift(a) if a.layers.len() == layers.len() => {
-                cached = Some(a);
-                drifted = true;
-                plan_dirty = true;
-            }
-            _ => plan_dirty = true,
-        }
-        key = Some(k);
-    }
-    // Same-process fast path: a clean hit may carry the compiled payload
-    // from the compile that inserted the plan. Trust it only for the very
-    // same graph object and (checked per layer below) the very same source
-    // program — then the reuse is bit-identical to recompiling.
-    let payload: Option<Arc<CompiledPayload>> = match (&db, &key, &cached, drifted) {
-        (Some(db), Some(k), Some(_), false) => db
-            .payload(k)
-            .and_then(|p| p.downcast::<CompiledPayload>().ok())
-            .filter(|p| {
-                p.layers.len() == layers.len()
-                    && p.graph.upgrade().is_some_and(|g| Arc::ptr_eq(&g, &graph))
-            }),
-        _ => None,
-    };
+    let db_before = config.plan_db.as_deref().map(|db| (db, db.stats()));
+    let session = db_before.map(|(db, _)| PlanSession::open(db, &graph, &layers, &config));
     let mut payload_reused = 0usize;
 
-    let mut layer_recs: Vec<LayerPlanRec> = Vec::with_capacity(layer_fps.len());
     let mut compiled = Vec::with_capacity(layers.len());
     for (li, layer) in layers.into_iter().enumerate() {
-        if let Some(p) = &payload {
-            let pl = &p.layers[li];
-            if pl.source == layer.program {
-                // Equal to the already-validated source: reuse the compiled
-                // program and precomputed values without re-running any
-                // pass (or the precompute evaluation).
-                if db.is_some() {
-                    layer_recs.push(layer_rec_of(layer_fps[li], &pl.optimized.layout_plan));
-                }
-                compiled.push(CompiledLayer {
-                    layer,
-                    optimized: pl.optimized.clone(),
-                    precomputed: pl.precomputed.clone(),
-                });
-                payload_reused += 1;
-                continue;
-            }
+        let reuse = session
+            .as_ref()
+            .and_then(|s| s.payload_layer(li, &layer.program));
+        if let Some(pl) = reuse {
+            // Equal to the already-validated source: reuse the compiled
+            // program and precomputed values without re-running any pass
+            // (or the precompute evaluation).
+            compiled.push(CompiledLayer {
+                layer,
+                optimized: pl.optimized.clone(),
+                precomputed: pl.precomputed.clone(),
+            });
+            payload_reused += 1;
+            continue;
         }
         layer.program.validate().map_err(Error::InvalidProgram)?;
-        let cached_layer = cached
-            .as_ref()
-            .map(|a| &a.layers[li])
-            .filter(|rec| rec.fingerprint == layer_fps[li]);
-        let replayed = cached_layer.and_then(|rec| {
-            let plan = layout_plan_of(rec);
-            if drifted {
-                // Drift within the bucket: keep the decisions but re-price
-                // them against the fresh stats (two pricings, not a full
-                // re-search) — the incremental re-plan.
-                run_passes_revalidate(
-                    &layer.program,
-                    &config.opt,
-                    &plan,
-                    &stats,
-                    config.batch_size,
-                    device.cost_model(),
-                    graph.residency,
-                )
-            } else {
-                run_passes_replay(&layer.program, &config.opt, &plan)
-            }
-        });
-        let optimized = Arc::new(match replayed {
-            Some(o) => o,
-            None => {
-                if cached.is_some() {
-                    // Stale or fingerprint-mismatched layer plan: fall back
-                    // to the full search and refresh the entry.
-                    plan_dirty = true;
-                }
-                run_passes(
-                    &layer.program,
-                    &config.opt,
-                    &stats,
-                    config.batch_size,
-                    device.cost_model(),
-                    graph.residency,
-                )
-            }
-        });
-        if db.is_some() {
-            layer_recs.push(layer_rec_of(layer_fps[li], &optimized.layout_plan));
-        }
+        let optimized = Arc::new(run_passes_with(
+            &layer.program,
+            &config.opt,
+            &stats,
+            config.batch_size,
+            device.cost_model(),
+            graph.residency,
+            session.as_ref().and_then(|s| s.cached_layout(li)),
+        ));
         // Evaluate the batch-invariant program once, at compile time.
         let precomputed: Vec<Arc<Value>> = if optimized.precompute.is_empty() {
             Vec::new()
@@ -605,47 +404,22 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
     // Precompute cost is one-time; do not let it pollute epoch stats.
     device.reset();
 
-    // Super-batch factor: explicit config, or planned under a budget. On a
-    // clean cache hit the cached factor is *replayed* — one transient-size
-    // estimate per layer at that factor instead of the full grid search —
-    // and falls back to the grid if the budget no longer holds.
+    // Super-batch factor: explicit config, or planned under a budget (a
+    // cached factor that still fits spares the grid walk).
     let mut super_batch = config.opt.super_batch.max(1);
     let mut sb_rec = SuperBatchRec::default();
     if let Some(budget) = config.auto_super_batch_budget {
         let cap = config.max_super_batch.max(1);
-        let cached_factor = match &cached {
-            Some(a) if !plan_dirty && a.super_batch.planned => {
-                Some(a.super_batch.factor.clamp(1, cap))
-            }
-            _ => None,
-        };
-        let replayed = cached_factor.filter(|&f| {
-            if payload_reused == compiled.len() && !compiled.is_empty() {
-                // Full payload reuse: same graph, same programs, same
-                // budget — the replay estimate is deterministic, so
-                // re-checking it would reproduce the planning verdict.
-                return true;
-            }
-            let ok = compiled.iter().all(|layer| {
-                superbatch::replay(
-                    &layer.optimized.program,
-                    &stats,
-                    config.batch_size,
-                    f,
-                    budget,
-                )
-                .fits
-            });
-            if !ok {
-                // Cached factor no longer fits the budget: re-search and
-                // refresh the entry.
-                plan_dirty = true;
-            }
-            ok
-        });
-        let (factor, fits) = match replayed {
-            Some(f) => (f, true),
-            None => {
+        let cached_factor = session
+            .as_ref()
+            .and_then(|s| s.cached_factor())
+            .map(|f| f.clamp(1, cap));
+        let (factor, fits) = match cached_factor {
+            // Full payload reuse: same graph, same programs, same budget —
+            // the estimate is deterministic, so re-checking it would
+            // reproduce the planning verdict.
+            Some(f) if payload_reused == compiled.len() && !compiled.is_empty() => (f, true),
+            _ => {
                 let mut planned = usize::MAX;
                 let mut fits = true;
                 for layer in &compiled {
@@ -654,6 +428,7 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
                         &stats,
                         config.batch_size,
                         budget,
+                        cached_factor,
                     );
                     planned = planned.min(plan.factor);
                     fits &= plan.fits;
@@ -699,48 +474,15 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
         super_batch = 1;
     }
 
-    // Insert (or refresh) the plan — but never a degraded one: a compile
-    // that landed on the streaming rung planned under memory pressure, and
-    // replaying its decisions on a healthy process would bake the
-    // degradation in.
-    if let (Some(db), Some(key)) = (&db, &key) {
-        if plan_dirty && !device.spill_enabled() {
-            db.insert(
-                key,
-                PlanArtifact {
-                    layers: std::mem::take(&mut layer_recs),
-                    super_batch: sb_rec,
-                    graph: summary,
-                    device: config.device.name.to_string(),
-                },
-            );
-        }
-        // Attach (or refresh) the same-process compiled payload — after
-        // the insert, since inserting invalidates any prior payload. Not
-        // when this compile already ran fully off the payload (nothing
-        // new), and never for a degraded compile (mirrors the insert
-        // rule).
-        if payload_reused < compiled.len() && !device.spill_enabled() {
-            db.attach_payload(
-                key,
-                Arc::new(CompiledPayload {
-                    graph: Arc::downgrade(&graph),
-                    layers: compiled
-                        .iter()
-                        .map(|c| PayloadLayer {
-                            source: c.layer.program.clone(),
-                            optimized: c.optimized.clone(),
-                            precomputed: c.precomputed.clone(),
-                        })
-                        .collect(),
-                }),
-            );
-        }
+    // Never record a degraded compile: one that landed on the streaming
+    // rung planned under memory pressure, and handing its decisions to a
+    // healthy process would bake the degradation in.
+    if let Some(session) = session.filter(|_| !device.spill_enabled()) {
+        session.commit(&graph, &compiled, payload_reused, sb_rec);
     }
-    let plan_db_stats = match (&db, &db_stats_before) {
-        (Some(d), Some(before)) => d.stats().since(before),
-        _ => PlanDbStats::default(),
-    };
+    let plan_db_stats = db_before.map_or_else(PlanDbStats::default, |(db, before)| {
+        db.stats().since(&before)
+    });
     compile_span.arg("super_batch", super_batch);
     if plan_db_stats.any() {
         compile_span.arg("plan_cache_hits", plan_db_stats.hits);
@@ -911,16 +653,7 @@ impl Sampler {
         let base = self
             .layers
             .iter()
-            .map(|l| {
-                gsampler_ir::superbatch::replay(
-                    &l.optimized.program,
-                    &stats,
-                    cols.max(1),
-                    1,
-                    f64::INFINITY,
-                )
-                .est_bytes
-            })
+            .map(|l| superbatch::transient_bytes(&l.optimized.program, &stats, cols.max(1)))
             .fold(0.0f64, f64::max);
         let tail_staging = cols.max(1) as f64
             * self.graph.avg_degree()

@@ -52,6 +52,7 @@ pub mod graph;
 pub mod hetero;
 pub mod kernels;
 pub mod multi_gpu;
+mod plan_session;
 pub mod session_rng;
 pub mod value;
 

@@ -43,8 +43,8 @@ pub use gsampler_runtime::{
 };
 pub use memory::{MemoryTracker, OomError};
 pub use plandb::{
-    GraphSummary, LayerPlanRec, LayoutDecisionRec, Lookup, PlanArtifact, PlanDb, PlanDbStats,
-    PlanKey, SuperBatchRec,
+    GraphSummary, LayerPlanRec, LayoutDecision, LayoutPlan, Lookup, PlanArtifact, PlanDb,
+    PlanDbStats, PlanKey, SuperBatchRec,
 };
 pub use stats::{ExecStats, FaultReport, KernelAgg, KernelRecord};
 pub use workload::{KernelDesc, EDGE_BYTES, UVA_TRANSACTION_FACTOR};

@@ -1,30 +1,32 @@
 //! The memoized plan database.
 //!
-//! Compilation re-runs the layout brute-force search (paper §4.3) and the
-//! super-batch grid search (§4.4) from scratch on every compile, even for
-//! a (program, graph, device) triple the process has planned a thousand
-//! times. This module memoizes those planning decisions the way Morello's
-//! search database memoizes synthesis specs: a [`PlanDb`] maps a
-//! fingerprint key — canonical program hash, bucketed graph-stat summary,
-//! device profile name — to a serializable [`PlanArtifact`] that the
-//! compile path can *replay* without re-searching.
+//! Compilation runs the layout brute-force search (paper §4.3) and the
+//! super-batch grid search (§4.4). This module memoizes their results the
+//! way Morello's search database memoizes synthesis specs: a [`PlanDb`]
+//! maps a fingerprint key — canonical program hash, bucketed graph-stat
+//! summary, device profile name — to a serializable [`PlanArtifact`],
+//! which the compile pipeline takes as an *input* in place of searching.
+//! The plan types themselves ([`LayoutPlan`], [`LayoutDecision`]) live
+//! here, below the IR crate that produces them, so what the layout pass
+//! returns is what the database stores.
 //!
 //! Three design points:
 //!
 //! - **Bucketed keys, exact drift checks.** Graph stats enter the key in
 //!   coarse log₂ buckets so a slightly grown graph still *finds* its
 //!   entry; the artifact stores the exact stats it was planned under, and
-//!   a lookup whose current stats moved more than the drift threshold
-//!   comes back as [`Lookup::Drift`] — the caller re-plans (incrementally)
-//!   and re-inserts rather than replaying a stale plan.
-//! - **LRU + optional persistence.** In-memory entries are capped with
-//!   least-recently-used eviction; with a backing path the database loads
-//!   at open and rewrites the file on insert, using the `obs::json` value
-//!   type as the one JSON implementation in the workspace.
+//!   a lookup whose current stats moved more than [`DRIFT_THRESHOLD`]
+//!   comes back as [`Lookup::Drift`] — the pipeline re-prices the plan
+//!   under the fresh stats and the caller re-inserts.
+//! - **LRU + optional persistence.** In-memory entries are capped at
+//!   [`CAPACITY`] with least-recently-used eviction; with a backing path
+//!   the database loads at open and rewrites the file on insert, using
+//!   the `obs::json` value type as the one JSON implementation in the
+//!   workspace.
 //! - **Plans are semantically inert.** Layout and super-batch decisions
 //!   never change *what* is sampled, only how fast (the differential
-//!   oracle enforces this), so replaying a plan across same-bucket graphs
-//!   is always safe — at worst it is slower than a fresh search.
+//!   oracle enforces this), so taking a plan across same-bucket graphs is
+//!   always safe — at worst it is slower than a fresh search.
 //!
 //! Degraded compiles (a plan that does not fit its memory budget, or a
 //! device already on the streaming spill rung) must **not** insert: the
@@ -33,18 +35,19 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use gsampler_matrix::Format;
 use gsampler_obs::json::Json;
 use gsampler_obs::Arg;
 
-/// Default capacity of the in-memory LRU.
-const DEFAULT_CAPACITY: usize = 256;
+/// Capacity of the in-memory LRU.
+const CAPACITY: usize = 256;
 
-/// Default relative drift threshold (25%) on nodes/edges/average degree.
-const DEFAULT_DRIFT_THRESHOLD: f64 = 0.25;
+/// Relative drift threshold (25%) on nodes/edges/average degree.
+const DRIFT_THRESHOLD: f64 = 0.25;
 
 /// Exact graph statistics a plan was made under — and, bucketed, part of
 /// the lookup key.
@@ -101,37 +104,49 @@ impl GraphSummary {
     }
 }
 
-/// One serialized layout decision (mirrors the IR pass's decision type;
-/// duplicated here because `engine` sits below `ir` in the crate DAG).
+/// One layout decision, addressed by the node it applies to in the
+/// *pre-layout* program (post CSE/preprocess/fusion/DCE). Defined here,
+/// below the IR crate that searches for it, so the plan the layout pass
+/// produces is the very value the database stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayoutDecisionRec {
+pub struct LayoutDecision {
     /// Choice-point node in the pre-layout program.
     pub op_id: usize,
-    /// Chosen storage format.
-    pub format: gsampler_matrix::Format,
+    /// Chosen storage format for its output.
+    pub format: Format,
     /// Whether isolated rows are compacted after it.
     pub compact: bool,
+}
+
+/// The product of the layout search (paper §4.3): everything needed to
+/// rewrite a program without searching again. An empty decision list
+/// means "keep every operator in its natural format" (either there were
+/// no choice points, or the search fell back to natural).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LayoutPlan {
+    /// Per-choice-point decisions; empty = all-natural.
+    pub decisions: Vec<LayoutDecision>,
+    /// Modeled per-batch time of the chosen program (seconds).
+    pub est_time: f64,
+    /// Modeled per-batch time with all-natural layouts.
+    pub natural_time: f64,
 }
 
 /// The cached plan for one compiled layer.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerPlanRec {
-    /// Canonical fingerprint of the layer's *source* program; replay is
-    /// only attempted when it matches.
+    /// Canonical fingerprint of the layer's *source* program; the plan is
+    /// only offered to a compile whose layer matches.
     pub fingerprint: u64,
-    /// Layout decisions (empty = all-natural).
-    pub decisions: Vec<LayoutDecisionRec>,
-    /// Modeled per-batch seconds of the chosen layout.
-    pub est_time: f64,
-    /// Modeled per-batch seconds of the all-natural layout.
-    pub natural_time: f64,
+    /// The layer's layout plan.
+    pub plan: LayoutPlan,
 }
 
 /// The cached super-batch decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuperBatchRec {
     /// Whether an automatic budget search planned this (false = the
-    /// explicit `opt.super_batch` factor was used; nothing to replay).
+    /// explicit `opt.super_batch` factor was used; nothing to reuse).
     pub planned: bool,
     /// The chosen factor.
     pub factor: usize,
@@ -146,7 +161,7 @@ impl Default for SuperBatchRec {
     }
 }
 
-/// Everything a compile needs to skip its searches: per-layer layout
+/// Everything a compile needs in place of its searches: per-layer layout
 /// plans, the super-batch factor, and the exact graph stats the plan was
 /// made under (the drift reference).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -186,7 +201,7 @@ impl PlanKey {
 /// `plan/cache.*` events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanDbStats {
-    /// Lookups that returned a replayable artifact.
+    /// Lookups that returned a fresh artifact.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
@@ -248,11 +263,10 @@ impl PlanDbStats {
 /// Outcome of a [`PlanDb::lookup`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Lookup {
-    /// Fresh plan, replay it.
+    /// Fresh plan: take it as is.
     Hit(PlanArtifact),
-    /// A plan exists but the graph stats drifted past the threshold;
-    /// re-plan (the artifact is returned so re-planning can be
-    /// incremental) and re-insert.
+    /// A plan exists but the graph stats drifted past the threshold:
+    /// re-price it under the current stats and re-insert.
     Drift(PlanArtifact),
     /// Nothing cached for this key.
     Miss,
@@ -268,8 +282,6 @@ struct Inner {
     payloads: std::collections::HashMap<String, Arc<dyn std::any::Any + Send + Sync>>,
     /// LRU order: most recently used last.
     order: Vec<String>,
-    capacity: usize,
-    drift_threshold: f64,
     path: Option<PathBuf>,
     stats: PlanDbStats,
 }
@@ -295,7 +307,6 @@ impl std::fmt::Debug for PlanDb {
         let inner = self.inner.lock();
         f.debug_struct("PlanDb")
             .field("entries", &inner.entries.len())
-            .field("capacity", &inner.capacity)
             .field("path", &inner.path)
             .field("stats", &inner.stats)
             .finish()
@@ -309,16 +320,13 @@ impl Default for PlanDb {
 }
 
 impl PlanDb {
-    /// A fresh in-memory database (default capacity, default drift
-    /// threshold, no persistence).
+    /// A fresh in-memory database (no persistence).
     pub fn in_memory() -> PlanDb {
         PlanDb {
             inner: Mutex::new(Inner {
                 entries: Default::default(),
                 payloads: Default::default(),
                 order: Vec::new(),
-                capacity: DEFAULT_CAPACITY,
-                drift_threshold: DEFAULT_DRIFT_THRESHOLD,
                 path: None,
                 stats: PlanDbStats::default(),
             }),
@@ -368,18 +376,6 @@ impl PlanDb {
         Ok(db)
     }
 
-    /// Override the LRU capacity (builder-style).
-    pub fn with_capacity(self, capacity: usize) -> PlanDb {
-        self.inner.lock().capacity = capacity.max(1);
-        self
-    }
-
-    /// Override the relative drift threshold (builder-style).
-    pub fn with_drift_threshold(self, threshold: f64) -> PlanDb {
-        self.inner.lock().drift_threshold = threshold.max(0.0);
-        self
-    }
-
     /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.inner.lock().entries.len()
@@ -414,9 +410,8 @@ impl PlanDb {
             }
             Some(artifact) => {
                 let drift = current.drift_from(&artifact.graph);
-                if drift > inner.drift_threshold {
+                if drift > DRIFT_THRESHOLD {
                     inner.stats.drifts += 1;
-                    let threshold = inner.drift_threshold;
                     drop(inner);
                     gsampler_obs::event(
                         "plan",
@@ -424,7 +419,7 @@ impl PlanDb {
                         &[
                             ("key", Arg::Str(skey)),
                             ("drift", Arg::Num(drift)),
-                            ("threshold", Arg::Num(threshold)),
+                            ("threshold", Arg::Num(DRIFT_THRESHOLD)),
                         ],
                     );
                     Lookup::Drift(artifact)
@@ -457,7 +452,7 @@ impl PlanDb {
         inner.payloads.remove(&skey);
         inner.touch(&skey);
         let mut evicted = 0u64;
-        while inner.order.len() > inner.capacity {
+        while inner.order.len() > CAPACITY {
             let victim = inner.order.remove(0);
             inner.entries.remove(&victim);
             inner.payloads.remove(&victim);
@@ -493,7 +488,7 @@ impl PlanDb {
     /// Attach a same-process compiled payload to `key`'s entry (no-op if
     /// the entry does not exist or was evicted). Payloads are an in-memory
     /// acceleration only — they are never persisted, so a database loaded
-    /// from disk starts payload-free and hits replay through the passes.
+    /// from disk starts payload-free and hits go through the passes.
     pub fn attach_payload(&self, key: &PlanKey, payload: Arc<dyn std::any::Any + Send + Sync>) {
         let skey = key.to_string_key();
         let mut inner = self.inner.lock();
@@ -517,13 +512,6 @@ impl PlanDb {
     pub fn to_json(&self) -> Json {
         to_json_locked(&self.inner.lock())
     }
-}
-
-/// The process-global plan database, used when `OptConfig::plan_cache` is
-/// set without an explicit `SamplerConfig::plan_db`.
-pub fn global() -> Arc<PlanDb> {
-    static GLOBAL: OnceLock<Arc<PlanDb>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(PlanDb::in_memory())).clone()
 }
 
 // --- serialization (obs::json is the one JSON implementation) -----------
@@ -570,7 +558,7 @@ impl GraphSummary {
     }
 }
 
-impl LayoutDecisionRec {
+impl LayoutDecision {
     fn to_json(self) -> Json {
         Json::Obj(vec![
             ("op".into(), Json::Num(self.op_id as f64)),
@@ -579,16 +567,16 @@ impl LayoutDecisionRec {
         ])
     }
 
-    fn from_json(j: &Json) -> Result<LayoutDecisionRec, String> {
+    fn from_json(j: &Json) -> Result<LayoutDecision, String> {
         let fmt_name = field(j, "format")?
             .as_str()
             .ok_or("format: expected string")?;
-        let format = gsampler_matrix::Format::ALL
+        let format = Format::ALL
             .into_iter()
             .find(|f| f.name() == fmt_name)
             .ok_or_else(|| format!("unknown format {fmt_name:?}"))?;
         let compact = matches!(field(j, "compact")?, Json::Bool(true));
-        Ok(LayoutDecisionRec {
+        Ok(LayoutDecision {
             op_id: num(j, "op")? as usize,
             format,
             compact,
@@ -602,10 +590,10 @@ impl LayerPlanRec {
             ("fingerprint".into(), hex(self.fingerprint)),
             (
                 "decisions".into(),
-                Json::Arr(self.decisions.iter().map(|d| d.to_json()).collect()),
+                Json::Arr(self.plan.decisions.iter().map(|d| d.to_json()).collect()),
             ),
-            ("est_time".into(), Json::Num(self.est_time)),
-            ("natural_time".into(), Json::Num(self.natural_time)),
+            ("est_time".into(), Json::Num(self.plan.est_time)),
+            ("natural_time".into(), Json::Num(self.plan.natural_time)),
         ])
     }
 
@@ -614,13 +602,15 @@ impl LayerPlanRec {
             .as_arr()
             .ok_or("decisions: expected array")?
             .iter()
-            .map(LayoutDecisionRec::from_json)
+            .map(LayoutDecision::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(LayerPlanRec {
             fingerprint: parse_hex(field(j, "fingerprint")?)?,
-            decisions,
-            est_time: num(j, "est_time")?,
-            natural_time: num(j, "natural_time")?,
+            plan: LayoutPlan {
+                decisions,
+                est_time: num(j, "est_time")?,
+                natural_time: num(j, "natural_time")?,
+            },
         })
     }
 }
@@ -717,26 +707,27 @@ fn entries_from_json(j: &Json) -> Result<Entries, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsampler_matrix::Format;
 
     fn artifact(nodes: f64) -> PlanArtifact {
         PlanArtifact {
             layers: vec![LayerPlanRec {
                 fingerprint: 0xDEAD_BEEF_1234_5678,
-                decisions: vec![
-                    LayoutDecisionRec {
-                        op_id: 2,
-                        format: Format::Csr,
-                        compact: true,
-                    },
-                    LayoutDecisionRec {
-                        op_id: 5,
-                        format: Format::Coo,
-                        compact: false,
-                    },
-                ],
-                est_time: 1.5e-3,
-                natural_time: 2.5e-3,
+                plan: LayoutPlan {
+                    decisions: vec![
+                        LayoutDecision {
+                            op_id: 2,
+                            format: Format::Csr,
+                            compact: true,
+                        },
+                        LayoutDecision {
+                            op_id: 5,
+                            format: Format::Coo,
+                            compact: false,
+                        },
+                    ],
+                    est_time: 1.5e-3,
+                    natural_time: 2.5e-3,
+                },
             }],
             super_batch: SuperBatchRec {
                 planned: true,
@@ -792,7 +783,7 @@ mod tests {
 
     #[test]
     fn drift_past_threshold_reported() {
-        let db = PlanDb::in_memory().with_drift_threshold(0.25);
+        let db = PlanDb::in_memory();
         let a = artifact(1200.0);
         let k = key(2, &a.graph);
         db.insert(&k, a.clone());
@@ -815,18 +806,64 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let db = PlanDb::in_memory().with_capacity(2);
+        let db = PlanDb::in_memory();
         let a = artifact(1000.0);
-        let (k1, k2, k3) = (key(1, &a.graph), key(2, &a.graph), key(3, &a.graph));
-        db.insert(&k1, a.clone());
-        db.insert(&k2, a.clone());
-        // Touch k1 so k2 becomes the LRU victim.
-        assert!(matches!(db.lookup(&k1, &a.graph), Lookup::Hit(_)));
-        db.insert(&k3, a.clone());
-        assert_eq!(db.len(), 2);
-        assert!(matches!(db.lookup(&k1, &a.graph), Lookup::Hit(_)));
-        assert_eq!(db.lookup(&k2, &a.graph), Lookup::Miss);
+        let keys: Vec<PlanKey> = (0..=CAPACITY as u64).map(|fp| key(fp, &a.graph)).collect();
+        for k in &keys[..CAPACITY] {
+            db.insert(k, a.clone());
+        }
+        assert_eq!((db.len(), db.stats().evictions), (CAPACITY, 0));
+        // Touch the oldest entry so the second-oldest becomes the victim
+        // of the insert that goes past capacity.
+        assert!(matches!(db.lookup(&keys[0], &a.graph), Lookup::Hit(_)));
+        db.insert(&keys[CAPACITY], a.clone());
+        assert_eq!(db.len(), CAPACITY);
+        assert!(matches!(db.lookup(&keys[0], &a.graph), Lookup::Hit(_)));
+        assert_eq!(db.lookup(&keys[1], &a.graph), Lookup::Miss);
         assert_eq!(db.stats().evictions, 1);
+    }
+
+    /// A database file written by the previous release (before the layout
+    /// plan types were unified) — `gsample graphsage --dataset tiny
+    /// --budget 64 --plan-db ..`, verbatim. The on-disk field names are a
+    /// compatibility surface: it must load, not be discarded as corrupt.
+    const PARENT_FILE: &str = r#"{"version":1,"entries":[{"key":"fp5c330ba277be5ec5/n8e11f16/V100","artifact":{"layers":[{"fingerprint":"0xf27a59e71902edeb","decisions":[{"op":2,"format":"csc","compact":false}],"est_time":0.00002465276767676768,"natural_time":0.00002465276767676768},{"fingerprint":"0x6741b665caabd759","decisions":[{"op":2,"format":"csc","compact":false}],"est_time":0.00002101187878787879,"natural_time":0.00002101187878787879}],"super_batch":{"planned":true,"factor":16},"graph":{"num_nodes":256,"num_edges":3584,"feature_dim":16},"device":"V100"}}]}"#;
+
+    #[test]
+    fn file_written_by_previous_release_still_loads() {
+        let dir = std::env::temp_dir().join(format!("gs-plandb-compat-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("plans.json");
+        std::fs::write(&path, format!("{PARENT_FILE}\n")).unwrap();
+        let db = PlanDb::open(&path).unwrap();
+        assert_eq!((db.len(), db.stats().corrupt_discards), (1, 0));
+        let graph = GraphSummary {
+            num_nodes: 256.0,
+            num_edges: 3584.0,
+            feature_dim: 16.0,
+        };
+        let k = PlanKey {
+            program_fp: 0x5c33_0ba2_77be_5ec5,
+            graph_bucket: graph.bucket(),
+            device: "V100".to_string(),
+        };
+        let Lookup::Hit(a) = db.lookup(&k, &graph) else {
+            panic!("previous-release entry not found under its key");
+        };
+        assert_eq!(a.super_batch.factor, 16);
+        assert_eq!(a.layers[0].fingerprint, 0xf27a_59e7_1902_edeb);
+        assert_eq!(
+            a.layers[1].plan.decisions,
+            vec![LayoutDecision {
+                op_id: 2,
+                format: Format::Csc,
+                compact: false,
+            }]
+        );
+        assert_eq!(a.layers[1].plan.est_time, 0.00002101187878787879);
+        // And what this release writes back is the same text.
+        assert_eq!(db.to_json().to_string(), PARENT_FILE);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -32,7 +32,5 @@ pub mod superbatch;
 
 pub use estimate::{GraphStats, ShapeEst};
 pub use op::{EdgeMapStep, Op};
-pub use passes::{
-    run_passes, run_passes_replay, run_passes_revalidate, LayoutPlan, OptConfig, PassReport,
-};
+pub use passes::{run_passes, run_passes_with, LayoutPlan, OptConfig, PassReport};
 pub use program::{Node, OpId, Program};

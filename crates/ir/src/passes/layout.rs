@@ -12,8 +12,7 @@
 //! paper compares against: each operator independently picks the format its
 //! *consumers* like best, ignoring conversion overheads.
 
-use std::collections::HashMap;
-
+pub use gsampler_engine::plandb::{LayoutDecision, LayoutPlan};
 use gsampler_engine::{CostModel, Residency};
 use gsampler_matrix::Format;
 
@@ -44,30 +43,15 @@ pub struct LayoutChoice {
     pub compact: bool,
 }
 
-/// One serializable layout decision, addressed by the node it applies to
-/// in the *pre-layout* program (post CSE/preprocess/fusion/DCE).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayoutDecision {
-    /// Choice-point node in the pre-layout program.
-    pub op_id: OpId,
-    /// Chosen storage format for its output.
-    pub format: Format,
-    /// Whether isolated rows are compacted after it.
-    pub compact: bool,
-}
-
-/// The pure product of the layout *search* half: everything needed to
-/// replay the pass without re-searching. An empty decision list means
-/// "keep every operator in its natural format" (either there were no
-/// choice points, or the search fell back to natural).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LayoutPlan {
-    /// Per-choice-point decisions; empty = all-natural.
-    pub decisions: Vec<LayoutDecision>,
-    /// Modeled per-batch time of the chosen program (seconds).
-    pub est_time: f64,
-    /// Modeled per-batch time with all-natural layouts.
-    pub natural_time: f64,
+/// A plan from an earlier compile, offered to [`resolve`] in place of a
+/// search.
+#[derive(Debug, Clone, Copy)]
+pub struct CachedPlan<'a> {
+    /// The earlier compile's plan for this program.
+    pub plan: &'a LayoutPlan,
+    /// Whether the graph stats it was priced under still hold (a plan
+    /// database hit rather than a drift).
+    pub fresh: bool,
 }
 
 /// Outcome of the layout pass.
@@ -105,10 +89,36 @@ fn choice_points(program: &Program) -> Vec<(OpId, bool)> {
         .collect()
 }
 
-/// The pure *search* half of the pass: price the alternatives and return
-/// the decisions as a replayable [`LayoutPlan`], without rewriting the
-/// program. All the expensive work (candidate enumeration, per-candidate
-/// shape estimation and pricing) lives here; [`apply`] is cheap.
+/// Decide the layout plan for `program`: a `cached` plan that still
+/// applies and is fresh is taken as is; one whose graph stats drifted is
+/// re-priced under the current stats (two pricings) and kept only while
+/// it still beats the all-natural layout; otherwise [`search`].
+pub fn resolve(
+    program: &Program,
+    mode: LayoutMode,
+    stats: &GraphStats,
+    batch_size: usize,
+    cost_model: &CostModel,
+    residency: Residency,
+    cached: Option<CachedPlan<'_>>,
+) -> LayoutPlan {
+    let price = |p: &Program| price(p, stats, batch_size, cost_model, residency);
+    if let Some(c) = cached.filter(|c| plan_applies(program, c.plan)) {
+        if c.fresh {
+            return c.plan.clone();
+        }
+        let repriced = priced(program, c.plan.decisions.clone(), &price);
+        if repriced.est_time <= repriced.natural_time {
+            return repriced;
+        }
+    }
+    search(program, mode, stats, batch_size, cost_model, residency)
+}
+
+/// The *search* half of the pass: price the alternatives and return the
+/// decisions as a [`LayoutPlan`], without rewriting the program. All the
+/// expensive work (candidate enumeration, per-candidate shape estimation
+/// and pricing) lives here; [`apply`] is cheap.
 pub fn search(
     program: &Program,
     mode: LayoutMode,
@@ -116,57 +126,50 @@ pub fn search(
     batch_size: usize,
     cost_model: &CostModel,
     residency: Residency,
-    fuse: bool,
 ) -> LayoutPlan {
+    let price = |p: &Program| price(p, stats, batch_size, cost_model, residency);
     let points = choice_points(program);
-    let natural_time = price(program, stats, batch_size, cost_model, residency);
-    let natural = LayoutPlan {
-        decisions: Vec::new(),
-        est_time: natural_time,
-        natural_time,
-    };
-    if points.is_empty() || mode == LayoutMode::None {
-        return natural;
+    if points.is_empty() {
+        return priced(program, Vec::new(), &price);
     }
-
-    let assignment = match mode {
-        LayoutMode::None => unreachable!(),
+    let decisions = match mode {
+        LayoutMode::None => Vec::new(),
         LayoutMode::Greedy => greedy_assignment(program, &points, stats, batch_size, cost_model),
-        LayoutMode::CostAware => search_assignment(
-            program, &points, stats, batch_size, cost_model, residency, fuse,
-        ),
+        LayoutMode::CostAware => search_assignment(program, &points, &price),
     };
-
-    let rewritten = apply_assignment(program, &assignment, fuse);
-    let est_time = price(&rewritten, stats, batch_size, cost_model, residency);
-
+    let plan = priced(program, decisions, &price);
     // Cost-aware must never be worse than natural; fall back if the search
     // (on estimated shapes) picked something the final pricing dislikes.
-    if mode == LayoutMode::CostAware && est_time > natural_time {
-        return natural;
+    if mode == LayoutMode::CostAware && plan.est_time > plan.natural_time {
+        return priced(program, Vec::new(), &price);
     }
+    plan
+}
 
+/// Price `decisions` on `program`: the plan with its modeled times filled
+/// in (an empty list prices as the all-natural layout).
+fn priced(
+    program: &Program,
+    decisions: Vec<LayoutDecision>,
+    price: &impl Fn(&Program) -> f64,
+) -> LayoutPlan {
+    let natural_time = price(program);
+    let est_time = if decisions.is_empty() {
+        natural_time
+    } else {
+        price(&apply_assignment(program, &decisions))
+    };
     LayoutPlan {
-        decisions: points
-            .iter()
-            .map(|&(id, _)| {
-                let (format, compact) = assignment[&id];
-                LayoutDecision {
-                    op_id: id,
-                    format,
-                    compact,
-                }
-            })
-            .collect(),
+        decisions,
         est_time,
         natural_time,
     }
 }
 
-/// Whether a (possibly cached) plan is structurally replayable onto this
-/// program: every decision must target an actual choice point, and
-/// compaction only where it is allowed. A stale or corrupt plan-DB entry
-/// fails this check and the caller falls back to a fresh [`search`].
+/// Whether a (possibly cached) plan structurally fits this program: every
+/// decision must target an actual choice point, and compaction only where
+/// it is allowed. A stale or corrupt plan-DB entry fails this check and
+/// [`resolve`] falls back to a fresh [`search`].
 pub fn plan_applies(program: &Program, plan: &LayoutPlan) -> bool {
     let points = choice_points(program);
     plan.decisions.iter().all(|d| {
@@ -176,53 +179,9 @@ pub fn plan_applies(program: &Program, plan: &LayoutPlan) -> bool {
     })
 }
 
-/// Drift path: re-price a cached plan's decisions under *fresh* graph
-/// stats without re-searching. Returns the plan with refreshed
-/// `est_time`/`natural_time` when the old assignment still beats the
-/// all-natural layout, `None` when it no longer does (or no longer
-/// applies) — the caller then falls back to a full [`search`]. Cost: two
-/// pricings instead of up to ~1500.
-pub fn revalidate(
-    program: &Program,
-    plan: &LayoutPlan,
-    stats: &GraphStats,
-    batch_size: usize,
-    cost_model: &CostModel,
-    residency: Residency,
-    fuse: bool,
-) -> Option<LayoutPlan> {
-    if !plan_applies(program, plan) {
-        return None;
-    }
-    let natural_time = price(program, stats, batch_size, cost_model, residency);
-    if plan.decisions.is_empty() {
-        return Some(LayoutPlan {
-            decisions: Vec::new(),
-            est_time: natural_time,
-            natural_time,
-        });
-    }
-    let assignment: HashMap<OpId, (Format, bool)> = plan
-        .decisions
-        .iter()
-        .map(|d| (d.op_id, (d.format, d.compact)))
-        .collect();
-    let rewritten = apply_assignment(program, &assignment, fuse);
-    let est_time = price(&rewritten, stats, batch_size, cost_model, residency);
-    if est_time > natural_time {
-        return None;
-    }
-    Some(LayoutPlan {
-        decisions: plan.decisions.clone(),
-        est_time,
-        natural_time,
-    })
-}
-
-/// The pure *apply* (replay) half: rewrite the program according to an
-/// already-searched plan. No pricing, no enumeration — this is the warm
-/// path the plan database replays cached artifacts through.
-pub fn apply(program: &Program, plan: &LayoutPlan, fuse: bool) -> (Program, LayoutReport) {
+/// The *apply* half: rewrite the program according to an already-decided
+/// plan. No pricing, no enumeration.
+pub fn apply(program: &Program, plan: &LayoutPlan) -> (Program, LayoutReport) {
     if plan.decisions.is_empty() {
         let report = LayoutReport {
             est_time: plan.est_time,
@@ -231,12 +190,7 @@ pub fn apply(program: &Program, plan: &LayoutPlan, fuse: bool) -> (Program, Layo
         };
         return (program.clone(), report);
     }
-    let assignment: HashMap<OpId, (Format, bool)> = plan
-        .decisions
-        .iter()
-        .map(|d| (d.op_id, (d.format, d.compact)))
-        .collect();
-    let rewritten = apply_assignment(program, &assignment, fuse);
+    let rewritten = apply_assignment(program, &plan.decisions);
     let report = LayoutReport {
         choices: plan
             .decisions
@@ -258,26 +212,8 @@ pub fn apply(program: &Program, plan: &LayoutPlan, fuse: bool) -> (Program, Layo
     (rewritten, report)
 }
 
-/// Run the pass; returns the rewritten program and a report.
-pub fn run(
-    program: &Program,
-    mode: LayoutMode,
-    stats: &GraphStats,
-    batch_size: usize,
-    cost_model: &CostModel,
-    residency: Residency,
-    fuse: bool,
-) -> (Program, LayoutReport) {
-    let plan = search(
-        program, mode, stats, batch_size, cost_model, residency, fuse,
-    );
-    let (rewritten, report) = apply(program, &plan, fuse);
-    emit_assignment_event(mode, &report);
-    (rewritten, report)
-}
-
-/// Emit the `plan/layout.assignment` trace event for a completed pass
-/// (search or replay); near-free when tracing is off.
+/// Emit the `plan/layout.assignment` trace event for a completed pass;
+/// near-free when tracing is off.
 pub fn emit_assignment_event(mode: LayoutMode, report: &LayoutReport) {
     if gsampler_obs::is_enabled() {
         let chosen: Vec<String> = report
@@ -320,18 +256,14 @@ fn price(
     costing::price_program(program, &fmts, &shapes, cost_model, residency)
 }
 
-/// Insert `CompactRows` / `Convert` nodes realizing an assignment.
+/// Insert `CompactRows` / `Convert` nodes realizing `decisions`.
 ///
-/// With `fuse` on, a `compact` decision on a [`Op::FusedExtractSelect`]
-/// node is realized as a single [`Op::FusedSampleRelabel`] instead of the
-/// sample node plus a trailing `CompactRows`: the kernel emits the
-/// already-relabelled sub-matrix in one pass. Both operators consume the
-/// same RNG stream, so the rewrite cannot shift any downstream draws.
-fn apply_assignment(
-    program: &Program,
-    assignment: &HashMap<OpId, (Format, bool)>,
-    fuse: bool,
-) -> Program {
+/// A `compact` decision on a [`Op::FusedExtractSelect`] node is realized
+/// as a single [`Op::FusedSampleRelabel`] instead of the sample node plus
+/// a trailing `CompactRows`: the kernel emits the already-relabelled
+/// sub-matrix in one pass. Both operators consume the same RNG stream, so
+/// the rewrite cannot shift any downstream draws.
+fn apply_assignment(program: &Program, decisions: &[LayoutDecision]) -> Program {
     let mut out = Program::new();
     let mut map: Vec<OpId> = Vec::with_capacity(program.len());
     let mut fmts: Vec<Option<Format>> = Vec::new();
@@ -346,9 +278,9 @@ fn apply_assignment(
 
     for (old_id, node) in program.nodes().iter().enumerate() {
         let inputs: Vec<OpId> = node.inputs.iter().map(|&i| map[i]).collect();
-        let decision = assignment.get(&old_id).copied();
+        let decision = decisions.iter().find(|d| d.op_id == old_id);
         let fused = match (&node.op, decision) {
-            (&Op::FusedExtractSelect { k, replace }, Some((_, true))) if fuse => {
+            (&Op::FusedExtractSelect { k, replace }, Some(d)) if d.compact => {
                 Some(Op::FusedSampleRelabel { k, replace })
             }
             _ => None,
@@ -358,13 +290,13 @@ fn apply_assignment(
             Some(op) => push(&mut out, &mut fmts, op, inputs),
             None => push(&mut out, &mut fmts, node.op.clone(), inputs),
         };
-        if let Some((fmt, compact)) = decision {
-            if compact && !was_fused {
+        if let Some(d) = decision {
+            if d.compact && !was_fused {
                 last = push(&mut out, &mut fmts, Op::CompactRows, vec![last]);
             }
             let current = fmts[last].unwrap_or(GRAPH_FMT);
-            if current != fmt {
-                last = push(&mut out, &mut fmts, Op::Convert(fmt), vec![last]);
+            if current != d.format {
+                last = push(&mut out, &mut fmts, Op::Convert(d.format), vec![last]);
             }
         }
         map.push(last);
@@ -380,12 +312,8 @@ fn apply_assignment(
 fn search_assignment(
     program: &Program,
     points: &[(OpId, bool)],
-    stats: &GraphStats,
-    batch_size: usize,
-    cost_model: &CostModel,
-    residency: Residency,
-    fuse: bool,
-) -> HashMap<OpId, (Format, bool)> {
+    price: &impl Fn(&Program) -> f64,
+) -> Vec<LayoutDecision> {
     let options: Vec<Vec<(Format, bool)>> = points
         .iter()
         .map(|&(_, can_compact)| {
@@ -401,17 +329,14 @@ fn search_assignment(
         .collect();
 
     let space: usize = options.iter().map(|o| o.len()).product();
+    // Price the candidate exactly as `apply` will realize it, fused
+    // peephole included — otherwise the search could never see the
+    // fused kernel's cheaper second pass.
     let evaluate = |choice: &[usize]| -> f64 {
-        let assignment: HashMap<OpId, (Format, bool)> = points
-            .iter()
-            .zip(choice)
-            .map(|(&(id, _), &oi)| (id, options_at(&options, points, id)[oi]))
-            .collect();
-        // Price the candidate exactly as `apply` will realize it, fused
-        // peephole included — otherwise the search could never see the
-        // fused kernel's cheaper second pass.
-        let candidate = apply_assignment(program, &assignment, fuse);
-        price(&candidate, stats, batch_size, cost_model, residency)
+        price(&apply_assignment(
+            program,
+            &to_decisions(points, &options, choice),
+        ))
     };
 
     let n = points.len();
@@ -430,7 +355,7 @@ fn search_assignment(
             let mut i = 0;
             loop {
                 if i == n {
-                    return to_assignment(points, &options, &best_choice);
+                    return to_decisions(points, &options, &best_choice);
                 }
                 idx[i] += 1;
                 if idx[i] < options[i].len() {
@@ -456,29 +381,21 @@ fn search_assignment(
                 }
             }
         }
-        to_assignment(points, &options, &best_choice)
+        to_decisions(points, &options, &best_choice)
     }
 }
 
-fn options_at<'a>(
-    options: &'a [Vec<(Format, bool)>],
-    points: &[(OpId, bool)],
-    id: OpId,
-) -> &'a [(Format, bool)] {
-    let pos = points.iter().position(|&(p, _)| p == id).expect("point");
-    &options[pos]
-}
-
-fn to_assignment(
+fn to_decisions(
     points: &[(OpId, bool)],
     options: &[Vec<(Format, bool)>],
     choice: &[usize],
-) -> HashMap<OpId, (Format, bool)> {
-    points
-        .iter()
-        .zip(choice)
-        .enumerate()
-        .map(|(i, (&(id, _), &oi))| (id, options[i][oi]))
+) -> Vec<LayoutDecision> {
+    (points.iter().zip(options).zip(choice))
+        .map(|((&(op_id, _), opts), &oi)| LayoutDecision {
+            op_id,
+            format: opts[oi].0,
+            compact: opts[oi].1,
+        })
         .collect()
 }
 
@@ -491,10 +408,10 @@ fn greedy_assignment(
     stats: &GraphStats,
     batch_size: usize,
     cost_model: &CostModel,
-) -> HashMap<OpId, (Format, bool)> {
+) -> Vec<LayoutDecision> {
     let shapes = estimate_shapes(program, stats, batch_size);
     let consumers = program.consumers();
-    let mut assignment = HashMap::new();
+    let mut assignment = Vec::new();
     for &(id, _) in points {
         let mut best = (Format::Csc, f64::INFINITY);
         for fmt in Format::ALL {
@@ -522,7 +439,11 @@ fn greedy_assignment(
                 best = (fmt, cost);
             }
         }
-        assignment.insert(id, (best.0, false));
+        assignment.push(LayoutDecision {
+            op_id: id,
+            format: best.0,
+            compact: false,
+        });
     }
     assignment
 }
@@ -568,18 +489,24 @@ mod tests {
         p
     }
 
+    const UVA: Residency = Residency::HostUva {
+        cache_hit_rate: 0.7,
+    };
+
+    /// Search then apply at batch 512 on a V100.
+    fn run(
+        p: &Program,
+        mode: LayoutMode,
+        stats: &GraphStats,
+        residency: Residency,
+    ) -> (Program, LayoutReport) {
+        apply(p, &search(p, mode, stats, 512, &model(), residency))
+    }
+
     #[test]
     fn cost_aware_never_worse_than_natural() {
         let p = ladies();
-        let (out, report) = run(
-            &p,
-            LayoutMode::CostAware,
-            &stats(),
-            512,
-            &model(),
-            Residency::Device,
-            true,
-        );
+        let (out, report) = run(&p, LayoutMode::CostAware, &stats(), Residency::Device);
         out.validate().unwrap();
         assert!(report.est_time <= report.natural_time * 1.0001);
     }
@@ -589,17 +516,7 @@ mod tests {
         // With 111M rows, the per-row reduction and selection dominate
         // unless isolated rows are dropped first (paper: LADIES on PP).
         let p = ladies();
-        let (out, report) = run(
-            &p,
-            LayoutMode::CostAware,
-            &big_stats(),
-            512,
-            &model(),
-            Residency::HostUva {
-                cache_hit_rate: 0.7,
-            },
-            true,
-        );
+        let (out, report) = run(&p, LayoutMode::CostAware, &big_stats(), UVA);
         out.validate().unwrap();
         assert!(
             report.compactions >= 1,
@@ -611,15 +528,7 @@ mod tests {
     #[test]
     fn greedy_inserts_conversions_blindly() {
         let p = ladies();
-        let (out, _report) = run(
-            &p,
-            LayoutMode::Greedy,
-            &big_stats(),
-            512,
-            &model(),
-            Residency::Device,
-            true,
-        );
+        let (out, _report) = run(&p, LayoutMode::Greedy, &big_stats(), Residency::Device);
         out.validate().unwrap();
         // Greedy never compacts.
         assert_eq!(out.count_ops(|op| matches!(op, Op::CompactRows)), 0);
@@ -628,37 +537,9 @@ mod tests {
     #[test]
     fn cost_aware_beats_greedy_on_large_graph() {
         let p = ladies();
-        let (_, aware) = run(
-            &p,
-            LayoutMode::CostAware,
-            &big_stats(),
-            512,
-            &model(),
-            Residency::HostUva {
-                cache_hit_rate: 0.7,
-            },
-            true,
-        );
-        let (greedy_prog, _) = run(
-            &p,
-            LayoutMode::Greedy,
-            &big_stats(),
-            512,
-            &model(),
-            Residency::HostUva {
-                cache_hit_rate: 0.7,
-            },
-            true,
-        );
-        let greedy_time = price(
-            &greedy_prog,
-            &big_stats(),
-            512,
-            &model(),
-            Residency::HostUva {
-                cache_hit_rate: 0.7,
-            },
-        );
+        let (_, aware) = run(&p, LayoutMode::CostAware, &big_stats(), UVA);
+        let (greedy_prog, _) = run(&p, LayoutMode::Greedy, &big_stats(), UVA);
+        let greedy_time = price(&greedy_prog, &big_stats(), 512, &model(), UVA);
         assert!(
             aware.est_time <= greedy_time,
             "aware {} vs greedy {}",
@@ -673,45 +554,62 @@ mod tests {
         let g = p.add(Op::InputGraph, vec![]);
         let deg = p.add(Op::Reduce(ReduceOp::Count, Axis::Col), vec![g]);
         p.mark_output(deg);
-        let (out, report) = run(
-            &p,
-            LayoutMode::CostAware,
-            &stats(),
-            512,
-            &model(),
-            Residency::Device,
-            true,
-        );
+        let (out, report) = run(&p, LayoutMode::CostAware, &stats(), Residency::Device);
         assert_eq!(out, p);
         assert!(report.choices.is_empty());
     }
 
+    fn resolve_ladies(stats: &GraphStats, cached: Option<CachedPlan<'_>>) -> LayoutPlan {
+        resolve(
+            &ladies(),
+            LayoutMode::CostAware,
+            stats,
+            512,
+            &model(),
+            UVA,
+            cached,
+        )
+    }
+
     #[test]
-    fn search_then_apply_matches_run() {
-        let p = ladies();
-        let plan = search(
-            &p,
-            LayoutMode::CostAware,
-            &big_stats(),
-            512,
-            &model(),
-            Residency::Device,
-            true,
+    fn fresh_cached_plan_is_taken_as_is() {
+        let searched = resolve_ladies(&big_stats(), None);
+        assert!(!searched.decisions.is_empty() && plan_applies(&ladies(), &searched));
+        // Fresh: no pricing at all, even under stats that would price (and
+        // search) differently.
+        let fresh = CachedPlan {
+            plan: &searched,
+            fresh: true,
+        };
+        assert_eq!(resolve_ladies(&stats(), Some(fresh)), searched);
+    }
+
+    #[test]
+    fn drifted_cached_plan_is_repriced_or_dropped() {
+        let searched = resolve_ladies(&big_stats(), None);
+        let drifted = |plan| CachedPlan { plan, fresh: false };
+        // Re-pricing under the stats it was searched on reproduces it.
+        assert_eq!(
+            resolve_ladies(&big_stats(), Some(drifted(&searched))),
+            searched
         );
-        assert!(plan_applies(&p, &plan));
-        let (replayed, replay_report) = apply(&p, &plan, true);
-        let (searched, search_report) = run(
-            &p,
-            LayoutMode::CostAware,
-            &big_stats(),
-            512,
-            &model(),
-            Residency::Device,
-            true,
-        );
-        assert_eq!(replayed, searched);
-        assert_eq!(replay_report.choices, search_report.choices);
-        assert_eq!(replay_report.est_time, search_report.est_time);
+        // Under moved stats the decisions survive with refreshed times...
+        let grown = GraphStats {
+            num_edges: big_stats().num_edges * 2,
+            ..big_stats()
+        };
+        let kept = resolve_ladies(&grown, Some(drifted(&searched)));
+        assert_eq!(kept.decisions, searched.decisions);
+        assert_ne!(kept.est_time, searched.est_time);
+        assert!(kept.est_time <= kept.natural_time);
+        // ...unless they no longer beat natural: then a fresh search.
+        let mut bad = searched.clone();
+        for d in &mut bad.decisions {
+            d.format = Format::Coo;
+            d.compact = false;
+        }
+        let dropped = resolve_ladies(&big_stats(), Some(drifted(&bad)));
+        assert_eq!(dropped, searched);
     }
 
     #[test]
@@ -719,41 +617,34 @@ mod tests {
         let p = ladies();
         // A decision pointing at a non-choice-point (the reduce) or out of
         // range must fail `plan_applies` instead of corrupting the program.
-        let bogus = LayoutPlan {
+        let plan_of = |op_id, compact| LayoutPlan {
             decisions: vec![LayoutDecision {
-                op_id: 4, // Reduce — not a choice point
+                op_id,
                 format: Format::Csr,
-                compact: false,
+                compact,
             }],
             est_time: 0.0,
             natural_time: 0.0,
         };
+        let bogus = plan_of(4, false); // Reduce — not a choice point
         assert!(!plan_applies(&p, &bogus));
-        let out_of_range = LayoutPlan {
-            decisions: vec![LayoutDecision {
-                op_id: 999,
-                format: Format::Csr,
-                compact: true,
-            }],
-            est_time: 0.0,
-            natural_time: 0.0,
-        };
-        assert!(!plan_applies(&p, &out_of_range));
-        // Compacting a non-compactable choice point is stale too.
-        let no_compact = LayoutPlan {
-            decisions: vec![LayoutDecision {
-                op_id: 5, // CollectiveSample — choice point, no compaction
-                format: Format::Csr,
-                compact: true,
-            }],
-            est_time: 0.0,
-            natural_time: 0.0,
-        };
-        assert!(!plan_applies(&p, &no_compact));
+        assert!(!plan_applies(&p, &plan_of(999, true)));
+        // Compacting a non-compactable choice point (CollectiveSample) is
+        // stale too.
+        assert!(!plan_applies(&p, &plan_of(5, true)));
+        // Offered as a cached plan — fresh or not — it is searched over.
+        let searched = resolve_ladies(&big_stats(), None);
+        for fresh in [true, false] {
+            let cached = CachedPlan {
+                plan: &bogus,
+                fresh,
+            };
+            assert_eq!(resolve_ladies(&big_stats(), Some(cached)), searched);
+        }
     }
 
     #[test]
-    fn fused_peephole_rewrites_sample_plus_compact() {
+    fn compact_on_fused_sample_becomes_one_kernel() {
         let mut p = Program::new();
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
@@ -767,10 +658,12 @@ mod tests {
         let next = p.add(Op::RowNodes, vec![samp]);
         p.mark_output(samp);
         p.mark_output(next);
-        let assignment: HashMap<OpId, (Format, bool)> =
-            [(samp, (GRAPH_FMT, true))].into_iter().collect();
-
-        let fused = apply_assignment(&p, &assignment, true);
+        let compact = LayoutDecision {
+            op_id: samp,
+            format: GRAPH_FMT,
+            compact: true,
+        };
+        let fused = apply_assignment(&p, &[compact]);
         fused.validate().unwrap();
         assert_eq!(
             fused.count_ops(|op| matches!(
@@ -783,28 +676,12 @@ mod tests {
             1
         );
         assert_eq!(fused.count_ops(|op| matches!(op, Op::CompactRows)), 0);
-
-        let unfused = apply_assignment(&p, &assignment, false);
-        unfused.validate().unwrap();
-        assert_eq!(
-            unfused.count_ops(|op| matches!(op, Op::FusedSampleRelabel { .. })),
-            0
-        );
-        assert_eq!(unfused.count_ops(|op| matches!(op, Op::CompactRows)), 1);
     }
 
     #[test]
     fn outputs_follow_inserted_nodes() {
         let p = ladies();
-        let (out, _) = run(
-            &p,
-            LayoutMode::CostAware,
-            &big_stats(),
-            512,
-            &model(),
-            Residency::Device,
-            true,
-        );
+        let (out, _) = run(&p, LayoutMode::CostAware, &big_stats(), Residency::Device);
         // Outputs must reference the *final* (possibly converted/compacted)
         // versions: validate catches dangling; also check count unchanged.
         assert_eq!(out.outputs().len(), 2);

@@ -10,7 +10,7 @@ pub mod fusion;
 pub mod layout;
 pub mod preprocess;
 
-pub use layout::{LayoutDecision, LayoutMode, LayoutPlan, LayoutReport};
+pub use layout::{CachedPlan, LayoutDecision, LayoutMode, LayoutPlan, LayoutReport};
 
 use gsampler_engine::CostModel;
 use gsampler_engine::Residency;
@@ -31,21 +31,10 @@ pub struct OptConfig {
     pub fusion: bool,
     /// Data-layout selection strategy.
     pub layout: LayoutMode,
-    /// Realize a layout `compact` decision on a fused sample node as one
-    /// [`crate::op::Op::FusedSampleRelabel`] kernel instead of sample +
-    /// `CompactRows` (skips the second frontier pass). Semantics are
-    /// unchanged; this only swaps how the decision is executed.
-    pub fuse_sample_relabel: bool,
     /// Super-batch size (number of mini-batches sampled together);
     /// planned separately by [`crate::superbatch`], stored here so the
     /// executor sees one config object.
     pub super_batch: usize,
-    /// Route compiles through the process-global plan database: reuse
-    /// cached layout/super-batch decisions for programs the process has
-    /// already planned (and insert fresh plans on a miss). Off by default;
-    /// callers wanting a private or on-disk database set
-    /// `SamplerConfig::plan_db` instead.
-    pub plan_cache: bool,
 }
 
 impl OptConfig {
@@ -57,9 +46,7 @@ impl OptConfig {
             preprocess: true,
             fusion: true,
             layout: LayoutMode::CostAware,
-            fuse_sample_relabel: true,
             super_batch: 1,
-            plan_cache: false,
         }
     }
 
@@ -72,9 +59,7 @@ impl OptConfig {
             preprocess: false,
             fusion: false,
             layout: LayoutMode::Greedy,
-            fuse_sample_relabel: false,
             super_batch: 1,
-            plan_cache: false,
         }
     }
 
@@ -145,20 +130,6 @@ impl OptConfig {
                     ..all()
                 },
             ),
-            (
-                "plan-cache",
-                OptConfig {
-                    plan_cache: true,
-                    ..all()
-                },
-            ),
-            (
-                "fused-sample-relabel",
-                OptConfig {
-                    fuse_sample_relabel: false,
-                    ..all()
-                },
-            ),
             ("plain", OptConfig::plain()),
         ]
     }
@@ -199,18 +170,48 @@ pub struct OptimizedProgram {
     pub precompute: Program,
     /// What the passes did.
     pub report: PassReport,
-    /// The layout decisions as a replayable plan (empty when the layout
-    /// pass did not run or chose all-natural). The plan database persists
-    /// this so later compiles can take [`run_passes_replay`].
+    /// The layout decisions (empty when the layout pass did not run or
+    /// chose all-natural). The plan database persists this so later
+    /// compiles can hand it back to [`run_passes_with`].
     pub layout_plan: LayoutPlan,
 }
 
-/// The deterministic front of the pipeline (CSE → preprocess → fusion →
-/// DCE): everything before layout selection. Shared by the cold
-/// ([`run_passes`]) and warm ([`run_passes_replay`]) paths — these passes
-/// are cheap and must run either way so a replayed layout plan lands on
-/// the exact same pre-layout program it was searched on.
-fn run_front(program: &Program, config: &OptConfig, report: &mut PassReport) -> (Program, Program) {
+/// Run the configured passes over `program`.
+///
+/// `stats`/`batch_size` feed shape estimation for the layout search, and
+/// `cost_model`/`residency` price the alternatives.
+pub fn run_passes(
+    program: &Program,
+    config: &OptConfig,
+    stats: &GraphStats,
+    batch_size: usize,
+    cost_model: &CostModel,
+    residency: Residency,
+) -> OptimizedProgram {
+    run_passes_with(
+        program, config, stats, batch_size, cost_model, residency, None,
+    )
+}
+
+/// [`run_passes`] with an optional layout plan from an earlier compile of
+/// the same program (a plan-database entry). The plan is an *input* to the
+/// one pipeline, not a second pipeline: the front passes always run — they
+/// are cheap and deterministic, so the cached plan lands on the exact
+/// pre-layout program it was searched on — and [`layout::resolve`] decides
+/// whether the plan is taken, re-priced, or searched anew. The plan that
+/// was applied comes back in [`OptimizedProgram::layout_plan`].
+pub fn run_passes_with(
+    program: &Program,
+    config: &OptConfig,
+    stats: &GraphStats,
+    batch_size: usize,
+    cost_model: &CostModel,
+    residency: Residency,
+    cached: Option<CachedPlan<'_>>,
+) -> OptimizedProgram {
+    let mut pipeline_span = gsampler_obs::span("pass", "run_passes");
+    pipeline_span.arg("ops_in", program.nodes().len());
+    let mut report = PassReport::default();
     let mut prog = program.clone();
 
     if config.cse {
@@ -251,39 +252,19 @@ fn run_front(program: &Program, config: &OptConfig, report: &mut PassReport) -> 
         span.arg("removed", removed);
     }
 
-    (prog, precompute)
-}
-
-/// Run the configured passes over `program`.
-///
-/// `stats`/`batch_size` feed shape estimation for the layout search, and
-/// `cost_model`/`residency` price the alternatives.
-pub fn run_passes(
-    program: &Program,
-    config: &OptConfig,
-    stats: &GraphStats,
-    batch_size: usize,
-    cost_model: &CostModel,
-    residency: Residency,
-) -> OptimizedProgram {
-    let mut pipeline_span = gsampler_obs::span("pass", "run_passes");
-    pipeline_span.arg("ops_in", program.nodes().len());
-    let mut report = PassReport::default();
-    let (mut prog, precompute) = run_front(program, config, &mut report);
-
     let mut layout_plan = LayoutPlan::default();
     if config.layout != LayoutMode::None {
         let mut span = gsampler_obs::span("pass", "layout");
-        let plan = layout::search(
+        layout_plan = layout::resolve(
             &prog,
             config.layout,
             stats,
             batch_size * config.super_batch.max(1),
             cost_model,
             residency,
-            config.fuse_sample_relabel,
+            cached,
         );
-        let (p, lr) = layout::apply(&prog, &plan, config.fuse_sample_relabel);
+        let (p, lr) = layout::apply(&prog, &layout_plan);
         prog = p;
         span.arg("mode", format!("{:?}", config.layout));
         span.arg("conversions", lr.conversions);
@@ -292,7 +273,6 @@ pub fn run_passes(
         span.arg("natural_time_s", lr.natural_time);
         layout::emit_assignment_event(config.layout, &lr);
         report.layout = Some(lr);
-        layout_plan = plan;
     }
     pipeline_span.arg("ops_out", prog.nodes().len());
 
@@ -303,87 +283,4 @@ pub fn run_passes(
         report,
         layout_plan,
     }
-}
-
-/// The warm-path pipeline: run the deterministic front passes, then
-/// *replay* an already-searched [`LayoutPlan`] instead of re-searching.
-/// Returns `None` when the plan does not structurally apply to the
-/// post-front program (stale or corrupt cache entry) — the caller falls
-/// back to the cold [`run_passes`].
-pub fn run_passes_replay(
-    program: &Program,
-    config: &OptConfig,
-    plan: &LayoutPlan,
-) -> Option<OptimizedProgram> {
-    let mut pipeline_span = gsampler_obs::span("pass", "run_passes_replay");
-    pipeline_span.arg("ops_in", program.nodes().len());
-    let mut report = PassReport::default();
-    let (mut prog, precompute) = run_front(program, config, &mut report);
-
-    if !layout::plan_applies(&prog, plan) {
-        return None;
-    }
-    if config.layout != LayoutMode::None {
-        let (p, lr) = layout::apply(&prog, plan, config.fuse_sample_relabel);
-        prog = p;
-        layout::emit_assignment_event(config.layout, &lr);
-        report.layout = Some(lr);
-    }
-    pipeline_span.arg("ops_out", prog.nodes().len());
-
-    debug_assert!(prog.validate().is_ok(), "replay broke program: {prog:?}");
-    Some(OptimizedProgram {
-        program: prog,
-        precompute,
-        report,
-        layout_plan: plan.clone(),
-    })
-}
-
-/// The drift-path pipeline: front passes, then *re-validate* a cached
-/// [`LayoutPlan`] against fresh graph stats (two pricings) instead of
-/// re-searching (up to ~1500). Returns `None` when the plan no longer
-/// applies or no longer beats the all-natural layout under the new stats —
-/// the caller falls back to the cold [`run_passes`].
-pub fn run_passes_revalidate(
-    program: &Program,
-    config: &OptConfig,
-    plan: &LayoutPlan,
-    stats: &GraphStats,
-    batch_size: usize,
-    cost_model: &CostModel,
-    residency: Residency,
-) -> Option<OptimizedProgram> {
-    let mut pipeline_span = gsampler_obs::span("pass", "run_passes_revalidate");
-    pipeline_span.arg("ops_in", program.nodes().len());
-    let mut report = PassReport::default();
-    let (mut prog, precompute) = run_front(program, config, &mut report);
-
-    let refreshed = layout::revalidate(
-        &prog,
-        plan,
-        stats,
-        batch_size * config.super_batch.max(1),
-        cost_model,
-        residency,
-        config.fuse_sample_relabel,
-    )?;
-    if config.layout != LayoutMode::None {
-        let (p, lr) = layout::apply(&prog, &refreshed, config.fuse_sample_relabel);
-        prog = p;
-        layout::emit_assignment_event(config.layout, &lr);
-        report.layout = Some(lr);
-    }
-    pipeline_span.arg("ops_out", prog.nodes().len());
-
-    debug_assert!(
-        prog.validate().is_ok(),
-        "revalidate broke program: {prog:?}"
-    );
-    Some(OptimizedProgram {
-        program: prog,
-        precompute,
-        report,
-        layout_plan: refreshed,
-    })
 }

@@ -244,7 +244,7 @@ impl Program {
     /// distinction the executor sees.
     ///
     /// This is the key half of the plan database: a cached layout /
-    /// super-batch artifact is only replayed onto a program whose
+    /// super-batch artifact is only offered to a program whose
     /// fingerprint matches the one it was planned for.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;

@@ -34,24 +34,31 @@ pub struct SuperBatchPlan {
 const FACTORS: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
 /// Pick the largest factor whose estimated transient memory fits
-/// `budget_bytes`; never returns less than 1.
+/// `budget_bytes`; never returns less than 1. A `cached_factor` (an
+/// earlier compile's choice, from the plan database) that still fits is
+/// taken as is — one estimate instead of the grid walk.
 pub fn plan(
     program: &Program,
     stats: &GraphStats,
     batch_size: usize,
     budget_bytes: f64,
+    cached_factor: Option<usize>,
 ) -> SuperBatchPlan {
-    let mut chosen = 1usize;
-    let mut chosen_bytes = transient(program, stats, batch_size);
-    for &f in FACTORS.iter().skip(1) {
-        let bytes = transient(program, stats, batch_size * f);
-        if bytes <= budget_bytes {
-            chosen = f;
-            chosen_bytes = bytes;
-        } else {
-            break;
+    let at = |f: usize| (f, transient_bytes(program, stats, batch_size * f));
+    let cached = cached_factor
+        .map(|f| at(f.max(1)))
+        .filter(|&(_, bytes)| bytes <= budget_bytes);
+    let (chosen, chosen_bytes) = cached.unwrap_or_else(|| {
+        let mut best = at(1);
+        for &f in FACTORS.iter().skip(1) {
+            let next = at(f);
+            if next.1 > budget_bytes {
+                break;
+            }
+            best = next;
         }
-    }
+        best
+    });
     let fits = chosen_bytes <= budget_bytes;
     if !fits {
         gsampler_obs::event(
@@ -72,6 +79,7 @@ pub fn plan(
             ("est_bytes", gsampler_obs::Arg::Num(chosen_bytes)),
             ("budget_bytes", gsampler_obs::Arg::Num(budget_bytes)),
             ("fits", gsampler_obs::Arg::from(fits)),
+            ("replayed", gsampler_obs::Arg::from(cached.is_some())),
         ],
     );
     SuperBatchPlan {
@@ -82,42 +90,11 @@ pub fn plan(
     }
 }
 
-/// Replay a previously searched factor: one transient-memory estimate (to
-/// re-check the budget under the current graph stats) instead of the full
-/// grid walk. This is the pure *apply* half the plan database uses; a
-/// replayed plan that no longer fits comes back with `fits: false` so the
-/// caller can fall back to a fresh [`plan`].
-pub fn replay(
-    program: &Program,
-    stats: &GraphStats,
-    batch_size: usize,
-    factor: usize,
-    budget_bytes: f64,
-) -> SuperBatchPlan {
-    let factor = factor.max(1);
-    let est_bytes = transient(program, stats, batch_size * factor);
-    let fits = est_bytes <= budget_bytes;
-    gsampler_obs::event(
-        "plan",
-        "superbatch",
-        &[
-            ("factor", gsampler_obs::Arg::Num(factor as f64)),
-            ("est_bytes", gsampler_obs::Arg::Num(est_bytes)),
-            ("budget_bytes", gsampler_obs::Arg::Num(budget_bytes)),
-            ("fits", gsampler_obs::Arg::from(fits)),
-            ("replayed", gsampler_obs::Arg::from(true)),
-        ],
-    );
-    SuperBatchPlan {
-        factor,
-        est_bytes,
-        budget_bytes,
-        fits,
-    }
-}
-
-fn transient(program: &Program, stats: &GraphStats, batch: usize) -> f64 {
-    let shapes = estimate_shapes(program, stats, batch);
+/// Estimated peak transient bytes of one execution of `program` over
+/// `cols` frontier columns (the §4.4 size model). Pure: no planning, no
+/// trace event — also the serving layer's admission estimate.
+pub fn transient_bytes(program: &Program, stats: &GraphStats, cols: usize) -> f64 {
+    let shapes = estimate_shapes(program, stats, cols);
     estimate_transient_bytes(program, &shapes)
 }
 
@@ -154,8 +131,8 @@ mod tests {
     #[test]
     fn bigger_budget_bigger_factor() {
         let p = graphsage();
-        let small = plan(&p, &stats(), 512, 1e6);
-        let large = plan(&p, &stats(), 512, 1e9);
+        let small = plan(&p, &stats(), 512, 1e6, None);
+        let large = plan(&p, &stats(), 512, 1e9, None);
         assert!(large.factor > small.factor);
         assert!(large.est_bytes <= 1e9);
         assert!(large.fits);
@@ -164,7 +141,7 @@ mod tests {
     #[test]
     fn factor_never_below_one() {
         let p = graphsage();
-        let tiny = plan(&p, &stats(), 512, 1.0);
+        let tiny = plan(&p, &stats(), 512, 1.0, None);
         assert_eq!(tiny.factor, 1);
         // Regression: a factor-1 plan over an unsatisfiable budget used
         // to be indistinguishable from a fitting one.
@@ -175,28 +152,33 @@ mod tests {
     #[test]
     fn factor_caps_at_grid_max() {
         let p = graphsage();
-        let huge = plan(&p, &stats(), 16, 1e15);
+        let huge = plan(&p, &stats(), 16, 1e15, None);
         assert_eq!(huge.factor, 128);
         assert!(huge.fits);
     }
 
     #[test]
-    fn replay_matches_search_at_same_factor() {
+    fn cached_factor_is_taken_only_while_it_fits() {
         let p = graphsage();
-        let searched = plan(&p, &stats(), 512, 1e9);
-        let replayed = replay(&p, &stats(), 512, searched.factor, 1e9);
-        assert_eq!(searched, replayed);
-        // A drifted (smaller) budget flips `fits` without changing bytes.
-        let tight = replay(&p, &stats(), 512, searched.factor, searched.est_bytes / 2.0);
-        assert!(!tight.fits);
-        assert_eq!(tight.est_bytes, searched.est_bytes);
+        let searched = plan(&p, &stats(), 512, 1e9, None);
+        assert_eq!(
+            plan(&p, &stats(), 512, 1e9, Some(searched.factor)),
+            searched
+        );
+        // A smaller factor that fits is taken too (no grid walk)...
+        assert_eq!(plan(&p, &stats(), 512, 1e9, Some(2)).factor, 2);
+        // ...but one over a tightened budget is searched over.
+        let tight = searched.est_bytes / 2.0;
+        let fallback = plan(&p, &stats(), 512, tight, Some(searched.factor));
+        assert_eq!(fallback, plan(&p, &stats(), 512, tight, None));
+        assert!(fallback.fits && fallback.factor < searched.factor);
     }
 
     #[test]
     fn memory_estimate_monotone_in_factor() {
         let p = graphsage();
-        let b1 = transient(&p, &stats(), 512);
-        let b8 = transient(&p, &stats(), 512 * 8);
+        let b1 = transient_bytes(&p, &stats(), 512);
+        let b8 = transient_bytes(&p, &stats(), 512 * 8);
         assert!(b8 > b1 * 4.0);
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! - **static chunking** ([`parallel::parallel_for_chunks`]) for uniform
 //!   loops (SpMM rows, dense GEMM row blocks, format conversions), and
-//! - **dynamic claiming** ([`parallel::parallel_for_dynamic`], built on
-//!   [`parallel::WorkQueue`]) for degree-skewed loops (per-frontier
-//!   sampling, variable-length gathers).
+//! - **dynamic claiming** ([`parallel::parallel_scatter`] and
+//!   [`parallel::parallel_scatter2`], which hand out output segments from
+//!   a shared counter) for degree-skewed loops (per-frontier sampling,
+//!   variable-length gathers).
 //!
 //! Determinism is a hard requirement: kernel outputs must be bit-identical
 //! at any thread count. The rule every parallel kernel follows is that
@@ -38,9 +39,8 @@ pub use arena::{
 };
 pub use cancel::{CancelCause, CancelScope, CancelToken};
 pub use parallel::{
-    num_threads, parallel_for_chunks, parallel_for_dynamic, parallel_map, parallel_scatter,
-    parallel_scatter2, pool_metrics, set_worker_fault_hook, PoolError, PoolMetrics, WorkQueue,
-    WorkerFault, WorkerFaultHook,
+    num_threads, parallel_for_chunks, parallel_map, parallel_scatter, parallel_scatter2,
+    pool_metrics, set_worker_fault_hook, PoolError, PoolMetrics, WorkerFault, WorkerFaultHook,
 };
 pub use rng::RngPool;
 pub use watchdog::{set_stall_threshold_ms, stall_threshold_ms, watchdog_metrics, WatchdogMetrics};

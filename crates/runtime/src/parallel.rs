@@ -8,9 +8,11 @@
 //!
 //! Two disciplines are layered on the pool:
 //!
-//! - [`parallel_for_chunks`]: static chunking for uniform loops.
-//! - [`parallel_for_dynamic`]: [`WorkQueue`]-based claiming for skewed
-//!   loops (power-law degrees), where static chunks would straggle.
+//! - [`parallel_for_chunks`] / [`parallel_map`]: static chunking for
+//!   uniform loops.
+//! - [`parallel_scatter`] / [`parallel_scatter2`]: segments claimed
+//!   dynamically from a shared counter, for skewed loops (power-law
+//!   degrees) where static chunks would straggle.
 //!
 //! Both guarantee that the *decomposition visible to kernels* (which items
 //! exist, what order their outputs land in) depends only on the input
@@ -545,43 +547,6 @@ where
     });
 }
 
-/// Run `f(i)` for every `i in 0..len` with dynamic chunk claiming —
-/// the schedule for degree-skewed loops. Items are claimed in blocks of
-/// `grain` from a shared [`WorkQueue`]; which worker runs an item is
-/// non-deterministic, so `f`'s effect for item `i` must not depend on
-/// what other items ran before it on the same thread.
-pub fn parallel_for_dynamic<F>(len: usize, grain: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let threads = plan_threads(len, grain);
-    if threads <= 1 {
-        for i in 0..len {
-            f(i);
-        }
-        return;
-    }
-    let grain = grain.max(1);
-    let queue = WorkQueue::new();
-    let q = &queue;
-    let fr = &f;
-    dispatch(threads - 1, &move |_tid| {
-        while let Some((s, e)) = q.claim(len, grain) {
-            // Claim-boundary cancel check: back out between chunks; the
-            // caller discards the region's (partial) output.
-            if crate::cancel::poll().is_some() {
-                break;
-            }
-            for i in s..e {
-                fr(i);
-            }
-        }
-    });
-}
-
 /// Map `0..len` through `f` into a vector, in parallel, preserving order.
 pub fn parallel_map<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
 where
@@ -657,6 +622,8 @@ where
     let fr = &f;
     dispatch(threads - 1, &move |_tid| {
         while let Some((s, e)) = q.claim(segs, grain) {
+            // Claim-boundary cancel check: back out between chunks; the
+            // caller discards the region's (partial) output.
             if crate::cancel::poll().is_some() {
                 break;
             }
@@ -763,14 +730,13 @@ unsafe impl<T> Sync for SendPtr<T> {}
 
 /// A saturating atomic work counter for dynamic chunk claiming in loops
 /// whose per-item cost is skewed (e.g. power-law degree distributions).
-#[derive(Debug, Default)]
-pub struct WorkQueue {
+struct WorkQueue {
     next: AtomicUsize,
 }
 
 impl WorkQueue {
     /// Create a queue starting at item 0.
-    pub fn new() -> WorkQueue {
+    fn new() -> WorkQueue {
         WorkQueue {
             next: AtomicUsize::new(0),
         }
@@ -782,7 +748,7 @@ impl WorkQueue {
     /// The internal cursor never advances past `len`, so a drained queue
     /// can be polled indefinitely (a spinning worker waiting for
     /// stragglers) without overflowing the counter.
-    pub fn claim(&self, len: usize, chunk: usize) -> Option<(usize, usize)> {
+    fn claim(&self, len: usize, chunk: usize) -> Option<(usize, usize)> {
         let chunk = chunk.max(1);
         let mut cur = self.next.load(Ordering::Relaxed);
         loop {
@@ -798,11 +764,6 @@ impl WorkQueue {
                 Err(actual) => cur = actual,
             }
         }
-    }
-
-    /// The current cursor position (total items handed out so far).
-    pub fn position(&self) -> usize {
-        self.next.load(Ordering::Relaxed)
     }
 }
 
@@ -841,15 +802,6 @@ mod tests {
         let out: Vec<usize> = parallel_map(0, 16, |i| i);
         assert!(out.is_empty());
         parallel_for_chunks(0, 16, |_, _| panic!("must not run"));
-    }
-
-    #[test]
-    fn dynamic_covers_every_index_once() {
-        let hits: Vec<AtomicU64> = (0..5_000).map(|_| AtomicU64::new(0)).collect();
-        parallel_for_dynamic(hits.len(), 16, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -924,17 +876,18 @@ mod tests {
         // Regression: `claim` used to `fetch_add` unconditionally, so a
         // drained queue polled in a loop would march `next` toward
         // overflow. The cursor must pin at `len`.
+        let position = |q: &WorkQueue| q.next.load(Ordering::Relaxed);
         let q = WorkQueue::new();
         while q.claim(100, 9).is_some() {}
-        assert_eq!(q.position(), 100);
+        assert_eq!(position(&q), 100);
         for _ in 0..10_000 {
             assert!(q.claim(100, 9).is_none());
         }
-        assert_eq!(q.position(), 100);
+        assert_eq!(position(&q), 100);
         // Zero-length queues must not advance at all.
         let empty = WorkQueue::new();
         assert!(empty.claim(0, 4).is_none());
-        assert_eq!(empty.position(), 0);
+        assert_eq!(position(&empty), 0);
     }
 
     #[test]
@@ -1057,8 +1010,10 @@ mod tests {
         token.cancel();
         let _scope = crate::cancel::scope(token);
         let ran = AtomicU64::new(0);
-        parallel_for_dynamic(100_000, 16, |_| {
-            ran.fetch_add(1, Ordering::Relaxed);
+        let offsets: Vec<usize> = (0..=100_000).collect();
+        let mut out = vec![0u8; 100_000];
+        parallel_scatter(&mut out, &offsets, 16, |_, seg| {
+            ran.fetch_add(seg.len() as u64, Ordering::Relaxed);
         });
         assert_eq!(
             ran.load(Ordering::Relaxed),
@@ -1081,11 +1036,10 @@ mod tests {
         let _scope = crate::cancel::scope(token);
         let out = parallel_map(5000, 16, |i| i * 2);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i * 2));
-        let hits: Vec<AtomicU64> = (0..5_000).map(|_| AtomicU64::new(0)).collect();
-        parallel_for_dynamic(hits.len(), 16, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        let offsets: Vec<usize> = (0..=5_000).collect();
+        let mut hits = vec![0u8; 5_000];
+        parallel_scatter(&mut hits, &offsets, 16, |_, seg| seg[0] += 1);
+        assert!(hits.iter().all(|&h| h == 1));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use gsampler_algos::Hyper;
 use gsampler_core::{Graph, OptConfig};
 use gsampler_engine::faults::{self, FaultSpec, InjectedCounts};
 
-use crate::drive::{algorithm_names, run_algorithm, DriveError};
+use crate::drive::{algorithm_names, run_algorithm, sampler_config, DriveError};
 use crate::fingerprint;
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
@@ -75,7 +75,8 @@ pub fn drive_fingerprint(
     seed: u64,
     frontiers: &[u32],
 ) -> Result<u64, DriveError> {
-    let values = run_algorithm(graph, algo, h, OptConfig::all(), seed, frontiers, None)?
+    let config = sampler_config(OptConfig::all(), seed, frontiers.len());
+    let values = run_algorithm(graph, algo, h, config, frontiers, None)?
         .ok_or_else(|| format!("{algo}: drive produced no output"))?;
     Ok(fingerprint::of_values(&values))
 }

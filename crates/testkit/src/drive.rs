@@ -1,10 +1,11 @@
 //! Driving registered algorithms under arbitrary pipeline variants.
 //!
 //! Mirrors the per-driver logic of `tests/golden_parity.rs`, but
-//! parameterized over the [`OptConfig`] variant, seed, graph, and an
-//! optional injected [`Fault`] — and it returns the flat list of output
-//! values rather than a baked fingerprint, so the oracle can both hash
-//! them and validate them structurally against the source graph.
+//! parameterized over the [`SamplerConfig`] (pipeline variant, seed, plan
+//! database), graph, and an optional injected [`Fault`] — and it returns
+//! the flat list of output values rather than a baked fingerprint, so the
+//! oracle can both hash them and validate them structurally against the
+//! source graph.
 
 use std::sync::Arc;
 
@@ -28,16 +29,14 @@ pub fn sampler_config(opt: OptConfig, seed: u64, batch_size: usize) -> SamplerCo
     }
 }
 
-/// Compile `algo` on `graph` under `opt`, with `fault` (if any) applied
+/// Compile `algo` on `graph` under `config`, with `fault` (if any) applied
 /// to the source programs first. Returns `None` when the fault does not
 /// rewrite anything for this algorithm.
 pub fn compile_algorithm(
     graph: &Arc<Graph>,
     algo: &str,
     h: &Hyper,
-    opt: OptConfig,
-    seed: u64,
-    batch_size: usize,
+    config: SamplerConfig,
     fault: Option<Fault>,
 ) -> Result<Option<Sampler>, DriveError> {
     let spec = all_algorithms(h)
@@ -50,20 +49,7 @@ pub fn compile_algorithm(
             return Ok(None);
         }
     }
-    // The plan-cache ablation is a *warm-cache* differential: a throwaway
-    // compile first seeds the process-global plan database, so the sampler
-    // the oracle actually drives compiled through a cache hit (replayed
-    // layout and super-batch plans). Its outputs must be bit-identical to
-    // the cold reference — cached plans must never change what is sampled.
-    if opt.plan_cache {
-        compile(
-            graph.clone(),
-            layers.clone(),
-            sampler_config(opt.clone(), seed, batch_size),
-        )
-        .map_err(|e| format!("{algo}: cold plan-cache compile failed: {e}"))?;
-    }
-    compile(graph.clone(), layers, sampler_config(opt, seed, batch_size))
+    compile(graph.clone(), layers, config)
         .map(Some)
         .map_err(|e| format!("{algo}: compile failed: {e}"))
 }
@@ -74,13 +60,13 @@ pub fn compile_algorithm(
 /// chained algorithms run two seeded batches, bandits three update steps,
 /// walks one traced batch, and the induce drivers one induction. All
 /// randomness comes from `(seed, stream)` pairs, so two calls with equal
-/// arguments must return identical values.
+/// arguments must return identical values. `config.batch_size` should be
+/// `frontiers.len()` (see [`sampler_config`]).
 pub fn run_algorithm(
     graph: &Arc<Graph>,
     algo: &str,
     h: &Hyper,
-    opt: OptConfig,
-    seed: u64,
+    config: SamplerConfig,
     frontiers: &[u32],
     fault: Option<Fault>,
 ) -> Result<Option<Vec<Value>>, DriveError> {
@@ -89,11 +75,10 @@ pub fn run_algorithm(
         .find(|s| s.name == algo)
         .ok_or_else(|| format!("unknown algorithm {algo}"))?
         .driver;
-    let sampler =
-        match compile_algorithm(graph, algo, h, opt.clone(), seed, frontiers.len(), fault)? {
-            Some(s) => s,
-            None => return Ok(None),
-        };
+    let sampler = match compile_algorithm(graph, algo, h, config.clone(), fault)? {
+        Some(s) => s,
+        None => return Ok(None),
+    };
     let fail = |e| format!("{algo}: drive failed: {e}");
 
     let mut out: Vec<Value> = Vec::new();
@@ -162,9 +147,7 @@ pub fn run_algorithm(
             }
         }
         Driver::WalkInduce => {
-            let induce =
-                drivers::induce_sampler(graph.clone(), sampler_config(opt, seed, frontiers.len()))
-                    .map_err(fail)?;
+            let induce = drivers::induce_sampler(graph.clone(), config).map_err(fail)?;
             let roots: Vec<u32> = frontiers.iter().take(8).copied().collect();
             let m = drivers::graphsaint_sample(&sampler, &induce, &roots, h, 1).map_err(fail)?;
             out.push(Value::Matrix(m));
@@ -175,11 +158,7 @@ pub fn run_algorithm(
                 let s = sampler.sample_batch(frontiers, &bindings).map_err(fail)?;
                 push_sample(&mut out, s);
             } else {
-                let induce = drivers::induce_sampler(
-                    graph.clone(),
-                    sampler_config(opt, seed, frontiers.len()),
-                )
-                .map_err(fail)?;
+                let induce = drivers::induce_sampler(graph.clone(), config).map_err(fail)?;
                 let roots: Vec<u32> = frontiers.iter().take(8).copied().collect();
                 let m = drivers::shadow_sample(&sampler, &induce, &roots, 1).map_err(fail)?;
                 out.push(Value::Matrix(m));

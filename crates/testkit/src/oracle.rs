@@ -11,7 +11,9 @@
 //!    toggles cannot change RNG stream assignment for live ops. The same
 //!    discipline makes a super-batched epoch bit-exact against the
 //!    factor-1 epoch (a batch's stream depends on its index only), which
-//!    is checked the same way.
+//!    is checked the same way. So is the plan database: compiles served
+//!    from a cached plan (with and without the same-process compiled
+//!    payload) must sample what a database-less compile does.
 //! 2. **Structural validation** — every output must be a faithful
 //!    sub-result of the input graph: matrix edges exist in the graph
 //!    (catching relabel/compaction bugs), node IDs are in range.
@@ -22,9 +24,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use gsampler_algos::{all_algorithms, Driver, Hyper};
-use gsampler_core::{Bindings, Graph, OptConfig, Value};
+use gsampler_core::{Bindings, Graph, OptConfig, PlanDb, SamplerConfig, Value};
 
-use crate::drive::{self, compile_algorithm};
+use crate::drive::{self, compile_algorithm, sampler_config};
 use crate::fault::Fault;
 use crate::fingerprint::{of_values, Fingerprint};
 
@@ -122,9 +124,10 @@ impl Oracle {
     }
 
     /// Run the full variant matrix for one algorithm: reference drive,
-    /// every ablation (exact compare + structural), and — for chained
-    /// algorithms — a super-batched epoch (structural + bit-exact against
-    /// the factor-1 epoch).
+    /// every ablation and every way of compiling through a plan database
+    /// (exact compare + structural), and — for chained algorithms — a
+    /// super-batched epoch (structural + bit-exact against the factor-1
+    /// epoch).
     /// With `fault` set, the faulted pipeline is compared against the
     /// clean reference; a correct harness MUST report a divergence then.
     pub fn check_algorithm(
@@ -138,8 +141,9 @@ impl Oracle {
             variant: variant.to_string(),
             detail,
         };
+        let config = |opt: OptConfig| sampler_config(opt, self.seed, frontiers.len());
         let drive = |opt: OptConfig, f: Option<Fault>| {
-            drive::run_algorithm(&self.graph, algo, &self.hyper, opt, self.seed, frontiers, f)
+            drive::run_algorithm(&self.graph, algo, &self.hyper, config(opt), frontiers, f)
         };
 
         // Reference: clean, all passes on.
@@ -165,12 +169,8 @@ impl Oracle {
             return Ok(());
         }
 
-        // Exact differential across single-pass ablations.
-        for (name, opt) in OptConfig::ablations() {
-            if name == "all" {
-                continue;
-            }
-            let got = drive(opt, None)
+        let expect_reference = |name: &str, got: Result<Option<Vec<Value>>, String>| {
+            let got = got
                 .map_err(|e| diverge(name, e))?
                 .expect("no fault, always drives");
             self.validate_values(algo, name, &got)?;
@@ -179,10 +179,47 @@ impl Oracle {
                 return Err(diverge(
                     name,
                     format!(
-                        "ablation output {got_print:#018x} differs from reference {ref_print:#018x}"
+                        "variant output {got_print:#018x} differs from reference {ref_print:#018x}"
                     ),
                 ));
             }
+            Ok(())
+        };
+
+        // Exact differential across single-pass ablations.
+        for (name, opt) in OptConfig::ablations() {
+            if name != "all" {
+                expect_reference(name, drive(opt, None))?;
+            }
+        }
+
+        // Plan-database differential, through a database private to this
+        // check (keys are bucketed by graph stats, so a shared one would
+        // make the verdict depend on which cases ran before): a cold
+        // compile, a hit on the same graph object (reuses the compiled
+        // payload) and a hit on an equal graph with a different identity
+        // (payload rejected, so the cached plan goes through the pass
+        // pipeline) must all sample what the database-less reference did.
+        let db = Arc::new(PlanDb::in_memory());
+        let twin = Arc::new((*self.graph).clone());
+        for (name, graph) in [
+            ("plan-db-cold", &self.graph),
+            ("plan-db-payload-hit", &self.graph),
+            ("plan-db-plan-hit", &twin),
+        ] {
+            let config = SamplerConfig {
+                plan_db: Some(db.clone()),
+                ..config(OptConfig::all())
+            };
+            let got = drive::run_algorithm(graph, algo, &self.hyper, config, frontiers, None);
+            expect_reference(name, got)?;
+        }
+        let stats = db.stats();
+        if stats.hits < 2 || stats.inserts == 0 {
+            return Err(diverge(
+                "plan-db",
+                format!("warm compiles never went through the database: {stats:?}"),
+            ));
         }
 
         // Super-batch path: chained algorithms only (the driver loops own
@@ -199,9 +236,7 @@ impl Oracle {
                     &self.graph,
                     algo,
                     &self.hyper,
-                    opt,
-                    self.seed,
-                    frontiers.len().max(1) / 2,
+                    sampler_config(opt, self.seed, frontiers.len().max(1) / 2),
                     None,
                 )
                 .map_err(|e| diverge("super-batch", e))?

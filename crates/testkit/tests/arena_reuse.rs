@@ -63,7 +63,8 @@ fn poisoned_arena_never_leaks_into_outputs() {
     // Back-to-back identical drives across a deliberately poisoned arena.
     for algo in drive::algorithm_names(&h).into_iter().take(4) {
         let run = || {
-            run_algorithm(&graph, algo, &h, OptConfig::all(), 7, &frontiers, None)
+            let config = drive::sampler_config(OptConfig::all(), 7, frontiers.len());
+            run_algorithm(&graph, algo, &h, config, &frontiers, None)
                 .expect("drive failed")
                 .expect("no fault, always drives")
         };

@@ -140,7 +140,8 @@ fn combined_schedule_matches_the_fault_report() {
     let h = oracle_hyper();
     let mut opt = OptConfig::all();
     opt.super_batch = 4;
-    let sampler = compile_algorithm(&graph, "GraphSAGE", &h, opt, 11, 8, None)
+    let config = gsampler_testkit::drive::sampler_config(opt, 11, 8);
+    let sampler = compile_algorithm(&graph, "GraphSAGE", &h, config, None)
         .expect("compile")
         .expect("no fault requested");
     assert_eq!(sampler.super_batch_factor(), 4);

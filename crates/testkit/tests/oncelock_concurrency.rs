@@ -1,18 +1,15 @@
-//! Barrier-based regression tests for process-global lazy caches: the
-//! fallback [`gsampler_engine::plandb::global`] database and
-//! [`Graph::matrix_value`] both sit behind `OnceLock::get_or_init`, and
+//! Barrier-based regression test for the lazily-built
+//! [`Graph::matrix_value`]: it sits behind `OnceLock::get_or_init`, and
 //! concurrent first-touch must converge on exactly one value — a racer
 //! must never observe a second, half-built instance.
 //!
-//! These caches feed the serving layer directly (every tenant session
-//! reads the shared graph's matrix value; samplers without an explicit
-//! plan database fall back to the global one), so a first-touch race
-//! would silently break cross-tenant bit-identity.
+//! The cache feeds the serving layer directly (every tenant session reads
+//! the shared graph's matrix value), so a first-touch race would silently
+//! break cross-tenant bit-identity.
 
 use std::sync::{Arc, Barrier};
 
 use gsampler_core::Graph;
-use gsampler_engine::plandb;
 use gsampler_graphs::{Dataset, DatasetKind};
 
 const RACERS: usize = 16;
@@ -42,32 +39,4 @@ fn matrix_value_concurrent_first_touch_yields_one_arc() {
             );
         }
     }
-}
-
-#[test]
-fn global_plan_db_concurrent_first_touch_yields_one_db() {
-    // Within one process the first touch happens only once, but the
-    // barrier still maximizes simultaneous access; every thread must see
-    // the same Arc, and counters bumped through any handle must land in
-    // the one shared instance.
-    let barrier = Arc::new(Barrier::new(RACERS));
-    let handles: Vec<Arc<plandb::PlanDb>> = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (0..RACERS)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                scope.spawn(move || {
-                    barrier.wait();
-                    plandb::global()
-                })
-            })
-            .collect();
-        spawned.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for h in &handles[1..] {
-        assert!(
-            Arc::ptr_eq(&handles[0], h),
-            "racers saw distinct global plan databases"
-        );
-    }
-    assert!(Arc::ptr_eq(&handles[0], &plandb::global()));
 }

@@ -1,16 +1,16 @@
 //! Plan-database differentials: a compile served from the plan cache must
 //! be *bit-identical* to a cold compile — cached layout and super-batch
 //! plans change how sampling executes, never what it samples. Runs every
-//! registered algorithm warm-vs-cold, and checks the cache counters
-//! surface end to end (compile → `Sampler` → `EpochReport`).
+//! registered algorithm cold, payload-hit and plan-hit against a
+//! database-less compile, and checks the cache counters surface end to
+//! end (compile → `Sampler` → `EpochReport`).
 
 use std::sync::Arc;
 
 use gsampler_algos::all_algorithms;
-use gsampler_core::{compile, Bindings, PlanDb, SamplerConfig};
-use gsampler_engine::plandb;
+use gsampler_core::{compile, Bindings, Graph, PlanDb, SamplerConfig};
 use gsampler_ir::passes::OptConfig;
-use gsampler_testkit::drive::{algorithm_names, run_algorithm};
+use gsampler_testkit::drive::{algorithm_names, run_algorithm, sampler_config};
 use gsampler_testkit::fingerprint::of_values;
 use gsampler_testkit::gen::{GraphSpec, Topology};
 use gsampler_testkit::oracle::oracle_hyper;
@@ -28,41 +28,79 @@ fn spec() -> GraphSpec {
     }
 }
 
+/// Drive `algo` on `graph` (through `db`, if any) and fingerprint what it
+/// sampled.
+fn drive(graph: &Arc<Graph>, algo: &str, frontiers: &[u32], db: Option<&Arc<PlanDb>>) -> u64 {
+    let config = SamplerConfig {
+        plan_db: db.cloned(),
+        ..sampler_config(OptConfig::all(), 0x5EED, frontiers.len())
+    };
+    let values = run_algorithm(graph, algo, &oracle_hyper(), config, frontiers, None)
+        .expect("drive")
+        .expect("algorithm ran");
+    of_values(&values)
+}
+
 #[test]
 fn warm_cache_compile_is_bit_identical_for_every_algorithm() {
     let spec = spec();
     let graph = spec.build();
+    // Same stats and edges, different identity: the database hits but the
+    // compiled payload (pinned to `graph`) is rejected, so the cached plan
+    // goes through the pass pipeline.
+    let twin = Arc::new((*graph).clone());
     let frontiers = spec.frontiers(8);
-    let h = oracle_hyper();
-    let before = plandb::global().stats();
-    for algo in algorithm_names(&h) {
-        let cold = run_algorithm(&graph, algo, &h, OptConfig::all(), 0x5EED, &frontiers, None)
-            .expect("cold drive")
-            .expect("algorithm ran");
-        // `plan_cache` makes the drive compile twice: a throwaway compile
-        // seeds the global database, so the driven sampler compiled warm.
-        let warm_cfg = OptConfig {
-            plan_cache: true,
-            ..OptConfig::all()
-        };
-        let warm = run_algorithm(&graph, algo, &h, warm_cfg, 0x5EED, &frontiers, None)
-            .expect("warm drive")
-            .expect("algorithm ran");
-        assert_eq!(
-            of_values(&cold),
-            of_values(&warm),
-            "{algo}: warm-cache outputs diverge from the cold compile"
-        );
+    for algo in algorithm_names(&oracle_hyper()) {
+        let reference = drive(&graph, algo, &frontiers, None);
+        let db = Arc::new(PlanDb::in_memory());
+        for (step, g) in [
+            ("cold", &graph),
+            ("payload hit", &graph),
+            ("plan hit", &twin),
+        ] {
+            assert_eq!(
+                drive(g, algo, &frontiers, Some(&db)),
+                reference,
+                "{algo}: {step} compile through the plan database diverges from a database-less one"
+            );
+        }
+        let stats = db.stats();
+        assert!(stats.inserts >= 1 && stats.misses >= 1, "{algo}: {stats:?}");
+        assert_eq!(stats.hits, 2 * stats.misses, "{algo}: {stats:?}");
+        assert_eq!(stats.drifts, 0, "{algo}: {stats:?}");
     }
-    let delta = plandb::global().stats().since(&before);
-    assert!(
-        delta.hits > 0,
-        "plan-cache drives never hit the database: {delta:?}"
-    );
-    assert!(
-        delta.inserts > 0,
-        "plan-cache drives never inserted a plan: {delta:?}"
-    );
+}
+
+#[test]
+fn drifted_compile_is_bit_identical_for_every_algorithm() {
+    // Same node count, a third more edges, same log₂ edge bucket: the
+    // second graph finds the first one's plans, drifted past the threshold.
+    let planned_on = GraphSpec {
+        edges: 150,
+        ..spec()
+    };
+    let (before, after) = (planned_on.build().stats(), spec().build().stats());
+    assert_eq!(before.num_nodes, after.num_nodes);
+    assert!(after.num_edges as f64 > before.num_edges as f64 * 1.25);
+    let frontiers = spec().frontiers(8);
+    for algo in algorithm_names(&oracle_hyper()) {
+        let db = Arc::new(PlanDb::in_memory());
+        drive(&planned_on.build(), algo, &frontiers, Some(&db));
+        let planned = db.stats();
+        let drifted = spec().build();
+        assert_eq!(
+            drive(&drifted, algo, &frontiers, Some(&db)),
+            drive(&drifted, algo, &frontiers, None),
+            "{algo}: a re-priced plan changed what is sampled"
+        );
+        let stats = db.stats().since(&planned);
+        assert_eq!(
+            (stats.drifts, stats.hits, stats.misses),
+            (planned.misses, 0, 0),
+            "{algo}: the second graph was not served its neighbour's drifted entries"
+        );
+        assert_eq!(stats.inserts, stats.drifts, "{algo}: entries not refreshed");
+    }
 }
 
 #[test]
