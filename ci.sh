@@ -130,55 +130,16 @@ GSAMPLER_THREADS=2 ./target/release/gsampler-serve --dataset tiny --tenants 3 \
     --require-event serve/pack \
     --require-event serve/complete
 
-# --- Perf-regression gate ----------------------------------------------
-# Self-test first: the gate must FAIL on an injected 2x slowdown,
-# otherwise it is not actually gating anything.
-if ./target/release/perf-gate results/BENCH_single_thread.json results/BENCH_single_thread.json \
-    --inject-slowdown 2.0 --threshold 0.5 >/dev/null 2>&1; then
-    echo "perf-gate self-test FAILED: injected 2x slowdown was not flagged" >&2
+# --- Ratio floors -------------------------------------------------------
+# The two in-run ratios the repo benchmark cannot express (blocked SpMM
+# >= 1.5x spmm_baseline; serve packing p99 on <= off at 16 tenants with
+# >= 50% packed). Self-test first: a 1.0x pair must be refused, otherwise
+# the bench is not gating anything.
+if cargo bench -q -p gsampler-bench --bench floors -- --self-test >/dev/null 2>&1; then
+    echo "floors self-test FAILED: a 1.0x ratio passed the 1.5x floor" >&2
     exit 1
 fi
-# Identity check: a file diffed against itself must pass.
-./target/release/perf-gate results/BENCH_single_thread.json results/BENCH_single_thread.json >/dev/null
-
-# The JSON report must record the verdict on both paths: regression_count 0
-# on the identity diff, and a regression flagged under injected slowdown.
-./target/release/perf-gate results/BENCH_single_thread.json results/BENCH_single_thread.json \
-    --json-out "$TRACE_TMP/gate-ok.json" >/dev/null
-grep -q '"regression_count":0' "$TRACE_TMP/gate-ok.json"
-./target/release/perf-gate results/BENCH_single_thread.json results/BENCH_single_thread.json \
-    --inject-slowdown 2.0 --threshold 0.5 --json-out "$TRACE_TMP/gate-fail.json" \
-    >/dev/null 2>&1 || true
-grep -q '"regression":true' "$TRACE_TMP/gate-fail.json"
-
-# Re-measure the single-thread kernel bench into a temp file and diff
-# against the committed baseline. The baseline was recorded on different
-# hardware, so the threshold is deliberately loose (2x) — it catches
-# order-of-magnitude regressions, not noise (the repo benchmark below gates
-# pool speedup, trace overhead and cold/warm compile at 0.25 bounds). This
-# bench also self-asserts its two floors (blocked-SpMM >= 1.5x over spmm_baseline, pool width-1
-# overhead <= 2%) inside the harness, so a pass here certifies both the
-# cross-host gate and the in-run ratios. With no deadline configured the
-# cancel-token checks on every kernel dispatch are live in this bench
-# (one thread-local read each), so the gate also certifies that the
-# deadline plane's disabled-path overhead stays within the noise
-# threshold.
-GS_BENCH_OUT="$TRACE_TMP/single_thread.json" cargo bench -q -p gsampler-bench --bench single_thread >/dev/null
-./target/release/perf-gate results/BENCH_single_thread.json "$TRACE_TMP/single_thread.json" --threshold 2.0
-
-# Same for the cache-residency sweep. Its leaves are deterministic
-# cost-model output (modeled ms, not wall time), so the re-measure must
-# reproduce the committed artifact exactly; the harness also asserts the
-# curve is monotone non-increasing in the pinned fraction.
-GS_BENCH_OUT="$TRACE_TMP/cache_bench.json" cargo bench -q -p gsampler-bench --bench cache_residency >/dev/null
-./target/release/perf-gate results/BENCH_cache.json "$TRACE_TMP/cache_bench.json" --threshold 2.0
-
-# Same for the serving bench: re-measure the closed-loop load sweep (the
-# harness itself asserts batching-on p99 <= batching-off p99 at 16
-# tenants) and gate its p50/p99 latencies against the committed artifact.
-GS_BENCH_OUT="$TRACE_TMP/serve_bench.json" GSAMPLER_THREADS=2 \
-    ./target/release/serve-loadgen --quick >/dev/null
-./target/release/perf-gate results/BENCH_serve.json "$TRACE_TMP/serve_bench.json" --threshold 2.0
+cargo bench -q -p gsampler-bench --bench floors
 
 # --- Repo benchmark smoke -------------------------------------------------
 # The standalone benchmark package (benchmark/, BENCHMARK.json) at smoke

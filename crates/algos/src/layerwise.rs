@@ -1,7 +1,7 @@
 //! Layer-wise sampling algorithms: FastGCN, AS-GCN, LADIES.
 
 use gsampler_core::builder::{Layer, LayerBuilder};
-use gsampler_core::{Axis, ReduceOp};
+use gsampler_core::Axis;
 
 /// One LADIES layer (paper Fig. 3b): squared edge weights are aggregated
 /// per candidate row as sampling bias; after the collective select, edge
@@ -90,34 +90,13 @@ pub fn asgcn(width: usize, layers: usize) -> Vec<Layer> {
     (0..layers.max(1)).map(|_| asgcn_layer(width)).collect()
 }
 
-/// GraphSAINT's node-sampler variant expressed layer-wise: sample `width`
-/// nodes proportional to degree, then the driver induces the subgraph on
-/// everything visited (the walk-based variant lives in the drivers).
-pub fn saint_node_layer(width: usize) -> Layer {
-    let b = LayerBuilder::new();
-    let a = b.graph();
-    let f = b.frontiers();
-    let deg = a.reduce(ReduceOp::Count, Axis::Row);
-    let sub = a.slice_cols(&f);
-    let sample = sub.collective_sample(width, Some(&deg));
-    let next = sample.row_nodes();
-    b.output(&sample);
-    b.output_next_frontiers(&next);
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_layerwise_builders_validate() {
-        for layer in [
-            ladies_layer(64),
-            fastgcn_layer(64),
-            asgcn_layer(64),
-            saint_node_layer(64),
-        ] {
+        for layer in [ladies_layer(64), fastgcn_layer(64), asgcn_layer(64)] {
             layer.program.validate().unwrap();
         }
     }

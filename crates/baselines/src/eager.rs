@@ -86,9 +86,7 @@ impl EagerSampler {
     fn run_kernel(&self, op: &Op, inputs: &[&Value], rng: &mut StdRng) -> Value {
         let bindings = Bindings::new();
         let ctx = ExecCtx::plain(&self.graph, &bindings);
-        kernels::kernel_for(op)
-            .run(op, inputs, &ctx, std::slice::from_mut(rng))
-            .expect("eager kernel")
+        kernels::run(op, inputs, &ctx, std::slice::from_mut(rng)).expect("eager kernel")
     }
 
     /// Same for operators that consume no randomness.
@@ -700,16 +698,12 @@ mod tests {
         let mut rng = [RngPool::new(11).stream(7)];
         let gv = Value::Matrix(g.matrix.clone());
         let fv = Value::Nodes(frontiers);
-        let sub = kernels::kernel_for(&Op::SliceCols)
-            .run(&Op::SliceCols, &[&gv, &fv], &ctx, &mut rng)
-            .unwrap();
+        let sub = kernels::run(&Op::SliceCols, &[&gv, &fv], &ctx, &mut rng).unwrap();
         let op = Op::IndividualSample {
             k: 3,
             replace: false,
         };
-        let direct = kernels::kernel_for(&op)
-            .run(&op, &[&sub], &ctx, &mut rng)
-            .unwrap();
+        let direct = kernels::run(&op, &[&sub], &ctx, &mut rng).unwrap();
         let direct_m = direct.as_matrix().unwrap();
         assert_eq!(eager_out[0].global_edges(), direct_m.global_edges());
     }

@@ -2,11 +2,11 @@
 //! ([`crate::kernels`]).
 //!
 //! `execute` walks the program in topological order, resolves every
-//! operator through [`crate::kernels::kernel_for`] via the instrumented
-//! [`crate::kernels::dispatch`] entry point (which charges modeled device
-//! time, SM utilization, and host wall-clock time per invocation), and
-//! manages value lifetimes: reference counting, device alloc/free
-//! accounting, and the resident base-graph set.
+//! operator through the instrumented [`crate::kernels::dispatch`] entry
+//! point (which charges modeled device time, SM utilization, and host
+//! wall-clock time per invocation), and manages value lifetimes:
+//! reference counting, device alloc/free accounting, and the resident
+//! base-graph set.
 //!
 //! Super-batch execution (paper §4.4) is transparent to this driver: when
 //! more than one frontier group is passed, the extract kernels build a

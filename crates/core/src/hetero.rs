@@ -161,13 +161,6 @@ impl HeteroGraph {
         }
         Ok(types)
     }
-
-    /// All nodes of one type.
-    pub fn nodes_of_type(&self, t: usize) -> Vec<NodeId> {
-        (0..self.num_nodes() as NodeId)
-            .filter(|&v| self.node_type[v as usize] == t)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +218,6 @@ mod tests {
         assert_eq!(h.relations().len(), 2);
         assert!(h.relation("bought").is_some());
         assert!(h.relation("rated").is_none());
-        assert_eq!(h.nodes_of_type(1), vec![4, 5, 6, 7]);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use gsampler_matrix::{broadcast, eltwise, reduce, Axis, GraphMatrix, NodeId, Spa
 use crate::error::{Error, Result};
 use crate::value::Value;
 
-use super::{ExecCtx, Kernel};
+use super::ExecCtx;
 
 /// Keep a matrix's ID spaces while swapping its data (same pattern).
 pub fn with_data(m: &GraphMatrix, data: SparseMatrix) -> GraphMatrix {
@@ -181,145 +181,136 @@ pub(super) fn want_nodes<'v>(v: &'v Value, what: &str) -> Result<&'v [NodeId]> {
         .ok_or_else(|| Error::Execution(format!("{what}: expected nodes, got {}", v.kind_name())))
 }
 
-/// Edge-map / reduce / vector operator family.
-pub struct EltwiseKernels;
-
-impl Kernel for EltwiseKernels {
-    fn name(&self) -> &'static str {
-        "eltwise"
-    }
-
-    fn run(
-        &self,
-        op: &Op,
-        inputs: &[&Value],
-        ctx: &ExecCtx<'_>,
-        _rngs: &mut [StdRng],
-    ) -> Result<Value> {
-        match op {
-            Op::ScalarOp(o, s) => {
-                let m = want_matrix(inputs[0], "scalar_op")?;
-                let data = eltwise::scalar_op(&m.data, *s, *o);
-                Ok(Value::Matrix(with_data(m, data)))
-            }
-            Op::UnaryOp(o) => {
-                let m = want_matrix(inputs[0], "unary_op")?;
-                let data = eltwise::unary_op(&m.data, *o);
-                Ok(Value::Matrix(with_data(m, data)))
-            }
-            Op::Broadcast(o, axis) => {
-                let m = want_matrix(inputs[0], "broadcast")?;
-                let v = want_vector(inputs[1], "broadcast")?;
-                let fitted = fit_axis_vector(m, v, *axis, ctx.n)?;
-                let data = broadcast::broadcast(&m.data, &fitted, *o, *axis)?;
-                Ok(Value::Matrix(with_data(m, data)))
-            }
-            Op::SparseElt(o) => {
-                let a = want_matrix(inputs[0], "sparse_elt")?;
-                let b = want_matrix(inputs[1], "sparse_elt")?;
-                let data = eltwise::sparse_op(&a.data, &b.data, *o)?;
-                Ok(Value::Matrix(with_data(a, data)))
-            }
-            Op::Reduce(o, axis) => {
-                let m = want_matrix(inputs[0], "reduce")?;
-                Ok(Value::Vector(reduce::reduce(&m.data, *o, *axis)))
-            }
-            Op::ReduceAll(o) => {
-                let m = want_matrix(inputs[0], "reduce_all")?;
-                Ok(Value::Scalar(reduce::reduce_all(&m.data, *o)))
-            }
-            Op::VectorOp(o) => {
-                let a = want_vector(inputs[0], "vector_op")?;
-                let b = want_vector(inputs[1], "vector_op")?;
-                // Under super-batching, a block-space vector (length S·N)
-                // may combine with a base-space one (length N): tile the
-                // shorter periodically, mirroring `fit_vector`.
-                let (long, short, flipped) = if a.len() >= b.len() {
-                    (a, b, false)
-                } else {
-                    (b, a, true)
-                };
-                if short.is_empty() || long.len() % short.len() != 0 {
-                    return Err(Error::Execution(format!(
-                        "vector_op length mismatch: {} vs {}",
-                        a.len(),
-                        b.len()
-                    )));
-                }
-                let out: Vec<f32> = long
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| {
-                        let y = short[i % short.len()];
-                        if flipped {
-                            o.apply(y, x)
-                        } else {
-                            o.apply(x, y)
-                        }
-                    })
-                    .collect();
-                Ok(Value::Vector(out))
-            }
-            Op::VectorScalar(o, s) => {
-                let a = want_vector(inputs[0], "vector_scalar")?;
-                Ok(Value::Vector(a.iter().map(|&x| o.apply(x, *s)).collect()))
-            }
-            Op::VectorSum => {
-                let a = want_vector(inputs[0], "vector_sum")?;
-                Ok(Value::Scalar(a.iter().sum()))
-            }
-            Op::VectorNormalize => {
-                let a = want_vector(inputs[0], "vector_normalize")?;
-                let total: f32 = a.iter().sum();
-                if total > 0.0 {
-                    Ok(Value::Vector(a.iter().map(|&x| x / total).collect()))
-                } else {
-                    Ok(Value::Vector(a.to_vec()))
-                }
-            }
-            Op::GatherVector => {
-                let v = want_vector(inputs[0], "gather_vector")?;
-                let idx = want_nodes(inputs[1], "gather_vector")?;
-                idx.iter()
-                    .map(|&i| {
-                        v.get(i as usize).copied().ok_or_else(|| {
-                            Error::Execution(format!("gather_vector index {i} out of range"))
-                        })
-                    })
-                    .collect::<Result<Vec<f32>>>()
-                    .map(Value::Vector)
-            }
-            Op::GatherRowBias => {
-                let v = want_vector(inputs[0], "gather_row_bias")?;
-                let sampled = want_matrix(inputs[1], "gather_row_bias")?;
-                let source = want_matrix(inputs[2], "gather_row_bias")?;
-                gather_row_bias(v, sampled, source)
-            }
-            Op::AlignRowVector => {
-                let v = want_vector(inputs[0], "align_row_vector")?;
-                let m = want_matrix(inputs[1], "align_row_vector")?;
-                Ok(Value::Vector(fit_row_vector(m, v)))
-            }
-            Op::FusedEdgeMap { steps } => {
-                let m = want_matrix(inputs[0], "fused_edge_map")?;
-                let mut data = m.data.clone();
-                apply_steps(&mut data, m, steps, inputs, ctx.n)?;
-                Ok(Value::Matrix(with_data(m, data)))
-            }
-            Op::FusedEdgeMapReduce {
-                steps,
-                reduce: rop,
-                axis,
-            } => {
-                let m = want_matrix(inputs[0], "fused_edge_map_reduce")?;
-                let mut data = m.data.clone();
-                apply_steps(&mut data, m, steps, inputs, ctx.n)?;
-                Ok(Value::Vector(reduce::reduce(&data, *rop, *axis)))
-            }
-            other => Err(Error::Execution(format!(
-                "eltwise kernel cannot evaluate {other:?}"
-            ))),
+/// Edge-map / reduce / vector operator family: evaluate `op` on `inputs`.
+pub(super) fn run(
+    op: &Op,
+    inputs: &[&Value],
+    ctx: &ExecCtx<'_>,
+    _rngs: &mut [StdRng],
+) -> Result<Value> {
+    match op {
+        Op::ScalarOp(o, s) => {
+            let m = want_matrix(inputs[0], "scalar_op")?;
+            let data = eltwise::scalar_op(&m.data, *s, *o);
+            Ok(Value::Matrix(with_data(m, data)))
         }
+        Op::UnaryOp(o) => {
+            let m = want_matrix(inputs[0], "unary_op")?;
+            let data = eltwise::unary_op(&m.data, *o);
+            Ok(Value::Matrix(with_data(m, data)))
+        }
+        Op::Broadcast(o, axis) => {
+            let m = want_matrix(inputs[0], "broadcast")?;
+            let v = want_vector(inputs[1], "broadcast")?;
+            let fitted = fit_axis_vector(m, v, *axis, ctx.n)?;
+            let data = broadcast::broadcast(&m.data, &fitted, *o, *axis)?;
+            Ok(Value::Matrix(with_data(m, data)))
+        }
+        Op::SparseElt(o) => {
+            let a = want_matrix(inputs[0], "sparse_elt")?;
+            let b = want_matrix(inputs[1], "sparse_elt")?;
+            let data = eltwise::sparse_op(&a.data, &b.data, *o)?;
+            Ok(Value::Matrix(with_data(a, data)))
+        }
+        Op::Reduce(o, axis) => {
+            let m = want_matrix(inputs[0], "reduce")?;
+            Ok(Value::Vector(reduce::reduce(&m.data, *o, *axis)))
+        }
+        Op::ReduceAll(o) => {
+            let m = want_matrix(inputs[0], "reduce_all")?;
+            Ok(Value::Scalar(reduce::reduce_all(&m.data, *o)))
+        }
+        Op::VectorOp(o) => {
+            let a = want_vector(inputs[0], "vector_op")?;
+            let b = want_vector(inputs[1], "vector_op")?;
+            // Under super-batching, a block-space vector (length S·N)
+            // may combine with a base-space one (length N): tile the
+            // shorter periodically, mirroring `fit_vector`.
+            let (long, short, flipped) = if a.len() >= b.len() {
+                (a, b, false)
+            } else {
+                (b, a, true)
+            };
+            if short.is_empty() || long.len() % short.len() != 0 {
+                return Err(Error::Execution(format!(
+                    "vector_op length mismatch: {} vs {}",
+                    a.len(),
+                    b.len()
+                )));
+            }
+            let out: Vec<f32> = long
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    let y = short[i % short.len()];
+                    if flipped {
+                        o.apply(y, x)
+                    } else {
+                        o.apply(x, y)
+                    }
+                })
+                .collect();
+            Ok(Value::Vector(out))
+        }
+        Op::VectorScalar(o, s) => {
+            let a = want_vector(inputs[0], "vector_scalar")?;
+            Ok(Value::Vector(a.iter().map(|&x| o.apply(x, *s)).collect()))
+        }
+        Op::VectorSum => {
+            let a = want_vector(inputs[0], "vector_sum")?;
+            Ok(Value::Scalar(a.iter().sum()))
+        }
+        Op::VectorNormalize => {
+            let a = want_vector(inputs[0], "vector_normalize")?;
+            let total: f32 = a.iter().sum();
+            if total > 0.0 {
+                Ok(Value::Vector(a.iter().map(|&x| x / total).collect()))
+            } else {
+                Ok(Value::Vector(a.to_vec()))
+            }
+        }
+        Op::GatherVector => {
+            let v = want_vector(inputs[0], "gather_vector")?;
+            let idx = want_nodes(inputs[1], "gather_vector")?;
+            idx.iter()
+                .map(|&i| {
+                    v.get(i as usize).copied().ok_or_else(|| {
+                        Error::Execution(format!("gather_vector index {i} out of range"))
+                    })
+                })
+                .collect::<Result<Vec<f32>>>()
+                .map(Value::Vector)
+        }
+        Op::GatherRowBias => {
+            let v = want_vector(inputs[0], "gather_row_bias")?;
+            let sampled = want_matrix(inputs[1], "gather_row_bias")?;
+            let source = want_matrix(inputs[2], "gather_row_bias")?;
+            gather_row_bias(v, sampled, source)
+        }
+        Op::AlignRowVector => {
+            let v = want_vector(inputs[0], "align_row_vector")?;
+            let m = want_matrix(inputs[1], "align_row_vector")?;
+            Ok(Value::Vector(fit_row_vector(m, v)))
+        }
+        Op::FusedEdgeMap { steps } => {
+            let m = want_matrix(inputs[0], "fused_edge_map")?;
+            let mut data = m.data.clone();
+            apply_steps(&mut data, m, steps, inputs, ctx.n)?;
+            Ok(Value::Matrix(with_data(m, data)))
+        }
+        Op::FusedEdgeMapReduce {
+            steps,
+            reduce: rop,
+            axis,
+        } => {
+            let m = want_matrix(inputs[0], "fused_edge_map_reduce")?;
+            let mut data = m.data.clone();
+            apply_steps(&mut data, m, steps, inputs, ctx.n)?;
+            Ok(Value::Vector(reduce::reduce(&data, *rop, *axis)))
+        }
+        other => Err(Error::Execution(format!(
+            "eltwise kernel cannot evaluate {other:?}"
+        ))),
     }
 }
 

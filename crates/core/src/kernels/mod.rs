@@ -1,21 +1,21 @@
 //! The kernel registry: one implementation of every operator, shared by
 //! all execution paths.
 //!
-//! Each operator family lives in its own module behind the [`Kernel`]
-//! trait — [`slice_sample`] (extract/select), [`matmul`] (SpMM, SDDMM,
-//! dense algebra), [`eltwise`] (edge-map, reduce, vector ops),
-//! [`walk`] (random-walk frontier ops) — with [`superbatch`] providing
-//! the segmented block-diagonal wrappers over the same base kernels
-//! (paper §4.4). The standard executor (`exec::execute`), the super-batch
-//! path, the multi-GPU shards, and the DGL-like eager baseline all
-//! resolve operators through [`kernel_for`] and therefore run the *same
-//! math*; what differs between them is pure scheduling policy (fusion,
-//! pre-processing, layout choice, dispatch surcharges).
+//! Each operator family lives in its own module — [`slice_sample`]
+//! (extract/select), [`matmul`] (SpMM, SDDMM, dense algebra), [`eltwise`]
+//! (edge-map, reduce, vector ops), [`walk`] (random-walk frontier ops) —
+//! with [`superbatch`] providing the segmented block-diagonal wrappers
+//! over the same base kernels (paper §4.4). The standard executor
+//! (`exec::execute`), the super-batch path, the multi-GPU shards, and the
+//! DGL-like eager baseline all evaluate operators through [`run`] and
+//! therefore run the *same math*; what differs between them is pure
+//! scheduling policy (fusion, pre-processing, layout choice, dispatch
+//! surcharges).
 //!
 //! [`dispatch`] is the instrumented entry point: it runs the kernel,
-//! measures host wall-clock time, derives the [`KernelDesc`] workload
-//! from actual shapes, and charges modeled time + utilization + wall
-//! time into the device session's `ExecStats`.
+//! measures host wall-clock time, derives the `KernelDesc` workload from
+//! actual shapes, and charges modeled time + utilization + wall time into
+//! the device session's `ExecStats`.
 
 pub mod eltwise;
 pub mod matmul;
@@ -27,9 +27,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use gsampler_engine::{
-    arena_metrics, faults, pool_metrics, Device, KernelDesc, PoolError, Residency,
-};
+use gsampler_engine::{arena_metrics, faults, pool_metrics, Device, PoolError};
 use gsampler_ir::{costing, Op, ShapeEst};
 use gsampler_matrix::{Format, NodeId};
 use rand::rngs::StdRng;
@@ -78,108 +76,43 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// Shape/format information for deriving a kernel's workload descriptor.
-pub struct WorkloadArgs<'a> {
-    /// The operator being priced.
-    pub op: &'a Op,
-    /// Each input's sparse format (None for non-matrix inputs).
-    pub in_fmts: &'a [Option<Format>],
-    /// Each input's actual shape.
-    pub in_shapes: &'a [ShapeEst],
-    /// The produced value's actual shape.
-    pub out: &'a ShapeEst,
-    /// Where the base graph lives (device vs host-UVA).
-    pub residency: Residency,
-    /// Whether input 0 is the resident base graph (pays PCIe under UVA).
-    pub graph_input: bool,
-}
-
-/// One operator family's executable implementation.
-///
-/// `run` evaluates an operator of this family on actual values; `workload`
-/// derives the analytical work descriptor ([`KernelDesc`]) the device
-/// session charges for it. The default `workload` delegates to the IR
-/// costing table, which covers every operator; families override it only
-/// if they model work the table cannot see.
-pub trait Kernel: Sync {
-    /// Family name (diagnostics and registry listings).
-    fn name(&self) -> &'static str;
-
-    /// Evaluate `op` on `inputs`.
-    fn run(
-        &self,
-        op: &Op,
-        inputs: &[&Value],
-        ctx: &ExecCtx<'_>,
-        rngs: &mut [StdRng],
-    ) -> Result<Value>;
-
-    /// The modeled workload of one invocation; `None` for free operators
-    /// (pure input plumbing).
-    fn workload(&self, args: &WorkloadArgs<'_>) -> Option<KernelDesc> {
-        costing::kernel_desc(
-            args.op,
-            args.in_fmts,
-            args.in_shapes,
-            args.out,
-            args.residency,
-            args.graph_input,
-        )
-    }
-}
-
 /// Input plumbing: materialize frontiers and named bindings as values.
-struct InputKernels;
-
-impl Kernel for InputKernels {
-    fn name(&self) -> &'static str {
-        "inputs"
-    }
-
-    fn run(
-        &self,
-        op: &Op,
-        _inputs: &[&Value],
-        ctx: &ExecCtx<'_>,
-        _rngs: &mut [StdRng],
-    ) -> Result<Value> {
-        match op {
-            Op::InputFrontiers => Ok(Value::Nodes(ctx.concat_frontiers.to_vec())),
-            Op::InputDense(name) => {
-                if let Some(d) = ctx.bindings.get_dense(name) {
-                    Ok(Value::Dense(d.clone()))
-                } else if name == "features" {
-                    ctx.graph
-                        .features
-                        .clone()
-                        .map(Value::Dense)
-                        .ok_or_else(|| Error::MissingBinding("features".to_string()))
-                } else {
-                    Err(Error::MissingBinding(name.clone()))
-                }
+fn run_input(
+    op: &Op,
+    _inputs: &[&Value],
+    ctx: &ExecCtx<'_>,
+    _rngs: &mut [StdRng],
+) -> Result<Value> {
+    match op {
+        Op::InputFrontiers => Ok(Value::Nodes(ctx.concat_frontiers.to_vec())),
+        Op::InputDense(name) => {
+            if let Some(d) = ctx.bindings.get_dense(name) {
+                Ok(Value::Dense(d.clone()))
+            } else if name == "features" {
+                ctx.graph
+                    .features
+                    .clone()
+                    .map(Value::Dense)
+                    .ok_or_else(|| Error::MissingBinding("features".to_string()))
+            } else {
+                Err(Error::MissingBinding(name.clone()))
             }
-            Op::InputVector(name) => ctx
-                .bindings
-                .get_vector(name)
-                .map(|v| Value::Vector(v.to_vec()))
-                .ok_or_else(|| Error::MissingBinding(name.clone())),
-            Op::InputNodes(name) => ctx
-                .bindings
-                .get_node_list(name)
-                .map(|n| Value::Nodes(n.to_vec()))
-                .ok_or_else(|| Error::MissingBinding(name.clone())),
-            other => Err(Error::Execution(format!(
-                "inputs kernel cannot evaluate {other:?}"
-            ))),
         }
+        Op::InputVector(name) => ctx
+            .bindings
+            .get_vector(name)
+            .map(|v| Value::Vector(v.to_vec()))
+            .ok_or_else(|| Error::MissingBinding(name.clone())),
+        Op::InputNodes(name) => ctx
+            .bindings
+            .get_node_list(name)
+            .map(|n| Value::Nodes(n.to_vec()))
+            .ok_or_else(|| Error::MissingBinding(name.clone())),
+        other => Err(Error::Execution(format!(
+            "inputs kernel cannot evaluate {other:?}"
+        ))),
     }
 }
-
-static INPUTS: InputKernels = InputKernels;
-static SLICE_SAMPLE: slice_sample::SliceSampleKernels = slice_sample::SliceSampleKernels;
-static MATMUL: matmul::MatmulKernels = matmul::MatmulKernels;
-static ELTWISE: eltwise::EltwiseKernels = eltwise::EltwiseKernels;
-static WALK: walk::WalkKernels = walk::WalkKernels;
 
 /// Work-size gate for pool dispatch, mirroring the matrix crate's: maps an
 /// estimated work size to the `min_chunk`/`min_items` argument of the
@@ -194,16 +127,19 @@ pub(crate) fn par_gate(work: usize) -> usize {
     }
 }
 
-/// Resolve the kernel implementing `op` — the dispatch table every
-/// execution path shares.
-pub fn kernel_for(op: &Op) -> &'static dyn Kernel {
+type RunFn = fn(&Op, &[&Value], &ExecCtx<'_>, &mut [StdRng]) -> Result<Value>;
+
+/// The dispatch table every execution path shares: the family name of
+/// `op` (the prefix of its kernel span name, `{family}::{op}`) and its
+/// evaluator.
+fn resolve(op: &Op) -> (&'static str, RunFn) {
     match op {
         Op::InputGraph
         | Op::InputFrontiers
         | Op::InputDense(..)
         | Op::InputVector(..)
         | Op::InputNodes(..)
-        | Op::Precomputed { .. } => &INPUTS,
+        | Op::Precomputed { .. } => ("inputs", run_input),
 
         Op::SliceCols
         | Op::SliceRows
@@ -217,7 +153,7 @@ pub fn kernel_for(op: &Op) -> &'static dyn Kernel {
         | Op::CompactCols
         | Op::RowNodes
         | Op::ColNodes
-        | Op::AllRowIds => &SLICE_SAMPLE,
+        | Op::AllRowIds => ("slice_sample", slice_sample::run),
 
         Op::Spmm
         | Op::SpmmT
@@ -230,7 +166,7 @@ pub fn kernel_for(op: &Op) -> &'static dyn Kernel {
         | Op::DenseColumn { .. }
         | Op::DenseGatherRows
         | Op::StackEdgeValues
-        | Op::EdgeValuesFromDense { .. } => &MATMUL,
+        | Op::EdgeValuesFromDense { .. } => ("matmul", matmul::run),
 
         Op::ScalarOp(..)
         | Op::UnaryOp(..)
@@ -246,15 +182,15 @@ pub fn kernel_for(op: &Op) -> &'static dyn Kernel {
         | Op::GatherRowBias
         | Op::AlignRowVector
         | Op::FusedEdgeMap { .. }
-        | Op::FusedEdgeMapReduce { .. } => &ELTWISE,
+        | Op::FusedEdgeMapReduce { .. } => ("eltwise", eltwise::run),
 
-        Op::NextWalkFrontier | Op::Node2VecBias { .. } => &WALK,
+        Op::NextWalkFrontier | Op::Node2VecBias { .. } => ("walk", walk::run),
     }
 }
 
-/// All operator families, for registry introspection.
-pub fn registry() -> [&'static dyn Kernel; 5] {
-    [&INPUTS, &SLICE_SAMPLE, &MATMUL, &ELTWISE, &WALK]
+/// Evaluate `op` on `inputs`, uninstrumented (no device charge, no span).
+pub fn run(op: &Op, inputs: &[&Value], ctx: &ExecCtx<'_>, rngs: &mut [StdRng]) -> Result<Value> {
+    (resolve(op).1)(op, inputs, ctx, rngs)
 }
 
 /// Run one operator through the registry with full instrumentation:
@@ -269,7 +205,7 @@ pub fn dispatch(
     device: &Device,
     rngs: &mut [StdRng],
 ) -> Result<Value> {
-    let kernel = kernel_for(op);
+    let (family, eval) = resolve(op);
     let in_fmts: Vec<Option<Format>> = inputs
         .iter()
         .map(|v| v.as_matrix().map(|m| m.data.format()))
@@ -279,7 +215,7 @@ pub fn dispatch(
     // Building the span name formats the op, so gate it on the flag to
     // keep the disabled path to one atomic load.
     let mut span = if gsampler_obs::is_enabled() {
-        gsampler_obs::span("kernel", &format!("{}::{}", kernel.name(), op.name()))
+        gsampler_obs::span("kernel", &format!("{family}::{}", op.name()))
     } else {
         gsampler_obs::SpanGuard::inert()
     };
@@ -289,8 +225,7 @@ pub fn dispatch(
     if faults::poll_kernel() {
         device.note_faults(|f| f.injected_kernel += 1);
         return Err(Error::Transient(format!(
-            "injected kernel fault at {}::{}",
-            kernel.name(),
+            "injected kernel fault at {family}::{}",
             op.name()
         )));
     }
@@ -309,15 +244,14 @@ pub fn dispatch(
     // `PoolError` (the pool has already respawned the worker). Contain it
     // as a transient, retryable failure of just this kernel; any other
     // panic is a real bug and keeps unwinding.
-    let run_result = catch_unwind(AssertUnwindSafe(|| kernel.run(op, inputs, ctx, rngs)));
+    let run_result = catch_unwind(AssertUnwindSafe(|| eval(op, inputs, ctx, rngs)));
     let value = match run_result {
         Ok(result) => result?,
         Err(payload) => match payload.downcast::<PoolError>() {
             Ok(pool_err) => {
                 device.note_faults(|f| f.worker_panics += 1);
                 return Err(Error::Transient(format!(
-                    "worker pool failure in {}::{}: {}",
-                    kernel.name(),
+                    "worker pool failure in {family}::{}: {}",
                     op.name(),
                     pool_err.message()
                 )));
@@ -368,15 +302,15 @@ pub fn dispatch(
         }
     }
 
-    let args = WorkloadArgs {
+    // `None` for free operators (pure input plumbing).
+    if let Some(desc) = costing::kernel_desc(
         op,
-        in_fmts: &in_fmts,
-        in_shapes: &in_shapes,
-        out: &value.shape_est(),
-        residency: ctx.graph.residency,
-        graph_input: graph_input_resident,
-    };
-    if let Some(desc) = kernel.workload(&args) {
+        &in_fmts,
+        &in_shapes,
+        &value.shape_est(),
+        ctx.graph.residency,
+        graph_input_resident,
+    ) {
         span.arg("workload", desc.name.clone());
         span.arg("pool_regions", pool.regions);
         span.arg("pool_avg_threads", pool.avg_threads());
@@ -406,19 +340,15 @@ mod tests {
 
     #[test]
     fn registry_covers_every_family() {
-        let fams: Vec<&str> = registry().iter().map(|k| k.name()).collect();
-        for f in ["inputs", "slice_sample", "matmul", "eltwise", "walk"] {
-            assert!(fams.contains(&f), "missing family {f}");
-        }
-        // Spot-check dispatch targets.
-        assert_eq!(kernel_for(&Op::SliceCols).name(), "slice_sample");
-        assert_eq!(kernel_for(&Op::Spmm).name(), "matmul");
+        let family = |op: &Op| resolve(op).0;
+        assert_eq!(family(&Op::SliceCols), "slice_sample");
+        assert_eq!(family(&Op::Spmm), "matmul");
         assert_eq!(
-            kernel_for(&Op::Reduce(ReduceOp::Sum, gsampler_matrix::Axis::Row)).name(),
+            family(&Op::Reduce(ReduceOp::Sum, gsampler_matrix::Axis::Row)),
             "eltwise"
         );
-        assert_eq!(kernel_for(&Op::NextWalkFrontier).name(), "walk");
-        assert_eq!(kernel_for(&Op::InputFrontiers).name(), "inputs");
+        assert_eq!(family(&Op::NextWalkFrontier), "walk");
+        assert_eq!(family(&Op::InputFrontiers), "inputs");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::session_rng::ColStreams;
 use crate::value::Value;
 
 use super::eltwise::{want_matrix, want_nodes, want_vector, with_data};
-use super::{par_gate, superbatch, ExecCtx, Kernel};
+use super::{par_gate, superbatch, ExecCtx};
 
 /// The per-frontier neighbour choices shared by [`fused_extract_select`]
 /// and [`fused_sample_relabel`]: which graph column each output column
@@ -285,110 +285,101 @@ pub fn fused_sample_relabel(
     }))
 }
 
-/// Extract / select operator family.
-pub struct SliceSampleKernels;
-
-impl Kernel for SliceSampleKernels {
-    fn name(&self) -> &'static str {
-        "slice_sample"
-    }
-
-    fn run(
-        &self,
-        op: &Op,
-        inputs: &[&Value],
-        ctx: &ExecCtx<'_>,
-        rngs: &mut [StdRng],
-    ) -> Result<Value> {
-        match op {
-            Op::SliceCols => {
-                let m = want_matrix(inputs[0], "slice_cols")?;
-                let f = want_nodes(inputs[1], "slice_cols")?;
-                if ctx.s > 1 && m.shape().0 == ctx.n {
-                    superbatch::segmented_slice_cols(m, ctx)
-                } else {
-                    Ok(Value::Matrix(m.slice_cols_global(f)?))
-                }
+/// Extract / select operator family: evaluate `op` on `inputs`.
+pub(super) fn run(
+    op: &Op,
+    inputs: &[&Value],
+    ctx: &ExecCtx<'_>,
+    rngs: &mut [StdRng],
+) -> Result<Value> {
+    match op {
+        Op::SliceCols => {
+            let m = want_matrix(inputs[0], "slice_cols")?;
+            let f = want_nodes(inputs[1], "slice_cols")?;
+            if ctx.s > 1 && m.shape().0 == ctx.n {
+                superbatch::segmented_slice_cols(m, ctx)
+            } else {
+                Ok(Value::Matrix(m.slice_cols_global(f)?))
             }
-            Op::SliceRows => {
-                let m = want_matrix(inputs[0], "slice_rows")?;
-                let f = want_nodes(inputs[1], "slice_rows")?;
-                Ok(Value::Matrix(m.slice_rows_global(f)?))
-            }
-            Op::InduceSubgraph => {
-                let m = want_matrix(inputs[0], "induce_subgraph")?;
-                let nodes = want_nodes(inputs[1], "induce_subgraph")?;
-                Ok(Value::Matrix(m.induce_subgraph(nodes)?))
-            }
-            Op::IndividualSample { k, replace } => {
-                let m = want_matrix(inputs[0], "individual_sample")?;
-                let probs = match inputs.get(1) {
-                    Some(v) => Some(want_matrix(v, "individual_sample probs")?),
-                    None => None,
-                };
-                // With several groups the matrix columns are the
-                // concatenated frontiers (`exec::superbatch_compatible`
-                // admits nothing else; `ColStreams::draw` re-checks), so
-                // each group draws exactly what it would alone.
-                let streams = ColStreams::draw(rngs, ctx.col_offsets, m.shape().1)?;
-                let data = if *replace {
-                    individual_sample_with_replacement_seeded(
-                        &m.data,
-                        *k,
-                        probs.map(|p| &p.data),
-                        &streams,
-                    )?
-                } else {
-                    individual_sample_seeded(&m.data, *k, probs.map(|p| &p.data), &streams)?
-                };
-                Ok(Value::Matrix(with_data(m, data)))
-            }
-            Op::CollectiveSample { k } => {
-                let m = want_matrix(inputs[0], "collective_sample")?;
-                let probs = match inputs.get(1) {
-                    Some(v) => Some(want_vector(v, "collective_sample probs")?),
-                    None => None,
-                };
-                superbatch::segmented_collective_sample(m, *k, probs, ctx, rngs)
-            }
-            Op::FusedExtractSelect { k, replace } => {
-                let m = want_matrix(inputs[0], "fused_extract_select")?;
-                fused_extract_select(m, *k, *replace, ctx, rngs)
-            }
-            Op::FusedSampleRelabel { k, replace } => {
-                let m = want_matrix(inputs[0], "fused_sample_relabel")?;
-                fused_sample_relabel(m, *k, *replace, ctx, rngs)
-            }
-            Op::Convert(fmt) => {
-                let m = want_matrix(inputs[0], "convert")?;
-                let mut out = m.clone();
-                out.data = out.data.to_format(*fmt);
-                Ok(Value::Matrix(out))
-            }
-            Op::CompactRows => {
-                let m = want_matrix(inputs[0], "compact_rows")?;
-                Ok(Value::Matrix(m.compact_rows()))
-            }
-            Op::CompactCols => {
-                let m = want_matrix(inputs[0], "compact_cols")?;
-                Ok(Value::Matrix(m.compact_cols()))
-            }
-            Op::RowNodes => {
-                let m = want_matrix(inputs[0], "row_nodes")?;
-                Ok(Value::Nodes(m.row_nodes()))
-            }
-            Op::ColNodes => {
-                let m = want_matrix(inputs[0], "col_nodes")?;
-                Ok(Value::Nodes(m.col_nodes()))
-            }
-            Op::AllRowIds => {
-                let m = want_matrix(inputs[0], "all_row_ids")?;
-                Ok(Value::Nodes(m.global_row_ids()))
-            }
-            other => Err(Error::Execution(format!(
-                "slice_sample kernel cannot evaluate {other:?}"
-            ))),
         }
+        Op::SliceRows => {
+            let m = want_matrix(inputs[0], "slice_rows")?;
+            let f = want_nodes(inputs[1], "slice_rows")?;
+            Ok(Value::Matrix(m.slice_rows_global(f)?))
+        }
+        Op::InduceSubgraph => {
+            let m = want_matrix(inputs[0], "induce_subgraph")?;
+            let nodes = want_nodes(inputs[1], "induce_subgraph")?;
+            Ok(Value::Matrix(m.induce_subgraph(nodes)?))
+        }
+        Op::IndividualSample { k, replace } => {
+            let m = want_matrix(inputs[0], "individual_sample")?;
+            let probs = match inputs.get(1) {
+                Some(v) => Some(want_matrix(v, "individual_sample probs")?),
+                None => None,
+            };
+            // With several groups the matrix columns are the
+            // concatenated frontiers (`exec::superbatch_compatible`
+            // admits nothing else; `ColStreams::draw` re-checks), so
+            // each group draws exactly what it would alone.
+            let streams = ColStreams::draw(rngs, ctx.col_offsets, m.shape().1)?;
+            let data = if *replace {
+                individual_sample_with_replacement_seeded(
+                    &m.data,
+                    *k,
+                    probs.map(|p| &p.data),
+                    &streams,
+                )?
+            } else {
+                individual_sample_seeded(&m.data, *k, probs.map(|p| &p.data), &streams)?
+            };
+            Ok(Value::Matrix(with_data(m, data)))
+        }
+        Op::CollectiveSample { k } => {
+            let m = want_matrix(inputs[0], "collective_sample")?;
+            let probs = match inputs.get(1) {
+                Some(v) => Some(want_vector(v, "collective_sample probs")?),
+                None => None,
+            };
+            superbatch::segmented_collective_sample(m, *k, probs, ctx, rngs)
+        }
+        Op::FusedExtractSelect { k, replace } => {
+            let m = want_matrix(inputs[0], "fused_extract_select")?;
+            fused_extract_select(m, *k, *replace, ctx, rngs)
+        }
+        Op::FusedSampleRelabel { k, replace } => {
+            let m = want_matrix(inputs[0], "fused_sample_relabel")?;
+            fused_sample_relabel(m, *k, *replace, ctx, rngs)
+        }
+        Op::Convert(fmt) => {
+            let m = want_matrix(inputs[0], "convert")?;
+            let mut out = m.clone();
+            out.data = out.data.to_format(*fmt);
+            Ok(Value::Matrix(out))
+        }
+        Op::CompactRows => {
+            let m = want_matrix(inputs[0], "compact_rows")?;
+            Ok(Value::Matrix(m.compact_rows()))
+        }
+        Op::CompactCols => {
+            let m = want_matrix(inputs[0], "compact_cols")?;
+            Ok(Value::Matrix(m.compact_cols()))
+        }
+        Op::RowNodes => {
+            let m = want_matrix(inputs[0], "row_nodes")?;
+            Ok(Value::Nodes(m.row_nodes()))
+        }
+        Op::ColNodes => {
+            let m = want_matrix(inputs[0], "col_nodes")?;
+            Ok(Value::Nodes(m.col_nodes()))
+        }
+        Op::AllRowIds => {
+            let m = want_matrix(inputs[0], "all_row_ids")?;
+            Ok(Value::Nodes(m.global_row_ids()))
+        }
+        other => Err(Error::Execution(format!(
+            "slice_sample kernel cannot evaluate {other:?}"
+        ))),
     }
 }
 

@@ -10,7 +10,7 @@ use crate::error::{Error, Result};
 use crate::value::Value;
 
 use super::eltwise::{want_matrix, want_nodes, with_data};
-use super::{ExecCtx, Kernel};
+use super::ExecCtx;
 
 /// Per-walker finalize: each column's sampled row becomes that walker's
 /// next node; dead-end walkers stay where they are. Under super-batching,
@@ -89,35 +89,26 @@ pub fn node2vec_bias(
     Ok(Value::Matrix(with_data(m, data)))
 }
 
-/// Random-walk operator family.
-pub struct WalkKernels;
-
-impl Kernel for WalkKernels {
-    fn name(&self) -> &'static str {
-        "walk"
-    }
-
-    fn run(
-        &self,
-        op: &Op,
-        inputs: &[&Value],
-        ctx: &ExecCtx<'_>,
-        _rngs: &mut [StdRng],
-    ) -> Result<Value> {
-        match op {
-            Op::NextWalkFrontier => {
-                let m = want_matrix(inputs[0], "next_walk_frontier")?;
-                next_walk_frontier(m, ctx)
-            }
-            Op::Node2VecBias { p, q } => {
-                let m = want_matrix(inputs[0], "node2vec_bias")?;
-                let prev = want_nodes(inputs[1], "node2vec_bias")?;
-                let g = want_matrix(inputs[2], "node2vec_bias")?;
-                node2vec_bias(m, prev, g, *p, *q, ctx)
-            }
-            other => Err(Error::Execution(format!(
-                "walk kernel cannot evaluate {other:?}"
-            ))),
+/// Random-walk operator family: evaluate `op` on `inputs`.
+pub(super) fn run(
+    op: &Op,
+    inputs: &[&Value],
+    ctx: &ExecCtx<'_>,
+    _rngs: &mut [StdRng],
+) -> Result<Value> {
+    match op {
+        Op::NextWalkFrontier => {
+            let m = want_matrix(inputs[0], "next_walk_frontier")?;
+            next_walk_frontier(m, ctx)
         }
+        Op::Node2VecBias { p, q } => {
+            let m = want_matrix(inputs[0], "node2vec_bias")?;
+            let prev = want_nodes(inputs[1], "node2vec_bias")?;
+            let g = want_matrix(inputs[2], "node2vec_bias")?;
+            node2vec_bias(m, prev, g, *p, *q, ctx)
+        }
+        other => Err(Error::Execution(format!(
+            "walk kernel cannot evaluate {other:?}"
+        ))),
     }
 }

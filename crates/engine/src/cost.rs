@@ -122,7 +122,8 @@ mod tests {
     #[test]
     fn launch_overhead_dominates_tiny_kernels() {
         let m = v100();
-        let tiny = KernelDesc::new("tiny").with_bytes(64, 0).with_launches(100);
+        let mut tiny = KernelDesc::new("tiny").with_bytes(64, 0);
+        tiny.launches = 100;
         let t = m.time(&tiny);
         assert!(t >= 100.0 * 5.0e-6);
     }

@@ -67,12 +67,6 @@ impl Residency {
             }
         }
     }
-
-    /// Fraction of graph-structure reads served at device bandwidth
-    /// (1.0 for a device-resident graph).
-    pub fn hit_fraction(&self) -> f64 {
-        1.0 - self.pcie_fraction()
-    }
 }
 
 /// NaN → 0.0, then clamp into `[0, 1]`; debug builds assert the range
@@ -237,7 +231,6 @@ mod tests {
             for r in [Residency::host_uva(raw), Residency::partial(raw)] {
                 let f = r.pcie_fraction();
                 assert!(f.is_finite() && (0.0..=1.0).contains(&f), "{r:?} -> {f}");
-                assert!((r.hit_fraction() + f - 1.0).abs() < 1e-12);
             }
         }
         // Out-of-range literals (constructors debug-assert instead).

@@ -400,11 +400,6 @@ pub fn clear() {
     *slot = None;
 }
 
-/// Whether a fault schedule is currently installed.
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
 /// Counters of fires (and site occurrences) since the last [`install`].
 /// All zero when no plane is installed.
 pub fn injected() -> InjectedCounts {

@@ -70,12 +70,6 @@ impl KernelAgg {
     pub fn parallel_efficiency(&self) -> f64 {
         self.pool.efficiency()
     }
-
-    /// Fraction of scratch-buffer requests served from the arena's
-    /// recycled capacity (1.0 when the kernel took no scratch).
-    pub fn scratch_hit_rate(&self) -> f64 {
-        self.arena.hit_rate()
-    }
 }
 
 /// Structured accounting of injected faults and the recovery actions they
@@ -414,7 +408,7 @@ mod tests {
         let k = s.per_kernel["k"];
         assert_eq!(k.arena.takes, 4);
         assert_eq!(k.arena.bytes_reused, 4096);
-        assert!((k.scratch_hit_rate() - 0.75).abs() < 1e-12);
+        assert!((k.arena.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(s.arena.hits, 3);
         assert_eq!(s.records[0].arena, arena);
         assert_eq!(s.records[1].arena, ArenaMetrics::default());
@@ -426,7 +420,7 @@ mod tests {
         // A kernel that took no scratch reports the no-allocation identity.
         let mut seq = ExecStats::default();
         seq.record(desc("s"), 1.0, 1.0);
-        assert!((seq.per_kernel["s"].scratch_hit_rate() - 1.0).abs() < 1e-12);
+        assert!((seq.per_kernel["s"].arena.hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl KernelDesc {
         self
     }
 
-    /// Set the launch count.
-    pub fn with_launches(mut self, launches: u32) -> KernelDesc {
-        self.launches = launches;
-        self
-    }
-
     /// Set the exposed parallelism (independent work items).
     pub fn with_parallelism(mut self, p: u64) -> KernelDesc {
         self.parallelism = p.max(1);

@@ -224,7 +224,7 @@ mod tests {
             "{}",
             plan.hit_rate
         );
-        assert!((pp.graph.residency.hit_fraction() - plan.hit_rate).abs() < 1e-12);
+        assert!((1.0 - pp.graph.residency.pcie_fraction() - plan.hit_rate).abs() < 1e-12);
         let lj = Dataset::generate(DatasetKind::LiveJournal, 0.02, 3);
         assert!(matches!(lj.graph.residency, Residency::Device));
         assert!(lj.graph.cache_plan().is_none());

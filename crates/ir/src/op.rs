@@ -348,37 +348,6 @@ impl Op {
         }
     }
 
-    /// True for pure per-edge value updates (fusable as edge-map steps).
-    pub fn is_edge_map(&self) -> bool {
-        matches!(self, Op::ScalarOp(..) | Op::UnaryOp(..) | Op::Broadcast(..))
-    }
-
-    /// True for reductions from edges to nodes (edge-reduce).
-    pub fn is_edge_reduce(&self) -> bool {
-        matches!(
-            self,
-            Op::Reduce(..) | Op::ReduceAll(..) | Op::Spmm | Op::SpmmT
-        )
-    }
-
-    /// True for operators that create or reshape sparse structure — the
-    /// choice points of the data-layout-selection pass.
-    pub fn is_structure(&self) -> bool {
-        matches!(
-            self,
-            Op::SliceCols
-                | Op::SliceRows
-                | Op::InduceSubgraph
-                | Op::IndividualSample { .. }
-                | Op::CollectiveSample { .. }
-                | Op::FusedExtractSelect { .. }
-                | Op::FusedSampleRelabel { .. }
-                | Op::CompactRows
-                | Op::CompactCols
-                | Op::Convert(..)
-        )
-    }
-
     /// True for operators whose output depends on an RNG draw.
     pub fn is_random(&self) -> bool {
         matches!(
@@ -477,17 +446,6 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Op::ScalarOp(EltOp::Pow, 2.0).is_edge_map());
-        assert!(Op::Broadcast(EltOp::Div, Axis::Col).is_edge_map());
-        assert!(!Op::SliceCols.is_edge_map());
-        assert!(Op::Reduce(ReduceOp::Sum, Axis::Row).is_edge_reduce());
-        assert!(Op::Spmm.is_edge_reduce());
-        assert!(Op::SliceCols.is_structure());
-        assert!(Op::IndividualSample {
-            k: 5,
-            replace: false
-        }
-        .is_structure());
         assert!(Op::IndividualSample {
             k: 5,
             replace: false

@@ -102,14 +102,6 @@ impl Coo {
         self.apply_permutation(&perm);
     }
 
-    /// Sort edges in-place into `(row, col)` order (canonical for CSR).
-    pub fn sort_row_major(&mut self) {
-        let n = self.nnz();
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.sort_by_key(|&i| (self.rows[i], self.cols[i]));
-        self.apply_permutation(&perm);
-    }
-
     fn apply_permutation(&mut self, perm: &[usize]) {
         self.rows = perm.iter().map(|&i| self.rows[i]).collect();
         self.cols = perm.iter().map(|&i| self.cols[i]).collect();
@@ -197,14 +189,6 @@ mod tests {
         assert_eq!(m.cols, vec![0, 1, 1]);
         assert_eq!(m.rows, vec![1, 0, 2]);
         assert_eq!(m.values.as_ref().unwrap(), &vec![3.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn row_major_sorting() {
-        let mut m = Coo::new(3, 3, vec![2, 0, 2], vec![0, 1, 1], None).unwrap();
-        m.sort_row_major();
-        assert_eq!(m.rows, vec![0, 2, 2]);
-        assert_eq!(m.cols, vec![1, 0, 1]);
     }
 
     #[test]

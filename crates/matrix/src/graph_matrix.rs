@@ -7,11 +7,8 @@
 
 use std::sync::Arc;
 
-use rand::Rng;
-
 use crate::compact;
 use crate::error::{Error, Result};
-use crate::sample;
 use crate::slice;
 use crate::sparse::SparseMatrix;
 use crate::NodeId;
@@ -170,44 +167,6 @@ impl GraphMatrix {
         self.slice_cols_global(frontiers)
     }
 
-    /// Select step, node-wise: sample up to `k` edges per column without
-    /// replacement. See [`sample::individual_sample`].
-    pub fn individual_sample(
-        &self,
-        k: usize,
-        probs: Option<&GraphMatrix>,
-        rng: &mut impl Rng,
-    ) -> Result<GraphMatrix> {
-        let data = sample::individual_sample(&self.data, k, probs.map(|p| &p.data), rng)?;
-        Ok(GraphMatrix {
-            data,
-            row_ids: self.row_ids.clone(),
-            col_ids: self.col_ids.clone(),
-        })
-    }
-
-    /// Select step, layer-wise: sample `k` distinct row nodes. See
-    /// [`sample::collective_sample`]. The result's rows are relabelled and
-    /// its `row_ids` updated so `row()` still reports global IDs.
-    pub fn collective_sample(
-        &self,
-        k: usize,
-        node_probs: Option<&[f32]>,
-        rng: &mut impl Rng,
-    ) -> Result<GraphMatrix> {
-        let out = sample::collective_sample(&self.data, k, node_probs, rng)?;
-        let globals: Vec<NodeId> = out
-            .rows
-            .iter()
-            .map(|&r| self.global_row(r as usize))
-            .collect();
-        Ok(GraphMatrix {
-            data: out.matrix,
-            row_ids: Some(Arc::new(globals)),
-            col_ids: self.col_ids.clone(),
-        })
-    }
-
     /// Compaction: drop isolated rows, composing the ID mapping.
     pub fn compact_rows(&self) -> GraphMatrix {
         let c = compact::compact_rows(&self.data);
@@ -325,11 +284,8 @@ impl GraphMatrix {
 mod tests {
     use super::*;
     use crate::csc::Csc;
-    use rand::SeedableRng;
-
-    fn rng() -> rand::rngs::StdRng {
-        rand::rngs::StdRng::seed_from_u64(11)
-    }
+    use crate::sample;
+    use gsampler_runtime::RngPool;
 
     /// The toy graph of paper Fig. 1: 8 nodes a..h = 0..7.
     /// In-edges: a<-{b,c,e}, b<-{c,d,f}, e<-{f,g,h}.
@@ -362,7 +318,11 @@ mod tests {
     fn individual_sample_preserves_spaces() {
         let g = toy_graph();
         let sub = g.slice_cols_global(&[1, 4]).unwrap();
-        let sampled = sub.individual_sample(2, None, &mut rng()).unwrap();
+        // Selection keeps the shape, so the slice's ID spaces carry over.
+        let sampled = GraphMatrix {
+            data: sample::individual_sample_seeded(&sub.data, 2, None, &RngPool::new(7)).unwrap(),
+            ..sub.clone()
+        };
         assert_eq!(sampled.shape(), (8, 2));
         assert_eq!(sampled.data.col_degrees(), vec![2, 2]);
         // next frontiers are global IDs drawn from the candidates.
@@ -375,7 +335,15 @@ mod tests {
     fn collective_sample_relabels_rows_globally() {
         let g = toy_graph();
         let sub = g.slice_cols_global(&[1, 4]).unwrap();
-        let sampled = sub.collective_sample(4, None, &mut rng()).unwrap();
+        // Selected rows are local to `sub`; composing with its row space
+        // keeps `row()` reporting global IDs.
+        let out = sample::collective_sample_seeded(&sub.data, 4, None, &RngPool::new(7)).unwrap();
+        let globals = out.rows.iter().map(|&r| sub.global_row(r as usize));
+        let sampled = GraphMatrix {
+            data: out.matrix,
+            row_ids: Some(Arc::new(globals.collect())),
+            col_ids: sub.col_ids.clone(),
+        };
         assert_eq!(sampled.shape().0, 4);
         assert_eq!(sampled.shape().1, 2);
         let rows = sampled.global_row_ids();

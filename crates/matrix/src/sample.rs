@@ -2,22 +2,21 @@
 //!
 //! Two operators mirror the paper's Table 4:
 //!
-//! - [`individual_sample`]: each column (frontier) independently samples up
-//!   to `K` of its stored edges — node-wise sampling (GraphSAGE, PASS,
-//!   random walks with `K = 1`).
-//! - [`collective_sample`]: sample `K` distinct *row* nodes across the whole
-//!   matrix according to per-node bias — layer-wise sampling (FastGCN,
-//!   LADIES, AS-GCN).
+//! - [`individual_sample_seeded`]: each column (frontier) independently
+//!   samples up to `K` of its stored edges — node-wise sampling (GraphSAGE,
+//!   PASS, random walks with `K = 1`).
+//! - [`collective_sample_seeded`]: sample `K` distinct *row* nodes across
+//!   the whole matrix according to per-node bias — layer-wise sampling
+//!   (FastGCN, LADIES, AS-GCN).
 //!
 //! Plus the reusable primitives they are built from: Efraimidis–Spirakis
 //! weighted reservoir selection, Floyd's uniform combination sampling, and
 //! [`AliasTable`] for O(1) weighted draws with replacement (the structure
 //! SkyWalker-style baselines use).
 //!
-//! Each operator has a `_seeded` variant taking an [`RngPool`]: column `c`
-//! (or candidate `i`) always consumes RNG stream `c`, so the sampled output
-//! is bit-identical at any worker-pool thread count. The `&mut impl Rng`
-//! entry points draw one base seed and delegate.
+//! The operators take an [`RngPool`] (hence `_seeded`): column `c` (or
+//! candidate `i`) always consumes RNG stream `c`, so the sampled output is
+//! bit-identical at any worker-pool thread count.
 
 use gsampler_runtime::{parallel_map, parallel_scatter, parallel_scatter2, RngPool};
 use rand::rngs::StdRng;
@@ -68,16 +67,6 @@ pub struct CollectiveSample {
 /// When omitted, edges are sampled uniformly. Columns with degree `<= k`
 /// keep all their edges. The result preserves `m`'s shape and edge values,
 /// with only the selected edges stored.
-pub fn individual_sample(
-    m: &SparseMatrix,
-    k: usize,
-    probs: Option<&SparseMatrix>,
-    rng: &mut impl Rng,
-) -> Result<SparseMatrix> {
-    individual_sample_seeded(m, k, probs, &RngPool::new(rng.gen()))
-}
-
-/// [`individual_sample`] with explicit per-column RNG streams.
 ///
 /// Without replacement the output size of column `c` is known upfront
 /// (`min(degree, k)`), so the output indptr is a prefix sum and each
@@ -174,17 +163,6 @@ pub fn individual_sample_seeded(
 /// Sample up to `k` edges per column *with* replacement (duplicate edges
 /// collapse to one stored edge; useful for random-walk style semantics
 /// where revisiting is allowed).
-pub fn individual_sample_with_replacement(
-    m: &SparseMatrix,
-    k: usize,
-    probs: Option<&SparseMatrix>,
-    rng: &mut impl Rng,
-) -> Result<SparseMatrix> {
-    individual_sample_with_replacement_seeded(m, k, probs, &RngPool::new(rng.gen()))
-}
-
-/// [`individual_sample_with_replacement`] with explicit per-column RNG
-/// streams.
 ///
 /// Deduplication makes per-column output sizes data-dependent, so the
 /// draws run in parallel (column `c` on `pool.stream(c)`) and the output
@@ -288,18 +266,9 @@ pub fn individual_sample_with_replacement_seeded(
 /// bias are never selected. When omitted, each row's bias is its degree in
 /// `m` (each edge contributes bias 1, per the paper's default). If fewer
 /// than `k` rows have positive bias, all of them are taken.
-pub fn collective_sample(
-    m: &SparseMatrix,
-    k: usize,
-    node_probs: Option<&[f32]>,
-    rng: &mut impl Rng,
-) -> Result<CollectiveSample> {
-    collective_sample_seeded(m, k, node_probs, &RngPool::new(rng.gen()))
-}
-
-/// [`collective_sample`] with explicit per-candidate RNG streams: the
-/// Efraimidis–Spirakis keys are computed candidate-parallel on the worker
-/// pool, candidate `i` always drawing from `pool.stream(i)`.
+///
+/// The Efraimidis–Spirakis keys are computed candidate-parallel on the
+/// worker pool, candidate `i` always drawing from `pool.stream(i)`.
 pub fn collective_sample_seeded(
     m: &SparseMatrix,
     k: usize,
@@ -526,6 +495,10 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(7)
     }
 
+    fn pool() -> RngPool {
+        RngPool::new(7)
+    }
+
     fn sample_matrix() -> SparseMatrix {
         // 6x3; col0 deg 4, col1 deg 2, col2 deg 0
         SparseMatrix::Csc(
@@ -543,7 +516,7 @@ mod tests {
     #[test]
     fn individual_respects_fanout() {
         let m = sample_matrix();
-        let out = individual_sample(&m, 2, None, &mut rng()).unwrap();
+        let out = individual_sample_seeded(&m, 2, None, &pool()).unwrap();
         assert_eq!(out.shape(), m.shape());
         assert_eq!(out.col_degrees(), vec![2, 2, 0]);
         // Selected edges are a subset of the input's.
@@ -560,7 +533,7 @@ mod tests {
     #[test]
     fn individual_small_degree_keeps_all() {
         let m = sample_matrix();
-        let out = individual_sample(&m, 10, None, &mut rng()).unwrap();
+        let out = individual_sample_seeded(&m, 10, None, &pool()).unwrap();
         assert_eq!(out.nnz(), m.nnz());
     }
 
@@ -568,7 +541,7 @@ mod tests {
     fn individual_output_format_matches_input() {
         let m = sample_matrix();
         for fmt in Format::ALL {
-            let out = individual_sample(&m.to_format(fmt), 2, None, &mut rng()).unwrap();
+            let out = individual_sample_seeded(&m.to_format(fmt), 2, None, &pool()).unwrap();
             assert_eq!(out.format(), fmt);
         }
     }
@@ -580,10 +553,9 @@ mod tests {
         let m = SparseMatrix::Csc(Csc::new(4, 1, vec![0, 4], vec![0, 1, 2, 3], None).unwrap());
         let mut probs = m.clone();
         probs.set_values(vec![1e-6, 1e-6, 1e-6, 1.0]);
-        let mut r = rng();
         let mut hit = 0;
-        for _ in 0..50 {
-            let out = individual_sample(&m, 1, Some(&probs), &mut r).unwrap();
+        for seed in 0..50 {
+            let out = individual_sample_seeded(&m, 1, Some(&probs), &RngPool::new(seed)).unwrap();
             if out.iter_edges().any(|(row, _, _)| row == 3) {
                 hit += 1;
             }
@@ -595,13 +567,13 @@ mod tests {
     fn individual_rejects_mismatched_probs() {
         let m = sample_matrix();
         let bad = SparseMatrix::Csc(Csc::new(6, 3, vec![0, 1, 1, 1], vec![0], None).unwrap());
-        assert!(individual_sample(&m, 2, Some(&bad), &mut rng()).is_err());
+        assert!(individual_sample_seeded(&m, 2, Some(&bad), &pool()).is_err());
     }
 
     #[test]
     fn with_replacement_bounded_by_k_and_degree() {
         let m = sample_matrix();
-        let out = individual_sample_with_replacement(&m, 3, None, &mut rng()).unwrap();
+        let out = individual_sample_with_replacement_seeded(&m, 3, None, &pool()).unwrap();
         for (c, d) in out.col_degrees().into_iter().enumerate() {
             assert!(d <= 3, "column {c} kept {d} > 3 edges");
         }
@@ -610,7 +582,7 @@ mod tests {
     #[test]
     fn collective_selects_k_rows() {
         let m = sample_matrix();
-        let out = collective_sample(&m, 3, None, &mut rng()).unwrap();
+        let out = collective_sample_seeded(&m, 3, None, &pool()).unwrap();
         assert_eq!(out.rows.len(), 3);
         assert_eq!(out.matrix.shape(), (3, 3));
         // Rows are ascending and unique.
@@ -625,8 +597,8 @@ mod tests {
         let mut probs = vec![1.0f32; 6];
         probs[0] = 0.0;
         probs[5] = 0.0;
-        for _ in 0..20 {
-            let out = collective_sample(&m, 4, Some(&probs), &mut rng()).unwrap();
+        for seed in 0..20 {
+            let out = collective_sample_seeded(&m, 4, Some(&probs), &RngPool::new(seed)).unwrap();
             assert!(!out.rows.contains(&0));
             assert!(!out.rows.contains(&5));
         }
@@ -635,7 +607,7 @@ mod tests {
     #[test]
     fn collective_takes_all_when_k_large() {
         let m = sample_matrix();
-        let out = collective_sample(&m, 100, None, &mut rng()).unwrap();
+        let out = collective_sample_seeded(&m, 100, None, &pool()).unwrap();
         // All rows with degree > 0: every row of the 6 appears in edges.
         assert_eq!(out.rows.len(), 6);
     }
@@ -643,9 +615,9 @@ mod tests {
     #[test]
     fn collective_rejects_bad_probs() {
         let m = sample_matrix();
-        assert!(collective_sample(&m, 2, Some(&[1.0, 2.0]), &mut rng()).is_err());
+        assert!(collective_sample_seeded(&m, 2, Some(&[1.0, 2.0]), &pool()).is_err());
         let neg = vec![1.0, -1.0, 1.0, 1.0, 1.0, 1.0];
-        assert!(collective_sample(&m, 2, Some(&neg), &mut rng()).is_err());
+        assert!(collective_sample_seeded(&m, 2, Some(&neg), &pool()).is_err());
     }
 
     #[test]
@@ -700,8 +672,8 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let m = sample_matrix();
-        let a = individual_sample(&m, 2, None, &mut rng()).unwrap();
-        let b = individual_sample(&m, 2, None, &mut rng()).unwrap();
+        let a = individual_sample_seeded(&m, 2, None, &pool()).unwrap();
+        let b = individual_sample_seeded(&m, 2, None, &pool()).unwrap();
         assert_eq!(a, b);
     }
 }

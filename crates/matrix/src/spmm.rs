@@ -27,11 +27,10 @@
 //!   indices), so blocking reorders *which row is touched when*, never
 //!   the accumulation order of any single element.
 //!
-//! `GSAMPLER_SPMM_BLOCK` overrides the block width in columns (`0`
-//! disables blocking); unset, the width is derived from a one-shot
-//! pointer-chase cache probe ([`calibrated_block_bytes`]).
-//! [`spmm_baseline`] retains the pre-optimization kernel for the
-//! single-thread bench ratio and bit-equality tests.
+//! The block width is derived from a one-shot pointer-chase cache probe
+//! ([`calibrated_block_bytes`]). [`spmm_baseline`] retains the
+//! pre-optimization kernel for the `floors` bench ratio and the
+//! bit-equality tests.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -94,8 +93,8 @@ pub fn spmm_t(a: &SparseMatrix, d: &Dense) -> Result<Dense> {
 
 /// [`spmm`] with an explicit cache-block width in columns of `A`
 /// (`None` = flat traversal). The result is bit-identical for every block
-/// choice; this entry point exists for benchmarks and tests that pin the
-/// traversal instead of going through `GSAMPLER_SPMM_BLOCK`.
+/// choice; this entry point exists for tests that pin the traversal
+/// instead of taking the calibrated width.
 pub fn spmm_with_block(a: &SparseMatrix, d: &Dense, block_cols: Option<usize>) -> Result<Dense> {
     if a.ncols() != d.nrows() {
         return Err(Error::ShapeMismatch {
@@ -163,8 +162,8 @@ pub fn spmm_t_with_block(a: &SparseMatrix, d: &Dense, block_cols: Option<usize>)
 }
 
 /// The pre-optimization SpMM kernel, retained verbatim: the denominator of
-/// the `BENCH_single_thread.json` speedup ratio and the bit-equality
-/// reference for the unrolled/blocked traversals.
+/// the `floors` bench speedup ratio and the bit-equality reference for the
+/// unrolled/blocked traversals.
 pub fn spmm_baseline(a: &SparseMatrix, d: &Dense) -> Result<Dense> {
     if a.ncols() != d.nrows() {
         return Err(Error::ShapeMismatch {
@@ -407,17 +406,10 @@ fn accum_run(
 /// The block width in columns of `A` the auto-tuner would use, or `None`
 /// for a flat traversal.
 ///
-/// `GSAMPLER_SPMM_BLOCK` overrides: `0` disables blocking, a positive
-/// value pins the column width. Unset, the width is the calibrated fast
-/// cache budget divided by the dense row stride — and `None` whenever the
-/// whole operand already fits the budget or the matrix is too small for
-/// tiling to pay.
+/// The width is the calibrated fast cache budget divided by the dense row
+/// stride — and `None` whenever the whole operand already fits the budget
+/// or the matrix is too small for tiling to pay.
 fn configured_block_cols(k: usize, axis: usize, nnz: usize) -> Option<usize> {
-    if let Ok(v) = std::env::var("GSAMPLER_SPMM_BLOCK") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return if n == 0 { None } else { Some(n) };
-        }
-    }
     if nnz < BLOCK_MIN_NNZ || k == 0 {
         return None;
     }

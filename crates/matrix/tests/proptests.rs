@@ -6,13 +6,14 @@
 use proptest::prelude::*;
 
 use gsampler_matrix::sample::{
-    collective_sample, individual_sample, uniform_sample_without_replacement,
+    collective_sample_seeded, individual_sample_seeded, uniform_sample_without_replacement,
     weighted_sample_without_replacement, AliasTable,
 };
 use gsampler_matrix::{
     broadcast, compact, reduce, slice, spmm, Axis, Coo, Dense, EltOp, Format, NodeId, ReduceOp,
     SparseMatrix,
 };
+use gsampler_runtime::RngPool;
 
 /// Strategy: a random sparse matrix (as canonical COO) with bounded size.
 fn arb_matrix() -> impl Strategy<Value = SparseMatrix> {
@@ -125,9 +126,7 @@ proptest! {
 
     #[test]
     fn individual_sample_is_subset_with_fanout(m in arb_matrix(), k in 1usize..5, seed in 0u64..1000) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let out = individual_sample(&m, k, None, &mut rng).unwrap();
+        let out = individual_sample_seeded(&m, k, None, &RngPool::new(seed)).unwrap();
         prop_assert_eq!(out.shape(), m.shape());
         let input: std::collections::HashSet<(NodeId, NodeId)> =
             m.sorted_edges().into_iter().map(|(r, c, _)| (r, c)).collect();
@@ -144,9 +143,7 @@ proptest! {
 
     #[test]
     fn collective_sample_bounds_rows(m in arb_matrix(), k in 1usize..8, seed in 0u64..1000) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let out = collective_sample(&m, k, None, &mut rng).unwrap();
+        let out = collective_sample_seeded(&m, k, None, &RngPool::new(seed)).unwrap();
         prop_assert!(out.rows.len() <= k.max(out.rows.len().min(k)) || out.rows.len() <= m.nrows());
         prop_assert!(out.rows.len() <= k || out.rows.len() <= m.nrows());
         prop_assert_eq!(out.matrix.shape().0, out.rows.len());

@@ -2,7 +2,7 @@
 //!
 //! The workspace is fully offline (no serde); this module is the one
 //! JSON implementation shared by the trace exporter, the metrics
-//! snapshot, and the artifact-reading tools (`perf-gate`, `trace-check`).
+//! snapshot, the plan database, and `trace-check`.
 //! It covers the JSON actually produced and consumed here: objects keep
 //! insertion order, numbers are `f64`, and no attempt is made at
 //! streaming or zero-copy.

@@ -22,8 +22,7 @@
 //!
 //! The [`json`] module is a minimal self-contained JSON value type
 //! (parser + serializer) shared by the trace exporter and by tools that
-//! read trace/bench artifacts back (the `perf-gate` and `trace-check`
-//! bins in `gsampler-bench`).
+//! read traces back (the `trace-check` bin in `gsampler-bench`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

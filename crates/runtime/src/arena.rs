@@ -232,8 +232,9 @@ mod tests {
         let delta = arena_metrics().since(&before);
         assert!(b.is_empty(), "recycled buffer leaked contents");
         assert!(b.capacity() >= 1000, "capacity not reused");
-        assert_eq!(delta.takes, 1);
-        assert_eq!(delta.hits, 1);
+        // The counters are process-global and sibling tests take scratch
+        // concurrently, so the deltas are lower bounds.
+        assert!(delta.takes >= 1 && delta.hits >= 1);
         assert!(delta.bytes_reused >= 500 * 4);
     }
 

@@ -46,14 +46,12 @@
 
 pub mod admission;
 pub mod error;
-pub mod loadgen;
 pub mod metrics;
 pub mod server;
 pub mod session;
 
 pub use admission::Admission;
 pub use error::{Result, ServeError};
-pub use loadgen::{run_scenario, ScenarioConfig, ScenarioReport};
 pub use metrics::{Metrics, MetricsSnapshot, TenantCounters};
 pub use server::{EpochServer, GraphMetadata, ServeConfig, ServerSnapshot, Ticket};
 pub use session::{Algorithm, Session, TenantSpec};

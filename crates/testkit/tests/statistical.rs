@@ -15,7 +15,10 @@ use rand::SeedableRng;
 use gsampler_baselines::EagerSampler;
 use gsampler_core::builder::LayerBuilder;
 use gsampler_core::{compile, Bindings, DeviceProfile, Graph, SamplerConfig};
-use gsampler_matrix::sample::{collective_sample, weighted_sample_without_replacement};
+use gsampler_engine::RngPool;
+use gsampler_matrix::sample::{
+    collective_sample_seeded, individual_sample_seeded, weighted_sample_without_replacement,
+};
 use gsampler_testkit::stats;
 
 /// A star: node 0 has 6 in-neighbours with distinct weights 1..=6.
@@ -89,9 +92,10 @@ fn biased_individual_sample_matches_analytic_inclusion() {
 
     let mut counts = vec![0u64; 6];
     for t in 0..3000u64 {
-        let mut rng = StdRng::seed_from_u64(0x9A55 ^ t);
-        let picked = col.individual_sample(2, Some(&col), &mut rng).unwrap();
-        for (r, _, _) in picked.global_edges() {
+        let streams = RngPool::new(0x9A55 ^ t);
+        let picked = individual_sample_seeded(&col.data, 2, Some(&col.data), &streams).unwrap();
+        // The column slice keeps the identity row space: row = spoke ID.
+        for (r, _, _) in picked.iter_edges() {
             // Edge for spoke r sits at CSC position r-1 in the column.
             counts[r as usize - 1] += 1;
         }
@@ -115,8 +119,8 @@ fn collective_sample_follows_degree_weights() {
     let expected = [3.0 / 6.0, 2.0 / 6.0, 1.0 / 6.0, 0.0];
     let mut counts = [0u64; 4];
     for t in 0..TRIALS {
-        let mut rng = StdRng::seed_from_u64(0xC011 ^ t);
-        let out = collective_sample(&graph.matrix.data, 1, None, &mut rng).unwrap();
+        let streams = RngPool::new(0xC011 ^ t);
+        let out = collective_sample_seeded(&graph.matrix.data, 1, None, &streams).unwrap();
         assert_eq!(out.rows.len(), 1);
         counts[out.rows[0] as usize] += 1;
     }
