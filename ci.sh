@@ -91,19 +91,6 @@ fi
     --require-event deadline/set \
     --require-event deadline/exceeded
 
-# --- Plan-database smoke ------------------------------------------------
-# Two runs sharing an on-disk plan DB: the first populates it, the second
-# must hit (the trace proves it — a plan/cache.hit event), and the file
-# must be valid JSON the whole way.
-GSAMPLER_THREADS=2 ./target/release/gsample graphsage --dataset PD --scale 0.05 \
-    --plan-db "$TRACE_TMP/plans.json" >/dev/null
-test -s "$TRACE_TMP/plans.json"
-GSAMPLER_THREADS=2 ./target/release/gsample graphsage --dataset PD --scale 0.05 \
-    --plan-db "$TRACE_TMP/plans.json" --trace-out "$TRACE_TMP/plandb.json" >/dev/null
-./target/release/trace-check "$TRACE_TMP/plandb.json" \
-    --require pass,kernel,pool,plan \
-    --require-event plan/cache.hit
-
 # --- Cache-residency smoke ----------------------------------------------
 # PP runs partially resident behind a degree-skew cache plan: a traced
 # prefetch run must emit the cache/* event family — per-batch hit/miss
@@ -119,8 +106,9 @@ GSAMPLER_THREADS=2 ./target/release/gsample graphsage --dataset PP --scale 0.05 
 # --- Serve smoke --------------------------------------------------------
 # Start the multi-tenant epoch server on a preset graph, fire a 3-tenant
 # burst, and require the serve-layer trace events: requests were admitted,
-# at least one cross-request super-batch was packed, and completions were
-# recorded per tenant.
+# at least one cross-request super-batch was packed, completions were
+# recorded per tenant, and the tenants (one program) shared a compile
+# through the server's plan database.
 cargo build -q --release -p gsampler-serve
 GSAMPLER_THREADS=2 ./target/release/gsampler-serve --dataset tiny --tenants 3 \
     --requests 4 --batch 16 --trace-out "$TRACE_TMP/serve.json" >/dev/null
@@ -128,7 +116,14 @@ GSAMPLER_THREADS=2 ./target/release/gsampler-serve --dataset tiny --tenants 3 \
     --require pass,kernel,serve \
     --require-event serve/request \
     --require-event serve/pack \
-    --require-event serve/complete
+    --require-event serve/complete \
+    --require-event plan/cache.hit
+
+# --- Knob census ----------------------------------------------------------
+# A new GSAMPLER_* variable is a new option: it fails here until this list
+# (and the docs) say so.
+test "$(grep -rhoE 'GSAMPLER_[A-Z_]+' crates/*/src src | sort -u | xargs)" = \
+    "GSAMPLER_FAULTS GSAMPLER_THREADS GSAMPLER_WATCHDOG_MS"
 
 # --- Ratio floors -------------------------------------------------------
 # The two in-run ratios the repo benchmark cannot express (blocked SpMM

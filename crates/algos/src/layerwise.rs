@@ -111,19 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn ladies_square_is_preprocessable_with_sinking() {
-        // The sinking variant can hoist `A ** 2` onto the full graph (the
-        // paper's rewrite, profitable on unweighted graphs).
-        let layer = ladies_layer(64);
-        let r = gsampler_ir::passes::preprocess::run_with_sinking(&layer.program);
-        assert_eq!(r.hoisted, 1);
-        assert!(r
-            .precompute
-            .find_op(|op| matches!(op, gsampler_ir::Op::ScalarOp(..)))
-            .is_some());
-    }
-
-    #[test]
     fn multi_layer_counts() {
         assert_eq!(ladies(512, 3).len(), 3);
         assert_eq!(fastgcn(400, 2).len(), 2);

@@ -22,10 +22,6 @@
 //!                                (default 256 when auto-planning)
 //!   --no-degrade                 disable fault recovery and the memory
 //!                                degradation ladder (fail fast)
-//!   --plan-db FILE               compile through a persistent plan
-//!                                database (also: GSAMPLER_PLAN_DB env);
-//!                                cold runs insert plans, warm runs skip
-//!                                the layout/super-batch searches
 //!   --prefetch                   overlap next-batch seed-feature
 //!                                extraction with the current window's
 //!                                compute (hides the gather's modeled
@@ -52,7 +48,7 @@ fn usage() -> ! {
     eprintln!("  --dataset LJ|PD|PP|FS|tiny   --edges FILE   --scale F");
     eprintln!("  --batch N   --device v100|t4|cpu   --plain   --epochs N");
     eprintln!("  --trace-out FILE   --metrics-out FILE");
-    eprintln!("  --faults SPEC   --budget MIB   --no-degrade   --plan-db FILE   --prefetch");
+    eprintln!("  --faults SPEC   --budget MIB   --no-degrade   --prefetch");
     eprintln!("  --deadline-ms MS");
     std::process::exit(2);
 }
@@ -91,7 +87,6 @@ fn main() {
     let mut budget_mib: Option<f64> = None;
     let mut deadline_ms: Option<u64> = None;
     let trace = TraceOpts::from_args(&args);
-    let plan_db = gsampler_bench::plan_db_from_args(&args);
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> String {
@@ -140,7 +135,7 @@ fn main() {
                 deadline_ms = Some(value("--deadline-ms").parse().unwrap_or_else(|_| usage()))
             }
             // Parsed before the loop; skip the file path here.
-            "--trace-out" | "--metrics-out" | "--plan-db" => {
+            "--trace-out" | "--metrics-out" => {
                 let _ = value(flag);
             }
             other => {
@@ -204,7 +199,7 @@ fn main() {
     let opts = gsampler_bench::BuildOpts {
         recovery,
         budget_override: budget_mib.map(|mib| mib * (1 << 20) as f64),
-        plan_db,
+        plan_db: None,
         prefetch,
         deadline: deadline_ms.map(std::time::Duration::from_millis),
     };
@@ -230,10 +225,6 @@ fn main() {
             l.optimized.report.preprocessed
         ))
     );
-    let pdb = sampler.plan_db_stats();
-    if pdb.any() {
-        println!("{}", gsampler_bench::fmt_plan_db(&pdb));
-    }
 
     if dot {
         for (i, layer) in sampler.layers().iter().enumerate() {

@@ -8,10 +8,7 @@
 //! `N/A` marks architecture gaps, exactly as in the paper's figures.
 //!
 //! Usage: `main_comparison [--simple|--complex] [--profile] [--no-degrade]
-//! [--trace-out FILE] [--metrics-out FILE] [--plan-db FILE]`; `--plan-db`
-//! (or `GSAMPLER_PLAN_DB`) compiles every configuration through a
-//! persistent plan database — a warm database skips the per-config
-//! layout/super-batch searches. `--profile` additionally
+//! [--trace-out FILE] [--metrics-out FILE]`. `--profile` additionally
 //! prints, per dataset × algorithm, the dispatcher's per-kernel breakdown
 //! of the measured gSampler epoch (invocation count, modeled device time,
 //! bytes). `--trace-out` records a Chrome-trace/Perfetto timeline of the
@@ -42,8 +39,6 @@ fn main() {
     let no_degrade = args.iter().any(|a| a == "--no-degrade");
     let faults_on = install_faults_from_env();
     let trace = TraceOpts::from_args(&args);
-    let plan_db = gsampler_bench::plan_db_from_args(&args);
-    let mut plan_db_totals = gsampler_core::PlanDbStats::default();
     let algos: Vec<Algo> = if simple_only {
         Algo::SIMPLE.to_vec()
     } else if complex_only {
@@ -93,14 +88,10 @@ fn main() {
                 true,
                 BuildOpts {
                     recovery,
-                    plan_db: plan_db.clone(),
                     ..BuildOpts::default()
                 },
             )
             .and_then(|s| gsampler_epoch(&s, &graph, algo, seeds, &h).map(|e| (e, s)));
-            if let Ok((_, sampler)) = &gs {
-                plan_db_totals.merge(&sampler.plan_db_stats());
-            }
             let dgl_gpu = eager_epoch(&graph, algo, seeds, &h, DeviceProfile::v100());
             let dgl_cpu = eager_epoch(&graph, algo, seeds, &h, DeviceProfile::cpu());
             let vc = vertex_centric_epoch(&graph, algo, seeds, &h, DeviceProfile::v100());
@@ -208,9 +199,6 @@ fn main() {
         speedups.len()
     );
     println!("(paper: 1.14–32.7x, average 6.54x, 19/28 cases above 2x)");
-    if plan_db_totals.any() {
-        println!("{}", gsampler_bench::fmt_plan_db(&plan_db_totals));
-    }
     if faults_on {
         let i = gsampler_engine::faults::injected();
         println!(

@@ -138,9 +138,7 @@ pub struct BuildOpts {
     /// The chaos smoke passes a tiny budget to force the degradation
     /// ladder deterministically.
     pub budget_override: Option<f64>,
-    /// Plan database to compile through ([`plan_db_from_args`] opens one
-    /// from `--plan-db FILE` / `GSAMPLER_PLAN_DB`); `None` disables plan
-    /// caching.
+    /// Plan database to compile through; `None` disables plan caching.
     pub plan_db: Option<Arc<gsampler_core::PlanDb>>,
     /// Overlap next-batch seed-feature extraction with the current
     /// window's compute (`--prefetch`). Off by default: on a
@@ -207,49 +205,6 @@ pub fn build_gsampler_with(
         cancel: None,
     };
     compile(graph.clone(), algo.layers(h), config)
-}
-
-/// Open the plan database named by `--plan-db FILE` or, failing that, the
-/// `GSAMPLER_PLAN_DB` environment variable. Returns `None` when neither
-/// is set; exits with a usage diagnostic on a missing value or an
-/// unreadable/corrupt file. The file is created on the first insert, so
-/// pointing both a cold and a warm run at the same fresh path is the
-/// intended usage.
-pub fn plan_db_from_args(args: &[String]) -> Option<Arc<gsampler_core::PlanDb>> {
-    let path = args
-        .iter()
-        .position(|a| a == "--plan-db")
-        .map(|i| match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => v.clone(),
-            _ => {
-                eprintln!("--plan-db needs a file path");
-                std::process::exit(2);
-            }
-        })
-        .or_else(|| {
-            std::env::var("GSAMPLER_PLAN_DB")
-                .ok()
-                .filter(|s| !s.is_empty())
-        });
-    path.map(|p| match gsampler_core::PlanDb::open(&p) {
-        Ok(db) => Arc::new(db),
-        Err(e) => {
-            eprintln!("failed to open plan database {p}: {e}");
-            std::process::exit(2);
-        }
-    })
-}
-
-/// One-line rendering of plan-database counters for CLI output.
-pub fn fmt_plan_db(s: &gsampler_core::PlanDbStats) -> String {
-    format!(
-        "plan-db: hits={} misses={} drifts={} inserts={} (hit rate {:.0}%)",
-        s.hits,
-        s.misses,
-        s.drifts,
-        s.inserts,
-        s.hit_rate() * 100.0
-    )
 }
 
 /// Measure one gSampler epoch (bounded + extrapolated).

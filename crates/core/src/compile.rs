@@ -10,11 +10,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gsampler_engine::plandb::{PlanDb, PlanDbStats, SuperBatchRec};
 use gsampler_engine::{
-    workload, Device, DeviceProfile, ExecStats, FaultReport, MemoryTracker, Residency, RngPool,
+    workload, Device, DeviceProfile, ExecStats, FaultReport, MemoryTracker, PlanDbStats, Residency,
+    RngPool,
 };
-use gsampler_ir::passes::{run_passes_with, OptConfig, OptimizedProgram};
+use gsampler_ir::passes::{run_passes, OptConfig, OptimizedProgram};
 use gsampler_ir::superbatch;
 use gsampler_matrix::NodeId;
 use rand::rngs::StdRng;
@@ -23,7 +23,7 @@ use crate::builder::Layer;
 use crate::error::{Error, Result};
 use crate::exec::{self, Bindings};
 use crate::graph::Graph;
-use crate::plan_session::PlanSession;
+use crate::plandb::{CompiledPlan, PlanDb, PlanKey};
 use crate::value::Value;
 
 /// How the epoch drivers respond to faults: bounded retry for transient
@@ -97,9 +97,8 @@ pub struct SamplerConfig {
     pub max_super_batch: usize,
     /// Fault-recovery policy for the epoch drivers.
     pub recovery: RecoveryPolicy,
-    /// Plan database to consult before running the expensive layout /
-    /// super-batch searches (and to insert fresh plans into on a miss).
-    /// `None` disables plan caching.
+    /// Plan database to look the whole compile up in (and to insert its
+    /// result into on a miss). `None` disables plan caching.
     pub plan_db: Option<Arc<PlanDb>>,
     /// Overlap the *next* window's frontier feature extraction with the
     /// current window's compute on a prefetch thread (the Snippet-3
@@ -158,8 +157,8 @@ impl Default for SamplerConfig {
 pub struct CompiledLayer {
     /// Source layer (original program + output conventions).
     pub layer: Layer,
-    /// Optimized program and pass report (shared: a plan-cache payload
-    /// hit reuses the compiling sampler's copy without a deep clone).
+    /// Optimized program and pass report (shared: a plan-database hit
+    /// reuses the compiling sampler's copy without a deep clone).
     pub optimized: Arc<OptimizedProgram>,
     /// Values filling the program's `Precomputed` slots.
     pub precomputed: Vec<Arc<Value>>,
@@ -184,8 +183,8 @@ pub struct Sampler {
     pool: RngPool,
     config: SamplerConfig,
     super_batch: usize,
-    /// Plan-database counter delta from this sampler's own compile (the
-    /// device session is reset per epoch, so the compile-time counters are
+    /// This sampler's own compile's plan-database lookup (the device
+    /// session is reset per epoch, so the compile-time counters are
     /// carried here and re-injected into every epoch's stats).
     plan_db_stats: PlanDbStats,
 }
@@ -335,40 +334,92 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
     compile_span.arg("layers", layers.len());
     compile_span.arg("batch_size", config.batch_size);
     let device = Device::new(config.device.clone());
-    let stats = graph.stats();
     let graph_value = graph.matrix_value();
     let pool = RngPool::new(config.seed);
 
-    let db_before = config.plan_db.as_deref().map(|db| (db, db.stats()));
-    let session = db_before.map(|(db, _)| PlanSession::open(db, &graph, &layers, &config));
-    let mut payload_reused = 0usize;
+    // One lookup, whose outcome is this compile's own (a before/after
+    // delta of the shared counters would count concurrent compiles).
+    let mut plan_db_stats = PlanDbStats::default();
+    let keyed = config
+        .plan_db
+        .as_deref()
+        .map(|db| (db, PlanKey::new(&graph, &layers, &config)));
+    let cached = keyed
+        .as_ref()
+        .and_then(|(db, key)| db.lookup(key, &graph, &layers));
+    let (compiled, super_batch) = match cached {
+        Some(plan) => {
+            plan_db_stats.hits = 1;
+            let compiled = layers
+                .into_iter()
+                .zip(&plan.layers)
+                .map(|(layer, p)| CompiledLayer {
+                    layer,
+                    optimized: p.optimized.clone(),
+                    precomputed: p.precomputed.clone(),
+                })
+                .collect();
+            (compiled, plan.super_batch)
+        }
+        None => {
+            let (compiled, super_batch) =
+                plan_layers(&graph, &graph_value, layers, &config, &device, &pool)?;
+            if let Some((db, key)) = keyed {
+                plan_db_stats.misses = 1;
+                // Never record a degraded compile: one that landed on the
+                // streaming rung planned under memory pressure, and handing
+                // it to a healthy compile would bake the degradation in.
+                if !device.spill_enabled() {
+                    let plan = Arc::new(CompiledPlan::new(&graph, &compiled, super_batch));
+                    plan_db_stats.inserts = 1;
+                    plan_db_stats.evictions = db.insert(key, plan);
+                }
+            }
+            (compiled, super_batch)
+        }
+    };
+    compile_span.arg("super_batch", super_batch);
+    if plan_db_stats.any() {
+        compile_span.arg("plan_cache_hits", plan_db_stats.hits);
+        compile_span.arg("plan_cache_misses", plan_db_stats.misses);
+    }
+    drop(compile_span);
 
+    Ok(Sampler {
+        graph,
+        graph_value,
+        layers: compiled,
+        device,
+        pool,
+        config,
+        super_batch,
+        plan_db_stats,
+    })
+}
+
+/// The work a plan-database hit skips: run the pass pipeline over every
+/// layer, evaluate the precompute programs, and choose the super-batch
+/// factor. Leaves `device` on the streaming rung when even factor 1 does
+/// not fit the budget.
+fn plan_layers(
+    graph: &Arc<Graph>,
+    graph_value: &Arc<Value>,
+    layers: Vec<Layer>,
+    config: &SamplerConfig,
+    device: &Device,
+    pool: &RngPool,
+) -> Result<(Vec<CompiledLayer>, usize)> {
+    let stats = graph.stats();
     let mut compiled = Vec::with_capacity(layers.len());
     for (li, layer) in layers.into_iter().enumerate() {
-        let reuse = session
-            .as_ref()
-            .and_then(|s| s.payload_layer(li, &layer.program));
-        if let Some(pl) = reuse {
-            // Equal to the already-validated source: reuse the compiled
-            // program and precomputed values without re-running any pass
-            // (or the precompute evaluation).
-            compiled.push(CompiledLayer {
-                layer,
-                optimized: pl.optimized.clone(),
-                precomputed: pl.precomputed.clone(),
-            });
-            payload_reused += 1;
-            continue;
-        }
         layer.program.validate().map_err(Error::InvalidProgram)?;
-        let optimized = Arc::new(run_passes_with(
+        let optimized = Arc::new(run_passes(
             &layer.program,
             &config.opt,
             &stats,
             config.batch_size,
             device.cost_model(),
             graph.residency,
-            session.as_ref().and_then(|s| s.cached_layout(li)),
         ));
         // Evaluate the batch-invariant program once, at compile time.
         let precomputed: Vec<Arc<Value>> = if optimized.precompute.is_empty() {
@@ -380,12 +431,12 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
             let out = execute_recovering(
                 &config.recovery,
                 &optimized.precompute,
-                &graph,
-                &graph_value,
+                graph,
+                graph_value,
                 &groups,
                 &Bindings::new(),
                 &[],
-                &device,
+                device,
                 std::slice::from_mut(&mut rng),
             )?;
             out.into_iter()
@@ -404,43 +455,18 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
     // Precompute cost is one-time; do not let it pollute epoch stats.
     device.reset();
 
-    // Super-batch factor: explicit config, or planned under a budget (a
-    // cached factor that still fits spares the grid walk).
+    // Super-batch factor: explicit config, or planned under a budget.
     let mut super_batch = config.opt.super_batch.max(1);
-    let mut sb_rec = SuperBatchRec::default();
     if let Some(budget) = config.auto_super_batch_budget {
-        let cap = config.max_super_batch.max(1);
-        let cached_factor = session
-            .as_ref()
-            .and_then(|s| s.cached_factor())
-            .map(|f| f.clamp(1, cap));
-        let (factor, fits) = match cached_factor {
-            // Full payload reuse: same graph, same programs, same budget —
-            // the estimate is deterministic, so re-checking it would
-            // reproduce the planning verdict.
-            Some(f) if payload_reused == compiled.len() && !compiled.is_empty() => (f, true),
-            _ => {
-                let mut planned = usize::MAX;
-                let mut fits = true;
-                for layer in &compiled {
-                    let plan = superbatch::plan(
-                        &layer.optimized.program,
-                        &stats,
-                        config.batch_size,
-                        budget,
-                        cached_factor,
-                    );
-                    planned = planned.min(plan.factor);
-                    fits &= plan.fits;
-                }
-                (planned.clamp(1, cap), fits)
-            }
-        };
-        super_batch = factor;
-        sb_rec = SuperBatchRec {
-            planned: true,
-            factor,
-        };
+        let mut planned = usize::MAX;
+        let mut fits = true;
+        for layer in &compiled {
+            let plan =
+                superbatch::plan(&layer.optimized.program, &stats, config.batch_size, budget);
+            planned = planned.min(plan.factor);
+            fits &= plan.fits;
+        }
+        super_batch = planned.clamp(1, config.max_super_batch.max(1));
         if !fits {
             // Even factor 1 exceeds the budget. With degradation enabled
             // the sampler starts directly on the ladder's streaming rung;
@@ -473,33 +499,7 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
     {
         super_batch = 1;
     }
-
-    // Never record a degraded compile: one that landed on the streaming
-    // rung planned under memory pressure, and handing its decisions to a
-    // healthy process would bake the degradation in.
-    if let Some(session) = session.filter(|_| !device.spill_enabled()) {
-        session.commit(&graph, &compiled, payload_reused, sb_rec);
-    }
-    let plan_db_stats = db_before.map_or_else(PlanDbStats::default, |(db, before)| {
-        db.stats().since(&before)
-    });
-    compile_span.arg("super_batch", super_batch);
-    if plan_db_stats.any() {
-        compile_span.arg("plan_cache_hits", plan_db_stats.hits);
-        compile_span.arg("plan_cache_misses", plan_db_stats.misses);
-    }
-    drop(compile_span);
-
-    Ok(Sampler {
-        graph,
-        graph_value,
-        layers: compiled,
-        device,
-        pool,
-        config,
-        super_batch,
-        plan_db_stats,
-    })
+    Ok((compiled, super_batch))
 }
 
 /// One layer's outputs for one mini-batch.
@@ -528,9 +528,9 @@ impl Sampler {
         self.super_batch
     }
 
-    /// Plan-database counters from this sampler's compile: how the compile
-    /// interacted with the cache (hit/miss/drift/insert). All zero when no
-    /// plan database was configured.
+    /// Plan-database counters of this sampler's own compile: one lookup
+    /// (a hit, or a miss and — unless degraded — an insert). All zero when
+    /// no plan database was configured.
     pub fn plan_db_stats(&self) -> PlanDbStats {
         self.plan_db_stats
     }

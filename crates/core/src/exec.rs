@@ -91,9 +91,7 @@ pub fn superbatch_compatible(program: &Program) -> bool {
     let frontier_cols = |mut id: usize| loop {
         let n = &nodes[id];
         match n.op {
-            Op::SliceCols | Op::FusedExtractSelect { .. } | Op::FusedSampleRelabel { .. } => {
-                return by_frontiers(n)
-            }
+            Op::SliceCols | Op::FusedExtractSelect { .. } => return by_frontiers(n),
             Op::CompactCols => return false,
             _ => match n.inputs.first() {
                 Some(&p) => id = p,
@@ -102,10 +100,7 @@ pub fn superbatch_compatible(program: &Program) -> bool {
         }
     };
     nodes.iter().all(|node| match node.op {
-        Op::SliceCols
-        | Op::SliceRows
-        | Op::FusedExtractSelect { .. }
-        | Op::FusedSampleRelabel { .. } => by_frontiers(node),
+        Op::SliceCols | Op::SliceRows | Op::FusedExtractSelect { .. } => by_frontiers(node),
         Op::IndividualSample { .. } => frontier_cols(node.inputs[0]),
         Op::InduceSubgraph | Op::ReduceAll(..) | Op::SpmmT => false,
         _ => true,

@@ -31,7 +31,7 @@ pub struct Graph {
     cache_plan: Option<Arc<CachePlan>>,
     /// Executor value for the adjacency matrix, built on first compile.
     /// The CSC buffers are large; cloning them per compile would dwarf a
-    /// plan-cache hit, so every sampler compiled against this graph
+    /// plan-database hit, so every sampler compiled against this graph
     /// shares one `Arc`. Mutating `matrix` after a compile is not
     /// supported (the cached value would go stale).
     matrix_value: OnceLock<Arc<Value>>,

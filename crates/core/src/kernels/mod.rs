@@ -147,7 +147,6 @@ fn resolve(op: &Op) -> (&'static str, RunFn) {
         | Op::IndividualSample { .. }
         | Op::CollectiveSample { .. }
         | Op::FusedExtractSelect { .. }
-        | Op::FusedSampleRelabel { .. }
         | Op::Convert(..)
         | Op::CompactRows
         | Op::CompactCols

@@ -5,7 +5,6 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use gsampler_engine::{take_scratch, take_scratch_filled};
 use gsampler_ir::Op;
 use gsampler_matrix::sample::{
     individual_sample_seeded, individual_sample_with_replacement_seeded, StreamSource,
@@ -20,10 +19,10 @@ use crate::value::Value;
 use super::eltwise::{want_matrix, want_nodes, want_vector, with_data};
 use super::{par_gate, superbatch, ExecCtx};
 
-/// The per-frontier neighbour choices shared by [`fused_extract_select`]
-/// and [`fused_sample_relabel`]: which graph column each output column
-/// reads, its block-row offset under super-batching, the sorted neighbour
-/// offsets picked for it, and the output CSC column pointers.
+/// The per-frontier neighbour choices of [`fused_extract_select`]: which
+/// graph column each output column reads, its block-row offset under
+/// super-batching, the sorted neighbour offsets picked for it, and the
+/// output CSC column pointers.
 struct FrontierPicks {
     cols_f: Vec<NodeId>,
     row_off: Vec<NodeId>,
@@ -36,15 +35,13 @@ struct FrontierPicks {
 /// Frontier-parallel on the worker pool: column `c` always draws from RNG
 /// stream `c` of [`ColStreams`] seeded once per group from that group's
 /// RNG, so the plan is bit-identical at any thread count — and consumes
-/// exactly one `gen::<u64>()` per group stream, keeping downstream RNG
-/// alignment whichever fused kernel executes it.
+/// exactly one `gen::<u64>()` per group stream.
 fn plan_frontier_picks(
     csc: &Csc,
     k: usize,
     replace: bool,
     ctx: &ExecCtx<'_>,
     rngs: &mut [StdRng],
-    op_name: &'static str,
 ) -> Result<FrontierPicks> {
     let n = ctx.n;
     let total_cols = ctx.concat_frontiers.len();
@@ -59,7 +56,7 @@ fn plan_frontier_picks(
         for &f in group {
             if (f as usize) >= csc.ncols {
                 return Err(gsampler_matrix::Error::IndexOutOfBounds {
-                    op: op_name,
+                    op: "fused_extract_select",
                     index: f as usize,
                     bound: csc.ncols,
                 }
@@ -129,7 +126,7 @@ pub fn fused_extract_select(
         row_off,
         picks,
         indptr,
-    } = plan_frontier_picks(&csc, k, replace, ctx, rngs, "fused_extract_select")?;
+    } = plan_frontier_picks(&csc, k, replace, ctx, rngs)?;
 
     let out_nnz = *indptr.last().unwrap();
     let mut indices = vec![0 as NodeId; out_nnz];
@@ -170,117 +167,6 @@ pub fn fused_extract_select(
     Ok(Value::Matrix(GraphMatrix {
         data: SparseMatrix::Csc(block),
         row_ids: m.row_ids.clone(),
-        col_ids: Some(std::sync::Arc::new(ctx.concat_frontiers.to_vec())),
-    }))
-}
-
-/// Fused extract + node-wise select + row compaction: one kernel producing
-/// what `fused_extract_select` followed by `CompactRows` would, without
-/// materialising the uncompacted block or traversing the output a second
-/// time.
-///
-/// The sampling plan is shared with [`fused_extract_select`] (same RNG
-/// pools, same one draw per group stream), and the kept rows are the
-/// sorted distinct sampled rows — exactly the ascending order
-/// `GraphMatrix::compact_rows` produces — so the output is bit-identical
-/// to the unfused pair. Relabelling by rank is monotone, preserving each
-/// column's ascending row order, so the result is a valid CSC. The
-/// sampled-row staging buffer comes from the batch arena
-/// ([`take_scratch`]), making the steady-state fill pass allocation-free
-/// for that buffer.
-pub fn fused_sample_relabel(
-    m: &GraphMatrix,
-    k: usize,
-    replace: bool,
-    ctx: &ExecCtx<'_>,
-    rngs: &mut [StdRng],
-) -> Result<Value> {
-    let csc = m.data.to_csc();
-    let total_cols = ctx.concat_frontiers.len();
-    let FrontierPicks {
-        cols_f,
-        row_off,
-        picks,
-        indptr,
-    } = plan_frontier_picks(&csc, k, replace, ctx, rngs, "fused_sample_relabel")?;
-
-    let out_nnz = *indptr.last().unwrap();
-
-    // Mark every sampled (block-offset) row in a bitmap, then sweep it to
-    // emit the kept rows ascending while filling the old→new rank table —
-    // the same O(nnz + n/64) scheme `compact_rows` uses, minus the
-    // intermediate matrix it would have had to scan. Both the bitmap and
-    // the graph-sized table are arena scratch reused batch to batch.
-    let block_rows = ctx.n * ctx.s;
-    let mut words = take_scratch_filled::<u64>(block_rows.div_ceil(64), 0);
-    for c in 0..cols_f.len() {
-        let range = csc.col_range(cols_f[c] as usize);
-        let offset = row_off[c];
-        for &off in &picks[c] {
-            let row = csc.indices[range.start + off] + offset;
-            words[row as usize / 64] |= 1u64 << (row % 64);
-        }
-    }
-    let mut kept = take_scratch::<NodeId>(out_nnz.min(block_rows));
-    let mut old_to_new = take_scratch_filled::<NodeId>(block_rows, NodeId::MAX);
-    for (w, &word) in words.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let b = bits.trailing_zeros();
-            bits &= bits - 1;
-            let row = (w * 64) as NodeId + b as NodeId;
-            old_to_new[row as usize] = kept.len() as NodeId;
-            kept.push(row);
-        }
-    }
-
-    let mut indices = vec![0 as NodeId; out_nnz];
-    let gate = par_gate(out_nnz);
-    let map_ref: &[NodeId] = &old_to_new;
-    let fill_idx = |c: usize, seg_i: &mut [NodeId]| {
-        let range = csc.col_range(cols_f[c] as usize);
-        let offset = row_off[c];
-        for (j, &off) in picks[c].iter().enumerate() {
-            let row = csc.indices[range.start + off] + offset;
-            seg_i[j] = map_ref[row as usize];
-        }
-    };
-    let values = match csc.values.as_ref() {
-        Some(src) => {
-            let mut vals = vec![0f32; out_nnz];
-            parallel_scatter2(&mut indices, &mut vals, &indptr, gate, |c, seg_i, seg_v| {
-                fill_idx(c, seg_i);
-                let range = csc.col_range(cols_f[c] as usize);
-                for (j, &off) in picks[c].iter().enumerate() {
-                    seg_v[j] = src[range.start + off];
-                }
-            });
-            Some(vals)
-        }
-        None => {
-            parallel_scatter(&mut indices, &indptr, gate, |c, seg_i| fill_idx(c, seg_i));
-            None
-        }
-    };
-
-    // Global ids for the kept rows, mirroring `compact_rows` on the
-    // unfused output: through `row_ids` when present, identity otherwise
-    // (the base graph carries no row ids, so block-offset rows under
-    // super-batching pass through unchanged).
-    let row_ids: Vec<NodeId> = match &m.row_ids {
-        Some(ids) => kept.iter().map(|&r| ids[r as usize]).collect(),
-        None => kept.to_vec(),
-    };
-    let block = Csc {
-        nrows: kept.len(),
-        ncols: total_cols,
-        indptr,
-        indices,
-        values,
-    };
-    Ok(Value::Matrix(GraphMatrix {
-        data: SparseMatrix::Csc(block),
-        row_ids: Some(std::sync::Arc::new(row_ids)),
         col_ids: Some(std::sync::Arc::new(ctx.concat_frontiers.to_vec())),
     }))
 }
@@ -347,10 +233,6 @@ pub(super) fn run(
             let m = want_matrix(inputs[0], "fused_extract_select")?;
             fused_extract_select(m, *k, *replace, ctx, rngs)
         }
-        Op::FusedSampleRelabel { k, replace } => {
-            let m = want_matrix(inputs[0], "fused_sample_relabel")?;
-            fused_sample_relabel(m, *k, *replace, ctx, rngs)
-        }
         Op::Convert(fmt) => {
             let m = want_matrix(inputs[0], "convert")?;
             let mut out = m.clone();
@@ -380,70 +262,5 @@ pub(super) fn run(
         other => Err(Error::Execution(format!(
             "slice_sample kernel cannot evaluate {other:?}"
         ))),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{Bindings, Graph};
-    use rand::SeedableRng;
-
-    fn test_graph() -> Graph {
-        let mut edges: Vec<(NodeId, NodeId, f32)> = Vec::new();
-        for c in 0..50u32 {
-            for j in 0..((c % 7) + 1) {
-                edges.push(((c * 13 + j * 29) % 50, c, 1.0 + j as f32 * 0.5));
-            }
-        }
-        Graph::from_edges("relabel-test", 50, &edges, true).unwrap()
-    }
-
-    /// The fused kernel must be bit-identical to `fused_extract_select`
-    /// followed by `compact_rows`, and leave the session RNG in the same
-    /// state (one draw), so plans with and without the fusion peephole
-    /// produce identical samples.
-    #[test]
-    fn fused_sample_relabel_matches_sample_then_compact() {
-        let graph = test_graph();
-        let bindings = Bindings::new();
-        for (s, groups, offsets) in [
-            (1usize, vec![vec![0u32, 3, 7, 12, 49]], vec![0usize, 5]),
-            (2, vec![vec![0u32, 3, 7], vec![12, 49, 5]], vec![0, 3, 6]),
-        ] {
-            let concat: Vec<NodeId> = groups.concat();
-            let ctx = ExecCtx {
-                graph: &graph,
-                n: 50,
-                s,
-                col_offsets: &offsets,
-                frontier_groups: &groups,
-                concat_frontiers: &concat,
-                bindings: &bindings,
-                precomputed: &[],
-            };
-            for replace in [false, true] {
-                let mut rng_a: Vec<StdRng> = (0..s as u64).map(StdRng::seed_from_u64).collect();
-                let mut rng_b = rng_a.clone();
-                let unfused = fused_extract_select(&graph.matrix, 3, replace, &ctx, &mut rng_a)
-                    .unwrap()
-                    .as_matrix()
-                    .unwrap()
-                    .compact_rows();
-                let fused =
-                    fused_sample_relabel(&graph.matrix, 3, replace, &ctx, &mut rng_b).unwrap();
-                let fused = fused.as_matrix().unwrap();
-                assert_eq!(
-                    fused, &unfused,
-                    "fused output diverged (s={s}, replace={replace})"
-                );
-                assert!(fused.data.to_csc().nrows < 50 * s, "nothing was compacted");
-                assert_eq!(
-                    rng_a.iter_mut().map(|r| r.gen()).collect::<Vec<u64>>(),
-                    rng_b.iter_mut().map(|r| r.gen()).collect::<Vec<u64>>(),
-                    "RNG streams desynced (s={s}, replace={replace})"
-                );
-            }
-        }
     }
 }

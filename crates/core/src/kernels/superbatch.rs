@@ -166,7 +166,7 @@ pub fn segmented_collective_sample(
 /// rows carry the `b·N` group offset, or a node list of such row IDs.
 ///
 /// The segmented extract kernels ([`segmented_slice_cols`],
-/// `fused_extract_select`, `fused_sample_relabel`) lift the base graph
+/// `fused_extract_select`) lift the base graph
 /// into block space; row-preserving operators propagate it; everything
 /// else (column space, dense/vector compute, inputs) is conservatively
 /// `false`. [`split_outputs`] uses this to attribute node lists to groups
@@ -182,7 +182,7 @@ pub fn block_space(program: &Program) -> Vec<bool> {
             // Segmented extraction lifts base-space columns into block
             // rows; slicing a block matrix's columns keeps its row space.
             Op::SliceCols => matches!(nodes[node.inputs[0]].op, Op::InputGraph) || inherit(0),
-            Op::FusedExtractSelect { .. } | Op::FusedSampleRelabel { .. } => true,
+            Op::FusedExtractSelect { .. } => true,
             // Row-space-preserving operators (select, compute, compact,
             // convert) propagate the property from their matrix input.
             Op::IndividualSample { .. }

@@ -52,7 +52,7 @@ pub mod graph;
 pub mod hetero;
 pub mod kernels;
 pub mod multi_gpu;
-mod plan_session;
+mod plandb;
 pub mod session_rng;
 pub mod value;
 
@@ -64,10 +64,10 @@ pub use exec::Bindings;
 pub use export::{to_edge_index_graph, to_message_flow_graph, EdgeIndexGraph, MessageFlowGraph};
 pub use graph::Graph;
 pub use multi_gpu::{MultiGpuReport, MultiGpuSampler};
+pub use plandb::PlanDb;
 pub use value::Value;
 
 // Re-export the configuration surface users need alongside the API.
-pub use gsampler_engine::plandb::{PlanDb, PlanDbStats};
-pub use gsampler_engine::{DeviceProfile, Residency};
+pub use gsampler_engine::{DeviceProfile, PlanDbStats, Residency};
 pub use gsampler_ir::passes::{LayoutMode, OptConfig};
 pub use gsampler_matrix::{Axis, EltOp, ReduceOp};

@@ -1,5 +1,7 @@
-//! Plan-database behaviour through `compile`: the drift path end to end,
-//! and the coverage of the lookup key.
+//! Plan-database behaviour through `compile`: what hits (the same graph
+//! object and programs), what can only miss (any other graph), what is
+//! never inserted or kept, per-compile counters, and the coverage of the
+//! lookup key.
 
 use std::sync::Arc;
 
@@ -43,6 +45,19 @@ fn nodewise_layer(k: usize) -> Layer {
     b.build()
 }
 
+/// FastGCN-like: sample by the whole graph's row degrees, which the
+/// preprocess pass hoists into a per-graph precomputed value.
+fn degree_biased_layers() -> Vec<Layer> {
+    let b = LayerBuilder::new();
+    let deg = b.graph().degrees(Axis::Row);
+    let sample = b
+        .graph()
+        .slice_cols(&b.frontiers())
+        .collective_sample(8, Some(&deg));
+    b.output(&sample);
+    vec![b.build()]
+}
+
 fn layers() -> Vec<Layer> {
     vec![layerwise_layer(8), nodewise_layer(3)]
 }
@@ -64,42 +79,156 @@ fn samples(sampler: &Sampler) -> String {
 }
 
 #[test]
-fn drifted_entry_is_repriced_refreshed_and_invisible_in_samples() {
-    // Same node count, 300 -> 400 edges: both in the [256, 512) edge
-    // bucket, so the second graph finds the first one's entry — a third
-    // more edges (and average degree) than it was planned under.
-    let (planned_on, drifted) = (graph(300), graph(400));
+fn same_graph_and_program_hit_the_first_compiles_programs() {
+    let g = graph(300);
     let db = Arc::new(PlanDb::in_memory());
     let with_db = config(OptConfig::all(), Some(&db));
-
-    let cold = compile(planned_on, layers(), with_db.clone()).unwrap();
+    let cold = compile(g.clone(), layers(), with_db.clone()).unwrap();
     let s = cold.plan_db_stats();
-    assert_eq!((s.misses, s.drifts, s.inserts), (1, 0, 1));
-
-    let repriced = compile(drifted.clone(), layers(), with_db.clone()).unwrap();
-    let s = repriced.plan_db_stats();
-    assert_eq!((s.hits, s.misses, s.drifts, s.inserts), (0, 0, 1, 1));
-
-    // The drifted compile samples exactly what a database-less one does,
-    // and its plans were priced under the graph it actually runs on.
-    let fresh = compile(drifted.clone(), layers(), config(OptConfig::all(), None)).unwrap();
-    assert_eq!(samples(&repriced), samples(&fresh));
-    assert_eq!(repriced.super_batch_factor(), fresh.super_batch_factor());
-    for (a, b) in repriced.layers().iter().zip(fresh.layers()) {
-        let (a, b) = (&a.optimized.layout_plan, &b.optimized.layout_plan);
-        assert_eq!(a.natural_time, b.natural_time);
-        assert!(a.est_time <= a.natural_time);
-    }
-    let planned_natural = cold.layers()[0].optimized.layout_plan.natural_time;
-    let repriced_natural = repriced.layers()[0].optimized.layout_plan.natural_time;
-    assert_ne!(planned_natural, repriced_natural);
-
-    // The entry was refreshed: the same compile again is a clean hit.
-    let warm = compile(drifted, layers(), with_db).unwrap();
+    assert_eq!((s.hits, s.misses, s.inserts), (0, 1, 1));
+    let warm = compile(g.clone(), layers(), with_db).unwrap();
     let s = warm.plan_db_stats();
-    assert_eq!((s.hits, s.misses, s.drifts, s.inserts), (1, 0, 0, 0));
-    assert_eq!(samples(&warm), samples(&fresh));
+    assert_eq!((s.hits, s.misses, s.inserts), (1, 0, 0));
     assert_eq!(db.len(), 1);
+    for (c, w) in cold.layers().iter().zip(warm.layers()) {
+        assert!(Arc::ptr_eq(&c.optimized, &w.optimized));
+    }
+    assert_eq!(warm.super_batch_factor(), cold.super_batch_factor());
+    let fresh = compile(g, layers(), config(OptConfig::all(), None)).unwrap();
+    assert_eq!(samples(&warm), samples(&fresh));
+}
+
+#[test]
+fn another_graph_misses_and_precomputes_for_itself() {
+    // Three graphs with equal stats: `g`, an equal graph with its own
+    // identity, and one whose edges (hence the hoisted degrees) differ.
+    let g = graph(300);
+    let twin = Arc::new((*g).clone());
+    let list: Vec<(NodeId, NodeId, f32)> = (0..300u32)
+        .map(|i| (i % NODES, (i % NODES * 7 + 3 + i / NODES) % NODES, 1.0))
+        .collect();
+    let other = Arc::new(Graph::from_edges("other", NODES as usize, &list, false).unwrap());
+    assert_eq!(g.num_edges(), other.num_edges());
+
+    let db = Arc::new(PlanDb::in_memory());
+    let with_db = config(OptConfig::all(), Some(&db));
+    let first = compile(g, degree_biased_layers(), with_db.clone()).unwrap();
+    assert!(!first.layers()[0].precomputed.is_empty());
+    for (name, graph) in [("twin", &twin), ("other", &other)] {
+        let through_db = compile(graph.clone(), degree_biased_layers(), with_db.clone()).unwrap();
+        let s = through_db.plan_db_stats();
+        assert_eq!((s.hits, s.misses, s.inserts), (0, 1, 1), "{name}");
+        let (a, b) = (&first.layers()[0], &through_db.layers()[0]);
+        assert!(!Arc::ptr_eq(&a.optimized, &b.optimized), "{name}");
+        assert!(
+            !Arc::ptr_eq(&a.precomputed[0], &b.precomputed[0]),
+            "{name}: took another graph's precomputed values"
+        );
+        let fresh = compile(
+            graph.clone(),
+            degree_biased_layers(),
+            config(OptConfig::all(), None),
+        )
+        .unwrap();
+        assert_eq!(samples(&through_db), samples(&fresh), "{name}");
+    }
+    assert_eq!(db.len(), 3);
+}
+
+#[test]
+fn a_dropped_graphs_entries_are_purged_not_pinned() {
+    let db = Arc::new(PlanDb::in_memory());
+    let g = graph(300);
+    let alive = Arc::downgrade(&g);
+    for opt in [OptConfig::all(), OptConfig::plain()] {
+        compile(g.clone(), layers(), config(opt, Some(&db))).unwrap();
+    }
+    assert_eq!(db.len(), 2);
+    drop(g);
+    assert!(
+        alive.upgrade().is_none(),
+        "the database kept the graph alive"
+    );
+    // The next insert sweeps them out.
+    compile(graph(300), layers(), config(OptConfig::all(), Some(&db))).unwrap();
+    assert_eq!(db.len(), 1);
+    assert_eq!(db.stats().evictions, 0);
+}
+
+#[test]
+fn lru_eviction_is_counted_on_the_compile_that_caused_it() {
+    let g = graph(300);
+    let db = Arc::new(PlanDb::in_memory());
+    let compile_at = |batch_size: usize| {
+        let config = SamplerConfig {
+            batch_size,
+            ..config(OptConfig::all(), Some(&db))
+        };
+        compile(g.clone(), layers(), config)
+            .unwrap()
+            .plan_db_stats()
+    };
+    for batch_size in 1..=256 {
+        assert_eq!(compile_at(batch_size).evictions, 0);
+    }
+    assert_eq!(compile_at(257).evictions, 1);
+    assert_eq!((db.len(), db.stats().evictions), (256, 1));
+    // The oldest entry went.
+    assert_eq!(compile_at(1).misses, 1);
+}
+
+#[test]
+fn degraded_compile_is_not_inserted() {
+    let db = Arc::new(PlanDb::in_memory());
+    let one_byte = SamplerConfig {
+        auto_super_batch_budget: Some(1.0),
+        ..config(OptConfig::all(), Some(&db))
+    };
+    let spilled = compile(graph(300), layers(), one_byte).unwrap();
+    assert!(spilled.device().spill_enabled());
+    let s = spilled.plan_db_stats();
+    assert_eq!((s.hits, s.misses, s.inserts), (0, 1, 0));
+    assert!(db.is_empty());
+}
+
+#[test]
+fn concurrent_compiles_each_report_their_own_lookup() {
+    let g = graph(300);
+    let db = Arc::new(PlanDb::in_memory());
+    let threads = 8;
+    let barrier = std::sync::Barrier::new(threads);
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (g, db, barrier) = (&g, &db, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    // Two keys shared by every thread, one private to it.
+                    [16, 32, 100 + t]
+                        .map(|batch_size| {
+                            let config = SamplerConfig {
+                                batch_size,
+                                ..config(OptConfig::all(), Some(db))
+                            };
+                            compile(g.clone(), layers(), config)
+                                .unwrap()
+                                .plan_db_stats()
+                        })
+                        .to_vec()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("compile thread"))
+            .collect()
+    });
+    let mut sum = gsampler_core::PlanDbStats::default();
+    for r in &reports {
+        assert_eq!(r.lookups(), 1, "a compile counted another's lookup: {r:?}");
+        sum.merge(r);
+    }
+    assert_eq!(sum, db.stats());
 }
 
 #[test]

@@ -29,7 +29,6 @@ pub mod cost;
 pub mod device;
 pub mod faults;
 pub mod memory;
-pub mod plandb;
 pub mod stats;
 pub mod workload;
 
@@ -42,11 +41,7 @@ pub use gsampler_runtime::{
     PoolMetrics, Recycled, RngPool,
 };
 pub use memory::{MemoryTracker, OomError};
-pub use plandb::{
-    GraphSummary, LayerPlanRec, LayoutDecision, LayoutPlan, Lookup, PlanArtifact, PlanDb,
-    PlanDbStats, PlanKey, SuperBatchRec,
-};
-pub use stats::{ExecStats, FaultReport, KernelAgg, KernelRecord};
+pub use stats::{ExecStats, FaultReport, KernelAgg, KernelRecord, PlanDbStats};
 pub use workload::{KernelDesc, EDGE_BYTES, UVA_TRANSACTION_FACTOR};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

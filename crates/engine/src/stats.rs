@@ -7,7 +7,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::plandb::PlanDbStats;
 use crate::workload::KernelDesc;
 use gsampler_runtime::{ArenaMetrics, PoolMetrics};
 
@@ -69,6 +68,51 @@ impl KernelAgg {
     /// `(0, 1]` (1.0 for sequential kernels, which waste no worker time).
     pub fn parallel_efficiency(&self) -> f64 {
         self.pool.efficiency()
+    }
+}
+
+/// Plan-database counters: one database's totals ([`ExecStats::plan_db`]
+/// carries the share of the compile that produced the sampler), also
+/// emitted as the obs `plan/cache.*` events.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanDbStats {
+    /// Lookups served from the database.
+    pub hits: u64,
+    /// Lookups that found nothing usable.
+    pub misses: u64,
+    /// Compiled plans inserted (or replaced in place).
+    pub inserts: u64,
+    /// Entries evicted by the LRU cap.
+    pub evictions: u64,
+}
+
+impl PlanDbStats {
+    /// True when any counter moved.
+    pub fn any(&self) -> bool {
+        *self != PlanDbStats::default()
+    }
+
+    /// Total lookups served.
+    pub fn lookups(&self) -> u64 {
+        self.hits + self.misses
+    }
+
+    /// Hit rate over all lookups (0.0 when idle).
+    pub fn hit_rate(&self) -> f64 {
+        let n = self.lookups();
+        if n == 0 {
+            0.0
+        } else {
+            self.hits as f64 / n as f64
+        }
+    }
+
+    /// Fold another counter set into this one.
+    pub fn merge(&mut self, other: &PlanDbStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.inserts += other.inserts;
+        self.evictions += other.evictions;
     }
 }
 
@@ -170,8 +214,8 @@ pub struct ExecStats {
     pub cache_misses: u64,
     /// Injected faults and recovery actions observed this session.
     pub faults: FaultReport,
-    /// Plan-database activity attributed to this session (hit/miss/drift
-    /// counters from the compile that produced the sampler).
+    /// Plan-database activity attributed to this session (the lookup of
+    /// the compile that produced the sampler).
     pub plan_db: PlanDbStats,
 }
 

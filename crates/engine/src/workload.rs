@@ -441,27 +441,6 @@ pub fn fused_extract_select(
         .with_parallelism(t as u64)
 }
 
-/// Fused extract + select + row compaction: the sampled edges are
-/// relabelled while still in registers, so versus `fused_extract_select`
-/// followed by [`compact`] the second full pass over the edge list (and
-/// its launch) disappears; only the kept-row table build and the row-id
-/// write-back remain.
-pub fn fused_sample_relabel(
-    graph_fmt: Format,
-    graph: MatShape,
-    t: usize,
-    visited_nnz: usize,
-    out_nnz: usize,
-    out_nrows: usize,
-    residency: Residency,
-) -> KernelDesc {
-    let mut desc = fused_extract_select(graph_fmt, graph, t, visited_nnz, out_nnz, residency);
-    desc.name = format!("fused_sample_relabel[{graph_fmt}]");
-    desc.flops += out_nnz as u64;
-    desc.bytes += (out_nnz as u64 + out_nrows as u64) * NODE_BYTES;
-    desc
-}
-
 /// Fused edge-map chain: one pass over the edges regardless of chain
 /// length (paper Fig. 5b).
 pub fn fused_edge_map(fmt: Format, input: MatShape, steps: usize) -> KernelDesc {
@@ -651,30 +630,6 @@ mod tests {
         assert_eq!(f.bytes, 1500);
         assert_eq!(f.launches, 1);
         assert_eq!(f.parallelism, 128);
-    }
-
-    #[test]
-    fn fused_sample_relabel_cheaper_than_sample_plus_compact() {
-        let g = pd_graph();
-        let out_nnz = 512 * 10;
-        let fused = fused_sample_relabel(
-            Format::Csc,
-            g,
-            512,
-            out_nnz,
-            out_nnz,
-            4000,
-            Residency::Device,
-        );
-        let sample = fused_extract_select(Format::Csc, g, 512, out_nnz, out_nnz, Residency::Device);
-        let mid = MatShape::new(g.nrows, 512, out_nnz);
-        let cmp = compact(Format::Csc, mid, Axis::Row);
-        assert!(
-            modeled_ms(&fused) < modeled_ms(&sample) + modeled_ms(&cmp),
-            "fused={} split={}",
-            modeled_ms(&fused),
-            modeled_ms(&sample) + modeled_ms(&cmp)
-        );
     }
 
     #[test]

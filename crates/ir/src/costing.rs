@@ -150,12 +150,6 @@ pub fn kernel_desc(
             let out_nnz = out_mat.nnz.min(t * k);
             workload::fused_extract_select(fmt0, in0, t, visited, out_nnz, res0)
         }
-        Op::FusedSampleRelabel { k, .. } => {
-            let t = out_mat.ncols;
-            let visited = in0.nnz.min(t * 64);
-            let out_nnz = out_mat.nnz.min(t * k);
-            workload::fused_sample_relabel(fmt0, in0, t, visited, out_nnz, out_mat.nrows, res0)
-        }
         Op::FusedEdgeMap { steps } => workload::fused_edge_map(fmt0, in0, steps.len()),
         Op::FusedEdgeMapReduce { steps, axis, .. } => {
             workload::fused_edge_map_reduce(fmt0, in0, *axis, steps.len())
@@ -178,9 +172,7 @@ pub fn output_format(
     match op {
         Op::InputGraph => Some(graph_fmt),
         Op::Convert(to) => Some(*to),
-        Op::FusedExtractSelect { .. }
-        | Op::FusedSampleRelabel { .. }
-        | Op::IndividualSample { .. } => Some(Format::Csc),
+        Op::FusedExtractSelect { .. } | Op::IndividualSample { .. } => Some(Format::Csc),
         Op::Precomputed { .. } => Some(graph_fmt),
         other
             if matches!(

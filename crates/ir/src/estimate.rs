@@ -243,19 +243,6 @@ pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize)
                     nnz: t * per_col,
                 }
             }
-            Op::FusedSampleRelabel { k, .. } => {
-                // FusedExtractSelect followed by row compaction: the row
-                // space shrinks to the expected distinct sampled rows.
-                let (nrows, _, _) = input(0).as_matrix().unwrap_or((n, n, e));
-                let t = nodes_len(input(1));
-                let per_col = deg.min(*k as f64);
-                let nnz = t * per_col;
-                ShapeEst::Matrix {
-                    nrows: expected_distinct(nnz, nrows).min(nrows),
-                    ncols: t,
-                    nnz,
-                }
-            }
             Op::RowNodes | Op::ColNodes => {
                 let (nrows, ncols, nnz) = input(0).as_matrix().unwrap_or((n, n, e));
                 let space = match node.op {

@@ -32,5 +32,5 @@ pub mod superbatch;
 
 pub use estimate::{GraphStats, ShapeEst};
 pub use op::{EdgeMapStep, Op};
-pub use passes::{run_passes, run_passes_with, LayoutPlan, OptConfig, PassReport};
+pub use passes::{run_passes, LayoutDecision, LayoutPlan, OptConfig, PassReport};
 pub use program::{Node, OpId, Program};

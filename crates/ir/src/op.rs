@@ -174,16 +174,6 @@ pub enum Op {
         /// Sample with replacement.
         replace: bool,
     },
-    /// Fused extract + node-wise select + row compaction: sample from the
-    /// graph's adjacency and emit the already-relabelled sub-matrix in one
-    /// pass, skipping the second frontier traversal a separate
-    /// `CompactRows` would need. `[matrix, nodes] -> Matrix`.
-    FusedSampleRelabel {
-        /// Neighbours to keep per frontier.
-        k: usize,
-        /// Sample with replacement.
-        replace: bool,
-    },
     /// Fused chain of edge-map steps executed as one kernel.
     /// `[matrix, vectors...] -> Matrix`.
     FusedEdgeMap {
@@ -341,10 +331,6 @@ impl Op {
                 fold(&[46]);
                 fold(&(*slot as u64).to_le_bytes());
             }
-            Op::FusedSampleRelabel { k, replace } => {
-                fold(&[47, u8::from(*replace)]);
-                fold(&(*k as u64).to_le_bytes());
-            }
         }
     }
 
@@ -355,7 +341,6 @@ impl Op {
             Op::IndividualSample { .. }
                 | Op::CollectiveSample { .. }
                 | Op::FusedExtractSelect { .. }
-                | Op::FusedSampleRelabel { .. }
         )
     }
 
@@ -421,9 +406,6 @@ impl Op {
             Op::Convert(f) => format!("convert[{f}]"),
             Op::FusedExtractSelect { k, replace } => {
                 format!("fused_extract_select(k={k}, replace={replace})")
-            }
-            Op::FusedSampleRelabel { k, replace } => {
-                format!("fused_sample_relabel(k={k}, replace={replace})")
             }
             Op::FusedEdgeMap { steps } => format!("fused_edge_map({} steps)", steps.len()),
             Op::FusedEdgeMapReduce {

@@ -12,7 +12,6 @@
 //! paper compares against: each operator independently picks the format its
 //! *consumers* like best, ignoring conversion overheads.
 
-pub use gsampler_engine::plandb::{LayoutDecision, LayoutPlan};
 use gsampler_engine::{CostModel, Residency};
 use gsampler_matrix::Format;
 
@@ -43,15 +42,30 @@ pub struct LayoutChoice {
     pub compact: bool,
 }
 
-/// A plan from an earlier compile, offered to [`resolve`] in place of a
-/// search.
-#[derive(Debug, Clone, Copy)]
-pub struct CachedPlan<'a> {
-    /// The earlier compile's plan for this program.
-    pub plan: &'a LayoutPlan,
-    /// Whether the graph stats it was priced under still hold (a plan
-    /// database hit rather than a drift).
-    pub fresh: bool,
+/// One layout decision, addressed by the node it applies to in the
+/// *pre-layout* program (post CSE/preprocess/fusion/DCE).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LayoutDecision {
+    /// Choice-point node in the pre-layout program.
+    pub op_id: usize,
+    /// Chosen storage format for its output.
+    pub format: Format,
+    /// Whether isolated rows are compacted after it.
+    pub compact: bool,
+}
+
+/// The product of the layout [`search`] (paper §4.3): everything [`apply`]
+/// needs to rewrite a program. An empty decision list means "keep every
+/// operator in its natural format" (either there were no choice points, or
+/// the search fell back to natural).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LayoutPlan {
+    /// Per-choice-point decisions; empty = all-natural.
+    pub decisions: Vec<LayoutDecision>,
+    /// Modeled per-batch time of the chosen program (seconds).
+    pub est_time: f64,
+    /// Modeled per-batch time with all-natural layouts.
+    pub natural_time: f64,
 }
 
 /// Outcome of the layout pass.
@@ -87,32 +101,6 @@ fn choice_points(program: &Program) -> Vec<(OpId, bool)> {
             _ => None,
         })
         .collect()
-}
-
-/// Decide the layout plan for `program`: a `cached` plan that still
-/// applies and is fresh is taken as is; one whose graph stats drifted is
-/// re-priced under the current stats (two pricings) and kept only while
-/// it still beats the all-natural layout; otherwise [`search`].
-pub fn resolve(
-    program: &Program,
-    mode: LayoutMode,
-    stats: &GraphStats,
-    batch_size: usize,
-    cost_model: &CostModel,
-    residency: Residency,
-    cached: Option<CachedPlan<'_>>,
-) -> LayoutPlan {
-    let price = |p: &Program| price(p, stats, batch_size, cost_model, residency);
-    if let Some(c) = cached.filter(|c| plan_applies(program, c.plan)) {
-        if c.fresh {
-            return c.plan.clone();
-        }
-        let repriced = priced(program, c.plan.decisions.clone(), &price);
-        if repriced.est_time <= repriced.natural_time {
-            return repriced;
-        }
-    }
-    search(program, mode, stats, batch_size, cost_model, residency)
 }
 
 /// The *search* half of the pass: price the alternatives and return the
@@ -166,19 +154,6 @@ fn priced(
     }
 }
 
-/// Whether a (possibly cached) plan structurally fits this program: every
-/// decision must target an actual choice point, and compaction only where
-/// it is allowed. A stale or corrupt plan-DB entry fails this check and
-/// [`resolve`] falls back to a fresh [`search`].
-pub fn plan_applies(program: &Program, plan: &LayoutPlan) -> bool {
-    let points = choice_points(program);
-    plan.decisions.iter().all(|d| {
-        points
-            .iter()
-            .any(|&(id, can_compact)| id == d.op_id && (can_compact || !d.compact))
-    })
-}
-
 /// The *apply* half: rewrite the program according to an already-decided
 /// plan. No pricing, no enumeration.
 pub fn apply(program: &Program, plan: &LayoutPlan) -> (Program, LayoutReport) {
@@ -202,10 +177,7 @@ pub fn apply(program: &Program, plan: &LayoutPlan) -> (Program, LayoutReport) {
             })
             .collect(),
         conversions: rewritten.count_ops(|op| matches!(op, Op::Convert(..))),
-        // A fused sample+relabel *is* a compaction decision realized inside
-        // the sampling kernel, so it counts alongside explicit CompactRows.
-        compactions: rewritten
-            .count_ops(|op| matches!(op, Op::CompactRows | Op::FusedSampleRelabel { .. })),
+        compactions: rewritten.count_ops(|op| matches!(op, Op::CompactRows)),
         est_time: plan.est_time,
         natural_time: plan.natural_time,
     };
@@ -257,12 +229,6 @@ fn price(
 }
 
 /// Insert `CompactRows` / `Convert` nodes realizing `decisions`.
-///
-/// A `compact` decision on a [`Op::FusedExtractSelect`] node is realized
-/// as a single [`Op::FusedSampleRelabel`] instead of the sample node plus
-/// a trailing `CompactRows`: the kernel emits the already-relabelled
-/// sub-matrix in one pass. Both operators consume the same RNG stream, so
-/// the rewrite cannot shift any downstream draws.
 fn apply_assignment(program: &Program, decisions: &[LayoutDecision]) -> Program {
     let mut out = Program::new();
     let mut map: Vec<OpId> = Vec::with_capacity(program.len());
@@ -278,20 +244,9 @@ fn apply_assignment(program: &Program, decisions: &[LayoutDecision]) -> Program 
 
     for (old_id, node) in program.nodes().iter().enumerate() {
         let inputs: Vec<OpId> = node.inputs.iter().map(|&i| map[i]).collect();
-        let decision = decisions.iter().find(|d| d.op_id == old_id);
-        let fused = match (&node.op, decision) {
-            (&Op::FusedExtractSelect { k, replace }, Some(d)) if d.compact => {
-                Some(Op::FusedSampleRelabel { k, replace })
-            }
-            _ => None,
-        };
-        let was_fused = fused.is_some();
-        let mut last = match fused {
-            Some(op) => push(&mut out, &mut fmts, op, inputs),
-            None => push(&mut out, &mut fmts, node.op.clone(), inputs),
-        };
-        if let Some(d) = decision {
-            if d.compact && !was_fused {
+        let mut last = push(&mut out, &mut fmts, node.op.clone(), inputs);
+        if let Some(d) = decisions.iter().find(|d| d.op_id == old_id) {
+            if d.compact {
                 last = push(&mut out, &mut fmts, Op::CompactRows, vec![last]);
             }
             let current = fmts[last].unwrap_or(GRAPH_FMT);
@@ -329,9 +284,7 @@ fn search_assignment(
         .collect();
 
     let space: usize = options.iter().map(|o| o.len()).product();
-    // Price the candidate exactly as `apply` will realize it, fused
-    // peephole included — otherwise the search could never see the
-    // fused kernel's cheaper second pass.
+    // Price the candidate exactly as `apply` will realize it.
     let evaluate = |choice: &[usize]| -> f64 {
         price(&apply_assignment(
             program,
@@ -559,92 +512,8 @@ mod tests {
         assert!(report.choices.is_empty());
     }
 
-    fn resolve_ladies(stats: &GraphStats, cached: Option<CachedPlan<'_>>) -> LayoutPlan {
-        resolve(
-            &ladies(),
-            LayoutMode::CostAware,
-            stats,
-            512,
-            &model(),
-            UVA,
-            cached,
-        )
-    }
-
     #[test]
-    fn fresh_cached_plan_is_taken_as_is() {
-        let searched = resolve_ladies(&big_stats(), None);
-        assert!(!searched.decisions.is_empty() && plan_applies(&ladies(), &searched));
-        // Fresh: no pricing at all, even under stats that would price (and
-        // search) differently.
-        let fresh = CachedPlan {
-            plan: &searched,
-            fresh: true,
-        };
-        assert_eq!(resolve_ladies(&stats(), Some(fresh)), searched);
-    }
-
-    #[test]
-    fn drifted_cached_plan_is_repriced_or_dropped() {
-        let searched = resolve_ladies(&big_stats(), None);
-        let drifted = |plan| CachedPlan { plan, fresh: false };
-        // Re-pricing under the stats it was searched on reproduces it.
-        assert_eq!(
-            resolve_ladies(&big_stats(), Some(drifted(&searched))),
-            searched
-        );
-        // Under moved stats the decisions survive with refreshed times...
-        let grown = GraphStats {
-            num_edges: big_stats().num_edges * 2,
-            ..big_stats()
-        };
-        let kept = resolve_ladies(&grown, Some(drifted(&searched)));
-        assert_eq!(kept.decisions, searched.decisions);
-        assert_ne!(kept.est_time, searched.est_time);
-        assert!(kept.est_time <= kept.natural_time);
-        // ...unless they no longer beat natural: then a fresh search.
-        let mut bad = searched.clone();
-        for d in &mut bad.decisions {
-            d.format = Format::Coo;
-            d.compact = false;
-        }
-        let dropped = resolve_ladies(&big_stats(), Some(drifted(&bad)));
-        assert_eq!(dropped, searched);
-    }
-
-    #[test]
-    fn stale_plan_is_rejected() {
-        let p = ladies();
-        // A decision pointing at a non-choice-point (the reduce) or out of
-        // range must fail `plan_applies` instead of corrupting the program.
-        let plan_of = |op_id, compact| LayoutPlan {
-            decisions: vec![LayoutDecision {
-                op_id,
-                format: Format::Csr,
-                compact,
-            }],
-            est_time: 0.0,
-            natural_time: 0.0,
-        };
-        let bogus = plan_of(4, false); // Reduce — not a choice point
-        assert!(!plan_applies(&p, &bogus));
-        assert!(!plan_applies(&p, &plan_of(999, true)));
-        // Compacting a non-compactable choice point (CollectiveSample) is
-        // stale too.
-        assert!(!plan_applies(&p, &plan_of(5, true)));
-        // Offered as a cached plan — fresh or not — it is searched over.
-        let searched = resolve_ladies(&big_stats(), None);
-        for fresh in [true, false] {
-            let cached = CachedPlan {
-                plan: &bogus,
-                fresh,
-            };
-            assert_eq!(resolve_ladies(&big_stats(), Some(cached)), searched);
-        }
-    }
-
-    #[test]
-    fn compact_on_fused_sample_becomes_one_kernel() {
+    fn compact_on_fused_sample_is_a_compact_rows_node() {
         let mut p = Program::new();
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
@@ -663,19 +532,21 @@ mod tests {
             format: GRAPH_FMT,
             compact: true,
         };
-        let fused = apply_assignment(&p, &[compact]);
-        fused.validate().unwrap();
-        assert_eq!(
-            fused.count_ops(|op| matches!(
-                op,
-                Op::FusedSampleRelabel {
-                    k: 10,
-                    replace: false
-                }
-            )),
-            1
-        );
-        assert_eq!(fused.count_ops(|op| matches!(op, Op::CompactRows)), 0);
+        let out = apply_assignment(&p, &[compact]);
+        out.validate().unwrap();
+        let compacted = out
+            .find_op(|op| matches!(op, Op::CompactRows))
+            .expect("compaction realised as a node");
+        assert!(matches!(
+            out.node(out.node(compacted).inputs[0]).op,
+            Op::FusedExtractSelect {
+                k: 10,
+                replace: false
+            }
+        ));
+        // Both outputs follow the compacted matrix.
+        assert_eq!(out.outputs()[0], compacted);
+        assert_eq!(out.node(out.outputs()[1]).inputs, vec![compacted]);
     }
 
     #[test]

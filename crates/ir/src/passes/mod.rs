@@ -10,7 +10,7 @@ pub mod fusion;
 pub mod layout;
 pub mod preprocess;
 
-pub use layout::{CachedPlan, LayoutDecision, LayoutMode, LayoutPlan, LayoutReport};
+pub use layout::{LayoutDecision, LayoutMode, LayoutPlan, LayoutReport};
 
 use gsampler_engine::CostModel;
 use gsampler_engine::Residency;
@@ -170,10 +170,6 @@ pub struct OptimizedProgram {
     pub precompute: Program,
     /// What the passes did.
     pub report: PassReport,
-    /// The layout decisions (empty when the layout pass did not run or
-    /// chose all-natural). The plan database persists this so later
-    /// compiles can hand it back to [`run_passes_with`].
-    pub layout_plan: LayoutPlan,
 }
 
 /// Run the configured passes over `program`.
@@ -187,27 +183,6 @@ pub fn run_passes(
     batch_size: usize,
     cost_model: &CostModel,
     residency: Residency,
-) -> OptimizedProgram {
-    run_passes_with(
-        program, config, stats, batch_size, cost_model, residency, None,
-    )
-}
-
-/// [`run_passes`] with an optional layout plan from an earlier compile of
-/// the same program (a plan-database entry). The plan is an *input* to the
-/// one pipeline, not a second pipeline: the front passes always run — they
-/// are cheap and deterministic, so the cached plan lands on the exact
-/// pre-layout program it was searched on — and [`layout::resolve`] decides
-/// whether the plan is taken, re-priced, or searched anew. The plan that
-/// was applied comes back in [`OptimizedProgram::layout_plan`].
-pub fn run_passes_with(
-    program: &Program,
-    config: &OptConfig,
-    stats: &GraphStats,
-    batch_size: usize,
-    cost_model: &CostModel,
-    residency: Residency,
-    cached: Option<CachedPlan<'_>>,
 ) -> OptimizedProgram {
     let mut pipeline_span = gsampler_obs::span("pass", "run_passes");
     pipeline_span.arg("ops_in", program.nodes().len());
@@ -252,19 +227,17 @@ pub fn run_passes_with(
         span.arg("removed", removed);
     }
 
-    let mut layout_plan = LayoutPlan::default();
     if config.layout != LayoutMode::None {
         let mut span = gsampler_obs::span("pass", "layout");
-        layout_plan = layout::resolve(
+        let plan = layout::search(
             &prog,
             config.layout,
             stats,
             batch_size * config.super_batch.max(1),
             cost_model,
             residency,
-            cached,
         );
-        let (p, lr) = layout::apply(&prog, &layout_plan);
+        let (p, lr) = layout::apply(&prog, &plan);
         prog = p;
         span.arg("mode", format!("{:?}", config.layout));
         span.arg("conversions", lr.conversions);
@@ -281,6 +254,5 @@ pub fn run_passes_with(
         program: prog,
         precompute,
         report,
-        layout_plan,
     }
 }

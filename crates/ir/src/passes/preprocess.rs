@@ -1,19 +1,13 @@
 //! Pre-processing: hoist sampling-invariant computation out of the
 //! per-batch program (paper §4.2, "Pre-processing").
 //!
-//! Two mechanisms, matching the paper's two cases:
-//!
-//! 1. **Sinking**: a per-edge operator applied to an extracted sub-matrix
-//!    produces the same edge values as applying it to the whole graph and
-//!    extracting afterwards, so `op(A[:, F])` is rewritten to
-//!    `op(A)[:, F]` whenever `op` is a pure scalar/unary edge-map and `A`
-//!    is batch-invariant. (LADIES: `sub_A ** 2` becomes a slice of a
-//!    precomputed `A ** 2`.)
-//! 2. **Hoisting**: every batch-invariant node that feeds batch-dependent
-//!    consumers (or is an output) is moved into a separate *precompute
-//!    program*, evaluated once at compile time; the main program reads the
-//!    cached value through an [`Op::Precomputed`] slot. (FastGCN: node
-//!    degrees; SEAL: PPR scores.)
+//! **Hoisting**: every batch-invariant node that feeds batch-dependent
+//! consumers (or is an output) is moved into a separate *precompute
+//! program*, evaluated once at compile time; the main program reads the
+//! cached value through an [`Op::Precomputed`] slot. (FastGCN: node
+//! degrees; SEAL: PPR scores.) The paper's other case — sinking an edge-map
+//! below the extraction so LADIES' `A ** 2` can be hoisted — is not
+//! implemented: it pays only on unweighted graphs (DESIGN §5).
 
 use crate::op::Op;
 use crate::program::{OpId, Program};
@@ -52,65 +46,11 @@ fn static_set(program: &Program) -> Vec<bool> {
     s
 }
 
-/// Run the pass. Hoisting alone never adds per-batch work (it caches
-/// values that needed no extraction, like FastGCN's degrees or SEAL's
-/// PPR scores).
+/// Run the pass: move batch-invariant nodes with batch-dependent consumers
+/// into the precompute program, replacing them with `Precomputed` slots.
+/// Hoisting never adds per-batch work (it caches values that needed no
+/// extraction, like FastGCN's degrees or SEAL's PPR scores).
 pub fn run(program: &Program) -> PreprocessResult {
-    hoist(program)
-}
-
-/// Run the pass with edge-map sinking first: `op(A[:, F])` becomes
-/// `op(A)[:, F]` so `op(A)` can be hoisted (the paper's LADIES `A ** 2`
-/// rewrite). Profitable only when the original extraction can be elided
-/// too (unweighted graphs, where `A ** k == A`) — on weighted graphs the
-/// per-batch cost of slicing the cached matrix replaces a cheaper
-/// element-wise kernel, so [`run`] skips sinking by default.
-pub fn run_with_sinking(program: &Program) -> PreprocessResult {
-    let sunk = sink_edge_maps(program);
-    hoist(&sunk)
-}
-
-/// Rewrite `edge_map(slice_cols(static_M, F))` into
-/// `slice_cols(edge_map(static_M), F)`, in one topological rebuild.
-fn sink_edge_maps(program: &Program) -> Program {
-    let mut out = Program::new();
-    let mut map: Vec<OpId> = Vec::with_capacity(program.len());
-    let mut stat: Vec<bool> = Vec::new();
-
-    let push = |out: &mut Program, stat: &mut Vec<bool>, op: Op, inputs: Vec<OpId>| -> OpId {
-        let is_static = !dynamic_source(&op) && inputs.iter().all(|&i| stat[i]);
-        let id = out.add(op, inputs);
-        stat.push(is_static);
-        id
-    };
-
-    for node in program.nodes() {
-        let new_inputs: Vec<OpId> = node.inputs.iter().map(|&i| map[i]).collect();
-        let sinkable = matches!(node.op, Op::ScalarOp(..) | Op::UnaryOp(..))
-            && new_inputs.len() == 1
-            && matches!(out.node(new_inputs[0]).op, Op::SliceCols | Op::SliceRows)
-            && {
-                let slice = out.node(new_inputs[0]);
-                stat[slice.inputs[0]]
-            };
-        let new_id = if sinkable {
-            let slice = out.node(new_inputs[0]).clone();
-            let mapped = push(&mut out, &mut stat, node.op.clone(), vec![slice.inputs[0]]);
-            push(&mut out, &mut stat, slice.op, vec![mapped, slice.inputs[1]])
-        } else {
-            push(&mut out, &mut stat, node.op.clone(), new_inputs)
-        };
-        map.push(new_id);
-    }
-    for &o in program.outputs() {
-        out.mark_output(map[o]);
-    }
-    out
-}
-
-/// Move batch-invariant nodes with batch-dependent consumers into the
-/// precompute program, replacing them with `Precomputed` slots.
-fn hoist(program: &Program) -> PreprocessResult {
     let stat = static_set(program);
     let consumers = program.consumers();
     let is_output: Vec<bool> = {
@@ -182,7 +122,6 @@ fn hoist(program: &Program) -> PreprocessResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::dce;
     use gsampler_matrix::{Axis, EltOp, ReduceOp};
 
     /// LADIES head: square the extracted sub-matrix, reduce per row.
@@ -196,29 +135,6 @@ mod tests {
         let samp = p.add(Op::CollectiveSample { k: 64 }, vec![sub, probs]);
         p.mark_output(samp);
         p
-    }
-
-    #[test]
-    fn ladies_square_is_sunk_and_hoisted() {
-        let p = ladies_head();
-        let r = run_with_sinking(&p);
-        // The square moved onto the full graph and was hoisted.
-        assert_eq!(r.hoisted, 1);
-        assert_eq!(
-            r.precompute
-                .count_ops(|op| matches!(op, Op::ScalarOp(EltOp::Pow, _))),
-            1
-        );
-        // The main program extracts from the precomputed matrix instead.
-        let (main, _) = dce::run(&r.program);
-        assert_eq!(
-            main.count_ops(|op| matches!(op, Op::ScalarOp(EltOp::Pow, _))),
-            0
-        );
-        assert_eq!(main.count_ops(|op| matches!(op, Op::SliceCols)), 2);
-        assert_eq!(main.count_ops(|op| matches!(op, Op::Precomputed { .. })), 1);
-        main.validate().unwrap();
-        r.precompute.validate().unwrap();
     }
 
     #[test]
@@ -282,27 +198,6 @@ mod tests {
                 .count_ops(|op| matches!(op, Op::ScalarOp(EltOp::Pow, _))),
             1
         );
-    }
-
-    #[test]
-    fn chained_edge_maps_sink_together() {
-        let mut p = Program::new();
-        let g = p.add(Op::InputGraph, vec![]);
-        let f = p.add(Op::InputFrontiers, vec![]);
-        let sub = p.add(Op::SliceCols, vec![g, f]);
-        let sq = p.add(Op::ScalarOp(EltOp::Pow, 2.0), vec![sub]);
-        let scaled = p.add(Op::ScalarOp(EltOp::Mul, 0.5), vec![sq]);
-        let probs = p.add(Op::Reduce(ReduceOp::Sum, Axis::Row), vec![scaled]);
-        p.mark_output(probs);
-
-        let r = run_with_sinking(&p);
-        // Both edge-maps end up in the precompute program.
-        assert_eq!(
-            r.precompute.count_ops(|op| matches!(op, Op::ScalarOp(..))),
-            2
-        );
-        let (main, _) = dce::run(&r.program);
-        assert_eq!(main.count_ops(|op| matches!(op, Op::ScalarOp(..))), 0);
     }
 
     #[test]

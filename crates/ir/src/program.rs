@@ -376,7 +376,6 @@ pub fn output_kind(op: &Op) -> ValueKind {
         | Op::CompactCols
         | Op::Convert(..)
         | Op::FusedExtractSelect { .. }
-        | Op::FusedSampleRelabel { .. }
         | Op::FusedEdgeMap { .. } => ValueKind::Matrix,
         Op::InputDense(..)
         | Op::Spmm
@@ -476,9 +475,7 @@ fn check_inputs(op: &Op, got: &[ValueKind]) -> Result<(), String> {
         | Op::CompactRows
         | Op::CompactCols
         | Op::Convert(..) => expect(&[V::Matrix]),
-        Op::FusedExtractSelect { .. } | Op::FusedSampleRelabel { .. } => {
-            expect(&[V::Matrix, V::Nodes])
-        }
+        Op::FusedExtractSelect { .. } => expect(&[V::Matrix, V::Nodes]),
         Op::FusedEdgeMap { steps } | Op::FusedEdgeMapReduce { steps, .. } => {
             let broadcasts = steps
                 .iter()

@@ -34,31 +34,22 @@ pub struct SuperBatchPlan {
 const FACTORS: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
 /// Pick the largest factor whose estimated transient memory fits
-/// `budget_bytes`; never returns less than 1. A `cached_factor` (an
-/// earlier compile's choice, from the plan database) that still fits is
-/// taken as is — one estimate instead of the grid walk.
+/// `budget_bytes`; never returns less than 1.
 pub fn plan(
     program: &Program,
     stats: &GraphStats,
     batch_size: usize,
     budget_bytes: f64,
-    cached_factor: Option<usize>,
 ) -> SuperBatchPlan {
     let at = |f: usize| (f, transient_bytes(program, stats, batch_size * f));
-    let cached = cached_factor
-        .map(|f| at(f.max(1)))
-        .filter(|&(_, bytes)| bytes <= budget_bytes);
-    let (chosen, chosen_bytes) = cached.unwrap_or_else(|| {
-        let mut best = at(1);
-        for &f in FACTORS.iter().skip(1) {
-            let next = at(f);
-            if next.1 > budget_bytes {
-                break;
-            }
-            best = next;
+    let (mut chosen, mut chosen_bytes) = at(1);
+    for &f in FACTORS.iter().skip(1) {
+        let next = at(f);
+        if next.1 > budget_bytes {
+            break;
         }
-        best
-    });
+        (chosen, chosen_bytes) = next;
+    }
     let fits = chosen_bytes <= budget_bytes;
     if !fits {
         gsampler_obs::event(
@@ -79,7 +70,6 @@ pub fn plan(
             ("est_bytes", gsampler_obs::Arg::Num(chosen_bytes)),
             ("budget_bytes", gsampler_obs::Arg::Num(budget_bytes)),
             ("fits", gsampler_obs::Arg::from(fits)),
-            ("replayed", gsampler_obs::Arg::from(cached.is_some())),
         ],
     );
     SuperBatchPlan {
@@ -131,8 +121,8 @@ mod tests {
     #[test]
     fn bigger_budget_bigger_factor() {
         let p = graphsage();
-        let small = plan(&p, &stats(), 512, 1e6, None);
-        let large = plan(&p, &stats(), 512, 1e9, None);
+        let small = plan(&p, &stats(), 512, 1e6);
+        let large = plan(&p, &stats(), 512, 1e9);
         assert!(large.factor > small.factor);
         assert!(large.est_bytes <= 1e9);
         assert!(large.fits);
@@ -141,7 +131,7 @@ mod tests {
     #[test]
     fn factor_never_below_one() {
         let p = graphsage();
-        let tiny = plan(&p, &stats(), 512, 1.0, None);
+        let tiny = plan(&p, &stats(), 512, 1.0);
         assert_eq!(tiny.factor, 1);
         // Regression: a factor-1 plan over an unsatisfiable budget used
         // to be indistinguishable from a fitting one.
@@ -152,26 +142,9 @@ mod tests {
     #[test]
     fn factor_caps_at_grid_max() {
         let p = graphsage();
-        let huge = plan(&p, &stats(), 16, 1e15, None);
+        let huge = plan(&p, &stats(), 16, 1e15);
         assert_eq!(huge.factor, 128);
         assert!(huge.fits);
-    }
-
-    #[test]
-    fn cached_factor_is_taken_only_while_it_fits() {
-        let p = graphsage();
-        let searched = plan(&p, &stats(), 512, 1e9, None);
-        assert_eq!(
-            plan(&p, &stats(), 512, 1e9, Some(searched.factor)),
-            searched
-        );
-        // A smaller factor that fits is taken too (no grid walk)...
-        assert_eq!(plan(&p, &stats(), 512, 1e9, Some(2)).factor, 2);
-        // ...but one over a tightened budget is searched over.
-        let tight = searched.est_bytes / 2.0;
-        let fallback = plan(&p, &stats(), 512, tight, Some(searched.factor));
-        assert_eq!(fallback, plan(&p, &stats(), 512, tight, None));
-        assert!(fallback.fits && fallback.factor < searched.factor);
     }
 
     #[test]

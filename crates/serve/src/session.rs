@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use gsampler_algos::nodewise;
 use gsampler_core::builder::Layer;
-use gsampler_core::{compile, Graph, OptConfig, Sampler, SamplerConfig};
-use gsampler_engine::{PlanDb, RngPool};
+use gsampler_core::{compile, Graph, OptConfig, PlanDb, Sampler, SamplerConfig};
+use gsampler_engine::RngPool;
 
 use crate::error::{Result, ServeError};
 use crate::server::ServeConfig;

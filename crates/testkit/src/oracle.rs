@@ -11,9 +11,9 @@
 //!    toggles cannot change RNG stream assignment for live ops. The same
 //!    discipline makes a super-batched epoch bit-exact against the
 //!    factor-1 epoch (a batch's stream depends on its index only), which
-//!    is checked the same way. So is the plan database: compiles served
-//!    from a cached plan (with and without the same-process compiled
-//!    payload) must sample what a database-less compile does.
+//!    is checked the same way. So is the plan database: a compile served
+//!    from it, and one on an equal graph that can only miss, must sample
+//!    what a database-less compile does.
 //! 2. **Structural validation** — every output must be a faithful
 //!    sub-result of the input graph: matrix edges exist in the graph
 //!    (catching relabel/compaction bugs), node IDs are in range.
@@ -193,19 +193,18 @@ impl Oracle {
             }
         }
 
-        // Plan-database differential, through a database private to this
-        // check (keys are bucketed by graph stats, so a shared one would
-        // make the verdict depend on which cases ran before): a cold
-        // compile, a hit on the same graph object (reuses the compiled
-        // payload) and a hit on an equal graph with a different identity
-        // (payload rejected, so the cached plan goes through the pass
-        // pipeline) must all sample what the database-less reference did.
+        // Plan-database differential: a cold compile, a hit on the same
+        // graph object (reuses the compiled programs and precomputed
+        // values) and a compile on an equal graph with a different
+        // identity (entries are pinned to the graph object, so it misses
+        // and must not see the first graph's values) must all sample what
+        // the database-less reference did.
         let db = Arc::new(PlanDb::in_memory());
         let twin = Arc::new((*self.graph).clone());
         for (name, graph) in [
             ("plan-db-cold", &self.graph),
-            ("plan-db-payload-hit", &self.graph),
-            ("plan-db-plan-hit", &twin),
+            ("plan-db-hit", &self.graph),
+            ("plan-db-twin-miss", &twin),
         ] {
             let config = SamplerConfig {
                 plan_db: Some(db.clone()),
@@ -215,10 +214,10 @@ impl Oracle {
             expect_reference(name, got)?;
         }
         let stats = db.stats();
-        if stats.hits < 2 || stats.inserts == 0 {
+        if stats.hits < 1 || stats.inserts == 0 {
             return Err(diverge(
                 "plan-db",
-                format!("warm compiles never went through the database: {stats:?}"),
+                format!("the warm compile never went through the database: {stats:?}"),
             ));
         }
 

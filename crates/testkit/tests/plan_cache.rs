@@ -1,9 +1,9 @@
-//! Plan-database differentials: a compile served from the plan cache must
-//! be *bit-identical* to a cold compile — cached layout and super-batch
-//! plans change how sampling executes, never what it samples. Runs every
-//! registered algorithm cold, payload-hit and plan-hit against a
-//! database-less compile, and checks the cache counters surface end to
-//! end (compile → `Sampler` → `EpochReport`).
+//! Plan-database differentials: a compile served from the plan database
+//! must be *bit-identical* to a cold compile. Runs every registered
+//! algorithm cold, as a hit, and on an equal graph with its own identity
+//! (which can only miss) against a database-less compile, and checks the
+//! cache counters surface end to end (compile → `Sampler` →
+//! `EpochReport`).
 
 use std::sync::Arc;
 
@@ -45,19 +45,15 @@ fn drive(graph: &Arc<Graph>, algo: &str, frontiers: &[u32], db: Option<&Arc<Plan
 fn warm_cache_compile_is_bit_identical_for_every_algorithm() {
     let spec = spec();
     let graph = spec.build();
-    // Same stats and edges, different identity: the database hits but the
-    // compiled payload (pinned to `graph`) is rejected, so the cached plan
-    // goes through the pass pipeline.
+    // Same stats and edges, different identity: entries are pinned to the
+    // graph object (FastGCN's and SEAL's carry per-graph precomputed
+    // values), so the twin misses and compiles for itself.
     let twin = Arc::new((*graph).clone());
     let frontiers = spec.frontiers(8);
     for algo in algorithm_names(&oracle_hyper()) {
         let reference = drive(&graph, algo, &frontiers, None);
         let db = Arc::new(PlanDb::in_memory());
-        for (step, g) in [
-            ("cold", &graph),
-            ("payload hit", &graph),
-            ("plan hit", &twin),
-        ] {
+        for (step, g) in [("cold", &graph), ("hit", &graph), ("twin", &twin)] {
             assert_eq!(
                 drive(g, algo, &frontiers, Some(&db)),
                 reference,
@@ -65,41 +61,14 @@ fn warm_cache_compile_is_bit_identical_for_every_algorithm() {
             );
         }
         let stats = db.stats();
-        assert!(stats.inserts >= 1 && stats.misses >= 1, "{algo}: {stats:?}");
-        assert_eq!(stats.hits, 2 * stats.misses, "{algo}: {stats:?}");
-        assert_eq!(stats.drifts, 0, "{algo}: {stats:?}");
-    }
-}
-
-#[test]
-fn drifted_compile_is_bit_identical_for_every_algorithm() {
-    // Same node count, a third more edges, same log₂ edge bucket: the
-    // second graph finds the first one's plans, drifted past the threshold.
-    let planned_on = GraphSpec {
-        edges: 150,
-        ..spec()
-    };
-    let (before, after) = (planned_on.build().stats(), spec().build().stats());
-    assert_eq!(before.num_nodes, after.num_nodes);
-    assert!(after.num_edges as f64 > before.num_edges as f64 * 1.25);
-    let frontiers = spec().frontiers(8);
-    for algo in algorithm_names(&oracle_hyper()) {
-        let db = Arc::new(PlanDb::in_memory());
-        drive(&planned_on.build(), algo, &frontiers, Some(&db));
-        let planned = db.stats();
-        let drifted = spec().build();
+        // Per compiled sampler (GraphSAINT drives two): one cold miss, one
+        // hit, one twin miss — each miss inserted under its own key.
+        assert!(stats.hits >= 1, "{algo}: {stats:?}");
         assert_eq!(
-            drive(&drifted, algo, &frontiers, Some(&db)),
-            drive(&drifted, algo, &frontiers, None),
-            "{algo}: a re-priced plan changed what is sampled"
+            (stats.misses, stats.inserts, db.len() as u64),
+            (2 * stats.hits, 2 * stats.hits, 2 * stats.hits),
+            "{algo}: {stats:?}"
         );
-        let stats = db.stats().since(&planned);
-        assert_eq!(
-            (stats.drifts, stats.hits, stats.misses),
-            (planned.misses, 0, 0),
-            "{algo}: the second graph was not served its neighbour's drifted entries"
-        );
-        assert_eq!(stats.inserts, stats.drifts, "{algo}: entries not refreshed");
     }
 }
 
