@@ -124,6 +124,7 @@ GSAMPLER_THREADS=2 ./target/release/gsampler-serve --dataset tiny --tenants 3 \
 # (and the docs) say so.
 test "$(grep -rhoE 'GSAMPLER_[A-Z_]+' crates/*/src src | sort -u | xargs)" = \
     "GSAMPLER_FAULTS GSAMPLER_THREADS GSAMPLER_WATCHDOG_MS"
+test -z "$(sed -n '/^pub fn split_outputs/,$p' crates/core/src/kernels/superbatch.rs | grep -E 'slice_cols\(|compact_rows\(|global_row_ids\(')"
 
 # --- Ratio floors -------------------------------------------------------
 # The two in-run ratios the repo benchmark cannot express (blocked SpMM

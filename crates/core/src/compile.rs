@@ -162,6 +162,21 @@ pub struct CompiledLayer {
     pub optimized: Arc<OptimizedProgram>,
     /// Values filling the program's `Precomputed` slots.
     pub precomputed: Vec<Arc<Value>>,
+    /// The program's [`exec::block_proof`]: per node, whether its value is
+    /// provably in block-row space; `None` if it cannot be super-batched.
+    pub block: Option<Vec<bool>>,
+}
+
+impl CompiledLayer {
+    /// Derive the program-only facts every execution reads.
+    fn new(layer: Layer, optimized: Arc<OptimizedProgram>, precomputed: Vec<Arc<Value>>) -> Self {
+        CompiledLayer {
+            block: exec::block_proof(&optimized.program),
+            layer,
+            optimized,
+            precomputed,
+        }
+    }
 }
 
 /// A compiled, executable multi-layer sampler bound to one graph and one
@@ -171,10 +186,10 @@ pub struct CompiledLayer {
 /// multi-GPU shards, serving) goes through [`Sampler::sample_groups`] with
 /// one RNG stream per mini-batch, so how batches share executions is
 /// invisible: a degraded or super-batched epoch delivers each batch's
-/// plain-epoch edges (values included), node lists and vectors. Only
-/// matrix row layout may differ (splitting a group out of a block-diagonal
-/// execution compacts its empty rows). Programs that cannot be grouped
-/// ([`exec::superbatch_compatible`]) compile to factor 1.
+/// plain-epoch sample, identical, layout included (a group's share of a
+/// block-diagonal execution is the diagonal block its solo run produces).
+/// Programs that cannot be grouped ([`exec::superbatch_compatible`])
+/// compile to factor 1.
 pub struct Sampler {
     graph: Arc<Graph>,
     graph_value: Arc<Value>,
@@ -183,6 +198,8 @@ pub struct Sampler {
     pool: RngPool,
     config: SamplerConfig,
     super_batch: usize,
+    /// Every layer passes [`exec::scatter_exact`].
+    pack_exact: bool,
     /// This sampler's own compile's plan-database lookup (the device
     /// session is reset per epoch, so the compile-time counters are
     /// carried here and re-injected into every epoch's stats).
@@ -225,6 +242,7 @@ fn execute_recovering(
     groups: &[Vec<NodeId>],
     bindings: &Bindings,
     precomputed: &[Arc<Value>],
+    block: Option<&[bool]>,
     device: &Device,
     rngs: &mut [StdRng],
 ) -> Result<Vec<Vec<Value>>> {
@@ -239,6 +257,7 @@ fn execute_recovering(
             groups,
             bindings,
             precomputed,
+            block,
             device,
             rngs,
         ) {
@@ -353,10 +372,8 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
             let compiled = layers
                 .into_iter()
                 .zip(&plan.layers)
-                .map(|(layer, p)| CompiledLayer {
-                    layer,
-                    optimized: p.optimized.clone(),
-                    precomputed: p.precomputed.clone(),
+                .map(|(layer, p)| {
+                    CompiledLayer::new(layer, p.optimized.clone(), p.precomputed.clone())
                 })
                 .collect();
             (compiled, plan.super_batch)
@@ -388,6 +405,9 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
     Ok(Sampler {
         graph,
         graph_value,
+        pack_exact: compiled
+            .iter()
+            .all(|l| exec::scatter_exact(&l.optimized.program)),
         layers: compiled,
         device,
         pool,
@@ -436,6 +456,7 @@ fn plan_layers(
                 &groups,
                 &Bindings::new(),
                 &[],
+                None,
                 device,
                 std::slice::from_mut(&mut rng),
             )?;
@@ -446,11 +467,7 @@ fn plan_layers(
                 .map(Arc::new)
                 .collect()
         };
-        compiled.push(CompiledLayer {
-            layer,
-            optimized,
-            precomputed,
-        });
+        compiled.push(CompiledLayer::new(layer, optimized, precomputed));
     }
     // Precompute cost is one-time; do not let it pollute epoch stats.
     device.reset();
@@ -492,11 +509,7 @@ fn plan_layers(
             }
         }
     }
-    if super_batch > 1
-        && !compiled
-            .iter()
-            .all(|l| exec::superbatch_compatible(&l.optimized.program))
-    {
+    if super_batch > 1 && !compiled.iter().all(|l| l.block.is_some()) {
         super_batch = 1;
     }
     Ok((compiled, super_batch))
@@ -607,6 +620,7 @@ impl Sampler {
                 &groups,
                 bindings,
                 &layer.precomputed,
+                layer.block.as_deref(),
                 &self.device,
                 rngs,
             )?;
@@ -633,9 +647,7 @@ impl Sampler {
     /// [`exec::scatter_exact`]), so independent requests may be packed
     /// into one super-batch without changing any caller's output.
     pub fn pack_exact(&self) -> bool {
-        self.layers
-            .iter()
-            .all(|l| exec::scatter_exact(&l.optimized.program))
+        self.pack_exact
     }
 
     /// Estimated peak transient bytes of one execution over `cols` total

@@ -11,8 +11,8 @@
 //! Super-batch execution (paper §4.4) is transparent to this driver: when
 //! more than one frontier group is passed, the extract kernels build a
 //! *block-diagonal* matrix — group `b`'s rows live in ID range
-//! `[b·N, (b+1)·N)` — and `kernels::superbatch::split_outputs` translates
-//! block IDs back to original node IDs at program exit.
+//! `[b·N, (b+1)·N)` — and `kernels::superbatch::split_outputs` hands each
+//! group its diagonal block at program exit.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,11 +116,14 @@ pub fn superbatch_compatible(program: &Program) -> bool {
 /// and unpacked with per-group fidelity; others must run solo to be
 /// bit-identical.
 pub fn scatter_exact(program: &Program) -> bool {
-    if !superbatch_compatible(program) {
-        return false;
-    }
-    let block = superbatch::block_space(program);
-    program.outputs().iter().all(|&o| block[o])
+    block_proof(program).is_some_and(|block| program.outputs().iter().all(|&o| block[o]))
+}
+
+/// What [`execute`] needs to know about `program` to run it over several
+/// groups, computed once at compile: its [`superbatch::block_space`]
+/// proof, or `None` if it is not [`superbatch_compatible`].
+pub fn block_proof(program: &Program) -> Option<Vec<bool>> {
+    superbatch_compatible(program).then(|| superbatch::block_space(program))
 }
 
 /// Execute `program` over one or more frontier groups.
@@ -130,6 +133,7 @@ pub fn scatter_exact(program: &Program) -> bool {
 /// groups are sampled together as one super-batch. `rngs` carries one
 /// stream per group (see [`crate::session_rng`]): group `b` draws only
 /// from `rngs[b]`, so its values do not depend on what it is packed with.
+/// `block` is the program's [`block_proof`]; one group runs without it.
 // The parameters are the execution context in full; bundling them into a
 // struct would only move the same list one level down.
 #[allow(clippy::too_many_arguments)]
@@ -140,12 +144,13 @@ pub fn execute(
     frontier_groups: &[Vec<NodeId>],
     bindings: &Bindings,
     precomputed: &[Arc<Value>],
+    block: Option<&[bool]>,
     device: &Device,
     rngs: &mut [StdRng],
 ) -> Result<Vec<Vec<Value>>> {
     let s = frontier_groups.len().max(1);
     let n = graph.num_nodes();
-    if s > 1 && !superbatch_compatible(program) {
+    if s > 1 && block.is_none() {
         return Err(Error::Execution(
             "program is not super-batch compatible".to_string(),
         ));
@@ -181,23 +186,58 @@ pub fn execute(
         n,
         s,
         col_offsets: &col_offsets,
-        frontier_groups,
         concat_frontiers: &concat_frontiers,
         bindings,
         precomputed,
     };
 
-    let result = run_nodes(RunArgs {
-        program,
-        graph_value,
-        precomputed,
-        device,
-        rngs,
-        ctx: &ctx,
-        refcount: &mut refcount,
-        resident: &resident,
-        env: &mut env,
-    });
+    // A closure, so the error path below can inspect the environment.
+    let result = (|| -> Result<()> {
+        for (id, node) in program.nodes().iter().enumerate() {
+            // Value-sharing slots short-circuit the dispatcher: they clone an
+            // `Rc` rather than produce a new value.
+            match &node.op {
+                Op::InputGraph => {
+                    env[id] = Some(graph_value.clone());
+                    continue;
+                }
+                Op::Precomputed { slot } => {
+                    let v = precomputed.get(*slot).ok_or_else(|| {
+                        Error::Execution(format!("missing precomputed slot {slot}"))
+                    })?;
+                    env[id] = Some(v.clone());
+                    continue;
+                }
+                _ => {}
+            }
+
+            let inputs: Vec<&Value> = node
+                .inputs
+                .iter()
+                .map(|&i| {
+                    env[i]
+                        .as_deref()
+                        .ok_or_else(|| Error::Execution(format!("value {i} already freed")))
+                })
+                .collect::<Result<Vec<_>>>()?;
+
+            let graph_input = node.inputs.first().map(|&i| resident[i]).unwrap_or(false);
+            let value = kernels::dispatch(&node.op, &inputs, graph_input, &ctx, device, rngs)?;
+            device.try_alloc(value.bytes()).map_err(Error::Oom)?;
+            env[id] = Some(Arc::new(value));
+
+            // Release inputs whose last consumer this was.
+            for &i in &node.inputs {
+                refcount[i] -= 1;
+                if refcount[i] == 0 && !resident[i] {
+                    if let Some(v) = env[i].take() {
+                        device.free(v.bytes());
+                    }
+                }
+            }
+        }
+        Ok(())
+    })();
     if let Err(e) = result {
         // Release the modeled-memory accounting of every live intermediate
         // of the aborted execution, so a retry (possibly at a smaller
@@ -219,78 +259,8 @@ pub fn execute(
                 .ok_or_else(|| Error::Execution(format!("output {o} missing")))
         })
         .collect::<Result<Vec<_>>>()?;
+    // The outputs now hold the only reference to what this run produced.
+    drop(env);
 
-    superbatch::split_outputs(&outputs, &ctx, program)
-}
-
-/// Borrows of everything the node-evaluation loop touches, split out of
-/// [`execute`] so the error path can inspect the environment afterwards.
-struct RunArgs<'a, 'b> {
-    program: &'a Program,
-    graph_value: &'a Arc<Value>,
-    precomputed: &'a [Arc<Value>],
-    device: &'a Device,
-    rngs: &'a mut [StdRng],
-    ctx: &'a ExecCtx<'b>,
-    refcount: &'a mut [usize],
-    resident: &'a [bool],
-    env: &'a mut [Option<Arc<Value>>],
-}
-
-fn run_nodes(args: RunArgs<'_, '_>) -> Result<()> {
-    let RunArgs {
-        program,
-        graph_value,
-        precomputed,
-        device,
-        rngs,
-        ctx,
-        refcount,
-        resident,
-        env,
-    } = args;
-    for (id, node) in program.nodes().iter().enumerate() {
-        // Value-sharing slots short-circuit the dispatcher: they clone an
-        // `Rc` rather than produce a new value.
-        match &node.op {
-            Op::InputGraph => {
-                env[id] = Some(graph_value.clone());
-                continue;
-            }
-            Op::Precomputed { slot } => {
-                let v = precomputed
-                    .get(*slot)
-                    .ok_or_else(|| Error::Execution(format!("missing precomputed slot {slot}")))?;
-                env[id] = Some(v.clone());
-                continue;
-            }
-            _ => {}
-        }
-
-        let inputs: Vec<&Value> = node
-            .inputs
-            .iter()
-            .map(|&i| {
-                env[i]
-                    .as_deref()
-                    .ok_or_else(|| Error::Execution(format!("value {i} already freed")))
-            })
-            .collect::<Result<Vec<_>>>()?;
-
-        let graph_input = node.inputs.first().map(|&i| resident[i]).unwrap_or(false);
-        let value = kernels::dispatch(&node.op, &inputs, graph_input, ctx, device, rngs)?;
-        device.try_alloc(value.bytes()).map_err(Error::Oom)?;
-        env[id] = Some(Arc::new(value));
-
-        // Release inputs whose last consumer this was.
-        for &i in &node.inputs {
-            refcount[i] -= 1;
-            if refcount[i] == 0 && !resident[i] {
-                if let Some(v) = env[i].take() {
-                    device.free(v.bytes());
-                }
-            }
-        }
-    }
-    Ok(())
+    superbatch::split_outputs(outputs, &ctx, block.unwrap_or(&[]), program.outputs())
 }

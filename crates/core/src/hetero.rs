@@ -249,7 +249,7 @@ mod tests {
         let h = toy();
         let rel = h.relation("bought").unwrap();
         // Column 4 (item) has in-edges from users 0 and 1.
-        let csc = rel.graph.matrix.data.to_csc();
+        let csc = rel.graph.matrix.data.csc();
         assert_eq!(csc.col_rows(4), &[0, 1]);
     }
 }

@@ -48,8 +48,6 @@ pub struct ExecCtx<'a> {
     pub s: usize,
     /// Prefix sums of group sizes in the concatenated frontier list.
     pub col_offsets: &'a [usize],
-    /// The frontier groups being sampled together.
-    pub frontier_groups: &'a [Vec<NodeId>],
     /// All groups' frontiers, concatenated.
     pub concat_frontiers: &'a [NodeId],
     /// Named per-batch inputs.
@@ -68,12 +66,32 @@ impl<'a> ExecCtx<'a> {
             n: graph.num_nodes(),
             s: 1,
             col_offsets: &[0],
-            frontier_groups: &[],
             concat_frontiers: &[],
             bindings,
             precomputed: &[],
         }
     }
+
+    /// Check every frontier against the base graph's `ncols` columns up
+    /// front, so the parallel passes of an extract kernel cannot fail.
+    pub(crate) fn check_frontiers(&self, ncols: usize, op: &'static str) -> Result<()> {
+        let bad = self.concat_frontiers.iter().find(|&&f| f as usize >= ncols);
+        bad.map_or(Ok(()), |&f| {
+            let (index, bound) = (f as usize, ncols);
+            Err(gsampler_matrix::Error::IndexOutOfBounds { op, index, bound }.into())
+        })
+    }
+
+    /// Block-row offset `b·N` of the group `b` that owns output column `c`.
+    pub(crate) fn row_offset(&self, c: usize) -> NodeId {
+        (group_of_col(self.col_offsets, c) * self.n) as NodeId
+    }
+}
+
+/// The group whose half-open column range `col_offsets[b]..col_offsets[b+1]`
+/// contains column `c` (empty groups own nothing).
+pub fn group_of_col(col_offsets: &[usize], c: usize) -> usize {
+    col_offsets.partition_point(|&o| o <= c).saturating_sub(1)
 }
 
 /// Input plumbing: materialize frontiers and named bindings as values.

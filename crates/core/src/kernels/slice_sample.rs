@@ -9,8 +9,8 @@ use gsampler_ir::Op;
 use gsampler_matrix::sample::{
     individual_sample_seeded, individual_sample_with_replacement_seeded, StreamSource,
 };
-use gsampler_matrix::{Csc, GraphMatrix, NodeId, SparseMatrix};
-use gsampler_runtime::parallel::{parallel_map, parallel_scatter, parallel_scatter2};
+use gsampler_matrix::{Csc, GraphMatrix, SparseMatrix};
+use gsampler_runtime::parallel::parallel_map;
 
 use crate::error::{Error, Result};
 use crate::session_rng::ColStreams;
@@ -19,18 +19,8 @@ use crate::value::Value;
 use super::eltwise::{want_matrix, want_nodes, want_vector, with_data};
 use super::{par_gate, superbatch, ExecCtx};
 
-/// The per-frontier neighbour choices of [`fused_extract_select`]: which
-/// graph column each output column reads, its block-row offset under
-/// super-batching, the sorted neighbour offsets picked for it, and the
-/// output CSC column pointers.
-struct FrontierPicks {
-    cols_f: Vec<NodeId>,
-    row_off: Vec<NodeId>,
-    picks: Vec<Vec<usize>>,
-    indptr: Vec<usize>,
-}
-
-/// Plan the sampled neighbour offsets for every frontier column.
+/// Plan the sampled neighbour offsets (sorted) for every frontier column,
+/// and the output CSC column pointers they imply.
 ///
 /// Frontier-parallel on the worker pool: column `c` always draws from RNG
 /// stream `c` of [`ColStreams`] seeded once per group from that group's
@@ -42,32 +32,10 @@ fn plan_frontier_picks(
     replace: bool,
     ctx: &ExecCtx<'_>,
     rngs: &mut [StdRng],
-) -> Result<FrontierPicks> {
-    let n = ctx.n;
-    let total_cols = ctx.concat_frontiers.len();
-
-    // Flatten the groups into (frontier, block-row offset) per output
-    // column, validating bounds up front so the parallel passes cannot
-    // fail.
-    let mut cols_f: Vec<NodeId> = Vec::with_capacity(total_cols);
-    let mut row_off: Vec<NodeId> = Vec::with_capacity(total_cols);
-    for (b, group) in ctx.frontier_groups.iter().enumerate() {
-        let offset = if ctx.s > 1 { (b * n) as NodeId } else { 0 };
-        for &f in group {
-            if (f as usize) >= csc.ncols {
-                return Err(gsampler_matrix::Error::IndexOutOfBounds {
-                    op: "fused_extract_select",
-                    index: f as usize,
-                    bound: csc.ncols,
-                }
-                .into());
-            }
-            cols_f.push(f);
-            row_off.push(offset);
-        }
-    }
-
-    let pool = ColStreams::draw(rngs, ctx.col_offsets, total_cols)?;
+) -> Result<(Vec<Vec<usize>>, Vec<usize>)> {
+    let cols_f = ctx.concat_frontiers;
+    ctx.check_frontiers(csc.ncols, "fused_extract_select")?;
+    let pool = ColStreams::draw(rngs, ctx.col_offsets, cols_f.len())?;
     let picks: Vec<Vec<usize>> = parallel_map(
         cols_f.len(),
         par_gate(cols_f.len().saturating_mul(k.max(1))),
@@ -96,12 +64,7 @@ fn plan_frontier_picks(
     for (c, p) in picks.iter().enumerate() {
         indptr[c + 1] = indptr[c] + p.len();
     }
-    Ok(FrontierPicks {
-        cols_f,
-        row_off,
-        picks,
-        indptr,
-    })
+    Ok((picks, indptr))
 }
 
 /// Fused extract + node-wise select: sample `k` in-neighbours per frontier
@@ -109,8 +72,8 @@ fn plan_frontier_picks(
 /// offsets under super-batching.
 ///
 /// A count pass picks neighbour offsets per frontier
-/// ([`plan_frontier_picks`]), a prefix sum sizes the output, and a fill
-/// pass writes each frontier's segment.
+/// ([`plan_frontier_picks`]), a prefix sum sizes the output, and
+/// [`superbatch::gather_block`] writes each frontier's segment.
 pub fn fused_extract_select(
     m: &GraphMatrix,
     k: usize,
@@ -118,56 +81,17 @@ pub fn fused_extract_select(
     ctx: &ExecCtx<'_>,
     rngs: &mut [StdRng],
 ) -> Result<Value> {
-    let n = ctx.n;
-    let csc = m.data.to_csc();
-    let total_cols = ctx.concat_frontiers.len();
-    let FrontierPicks {
-        cols_f,
-        row_off,
-        picks,
-        indptr,
-    } = plan_frontier_picks(&csc, k, replace, ctx, rngs)?;
-
-    let out_nnz = *indptr.last().unwrap();
-    let mut indices = vec![0 as NodeId; out_nnz];
-    let gate = par_gate(out_nnz);
-    let fill_idx = |c: usize, seg_i: &mut [NodeId]| {
-        let range = csc.col_range(cols_f[c] as usize);
-        let offset = row_off[c];
-        for (j, &off) in picks[c].iter().enumerate() {
-            seg_i[j] = csc.indices[range.start + off] + offset;
-        }
-    };
-    let values = match csc.values.as_ref() {
-        Some(src) => {
-            let mut vals = vec![0f32; out_nnz];
-            parallel_scatter2(&mut indices, &mut vals, &indptr, gate, |c, seg_i, seg_v| {
-                fill_idx(c, seg_i);
-                let range = csc.col_range(cols_f[c] as usize);
-                for (j, &off) in picks[c].iter().enumerate() {
-                    seg_v[j] = src[range.start + off];
-                }
-            });
-            Some(vals)
-        }
-        None => {
-            parallel_scatter(&mut indices, &indptr, gate, |c, seg_i| fill_idx(c, seg_i));
-            None
-        }
-    };
-
-    let nrows = if ctx.s > 1 { n * ctx.s } else { csc.nrows };
-    let block = Csc {
-        nrows,
-        ncols: total_cols,
-        indptr,
-        indices,
-        values,
-    };
+    let csc = m.data.csc();
+    let cols_f = ctx.concat_frontiers;
+    let (picks, indptr) = plan_frontier_picks(&csc, k, replace, ctx, rngs)?;
+    let block = superbatch::gather_block(&csc, indptr, ctx, |c| {
+        let start = csc.col_range(cols_f[c] as usize).start;
+        picks[c].iter().map(move |&off| start + off)
+    });
     Ok(Value::Matrix(GraphMatrix {
         data: SparseMatrix::Csc(block),
         row_ids: m.row_ids.clone(),
-        col_ids: Some(std::sync::Arc::new(ctx.concat_frontiers.to_vec())),
+        col_ids: Some(std::sync::Arc::new(cols_f.to_vec())),
     }))
 }
 

@@ -7,94 +7,90 @@
 //! plain path uses (`weighted_sample_without_replacement_seeded` etc.) —
 //! each group draws from a subpool of its own RNG stream, which is what
 //! keeps seeded outputs bit-identical across batch modes and thread
-//! counts. [`split_outputs`] undoes the blocking at
-//! program exit.
+//! counts.
+//!
+//! [`split_outputs`] *un-blocks* at program exit: group `b`'s share of an
+//! output matrix is the diagonal block it already is — columns
+//! `col_offsets[b]..col_offsets[b+1]` by the group's row run, found once
+//! per output — copied out as a contiguous range with rows shifted, in the
+//! same storage format and without compaction, so it equals the group's
+//! solo execution field by field. An edge outside every diagonal block is
+//! a typed error.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use gsampler_ir::{Op, Program};
 use gsampler_matrix::sample::weighted_sample_without_replacement_seeded;
-use gsampler_matrix::{slice, Csc, GraphMatrix, NodeId, SparseMatrix};
+use gsampler_matrix::{convert, slice, Coo, Csc, GraphMatrix, NodeId, SparseMatrix};
 use gsampler_runtime::parallel::{parallel_scatter, parallel_scatter2};
 use rand::rngs::StdRng;
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::session_rng::segment_subpools;
 use crate::value::Value;
 
 use super::eltwise::fit_row_vector;
-use super::{par_gate, ExecCtx};
+use super::{group_of_col, par_gate, ExecCtx};
 
-/// Segmented (block-diagonal) column extraction from a base-space matrix.
-///
-/// Frontier-parallel: output degrees come straight from the source indptr,
-/// so a prefix sum sizes the output exactly and each frontier's segment is
-/// copied independently on the worker pool.
-pub fn segmented_slice_cols(m: &GraphMatrix, ctx: &ExecCtx<'_>) -> Result<Value> {
-    let n = ctx.n;
-    let csc = m.data.to_csc();
-    let total_cols = ctx.concat_frontiers.len();
-
-    let mut cols_f: Vec<NodeId> = Vec::with_capacity(total_cols);
-    let mut row_off: Vec<NodeId> = Vec::with_capacity(total_cols);
-    for (b, group) in ctx.frontier_groups.iter().enumerate() {
-        let offset = (b * n) as NodeId;
-        for &f in group {
-            if (f as usize) >= csc.ncols {
-                return Err(gsampler_matrix::Error::IndexOutOfBounds {
-                    op: "segmented_slice_cols",
-                    index: f as usize,
-                    bound: csc.ncols,
-                }
-                .into());
-            }
-            cols_f.push(f);
-            row_off.push(offset);
-        }
-    }
-
-    let mut indptr = vec![0usize; cols_f.len() + 1];
-    for (c, &f) in cols_f.iter().enumerate() {
-        indptr[c + 1] = indptr[c] + csc.col_range(f as usize).len();
-    }
+/// Assemble a block-diagonal extract of the base matrix `csc`, the one
+/// layout both extract kernels write: output column `c` takes the entries
+/// at source positions `positions(c)` of base column `concat_frontiers[c]`
+/// and lifts their rows by the `b·N` of the group owning `c`. `indptr` are
+/// the output column pointers; each column's segment is filled
+/// independently on the worker pool.
+pub(super) fn gather_block<I: Iterator<Item = usize>>(
+    csc: &Csc,
+    indptr: Vec<usize>,
+    ctx: &ExecCtx<'_>,
+    positions: impl Fn(usize) -> I + Sync,
+) -> Csc {
     let out_nnz = *indptr.last().unwrap();
     let mut indices = vec![0 as NodeId; out_nnz];
     let gate = par_gate(out_nnz);
     let fill_idx = |c: usize, seg_i: &mut [NodeId]| {
-        let range = csc.col_range(cols_f[c] as usize);
-        let offset = row_off[c];
-        for (j, pos) in range.enumerate() {
-            seg_i[j] = csc.indices[pos] + offset;
+        let offset = ctx.row_offset(c);
+        for (dst, pos) in seg_i.iter_mut().zip(positions(c)) {
+            *dst = csc.indices[pos] + offset;
         }
     };
-    let values = match csc.values.as_ref() {
-        Some(src) => {
-            let mut vals = vec![0f32; out_nnz];
-            parallel_scatter2(&mut indices, &mut vals, &indptr, gate, |c, seg_i, seg_v| {
-                fill_idx(c, seg_i);
-                let range = csc.col_range(cols_f[c] as usize);
-                seg_v.copy_from_slice(&src[range]);
-            });
-            Some(vals)
-        }
-        None => {
-            parallel_scatter(&mut indices, &indptr, gate, |c, seg_i| fill_idx(c, seg_i));
-            None
-        }
-    };
-
-    let block = Csc {
-        nrows: n * ctx.s,
-        ncols: total_cols,
+    let values = csc.values.as_ref().map(|src| {
+        let mut vals = vec![0f32; out_nnz];
+        parallel_scatter2(&mut indices, &mut vals, &indptr, gate, |c, seg_i, seg_v| {
+            fill_idx(c, seg_i);
+            for (dst, pos) in seg_v.iter_mut().zip(positions(c)) {
+                *dst = src[pos];
+            }
+        });
+        vals
+    });
+    if values.is_none() {
+        parallel_scatter(&mut indices, &indptr, gate, |c, seg_i| fill_idx(c, seg_i));
+    }
+    Csc {
+        nrows: if ctx.s > 1 { ctx.n * ctx.s } else { csc.nrows },
+        ncols: indptr.len() - 1,
         indptr,
         indices,
         values,
-    };
-    let fmt = m.data.format();
+    }
+}
+
+/// Segmented (block-diagonal) column extraction from a base-space matrix:
+/// output degrees come straight from the source indptr.
+pub fn segmented_slice_cols(m: &GraphMatrix, ctx: &ExecCtx<'_>) -> Result<Value> {
+    let csc = m.data.csc();
+    let cols_f = ctx.concat_frontiers;
+    ctx.check_frontiers(csc.ncols, "segmented_slice_cols")?;
+    let mut indptr = vec![0usize; cols_f.len() + 1];
+    for (c, &f) in cols_f.iter().enumerate() {
+        indptr[c + 1] = indptr[c] + csc.col_range(f as usize).len();
+    }
+    let block = gather_block(&csc, indptr, ctx, |c| csc.col_range(cols_f[c] as usize));
     Ok(Value::Matrix(GraphMatrix {
-        data: SparseMatrix::Csc(block).to_format(fmt),
+        data: SparseMatrix::Csc(block).to_format(m.data.format()),
         row_ids: None,
-        col_ids: Some(std::sync::Arc::new(ctx.concat_frontiers.to_vec())),
+        col_ids: Some(Arc::new(cols_f.to_vec())),
     }))
 }
 
@@ -206,97 +202,179 @@ pub fn block_space(program: &Program) -> Vec<bool> {
     block
 }
 
-/// Split super-batched output values back into per-group values.
-///
-/// `program` drives the node-list attribution: outputs the
-/// [`block_space`] analysis proves to be block-row IDs are always split by
-/// their `b·N` offset (so a group that sampled nothing gets an empty
-/// list); for the rest, IDs below `N` cannot be attributed and fall back
-/// to the historical whole-list heuristic.
+/// Un-block the outputs of one execution into per-group value lists.
+/// `block` is the program's [`block_space`] proof (computed once, at
+/// compile) and `out_ids` its output nodes, aligned with `outputs`.
 pub fn split_outputs(
-    outputs: &[Arc<Value>],
+    outputs: Vec<Arc<Value>>,
     ctx: &ExecCtx<'_>,
-    program: &Program,
+    block: &[bool],
+    out_ids: &[usize],
 ) -> Result<Vec<Vec<Value>>> {
-    let s = ctx.s;
-    if s <= 1 {
-        return Ok(vec![outputs.iter().map(|v| (**v).clone()).collect()]);
-    }
-    let n = ctx.n;
-    let block = block_space(program);
-    let mut per_group: Vec<Vec<Value>> = vec![Vec::new(); s];
-    for (value, &out_id) in outputs.iter().zip(program.outputs()) {
-        match &**value {
-            Value::Matrix(m) => {
-                for (b, group) in per_group.iter_mut().enumerate() {
-                    group.push(Value::Matrix(split_matrix(m, b, n, ctx.col_offsets)?));
-                }
-            }
-            Value::Nodes(ids) => {
-                // Proven block-row IDs split by period; otherwise fall
-                // back to inspecting the IDs (true graph IDs, e.g. from
-                // column space, go to every group).
-                let split_by_block = block[out_id] || ids.iter().any(|&i| (i as usize) >= n);
-                for (b, group) in per_group.iter_mut().enumerate() {
-                    let list: Vec<NodeId> = if split_by_block {
-                        ids.iter()
-                            .filter(|&&i| (i as usize) / n == b)
-                            .map(|&i| (i as usize % n) as NodeId)
-                            .collect()
-                    } else {
-                        // Without block offsets we cannot attribute IDs;
-                        // give each group the full list.
-                        ids.clone()
-                    };
-                    group.push(Value::Nodes(list));
-                }
-            }
-            Value::Vector(v) => {
-                let total_cols = *ctx.col_offsets.last().unwrap();
-                for (b, group) in per_group.iter_mut().enumerate() {
-                    let piece = if v.len() == n * s {
-                        v[b * n..(b + 1) * n].to_vec()
-                    } else if v.len() == total_cols {
-                        v[ctx.col_offsets[b]..ctx.col_offsets[b + 1]].to_vec()
-                    } else {
-                        v.clone()
-                    };
-                    group.push(Value::Vector(piece));
-                }
-            }
-            other => {
-                for group in per_group.iter_mut() {
-                    group.push(other.clone());
-                }
-            }
+    let mut per_group: Vec<Vec<Value>> = vec![Vec::new(); ctx.s];
+    for (value, &id) in outputs.into_iter().zip(out_ids) {
+        let pieces = unblock(value, block.get(id) == Some(&true), ctx)?;
+        for (group, piece) in per_group.iter_mut().zip(pieces) {
+            group.push(piece);
         }
     }
     Ok(per_group)
 }
 
-/// Slice group `b`'s columns out of a block-diagonal matrix and translate
-/// its block-row IDs back to original node IDs.
-fn split_matrix(m: &GraphMatrix, b: usize, n: usize, col_offsets: &[usize]) -> Result<GraphMatrix> {
-    let cols: Vec<NodeId> = (col_offsets[b]..col_offsets[b + 1])
-        .map(|c| c as NodeId)
-        .collect();
-    let data = slice::slice_cols(&m.data, &cols)?;
-    let col_ids: Vec<NodeId> = cols.iter().map(|&c| m.global_col(c as usize)).collect();
-    let piece = GraphMatrix {
-        data,
-        row_ids: m.row_ids.clone(),
-        col_ids: Some(std::sync::Arc::new(col_ids)),
-    };
-    // Drop the other groups' (isolated) rows, then unwrap the block offset.
-    let compacted = piece.compact_rows();
-    let fixed: Vec<NodeId> = compacted
-        .global_row_ids()
-        .into_iter()
-        .map(|g| (g as usize % n) as NodeId)
-        .collect();
-    Ok(GraphMatrix {
-        data: compacted.data,
-        row_ids: Some(std::sync::Arc::new(fixed)),
-        col_ids: compacted.col_ids,
+fn not_blocked(what: &str) -> Error {
+    Error::Execution(format!("cannot un-block a super-batch output: {what}"))
+}
+
+/// One output's per-group pieces. An ID list that is not `proven`
+/// block-space is still split as such when it visibly is (an ID at or
+/// above `N`); otherwise every group gets it as it stands.
+fn unblock(value: Arc<Value>, proven: bool, ctx: &ExecCtx<'_>) -> Result<Vec<Value>> {
+    let (n, s, cols) = (ctx.n, ctx.s, ctx.col_offsets);
+    let blocked = |ids: &[NodeId]| proven || ids.iter().any(|&i| i as usize >= n);
+    // What this run produced is moved out of the executor's `Arc`; only a
+    // genuinely shared value (a passed-through graph or precomputed input)
+    // is cloned.
+    let value = Arc::try_unwrap(value).unwrap_or_else(|shared| (*shared).clone());
+    Ok(match value {
+        // One group owns every row and column, whatever the value is (as
+        // in `ColStreams::draw`): its block is the value itself.
+        whole if s == 1 => vec![whole],
+        Value::Matrix(m) => {
+            let nrows = m.shape().0;
+            // Group `b` owns local rows `runs[b]..runs[b + 1]`: arithmetic
+            // without a row-id table, else one pass over it.
+            let runs = match &m.row_ids {
+                None if nrows == n * s => Some((0..=s).map(|b| b * n).collect()),
+                None if proven || nrows > n => return Err(not_blocked("rows are not S x N")),
+                Some(ids) if blocked(ids) => Some(row_runs(ids, n, s)?),
+                _ => None,
+            };
+            let blocks = diagonal_blocks(&m, runs.as_deref(), cols)?.into_iter();
+            let piece = |(b, data)| {
+                let row_ids = match (&runs, &m.row_ids) {
+                    (Some(r), Some(ids)) => {
+                        let own = ids[r[b]..r[b + 1]].iter().map(|&i| i % n as NodeId);
+                        Some(Arc::new(own.collect()))
+                    }
+                    (Some(_), None) => None,
+                    (None, ids) => ids.clone(),
+                };
+                let col_ids = (cols[b]..cols[b + 1]).map(|c| m.global_col(c)).collect();
+                Value::Matrix(GraphMatrix {
+                    data,
+                    row_ids,
+                    col_ids: Some(Arc::new(col_ids)),
+                })
+            };
+            blocks.enumerate().map(piece).collect()
+        }
+        Value::Nodes(ids) if blocked(&ids) => {
+            let mut lists = vec![Vec::new(); s];
+            for i in ids {
+                let list = lists.get_mut(i as usize / n);
+                list.ok_or_else(|| not_blocked("a node beyond S x N"))?
+                    .push(i % n as NodeId);
+            }
+            lists.into_iter().map(Value::Nodes).collect()
+        }
+        Value::Vector(v) if v.len() == n * s => (0..s)
+            .map(|b| Value::Vector(v[b * n..(b + 1) * n].to_vec()))
+            .collect(),
+        Value::Vector(v) if v.len() == cols[s] => (0..s)
+            .map(|b| Value::Vector(v[cols[b]..cols[b + 1]].to_vec()))
+            .collect(),
+        whole => vec![whole; s],
     })
+}
+
+/// Row runs from a block-space row-id table. Programs compact and
+/// row-select in block space keeping rows ascending, hence grouped.
+fn row_runs(ids: &[NodeId], n: usize, s: usize) -> Result<Vec<usize>> {
+    let mut runs = vec![0usize; s + 1];
+    let mut last = 0;
+    for &id in ids {
+        let b = id as usize / n;
+        if b < last || b >= s {
+            return Err(not_blocked("a row outside block order"));
+        }
+        last = b;
+        runs[b + 1] += 1;
+    }
+    for b in 0..s {
+        runs[b + 1] += runs[b];
+    }
+    Ok(runs)
+}
+
+/// Every group's diagonal block of `m`: columns `cols[b]..cols[b + 1]` by
+/// rows `runs[b]..runs[b + 1]` (every row, where it is, when the rows are
+/// not in block space), in `m`'s storage format and edge order —
+/// O(nnz + rows + cols) for all groups together. An edge outside every
+/// diagonal block is an error, never a mis-scatter.
+fn diagonal_blocks(
+    m: &GraphMatrix,
+    runs: Option<&[usize]>,
+    cols: &[usize],
+) -> Result<Vec<SparseMatrix>> {
+    let s = cols.len() - 1;
+    let (nrows, ncols) = m.shape();
+    if ncols != cols[s] {
+        return Err(not_blocked("columns are not the frontier groups'"));
+    }
+    // Group `b`'s row run; every row when the rows are shared.
+    let run = |b: usize| runs.map_or(0..nrows, |o| o[b]..o[b + 1]);
+    let local_row = |run: &Range<usize>, r: NodeId| {
+        if run.contains(&(r as usize)) {
+            Ok(r - run.start as NodeId)
+        } else {
+            Err(not_blocked("an edge in another group's rows"))
+        }
+    };
+    match &m.data {
+        SparseMatrix::Csc(csc) => (0..s)
+            .map(|b| {
+                let rows = run(b);
+                let edges = csc.indptr[cols[b]]..csc.indptr[cols[b + 1]];
+                let indptr = csc.indptr[cols[b]..=cols[b + 1]].iter();
+                let indices = csc.indices[edges.clone()].iter();
+                Ok(SparseMatrix::Csc(Csc {
+                    nrows: rows.len(),
+                    ncols: cols[b + 1] - cols[b],
+                    indptr: indptr.map(|p| p - edges.start).collect(),
+                    indices: indices
+                        .map(|&r| local_row(&rows, r))
+                        .collect::<Result<_>>()?,
+                    values: csc.values.as_ref().map(|v| v[edges].to_vec()),
+                }))
+            })
+            .collect(),
+        // Row-major and coordinate storage: bucket the edges by their
+        // column's group in one pass, keeping storage order.
+        other => {
+            let weighted = other.is_weighted();
+            let mut buckets = vec![(Vec::new(), Vec::new(), Vec::new()); s];
+            for (r, c, v) in other.iter_edges() {
+                let b = group_of_col(cols, c as usize);
+                buckets[b].0.push(local_row(&run(b), r)?);
+                buckets[b].1.push(c - cols[b] as NodeId);
+                if weighted {
+                    buckets[b].2.push(v);
+                }
+            }
+            let block = |(b, (rows, cols_b, vals)): (usize, (Vec<_>, Vec<_>, Vec<_>))| {
+                let coo = Coo {
+                    nrows: run(b).len(),
+                    ncols: cols[b + 1] - cols[b],
+                    rows,
+                    cols: cols_b,
+                    values: weighted.then_some(vals),
+                };
+                match other {
+                    SparseMatrix::Csr(_) => SparseMatrix::Csr(convert::coo_to_csr(&coo)),
+                    _ => SparseMatrix::Coo(coo),
+                }
+            };
+            Ok(buckets.into_iter().enumerate().map(block).collect())
+        }
+    }
 }

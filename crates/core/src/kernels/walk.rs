@@ -13,37 +13,17 @@ use super::eltwise::{want_matrix, want_nodes, with_data};
 use super::ExecCtx;
 
 /// Per-walker finalize: each column's sampled row becomes that walker's
-/// next node; dead-end walkers stay where they are. Under super-batching,
-/// stay-in-place nodes are lifted into the column's block row range so
-/// the output splits per group like any other row-space node list.
+/// next node; dead-end walkers stay where they are, lifted into the
+/// column's block row range so the output splits per group like any other
+/// row-space node list.
 pub fn next_walk_frontier(m: &GraphMatrix, ctx: &ExecCtx<'_>) -> Result<Value> {
-    let csc = m.data.to_csc();
-    let mut out: Vec<NodeId> = Vec::with_capacity(csc.ncols);
-    for c in 0..csc.ncols {
-        let range = csc.col_range(c);
-        if let Some(&row) = csc
-            .indices
-            .get(range.start..range.end)
-            .and_then(|s| s.first())
-        {
-            out.push(m.global_row(row as usize));
-        } else {
-            // Dead end: keep the walker at its current node; under
-            // super-batching, lift it into this column's block.
-            let node = m.global_col(c);
-            if ctx.s > 1 {
-                let b = ctx
-                    .col_offsets
-                    .iter()
-                    .position(|&off| off > c)
-                    .unwrap_or(ctx.s)
-                    .saturating_sub(1);
-                out.push((b * ctx.n) as NodeId + node);
-            } else {
-                out.push(node);
-            }
-        }
-    }
+    let csc = m.data.csc();
+    let out: Vec<NodeId> = (0..csc.ncols)
+        .map(|c| match csc.indices.get(csc.col_range(c)) {
+            Some(&[row, ..]) => m.global_row(row as usize),
+            _ => ctx.row_offset(c) + m.global_col(c),
+        })
+        .collect();
     Ok(Value::Nodes(out))
 }
 
@@ -65,7 +45,7 @@ pub fn node2vec_bias(
             m.shape().1
         )));
     }
-    let gcsc = graph.data.to_csc();
+    let gcsc = graph.data.csc();
     let n = ctx.n.max(1);
     let biases: Vec<f32> = m
         .data

@@ -18,6 +18,7 @@ use gsampler_engine::RngPool;
 use gsampler_matrix::sample::StreamSource;
 
 use crate::error::{Error, Result};
+use crate::kernels::group_of_col;
 
 /// One RNG subpool per super-batch segment, for segmented collective
 /// sampling: segment `b` gets the subpool its group would build running
@@ -76,8 +77,7 @@ impl ColStreams {
 impl StreamSource for ColStreams {
     fn stream(&self, index: u64) -> StdRng {
         let c = index as usize;
-        // The group whose half-open column range contains `c`.
-        let b = self.offsets.partition_point(|&o| o <= c).saturating_sub(1);
+        let b = group_of_col(&self.offsets, c);
         self.pools[b].stream((c - self.offsets[b]) as u64)
     }
 }

@@ -4,12 +4,24 @@
 use std::sync::Arc;
 
 use gsampler_core::builder::{Layer, LayerBuilder, Mat};
-use gsampler_core::{compile, Axis, Bindings, Graph, LayoutMode, OptConfig, SamplerConfig, Value};
-use gsampler_matrix::{Dense, NodeId};
+use gsampler_core::kernels::{superbatch, ExecCtx};
+use gsampler_core::{
+    compile, Axis, Bindings, Error, Graph, LayoutMode, OptConfig, SamplerConfig, Value,
+};
+use gsampler_ir::Op;
+use gsampler_matrix::{Csc, Dense, Format, GraphMatrix, NodeId, SparseMatrix};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A deterministic 64-node ring-of-cliques graph: 8 cliques of 8 nodes,
 /// ring edges between consecutive cliques. Every node has in-degree >= 7.
 fn test_graph() -> Arc<Graph> {
+    cliques_graph(true, 0)
+}
+
+/// [`test_graph`], optionally unweighted and with `isolated` extra nodes
+/// that have no edges at all (frontiers that sample nothing).
+fn cliques_graph(weighted: bool, isolated: u32) -> Arc<Graph> {
     let mut edges: Vec<(NodeId, NodeId, f32)> = Vec::new();
     let cliques = 8u32;
     let size = 8u32;
@@ -27,13 +39,13 @@ fn test_graph() -> Arc<Graph> {
         edges.push((base, next, 2.0));
         edges.push((next, base, 2.0));
     }
+    let n = (cliques * size + isolated) as usize;
     let features = {
-        let n = (cliques * size) as usize;
         let data: Vec<f32> = (0..n * 8).map(|i| ((i % 13) as f32) * 0.1 - 0.6).collect();
         Dense::from_vec(n, 8, data).unwrap()
     };
     Arc::new(
-        Graph::from_edges("cliques", (cliques * size) as usize, &edges, true)
+        Graph::from_edges("cliques", n, &edges, weighted)
             .unwrap()
             .with_features(features),
     )
@@ -65,6 +77,66 @@ fn ladies_layer(k: usize) -> Layer {
     b.output(&out);
     b.output_next_frontiers(&next);
     b.build()
+}
+
+/// LADIES with the sliced block compacted before the collective select —
+/// what the layout pass does to it on the large presets.
+fn compacted_ladies_layer(k: usize) -> Layer {
+    let b = LayerBuilder::new();
+    let sub = b.graph().slice_cols(&b.frontiers()).compact_rows();
+    let row_probs = sub.pow(2.0).sum(Axis::Row);
+    let samp = sub.collective_sample(k, Some(&row_probs));
+    let next = samp.row_nodes();
+    b.output(&samp);
+    b.output_next_frontiers(&next);
+    b.build()
+}
+
+/// `layer` with its first output also delivered in storage format `fmt`.
+fn with_converted_output(mut layer: Layer, fmt: Format) -> Layer {
+    let first = layer.program.outputs()[0];
+    let converted = layer.program.add(Op::Convert(fmt), vec![first]);
+    layer.program.mark_output(converted);
+    layer
+}
+
+/// Every group of one packed `sample_groups` call must equal its solo run
+/// on the same stream field by field — `Debug` spells out the storage
+/// format, shape, `indptr`, `indices`, `values`, `row_ids` and `col_ids`
+/// of every matrix, and every node list and vector.
+fn assert_groups_equal_solo(graph: &Arc<Graph>, layers: &[Layer], opt: OptConfig, what: &str) {
+    let sampler = compile(graph.clone(), layers.to_vec(), config(opt)).unwrap();
+    let bindings = Bindings::new();
+    let n = graph.num_nodes() as NodeId;
+    // Uneven groups, an empty one in the middle, and (on graphs with
+    // isolated nodes) one whose frontiers have no in-edges at all.
+    let group = |b: NodeId| -> Vec<NodeId> {
+        match b % 5 {
+            1 => Vec::new(),
+            3 => (64..n).collect(),
+            _ => (0..3 + b % 4).map(|i| (b * 7 + i * 5) % 64).collect(),
+        }
+    };
+    for s in [1, 2, 3, 16] {
+        let groups: Vec<Vec<NodeId>> = (0..s).map(group).collect();
+        let mut rngs: Vec<StdRng> = (0..s)
+            .map(|b| StdRng::seed_from_u64(90 + b as u64))
+            .collect();
+        let packed = sampler
+            .sample_groups(groups.clone(), &bindings, &mut rngs)
+            .unwrap_or_else(|e| panic!("{what}: factor {s} failed: {e}"));
+        for (b, (group, got)) in groups.into_iter().zip(&packed).enumerate() {
+            let mut rng = [StdRng::seed_from_u64(90 + b as u64)];
+            let solo = sampler
+                .sample_groups(vec![group], &bindings, &mut rng)
+                .unwrap();
+            assert_eq!(
+                format!("{:#?}", got.layers),
+                format!("{:#?}", solo[0].layers),
+                "{what}: group {b} of {s} differs from its solo run"
+            );
+        }
+    }
 }
 
 fn config(opt: OptConfig) -> SamplerConfig {
@@ -261,6 +333,78 @@ fn super_batch_groups_are_independent_and_valid() {
             assert!(d <= 3);
         }
     }
+
+    // Independent means identical, layout included: whatever a group is
+    // packed with, it gets the diagonal block its solo run produces.
+    for weighted in [true, false] {
+        let graph = cliques_graph(weighted, 4);
+        let check = |layers: &[Layer], opt: OptConfig, what: &str| {
+            let what = format!("{what} (weighted: {weighted})");
+            assert_groups_equal_solo(&graph, layers, opt, &what);
+        };
+        check(&[graphsage_layer(3)], OptConfig::all(), "fused GraphSAGE");
+        check(&[graphsage_layer(3)], OptConfig::plain(), "GraphSAGE");
+        check(&[ladies_layer(5)], OptConfig::all(), "LADIES");
+        check(&[ladies_layer(5)], OptConfig::plain(), "plain LADIES");
+        check(
+            &[compacted_ladies_layer(5)],
+            OptConfig::all(),
+            "compacted LADIES",
+        );
+        for fmt in [Format::Csr, Format::Coo] {
+            let sage = with_converted_output(graphsage_layer(3), fmt);
+            let sampler = compile(
+                graph.clone(),
+                vec![sage.clone()],
+                config(OptConfig::plain()),
+            );
+            let sample = sampler
+                .unwrap()
+                .sample_batch(&[0, 9], &Bindings::new())
+                .unwrap();
+            assert_eq!(sample.layers[0][2].as_matrix().unwrap().data.format(), fmt);
+            check(
+                &[sage],
+                OptConfig::plain(),
+                &format!("GraphSAGE as {fmt:?}"),
+            );
+            let ladies = with_converted_output(compacted_ladies_layer(5), fmt);
+            check(&[ladies], OptConfig::plain(), &format!("LADIES as {fmt:?}"));
+        }
+    }
+}
+
+#[test]
+fn cross_group_edge_in_a_block_is_a_typed_error() {
+    // Two groups of one frontier each over a 4-node graph: a well-formed
+    // block matrix keeps column 1's rows in [4, 8).
+    let graph = Graph::from_edges("g", 4, &[(0, 1, 1.0), (2, 3, 1.0)], false).unwrap();
+    let bindings = Bindings::new();
+    let ctx = ExecCtx {
+        s: 2,
+        col_offsets: &[0, 1, 2],
+        concat_frontiers: &[1, 3],
+        ..ExecCtx::plain(&graph, &bindings)
+    };
+    let block = |row_of_col_1: NodeId| {
+        let csc = Csc::new(8, 2, vec![0, 1, 2], vec![0, row_of_col_1], None).unwrap();
+        let m = GraphMatrix {
+            data: SparseMatrix::Csc(csc),
+            row_ids: None,
+            col_ids: Some(Arc::new(vec![1, 3])),
+        };
+        superbatch::split_outputs(vec![Arc::new(Value::Matrix(m))], &ctx, &[true], &[0])
+    };
+    let split = block(4 + 2).unwrap();
+    assert_eq!(
+        split[1][0].as_matrix().unwrap().global_edges(),
+        [(2, 3, 1.0)]
+    );
+    // Row 2 belongs to group 0: `% n` used to fold it into group 1's sample.
+    match block(2) {
+        Err(Error::Execution(msg)) => assert!(msg.contains("another group"), "{msg}"),
+        other => panic!("cross-group edge was not rejected: {other:?}"),
+    }
 }
 
 #[test]
@@ -338,6 +482,11 @@ fn super_batch_two_layer_chaining_with_uneven_groups() {
             assert!(d <= 2);
         }
     }
+    // Chained layers: each group's second layer runs on its own first
+    // layer's rows, so both layers must match the solo run exactly.
+    let two = |layer: fn(usize) -> Layer| [layer(3), layer(2)];
+    assert_groups_equal_solo(&graph, &two(graphsage_layer), OptConfig::all(), "SAGE x2");
+    assert_groups_equal_solo(&graph, &two(ladies_layer), OptConfig::all(), "LADIES x2");
 }
 
 #[test]

@@ -96,13 +96,10 @@ impl GraphMatrix {
     /// least one edge, ascending. After a select step these are the sampled
     /// neighbours, i.e. the frontiers of the next layer.
     pub fn row_nodes(&self) -> Vec<NodeId> {
-        let mut has_edge = vec![false; self.data.nrows()];
-        for (r, _, _) in self.data.iter_edges() {
-            has_edge[r as usize] = true;
-        }
-        let mut out: Vec<NodeId> = (0..self.data.nrows())
-            .filter(|&r| has_edge[r])
-            .map(|r| self.global_row(r))
+        let occupied = compact::occupied_rows(&self.data);
+        let mut out: Vec<NodeId> = occupied
+            .into_iter()
+            .map(|r| self.global_row(r as usize))
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -366,6 +363,17 @@ mod tests {
         assert_eq!(compacted.shape(), (3, 1));
         assert_eq!(compacted.global_row_ids(), vec![2, 3, 5]);
         assert_eq!(compacted.row_nodes(), vec![2, 3, 5]);
+    }
+
+    #[test]
+    fn row_nodes_is_format_independent() {
+        let sub = toy_graph().slice_cols_global(&[1, 4]).unwrap();
+        for fmt in crate::Format::ALL {
+            let mut other = sub.clone();
+            other.data = other.data.to_format(fmt);
+            assert_eq!(other.row_nodes(), vec![2, 3, 5, 6, 7], "{fmt:?}");
+            assert_eq!(other.compact_rows().row_nodes(), vec![2, 3, 5, 6, 7]);
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Format-polymorphic sparse matrix wrapper.
 
+use std::borrow::Cow;
+
 use crate::convert;
 use crate::coo::Coo;
 use crate::csc::Csc;
@@ -141,6 +143,15 @@ impl SparseMatrix {
         }
     }
 
+    /// Borrow as CSC, converting only on a format mismatch — what kernels
+    /// that read the whole resident graph every launch want.
+    pub fn csc(&self) -> Cow<'_, Csc> {
+        match self {
+            SparseMatrix::Csc(m) => Cow::Borrowed(m),
+            other => Cow::Owned(other.to_csc()),
+        }
+    }
+
     /// Materialize as CSR (clones if already CSR).
     pub fn to_csr(&self) -> Csr {
         match self {
@@ -278,6 +289,17 @@ mod tests {
             assert_eq!(converted.format(), fmt);
             assert_eq!(converted.sorted_edges(), edges);
             converted.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn csc_accessor_borrows_csc_and_converts_the_rest() {
+        let m = sample();
+        assert!(matches!(m.csc(), Cow::Borrowed(_)));
+        for fmt in [Format::Csr, Format::Coo] {
+            let other = m.to_format(fmt);
+            assert!(matches!(other.csc(), Cow::Owned(_)));
+            assert_eq!(&*other.csc(), m.as_csc().unwrap());
         }
     }
 

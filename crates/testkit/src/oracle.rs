@@ -9,11 +9,13 @@
 //!    RNG stream and fans out per-column streams from it, CSE never
 //!    merges random ops, and preprocessing never hoists them — so pass
 //!    toggles cannot change RNG stream assignment for live ops. The same
-//!    discipline makes a super-batched epoch bit-exact against the
-//!    factor-1 epoch (a batch's stream depends on its index only), which
-//!    is checked the same way. So is the plan database: a compile served
-//!    from it, and one on an equal graph that can only miss, must sample
-//!    what a database-less compile does.
+//!    discipline makes a super-batched epoch identical to the factor-1
+//!    epoch, storage layout included (a batch's stream depends on its
+//!    index only, and its share of the block-diagonal execution is the
+//!    diagonal block), which is checked value by value, structurally.
+//!    The plan database is checked by fingerprint like the ablations: a
+//!    compile served from it, and one on an equal graph that can only
+//!    miss, must sample what a database-less compile does.
 //! 2. **Structural validation** — every output must be a faithful
 //!    sub-result of the input graph: matrix edges exist in the graph
 //!    (catching relabel/compaction bugs), node IDs are in range.
@@ -28,7 +30,7 @@ use gsampler_core::{Bindings, Graph, OptConfig, PlanDb, SamplerConfig, Value};
 
 use crate::drive::{self, compile_algorithm, sampler_config};
 use crate::fault::Fault;
-use crate::fingerprint::{of_values, Fingerprint};
+use crate::fingerprint::of_values;
 
 /// One confirmed disagreement (or structural violation).
 #[derive(Debug, Clone)]
@@ -229,7 +231,7 @@ impl Oracle {
             .find(|s| s.name == algo)
             .map(|s| s.driver);
         if driver == Some(Driver::Chained) {
-            let epoch_print = |factor: usize| -> Result<u64, Divergence> {
+            let epoch = |factor: usize| -> Result<Vec<String>, Divergence> {
                 let opt = OptConfig::all().with_super_batch(factor);
                 let sampler = compile_algorithm(
                     &self.graph,
@@ -240,12 +242,13 @@ impl Oracle {
                 )
                 .map_err(|e| diverge("super-batch", e))?
                 .expect("no fault");
-                let mut f = Fingerprint::new();
+                // Structural, not semantic: `Debug` spells out every field
+                // of every value, storage layout included.
+                let mut samples: Vec<String> = Vec::new();
                 let mut all_values: Vec<Value> = Vec::new();
                 sampler
                     .run_epoch_with(frontiers, &Bindings::new(), 0, |batch, sample| {
-                        f.u64(batch as u64);
-                        f.sample(&sample);
+                        samples.push(format!("batch {batch}: {:?}", sample.layers));
                         for layer in sample.layers {
                             all_values.extend(layer);
                         }
@@ -257,15 +260,17 @@ impl Oracle {
                         )
                     })?;
                 self.validate_values(algo, "super-batch", &all_values)?;
-                Ok(f.finish())
+                Ok(samples)
             };
-            let plain = epoch_print(1)?;
-            let packed = epoch_print(2)?;
+            let (plain, packed) = (epoch(1)?, epoch(2)?);
             if plain != packed {
+                let first = plain.iter().zip(&packed).find(|(want, got)| want != got);
                 return Err(diverge(
                     "super-batch",
                     format!(
-                        "super-batched epoch {packed:#018x} differs from the factor-1 epoch {plain:#018x}"
+                        "{} batches packed, {} plain; first difference (plain, packed): {first:?}",
+                        packed.len(),
+                        plain.len()
                     ),
                 ));
             }

@@ -9,9 +9,11 @@
 //! paths at widths > 1 — on a tiny graph this test would pass vacuously.
 //!
 //! The same run pins grouping invisibility: a mini-batch's randomness is a
-//! function of (seed, epoch, batch index) only, so every epoch-driven
-//! algorithm must fingerprint identically batch for batch at every
-//! super-batch factor as well as every thread count.
+//! function of (seed, epoch, batch index) only and a group's share of a
+//! super-batched execution is the diagonal block its solo run produces, so
+//! every epoch-driven algorithm must fingerprint identically — storage
+//! layout included — batch for batch at every super-batch factor as well
+//! as every thread count.
 
 use std::sync::Arc;
 
@@ -35,6 +37,7 @@ fn fold(h: &mut u64, bytes: &[u8]) {
 
 fn fold_matrix(h: &mut u64, m: &SparseMatrix) {
     let (r, c) = m.shape();
+    fold(h, format!("{:?}", m.format()).as_bytes());
     fold(h, &(r as u64).to_le_bytes());
     fold(h, &(c as u64).to_le_bytes());
     // Storage order matters: the parallel kernels promise identical
@@ -203,24 +206,6 @@ fn fingerprint_workload() -> u64 {
     h
 }
 
-/// Fold a value *semantically*: matrices as their sorted global edge list
-/// (splitting a group out of a block-diagonal super-batch compacts its
-/// empty rows away, which is layout, not sampling); everything else, node
-/// order included, exactly.
-fn fold_semantic(h: &mut u64, v: &Value) {
-    let Value::Matrix(m) = v else {
-        return fold_value(h, v);
-    };
-    let mut edges = m.global_edges();
-    edges.sort_by_key(|e| (e.0, e.1, e.2.to_bits()));
-    fold(h, b"edges");
-    for (r, c, w) in edges {
-        fold(h, &r.to_le_bytes());
-        fold(h, &c.to_le_bytes());
-        fold(h, &w.to_bits().to_le_bytes());
-    }
-}
-
 /// Per-batch fingerprints of one epoch of every epoch-driven registry
 /// algorithm (the ten chained / model-driven / bandit algorithms through
 /// `run_epoch_with`, the two walks through `run_walk_epoch_with`) at
@@ -261,13 +246,13 @@ fn epoch_prints(graph: &Arc<Graph>, frontiers: &[u32], factor: usize) -> Vec<(St
             let n2v = spec.name == "Node2Vec";
             drivers::run_walk_epoch_with(&sampler, frontiers, &hyper, n2v, 2, |batch, trace| {
                 for step in &trace.positions {
-                    fold_semantic(&mut prints[batch], &Value::Nodes(step.clone()));
+                    fold_value(&mut prints[batch], &Value::Nodes(step.clone()));
                 }
             })
         } else {
             sampler.run_epoch_with(frontiers, &bindings, 2, |batch, sample| {
                 for v in sample.layers.iter().flatten() {
-                    fold_semantic(&mut prints[batch], v);
+                    fold_value(&mut prints[batch], v);
                 }
             })
         }
