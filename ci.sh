@@ -125,6 +125,17 @@ GSAMPLER_THREADS=2 ./target/release/gsampler-serve --dataset tiny --tenants 3 \
 test "$(grep -rhoE 'GSAMPLER_[A-Z_]+' crates/*/src src | sort -u | xargs)" = \
     "GSAMPLER_FAULTS GSAMPLER_THREADS GSAMPLER_WATCHDOG_MS"
 test -z "$(sed -n '/^pub fn split_outputs/,$p' crates/core/src/kernels/superbatch.rs | grep -E 'slice_cols\(|compact_rows\(|global_row_ids\(')"
+# Node-wise selection is one pick (`sample::pick_columns`) and one gather
+# (`slice::gather_cols`): no per-column pick lists, one uniform draw loop
+# with replacement and one call of Floyd's selection without (the in-place
+# `fill_uniform_sample_without_replacement`; tests included, so a second
+# copy anywhere trips it), and no gather loop beside the shared one.
+SEL="crates/matrix/src/sample.rs crates/core/src/kernels/slice_sample.rs"
+test -z "$(grep -l 'Vec<Vec<usize>>' $SEL)"
+test "$(grep -rn 'gen_range(0\.\.deg)' crates/matrix/src crates/core/src | wc -l)" -eq 1
+test "$(grep -rn 'uniform_sample_without_replacement(deg' crates/matrix/src crates/core/src | wc -l)" -eq 1
+test "$(grep -rn 'parallel_scatter2(' crates/matrix/src/sample.rs crates/core/src/kernels | wc -l)" -le 1
+test "$(grep -rn 'parallel_scatter2(' crates/matrix/src crates/core/src | wc -l)" -le 8
 
 # --- Ratio floors -------------------------------------------------------
 # The two in-run ratios the repo benchmark cannot express (blocked SpMM

@@ -930,7 +930,6 @@ impl Sampler {
         };
         epoch_span.arg("final_super_batch", factor);
         let mut stats = self.device.stats();
-        stats.compact_records();
         // Compile-time counters survive the per-epoch device reset.
         stats.plan_db = self.plan_db_stats;
         Ok(EpochReport {

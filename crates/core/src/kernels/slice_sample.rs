@@ -1,79 +1,36 @@
 //! Extract / select kernels: column and row slicing, subgraph induction,
 //! node-wise and layer-wise sampling, the fused extract+select kernel,
 //! format conversion, and compaction.
+//!
+//! Node-wise selection has one implementation, in the matrix crate:
+//! `Op::IndividualSample` and `Op::FusedExtractSelect` both pick with
+//! `sample::pick_columns` — over the matrix's own columns and over the
+//! frontiers' columns of the base graph — and both write with
+//! `slice::gather_cols`. This module only draws the per-group column
+//! streams ([`ColStreams`]) and supplies the block-diagonal row offsets.
 
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use gsampler_ir::Op;
-use gsampler_matrix::sample::{
-    individual_sample_seeded, individual_sample_with_replacement_seeded, StreamSource,
-};
-use gsampler_matrix::{Csc, GraphMatrix, SparseMatrix};
-use gsampler_runtime::parallel::parallel_map;
+use gsampler_matrix::sample::{individual_sample, pick_columns};
+use gsampler_matrix::{GraphMatrix, SparseMatrix};
 
 use crate::error::{Error, Result};
 use crate::session_rng::ColStreams;
 use crate::value::Value;
 
 use super::eltwise::{want_matrix, want_nodes, want_vector, with_data};
-use super::{par_gate, superbatch, ExecCtx};
-
-/// Plan the sampled neighbour offsets (sorted) for every frontier column,
-/// and the output CSC column pointers they imply.
-///
-/// Frontier-parallel on the worker pool: column `c` always draws from RNG
-/// stream `c` of [`ColStreams`] seeded once per group from that group's
-/// RNG, so the plan is bit-identical at any thread count — and consumes
-/// exactly one `gen::<u64>()` per group stream.
-fn plan_frontier_picks(
-    csc: &Csc,
-    k: usize,
-    replace: bool,
-    ctx: &ExecCtx<'_>,
-    rngs: &mut [StdRng],
-) -> Result<(Vec<Vec<usize>>, Vec<usize>)> {
-    let cols_f = ctx.concat_frontiers;
-    ctx.check_frontiers(csc.ncols, "fused_extract_select")?;
-    let pool = ColStreams::draw(rngs, ctx.col_offsets, cols_f.len())?;
-    let picks: Vec<Vec<usize>> = parallel_map(
-        cols_f.len(),
-        par_gate(cols_f.len().saturating_mul(k.max(1))),
-        |c| {
-            let deg = csc.col_range(cols_f[c] as usize).len();
-            let mut picked: Vec<usize> = if deg == 0 {
-                Vec::new()
-            } else if replace {
-                let mut stream = pool.stream(c as u64);
-                let mut p: Vec<usize> = (0..k).map(|_| stream.gen_range(0..deg)).collect();
-                p.sort_unstable();
-                p.dedup();
-                p
-            } else if deg <= k {
-                (0..deg).collect()
-            } else {
-                let mut stream = pool.stream(c as u64);
-                gsampler_matrix::sample::uniform_sample_without_replacement(deg, k, &mut stream)
-            };
-            picked.sort_unstable();
-            picked
-        },
-    );
-
-    let mut indptr = vec![0usize; cols_f.len() + 1];
-    for (c, p) in picks.iter().enumerate() {
-        indptr[c + 1] = indptr[c] + p.len();
-    }
-    Ok((picks, indptr))
-}
+use super::{superbatch, ExecCtx};
 
 /// Fused extract + node-wise select: sample `k` in-neighbours per frontier
 /// directly from the source matrix's columns, with block-diagonal row
 /// offsets under super-batching.
 ///
-/// A count pass picks neighbour offsets per frontier
-/// ([`plan_frontier_picks`]), a prefix sum sizes the output, and
-/// [`superbatch::gather_block`] writes each frontier's segment.
+/// The selector `Op::IndividualSample` runs, read through the frontier map
+/// instead of from a materialised slice: [`pick_columns`] over the columns
+/// `concat_frontiers[c]`, written by [`superbatch::gather_block`]. Column
+/// `c` draws from stream `c` of [`ColStreams`] — exactly one
+/// `gen::<u64>()` per group stream — as it would after `Op::SliceCols`.
 pub fn fused_extract_select(
     m: &GraphMatrix,
     k: usize,
@@ -83,11 +40,10 @@ pub fn fused_extract_select(
 ) -> Result<Value> {
     let csc = m.data.csc();
     let cols_f = ctx.concat_frontiers;
-    let (picks, indptr) = plan_frontier_picks(&csc, k, replace, ctx, rngs)?;
-    let block = superbatch::gather_block(&csc, indptr, ctx, |c| {
-        let start = csc.col_range(cols_f[c] as usize).start;
-        picks[c].iter().map(move |&off| start + off)
-    });
+    ctx.check_frontiers(csc.ncols, "fused_extract_select")?;
+    let streams = ColStreams::draw(rngs, ctx.col_offsets, cols_f.len())?;
+    let (indptr, picks) = pick_columns(&csc, Some(cols_f), k, replace, None, &streams)?;
+    let block = superbatch::gather_block(&csc, indptr, ctx, |_, out| picks[out].iter().copied());
     Ok(Value::Matrix(GraphMatrix {
         data: SparseMatrix::Csc(block),
         row_ids: m.row_ids.clone(),
@@ -133,16 +89,8 @@ pub(super) fn run(
             // admits nothing else; `ColStreams::draw` re-checks), so
             // each group draws exactly what it would alone.
             let streams = ColStreams::draw(rngs, ctx.col_offsets, m.shape().1)?;
-            let data = if *replace {
-                individual_sample_with_replacement_seeded(
-                    &m.data,
-                    *k,
-                    probs.map(|p| &p.data),
-                    &streams,
-                )?
-            } else {
-                individual_sample_seeded(&m.data, *k, probs.map(|p| &p.data), &streams)?
-            };
+            let probs = probs.map(|p| &p.data);
+            let data = individual_sample(&m.data, *k, *replace, probs, &streams)?;
             Ok(Value::Matrix(with_data(m, data)))
         }
         Op::CollectiveSample { k } => {

@@ -3,11 +3,13 @@
 //! When `S` frontier groups are sampled together, the extract step builds
 //! a block-diagonal matrix: group `b`'s rows live in ID range
 //! `[b·N, (b+1)·N)`, so the groups cannot interfere. The segmented kernels
-//! here are thin wrappers over the same base selection primitives the
-//! plain path uses (`weighted_sample_without_replacement_seeded` etc.) —
-//! each group draws from a subpool of its own RNG stream, which is what
-//! keeps seeded outputs bit-identical across batch modes and thread
-//! counts.
+//! here are thin wrappers over the same base primitives the plain path
+//! uses: `gather_block` is the matrix crate's `slice::gather_cols` with
+//! this layout's row count and per-column `b·N` offsets — what both extract
+//! kernels (`segmented_slice_cols`, `fused_extract_select`) write through —
+//! and collective sampling runs `weighted_sample_without_replacement_seeded`
+//! per group. Each group draws from its own RNG stream, which is what keeps
+//! seeded outputs bit-identical across batch modes and thread counts.
 //!
 //! [`split_outputs`] *un-blocks* at program exit: group `b`'s share of an
 //! output matrix is the diagonal block it already is — columns
@@ -23,7 +25,6 @@ use std::sync::Arc;
 use gsampler_ir::{Op, Program};
 use gsampler_matrix::sample::weighted_sample_without_replacement_seeded;
 use gsampler_matrix::{convert, slice, Coo, Csc, GraphMatrix, NodeId, SparseMatrix};
-use gsampler_runtime::parallel::{parallel_scatter, parallel_scatter2};
 use rand::rngs::StdRng;
 
 use crate::error::{Error, Result};
@@ -31,49 +32,21 @@ use crate::session_rng::segment_subpools;
 use crate::value::Value;
 
 use super::eltwise::fit_row_vector;
-use super::{group_of_col, par_gate, ExecCtx};
+use super::{group_of_col, ExecCtx};
 
 /// Assemble a block-diagonal extract of the base matrix `csc`, the one
-/// layout both extract kernels write: output column `c` takes the entries
-/// at source positions `positions(c)` of base column `concat_frontiers[c]`
-/// and lifts their rows by the `b·N` of the group owning `c`. `indptr` are
-/// the output column pointers; each column's segment is filled
-/// independently on the worker pool.
+/// layout both extract kernels write: [`slice::gather_cols`] with the rows
+/// of output column `c` lifted by the `b·N` of the group owning `c`, `S·N`
+/// rows in all. `positions(c, out)` are the source positions of base column
+/// `concat_frontiers[c]` that fill output entries `out`.
 pub(super) fn gather_block<I: Iterator<Item = usize>>(
     csc: &Csc,
     indptr: Vec<usize>,
     ctx: &ExecCtx<'_>,
-    positions: impl Fn(usize) -> I + Sync,
+    positions: impl Fn(usize, Range<usize>) -> I + Sync,
 ) -> Csc {
-    let out_nnz = *indptr.last().unwrap();
-    let mut indices = vec![0 as NodeId; out_nnz];
-    let gate = par_gate(out_nnz);
-    let fill_idx = |c: usize, seg_i: &mut [NodeId]| {
-        let offset = ctx.row_offset(c);
-        for (dst, pos) in seg_i.iter_mut().zip(positions(c)) {
-            *dst = csc.indices[pos] + offset;
-        }
-    };
-    let values = csc.values.as_ref().map(|src| {
-        let mut vals = vec![0f32; out_nnz];
-        parallel_scatter2(&mut indices, &mut vals, &indptr, gate, |c, seg_i, seg_v| {
-            fill_idx(c, seg_i);
-            for (dst, pos) in seg_v.iter_mut().zip(positions(c)) {
-                *dst = src[pos];
-            }
-        });
-        vals
-    });
-    if values.is_none() {
-        parallel_scatter(&mut indices, &indptr, gate, |c, seg_i| fill_idx(c, seg_i));
-    }
-    Csc {
-        nrows: if ctx.s > 1 { ctx.n * ctx.s } else { csc.nrows },
-        ncols: indptr.len() - 1,
-        indptr,
-        indices,
-        values,
-    }
+    let nrows = if ctx.s > 1 { ctx.n * ctx.s } else { csc.nrows };
+    slice::gather_cols(csc, nrows, indptr, positions, |c| ctx.row_offset(c))
 }
 
 /// Segmented (block-diagonal) column extraction from a base-space matrix:
@@ -86,9 +59,9 @@ pub fn segmented_slice_cols(m: &GraphMatrix, ctx: &ExecCtx<'_>) -> Result<Value>
     for (c, &f) in cols_f.iter().enumerate() {
         indptr[c + 1] = indptr[c] + csc.col_range(f as usize).len();
     }
-    let block = gather_block(&csc, indptr, ctx, |c| csc.col_range(cols_f[c] as usize));
+    let block = gather_block(&csc, indptr, ctx, |c, _| csc.col_range(cols_f[c] as usize));
     Ok(Value::Matrix(GraphMatrix {
-        data: SparseMatrix::Csc(block).to_format(m.data.format()),
+        data: SparseMatrix::Csc(block).into_format(m.data.format()),
         row_ids: None,
         col_ids: Some(Arc::new(cols_f.to_vec())),
     }))

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use gsampler_core::builder::{Layer, LayerBuilder, Mat};
-use gsampler_core::kernels::{superbatch, ExecCtx};
+use gsampler_core::kernels::{self, superbatch, ExecCtx};
 use gsampler_core::{
     compile, Axis, Bindings, Error, Graph, LayoutMode, OptConfig, SamplerConfig, Value,
 };
@@ -404,6 +404,60 @@ fn cross_group_edge_in_a_block_is_a_typed_error() {
     match block(2) {
         Err(Error::Execution(msg)) => assert!(msg.contains("another group"), "{msg}"),
         other => panic!("cross-group edge was not rejected: {other:?}"),
+    }
+}
+
+#[test]
+fn fused_extract_select_is_slice_then_sample_field_by_field() {
+    // Weighted graph, one group and three with an empty one in the middle.
+    let graph = test_graph();
+    let bindings = Bindings::new();
+    let base = Value::Matrix(graph.matrix.clone());
+    for groups in [
+        vec![vec![3, 17, 40, 9]],
+        vec![vec![1, 8, 22], vec![], vec![63, 5]],
+    ] {
+        let concat: Vec<NodeId> = groups.concat();
+        let mut col_offsets = vec![0];
+        for group in &groups {
+            col_offsets.push(col_offsets[col_offsets.len() - 1] + group.len());
+        }
+        let ctx = ExecCtx {
+            s: groups.len(),
+            col_offsets: &col_offsets,
+            concat_frontiers: &concat,
+            ..ExecCtx::plain(&graph, &bindings)
+        };
+        let frontiers = Value::Nodes(concat.clone());
+        let streams = || -> Vec<StdRng> {
+            (0..groups.len() as u64)
+                .map(|b| StdRng::seed_from_u64(40 + b))
+                .collect()
+        };
+        for (k, replace) in [(3, false), (3, true), (1, true), (100, false)] {
+            let fused = Op::FusedExtractSelect { k, replace };
+            let fused = kernels::run(&fused, &[&base], &ctx, &mut streams()).unwrap();
+            let mut rngs = streams();
+            let sliced = kernels::run(&Op::SliceCols, &[&base, &frontiers], &ctx, &mut rngs);
+            let select = Op::IndividualSample { k, replace };
+            let unfused = kernels::run(&select, &[&sliced.unwrap()], &ctx, &mut rngs).unwrap();
+            // `Debug` spells out format, shape, `indptr`, `indices`,
+            // `values`, `row_ids` and `col_ids`.
+            assert_eq!(
+                format!("{fused:#?}"),
+                format!("{unfused:#?}"),
+                "k {k} replace {replace} over {} groups",
+                groups.len()
+            );
+            let m = fused.as_matrix().unwrap();
+            assert_eq!(m.shape(), (64 * groups.len(), concat.len()));
+            assert!(m.data.is_weighted());
+            let degrees = m.data.col_degrees();
+            // Every in-degree is >= 7: three distinct picks without
+            // replacement, at least one and at most `k` with.
+            assert!(degrees.iter().all(|&d| (1..=k).contains(&d)), "{degrees:?}");
+            assert!(replace || k > 3 || degrees.iter().all(|&d| d == 3));
+        }
     }
 }
 

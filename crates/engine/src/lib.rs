@@ -41,7 +41,7 @@ pub use gsampler_runtime::{
     PoolMetrics, Recycled, RngPool,
 };
 pub use memory::{MemoryTracker, OomError};
-pub use stats::{ExecStats, FaultReport, KernelAgg, KernelRecord, PlanDbStats};
+pub use stats::{ExecStats, FaultReport, KernelAgg, PlanDbStats};
 pub use workload::{KernelDesc, EDGE_BYTES, UVA_TRANSACTION_FACTOR};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,9 +50,9 @@ use parking_lot::Mutex;
 
 /// A recording execution session on one device.
 ///
-/// Kernels are executed through [`Device::run`], which runs the actual CPU
-/// implementation and charges the analytical cost of the descriptor to the
-/// session's [`ExecStats`]. The stats are behind a mutex so parallel
+/// The dispatcher runs a kernel's CPU implementation and charges the
+/// analytical cost of its descriptor to the session's [`ExecStats`]
+/// ([`Device::charge_timed_par`]). The stats are behind a mutex so parallel
 /// drivers can share one device.
 pub struct Device {
     profile: DeviceProfile,
@@ -93,51 +93,31 @@ impl Device {
         &self.cost
     }
 
-    /// Execute a kernel: run `f` on the CPU, charge `desc` to the stats.
-    ///
-    /// Returns whatever `f` returns. The modeled time — not the wall-clock
-    /// time of `f` — is what experiment harnesses report as "sampling
-    /// time", because `f` runs on host silicon while `desc` describes the
-    /// device execution.
-    pub fn run<T>(&self, desc: KernelDesc, f: impl FnOnce() -> T) -> T {
-        let start = std::time::Instant::now();
-        let out = f();
-        self.charge_timed(desc, start.elapsed().as_secs_f64());
-        out
-    }
-
     /// Charge a kernel's modeled cost without executing anything (used
     /// when the work already happened inside a fused neighbour kernel).
     pub fn charge(&self, desc: KernelDesc) {
-        self.charge_timed(desc, 0.0);
-    }
-
-    /// Charge a kernel's modeled cost together with the host wall-clock
-    /// seconds its emulation took — the dispatcher's entry point.
-    pub fn charge_timed(&self, desc: KernelDesc, wall_time: f64) {
-        self.charge_timed_par(
-            desc,
-            wall_time,
-            PoolMetrics::default(),
-            ArenaMetrics::default(),
-        );
+        self.charge_timed_par(desc, 0.0, PoolMetrics::default(), ArenaMetrics::default());
     }
 
     /// Charge a kernel's modeled cost together with its host wall-clock
     /// seconds and the worker-pool and scratch-arena activity (snapshot
     /// deltas of [`pool_metrics`] / [`arena_metrics`]) its emulation
-    /// caused.
+    /// caused — the dispatcher's entry point. Returns the modeled seconds.
+    /// The modeled time — not the wall-clock time — is what experiment
+    /// harnesses report as "sampling time": the kernel ran on host silicon
+    /// while `desc` describes the device execution.
     pub fn charge_timed_par(
         &self,
         desc: KernelDesc,
         wall_time: f64,
         pool: PoolMetrics,
         arena: ArenaMetrics,
-    ) {
+    ) -> f64 {
         let (time, util) = self.cost.time_and_utilization(&desc);
         self.stats
             .lock()
             .record_timed_par(desc, time, util, wall_time, pool, arena);
+        time
     }
 
     /// Charge a kernel whose execution was overlapped with `hidden`
@@ -281,17 +261,26 @@ mod tests {
     #[test]
     fn device_records_kernel_costs() {
         let dev = Device::new(DeviceProfile::v100());
-        let out = dev.run(
-            KernelDesc::new("test")
-                .with_bytes(1 << 30, 0)
-                .with_parallelism(1 << 22),
-            || 42,
-        );
-        assert_eq!(out, 42);
+        let desc = KernelDesc::new("test")
+            .with_bytes(1 << 30, 0)
+            .with_parallelism(1 << 22);
+        let modeled =
+            dev.charge_timed_par(desc, 0.5, PoolMetrics::default(), ArenaMetrics::default());
         let stats = dev.stats();
         assert_eq!(stats.kernel_launches, 1);
+        assert_eq!((stats.total_time, stats.total_wall_time), (modeled, 0.5));
         // 1 GiB over ~900 GB/s ≈ 1.2 ms.
         assert!(stats.total_time > 1e-4 && stats.total_time < 1e-2);
+    }
+
+    #[test]
+    fn a_long_session_keeps_one_entry_per_kernel_name() {
+        let dev = Device::new(DeviceProfile::v100());
+        (0..10_000).for_each(|_| dev.charge(KernelDesc::new("k").with_flops(10)));
+        let stats = dev.stats();
+        assert_eq!(stats.kernel_launches, 10_000);
+        assert_eq!(stats.per_kernel.len(), 1);
+        assert_eq!(stats.per_kernel["k"].count, 10_000);
     }
 
     #[test]

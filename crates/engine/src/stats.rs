@@ -1,40 +1,15 @@
 //! Execution statistics: modeled time, launches, bytes, SM utilization.
 //!
-//! Every kernel invocation that flows through the dispatcher is recorded
-//! here twice: as an individual [`KernelRecord`] (kept until
-//! [`ExecStats::compact_records`]) and folded into the per-kernel-name
-//! [`KernelAgg`] aggregates that back the op-level profile reports.
+//! Every kernel invocation that flows through the dispatcher is folded
+//! into the session totals and the per-kernel-name [`KernelAgg`] aggregates
+//! that back the op-level profile reports — a session's stats stay the size
+//! of its kernel vocabulary however long it runs. The per-launch log is the
+//! obs `kernel` span, when tracing is on.
 
 use std::collections::BTreeMap;
 
 use crate::workload::KernelDesc;
 use gsampler_runtime::{ArenaMetrics, PoolMetrics};
-
-/// One recorded kernel execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelRecord {
-    /// Kernel name (operator + format tag).
-    pub name: String,
-    /// Modeled execution time in seconds.
-    pub time: f64,
-    /// Host wall-clock seconds spent emulating this kernel (0 when the
-    /// cost was charged without running anything).
-    pub wall_time: f64,
-    /// Modeled SM utilization in `(0, 1]` during this kernel.
-    pub utilization: f64,
-    /// Device bytes moved.
-    pub bytes: u64,
-    /// PCIe bytes moved.
-    pub bytes_pcie: u64,
-    /// FLOPs executed.
-    pub flops: u64,
-    /// Worker-pool activity attributed to this invocation (regions
-    /// dispatched, participant counts, busy/capacity nanoseconds).
-    pub pool: PoolMetrics,
-    /// Scratch-arena activity attributed to this invocation (buffer
-    /// takes, capacity hits, bytes reused across batches).
-    pub arena: ArenaMetrics,
-}
 
 /// Per-kernel-name aggregate — one row of the `--profile` breakdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -201,9 +176,6 @@ pub struct ExecStats {
     pub arena: ArenaMetrics,
     /// Per-kernel-name aggregation.
     pub per_kernel: BTreeMap<String, KernelAgg>,
-    /// Individual records (kept for breakdown reporting; cleared by
-    /// `compact_records` when only aggregates are needed).
-    pub records: Vec<KernelRecord>,
     /// Frontier adjacency lists served from the pinned structure cache —
     /// *observed* per batch at dispatch against the graph's `CachePlan`
     /// membership map, not the planner's prediction. Zero unless a
@@ -260,7 +232,7 @@ impl ExecStats {
         self.util_time_product += time * utilization;
         self.pool.accumulate(&pool);
         self.arena.accumulate(&arena);
-        let agg = self.per_kernel.entry(desc.name.clone()).or_default();
+        let agg = self.per_kernel.entry(desc.name).or_default();
         agg.count += 1;
         agg.time += time;
         agg.wall_time += wall_time;
@@ -269,17 +241,6 @@ impl ExecStats {
         agg.flops += desc.flops;
         agg.pool.accumulate(&pool);
         agg.arena.accumulate(&arena);
-        self.records.push(KernelRecord {
-            name: desc.name,
-            time,
-            wall_time,
-            utilization,
-            bytes: desc.bytes,
-            bytes_pcie: desc.bytes_pcie,
-            flops: desc.flops,
-            pool,
-            arena,
-        });
     }
 
     /// Observed structure-cache hit rate over frontier adjacency reads,
@@ -326,18 +287,10 @@ impl ExecStats {
             agg.pool.accumulate(&a.pool);
             agg.arena.accumulate(&a.arena);
         }
-        self.records.extend(other.records.iter().cloned());
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.faults.merge(&other.faults);
         self.plan_db.merge(&other.plan_db);
-    }
-
-    /// Drop individual records, keeping aggregates (bounds memory in long
-    /// epoch loops).
-    pub fn compact_records(&mut self) {
-        self.records.clear();
-        self.records.shrink_to_fit();
     }
 
     /// Kernel names sorted by descending total time — the breakdown view.
@@ -402,7 +355,6 @@ mod tests {
         s.record_timed(desc("k"), 1.0, 1.0, 0.5);
         assert!((s.total_wall_time - 0.75).abs() < 1e-12);
         assert!((s.per_kernel["k"].wall_time - 0.75).abs() < 1e-12);
-        assert!((s.records[0].wall_time - 0.25).abs() < 1e-12);
         // Plain `record` contributes zero wall time.
         s.record(desc("k"), 1.0, 1.0);
         assert!((s.total_wall_time - 0.75).abs() < 1e-12);
@@ -424,8 +376,7 @@ mod tests {
         assert!((k.avg_threads() - 4.0).abs() < 1e-12);
         assert!((k.parallel_efficiency() - 0.9).abs() < 1e-12);
         assert_eq!(s.pool.regions, 2);
-        assert_eq!(s.records[0].pool.threads_sum, 8);
-        assert_eq!(s.records[1].pool, PoolMetrics::default());
+        assert_eq!((s.pool.threads_sum, k.count), (8, 2));
         // Merging carries pool activity along.
         let mut other = ExecStats::default();
         other.record_timed_par(desc("k"), 1.0, 1.0, 0.1, region, ArenaMetrics::default());
@@ -454,8 +405,7 @@ mod tests {
         assert_eq!(k.arena.bytes_reused, 4096);
         assert!((k.arena.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(s.arena.hits, 3);
-        assert_eq!(s.records[0].arena, arena);
-        assert_eq!(s.records[1].arena, ArenaMetrics::default());
+        assert_eq!((s.arena, k.count), (arena, 2));
         let mut other = ExecStats::default();
         other.record_timed_par(desc("k"), 1.0, 1.0, 0.1, PoolMetrics::default(), arena);
         s.merge(&other);
@@ -481,7 +431,6 @@ mod tests {
         assert!((x.wall_time - 0.3).abs() < 1e-12);
         assert_eq!(x.bytes, 200);
         assert!((a.total_wall_time - 0.3).abs() < 1e-12);
-        assert_eq!(a.records.len(), 3);
     }
 
     #[test]
@@ -493,7 +442,7 @@ mod tests {
         assert_eq!(dst.kernel_launches, src.kernel_launches);
         assert_eq!(dst.total_bytes, src.total_bytes);
         assert_eq!(dst.per_kernel["only"], src.per_kernel["only"]);
-        assert_eq!(dst.records, src.records);
+        assert_eq!(dst.per_kernel, src.per_kernel);
         assert!((dst.sm_utilization() - src.sm_utilization()).abs() < 1e-12);
     }
 
@@ -527,18 +476,6 @@ mod tests {
     fn idle_utilization_is_zero() {
         let s = ExecStats::default();
         assert_eq!(s.sm_utilization(), 0.0);
-    }
-
-    #[test]
-    fn compact_records_keeps_aggregates() {
-        let mut s = ExecStats::default();
-        s.record_timed(desc("a"), 1.0, 1.0, 0.5);
-        s.compact_records();
-        assert!(s.records.is_empty());
-        assert_eq!(s.kernel_launches, 1);
-        assert!((s.total_time - 1.0).abs() < 1e-12);
-        assert!((s.total_wall_time - 0.5).abs() < 1e-12);
-        assert_eq!(s.per_kernel["a"].count, 1);
     }
 
     #[test]
@@ -590,19 +527,5 @@ mod tests {
         assert_eq!(a.plan_db.misses, 1);
         assert_eq!(a.plan_db.inserts, 3);
         assert!(a.plan_db.any());
-    }
-
-    #[test]
-    fn compact_then_merge_keeps_aggregate_consistency() {
-        let mut a = ExecStats::default();
-        a.record(desc("k"), 1.0, 1.0);
-        a.compact_records();
-        let mut b = ExecStats::default();
-        b.record(desc("k"), 2.0, 0.5);
-        a.merge(&b);
-        // Aggregates survive the compaction; only b's record remains.
-        assert_eq!(a.per_kernel["k"].count, 2);
-        assert!((a.total_time - 3.0).abs() < 1e-12);
-        assert_eq!(a.records.len(), 1);
     }
 }

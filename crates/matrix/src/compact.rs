@@ -202,7 +202,7 @@ pub fn relabel_rows(m: &SparseMatrix, kept: &[NodeId]) -> SparseMatrix {
         cols,
         values,
     };
-    SparseMatrix::Coo(out).to_format(m.format())
+    SparseMatrix::Coo(out).into_format(m.format())
 }
 
 /// Relabel columns so that old column `kept[i]` becomes new column `i`;
@@ -251,7 +251,7 @@ pub fn relabel_cols(m: &SparseMatrix, kept: &[NodeId]) -> SparseMatrix {
         cols,
         values,
     };
-    SparseMatrix::Coo(out).to_format(m.format())
+    SparseMatrix::Coo(out).into_format(m.format())
 }
 
 #[cfg(test)]

@@ -2,23 +2,38 @@
 //!
 //! Two operators mirror the paper's Table 4:
 //!
-//! - [`individual_sample_seeded`]: each column (frontier) independently
-//!   samples up to `K` of its stored edges — node-wise sampling (GraphSAGE,
-//!   PASS, random walks with `K = 1`).
+//! - [`individual_sample`] (`replace: bool`; [`individual_sample_seeded`]
+//!   is its without-replacement form): each column (frontier)
+//!   independently samples up to `K` of its stored edges — node-wise
+//!   sampling (GraphSAGE, PASS, random walks with `K = 1`).
 //! - [`collective_sample_seeded`]: sample `K` distinct *row* nodes across
 //!   the whole matrix according to per-node bias — layer-wise sampling
 //!   (FastGCN, LADIES, AS-GCN).
 //!
-//! Plus the reusable primitives they are built from: Efraimidis–Spirakis
-//! weighted reservoir selection, Floyd's uniform combination sampling, and
-//! [`AliasTable`] for O(1) weighted draws with replacement (the structure
-//! SkyWalker-style baselines use).
+//! Node-wise selection is one *pick* and one *gather*. [`pick_columns`]
+//! chooses, for every output column, sorted source positions out of one
+//! source column — the matrix's own column for `individual_sample`, the
+//! frontier's column for the fused extract-select kernel, which is
+//! therefore the same selection read through the frontier map — by count
+//! -> prefix sum -> fill into one flat buffer; [`slice::gather_cols`]
+//! writes the chosen entries.
 //!
-//! The operators take an [`RngPool`] (hence `_seeded`): column `c` (or
-//! candidate `i`) always consumes RNG stream `c`, so the sampled output is
-//! bit-identical at any worker-pool thread count.
+//! The per-call primitives — Floyd's [`uniform_sample_without_replacement`],
+//! Efraimidis–Spirakis [`weighted_sample_without_replacement`] (and its
+//! `_seeded` form, which collective sampling runs) and [`AliasTable`] for
+//! O(1) weighted draws with replacement (the structure SkyWalker-style
+//! baselines use) — are the references the pick is tested against: it
+//! calls the weighted two per column and runs Floyd in place.
+//!
+//! The operators take a [`StreamSource`] (an [`RngPool`], hence
+//! `_seeded`): column `c` (or candidate `i`) always consumes RNG stream
+//! `c`, so the sampled output is bit-identical at any worker-pool thread
+//! count.
 
-use gsampler_runtime::{parallel_map, parallel_scatter, parallel_scatter2, RngPool};
+use std::borrow::Cow;
+use std::ops::Range;
+
+use gsampler_runtime::{parallel_map, parallel_scatter, RngPool};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -60,203 +75,183 @@ pub struct CollectiveSample {
     pub rows: Vec<NodeId>,
 }
 
-/// Sample up to `k` edges per column, independently, without replacement.
+/// Node-wise selection, the one entry: sample up to `k` stored edges of
+/// every column of `m`, independently — without replacement (`replace =
+/// false`: exactly `min(degree, k)` distinct edges, columns of degree
+/// `<= k` kept whole) or with (`k` draws, duplicates collapsing to one
+/// stored edge, for random-walk style semantics).
 ///
 /// `probs`, when given, must have the same shape and sparsity pattern as
 /// `m`; its edge values are the (unnormalized, non-negative) sampling bias.
-/// When omitted, edges are sampled uniformly. Columns with degree `<= k`
-/// keep all their edges. The result preserves `m`'s shape and edge values,
-/// with only the selected edges stored.
-///
-/// Without replacement the output size of column `c` is known upfront
-/// (`min(degree, k)`), so the output indptr is a prefix sum and each
-/// column's segment is filled in parallel on the worker pool. Column `c`
-/// always draws from `pool.stream(c)`, making the result independent of
-/// the thread count.
+/// When omitted, edges are sampled uniformly. The result preserves `m`'s
+/// shape, format and edge values, with only the selected edges stored:
+/// [`pick_columns`] over `m`'s own columns, written by
+/// [`slice::gather_cols`].
+pub fn individual_sample(
+    m: &SparseMatrix,
+    k: usize,
+    replace: bool,
+    probs: Option<&SparseMatrix>,
+    streams: &impl StreamSource,
+) -> Result<SparseMatrix> {
+    if let Some(p) = probs.filter(|p| p.shape() != m.shape() || p.nnz() != m.nnz()) {
+        return Err(Error::ShapeMismatch {
+            op: "individual_sample probs",
+            lhs: m.shape(),
+            rhs: p.shape(),
+        });
+    }
+    let csc = m.csc();
+    let probs = probs.map(|p| p.csc());
+    let weights: Option<Cow<'_, [f32]>> = probs.as_ref().map(|p| match &p.values {
+        Some(v) => Cow::Borrowed(v.as_slice()),
+        None => Cow::Owned(vec![1.0; p.nnz()]),
+    });
+    let (indptr, picks) = pick_columns(&csc, None, k, replace, weights.as_deref(), streams)?;
+    let positions = |_, out: Range<usize>| picks[out].iter().copied();
+    let out = slice::gather_cols(&csc, csc.nrows, indptr, positions, |_| 0);
+    Ok(SparseMatrix::Csc(out).into_format(m.format()))
+}
+
+/// [`individual_sample`] without replacement.
 pub fn individual_sample_seeded(
     m: &SparseMatrix,
     k: usize,
     probs: Option<&SparseMatrix>,
     pool: &impl StreamSource,
 ) -> Result<SparseMatrix> {
-    let csc = m.to_csc();
-    let probs_vals: Option<Vec<f32>> = match probs {
-        Some(p) => {
-            if p.shape() != m.shape() || p.nnz() != m.nnz() {
-                return Err(Error::ShapeMismatch {
-                    op: "individual_sample probs",
-                    lhs: m.shape(),
-                    rhs: p.shape(),
-                });
-            }
-            let vals = p.to_csc().values_or_ones();
-            validate_weights(&vals)?;
-            Some(vals)
-        }
-        None => None,
-    };
-
-    let mut indptr = Vec::with_capacity(csc.ncols + 1);
-    indptr.push(0usize);
-    for c in 0..csc.ncols {
-        indptr.push(indptr[c] + csc.col_degree(c).min(k));
-    }
-    let out_nnz = indptr[csc.ncols];
-
-    let choose = |c: usize| -> Vec<usize> {
-        let range = csc.col_range(c);
-        let deg = range.len();
-        let mut chosen: Vec<usize> = if deg <= k {
-            (0..deg).collect()
-        } else {
-            let mut rng = pool.stream(c as u64);
-            match &probs_vals {
-                Some(w) => weighted_sample_without_replacement(&w[range], k, &mut rng),
-                None => uniform_sample_without_replacement(deg, k, &mut rng),
-            }
-        };
-        chosen.sort_unstable();
-        chosen
-    };
-
-    let min_items = par_gate(out_nnz);
-    let mut indices = vec![0 as NodeId; out_nnz];
-    let values = match csc.values.as_ref() {
-        Some(src) => {
-            let mut values = vec![0f32; out_nnz];
-            parallel_scatter2(
-                &mut indices,
-                &mut values,
-                &indptr,
-                min_items,
-                |c, seg_i, seg_v| {
-                    let start = csc.indptr[c];
-                    for (slot, off) in choose(c).into_iter().enumerate() {
-                        seg_i[slot] = csc.indices[start + off];
-                        seg_v[slot] = src[start + off];
-                    }
-                },
-            );
-            Some(values)
-        }
-        None => {
-            parallel_scatter(&mut indices, &indptr, min_items, |c, seg| {
-                let start = csc.indptr[c];
-                for (slot, off) in choose(c).into_iter().enumerate() {
-                    seg[slot] = csc.indices[start + off];
-                }
-            });
-            None
-        }
-    };
-
-    let out = Csc {
-        nrows: csc.nrows,
-        ncols: csc.ncols,
-        indptr,
-        indices,
-        values,
-    };
-    Ok(SparseMatrix::Csc(out).to_format(m.format()))
+    individual_sample(m, k, false, probs, pool)
 }
 
-/// Sample up to `k` edges per column *with* replacement (duplicate edges
-/// collapse to one stored edge; useful for random-walk style semantics
-/// where revisiting is allowed).
+/// Output columns picked per scratch set-up (and per pool work item).
+const PICK_CHUNK: usize = 256;
+
+/// Node-wise selection, the pick: choose up to `k` stored entries from one
+/// column of `src` per output column and return the output column pointers
+/// and, in one flat buffer aligned with them, every column's chosen source
+/// positions (indices into `src.indices`), ascending.
 ///
-/// Deduplication makes per-column output sizes data-dependent, so the
-/// draws run in parallel (column `c` on `pool.stream(c)`) and the output
-/// is assembled sequentially from the per-column pick lists.
-pub fn individual_sample_with_replacement_seeded(
-    m: &SparseMatrix,
+/// Output column `c` reads source column `cols[c]` — `src`'s own column
+/// `c` when `cols` is `None`; the fused extract-select kernel passes the
+/// frontiers, so it selects exactly what slicing them out first would.
+/// `weights`, aligned with `src`'s entries, bias the choice (uniform when
+/// omitted). Without replacement a column keeps `min(degree, k)` entries:
+/// all of them when `degree <= k`, else the set
+/// [`uniform_sample_without_replacement`] or
+/// [`weighted_sample_without_replacement`] chooses. With replacement it
+/// keeps the distinct outcomes of `k` uniform or [`AliasTable`] draws.
+///
+/// Count -> prefix sum -> fill: the counts are known up front (an upper
+/// bound under replacement, closed up afterwards), so every column fills
+/// its own segment of the one buffer on the worker pool and the uniform
+/// paths allocate nothing per column. Column `c` draws from
+/// `streams.stream(c)`, and only when it has a choice to make, so the
+/// picks are the same at any thread count.
+///
+/// # Panics
+///
+/// Panics if an entry of `cols` is not a column of `src`; callers check
+/// their frontiers first.
+pub fn pick_columns(
+    src: &Csc,
+    cols: Option<&[NodeId]>,
     k: usize,
-    probs: Option<&SparseMatrix>,
-    pool: &impl StreamSource,
-) -> Result<SparseMatrix> {
-    let csc = m.to_csc();
-    let probs_vals: Option<Vec<f32>> = match probs {
-        Some(p) => {
-            if p.shape() != m.shape() || p.nnz() != m.nnz() {
-                return Err(Error::ShapeMismatch {
-                    op: "individual_sample_with_replacement probs",
-                    lhs: m.shape(),
-                    rhs: p.shape(),
-                });
-            }
-            let vals = p.to_csc().values_or_ones();
-            validate_weights(&vals)?;
-            Some(vals)
+    replace: bool,
+    weights: Option<&[f32]>,
+    streams: &impl StreamSource,
+) -> Result<(Vec<usize>, Vec<usize>)> {
+    let ncols = cols.map_or(src.ncols, <[NodeId]>::len);
+    let col_range = |c: usize| src.col_range(cols.map_or(c, |f| f[c] as usize));
+    if let Some(w) = weights {
+        if w.len() != src.nnz() {
+            return Err(Error::LengthMismatch {
+                op: "pick_columns weights",
+                expected: src.nnz(),
+                actual: w.len(),
+            });
         }
-        None => None,
-    };
-    // Alias-table construction fails on a non-empty all-zero column;
-    // surface that before entering the parallel region, where errors
-    // cannot propagate.
-    if let Some(w) = &probs_vals {
-        for c in 0..csc.ncols {
-            let range = csc.col_range(c);
-            if !range.is_empty() && !w[range].iter().any(|&x| x > 0.0) {
-                return Err(Error::InvalidProbability {
-                    index: 0,
-                    value: 0.0,
-                });
-            }
+        validate_weights(w)?;
+        // An alias table cannot be built on a non-empty all-zero column;
+        // surface that before the parallel region, where errors cannot
+        // propagate.
+        let dead = |r: Range<usize>| !r.is_empty() && !w[r].iter().any(|&x| x > 0.0);
+        if replace && (0..ncols).map(col_range).any(dead) {
+            return Err(Error::InvalidProbability {
+                index: 0,
+                value: 0.0,
+            });
         }
     }
 
-    let picks: Vec<Vec<usize>> = parallel_map(
-        csc.ncols,
-        par_gate(csc.ncols.saturating_mul(k.max(1))),
-        |c| {
-            let range = csc.col_range(c);
-            let deg = range.len();
-            if deg == 0 {
-                return Vec::new();
-            }
-            let mut rng = pool.stream(c as u64);
-            let mut picked: Vec<usize> = Vec::with_capacity(k);
-            match &probs_vals {
-                Some(w) => {
-                    let table = AliasTable::new(&w[range]).expect("weights validated above");
-                    for _ in 0..k {
-                        picked.push(table.sample(&mut rng));
-                    }
-                }
-                None => {
-                    for _ in 0..k {
-                        picked.push(rng.gen_range(0..deg));
-                    }
-                }
-            }
-            picked.sort_unstable();
-            picked.dedup();
-            picked
-        },
-    );
-
-    let mut indptr = Vec::with_capacity(csc.ncols + 1);
+    let mut indptr = Vec::with_capacity(ncols + 1);
     indptr.push(0usize);
-    let mut indices = Vec::new();
-    let mut values = csc.values.as_ref().map(|_| Vec::new());
-    for (c, offs) in picks.iter().enumerate() {
-        let start = csc.indptr[c];
-        for &off in offs {
-            indices.push(csc.indices[start + off]);
-            if let Some(out) = values.as_mut() {
-                out.push(csc.value_at(start + off));
-            }
-        }
-        indptr.push(indices.len());
+    for c in 0..ncols {
+        indptr.push(indptr[c] + col_range(c).len().min(k));
     }
-
-    let out = Csc {
-        nrows: csc.nrows,
-        ncols: csc.ncols,
-        indptr,
-        indices,
-        values,
-    };
-    Ok(SparseMatrix::Csc(out).to_format(m.format()))
+    let mut picks = vec![0usize; indptr[ncols]];
+    let chunk_ptr: Vec<usize> = (0..=ncols.div_ceil(PICK_CHUNK))
+        .map(|g| indptr[(g * PICK_CHUNK).min(ncols)])
+        .collect();
+    let gate = par_gate(indptr[ncols]);
+    parallel_scatter(&mut picks, &chunk_ptr, gate, |g, chunk| {
+        // Scratch shared by the chunk's columns: Floyd's membership table,
+        // and the raw draws of a with-replacement column.
+        let (mut seen, mut draws) = (Vec::new(), Vec::new());
+        let first = g * PICK_CHUNK;
+        for c in first..(first + PICK_CHUNK).min(ncols) {
+            let seg = &mut chunk[indptr[c] - indptr[first]..indptr[c + 1] - indptr[first]];
+            let range = col_range(c);
+            let (start, deg) = (range.start, range.len());
+            if seg.is_empty() || (!replace && deg <= k) {
+                // No choice to make: the whole column, or none of it.
+                seg.iter_mut().zip(range).for_each(|(p, pos)| *p = pos);
+                continue;
+            }
+            let mut rng = streams.stream(c as u64);
+            let chosen = if replace {
+                draws.clear();
+                match weights {
+                    Some(w) => {
+                        let table = AliasTable::new(&w[range]).expect("weights validated above");
+                        draws.extend((0..k).map(|_| table.sample(&mut rng)));
+                    }
+                    None => draws.extend((0..k).map(|_| rng.gen_range(0..deg))),
+                }
+                draws.sort_unstable();
+                draws.dedup();
+                let (kept, rest) = seg.split_at_mut(draws.len());
+                kept.copy_from_slice(&draws);
+                rest.fill(usize::MAX);
+                kept
+            } else {
+                match weights {
+                    Some(w) => {
+                        let keyed = weighted_sample_without_replacement(&w[range], k, &mut rng);
+                        seg.copy_from_slice(&keyed);
+                    }
+                    None => fill_uniform_sample_without_replacement(deg, &mut rng, &mut seen, seg),
+                }
+                seg.sort_unstable();
+                seg
+            };
+            chosen.iter_mut().for_each(|p| *p += start);
+        }
+    });
+    if replace {
+        // Close the gaps the collapsed duplicates left (`usize::MAX`
+        // padding sorts behind every position).
+        let (mut kept, mut start) = (0, 0);
+        for c in 0..ncols {
+            let end = indptr[c + 1];
+            let distinct = picks[start..end].partition_point(|&p| p != usize::MAX);
+            picks.copy_within(start..start + distinct, kept);
+            kept += distinct;
+            indptr[c + 1] = kept;
+            start = end;
+        }
+        picks.truncate(kept);
+    }
+    Ok((indptr, picks))
 }
 
 /// Sample `k` distinct row nodes of `m` without replacement according to
@@ -390,6 +385,45 @@ pub fn uniform_sample_without_replacement(n: usize, k: usize, rng: &mut impl Rng
         }
     }
     out
+}
+
+/// [`uniform_sample_without_replacement`] of `out.len()` of `0..n` written
+/// into `out`: the same draws in the same order and the same choices, with
+/// membership kept in `seen` — scratch the caller reuses across columns, an
+/// open-addressing table at most half full — instead of a fresh `HashSet`.
+fn fill_uniform_sample_without_replacement(
+    n: usize,
+    rng: &mut impl Rng,
+    seen: &mut Vec<usize>,
+    out: &mut [usize],
+) {
+    let cap = (2 * out.len()).next_power_of_two();
+    let shift = usize::BITS - cap.trailing_zeros();
+    seen.clear();
+    seen.resize(cap, usize::MAX);
+    // Keys are below `n`, so `usize::MAX` marks a free slot; Fibonacci
+    // hashing takes the product's top bits, then probes linearly.
+    let mut insert = |key: usize| {
+        let mut slot = key.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) >> shift;
+        while seen[slot] != usize::MAX {
+            if seen[slot] == key {
+                return false;
+            }
+            slot = (slot + 1) & (cap - 1);
+        }
+        seen[slot] = key;
+        true
+    };
+    let first = n - out.len();
+    for (slot, j) in out.iter_mut().zip(first..n) {
+        let t = rng.gen_range(0..=j);
+        *slot = if insert(t) {
+            t
+        } else {
+            insert(j);
+            j
+        };
+    }
 }
 
 /// Walker's alias table: O(n) construction, O(1) weighted draws with
@@ -573,7 +607,7 @@ mod tests {
     #[test]
     fn with_replacement_bounded_by_k_and_degree() {
         let m = sample_matrix();
-        let out = individual_sample_with_replacement_seeded(&m, 3, None, &pool()).unwrap();
+        let out = individual_sample(&m, 3, true, None, &pool()).unwrap();
         for (c, d) in out.col_degrees().into_iter().enumerate() {
             assert!(d <= 3, "column {c} kept {d} > 3 edges");
         }

@@ -7,6 +7,8 @@
 //! differ only in cost (CSC slices columns with a direct gather, CSR and
 //! COO must scan all edges — the asymmetry behind paper Table 5).
 
+use std::ops::Range;
+
 use gsampler_runtime::{parallel_scatter, parallel_scatter2};
 
 use crate::coo::Coo;
@@ -61,6 +63,57 @@ fn check_bounds(ids: &[NodeId], bound: usize, op: &'static str) -> Result<()> {
         }
     }
     Ok(())
+}
+
+/// Gather stored entries of `src` into a new `nrows`-row CSC whose column
+/// pointers are `indptr`: output column `c`, which owns output entries
+/// `out = indptr[c]..indptr[c + 1]`, takes the entries at source positions
+/// `positions(c, out)` (as many, in order) with their rows lifted by
+/// `row_offset(c)`. Each column's segment is filled independently on the
+/// worker pool. The one writer behind node-wise selection and the
+/// block-diagonal extract of super-batching (offset `b·N` for group `b`).
+pub fn gather_cols<I: Iterator<Item = usize>>(
+    src: &Csc,
+    nrows: usize,
+    indptr: Vec<usize>,
+    positions: impl Fn(usize, Range<usize>) -> I + Sync,
+    row_offset: impl Fn(usize) -> NodeId + Sync,
+) -> Csc {
+    let nnz = *indptr.last().expect("column pointers start with 0");
+    let gate = par_gate(nnz);
+    let mut indices = vec![0 as NodeId; nnz];
+    let fill = |c: usize, seg: &mut [NodeId]| {
+        let offset = row_offset(c);
+        for (dst, pos) in seg.iter_mut().zip(positions(c, indptr[c]..indptr[c + 1])) {
+            *dst = src.indices[pos] + offset;
+        }
+    };
+    let values = src.values.as_ref().map(|vals| {
+        let mut values = vec![0f32; nnz];
+        parallel_scatter2(
+            &mut indices,
+            &mut values,
+            &indptr,
+            gate,
+            |c, seg_i, seg_v| {
+                fill(c, seg_i);
+                for (dst, pos) in seg_v.iter_mut().zip(positions(c, indptr[c]..indptr[c + 1])) {
+                    *dst = vals[pos];
+                }
+            },
+        );
+        values
+    });
+    if values.is_none() {
+        parallel_scatter(&mut indices, &indptr, gate, fill);
+    }
+    Csc {
+        nrows,
+        ncols: indptr.len() - 1,
+        indptr,
+        indices,
+        values,
+    }
 }
 
 /// Direct gather: degree prefix sums define the output layout, then each

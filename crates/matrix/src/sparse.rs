@@ -134,6 +134,17 @@ impl SparseMatrix {
         }
     }
 
+    /// [`SparseMatrix::to_format`] for an owned matrix: already in `format`,
+    /// it is handed back as it is — how a kernel returns the matrix it just
+    /// built in its input's format.
+    pub fn into_format(self, format: Format) -> SparseMatrix {
+        if self.format() == format {
+            self
+        } else {
+            self.to_format(format)
+        }
+    }
+
     /// Materialize as CSC (clones if already CSC).
     pub fn to_csc(&self) -> Csc {
         match self {
@@ -300,6 +311,17 @@ mod tests {
             let other = m.to_format(fmt);
             assert!(matches!(other.csc(), Cow::Owned(_)));
             assert_eq!(&*other.csc(), m.as_csc().unwrap());
+        }
+    }
+
+    #[test]
+    fn into_format_keeps_a_matching_matrix_and_converts_the_rest() {
+        let m = sample();
+        let indptr = m.as_csc().unwrap().indptr.as_ptr();
+        let moved = m.into_format(Format::Csc);
+        assert_eq!(moved.as_csc().unwrap().indptr.as_ptr(), indptr);
+        for fmt in [Format::Csr, Format::Coo] {
+            assert_eq!(moved.clone().into_format(fmt), moved.to_format(fmt));
         }
     }
 

@@ -6,14 +6,41 @@
 use proptest::prelude::*;
 
 use gsampler_matrix::sample::{
-    collective_sample_seeded, individual_sample_seeded, uniform_sample_without_replacement,
+    collective_sample_seeded, individual_sample, pick_columns, uniform_sample_without_replacement,
     weighted_sample_without_replacement, AliasTable,
 };
 use gsampler_matrix::{
-    broadcast, compact, reduce, slice, spmm, Axis, Coo, Dense, EltOp, Format, NodeId, ReduceOp,
-    SparseMatrix,
+    broadcast, compact, reduce, slice, spmm, Axis, Coo, Csc, Dense, EltOp, Format, NodeId,
+    ReduceOp, SparseMatrix,
 };
 use gsampler_runtime::RngPool;
+use rand::rngs::StdRng;
+use rand::Rng;
+
+/// What node-wise selection must choose from a column of `deg` entries on
+/// its stream, by the reference primitives: sorted distinct offsets.
+fn reference_picks(
+    deg: usize,
+    k: usize,
+    replace: bool,
+    weights: Option<&[f32]>,
+    mut rng: StdRng,
+) -> Vec<usize> {
+    let mut picks: Vec<usize> = match (replace, weights) {
+        _ if deg == 0 => Vec::new(),
+        (true, Some(w)) => {
+            let table = AliasTable::new(w).unwrap();
+            (0..k).map(|_| table.sample(&mut rng)).collect()
+        }
+        (true, None) => (0..k).map(|_| rng.gen_range(0..deg)).collect(),
+        (false, _) if deg <= k => (0..deg).collect(),
+        (false, Some(w)) => weighted_sample_without_replacement(w, k, &mut rng),
+        (false, None) => uniform_sample_without_replacement(deg, k, &mut rng),
+    };
+    picks.sort_unstable();
+    picks.dedup();
+    picks
+}
 
 /// Strategy: a random sparse matrix (as canonical COO) with bounded size.
 fn arb_matrix() -> impl Strategy<Value = SparseMatrix> {
@@ -125,19 +152,32 @@ proptest! {
     }
 
     #[test]
-    fn individual_sample_is_subset_with_fanout(m in arb_matrix(), k in 1usize..5, seed in 0u64..1000) {
-        let out = individual_sample_seeded(&m, k, None, &RngPool::new(seed)).unwrap();
-        prop_assert_eq!(out.shape(), m.shape());
-        let input: std::collections::HashSet<(NodeId, NodeId)> =
-            m.sorted_edges().into_iter().map(|(r, c, _)| (r, c)).collect();
-        let mut per_col = vec![0usize; m.ncols()];
-        for (r, c, _) in out.iter_edges() {
-            prop_assert!(input.contains(&(r, c)));
-            per_col[c as usize] += 1;
-        }
-        let degrees = m.col_degrees();
-        for (c, (&got, &deg)) in per_col.iter().zip(&degrees).enumerate() {
-            prop_assert_eq!(got, deg.min(k), "column {}", c);
+    fn individual_sample_is_subset_with_fanout(m in arb_matrix(), k in 0usize..5, seed in 0u64..1000) {
+        // Every column holds exactly the edges the reference primitive
+        // chooses on the column's stream — empty columns, `deg <= k` and
+        // `k == 0` included — which makes it a subset with the fan-out.
+        let streams = RngPool::new(seed);
+        let csc = m.to_csc();
+        let weights = csc.values.as_deref().unwrap();
+        for (replace, weighted) in [(false, false), (false, true), (true, false), (true, true)] {
+            let probs = weighted.then_some(&m);
+            let out = individual_sample(&m, k, replace, probs, &streams).unwrap();
+            prop_assert_eq!((out.shape(), out.format()), (m.shape(), m.format()));
+            let out = out.to_csc();
+            for c in 0..csc.ncols {
+                let col = csc.col_range(c);
+                let w = weighted.then(|| &weights[col.clone()]);
+                let want: Vec<usize> = reference_picks(col.len(), k, replace, w, streams.stream(c as u64))
+                    .into_iter()
+                    .map(|off| col.start + off)
+                    .collect();
+                let got = out.col_range(c);
+                let rows: Vec<NodeId> = want.iter().map(|&p| csc.indices[p]).collect();
+                let vals: Vec<f32> = want.iter().map(|&p| weights[p]).collect();
+                prop_assert_eq!(&out.indices[got.clone()], &rows[..], "column {} replace {} weighted {}", c, replace, weighted);
+                prop_assert_eq!(&out.values.as_ref().unwrap()[got], &vals[..]);
+                prop_assert!(replace || want.len() == col.len().min(k));
+            }
         }
     }
 
@@ -225,4 +265,47 @@ proptest! {
         unweighted.clear_values();
         prop_assert!(unweighted.values_or_ones().iter().all(|&x| x == 1.0));
     }
+}
+
+/// One large fan-out (`k = 1024` of degree 4096): the pick still equals
+/// Floyd's reference per column, and its membership test is not a scan of
+/// the picks so far — it costs what the reference's hash set costs, not
+/// `k` times that.
+#[test]
+fn large_fanout_pick_matches_the_reference_at_its_cost() {
+    let (deg, k, ncols) = (4096usize, 1024usize, 32usize);
+    let indptr: Vec<usize> = (0..=ncols).map(|c| c * deg).collect();
+    let indices: Vec<NodeId> = (0..ncols).flat_map(|_| 0..deg as NodeId).collect();
+    let csc = Csc::new(deg, ncols, indptr, indices, None).unwrap();
+    let streams = RngPool::new(11);
+    let fastest = |run: &mut dyn FnMut()| {
+        let timed = (0..5).map(|_| {
+            let start = std::time::Instant::now();
+            run();
+            start.elapsed()
+        });
+        timed.min().unwrap()
+    };
+
+    let mut picked = (Vec::new(), Vec::new());
+    let pick_time =
+        fastest(&mut || picked = pick_columns(&csc, None, k, false, None, &streams).unwrap());
+    let mut expected = Vec::new();
+    let reference_time = fastest(&mut || {
+        expected.clear();
+        for c in 0..ncols {
+            let mut rng = streams.stream(c as u64);
+            let mut offs = uniform_sample_without_replacement(deg, k, &mut rng);
+            offs.sort_unstable();
+            expected.extend(offs.into_iter().map(|off| c * deg + off));
+        }
+    });
+    assert_eq!(picked.0, (0..=ncols).map(|c| c * k).collect::<Vec<_>>());
+    assert_eq!(picked.1, expected);
+    // A linear membership scan is ~25x the reference here (debug build).
+    let bound = reference_time * 4 + std::time::Duration::from_millis(2);
+    assert!(
+        pick_time <= bound,
+        "pick {pick_time:?} vs reference {reference_time:?}"
+    );
 }

@@ -11,10 +11,10 @@
 
 use std::sync::Arc;
 
-use gsampler_core::{GraphSample, RecoveryPolicy, Value};
+use gsampler_core::{Bindings, GraphSample, PlanDb, RecoveryPolicy, Value};
 use gsampler_graphs::{Dataset, DatasetKind};
 use gsampler_matrix::NodeId;
-use gsampler_serve::{EpochServer, ServeConfig, ServeError, TenantSpec};
+use gsampler_serve::{EpochServer, ServeConfig, ServeError, Session, TenantSpec};
 use gsampler_testkit::chaos::chaos_lock;
 use gsampler_testkit::fingerprint;
 
@@ -292,4 +292,42 @@ fn injected_oom_under_degrade_policy_is_bit_transparent() {
     );
     assert!(!faulted.victim_quarantined);
     assert_eq!(clean.cotenants, faulted.cotenants);
+}
+
+#[test]
+fn a_tenant_sessions_stats_do_not_grow_with_its_requests() {
+    let _guard = chaos_lock();
+    // The server never resets a tenant's device session, so what a launch
+    // leaves behind must be bounded by the program, not the request count.
+    let graph = tiny_graph();
+    let n = graph.num_nodes();
+    let spec = TenantSpec::graphsage("long-lived", &[4, 4], 11);
+    let session = Session::compile(
+        graph,
+        Arc::new(PlanDb::in_memory()),
+        spec,
+        &ServeConfig::default(),
+    )
+    .unwrap();
+    let serve = |requests: std::ops::Range<u64>| {
+        for r in requests {
+            // `run_solo`'s call, then `run_packed`'s.
+            let solo =
+                session
+                    .sampler
+                    .sample_batch_seeded(&seeds_for(0, r, n), &Bindings::new(), r);
+            solo.expect("solo request");
+            let mut rngs = vec![session.pool.stream(r), session.pool.stream(r + 1)];
+            let groups = vec![seeds_for(1, r, n), seeds_for(2, r, n)];
+            let packed = session
+                .sampler
+                .sample_groups(groups, &Bindings::new(), &mut rngs);
+            packed.expect("packed request");
+        }
+        session.sampler.device().stats()
+    };
+    let early = serve(0..2);
+    let late = serve(2..200);
+    assert!(late.kernel_launches >= 50 * early.kernel_launches);
+    assert_eq!(late.per_kernel.len(), early.per_kernel.len());
 }
