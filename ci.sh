@@ -136,6 +136,22 @@ test "$(grep -rn 'gen_range(0\.\.deg)' crates/matrix/src crates/core/src | wc -l
 test "$(grep -rn 'uniform_sample_without_replacement(deg' crates/matrix/src crates/core/src | wc -l)" -eq 1
 test "$(grep -rn 'parallel_scatter2(' crates/matrix/src/sample.rs crates/core/src/kernels | wc -l)" -le 1
 test "$(grep -rn 'parallel_scatter2(' crates/matrix/src crates/core/src | wc -l)" -le 8
+# The layer-wise path has one way to compact (a rename in the input's own
+# format), one way to slice the index axis (a flat table, no per-id `Vec`)
+# and one collective selector; the edge-map-reduce chain clones no
+# structure (`Op::FusedEdgeMap`'s output *is* a matrix: the one clone);
+# `gather_row_bias` hashes nothing; reduce / broadcast walk the storage
+# arrays, not the boxed `iter_edges()`.
+non_test() { sed '/^#\[cfg(test)\]/,$d' "$1"; }
+test -z "$(grep -rn 'relabel_rows\|relabel_cols\|survivor_offsets' crates src tests)"
+test -z "$(non_test crates/matrix/src/compact.rs | grep 'to_coo()\|into_format\|to_format')"
+test "$(grep -c 'Vec<Vec<NodeId>>' crates/matrix/src/slice.rs)" -eq 0
+test -z "$(non_test crates/core/src/kernels/eltwise.rs | grep 'HashMap')"
+test "$(grep -c 'm.data.clone()' crates/core/src/kernels/eltwise.rs)" -eq 1
+test -z "$(non_test crates/matrix/src/reduce.rs | grep 'iter_edges()')"
+test -z "$(non_test crates/matrix/src/broadcast.rs | grep 'iter_edges()')"
+test "$(grep -c 'fn collective_sample_segments' crates/matrix/src/sample.rs)" -eq 1
+test "$(grep -rn 'weighted_sample_without_replacement_seeded(' crates/matrix/src crates/core/src | wc -l)" -eq 2
 
 # --- Ratio floors -------------------------------------------------------
 # The two in-run ratios the repo benchmark cannot express (blocked SpMM

@@ -2,12 +2,18 @@
 //! broadcasts, reductions, vector algebra, and the fused edge-map chains
 //! the fusion pass emits.
 //!
+//! A fused chain owns its edge *values* and borrows its input's structure:
+//! [`apply_steps`] maps a value array laid over the input matrix's pattern,
+//! and `Op::FusedEdgeMapReduce` reduces that array over the same pattern
+//! (`reduce::reduce_with`), so only `Op::FusedEdgeMap`, whose output is a
+//! matrix, ever clones one.
+//!
 //! Also home of [`fit_vector`], the single axis-parameterized helper that
 //! adapts node-indexed vectors to a matrix's row/column dimension (the
 //! former `fit_row_vector` / `fit_row_vector_checked` /
 //! `fit_col_vector_checked` trio).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 use rand::rngs::StdRng;
 
@@ -42,22 +48,23 @@ pub enum FitMode {
 }
 
 /// Adapt a vector to a matrix's `axis` dimension: identical length passes
-/// through; otherwise each position is looked up by its global ID along
-/// that axis (directly for compacted sub-matrices, modulo the graph's
-/// node count `period` for block-diagonal super-batched ones).
-pub fn fit_vector(
+/// through (borrowed, not copied); otherwise each position is looked up by
+/// its global ID along that axis (directly for compacted sub-matrices,
+/// modulo the graph's node count `period` for block-diagonal super-batched
+/// ones).
+pub fn fit_vector<'v>(
     m: &GraphMatrix,
-    v: &[f32],
+    v: &'v [f32],
     axis: Axis,
     period: usize,
     mode: FitMode,
-) -> Result<Vec<f32>> {
+) -> Result<Cow<'v, [f32]>> {
     let dim = match axis {
         Axis::Row => m.shape().0,
         Axis::Col => m.shape().1,
     };
     if v.len() == dim {
-        return Ok(v.to_vec());
+        return Ok(Cow::Borrowed(v));
     }
     let len = v.len();
     (0..dim)
@@ -80,23 +87,30 @@ pub fn fit_vector(
                 )))
             }
         })
-        .collect()
+        .collect::<Result<Vec<f32>>>()
+        .map(Cow::Owned)
 }
 
 /// Strict row/column fit — errors on a genuine length mismatch.
-pub fn fit_axis_vector(m: &GraphMatrix, v: &[f32], axis: Axis, period: usize) -> Result<Vec<f32>> {
+pub fn fit_axis_vector<'v>(
+    m: &GraphMatrix,
+    v: &'v [f32],
+    axis: Axis,
+    period: usize,
+) -> Result<Cow<'v, [f32]>> {
     fit_vector(m, v, axis, period, FitMode::Strict)
 }
 
 /// Infallible row fit for internal paths where the vector is known to be
 /// full-graph node-indexed.
-pub fn fit_row_vector(m: &GraphMatrix, v: &[f32]) -> Vec<f32> {
+pub fn fit_row_vector<'v>(m: &GraphMatrix, v: &'v [f32]) -> Cow<'v, [f32]> {
     fit_vector(m, v, Axis::Row, usize::MAX, FitMode::Wrap).expect("wrap-mode fit cannot fail")
 }
 
-/// Apply a fused edge-map chain in place.
+/// Apply a fused edge-map chain in place to `values`, the edge values of
+/// `m`'s pattern in storage order.
 pub fn apply_steps(
-    data: &mut SparseMatrix,
+    values: &mut [f32],
     m: &GraphMatrix,
     steps: &[EdgeMapStep],
     inputs: &[&Value],
@@ -107,20 +121,20 @@ pub fn apply_steps(
             EdgeMapStep::Scalar(op, s) => {
                 let op = *op;
                 let s = *s;
-                for v in data.values_mut() {
+                for v in values.iter_mut() {
                     *v = op.apply(*v, s);
                 }
             }
             EdgeMapStep::Unary(op) => {
                 let op = *op;
-                for v in data.values_mut() {
+                for v in values.iter_mut() {
                     *v = op.apply(*v);
                 }
             }
             EdgeMapStep::Broadcast(op, axis, pos) => {
                 let v = want_vector(inputs[*pos], "fused broadcast")?;
                 let fitted = fit_axis_vector(m, v, *axis, period)?;
-                broadcast::broadcast_in_place(data, &fitted, *op, *axis)?;
+                broadcast::broadcast_values(&m.data, values, &fitted, *op, *axis)?;
             }
         }
     }
@@ -129,23 +143,31 @@ pub fn apply_steps(
 
 /// `row_probs[sample_A.row()]`: look each sampled row's bias up at its
 /// position in `source`'s row space.
+///
+/// The position of a global ID is found by binary search in a sorted
+/// index of `source.row_ids`: the list itself when it is strictly
+/// ascending (it always is after `compact_rows`; one O(R) check),
+/// otherwise its positions stably sorted by ID, the last duplicate
+/// winning.
 pub fn gather_row_bias(v: &[f32], sampled: &GraphMatrix, source: &GraphMatrix) -> Result<Value> {
-    let lookup: Box<dyn Fn(NodeId) -> Option<usize>> = match &source.row_ids {
-        None => {
-            let n = source.shape().0;
-            Box::new(move |g: NodeId| {
-                if (g as usize) < n {
-                    Some(g as usize)
-                } else {
-                    None
-                }
-            })
-        }
-        Some(ids) => {
-            let map: HashMap<NodeId, usize> =
-                ids.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-            Box::new(move |g: NodeId| map.get(&g).copied())
-        }
+    let ids = source.row_ids.as_deref();
+    let by_id: Option<Vec<usize>> =
+        ids.filter(|ids| !ids.windows(2).all(|w| w[0] < w[1]))
+            .map(|ids| {
+                let mut order: Vec<usize> = (0..ids.len()).collect();
+                order.sort_by_key(|&i| ids[i]);
+                order
+            });
+    let lookup = |g: NodeId| -> Option<usize> {
+        let Some(ids) = ids else {
+            return ((g as usize) < source.shape().0).then_some(g as usize);
+        };
+        // Last position whose ID is `<= g`, in ID order.
+        let pos = match &by_id {
+            None => ids.partition_point(|&id| id <= g).checked_sub(1)?,
+            Some(order) => order[order.partition_point(|&i| ids[i] <= g).checked_sub(1)?],
+        };
+        (ids[pos] == g).then_some(pos)
     };
     let nrows = sampled.shape().0;
     let mut out = Vec::with_capacity(nrows);
@@ -290,12 +312,12 @@ pub(super) fn run(
         Op::AlignRowVector => {
             let v = want_vector(inputs[0], "align_row_vector")?;
             let m = want_matrix(inputs[1], "align_row_vector")?;
-            Ok(Value::Vector(fit_row_vector(m, v)))
+            Ok(Value::Vector(fit_row_vector(m, v).into_owned()))
         }
         Op::FusedEdgeMap { steps } => {
             let m = want_matrix(inputs[0], "fused_edge_map")?;
             let mut data = m.data.clone();
-            apply_steps(&mut data, m, steps, inputs, ctx.n)?;
+            apply_steps(data.values_mut(), m, steps, inputs, ctx.n)?;
             Ok(Value::Matrix(with_data(m, data)))
         }
         Op::FusedEdgeMapReduce {
@@ -304,9 +326,10 @@ pub(super) fn run(
             axis,
         } => {
             let m = want_matrix(inputs[0], "fused_edge_map_reduce")?;
-            let mut data = m.data.clone();
-            apply_steps(&mut data, m, steps, inputs, ctx.n)?;
-            Ok(Value::Vector(reduce::reduce(&data, *rop, *axis)))
+            let mut values = m.data.values_or_ones();
+            apply_steps(&mut values, m, steps, inputs, ctx.n)?;
+            let reduced = reduce::reduce_with(&m.data, *rop, *axis, |e| values[e]);
+            Ok(Value::Vector(reduced))
         }
         other => Err(Error::Execution(format!(
             "eltwise kernel cannot evaluate {other:?}"
@@ -318,6 +341,7 @@ pub(super) fn run(
 mod tests {
     use super::*;
     use gsampler_matrix::Csc;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     /// 4×3 matrix whose rows carry global IDs (compacted sub-matrix).
@@ -389,5 +413,42 @@ mod tests {
         let fitted = fit_row_vector(&m, &[1.0, 2.0, 3.0]);
         // IDs 10, 25, 40, 55 wrap mod 3.
         assert_eq!(fitted, vec![2.0, 2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn gather_row_bias_matches_a_hash_map_of_the_source_rows() {
+        // Ascending, unsorted and duplicated source row spaces (the last
+        // duplicate wins, as collecting into a map does), and none at all.
+        let spaces: [Option<Vec<NodeId>>; 4] = [
+            Some(vec![3, 10, 25, 40, 55, 70]),
+            Some(vec![55, 3, 70, 10, 40, 25]),
+            Some(vec![10, 55, 10, 25, 55, 40]),
+            None,
+        ];
+        let bias: Vec<f32> = (0..6).map(|i| 0.5 + i as f32).collect();
+        for ids in spaces {
+            let mut source = compacted();
+            source.data = SparseMatrix::Csc(Csc::empty(6, 3));
+            source.row_ids = ids.clone().map(Arc::new);
+            let known = ids.clone().unwrap_or_else(|| (0..6).collect());
+            let mut sampled = compacted();
+            sampled.row_ids = Some(Arc::new(vec![known[4], known[0], known[2], known[4]]));
+            let map: HashMap<NodeId, usize> =
+                known.iter().enumerate().map(|(i, &g)| (g, i)).collect();
+            let want: Vec<f32> = (0..4).map(|r| bias[map[&sampled.global_row(r)]]).collect();
+            let got = gather_row_bias(&bias, &sampled, &source).unwrap();
+            assert_eq!(got.as_vector().unwrap(), &want[..], "source rows {ids:?}");
+
+            // Below, between and above the known IDs: a typed error.
+            for absent in [0, 41, 99] {
+                let known_id = known.contains(&absent);
+                sampled.row_ids = Some(Arc::new(vec![known[1], absent, known[1], known[1]]));
+                let out = gather_row_bias(&bias, &sampled, &source);
+                assert_eq!(out.is_ok(), known_id, "row {absent} in {ids:?}");
+                if let Err(e) = out {
+                    assert!(e.to_string().contains("missing from source space"));
+                }
+            }
+        }
     }
 }

@@ -7,8 +7,8 @@
 //! uses: `gather_block` is the matrix crate's `slice::gather_cols` with
 //! this layout's row count and per-column `b·N` offsets — what both extract
 //! kernels (`segmented_slice_cols`, `fused_extract_select`) write through —
-//! and collective sampling runs `weighted_sample_without_replacement_seeded`
-//! per group. Each group draws from its own RNG stream, which is what keeps
+//! and collective sampling is `sample::collective_sample_segments` with one
+//! segment per group. Each group draws from its own RNG stream, which is what keeps
 //! seeded outputs bit-identical across batch modes and thread counts.
 //!
 //! [`split_outputs`] *un-blocks* at program exit: group `b`'s share of an
@@ -23,7 +23,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use gsampler_ir::{Op, Program};
-use gsampler_matrix::sample::weighted_sample_without_replacement_seeded;
+use gsampler_matrix::sample::collective_sample_segments;
 use gsampler_matrix::{convert, slice, Coo, Csc, GraphMatrix, NodeId, SparseMatrix};
 use rand::rngs::StdRng;
 
@@ -68,10 +68,10 @@ pub fn segmented_slice_cols(m: &GraphMatrix, ctx: &ExecCtx<'_>) -> Result<Value>
 }
 
 /// Collective (layer-wise) sampling, segmented per super-batch group: `k`
-/// distinct rows are selected inside each group's row range.
-// Node-id indexing across the weight/segment arrays reads better than
-// zipped iterators here.
-#[allow(clippy::needless_range_loop)]
+/// distinct rows are selected inside each group's row range. The matrix
+/// crate's one collective routine, given this layout's segments — a row
+/// belongs to the group its global (block) ID falls in — and one RNG
+/// subpool per segment, the one its group would build running alone.
 pub fn segmented_collective_sample(
     m: &GraphMatrix,
     k: usize,
@@ -79,53 +79,18 @@ pub fn segmented_collective_sample(
     ctx: &ExecCtx<'_>,
     rngs: &mut [StdRng],
 ) -> Result<Value> {
-    let nrows = m.shape().0;
-    let weights: Vec<f32> = match probs {
-        Some(p) => fit_row_vector(m, p),
-        None => m.data.row_degrees().into_iter().map(|d| d as f32).collect(),
-    };
-    for (i, &w) in weights.iter().enumerate() {
-        if !w.is_finite() || w < 0.0 {
-            return Err(gsampler_matrix::Error::InvalidProbability { index: i, value: w }.into());
-        }
-    }
-
-    // Partition candidate rows into segments by their global (block) ID.
+    let weights = probs.map(|p| fit_row_vector(m, p));
     let segments = ctx.s.max(1);
-    let period = ctx.n;
-    let mut per_segment: Vec<Vec<NodeId>> = vec![Vec::new(); segments];
-    for r in 0..nrows {
-        if weights[r] > 0.0 {
-            let seg = if segments > 1 {
-                (m.global_row(r) as usize / period).min(segments - 1)
-            } else {
-                0
-            };
-            per_segment[seg].push(r as NodeId);
-        }
-    }
-
-    // One RNG subpool per segment — the one its group would build running
-    // alone. The seeded sampler assigns candidate `i` to stream `i` within
-    // the subpool — bit-identical output at any thread count.
+    let segment_of = |r: usize| match segments {
+        1 => 0,
+        _ => (m.global_row(r) as usize / ctx.n).min(segments - 1),
+    };
     let pools = segment_subpools(rngs, segments)?;
-    let mut selected: Vec<NodeId> = Vec::new();
-    for (seg, cands) in per_segment.iter().enumerate() {
-        if cands.len() <= k {
-            selected.extend_from_slice(cands);
-        } else {
-            let w: Vec<f32> = cands.iter().map(|&r| weights[r as usize]).collect();
-            let picks = weighted_sample_without_replacement_seeded(&w, k, &pools[seg]);
-            selected.extend(picks.into_iter().map(|i| cands[i]));
-        }
-    }
-    selected.sort_unstable();
-
-    let data = slice::slice_rows(&m.data, &selected)?;
-    let globals: Vec<NodeId> = selected.iter().map(|&r| m.global_row(r as usize)).collect();
+    let sample = collective_sample_segments(&m.data, k, weights.as_deref(), segment_of, &pools)?;
+    let globals = sample.rows.iter().map(|&r| m.global_row(r as usize));
     Ok(Value::Matrix(GraphMatrix {
-        data,
-        row_ids: Some(std::sync::Arc::new(globals)),
+        data: sample.matrix,
+        row_ids: Some(Arc::new(globals.collect())),
         col_ids: m.col_ids.clone(),
     }))
 }

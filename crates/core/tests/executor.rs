@@ -80,14 +80,37 @@ fn ladies_layer(k: usize) -> Layer {
 }
 
 /// LADIES with the sliced block compacted before the collective select —
-/// what the layout pass does to it on the large presets.
+/// what the layout pass does to it on the large presets — so the bias
+/// reduction, the select, the bias gather and both normalisations all run
+/// on a compacted block.
 fn compacted_ladies_layer(k: usize) -> Layer {
     let b = LayerBuilder::new();
     let sub = b.graph().slice_cols(&b.frontiers()).compact_rows();
     let row_probs = sub.pow(2.0).sum(Axis::Row);
     let samp = sub.collective_sample(k, Some(&row_probs));
-    let next = samp.row_nodes();
-    b.output(&samp);
+    let sel = row_probs.gather_row_bias(&samp, &sub);
+    let norm = samp.div(&sel, Axis::Row);
+    let colsum = norm.sum(Axis::Col);
+    let out = norm.div(&colsum, Axis::Col);
+    let next = out.row_nodes();
+    b.output(&out);
+    b.output_next_frontiers(&next);
+    b.build()
+}
+
+/// FastGCN: full-graph degree bias, looked up by node ID on the sliced
+/// block as it is (`gather_row_bias` reads the bias at a row's *position*
+/// in the source space, so a node-indexed vector needs it un-compacted).
+fn fastgcn_layer(k: usize) -> Layer {
+    let b = LayerBuilder::new();
+    let a = b.graph();
+    let deg = a.degrees(Axis::Row);
+    let sub = a.slice_cols(&b.frontiers());
+    let samp = sub.collective_sample(k, Some(&deg));
+    let sel = deg.gather_row_bias(&samp, &sub);
+    let out = samp.div(&sel, Axis::Row);
+    let next = out.row_nodes();
+    b.output(&out);
     b.output_next_frontiers(&next);
     b.build()
 }
@@ -135,6 +158,19 @@ fn assert_groups_equal_solo(graph: &Arc<Graph>, layers: &[Layer], opt: OptConfig
                 format!("{:#?}", solo[0].layers),
                 "{what}: group {b} of {s} differs from its solo run"
             );
+            // And the matrices as values, not only as they print.
+            let values = got
+                .layers
+                .iter()
+                .flatten()
+                .zip(solo[0].layers.iter().flatten());
+            for (got, solo) in values {
+                assert_eq!(
+                    got.as_matrix(),
+                    solo.as_matrix(),
+                    "{what}: group {b} of {s}"
+                );
+            }
         }
     }
 }
@@ -346,11 +382,18 @@ fn super_batch_groups_are_independent_and_valid() {
         check(&[graphsage_layer(3)], OptConfig::plain(), "GraphSAGE");
         check(&[ladies_layer(5)], OptConfig::all(), "LADIES");
         check(&[ladies_layer(5)], OptConfig::plain(), "plain LADIES");
-        check(
-            &[compacted_ladies_layer(5)],
-            OptConfig::all(),
-            "compacted LADIES",
-        );
+        for opt in [OptConfig::all(), OptConfig::plain()] {
+            let layer = compacted_ladies_layer(5);
+            let compiled = compile(graph.clone(), vec![layer.clone()], config(opt.clone()));
+            let nodes = compiled.unwrap().layers()[0]
+                .optimized
+                .program
+                .nodes()
+                .to_vec();
+            assert!(nodes.iter().any(|n| n.op == Op::CompactRows));
+            check(&[layer], opt.clone(), "compacted LADIES");
+            check(&[fastgcn_layer(5)], opt, "FastGCN");
+        }
         for fmt in [Format::Csr, Format::Coo] {
             let sage = with_converted_output(graphsage_layer(3), fmt);
             let sampler = compile(

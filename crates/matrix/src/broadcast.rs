@@ -4,6 +4,10 @@
 //! `v[c]` — this is `A.div(V, axis)` from the paper's API (Table 4) and the
 //! canonical *edge-map* operator of the fusion taxonomy in §4.2 (LADIES'
 //! per-frontier weight normalization, Fig. 3b lines 6-7).
+//!
+//! The edge -> row/column lookup is the matrix's per-(format, axis) edge
+//! index (`SparseMatrix::edge_index`), walked in storage order; no
+//! per-edge index list is built.
 
 use crate::error::{Error, Result};
 use crate::sparse::SparseMatrix;
@@ -14,6 +18,22 @@ use crate::{Axis, EltOp};
 ///
 /// `v` must have length `nrows` for `Axis::Row` or `ncols` for `Axis::Col`.
 pub fn broadcast(m: &SparseMatrix, v: &[f32], op: EltOp, axis: Axis) -> Result<SparseMatrix> {
+    let mut out = m.clone();
+    broadcast_values(m, out.values_mut(), v, op, axis)?;
+    Ok(out)
+}
+
+/// [`broadcast`] onto a value array held apart from the matrix: `values`
+/// are the edge values of `m`'s pattern in storage order and are updated
+/// in place. Fused edge-map chains own their values and borrow `m`'s
+/// structure, so a chain of broadcasts never clones it.
+pub fn broadcast_values(
+    m: &SparseMatrix,
+    values: &mut [f32],
+    v: &[f32],
+    op: EltOp,
+    axis: Axis,
+) -> Result<()> {
     let expected = match axis {
         Axis::Row => m.nrows(),
         Axis::Col => m.ncols(),
@@ -25,44 +45,10 @@ pub fn broadcast(m: &SparseMatrix, v: &[f32], op: EltOp, axis: Axis) -> Result<S
             actual: v.len(),
         });
     }
-    let mut out = m.clone();
-    apply_in_place(&mut out, v, op, axis);
-    Ok(out)
-}
-
-/// In-place variant of [`broadcast`] for fused edge-map chains: applying
-/// several broadcasts to the same matrix touches the value array once per
-/// op without re-cloning structure.
-pub fn broadcast_in_place(m: &mut SparseMatrix, v: &[f32], op: EltOp, axis: Axis) -> Result<()> {
-    let expected = match axis {
-        Axis::Row => m.nrows(),
-        Axis::Col => m.ncols(),
-    };
-    if v.len() != expected {
-        return Err(Error::LengthMismatch {
-            op: "broadcast_in_place",
-            expected,
-            actual: v.len(),
-        });
-    }
-    apply_in_place(m, v, op, axis);
+    assert_eq!(values.len(), m.nnz(), "value array must match nnz");
+    m.edge_index(axis)
+        .for_each(|i, e| values[e] = op.apply(values[e], v[i]));
     Ok(())
-}
-
-fn apply_in_place(m: &mut SparseMatrix, v: &[f32], op: EltOp, axis: Axis) {
-    // Collect the per-edge broadcast index in storage order, then update the
-    // value array in one pass.
-    let idx: Vec<usize> = m
-        .iter_edges()
-        .map(|(r, c, _)| match axis {
-            Axis::Row => r as usize,
-            Axis::Col => c as usize,
-        })
-        .collect();
-    let values = m.values_mut();
-    for (val, &i) in values.iter_mut().zip(idx.iter()) {
-        *val = op.apply(*val, v[i]);
-    }
 }
 
 #[cfg(test)]
@@ -139,8 +125,8 @@ mod tests {
         let m = sample();
         let v = vec![1.0, 2.0, 3.0];
         let pure = broadcast(&m, &v, EltOp::Sub, Axis::Col).unwrap();
-        let mut inplace = m.clone();
-        broadcast_in_place(&mut inplace, &v, EltOp::Sub, Axis::Col).unwrap();
-        assert_eq!(pure.sorted_edges(), inplace.sorted_edges());
+        let mut values = m.values_or_ones();
+        broadcast_values(&m, &mut values, &v, EltOp::Sub, Axis::Col).unwrap();
+        assert_eq!(pure.values().unwrap(), &values[..]);
     }
 }

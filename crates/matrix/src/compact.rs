@@ -5,18 +5,29 @@
 //! data-layout-selection pass decides whether to pay the relabelling cost;
 //! these kernels do the actual work and report the kept-node mapping so
 //! that global IDs survive.
+//!
+//! Compaction never drops an edge — the kept ids are exactly the occupied
+//! ones — so it is a rename done in the input's own format, one pass over
+//! the edges and no round trip through another layout:
+//!
+//! - along the *index* axis (CSC rows, CSR columns, either axis of COO)
+//!   the index array is mapped through a pooled `old -> new` table while
+//!   `indptr` and the values carry over;
+//! - along the *compressed* axis (CSR rows, CSC columns) the empty
+//!   `indptr` entries go and `indices` / values carry over.
+//!
+//! CSC and CSR results then get the canonical within-segment order every
+//! conversion produces (`convert::sort_segments`). The rename is
+//! monotone, so a sorted segment stays sorted and that is one
+//! strictly-ascending check per segment; COO keeps its storage order.
 
-use gsampler_runtime::{parallel_map, parallel_scatter, parallel_scatter2, take_scratch_filled};
+use gsampler_runtime::{parallel_map, take_scratch_filled};
 
+use crate::convert::sort_segments;
 use crate::coo::Coo;
 use crate::par_gate;
-use crate::sparse::SparseMatrix;
-use crate::{NodeId, PAR_GRAIN};
-
-/// Fixed decomposition unit for the relabel two-pass filter. A compile-time
-/// constant (never derived from the thread count) so the output layout is
-/// identical no matter how many workers execute the passes.
-const RELABEL_CHUNK: usize = 4096;
+use crate::sparse::{EdgeIndex, SparseMatrix};
+use crate::{Axis, NodeId, PAR_GRAIN};
 
 /// An occupancy bitset over `n` ids, packed 64 per word so the survivor
 /// scan touches `n/64` words (and skips all-isolated ranges in one
@@ -78,180 +89,92 @@ pub struct Compacted {
     pub kept: Vec<NodeId>,
 }
 
-/// Ascending indices of the rows that store at least one edge.
-///
-/// Occupancy detection is format-aware: CSR answers from its indptr with a
-/// per-row scan, the other formats mark row hits edge-parallel.
-pub fn occupied_rows(m: &SparseMatrix) -> Vec<NodeId> {
-    let nrows = m.nrows();
-    let hits = match m {
-        SparseMatrix::Csr(csr) => HitSet::from_indptr(nrows, &csr.indptr),
-        SparseMatrix::Csc(csc) => mark_hits(nrows, &csc.indices),
-        SparseMatrix::Coo(coo) => mark_hits(nrows, &coo.rows),
+/// Ascending indices along `axis` that store at least one edge. Format-
+/// aware: the compressed axis answers from its indptr, the others mark
+/// hits in one pass over the index array.
+fn occupied(m: &SparseMatrix, axis: Axis) -> Vec<NodeId> {
+    let n = match axis {
+        Axis::Row => m.nrows(),
+        Axis::Col => m.ncols(),
+    };
+    let hits = match m.edge_index(axis) {
+        EdgeIndex::Segments(indptr) => HitSet::from_indptr(n, indptr),
+        EdgeIndex::PerEdge(ids) => mark_hits(n, ids),
     };
     hits.ones().collect()
 }
 
+/// Ascending indices of the rows that store at least one edge.
+pub fn occupied_rows(m: &SparseMatrix) -> Vec<NodeId> {
+    occupied(m, Axis::Row)
+}
+
+/// Ascending indices of the columns that store at least one edge.
+pub fn occupied_cols(m: &SparseMatrix) -> Vec<NodeId> {
+    occupied(m, Axis::Col)
+}
+
 /// Drop rows with no stored edges, relabelling the survivors `0..n`.
 pub fn compact_rows(m: &SparseMatrix) -> Compacted {
-    let kept = occupied_rows(m);
-    let matrix = relabel_rows(m, &kept);
-    Compacted { matrix, kept }
+    compact(m, Axis::Row)
 }
 
 /// Drop columns with no stored edges, relabelling the survivors `0..n`.
-///
-/// Mirror of [`compact_rows`]: CSC answers from its indptr, the other
-/// formats mark column hits edge-parallel.
 pub fn compact_cols(m: &SparseMatrix) -> Compacted {
-    let ncols = m.ncols();
-    let hits = match m {
-        SparseMatrix::Csc(csc) => HitSet::from_indptr(ncols, &csc.indptr),
-        SparseMatrix::Csr(csr) => mark_hits(ncols, &csr.indices),
-        SparseMatrix::Coo(coo) => mark_hits(ncols, &coo.cols),
+    compact(m, Axis::Col)
+}
+
+fn compact(m: &SparseMatrix, axis: Axis) -> Compacted {
+    let kept = occupied(m, axis);
+    let (shape, n) = match axis {
+        Axis::Row => ((kept.len(), m.ncols()), m.nrows()),
+        Axis::Col => ((m.nrows(), kept.len()), m.ncols()),
     };
-    let kept: Vec<NodeId> = hits.ones().collect();
-    let matrix = relabel_cols(m, &kept);
+    let matrix = match (m, m.compressed()) {
+        (SparseMatrix::Coo(c), _) => {
+            let (rows, cols) = match axis {
+                Axis::Row => (rename(&c.rows, n, &kept), c.cols.clone()),
+                Axis::Col => (c.rows.clone(), rename(&c.cols, n, &kept)),
+            };
+            SparseMatrix::Coo(Coo {
+                nrows: shape.0,
+                ncols: shape.1,
+                rows,
+                cols,
+                values: c.values.clone(),
+            })
+        }
+        (_, Some((major, (indptr, indices, values)))) => {
+            let (indptr, mut indices) = if major == axis {
+                // The compressed axis: the empty segments go.
+                let starts = kept.iter().map(|&k| indptr[k as usize]);
+                let indptr = starts.chain(indptr.last().copied()).collect();
+                (indptr, indices.to_vec())
+            } else {
+                (indptr.to_vec(), rename(indices, n, &kept))
+            };
+            let mut values = values.map(<[f32]>::to_vec);
+            sort_segments(&indptr, &mut indices, values.as_deref_mut());
+            SparseMatrix::from_compressed(major, shape, (indptr, indices, values))
+        }
+        (_, None) => unreachable!("only COO has no compressed axis"),
+    };
     Compacted { matrix, kept }
 }
 
-/// Count filter survivors per [`RELABEL_CHUNK`]-sized chunk of the edge
-/// list and prefix-sum the counts into per-chunk output offsets.
-fn survivor_offsets<P: Fn(usize) -> bool + Sync>(nnz: usize, keep: P) -> Vec<usize> {
-    let nchunks = nnz.div_ceil(RELABEL_CHUNK);
-    let counts: Vec<usize> = parallel_map(nchunks, 1, |ch| {
-        let start = ch * RELABEL_CHUNK;
-        let end = (start + RELABEL_CHUNK).min(nnz);
-        (start..end).filter(|&i| keep(i)).count()
-    });
-    let mut offsets = vec![0usize; nchunks + 1];
-    for (i, c) in counts.into_iter().enumerate() {
-        offsets[i + 1] = offsets[i] + c;
-    }
-    offsets
-}
-
-/// Gather `values[i]` for surviving edges into the chunked output layout.
-fn gather_values<P: Fn(usize) -> bool + Sync>(src: &[f32], offsets: &[usize], keep: P) -> Vec<f32> {
-    let nnz = src.len();
-    let mut vals = vec![0f32; *offsets.last().unwrap()];
-    parallel_scatter(&mut vals, offsets, par_gate(nnz), |ch, seg_v| {
-        let start = ch * RELABEL_CHUNK;
-        let end = (start + RELABEL_CHUNK).min(nnz);
-        let mut k = 0;
-        for (i, &v) in src.iter().enumerate().take(end).skip(start) {
-            if keep(i) {
-                seg_v[k] = v;
-                k += 1;
-            }
-        }
-    });
-    vals
-}
-
-/// Relabel rows so that old row `kept[i]` becomes new row `i`; rows not in
-/// `kept` are dropped with their edges. `kept` must be ascending.
-///
-/// Runs as a two-pass chunked filter over the COO edge view: a parallel
-/// count pass sizes each fixed chunk's output range, then parallel fill
-/// passes write survivors. The output edge order equals the sequential
-/// filter order regardless of thread count.
-pub fn relabel_rows(m: &SparseMatrix, kept: &[NodeId]) -> SparseMatrix {
+/// Map every id through `old -> new`, where old id `kept[i]` becomes `i`
+/// and every id of `ids` is in `kept`.
+fn rename(ids: &[NodeId], n: usize, kept: &[NodeId]) -> Vec<NodeId> {
     // Graph-sized scratch reused batch to batch through the arena: on a
-    // training loop this map alone was one fresh `nrows`-sized allocation
-    // per compaction.
-    let mut old_to_new = take_scratch_filled::<u32>(m.nrows(), u32::MAX);
+    // training loop this map alone was one fresh `n`-sized allocation per
+    // compaction.
+    let mut old_to_new = take_scratch_filled::<u32>(n, u32::MAX);
     for (new, &old) in kept.iter().enumerate() {
         old_to_new[old as usize] = new as u32;
     }
-    let coo = m.to_coo();
-    let nnz = coo.nnz();
-    let keep = |i: usize| old_to_new[coo.rows[i] as usize] != u32::MAX;
-    let offsets = survivor_offsets(nnz, keep);
-    let total = *offsets.last().unwrap();
-    let mut rows = vec![0 as NodeId; total];
-    let mut cols = vec![0 as NodeId; total];
-    parallel_scatter2(
-        &mut rows,
-        &mut cols,
-        &offsets,
-        par_gate(nnz),
-        |ch, seg_r, seg_c| {
-            let start = ch * RELABEL_CHUNK;
-            let end = (start + RELABEL_CHUNK).min(nnz);
-            let mut k = 0;
-            for i in start..end {
-                let nr = old_to_new[coo.rows[i] as usize];
-                if nr == u32::MAX {
-                    continue;
-                }
-                seg_r[k] = nr;
-                seg_c[k] = coo.cols[i];
-                k += 1;
-            }
-        },
-    );
-    let values = coo
-        .values
-        .as_ref()
-        .map(|src| gather_values(src, &offsets, keep));
-    let out = Coo {
-        nrows: kept.len(),
-        ncols: m.ncols(),
-        rows,
-        cols,
-        values,
-    };
-    SparseMatrix::Coo(out).into_format(m.format())
-}
-
-/// Relabel columns so that old column `kept[i]` becomes new column `i`;
-/// columns not in `kept` are dropped with their edges. `kept` must be
-/// ascending. Mirror of [`relabel_rows`].
-pub fn relabel_cols(m: &SparseMatrix, kept: &[NodeId]) -> SparseMatrix {
-    let mut old_to_new = take_scratch_filled::<u32>(m.ncols(), u32::MAX);
-    for (new, &old) in kept.iter().enumerate() {
-        old_to_new[old as usize] = new as u32;
-    }
-    let coo = m.to_coo();
-    let nnz = coo.nnz();
-    let keep = |i: usize| old_to_new[coo.cols[i] as usize] != u32::MAX;
-    let offsets = survivor_offsets(nnz, keep);
-    let total = *offsets.last().unwrap();
-    let mut rows = vec![0 as NodeId; total];
-    let mut cols = vec![0 as NodeId; total];
-    parallel_scatter2(
-        &mut rows,
-        &mut cols,
-        &offsets,
-        par_gate(nnz),
-        |ch, seg_r, seg_c| {
-            let start = ch * RELABEL_CHUNK;
-            let end = (start + RELABEL_CHUNK).min(nnz);
-            let mut k = 0;
-            for i in start..end {
-                let nc = old_to_new[coo.cols[i] as usize];
-                if nc == u32::MAX {
-                    continue;
-                }
-                seg_r[k] = coo.rows[i];
-                seg_c[k] = nc;
-                k += 1;
-            }
-        },
-    );
-    let values = coo
-        .values
-        .as_ref()
-        .map(|src| gather_values(src, &offsets, keep));
-    let out = Coo {
-        nrows: m.nrows(),
-        ncols: kept.len(),
-        rows,
-        cols,
-        values,
-    };
-    SparseMatrix::Coo(out).into_format(m.format())
+    parallel_map(ids.len(), par_gate(ids.len()), |e| {
+        old_to_new[ids[e] as usize]
+    })
 }
 
 #[cfg(test)]
@@ -311,16 +234,6 @@ mod tests {
         let c = compact_rows(&m);
         assert_eq!(c.kept, vec![0, 1]);
         assert_eq!(c.matrix.sorted_edges(), m.sorted_edges());
-    }
-
-    #[test]
-    fn relabel_rows_drops_unlisted() {
-        let m = sparse_with_isolated_rows();
-        let out = relabel_rows(&m, &[3, 4]);
-        assert_eq!(out.shape(), (2, 2));
-        assert_eq!(out.nnz(), 2);
-        // Old row 1's edge disappears.
-        assert!(!out.sorted_edges().iter().any(|&(_, _, v)| v == 1.0));
     }
 
     #[test]

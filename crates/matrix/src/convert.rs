@@ -75,15 +75,14 @@ pub fn coo_to_csc(m: &Coo) -> Csc {
             out[dst] = src[i];
         }
     }
-    let mut csc = Csc {
+    sort_segments(&indptr, &mut indices, values.as_deref_mut());
+    Csc {
         nrows: m.nrows,
         ncols: m.ncols,
         indptr,
         indices,
         values,
-    };
-    sort_within_columns(&mut csc);
-    csc
+    }
 }
 
 /// Compress a COO matrix into CSR via counting sort over rows.
@@ -109,15 +108,14 @@ pub fn coo_to_csr(m: &Coo) -> Csr {
             out[dst] = src[i];
         }
     }
-    let mut csr = Csr {
+    sort_segments(&indptr, &mut indices, values.as_deref_mut());
+    Csr {
         nrows: m.nrows,
         ncols: m.ncols,
         indptr,
         indices,
         values,
-    };
-    sort_within_rows(&mut csr);
-    csr
+    }
 }
 
 /// Transpose-style conversion CSC → CSR (via the column-sorted COO view).
@@ -132,7 +130,7 @@ pub fn csr_to_csc(m: &Csr) -> Csc {
 
 /// Sort one column/row segment by index, carrying values along when present.
 /// Stable for the weighted case, matching the previous counting-sort order.
-fn sort_segment(seg_i: &mut [NodeId], seg_v: Option<&mut [f32]>) {
+pub(crate) fn sort_segment(seg_i: &mut [NodeId], seg_v: Option<&mut [f32]>) {
     if seg_i.len() <= 1 || seg_i.windows(2).all(|w| w[0] < w[1]) {
         return;
     }
@@ -150,39 +148,17 @@ fn sort_segment(seg_i: &mut [NodeId], seg_v: Option<&mut [f32]>) {
     }
 }
 
-fn sort_within_columns(m: &mut Csc) {
-    let min_items = par_gate(m.indices.len());
-    let indptr = &m.indptr;
-    match m.values.as_mut() {
-        Some(vals) => parallel_scatter2(
-            &mut m.indices,
-            vals,
-            indptr,
-            min_items,
-            |_c, seg_i, seg_v| {
-                sort_segment(seg_i, Some(seg_v));
-            },
-        ),
-        None => parallel_scatter(&mut m.indices, indptr, min_items, |_c, seg_i| {
-            sort_segment(seg_i, None);
+/// The canonical within-segment order of a compressed matrix: every
+/// column (CSC) / row (CSR) segment ascending by index, values carried
+/// along, on the worker pool. A segment that is already strictly
+/// ascending costs one scan.
+pub(crate) fn sort_segments(indptr: &[usize], indices: &mut [NodeId], values: Option<&mut [f32]>) {
+    let min_items = par_gate(indices.len());
+    match values {
+        Some(vals) => parallel_scatter2(indices, vals, indptr, min_items, |_, seg_i, seg_v| {
+            sort_segment(seg_i, Some(seg_v));
         }),
-    }
-}
-
-fn sort_within_rows(m: &mut Csr) {
-    let min_items = par_gate(m.indices.len());
-    let indptr = &m.indptr;
-    match m.values.as_mut() {
-        Some(vals) => parallel_scatter2(
-            &mut m.indices,
-            vals,
-            indptr,
-            min_items,
-            |_r, seg_i, seg_v| {
-                sort_segment(seg_i, Some(seg_v));
-            },
-        ),
-        None => parallel_scatter(&mut m.indices, indptr, min_items, |_r, seg_i| {
+        None => parallel_scatter(indices, indptr, min_items, |_, seg_i| {
             sort_segment(seg_i, None);
         }),
     }

@@ -97,29 +97,14 @@ impl GraphMatrix {
     /// neighbours, i.e. the frontiers of the next layer.
     pub fn row_nodes(&self) -> Vec<NodeId> {
         let occupied = compact::occupied_rows(&self.data);
-        let mut out: Vec<NodeId> = occupied
-            .into_iter()
-            .map(|r| self.global_row(r as usize))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        distinct_sorted(occupied.into_iter().map(|r| self.global_row(r as usize)))
     }
 
     /// The paper's `A.column()`: distinct global IDs of columns that carry
     /// at least one edge, ascending.
     pub fn col_nodes(&self) -> Vec<NodeId> {
-        let mut has_edge = vec![false; self.data.ncols()];
-        for (_, c, _) in self.data.iter_edges() {
-            has_edge[c as usize] = true;
-        }
-        let mut out: Vec<NodeId> = (0..self.data.ncols())
-            .filter(|&c| has_edge[c])
-            .map(|c| self.global_col(c))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        let occupied = compact::occupied_cols(&self.data);
+        distinct_sorted(occupied.into_iter().map(|c| self.global_col(c as usize)))
     }
 
     /// Extract step: `A[:, frontiers]` where `frontiers` are *global* IDs.
@@ -277,6 +262,13 @@ impl GraphMatrix {
     }
 }
 
+fn distinct_sorted(ids: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = ids.collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,6 +365,19 @@ mod tests {
             other.data = other.data.to_format(fmt);
             assert_eq!(other.row_nodes(), vec![2, 3, 5, 6, 7], "{fmt:?}");
             assert_eq!(other.compact_rows().row_nodes(), vec![2, 3, 5, 6, 7]);
+        }
+    }
+
+    #[test]
+    fn col_nodes_is_format_independent() {
+        // Frontier c (column 1 of the slice) has no in-edges.
+        let sub = toy_graph().slice_cols_global(&[1, 2, 4]).unwrap();
+        for fmt in crate::Format::ALL {
+            let mut other = sub.clone();
+            other.data = other.data.to_format(fmt);
+            assert_eq!(other.col_nodes(), vec![1, 4], "{fmt:?}");
+            assert_eq!(other.compact_cols().col_nodes(), vec![1, 4]);
+            assert_eq!(other.compact_cols().shape(), (8, 2));
         }
     }
 

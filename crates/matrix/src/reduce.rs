@@ -5,8 +5,15 @@
 //! — in the sampling setting this sums each candidate node's bias across
 //! all frontiers (LADIES, Fig. 3b line 3). These are the *edge-reduce*
 //! operators of the fusion taxonomy in paper §4.2.
+//!
+//! Every reduction walks the storage arrays directly through the matrix's
+//! per-(format, axis) edge index (`SparseMatrix::edge_index`): a slot's
+//! edges are visited in storage order, serially, so a sum is the same bits
+//! in every run. [`reduce_with`] takes the edge values from a closure, so a
+//! fused edge-map chain reduces over its *input's* structure without
+//! building a matrix. The boxed edge iterator is for tests and cold paths.
 
-use crate::sparse::SparseMatrix;
+use crate::sparse::{EdgeIndex, SparseMatrix};
 use crate::{Axis, ReduceOp};
 
 /// Reduce edge values onto one axis, returning a dense vector indexed by
@@ -15,17 +22,29 @@ use crate::{Axis, ReduceOp};
 /// Nodes with no incident edges get 0.0 regardless of the reduction (the
 /// identity the paper's bias computations expect for isolated candidates).
 pub fn reduce(m: &SparseMatrix, op: ReduceOp, axis: Axis) -> Vec<f32> {
+    match m.values() {
+        Some(v) => reduce_with(m, op, axis, |e| v[e]),
+        None => reduce_with(m, op, axis, |_| 1.0),
+    }
+}
+
+/// [`reduce`] over `m`'s structure with `value_of(e)` standing in for the
+/// value of the edge stored at position `e`.
+pub fn reduce_with(
+    m: &SparseMatrix,
+    op: ReduceOp,
+    axis: Axis,
+    value_of: impl Fn(usize) -> f32,
+) -> Vec<f32> {
     let n = match axis {
         Axis::Row => m.nrows(),
         Axis::Col => m.ncols(),
     };
+    let edges = m.edge_index(axis);
     match op {
         ReduceOp::Sum => {
             let mut out = vec![0f32; n];
-            for (r, c, v) in m.iter_edges() {
-                let i = index(axis, r, c);
-                out[i] += v;
-            }
+            edges.for_each(|i, e| out[i] += value_of(e));
             out
         }
         ReduceOp::Count => {
@@ -34,55 +53,43 @@ pub fn reduce(m: &SparseMatrix, op: ReduceOp, axis: Axis) -> Vec<f32> {
             // Bit-exact with the incremental loop as long as every degree
             // is f32-representable (+1.0 saturates at 2^24, direct
             // conversion rounds; below that both are exact).
-            let indptr = match (m, axis) {
-                (SparseMatrix::Csr(csr), Axis::Row) => Some(&csr.indptr),
-                (SparseMatrix::Csc(csc), Axis::Col) => Some(&csc.indptr),
-                _ => None,
-            };
-            if let Some(indptr) = indptr {
+            if let EdgeIndex::Segments(indptr) = edges {
                 if indptr.windows(2).all(|w| w[1] - w[0] <= 1 << 24) {
                     return indptr.windows(2).map(|w| (w[1] - w[0]) as f32).collect();
                 }
             }
             let mut out = vec![0f32; n];
-            for (r, c, _) in m.iter_edges() {
-                out[index(axis, r, c)] += 1.0;
-            }
+            edges.for_each(|i, _| out[i] += 1.0);
             out
         }
-        ReduceOp::Max => {
-            let mut out = vec![f32::NEG_INFINITY; n];
+        ReduceOp::Max | ReduceOp::Min => {
+            let (start, pick): (f32, fn(f32, f32) -> f32) = match op {
+                ReduceOp::Max => (f32::NEG_INFINITY, f32::max),
+                _ => (f32::INFINITY, f32::min),
+            };
+            let mut out = vec![start; n];
             let mut seen = vec![false; n];
-            for (r, c, v) in m.iter_edges() {
-                let i = index(axis, r, c);
-                out[i] = out[i].max(v);
+            edges.for_each(|i, e| {
+                out[i] = pick(out[i], value_of(e));
                 seen[i] = true;
+            });
+            for (o, &s) in out.iter_mut().zip(&seen) {
+                if !s {
+                    *o = 0.0;
+                }
             }
-            zero_unseen(&mut out, &seen);
-            out
-        }
-        ReduceOp::Min => {
-            let mut out = vec![f32::INFINITY; n];
-            let mut seen = vec![false; n];
-            for (r, c, v) in m.iter_edges() {
-                let i = index(axis, r, c);
-                out[i] = out[i].min(v);
-                seen[i] = true;
-            }
-            zero_unseen(&mut out, &seen);
             out
         }
         ReduceOp::Mean => {
             let mut sum = vec![0f32; n];
             let mut cnt = vec![0f32; n];
-            for (r, c, v) in m.iter_edges() {
-                let i = index(axis, r, c);
-                sum[i] += v;
+            edges.for_each(|i, e| {
+                sum[i] += value_of(e);
                 cnt[i] += 1.0;
-            }
-            for i in 0..n {
-                if cnt[i] > 0.0 {
-                    sum[i] /= cnt[i];
+            });
+            for (s, &c) in sum.iter_mut().zip(&cnt) {
+                if c > 0.0 {
+                    *s /= c;
                 }
             }
             sum
@@ -92,40 +99,21 @@ pub fn reduce(m: &SparseMatrix, op: ReduceOp, axis: Axis) -> Vec<f32> {
 
 /// Total of all edge values (`A.sum()` with no axis).
 pub fn reduce_all(m: &SparseMatrix, op: ReduceOp) -> f32 {
+    match m.values() {
+        Some(v) => fold_all(op, v.iter().copied()),
+        None => fold_all(op, std::iter::repeat_n(1.0, m.nnz())),
+    }
+}
+
+fn fold_all(op: ReduceOp, values: impl ExactSizeIterator<Item = f32>) -> f32 {
+    let nnz = values.len();
     match op {
-        ReduceOp::Sum => m.iter_edges().map(|(_, _, v)| v).sum(),
-        ReduceOp::Count => m.nnz() as f32,
-        ReduceOp::Max => m
-            .iter_edges()
-            .map(|(_, _, v)| v)
-            .fold(f32::NEG_INFINITY, f32::max),
-        ReduceOp::Min => m
-            .iter_edges()
-            .map(|(_, _, v)| v)
-            .fold(f32::INFINITY, f32::min),
-        ReduceOp::Mean => {
-            if m.nnz() == 0 {
-                0.0
-            } else {
-                m.iter_edges().map(|(_, _, v)| v).sum::<f32>() / m.nnz() as f32
-            }
-        }
-    }
-}
-
-#[inline]
-fn index(axis: Axis, r: crate::NodeId, c: crate::NodeId) -> usize {
-    match axis {
-        Axis::Row => r as usize,
-        Axis::Col => c as usize,
-    }
-}
-
-fn zero_unseen(out: &mut [f32], seen: &[bool]) {
-    for (o, &s) in out.iter_mut().zip(seen) {
-        if !s {
-            *o = 0.0;
-        }
+        ReduceOp::Sum => values.sum(),
+        ReduceOp::Count => nnz as f32,
+        ReduceOp::Max => values.fold(f32::NEG_INFINITY, f32::max),
+        ReduceOp::Min => values.fold(f32::INFINITY, f32::min),
+        ReduceOp::Mean if nnz == 0 => 0.0,
+        ReduceOp::Mean => values.sum::<f32>() / nnz as f32,
     }
 }
 

@@ -8,7 +8,10 @@
 //!   sampling (GraphSAGE, PASS, random walks with `K = 1`).
 //! - [`collective_sample_seeded`]: sample `K` distinct *row* nodes across
 //!   the whole matrix according to per-node bias — layer-wise sampling
-//!   (FastGCN, LADIES, AS-GCN).
+//!   (FastGCN, LADIES, AS-GCN). It is the one-segment call of
+//!   [`collective_sample_segments`], the one collective routine (weights ->
+//!   candidates -> Efraimidis–Spirakis keys -> `slice_rows`), which a
+//!   super-batch runs with one segment per group.
 //!
 //! Node-wise selection is one *pick* and one *gather*. [`pick_columns`]
 //! chooses, for every output column, sorted source positions out of one
@@ -20,7 +23,9 @@
 //!
 //! The per-call primitives — Floyd's [`uniform_sample_without_replacement`],
 //! Efraimidis–Spirakis [`weighted_sample_without_replacement`] (and its
-//! `_seeded` form, which collective sampling runs) and [`AliasTable`] for
+//! `_seeded` form, which collective sampling runs; both keep the `k`
+//! smallest `(key, index)` pairs by a top-`k` selection, not a full sort —
+//! keys are `-ln(u)/w` or `+∞`, never NaN) and [`AliasTable`] for
 //! O(1) weighted draws with replacement (the structure SkyWalker-style
 //! baselines use) — are the references the pick is tested against: it
 //! calls the weighted two per column and runs Floyd in place.
@@ -262,44 +267,98 @@ pub fn pick_columns(
 /// `m` (each edge contributes bias 1, per the paper's default). If fewer
 /// than `k` rows have positive bias, all of them are taken.
 ///
-/// The Efraimidis–Spirakis keys are computed candidate-parallel on the
-/// worker pool, candidate `i` always drawing from `pool.stream(i)`.
+/// The one-segment call of [`collective_sample_segments`].
 pub fn collective_sample_seeded(
     m: &SparseMatrix,
     k: usize,
     node_probs: Option<&[f32]>,
     pool: &RngPool,
 ) -> Result<CollectiveSample> {
-    let nrows = m.nrows();
-    let weights: Vec<f32> = match node_probs {
-        Some(p) => {
-            if p.len() != nrows {
-                return Err(Error::LengthMismatch {
-                    op: "collective_sample node_probs",
-                    expected: nrows,
-                    actual: p.len(),
-                });
-            }
-            validate_weights(p)?;
-            p.to_vec()
-        }
-        None => m.row_degrees().iter().map(|&d| d as f32).collect(),
-    };
+    collective_sample_segments(m, k, node_probs, |_| 0, std::slice::from_ref(pool))
+}
 
-    let candidates: Vec<usize> = (0..nrows).filter(|&i| weights[i] > 0.0).collect();
-    let mut rows: Vec<NodeId> = if candidates.len() <= k {
-        candidates.iter().map(|&i| i as NodeId).collect()
-    } else {
-        let cand_weights: Vec<f32> = candidates.iter().map(|&i| weights[i]).collect();
-        weighted_sample_without_replacement_seeded(&cand_weights, k, pool)
-            .into_iter()
-            .map(|off| candidates[off] as NodeId)
-            .collect()
+/// Collective selection, the one routine: up to `k` distinct rows are
+/// chosen inside every segment of the row space — `segment_of(r)` names
+/// row `r`'s segment, one per entry of `pools` (the groups of a
+/// super-batch; a plain call has one) — and the rows chosen anywhere are
+/// sliced out together, ascending.
+///
+/// Weights -> candidates -> keys -> `slice_rows`: one pass validates every
+/// row's bias, keeps the rows with a positive one as their segment's
+/// candidates and collects their weights; a segment with more than `k`
+/// candidates runs [`weighted_sample_without_replacement_seeded`] on its
+/// own pool (candidate `i` of the segment on stream `i`), so each segment
+/// selects what it would selecting alone, at any thread count.
+pub fn collective_sample_segments(
+    m: &SparseMatrix,
+    k: usize,
+    node_probs: Option<&[f32]>,
+    segment_of: impl Fn(usize) -> usize,
+    pools: &[RngPool],
+) -> Result<CollectiveSample> {
+    let nrows = m.nrows();
+    let weights: Cow<'_, [f32]> = match node_probs {
+        Some(p) if p.len() != nrows => {
+            return Err(Error::LengthMismatch {
+                op: "collective_sample node_probs",
+                expected: nrows,
+                actual: p.len(),
+            });
+        }
+        Some(p) => Cow::Borrowed(p),
+        None => Cow::Owned(m.row_degrees().iter().map(|&d| d as f32).collect()),
     };
+    let mut candidates: Vec<(Vec<NodeId>, Vec<f32>)> = vec![Default::default(); pools.len()];
+    for (r, &w) in weights.iter().enumerate() {
+        if !w.is_finite() || w < 0.0 {
+            return Err(Error::InvalidProbability { index: r, value: w });
+        }
+        if w > 0.0 {
+            let (rows, row_weights) = &mut candidates[segment_of(r)];
+            rows.push(r as NodeId);
+            row_weights.push(w);
+        }
+    }
+    let mut rows: Vec<NodeId> = Vec::new();
+    for ((cands, cand_weights), pool) in candidates.iter().zip(pools) {
+        if cands.len() <= k {
+            rows.extend_from_slice(cands);
+        } else {
+            let picks = weighted_sample_without_replacement_seeded(cand_weights, k, pool);
+            rows.extend(picks.into_iter().map(|off| cands[off]));
+        }
+    }
     rows.sort_unstable();
 
     let matrix = slice::slice_rows(m, &rows)?;
     Ok(CollectiveSample { matrix, rows })
+}
+
+/// The Efraimidis–Spirakis exponential key of an item of weight `w` for
+/// the uniform draw `u ∈ [f64::MIN_POSITIVE, 1)`: `-ln(u)/w`, positive and
+/// finite when `w > 0`, else `+∞` — never NaN, so keys order totally.
+fn exponential_key(w: f32, rng: &mut impl Rng) -> f64 {
+    if w > 0.0 {
+        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        -u.ln() / w as f64
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The items of the `k` smallest `(key, item)` pairs, ascending — the
+/// first `k` of a stable sort by key — by a top-`k` selection and a sort
+/// of the `k` winners rather than a sort of everything. Keys are never
+/// NaN (see [`exponential_key`]), so `total_cmp` is the numeric order and
+/// ties (zero-weight items all key `+∞`) resolve by item.
+fn smallest_k(mut keyed: Vec<(f64, usize)>, k: usize) -> Vec<usize> {
+    let by_key = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    if k < keyed.len() {
+        keyed.select_nth_unstable_by(k, by_key);
+        keyed.truncate(k);
+    }
+    keyed.sort_unstable_by(by_key);
+    keyed.into_iter().map(|(_, item)| item).collect()
 }
 
 /// Draw `k` distinct indices from `0..weights.len()` with probability
@@ -315,21 +374,11 @@ pub fn weighted_sample_without_replacement(
     rng: &mut impl Rng,
 ) -> Vec<usize> {
     assert!(k <= weights.len(), "k must not exceed the population");
-    let mut keys: Vec<(f64, usize)> = weights
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| {
-            let key = if w > 0.0 {
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                -u.ln() / w as f64
-            } else {
-                f64::INFINITY
-            };
-            (key, i)
-        })
-        .collect();
-    keys.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    keys.into_iter().take(k).map(|(_, i)| i).collect()
+    let keyed = weights.iter().enumerate();
+    smallest_k(
+        keyed.map(|(i, &w)| (exponential_key(w, rng), i)).collect(),
+        k,
+    )
 }
 
 /// [`weighted_sample_without_replacement`] with one RNG stream per item:
@@ -346,23 +395,10 @@ pub fn weighted_sample_without_replacement_seeded(
     pool: &RngPool,
 ) -> Vec<usize> {
     assert!(k <= weights.len(), "k must not exceed the population");
-    let keys: Vec<f64> = parallel_map(weights.len(), par_gate(weights.len()), |i| {
-        if weights[i] > 0.0 {
-            let u: f64 = pool.stream(i as u64).gen_range(f64::MIN_POSITIVE..1.0);
-            -u.ln() / weights[i] as f64
-        } else {
-            f64::INFINITY
-        }
+    let keyed = parallel_map(weights.len(), par_gate(weights.len()), |i| {
+        (exponential_key(weights[i], &mut pool.stream(i as u64)), i)
     });
-    // Stable sort: ties resolve by index, matching the sequential variant.
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&a, &b| {
-        keys[a]
-            .partial_cmp(&keys[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    order.truncate(k);
-    order
+    smallest_k(keyed, k)
 }
 
 /// Draw `k` distinct indices from `0..n` uniformly, via Floyd's algorithm

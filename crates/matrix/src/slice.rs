@@ -6,18 +6,28 @@
 //! operation. Both are implemented for every storage format; the formats
 //! differ only in cost (CSC slices columns with a direct gather, CSR and
 //! COO must scan all edges — the asymmetry behind paper Table 5).
+//!
+//! There is one routine per storage shape, used with the axes swapped:
+//! `gather_segments` slices the compressed axis (CSC columns, CSR rows),
+//! `filter_segments` the index axis (CSC rows, CSR columns) and
+//! `filter_edges` either axis of COO. The two filters look ids up in one
+//! flat `old -> requested positions` table (`PickMap`) and write in place
+//! by count -> prefix sum -> fill; sliced segments come out in canonical
+//! order (ascending index, stable), COO in storage order.
 
 use std::ops::Range;
 
-use gsampler_runtime::{parallel_scatter, parallel_scatter2};
+use gsampler_runtime::{
+    parallel_map, parallel_scatter, parallel_scatter2, take_scratch_filled, Recycled,
+};
 
+use crate::convert::sort_segment;
 use crate::coo::Coo;
 use crate::csc::Csc;
-use crate::csr::Csr;
 use crate::error::{Error, Result};
 use crate::par_gate;
-use crate::sparse::SparseMatrix;
-use crate::NodeId;
+use crate::sparse::{Compressed, SparseMatrix};
+use crate::{Axis, NodeId};
 
 /// Slice columns: `A[:, cols]`.
 ///
@@ -25,11 +35,7 @@ use crate::NodeId;
 /// column `cols[j]`. Returns an error if any index is out of bounds.
 pub fn slice_cols(m: &SparseMatrix, cols: &[NodeId]) -> Result<SparseMatrix> {
     check_bounds(cols, m.ncols(), "slice_cols")?;
-    Ok(match m {
-        SparseMatrix::Csc(c) => SparseMatrix::Csc(slice_cols_csc(c, cols)),
-        SparseMatrix::Csr(c) => SparseMatrix::Csr(slice_cols_csr(c, cols)),
-        SparseMatrix::Coo(c) => SparseMatrix::Coo(slice_cols_coo(c, cols)),
-    })
+    Ok(slice_axis(m, Axis::Col, cols))
 }
 
 /// Slice rows: `A[rows, :]`.
@@ -38,18 +44,27 @@ pub fn slice_cols(m: &SparseMatrix, cols: &[NodeId]) -> Result<SparseMatrix> {
 /// `rows[i]`. Returns an error if any index is out of bounds.
 pub fn slice_rows(m: &SparseMatrix, rows: &[NodeId]) -> Result<SparseMatrix> {
     check_bounds(rows, m.nrows(), "slice_rows")?;
-    Ok(match m {
-        SparseMatrix::Csc(c) => SparseMatrix::Csc(slice_rows_csc(c, rows)),
-        SparseMatrix::Csr(c) => SparseMatrix::Csr(slice_rows_csr(c, rows)),
-        SparseMatrix::Coo(c) => SparseMatrix::Coo(slice_rows_coo(c, rows)),
-    })
+    Ok(slice_axis(m, Axis::Row, rows))
 }
 
-/// Keep only the rows listed in `rows`, relabelling them `0..rows.len()`,
-/// without touching columns. This is the structural core of
-/// `collective_sample` and of row compaction.
-pub fn gather_rows(m: &SparseMatrix, rows: &[NodeId]) -> Result<SparseMatrix> {
-    slice_rows(m, rows)
+/// `picks` (in bounds) along `axis`, by the routine for `m`'s storage shape.
+fn slice_axis(m: &SparseMatrix, axis: Axis, picks: &[NodeId]) -> SparseMatrix {
+    let (shape, n) = match axis {
+        Axis::Row => ((picks.len(), m.ncols()), m.nrows()),
+        Axis::Col => ((m.nrows(), picks.len()), m.ncols()),
+    };
+    match (m, m.compressed()) {
+        (SparseMatrix::Coo(coo), _) => SparseMatrix::Coo(filter_edges(coo, axis, shape, picks)),
+        (_, Some((major, (indptr, indices, values)))) => {
+            let parts = if major == axis {
+                gather_segments(indptr, indices, values, picks)
+            } else {
+                filter_segments(indptr, indices, values, n, picks)
+            };
+            SparseMatrix::from_compressed(major, shape, parts)
+        }
+        (_, None) => unreachable!("only COO has no compressed axis"),
+    }
 }
 
 fn check_bounds(ids: &[NodeId], bound: usize, op: &'static str) -> Result<()> {
@@ -116,216 +131,175 @@ pub fn gather_cols<I: Iterator<Item = usize>>(
     }
 }
 
-/// Direct gather: degree prefix sums define the output layout, then each
-/// requested column's slice is copied into its (disjoint) segment on the
-/// worker pool.
-fn slice_cols_csc(m: &Csc, cols: &[NodeId]) -> Csc {
-    let mut indptr = Vec::with_capacity(cols.len() + 1);
-    indptr.push(0usize);
-    for (j, &c) in cols.iter().enumerate() {
-        indptr.push(indptr[j] + m.col_degree(c as usize));
+/// Slice the compressed axis (CSC columns, CSR rows) — a direct gather:
+/// degree prefix sums define the output layout, then each requested
+/// segment is copied into its (disjoint) range on the worker pool.
+fn gather_segments(
+    indptr: &[usize],
+    indices: &[NodeId],
+    values: Option<&[f32]>,
+    picks: &[NodeId],
+) -> Compressed {
+    let range = |j: usize| indptr[picks[j] as usize]..indptr[picks[j] as usize + 1];
+    let mut out_ptr = Vec::with_capacity(picks.len() + 1);
+    out_ptr.push(0usize);
+    for j in 0..picks.len() {
+        out_ptr.push(out_ptr[j] + range(j).len());
     }
-    let nnz = indptr[cols.len()];
+    let nnz = out_ptr[picks.len()];
     let min_items = par_gate(nnz);
-    let mut indices = vec![0 as NodeId; nnz];
-    let values = match m.values.as_ref() {
+    let mut out_i = vec![0 as NodeId; nnz];
+    let out_v = match values {
         Some(src) => {
-            let mut values = vec![0f32; nnz];
+            let mut out_v = vec![0f32; nnz];
             parallel_scatter2(
-                &mut indices,
-                &mut values,
-                &indptr,
+                &mut out_i,
+                &mut out_v,
+                &out_ptr,
                 min_items,
                 |j, seg_i, seg_v| {
-                    let range = m.col_range(cols[j] as usize);
-                    seg_i.copy_from_slice(&m.indices[range.clone()]);
-                    seg_v.copy_from_slice(&src[range]);
+                    seg_i.copy_from_slice(&indices[range(j)]);
+                    seg_v.copy_from_slice(&src[range(j)]);
                 },
             );
-            Some(values)
+            Some(out_v)
         }
         None => {
-            parallel_scatter(&mut indices, &indptr, min_items, |j, seg| {
-                seg.copy_from_slice(&m.indices[m.col_range(cols[j] as usize)]);
+            parallel_scatter(&mut out_i, &out_ptr, min_items, |j, seg| {
+                seg.copy_from_slice(&indices[range(j)]);
             });
             None
         }
     };
-    Csc {
-        nrows: m.nrows,
-        ncols: cols.len(),
-        indptr,
-        indices,
-        values,
+    (out_ptr, out_i, out_v)
+}
+
+/// Marks an id nobody asked for in [`PickMap::head`], and the end of a
+/// chain in [`PickMap::next`].
+const NONE: u32 = u32::MAX;
+
+/// The flat `old id -> requested positions` multimap of a slice along the
+/// index axis: `head[old]` is the first position of `picks` that asks for
+/// `old` and `next[pos]` the following one, so an id requested once costs
+/// one table read and an id requested `d` times yields its `d` output
+/// positions ascending. `head` is graph-sized scratch from the arena.
+struct PickMap {
+    head: Recycled<u32>,
+    next: Vec<u32>,
+}
+
+impl PickMap {
+    fn new(picks: &[NodeId], n: usize) -> PickMap {
+        let mut head = take_scratch_filled::<u32>(n, NONE);
+        let mut next = vec![NONE; picks.len()];
+        for (pos, &old) in picks.iter().enumerate().rev() {
+            next[pos] = std::mem::replace(&mut head[old as usize], pos as u32);
+        }
+        PickMap { head, next }
+    }
+
+    /// The output positions that take `old`, ascending.
+    #[inline]
+    fn positions(&self, old: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let mut at = self.head[old as usize];
+        std::iter::from_fn(move || {
+            let pos = at;
+            (pos != NONE).then(|| {
+                at = self.next[pos as usize];
+                pos
+            })
+        })
     }
 }
 
-/// Scan every row, keeping entries whose column is requested. A column
-/// requested `k` times produces `k` output columns.
-fn slice_cols_csr(m: &Csr, cols: &[NodeId]) -> Csr {
-    // old column -> list of new column positions
-    let mut col_map: Vec<Vec<NodeId>> = vec![Vec::new(); m.ncols];
-    for (new, &old) in cols.iter().enumerate() {
-        col_map[old as usize].push(new as NodeId);
+/// Slice the index axis (CSC rows, CSR columns) of length `n`: every
+/// segment keeps its entries whose id is requested, one copy per request,
+/// renamed to the requesting position. Count -> prefix sum -> fill: each
+/// segment sizes, then fills and canonically orders (ascending new id,
+/// stable) its own output range on the worker pool.
+fn filter_segments(
+    indptr: &[usize],
+    indices: &[NodeId],
+    values: Option<&[f32]>,
+    n: usize,
+    picks: &[NodeId],
+) -> Compressed {
+    let map = PickMap::new(picks, n);
+    let nsegs = indptr.len() - 1;
+    let min_items = par_gate(indices.len());
+    let counts = parallel_map(nsegs, min_items, |s| {
+        let ids = indices[indptr[s]..indptr[s + 1]].iter();
+        ids.map(|&old| map.positions(old).count()).sum::<usize>()
+    });
+    let mut out_ptr = Vec::with_capacity(nsegs + 1);
+    out_ptr.push(0usize);
+    for (s, count) in counts.into_iter().enumerate() {
+        out_ptr.push(out_ptr[s] + count);
     }
-    let mut indptr = Vec::with_capacity(m.nrows + 1);
-    indptr.push(0usize);
-    let mut indices = Vec::new();
-    let mut values = m.values.as_ref().map(|_| Vec::new());
-    for r in 0..m.nrows {
-        let mut row_entries: Vec<(NodeId, f32)> = Vec::new();
-        for pos in m.row_range(r) {
-            let old_col = m.indices[pos] as usize;
-            for &new_col in &col_map[old_col] {
-                row_entries.push((new_col, m.value_at(pos)));
-            }
-        }
-        row_entries.sort_by_key(|(c, _)| *c);
-        for (c, v) in row_entries {
-            indices.push(c);
-            if let Some(out) = values.as_mut() {
-                out.push(v);
-            }
-        }
-        indptr.push(indices.len());
-    }
-    let values = if m.values.is_some() { values } else { None };
-    Csr {
-        nrows: m.nrows,
-        ncols: cols.len(),
-        indptr,
-        indices,
-        values,
-    }
-}
-
-/// Scan the edge list, emitting one edge per matching requested column.
-fn slice_cols_coo(m: &Coo, cols: &[NodeId]) -> Coo {
-    let mut col_map: Vec<Vec<NodeId>> = vec![Vec::new(); m.ncols];
-    for (new, &old) in cols.iter().enumerate() {
-        col_map[old as usize].push(new as NodeId);
-    }
-    let mut rows = Vec::new();
-    let mut out_cols = Vec::new();
-    let mut values = m.values.as_ref().map(|_| Vec::new());
-    for i in 0..m.nnz() {
-        for &new_col in &col_map[m.cols[i] as usize] {
-            rows.push(m.rows[i]);
-            out_cols.push(new_col);
-            if let Some(out) = values.as_mut() {
-                out.push(m.value_at(i));
-            }
-        }
-    }
-    Coo {
-        nrows: m.nrows,
-        ncols: cols.len(),
-        rows,
-        cols: out_cols,
-        values,
-    }
-}
-
-/// Direct gather, symmetric to [`slice_cols_csc`]: prefix sums then a
-/// parallel per-row copy.
-fn slice_rows_csr(m: &Csr, rows: &[NodeId]) -> Csr {
-    let mut indptr = Vec::with_capacity(rows.len() + 1);
-    indptr.push(0usize);
-    for (i, &r) in rows.iter().enumerate() {
-        indptr.push(indptr[i] + m.row_degree(r as usize));
-    }
-    let nnz = indptr[rows.len()];
-    let min_items = par_gate(nnz);
-    let mut indices = vec![0 as NodeId; nnz];
-    let values = match m.values.as_ref() {
+    // The kept entries of segment `s` as (new id, source position).
+    let kept = |s: usize| {
+        (indptr[s]..indptr[s + 1]).flat_map(|e| map.positions(indices[e]).map(move |new| (new, e)))
+    };
+    let mut out_i = vec![0 as NodeId; out_ptr[nsegs]];
+    let out_v = match values {
         Some(src) => {
-            let mut values = vec![0f32; nnz];
+            let mut out_v = vec![0f32; out_ptr[nsegs]];
             parallel_scatter2(
-                &mut indices,
-                &mut values,
-                &indptr,
+                &mut out_i,
+                &mut out_v,
+                &out_ptr,
                 min_items,
-                |i, seg_i, seg_v| {
-                    let range = m.row_range(rows[i] as usize);
-                    seg_i.copy_from_slice(&m.indices[range.clone()]);
-                    seg_v.copy_from_slice(&src[range]);
+                |s, seg_i, seg_v| {
+                    for (k, (new, e)) in kept(s).enumerate() {
+                        seg_i[k] = new;
+                        seg_v[k] = src[e];
+                    }
+                    sort_segment(seg_i, Some(seg_v));
                 },
             );
-            Some(values)
+            Some(out_v)
         }
         None => {
-            parallel_scatter(&mut indices, &indptr, min_items, |i, seg| {
-                seg.copy_from_slice(&m.indices[m.row_range(rows[i] as usize)]);
+            parallel_scatter(&mut out_i, &out_ptr, min_items, |s, seg_i| {
+                for (dst, (new, _)) in seg_i.iter_mut().zip(kept(s)) {
+                    *dst = new;
+                }
+                sort_segment(seg_i, None);
             });
             None
         }
     };
-    Csr {
-        nrows: rows.len(),
-        ncols: m.ncols,
-        indptr,
-        indices,
-        values,
-    }
+    (out_ptr, out_i, out_v)
 }
 
-fn slice_rows_csc(m: &Csc, rows: &[NodeId]) -> Csc {
-    let mut row_map: Vec<Vec<NodeId>> = vec![Vec::new(); m.nrows];
-    for (new, &old) in rows.iter().enumerate() {
-        row_map[old as usize].push(new as NodeId);
-    }
-    let mut indptr = Vec::with_capacity(m.ncols + 1);
-    indptr.push(0usize);
-    let mut indices = Vec::new();
+/// Slice one axis of a COO matrix: scan the edge list in storage order,
+/// emitting one edge per request of its `ids` entry, renamed to the
+/// requesting position; `other` and the values ride along.
+fn filter_edges(m: &Coo, axis: Axis, (nrows, ncols): (usize, usize), picks: &[NodeId]) -> Coo {
+    let (ids, other, n) = match axis {
+        Axis::Row => (&m.rows, &m.cols, m.nrows),
+        Axis::Col => (&m.cols, &m.rows, m.ncols),
+    };
+    let map = PickMap::new(picks, n);
+    let (mut out_ids, mut out_other) = (Vec::new(), Vec::new());
     let mut values = m.values.as_ref().map(|_| Vec::new());
-    for c in 0..m.ncols {
-        let mut col_entries: Vec<(NodeId, f32)> = Vec::new();
-        for pos in m.col_range(c) {
-            let old_row = m.indices[pos] as usize;
-            for &new_row in &row_map[old_row] {
-                col_entries.push((new_row, m.value_at(pos)));
-            }
-        }
-        col_entries.sort_by_key(|(r, _)| *r);
-        for (r, v) in col_entries {
-            indices.push(r);
-            if let Some(out) = values.as_mut() {
-                out.push(v);
-            }
-        }
-        indptr.push(indices.len());
-    }
-    let values = if m.values.is_some() { values } else { None };
-    Csc {
-        nrows: rows.len(),
-        ncols: m.ncols,
-        indptr,
-        indices,
-        values,
-    }
-}
-
-fn slice_rows_coo(m: &Coo, rows: &[NodeId]) -> Coo {
-    let mut row_map: Vec<Vec<NodeId>> = vec![Vec::new(); m.nrows];
-    for (new, &old) in rows.iter().enumerate() {
-        row_map[old as usize].push(new as NodeId);
-    }
-    let mut out_rows = Vec::new();
-    let mut cols = Vec::new();
-    let mut values = m.values.as_ref().map(|_| Vec::new());
-    for i in 0..m.nnz() {
-        for &new_row in &row_map[m.rows[i] as usize] {
-            out_rows.push(new_row);
-            cols.push(m.cols[i]);
-            if let Some(out) = values.as_mut() {
-                out.push(m.value_at(i));
+    for (e, &old) in ids.iter().enumerate() {
+        for new in map.positions(old) {
+            out_ids.push(new);
+            out_other.push(other[e]);
+            if let (Some(out), Some(src)) = (values.as_mut(), m.values.as_ref()) {
+                out.push(src[e]);
             }
         }
     }
+    let (rows, cols) = match axis {
+        Axis::Row => (out_ids, out_other),
+        Axis::Col => (out_other, out_ids),
+    };
     Coo {
-        nrows: rows.len(),
-        ncols: m.ncols,
-        rows: out_rows,
+        nrows,
+        ncols,
+        rows,
         cols,
         values,
     }

@@ -7,7 +7,45 @@ use crate::coo::Coo;
 use crate::csc::Csc;
 use crate::csr::Csr;
 use crate::error::Result;
-use crate::{Format, NodeId};
+use crate::{Axis, Format, NodeId};
+
+/// Where every stored edge sits along one axis, read straight off the
+/// storage arrays in storage order — what the reductions, broadcasts and
+/// degree counts walk instead of the boxed [`SparseMatrix::iter_edges`].
+pub(crate) enum EdgeIndex<'a> {
+    /// Edge `e` sits at `ids[e]`: the index array of CSC rows / CSR
+    /// columns, either array of COO.
+    PerEdge(&'a [NodeId]),
+    /// Edges `indptr[i]..indptr[i + 1]` sit at `i`: the compressed axis.
+    Segments(&'a [usize]),
+}
+
+/// The arrays of a CSC / CSR matrix: `(indptr, indices, values)`.
+pub(crate) type Compressed = (Vec<usize>, Vec<NodeId>, Option<Vec<f32>>);
+
+/// [`Compressed`], borrowed.
+pub(crate) type CompressedRef<'a> = (&'a [usize], &'a [NodeId], Option<&'a [f32]>);
+
+impl EdgeIndex<'_> {
+    /// Call `f(slot, edge)` for every stored edge, in storage order.
+    #[inline]
+    pub(crate) fn for_each(&self, mut f: impl FnMut(usize, usize)) {
+        match self {
+            EdgeIndex::PerEdge(ids) => {
+                for (e, &i) in ids.iter().enumerate() {
+                    f(i as usize, e);
+                }
+            }
+            EdgeIndex::Segments(indptr) => {
+                for (i, w) in indptr.windows(2).enumerate() {
+                    for e in w[0]..w[1] {
+                        f(i, e);
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// A sparse matrix whose storage format is chosen at runtime.
 ///
@@ -189,7 +227,57 @@ impl SparseMatrix {
         }
     }
 
-    /// Iterate over all stored edges as `(row, col, value)` triples.
+    /// The axis a CSC (`Axis::Col`) / CSR (`Axis::Row`) matrix compresses
+    /// and its `(indptr, indices, values)` arrays; `None` for COO. The two
+    /// formats are one storage shape, so a kernel written against the
+    /// arrays serves both with the axes swapped.
+    pub(crate) fn compressed(&self) -> Option<(Axis, CompressedRef<'_>)> {
+        match self {
+            SparseMatrix::Csc(m) => Some((Axis::Col, (&m.indptr, &m.indices, m.values.as_deref()))),
+            SparseMatrix::Csr(m) => Some((Axis::Row, (&m.indptr, &m.indices, m.values.as_deref()))),
+            SparseMatrix::Coo(_) => None,
+        }
+    }
+
+    /// The CSC (`axis == Axis::Col`) / CSR (`Axis::Row`) matrix over `parts`.
+    pub(crate) fn from_compressed(
+        axis: Axis,
+        (nrows, ncols): (usize, usize),
+        (indptr, indices, values): Compressed,
+    ) -> SparseMatrix {
+        match axis {
+            Axis::Col => SparseMatrix::Csc(Csc {
+                nrows,
+                ncols,
+                indptr,
+                indices,
+                values,
+            }),
+            Axis::Row => SparseMatrix::Csr(Csr {
+                nrows,
+                ncols,
+                indptr,
+                indices,
+                values,
+            }),
+        }
+    }
+
+    /// The per-(format, axis) edge index: which row (`Axis::Row`) or column
+    /// (`Axis::Col`) each stored edge belongs to.
+    pub(crate) fn edge_index(&self, axis: Axis) -> EdgeIndex<'_> {
+        match (self, axis) {
+            (SparseMatrix::Csc(m), Axis::Row) => EdgeIndex::PerEdge(&m.indices),
+            (SparseMatrix::Csc(m), Axis::Col) => EdgeIndex::Segments(&m.indptr),
+            (SparseMatrix::Csr(m), Axis::Row) => EdgeIndex::Segments(&m.indptr),
+            (SparseMatrix::Csr(m), Axis::Col) => EdgeIndex::PerEdge(&m.indices),
+            (SparseMatrix::Coo(m), Axis::Row) => EdgeIndex::PerEdge(&m.rows),
+            (SparseMatrix::Coo(m), Axis::Col) => EdgeIndex::PerEdge(&m.cols),
+        }
+    }
+
+    /// Iterate over all stored edges as `(row, col, value)` triples — for
+    /// tests and cold paths; kernels walk [`SparseMatrix::edge_index`].
     ///
     /// The iteration order depends on the current format (column-major for
     /// CSC, row-major for CSR, storage order for COO).
@@ -229,26 +317,21 @@ impl SparseMatrix {
 
     /// In-degree of every column node (length `ncols`).
     pub fn col_degrees(&self) -> Vec<usize> {
-        match self {
-            SparseMatrix::Csc(m) => (0..m.ncols).map(|c| m.col_degree(c)).collect(),
-            other => {
-                let mut deg = vec![0usize; other.ncols()];
-                for (_, c, _) in other.iter_edges() {
-                    deg[c as usize] += 1;
-                }
-                deg
-            }
-        }
+        self.degrees(Axis::Col, self.ncols())
     }
 
     /// Out-degree of every row node (length `nrows`).
     pub fn row_degrees(&self) -> Vec<usize> {
-        match self {
-            SparseMatrix::Csr(m) => (0..m.nrows).map(|r| m.row_degree(r)).collect(),
-            other => {
-                let mut deg = vec![0usize; other.nrows()];
-                for (r, _, _) in other.iter_edges() {
-                    deg[r as usize] += 1;
+        self.degrees(Axis::Row, self.nrows())
+    }
+
+    fn degrees(&self, axis: Axis, n: usize) -> Vec<usize> {
+        match self.edge_index(axis) {
+            EdgeIndex::Segments(indptr) => indptr.windows(2).map(|w| w[1] - w[0]).collect(),
+            EdgeIndex::PerEdge(ids) => {
+                let mut deg = vec![0usize; n];
+                for &i in ids {
+                    deg[i as usize] += 1;
                 }
                 deg
             }

@@ -7,10 +7,10 @@ use proptest::prelude::*;
 
 use gsampler_matrix::sample::{
     collective_sample_seeded, individual_sample, pick_columns, uniform_sample_without_replacement,
-    weighted_sample_without_replacement, AliasTable,
+    weighted_sample_without_replacement, weighted_sample_without_replacement_seeded, AliasTable,
 };
 use gsampler_matrix::{
-    broadcast, compact, reduce, slice, spmm, Axis, Coo, Csc, Dense, EltOp, Format, NodeId,
+    broadcast, compact, reduce, slice, spmm, Axis, Coo, Csc, Csr, Dense, EltOp, Format, NodeId,
     ReduceOp, SparseMatrix,
 };
 use gsampler_runtime::RngPool;
@@ -70,6 +70,137 @@ fn arb_format() -> impl Strategy<Value = Format> {
     prop_oneof![Just(Format::Csc), Just(Format::Csr), Just(Format::Coo)]
 }
 
+type Edge = (NodeId, NodeId, f32);
+
+/// Build a matrix in `fmt` straight from an edge list, as it comes: CSC /
+/// CSR segments keep the list's order (so they may be unsorted and hold
+/// multi-edges — states only a struct literal can reach), COO is the list.
+fn raw_matrix(
+    (nrows, ncols): (usize, usize),
+    edges: &[Edge],
+    fmt: Format,
+    weighted: bool,
+) -> SparseMatrix {
+    let compress = |n: usize, key: fn(&Edge) -> NodeId, other: fn(&Edge) -> NodeId| {
+        let mut indptr = vec![0usize; n + 1];
+        let (mut indices, mut values) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            for e in edges.iter().filter(|e| key(e) as usize == i) {
+                indices.push(other(e));
+                values.push(e.2);
+            }
+            indptr[i + 1] = indices.len();
+        }
+        (indptr, indices, weighted.then_some(values))
+    };
+    match fmt {
+        Format::Csc => {
+            let (indptr, indices, values) = compress(ncols, |e| e.1, |e| e.0);
+            SparseMatrix::Csc(Csc {
+                nrows,
+                ncols,
+                indptr,
+                indices,
+                values,
+            })
+        }
+        Format::Csr => {
+            let (indptr, indices, values) = compress(nrows, |e| e.0, |e| e.1);
+            SparseMatrix::Csr(Csr {
+                nrows,
+                ncols,
+                indptr,
+                indices,
+                values,
+            })
+        }
+        Format::Coo => SparseMatrix::Coo(Coo {
+            nrows,
+            ncols,
+            rows: edges.iter().map(|e| e.0).collect(),
+            cols: edges.iter().map(|e| e.1).collect(),
+            values: weighted.then(|| edges.iter().map(|e| e.2).collect()),
+        }),
+    }
+}
+
+/// Strategy: an arbitrary edge list — any order, multi-edges, possibly
+/// empty (every node isolated) or `cover`ing every row and column (none
+/// isolated) — in every format, weighted or not.
+fn arb_raw_matrix() -> impl Strategy<Value = SparseMatrix> {
+    (1usize..10, 1usize..10).prop_flat_map(|(nrows, ncols)| {
+        let edge = (0..nrows as NodeId, 0..ncols as NodeId, 0.05f32..10.0);
+        let flags = (arb_format(), any::<bool>(), any::<bool>());
+        (proptest::collection::vec(edge, 0..30), flags).prop_map(
+            move |(mut edges, (fmt, weighted, cover))| {
+                if cover {
+                    for i in 0..nrows.max(ncols) {
+                        edges.push(((i % nrows) as NodeId, (i % ncols) as NodeId, 1.5));
+                    }
+                }
+                raw_matrix((nrows, ncols), &edges, fmt, weighted)
+            },
+        )
+    })
+}
+
+/// `m`'s stored edges in storage order, read off the storage arrays.
+fn storage_edges(m: &SparseMatrix) -> Vec<Edge> {
+    let vals = m.values_or_ones();
+    let expand = |indptr: &[usize]| -> Vec<NodeId> {
+        let segs = indptr.windows(2).enumerate();
+        segs.flat_map(|(i, w)| (w[0]..w[1]).map(move |_| i as NodeId))
+            .collect()
+    };
+    let (rows, cols) = match m {
+        SparseMatrix::Csc(c) => (c.indices.clone(), expand(&c.indptr)),
+        SparseMatrix::Csr(c) => (expand(&c.indptr), c.indices.clone()),
+        SparseMatrix::Coo(c) => (c.rows.clone(), c.cols.clone()),
+    };
+    rows.into_iter()
+        .zip(cols)
+        .zip(vals)
+        .map(|((r, c), v)| (r, c, v))
+        .collect()
+}
+
+/// What compaction along `axis` must produce: every edge renamed through
+/// the ascending occupied ids, then the round trip through `to_format` —
+/// the canonical order of the input's own format.
+fn reference_compaction(m: &SparseMatrix, axis: Axis) -> (SparseMatrix, Vec<NodeId>) {
+    let edges = storage_edges(m);
+    let id = |e: &Edge| match axis {
+        Axis::Row => e.0,
+        Axis::Col => e.1,
+    };
+    let mut kept: Vec<NodeId> = edges.iter().map(id).collect();
+    kept.sort_unstable();
+    kept.dedup();
+    let new = |old: NodeId| kept.binary_search(&old).unwrap() as NodeId;
+    let (nrows, ncols, rows, cols): (_, _, Vec<NodeId>, Vec<NodeId>) = match axis {
+        Axis::Row => (
+            kept.len(),
+            m.ncols(),
+            edges.iter().map(|e| new(e.0)).collect(),
+            edges.iter().map(|e| e.1).collect(),
+        ),
+        Axis::Col => (
+            m.nrows(),
+            kept.len(),
+            edges.iter().map(|e| e.0).collect(),
+            edges.iter().map(|e| new(e.1)).collect(),
+        ),
+    };
+    let coo = Coo {
+        nrows,
+        ncols,
+        rows,
+        cols,
+        values: m.values().map(<[f32]>::to_vec),
+    };
+    (SparseMatrix::Coo(coo).to_format(m.format()), kept)
+}
+
 proptest! {
     #[test]
     fn conversion_roundtrips_preserve_edges(m in arb_matrix(), f1 in arb_format(), f2 in arb_format()) {
@@ -107,6 +238,52 @@ proptest! {
     }
 
     #[test]
+    fn slice_rows_matches_bruteforce_in_storage_order(
+        m in arb_raw_matrix(),
+        picks in proptest::collection::vec(0usize..20, 0..8),
+    ) {
+        // Ascending-distinct, unsorted and duplicated row lists alike: the
+        // output holds, for every stored edge in storage order, one copy
+        // per request of its row, renamed to the requesting position —
+        // then stably ordered by new index within each CSC column, or
+        // gathered whole, as stored, into each requested CSR row.
+        let unsorted: Vec<NodeId> = picks.iter().map(|&p| (p % m.nrows()) as NodeId).collect();
+        let mut ascending = unsorted.clone();
+        ascending.sort_unstable();
+        ascending.dedup();
+        for rows in [ascending, unsorted] {
+            let sliced = slice::slice_rows(&m, &rows).unwrap();
+            prop_assert_eq!((sliced.shape(), sliced.format()), ((rows.len(), m.ncols()), m.format()));
+            let mut expected: Vec<Edge> = Vec::new();
+            for (r, c, v) in storage_edges(&m) {
+                let asked = rows.iter().enumerate().filter(|&(_, &old)| old == r);
+                expected.extend(asked.map(|(new, _)| (new as NodeId, c, v)));
+            }
+            match m.format() {
+                Format::Csc => expected.sort_by_key(|e| (e.1, e.0)),
+                Format::Csr => expected.sort_by_key(|e| e.0),
+                Format::Coo => {}
+            }
+            prop_assert_eq!(storage_edges(&sliced), expected, "rows {:?} of {:?}", rows, m);
+            prop_assert_eq!(sliced.is_weighted(), m.is_weighted());
+            // The column mirror is the same code with the axes swapped.
+            let cols: Vec<NodeId> = rows.iter().map(|&r| r % m.ncols() as NodeId).collect();
+            let mut expected: Vec<Edge> = Vec::new();
+            for (r, c, v) in storage_edges(&m) {
+                let asked = cols.iter().enumerate().filter(|&(_, &old)| old == c);
+                expected.extend(asked.map(|(new, _)| (r, new as NodeId, v)));
+            }
+            let sliced = slice::slice_cols(&m, &cols).unwrap();
+            match m.format() {
+                Format::Csc => expected.sort_by_key(|e| e.1),
+                Format::Csr => expected.sort_by_key(|e| (e.0, e.1)),
+                Format::Coo => {}
+            }
+            prop_assert_eq!(storage_edges(&sliced), expected, "cols {:?} of {:?}", cols, m);
+        }
+    }
+
+    #[test]
     fn reduce_matches_bruteforce(m in arb_matrix(), f in arb_format()) {
         let converted = m.to_format(f);
         for axis in [Axis::Row, Axis::Col] {
@@ -119,6 +296,33 @@ proptest! {
             }
             for (g, w) in got.iter().zip(&want) {
                 prop_assert!((g - w).abs() < 1e-3, "sum {g} != {w}");
+            }
+            // Every reduction, bit for bit: a slot folds its edges in
+            // storage order.
+            let mut unweighted = converted.clone();
+            unweighted.clear_values();
+            for m in [&converted, &unweighted] {
+                let mut slots: Vec<Vec<f32>> = vec![Vec::new(); n];
+                for (r, c, v) in storage_edges(m) {
+                    slots[match axis { Axis::Row => r, Axis::Col => c } as usize].push(v);
+                }
+                for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min, ReduceOp::Mean, ReduceOp::Count] {
+                    let want: Vec<f32> = slots.iter().map(|vals| {
+                        let sum = vals.iter().fold(0f32, |a, &v| a + v);
+                        let count = vals.iter().fold(0f32, |a, _| a + 1.0);
+                        match op {
+                            _ if vals.is_empty() => 0.0,
+                            ReduceOp::Sum => sum,
+                            ReduceOp::Max => vals.iter().fold(f32::NEG_INFINITY, |a, &v| a.max(v)),
+                            ReduceOp::Min => vals.iter().fold(f32::INFINITY, |a, &v| a.min(v)),
+                            ReduceOp::Mean => sum / count,
+                            ReduceOp::Count => count,
+                        }
+                    }).collect();
+                    let got = reduce::reduce(m, op, axis);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?} {:?} {:?}", op, axis, f);
+                }
             }
         }
     }
@@ -133,10 +337,40 @@ proptest! {
         for (b, a) in before.iter().zip(&after) {
             prop_assert!((b * scale - a).abs() < 1e-2, "{} * {scale} != {a}", b);
         }
+        // Per (format, axis), bit for bit: edge `e` combines with the
+        // vector entry of its own row / column, and the pattern is kept.
+        for fmt in Format::ALL {
+            let m = m.to_format(fmt);
+            for (axis, n) in [(Axis::Row, m.nrows()), (Axis::Col, m.ncols())] {
+                let v: Vec<f32> = (0..n).map(|i| scale + i as f32).collect();
+                for op in [EltOp::Add, EltOp::Sub, EltOp::Mul, EltOp::Div, EltOp::Max] {
+                    let out = broadcast::broadcast(&m, &v, op, axis).unwrap();
+                    let want: Vec<Edge> = storage_edges(&m).into_iter().map(|(r, c, x)| {
+                        let i = match axis { Axis::Row => r, Axis::Col => c } as usize;
+                        (r, c, op.apply(x, v[i]))
+                    }).collect();
+                    let bits = |e: &[Edge]| e.iter().map(|e| (e.0, e.1, e.2.to_bits())).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&storage_edges(&out)), bits(&want), "{:?} {:?} {:?}", op, axis, fmt);
+                }
+            }
+        }
     }
 
     #[test]
-    fn compaction_preserves_edges_and_ids(m in arb_matrix()) {
+    fn compaction_preserves_edges_and_ids(m in arb_matrix(), raw in arb_raw_matrix()) {
+        // Field by field (`PartialEq` compares format, shape, `indptr`,
+        // `indices` / `rows` / `cols` and `values`), on every format, with
+        // unsorted segments and multi-edges.
+        for input in [&m, &raw] {
+            let (want, kept) = reference_compaction(input, Axis::Row);
+            let got = compact::compact_rows(input);
+            prop_assert_eq!((&got.matrix, &got.kept), (&want, &kept), "rows of {:?}", input);
+            prop_assert_eq!(compact::occupied_rows(input), kept);
+            let (want, kept) = reference_compaction(input, Axis::Col);
+            let got = compact::compact_cols(input);
+            prop_assert_eq!((&got.matrix, &got.kept), (&want, &kept), "cols of {:?}", input);
+            prop_assert_eq!(compact::occupied_cols(input), kept);
+        }
         let c = compact::compact_rows(&m);
         prop_assert_eq!(c.matrix.nnz(), m.nnz());
         // Every kept row has at least one edge; mapping is ascending.
@@ -182,7 +416,46 @@ proptest! {
     }
 
     #[test]
-    fn collective_sample_bounds_rows(m in arb_matrix(), k in 1usize..8, seed in 0u64..1000) {
+    fn collective_sample_bounds_rows(
+        m in arb_matrix(),
+        k in 1usize..8,
+        seed in 0u64..1000,
+        weights in proptest::collection::vec(prop_oneof![Just(0.0f32), 0.0f32..5.0], 1..30),
+    ) {
+        // The top-k selection is the first `k` of the full stable sort by
+        // key — ties included: zero weights all key +inf, and a `k` beyond
+        // the positive count puts them among the winners, by index.
+        let pool = RngPool::new(seed);
+        let keys: Vec<f64> = weights.iter().enumerate().map(|(i, &w)| {
+            if w > 0.0 {
+                -pool.stream(i as u64).gen_range(f64::MIN_POSITIVE..1.0).ln() / w as f64
+            } else {
+                f64::INFINITY
+            }
+        }).collect();
+        let mut order: Vec<usize> = (0..weights.len()).collect();
+        order.sort_by(|&a, &b| keys[a].partial_cmp(&keys[b]).unwrap());
+        let n = weights.len();
+        let positive = weights.iter().filter(|&&w| w > 0.0).count();
+        for top in [0, 1, n - 1, n, (positive + 1).min(n)] {
+            let picks = weighted_sample_without_replacement_seeded(&weights, top, &pool);
+            prop_assert_eq!(&picks[..], &order[..top], "k = {} of {:?}", top, weights);
+        }
+        // And collective sampling is that selection over the positive
+        // rows, sliced out ascending.
+        let bias: Vec<f32> = (0..m.nrows()).map(|r| weights[r % n]).collect();
+        let cands: Vec<NodeId> = (0..m.nrows()).filter(|&r| bias[r] > 0.0).map(|r| r as NodeId).collect();
+        let mut rows = cands.clone();
+        if cands.len() > k {
+            let w: Vec<f32> = cands.iter().map(|&r| bias[r as usize]).collect();
+            let picks = weighted_sample_without_replacement_seeded(&w, k, &pool);
+            rows = picks.into_iter().map(|i| cands[i]).collect();
+            rows.sort_unstable();
+        }
+        let out = collective_sample_seeded(&m, k, Some(&bias), &pool).unwrap();
+        prop_assert_eq!(&out.matrix, &slice::slice_rows(&m, &rows).unwrap());
+        prop_assert_eq!(out.rows, rows);
+
         let out = collective_sample_seeded(&m, k, None, &RngPool::new(seed)).unwrap();
         prop_assert!(out.rows.len() <= k.max(out.rows.len().min(k)) || out.rows.len() <= m.nrows());
         prop_assert!(out.rows.len() <= k || out.rows.len() <= m.nrows());
