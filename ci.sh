@@ -152,6 +152,17 @@ test -z "$(non_test crates/matrix/src/reduce.rs | grep 'iter_edges()')"
 test -z "$(non_test crates/matrix/src/broadcast.rs | grep 'iter_edges()')"
 test "$(grep -c 'fn collective_sample_segments' crates/matrix/src/sample.rs)" -eq 1
 test "$(grep -rn 'weighted_sample_without_replacement_seeded(' crates/matrix/src crates/core/src | wc -l)" -eq 2
+# The model-driven path has one SDDMM (`spmm::sddmm_by_id`; `sddmm(pattern`
+# is its identity-ID entry and `Mat::sddmm` the builder method) that walks
+# no boxed edge iterator and clones no old values; a named input is a
+# shared handle (`run_input` copies no table, vector or node list); the
+# unfused edge-value plumbing writes slices, not `Dense::set` per element.
+test "$(non_test crates/matrix/src/spmm.rs | grep -c 'fn sddmm')" -eq 2
+test "$(grep -rn 'pub fn sddmm(pattern' crates/matrix/src crates/core/src | wc -l)" -eq 1
+test -z "$(non_test crates/core/src/kernels/matmul.rs | grep 'fn sddmm\|iter_edges()\|data\.clone()')"
+test "$(sed -n '/^pub(crate) fn run_input/,/^}/p' crates/core/src/kernels/mod.rs | grep -c 'Arc<Value>')" -eq 1
+test -z "$(sed -n '/^pub(crate) fn run_input/,/^}/p' crates/core/src/kernels/mod.rs | grep 'Value::\|to_vec()')"
+test -z "$(non_test crates/matrix/src/eltwise.rs | grep 'out\.set(')"
 
 # --- Ratio floors -------------------------------------------------------
 # The two in-run ratios the repo benchmark cannot express (blocked SpMM

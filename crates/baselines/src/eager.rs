@@ -216,17 +216,14 @@ impl EagerSampler {
     }
 
     /// SDDMM attention channel via the shared kernel (left table indexed
-    /// by global row ID, right by column position).
-    fn sddmm(&self, sub: &GraphMatrix, b: &Dense, c: &Dense) -> SparseMatrix {
-        self.charge(workload::sddmm(
-            sub.data.format(),
-            Self::shape(sub),
-            b.ncols(),
-        ));
-        let sv = Value::Matrix(sub.clone());
-        let bv = Value::Dense(b.clone());
-        let cv = Value::Dense(c.clone());
-        Self::as_matrix(self.run_kernel_norng(&Op::Sddmm, &[&sv, &bv, &cv])).data
+    /// by global row ID, right by column position). The operands arrive as
+    /// the values the kernel reads — the pattern already wrapped, the two
+    /// projections moved in — so the call copies nothing.
+    fn sddmm(&self, sub: &Value, b: Dense, c: Dense) -> SparseMatrix {
+        let m = sub.as_matrix().expect("sddmm pattern is a matrix");
+        self.charge(workload::sddmm(m.data.format(), Self::shape(m), b.ncols()));
+        let (bv, cv) = (Value::Dense(b), Value::Dense(c));
+        Self::as_matrix(self.run_kernel_norng(&Op::Sddmm, &[sub, &bv, &cv])).data
     }
 
     /// One uniform node-wise layer (GraphSAGE): extract then select, both
@@ -398,8 +395,9 @@ impl EagerSampler {
         rng: &mut StdRng,
     ) -> GraphMatrix {
         let feats = self.graph.features.as_ref().expect("features required");
-        let sub = self.extract(frontiers);
-        let shape = Self::shape(&sub);
+        let sub_value = Value::Matrix(self.extract(frontiers));
+        let sub = sub_value.as_matrix().expect("just wrapped");
+        let shape = Self::shape(sub);
         let hidden = w1.ncols();
         // Full-table projections every batch (DGL's manual implementation
         // projects all candidate features).
@@ -416,16 +414,16 @@ impl EagerSampler {
         let frontier_feats = feats.gather_rows(frontiers).expect("frontier features");
         self.charge(workload::gemm(frontiers.len(), feats.ncols(), hidden));
         let c1 = frontier_feats.matmul(w1).expect("gemm dims");
-        let a1 = self.sddmm(&sub, &b1, &c1);
+        let a1 = self.sddmm(&sub_value, b1, c1);
         self.charge(workload::gemm(feats.nrows(), feats.ncols(), hidden));
         let b2 = feats.matmul(w2).expect("gemm dims");
         transient += b2.size_bytes();
         self.device.alloc(b2.size_bytes());
         self.charge(workload::gemm(frontiers.len(), feats.ncols(), hidden));
         let c2 = frontier_feats.matmul(w2).expect("gemm dims");
-        let a2 = self.sddmm(&sub, &b2, &c2);
-        let rowsum = self.mp_reduce(&sub, ReduceOp::Sum, Axis::Row);
-        let a3 = self.edge_broadcast(&sub, &rowsum, EltOp::Div, Axis::Row);
+        let a2 = self.sddmm(&sub_value, b2, c2);
+        let rowsum = self.mp_reduce(sub, ReduceOp::Sum, Axis::Row);
+        let a3 = self.edge_broadcast(sub, &rowsum, EltOp::Div, Axis::Row);
         // Stack + project + relu, each its own kernel.
         self.charge(workload::dense_map(sub.nnz() * 3));
         let a1v = Value::Matrix(GraphMatrix {
@@ -449,14 +447,10 @@ impl EagerSampler {
             .expect("gemm dims")
             .relu();
         self.charge(workload::eltwise(sub.data.format(), shape));
-        let probs = {
-            let mut d = sub.data.clone();
-            d.set_values((0..sub.nnz()).map(|e| bias.get(e, 0)).collect());
-            GraphMatrix {
-                data: d,
-                row_ids: sub.row_ids.clone(),
-                col_ids: sub.col_ids.clone(),
-            }
+        let probs = GraphMatrix {
+            data: sub.data.with_values(bias.column(0)),
+            row_ids: sub.row_ids.clone(),
+            col_ids: sub.col_ids.clone(),
         };
         transient +=
             (a1.size_bytes() + a2.size_bytes()) + stacked.size_bytes() + probs.data.size_bytes();
@@ -473,13 +467,12 @@ impl EagerSampler {
             true,
             Residency::Device,
         ));
-        let sv = Value::Matrix(sub.clone());
         let pv = Value::Matrix(probs.clone());
         let op = Op::IndividualSample {
             k: fanout,
             replace: false,
         };
-        let out = Self::as_matrix(self.run_kernel(&op, &[&sv, &pv], rng));
+        let out = Self::as_matrix(self.run_kernel(&op, &[&sub_value, &pv], rng));
         self.device.free(sub.data.size_bytes());
         self.device.free(transient);
         out
@@ -667,14 +660,10 @@ mod tests {
         let s = EagerSampler::new(g, DeviceProfile::v100(), 9);
         let mut rng = StdRng::seed_from_u64(1);
         let sub = s.extract(&[0, 1, 2]);
-        let probs = {
-            let mut d = sub.data.clone();
-            d.set_values(vec![0.0; sub.nnz()]);
-            GraphMatrix {
-                data: d,
-                row_ids: sub.row_ids.clone(),
-                col_ids: sub.col_ids.clone(),
-            }
+        let probs = GraphMatrix {
+            data: sub.data.with_values(vec![0.0; sub.nnz()]),
+            row_ids: sub.row_ids.clone(),
+            col_ids: sub.col_ids.clone(),
         };
         let out = s.select(&sub, 2, false, Some(&probs), &mut rng);
         for d in out.data.col_degrees() {

@@ -763,7 +763,7 @@ impl Sampler {
         // one core the wall-clock overlap is nil — see the config
         // knob's docs — but the modeled accounting is unchanged.)
         let feats: Option<&gsampler_matrix::Dense> = if self.config.prefetch_node_feats {
-            self.graph.features.as_ref()
+            self.graph.features.as_deref()
         } else {
             None
         };

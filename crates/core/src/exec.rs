@@ -1,12 +1,13 @@
 //! The program executor: a thin driver over the kernel registry
 //! ([`crate::kernels`]).
 //!
-//! `execute` walks the program in topological order, resolves every
+//! `execute` walks the program in topological order and resolves every
 //! operator through the instrumented [`crate::kernels::dispatch`] entry
-//! point (which charges modeled device time, SM utilization, and host
-//! wall-clock time per invocation), and manages value lifetimes:
-//! reference counting, device alloc/free accounting, and the resident
-//! base-graph set.
+//! point (modeled device time, SM utilization, host wall-clock time) —
+//! except the input slots (`InputGraph`, `Precomputed`, `InputFrontiers`,
+//! `InputDense` / `InputVector` / `InputNodes`), which hold shared handles
+//! and are filled by cloning an `Arc`, never a table — and manages value
+//! lifetimes: reference counts, device alloc/free, the resident graph set.
 //!
 //! Super-batch execution (paper §4.4) is transparent to this driver: when
 //! more than one frontier group is passed, the extract kernels build a
@@ -30,12 +31,12 @@ use crate::kernels::{self, superbatch, ExecCtx};
 use crate::value::Value;
 
 /// Named inputs bound per batch (model weights, feature tables, bias
-/// vectors).
+/// vectors). A binding is a shared handle: it is wrapped as an executor
+/// value once, when it is bound, and a launch that reads it clones the
+/// pointer. A name holds one value, whatever its kind.
 #[derive(Debug, Clone, Default)]
 pub struct Bindings {
-    dense: HashMap<String, Dense>,
-    vectors: HashMap<String, Vec<f32>>,
-    nodes: HashMap<String, Vec<NodeId>>,
+    pub(crate) named: HashMap<String, Arc<Value>>,
 }
 
 impl Bindings {
@@ -46,35 +47,35 @@ impl Bindings {
 
     /// Bind a dense matrix under a name.
     pub fn dense(mut self, name: impl Into<String>, d: Dense) -> Bindings {
-        self.dense.insert(name.into(), d);
+        self.named.insert(name.into(), Arc::new(Value::Dense(d)));
         self
     }
 
     /// Bind a vector under a name.
     pub fn vector(mut self, name: impl Into<String>, v: Vec<f32>) -> Bindings {
-        self.vectors.insert(name.into(), v);
+        self.named.insert(name.into(), Arc::new(Value::Vector(v)));
         self
     }
 
     /// Bind a node list under a name (e.g. previous random-walk frontier).
     pub fn node_list(mut self, name: impl Into<String>, n: Vec<NodeId>) -> Bindings {
-        self.nodes.insert(name.into(), n);
+        self.named.insert(name.into(), Arc::new(Value::Nodes(n)));
         self
     }
 
     /// Look up a dense binding.
     pub fn get_dense(&self, name: &str) -> Option<&Dense> {
-        self.dense.get(name)
+        self.named.get(name)?.as_dense()
     }
 
     /// Look up a vector binding.
     pub fn get_vector(&self, name: &str) -> Option<&[f32]> {
-        self.vectors.get(name).map(|v| v.as_slice())
+        self.named.get(name)?.as_vector()
     }
 
     /// Look up a node-list binding.
     pub fn get_node_list(&self, name: &str) -> Option<&[NodeId]> {
-        self.nodes.get(name).map(|n| n.as_slice())
+        self.named.get(name)?.as_nodes()
     }
 }
 
@@ -166,7 +167,8 @@ pub fn execute(
     for g in frontier_groups {
         col_offsets.push(col_offsets.last().unwrap() + g.len());
     }
-    let concat_frontiers: Vec<NodeId> = frontier_groups.iter().flatten().copied().collect();
+    let frontiers: Vec<NodeId> = frontier_groups.iter().flatten().copied().collect();
+    let frontiers = Arc::new(Value::Nodes(frontiers));
 
     let mut refcount: Vec<usize> = vec![0; program.len()];
     for node in program.nodes() {
@@ -186,7 +188,7 @@ pub fn execute(
         n,
         s,
         col_offsets: &col_offsets,
-        concat_frontiers: &concat_frontiers,
+        concat_frontiers: frontiers.as_nodes().expect("built as a node list"),
         bindings,
         precomputed,
     };
@@ -195,8 +197,10 @@ pub fn execute(
     let result = (|| -> Result<()> {
         for (id, node) in program.nodes().iter().enumerate() {
             // Value-sharing slots short-circuit the dispatcher: they clone an
-            // `Rc` rather than produce a new value.
-            match &node.op {
+            // `Arc` rather than produce a new value. Graph and precomputed
+            // slots are resident; a bound input is modeled as a device
+            // allocation for as long as the program reads it.
+            let value = match &node.op {
                 Op::InputGraph => {
                     env[id] = Some(graph_value.clone());
                     continue;
@@ -208,23 +212,25 @@ pub fn execute(
                     env[id] = Some(v.clone());
                     continue;
                 }
-                _ => {}
-            }
-
-            let inputs: Vec<&Value> = node
-                .inputs
-                .iter()
-                .map(|&i| {
-                    env[i]
-                        .as_deref()
-                        .ok_or_else(|| Error::Execution(format!("value {i} already freed")))
-                })
-                .collect::<Result<Vec<_>>>()?;
-
-            let graph_input = node.inputs.first().map(|&i| resident[i]).unwrap_or(false);
-            let value = kernels::dispatch(&node.op, &inputs, graph_input, &ctx, device, rngs)?;
+                Op::InputFrontiers => frontiers.clone(),
+                op if op.is_input() => kernels::run_input(op, &ctx)?,
+                op => {
+                    let inputs: Vec<&Value> = node
+                        .inputs
+                        .iter()
+                        .map(|&i| {
+                            env[i]
+                                .as_deref()
+                                .ok_or_else(|| Error::Execution(format!("value {i} already freed")))
+                        })
+                        .collect::<Result<Vec<_>>>()?;
+                    let graph_input = node.inputs.first().map(|&i| resident[i]).unwrap_or(false);
+                    let run = kernels::dispatch(op, &inputs, graph_input, &ctx, device, rngs);
+                    Arc::new(run?)
+                }
+            };
             device.try_alloc(value.bytes()).map_err(Error::Oom)?;
-            env[id] = Some(Arc::new(value));
+            env[id] = Some(value);
 
             // Release inputs whose last consumer this was.
             for &i in &node.inputs {

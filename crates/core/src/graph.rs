@@ -7,7 +7,7 @@ use gsampler_ir::GraphStats;
 use gsampler_matrix::{Csc, Dense, GraphMatrix, NodeId, SparseMatrix};
 
 use crate::error::Result;
-use crate::value::Value;
+use crate::value::{SharedDense, Value};
 
 /// An input graph for sampling: adjacency (stored CSC, like the paper's
 /// systems — column `v` holds the in-edges of node `v`), optional node
@@ -19,8 +19,9 @@ pub struct Graph {
     pub name: String,
     /// The adjacency matrix in identity ID space.
     pub matrix: GraphMatrix,
-    /// Optional `N × d` node feature matrix.
-    pub features: Option<Dense>,
+    /// Optional `N × d` node feature matrix, as the shared handle programs
+    /// read it through (it dereferences to the [`Dense`]).
+    pub features: Option<SharedDense>,
     /// Where the structure lives (device vs UVA host memory, or partially
     /// resident behind a [`CachePlan`]).
     pub residency: Residency,
@@ -77,7 +78,7 @@ impl Graph {
             self.num_nodes(),
             "feature rows must match node count"
         );
-        self.features = Some(features);
+        self.features = Some(SharedDense(Arc::new(Value::Dense(features))));
         self
     }
 

@@ -141,8 +141,13 @@ pub fn apply_steps(
     Ok(())
 }
 
-/// `row_probs[sample_A.row()]`: look each sampled row's bias up at its
-/// position in `source`'s row space.
+/// `row_probs[sample_A.row()]`: the bias of every sampled row.
+///
+/// A vector as long as `source` has rows is aligned with them (LADIES'
+/// `row_probs`, reduced from `source`): a sampled row reads it at its
+/// position in `source`'s row space. Any other vector is node-indexed
+/// (FastGCN's `degrees`) and is read by global ID with [`fit_row_vector`]'s
+/// wrap, as `collective_sample` read it when it drew the rows.
 ///
 /// The position of a global ID is found by binary search in a sorted
 /// index of `source.row_ids`: the list itself when it is strictly
@@ -150,6 +155,15 @@ pub fn apply_steps(
 /// otherwise its positions stably sorted by ID, the last duplicate
 /// winning.
 pub fn gather_row_bias(v: &[f32], sampled: &GraphMatrix, source: &GraphMatrix) -> Result<Value> {
+    let nrows = sampled.shape().0;
+    if v.len() != source.shape().0 {
+        if v.is_empty() && nrows > 0 {
+            let empty = "gather_row_bias: empty bias vector".to_string();
+            return Err(Error::Execution(empty));
+        }
+        let by_id = |r| v[sampled.global_row(r) as usize % v.len()];
+        return Ok(Value::Vector((0..nrows).map(by_id).collect()));
+    }
     let ids = source.row_ids.as_deref();
     let by_id: Option<Vec<usize>> =
         ids.filter(|ids| !ids.windows(2).all(|w| w[0] < w[1]))
@@ -169,7 +183,6 @@ pub fn gather_row_bias(v: &[f32], sampled: &GraphMatrix, source: &GraphMatrix) -
         };
         (ids[pos] == g).then_some(pos)
     };
-    let nrows = sampled.shape().0;
     let mut out = Vec::with_capacity(nrows);
     for r in 0..nrows {
         let g = sampled.global_row(r);
@@ -178,12 +191,7 @@ pub fn gather_row_bias(v: &[f32], sampled: &GraphMatrix, source: &GraphMatrix) -
                 "gather_row_bias: row {g} missing from source space"
             ))
         })?;
-        let val = if pos < v.len() {
-            v[pos]
-        } else {
-            v[pos % v.len().max(1)]
-        };
-        out.push(val);
+        out.push(v[pos]);
     }
     Ok(Value::Vector(out))
 }

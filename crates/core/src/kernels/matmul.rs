@@ -1,10 +1,15 @@
 //! Matrix-algebra kernels: SpMM, SDDMM, dense GEMM, softmax, and the
 //! dense/edge-value plumbing the model-driven samplers use.
+//!
+//! Nothing is computed here: an arm unwraps its operands, calls the one
+//! routine `gsampler-matrix` has for the operator (the one SDDMM is
+//! `spmm::sddmm_by_id`, handed the row IDs and the node period) and
+//! re-attaches the ID spaces.
 
 use rand::rngs::StdRng;
 
 use gsampler_ir::Op;
-use gsampler_matrix::{eltwise, spmm, Dense, GraphMatrix, NodeId, SparseMatrix};
+use gsampler_matrix::{eltwise, spmm, Dense, NodeId, SparseMatrix};
 
 use crate::error::{Error, Result};
 use crate::value::Value;
@@ -17,52 +22,9 @@ pub(super) fn want_dense<'v>(v: &'v Value, what: &str) -> Result<&'v Dense> {
         .ok_or_else(|| Error::Execution(format!("{what}: expected dense, got {}", v.kind_name())))
 }
 
-/// SDDMM where the left feature table is indexed by each row's *global*
-/// ID: a full-graph table (`N` rows) is consumed directly by compacted
-/// sub-matrices, and through `id mod N` by block-diagonal super-batched
-/// ones. Any other size mismatch is a genuine shape error.
-pub fn sddmm(m: &GraphMatrix, b: &Dense, c: &Dense, period: usize) -> Result<Value> {
-    if b.ncols() != c.ncols() {
-        return Err(gsampler_matrix::Error::ShapeMismatch {
-            op: "sddmm feature dims",
-            lhs: b.shape(),
-            rhs: c.shape(),
-        }
-        .into());
-    }
-    if c.nrows() != m.shape().1 {
-        return Err(gsampler_matrix::Error::ShapeMismatch {
-            op: "sddmm rhs rows",
-            lhs: m.shape(),
-            rhs: c.shape(),
-        }
-        .into());
-    }
-    let bn = b.nrows();
-    let wrap_ok = bn == period;
-    let nrows = m.shape().0;
-    let mut dots: Vec<f32> = Vec::with_capacity(m.nnz());
-    for (r, col, _) in m.data.iter_edges() {
-        let g = m.global_row(r as usize) as usize;
-        let idx = if g < bn {
-            g
-        } else if wrap_ok {
-            g % bn
-        } else {
-            return Err(gsampler_matrix::Error::ShapeMismatch {
-                op: "sddmm lhs rows",
-                lhs: (nrows, m.shape().1),
-                rhs: b.shape(),
-            }
-            .into());
-        };
-        let br = b.row(idx);
-        let cr = c.row(col as usize);
-        dots.push(br.iter().zip(cr).map(|(&x, &y)| x * y).sum());
-    }
-    let mut data = m.data.clone();
-    data.set_values(dots);
-    Ok(Value::Matrix(with_data(m, data)))
+fn want_patterns<'v>(values: &[&'v Value], what: &str) -> Result<Vec<&'v SparseMatrix>> {
+    let data = |v: &&'v Value| want_matrix(v, what).map(|m| &m.data);
+    values.iter().map(data).collect()
 }
 
 /// Matrix-algebra operator family: evaluate `op` on `inputs`.
@@ -97,7 +59,9 @@ pub(super) fn run(
             let m = want_matrix(inputs[0], "sddmm")?;
             let b = want_dense(inputs[1], "sddmm")?;
             let c = want_dense(inputs[2], "sddmm")?;
-            sddmm(m, b, c, ctx.n)
+            let row_ids = m.row_ids.as_ref().map(|ids| ids.as_slice());
+            let data = spmm::sddmm_by_id(&m.data, row_ids, ctx.n, b, c)?;
+            Ok(Value::Matrix(with_data(m, data)))
         }
         Op::DenseUnary(o) => {
             let d = want_dense(inputs[0], "dense_unary")?;
@@ -119,9 +83,7 @@ pub(super) fn run(
                     d.ncols()
                 )));
             }
-            Ok(Value::Vector(
-                (0..d.nrows()).map(|r| d.get(r, *col)).collect(),
-            ))
+            Ok(Value::Vector(d.column(*col)))
         }
         Op::DenseGatherRows => {
             let d = want_dense(inputs[0], "dense_gather_rows")?;
@@ -143,10 +105,7 @@ pub(super) fn run(
             Ok(Value::Dense(d.gather_rows(&wrapped)?))
         }
         Op::StackEdgeValues => {
-            let mats: Vec<&SparseMatrix> = inputs
-                .iter()
-                .map(|v| want_matrix(v, "stack_edge_values").map(|m| &m.data))
-                .collect::<Result<Vec<_>>>()?;
+            let mats = want_patterns(inputs, "stack_edge_values")?;
             Ok(Value::Dense(eltwise::stack_edge_values(&mats)?))
         }
         Op::EdgeValuesFromDense { col } => {
@@ -160,9 +119,19 @@ pub(super) fn run(
                     m.nnz()
                 )));
             }
-            let values: Vec<f32> = (0..m.nnz()).map(|e| d.get(e, *col)).collect();
-            let mut data = m.data.clone();
-            data.set_values(values);
+            Ok(Value::Matrix(with_data(
+                m,
+                m.data.with_values(d.column(*col)),
+            )))
+        }
+        Op::FusedEdgeCombine { col, unary } => {
+            let m = want_matrix(inputs[0], "fused_edge_combine")?;
+            let (w, channels) = inputs[1..].split_last().ok_or_else(|| {
+                Error::Execution("fused_edge_combine: no projection input".to_string())
+            })?;
+            let mats = want_patterns(channels, "fused_edge_combine")?;
+            let w = want_dense(w, "fused_edge_combine")?;
+            let data = eltwise::combine_edge_values(&m.data, &mats, w, *col, unary)?;
             Ok(Value::Matrix(with_data(m, data)))
         }
         other => Err(Error::Execution(format!(

@@ -94,42 +94,30 @@ pub fn group_of_col(col_offsets: &[usize], c: usize) -> usize {
     col_offsets.partition_point(|&o| o <= c).saturating_sub(1)
 }
 
-/// Input plumbing: materialize frontiers and named bindings as values.
-fn run_input(
-    op: &Op,
-    _inputs: &[&Value],
-    ctx: &ExecCtx<'_>,
-    _rngs: &mut [StdRng],
-) -> Result<Value> {
-    match op {
-        Op::InputFrontiers => Ok(Value::Nodes(ctx.concat_frontiers.to_vec())),
-        Op::InputDense(name) => {
-            if let Some(d) = ctx.bindings.get_dense(name) {
-                Ok(Value::Dense(d.clone()))
-            } else if name == "features" {
-                ctx.graph
-                    .features
-                    .clone()
-                    .map(Value::Dense)
-                    .ok_or_else(|| Error::MissingBinding("features".to_string()))
-            } else {
-                Err(Error::MissingBinding(name.clone()))
-            }
-        }
-        Op::InputVector(name) => ctx
-            .bindings
-            .get_vector(name)
-            .map(|v| Value::Vector(v.to_vec()))
-            .ok_or_else(|| Error::MissingBinding(name.clone())),
-        Op::InputNodes(name) => ctx
-            .bindings
-            .get_node_list(name)
-            .map(|n| Value::Nodes(n.to_vec()))
-            .ok_or_else(|| Error::MissingBinding(name.clone())),
-        other => Err(Error::Execution(format!(
-            "inputs kernel cannot evaluate {other:?}"
-        ))),
-    }
+/// Input plumbing: a named input is the shared handle it was bound as (or,
+/// for `"features"`, the one the graph carries). The executor fills the
+/// slot with a pointer clone; no kernel runs and nothing is copied.
+pub(crate) fn run_input(op: &Op, ctx: &ExecCtx<'_>) -> Result<Arc<Value>> {
+    let (name, kind) = match op {
+        Op::InputDense(name) => (name, "dense"),
+        Op::InputVector(name) => (name, "vector"),
+        Op::InputNodes(name) => (name, "nodes"),
+        other => return Err(not_a_kernel(other)),
+    };
+    let bound = ctx.bindings.named.get(name);
+    let features = match &ctx.graph.features {
+        Some(table) if kind == "dense" && name == "features" => Some(&table.0),
+        _ => None,
+    };
+    (bound
+        .filter(|v| v.kind_name() == kind)
+        .or(features)
+        .cloned())
+    .ok_or_else(|| Error::MissingBinding(name.clone()))
+}
+
+fn not_a_kernel(op: &Op) -> Error {
+    Error::Execution(format!("{op:?} is a shared input slot, not a kernel"))
 }
 
 type RunFn = fn(&Op, &[&Value], &ExecCtx<'_>, &mut [StdRng]) -> Result<Value>;
@@ -144,7 +132,7 @@ fn resolve(op: &Op) -> (&'static str, RunFn) {
         | Op::InputDense(..)
         | Op::InputVector(..)
         | Op::InputNodes(..)
-        | Op::Precomputed { .. } => ("inputs", run_input),
+        | Op::Precomputed { .. } => ("inputs", |op, _, _, _| Err(not_a_kernel(op))),
 
         Op::SliceCols
         | Op::SliceRows
@@ -170,7 +158,8 @@ fn resolve(op: &Op) -> (&'static str, RunFn) {
         | Op::DenseColumn { .. }
         | Op::DenseGatherRows
         | Op::StackEdgeValues
-        | Op::EdgeValuesFromDense { .. } => ("matmul", matmul::run),
+        | Op::EdgeValuesFromDense { .. }
+        | Op::FusedEdgeCombine { .. } => ("matmul", matmul::run),
 
         Op::ScalarOp(..)
         | Op::UnaryOp(..)
@@ -434,44 +423,58 @@ mod tests {
     }
 
     #[test]
+    fn input_slots_share_the_bound_tables() {
+        // No copy per launch: the dense value a kernel is handed for
+        // `"features"` and for a bound weight is the table that was bound.
+        let features = gsampler_matrix::Dense::zeros(24, 5);
+        let weight = gsampler_matrix::Dense::zeros(5, 2);
+        let (features_at, weight_at) = (features.as_slice().as_ptr(), weight.as_slice().as_ptr());
+        let g = graph().with_features(features);
+        let bindings = Bindings::new().dense("W", weight);
+        let ctx = ExecCtx::plain(&g, &bindings);
+        for (name, at) in [("features", features_at), ("W", weight_at)] {
+            for _launch in 0..2 {
+                let v = run_input(&Op::InputDense(name.into()), &ctx).unwrap();
+                assert_eq!(v.as_dense().unwrap().as_slice().as_ptr(), at, "{name}");
+            }
+        }
+        assert_eq!(
+            g.features.as_ref().unwrap().as_slice().as_ptr(),
+            features_at
+        );
+        assert_eq!(
+            bindings.get_dense("W").unwrap().as_slice().as_ptr(),
+            weight_at
+        );
+    }
+
+    #[test]
     fn input_kernels_resolve_bindings() {
         let g = graph();
         let bindings = Bindings::new()
             .vector("w", vec![1.0, 2.0])
             .node_list("prev", vec![3, 4]);
         let ctx = ExecCtx::plain(&g, &bindings);
+        let v = run_input(&Op::InputVector("w".into()), &ctx).unwrap();
+        assert_eq!(v.as_vector().unwrap(), &[1.0, 2.0]);
+        // The slot holds the bound handle itself, not a copy of it.
+        assert!(Arc::ptr_eq(&v, &bindings.named["w"]));
+        let n = run_input(&Op::InputNodes("prev".into()), &ctx).unwrap();
+        assert_eq!(n.as_nodes().unwrap(), &[3, 4]);
+        // Absent, or bound as another kind: a missing binding.
+        for op in [
+            Op::InputVector("absent".into()),
+            Op::InputDense("w".into()),
+            Op::InputDense("features".into()),
+        ] {
+            let missing = run_input(&op, &ctx);
+            assert!(matches!(missing, Err(Error::MissingBinding(_))), "{op:?}");
+        }
+        // Inputs are slots, not kernels: the registry refuses to run one.
         let device = Device::new(DeviceProfile::v100());
         let mut rng = [StdRng::seed_from_u64(1)];
-        let v = dispatch(
-            &Op::InputVector("w".into()),
-            &[],
-            false,
-            &ctx,
-            &device,
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(v.as_vector().unwrap(), &[1.0, 2.0]);
-        let n = dispatch(
-            &Op::InputNodes("prev".into()),
-            &[],
-            false,
-            &ctx,
-            &device,
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(n.as_nodes().unwrap(), &[3, 4]);
-        // Inputs are free: no kernel is charged.
+        let op = Op::InputVector("w".into());
+        assert!(dispatch(&op, &[], false, &ctx, &device, &mut rng).is_err());
         assert_eq!(device.stats().kernel_launches, 0);
-        let missing = dispatch(
-            &Op::InputVector("absent".into()),
-            &[],
-            false,
-            &ctx,
-            &device,
-            &mut rng,
-        );
-        assert!(missing.is_err());
     }
 }

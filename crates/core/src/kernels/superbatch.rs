@@ -132,6 +132,7 @@ pub fn block_space(program: &Program) -> Vec<bool> {
             | Op::EdgeValuesFromDense { .. }
             | Op::FusedEdgeMap { .. }
             | Op::FusedEdgeMapReduce { .. }
+            | Op::FusedEdgeCombine { .. }
             | Op::RowNodes
             | Op::AllRowIds => inherit(0),
             _ => false,

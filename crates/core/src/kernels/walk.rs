@@ -64,9 +64,7 @@ pub fn node2vec_bias(
             }
         })
         .collect();
-    let mut data = m.data.clone();
-    data.set_values(biases);
-    Ok(Value::Matrix(with_data(m, data)))
+    Ok(Value::Matrix(with_data(m, m.data.with_values(biases))))
 }
 
 /// Random-walk operator family: evaluate `op` on `inputs`.

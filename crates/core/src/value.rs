@@ -1,7 +1,21 @@
 //! Runtime values flowing through the executor.
 
+use std::sync::Arc;
+
 use gsampler_ir::ShapeEst;
 use gsampler_matrix::{Dense, GraphMatrix, NodeId};
+
+/// A dense table wrapped once (`Graph::with_features`) as the value programs
+/// read: a launch clones the pointer, never the table. Derefs to [`Dense`].
+#[derive(Debug, Clone)]
+pub struct SharedDense(pub(crate) Arc<Value>);
+
+impl std::ops::Deref for SharedDense {
+    type Target = Dense;
+    fn deref(&self) -> &Dense {
+        self.0.as_dense().expect("wraps a dense value")
+    }
+}
 
 /// A value produced by one program node.
 #[derive(Debug, Clone)]

@@ -98,14 +98,15 @@ fn compacted_ladies_layer(k: usize) -> Layer {
     b.build()
 }
 
-/// FastGCN: full-graph degree bias, looked up by node ID on the sliced
-/// block as it is (`gather_row_bias` reads the bias at a row's *position*
-/// in the source space, so a node-indexed vector needs it un-compacted).
-fn fastgcn_layer(k: usize) -> Layer {
+/// FastGCN: full-graph degree bias, looked up by node ID — on the sliced
+/// block as it is, or (`compacted`) on a hand-compacted one, whose row
+/// positions are no longer node IDs.
+fn fastgcn_layer(k: usize, compacted: bool) -> Layer {
     let b = LayerBuilder::new();
     let a = b.graph();
     let deg = a.degrees(Axis::Row);
     let sub = a.slice_cols(&b.frontiers());
+    let sub = if compacted { sub.compact_rows() } else { sub };
     let samp = sub.collective_sample(k, Some(&deg));
     let sel = deg.gather_row_bias(&samp, &sub);
     let out = samp.div(&sel, Axis::Row);
@@ -113,6 +114,63 @@ fn fastgcn_layer(k: usize) -> Layer {
     b.output(&out);
     b.output_next_frontiers(&next);
     b.build()
+}
+
+/// PASS (paper Fig. 3c) as `gsampler-algos` records it: two SDDMM attention
+/// channels over feature projections plus the degree-normalized adjacency,
+/// stacked, projected by `softmax(W3)`, rectified, used as sampling bias.
+fn pass_layer(k: usize) -> Layer {
+    let b = LayerBuilder::new();
+    let f = b.frontiers();
+    let sub = b.graph().slice_cols(&f);
+    let feats = b.dense_input("features");
+    let (w1, w2, w3) = (
+        b.dense_input("W1"),
+        b.dense_input("W2"),
+        b.dense_input("W3"),
+    );
+    let a1 = sub.sddmm(&feats.matmul(&w1), &feats.gather_rows(&f).matmul(&w1));
+    let a2 = sub.sddmm(&feats.matmul(&w2), &feats.gather_rows(&f).matmul(&w2));
+    let a3 = sub.div(&sub.sum(Axis::Row), Axis::Row);
+    let bias = Mat::stack(&[&a1, &a2, &a3]).matmul(&w3.softmax()).relu();
+    let sample = sub.individual_sample(k, Some(&sub.with_edge_values(&bias, 0)));
+    b.output(&sample);
+    b.output_next_frontiers(&sample.row_nodes());
+    b.build()
+}
+
+/// AS-GCN as `gsampler-algos` records it: a learned node score
+/// `relu(features @ Wg)` aligned to the block's rows plus the structural
+/// bias, then a LADIES-style collective select.
+fn asgcn_layer(k: usize) -> Layer {
+    let b = LayerBuilder::new();
+    let sub = b.graph().slice_cols(&b.frontiers());
+    let learned = b.dense_input("features").matmul(&b.dense_input("Wg"));
+    let learned = learned
+        .relu()
+        .column(0)
+        .scalar(gsampler_core::EltOp::Add, 1e-6);
+    let bias =
+        (sub.pow(2.0).sum(Axis::Row)).op(&learned.align_rows(&sub), gsampler_core::EltOp::Add);
+    let sample = sub.collective_sample(k, Some(&bias));
+    let out = sample.div(&bias.gather_row_bias(&sample, &sub), Axis::Row);
+    b.output(&out);
+    b.output_next_frontiers(&out.row_nodes());
+    b.build()
+}
+
+/// Weights for [`pass_layer`] / [`asgcn_layer`] on the 8-wide features of
+/// [`cliques_graph`], with zeros and negative entries.
+fn model_bindings() -> Bindings {
+    let weights = |rows: usize, cols: usize, salt: usize| {
+        let cell = |i: usize| ((i * 7 + salt) % 11) as f32 * 0.25 - 1.0;
+        Dense::from_vec(rows, cols, (0..rows * cols).map(cell).collect()).unwrap()
+    };
+    Bindings::new()
+        .dense("W1", weights(8, 4, 1))
+        .dense("W2", weights(8, 4, 2))
+        .dense("W3", weights(3, 1, 3))
+        .dense("Wg", weights(8, 1, 4))
 }
 
 /// `layer` with its first output also delivered in storage format `fmt`.
@@ -249,6 +307,29 @@ fn ladies_weights_normalize_per_frontier() {
     for (c, s) in sums.into_iter().enumerate() {
         if s != 0.0 {
             assert!((s - 1.0).abs() < 1e-4, "column {c} sums to {s}");
+        }
+    }
+}
+
+#[test]
+fn fastgcn_divides_by_node_degree_on_a_compacted_block() {
+    // `degrees` is indexed by node; after `compact_rows` a row's position
+    // is not its ID, so the bias gather must go by ID.
+    let graph = test_graph();
+    let degree = graph.matrix.data.row_degrees();
+    let weight: std::collections::HashMap<(NodeId, NodeId), f32> = (graph.matrix.global_edges())
+        .into_iter()
+        .map(|(r, c, w)| ((r, c), w))
+        .collect();
+    for opt in [OptConfig::all(), OptConfig::plain()] {
+        let sampler = compile(graph.clone(), vec![fastgcn_layer(6, true)], config(opt)).unwrap();
+        let out = sampler
+            .sample_batch(&[1, 10, 20, 63], &Bindings::new())
+            .unwrap();
+        let edges = out.layers[0][0].as_matrix().unwrap().global_edges();
+        assert!(!edges.is_empty());
+        for (r, c, v) in edges {
+            assert_eq!(v, weight[&(r, c)] / degree[r as usize] as f32, "({r},{c})");
         }
     }
 }
@@ -392,7 +473,10 @@ fn super_batch_groups_are_independent_and_valid() {
                 .to_vec();
             assert!(nodes.iter().any(|n| n.op == Op::CompactRows));
             check(&[layer], opt.clone(), "compacted LADIES");
-            check(&[fastgcn_layer(5)], opt, "FastGCN");
+            check(&[fastgcn_layer(5, false)], opt.clone(), "FastGCN");
+            // The bias is node-indexed: a compacted block must read it by
+            // ID (by position, a packed group read `inf` for 0.25).
+            check(&[fastgcn_layer(5, true)], opt, "compacted FastGCN");
         }
         for fmt in [Format::Csr, Format::Coo] {
             let sage = with_converted_output(graphsage_layer(3), fmt);
@@ -735,6 +819,48 @@ fn pass_style_compute_with_dense_inputs() {
     for d in m.data.col_degrees() {
         assert!(d <= 3);
     }
+}
+
+#[test]
+fn model_driven_samplers_agree_across_every_ablation() {
+    // The fused attention combine against its unfused chain (`no-fusion`,
+    // `plain`), the gather moved through the GEMM against the recomputed
+    // product (`no-cse`, `plain`), with and without DCE and under every
+    // layout: the same sample, value for value.
+    let graph = cliques_graph(true, 4);
+    let bindings = model_bindings();
+    let frontiers = [0, 9, 17, 33, 63, 65];
+    for (what, layer) in [("PASS", pass_layer(3)), ("AS-GCN", asgcn_layer(6))] {
+        let run = |opt: OptConfig| {
+            let sampler = compile(graph.clone(), vec![layer.clone()], config(opt)).unwrap();
+            let out = sampler.sample_batch(&frontiers, &bindings).unwrap();
+            let mut edges = out.layers[0][0].as_matrix().unwrap().global_edges();
+            edges.sort_by_key(|&(r, c, _)| (r, c));
+            let edges: Vec<_> = edges.iter().map(|&(r, c, v)| (r, c, v.to_bits())).collect();
+            (edges, out.layers[0][1].as_nodes().unwrap().to_vec())
+        };
+        let reference = run(OptConfig::all());
+        assert!(!reference.0.is_empty(), "{what} sampled nothing");
+        for (name, opt) in OptConfig::ablations() {
+            assert_eq!(run(opt), reference, "{what} under {name}");
+        }
+    }
+}
+
+#[test]
+fn compiled_pass_layer_computes_each_projection_once() {
+    let graph = test_graph();
+    let sampler = compile(graph, vec![pass_layer(3)], config(OptConfig::all())).unwrap();
+    let optimized = &sampler.layers()[0].optimized;
+    assert_eq!(optimized.report.gather_through_gemm, 2);
+    assert_eq!(optimized.report.edge_combine_fused, 1);
+    let count = |pred: fn(&Op) -> bool| optimized.program.count_ops(pred);
+    assert_eq!(count(|op| matches!(op, Op::Gemm)), 2);
+    assert_eq!(count(|op| matches!(op, Op::DenseGatherRows)), 2);
+    assert_eq!(count(|op| matches!(op, Op::FusedEdgeCombine { .. })), 1);
+    assert_eq!(count(|op| matches!(op, Op::StackEdgeValues)), 0);
+    assert_eq!(count(|op| matches!(op, Op::DenseUnary(..))), 0);
+    assert_eq!(count(|op| matches!(op, Op::EdgeValuesFromDense { .. })), 0);
 }
 
 #[test]

@@ -76,9 +76,10 @@ pub fn kernel_desc(
         Op::InduceSubgraph => {
             workload::induce_subgraph(fmt0, in0, out_mat.nnz, out_mat.nrows, res0)
         }
-        Op::ScalarOp(..) | Op::UnaryOp(..) | Op::EdgeValuesFromDense { .. } => {
-            workload::eltwise(fmt0, in0)
-        }
+        Op::ScalarOp(..)
+        | Op::UnaryOp(..)
+        | Op::EdgeValuesFromDense { .. }
+        | Op::FusedEdgeCombine { .. } => workload::eltwise(fmt0, in0),
         Op::Broadcast(..) => workload::broadcast(fmt0, in0),
         Op::SparseElt(..) => workload::sparse_elt(fmt0, in0),
         Op::Sddmm => {

@@ -149,7 +149,8 @@ pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize)
             | Op::EdgeValuesFromDense { .. }
             | Op::Node2VecBias { .. }
             | Op::Convert(..)
-            | Op::FusedEdgeMap { .. } => input(0),
+            | Op::FusedEdgeMap { .. }
+            | Op::FusedEdgeCombine { .. } => input(0),
             Op::Reduce(_, axis) => {
                 let (nrows, ncols, _) = input(0).as_matrix().unwrap_or((n, n, e));
                 ShapeEst::Vector(match axis {

@@ -113,12 +113,12 @@ pub enum Op {
     /// score vector (e.g. AS-GCN's learned bias) is consumed by a
     /// compacted or block-diagonal sub-matrix. `[vector, matrix] -> Vector`.
     AlignRowVector,
-    /// Gather, for every row of `sampled`, the entry of `vector` at the
-    /// position that row occupies in `source`'s row space. This is how a
-    /// layer-wise sampler looks up the bias of each selected node
-    /// (`row_probs[sample_A.row()]` in paper Fig. 3b) in a way that stays
-    /// correct when the source matrix has been compacted.
-    /// `[vector, matrix(sampled), matrix(source)] -> Vector`.
+    /// Gather, for every row of `sampled`, its entry of `vector`: at the
+    /// position the row occupies in `source`'s row space when the vector is
+    /// aligned with `source`'s rows, by the row's global ID otherwise (a
+    /// node-indexed bias). This is how a layer-wise sampler looks up the bias
+    /// of each selected node (`row_probs[sample_A.row()]`, paper Fig. 3b),
+    /// compacted source or not. `[vector, matrix(sampled), matrix(source)] -> Vector`.
     GatherRowBias,
 
     // ---- select ---------------------------------------------------------
@@ -190,6 +190,17 @@ pub enum Op {
         reduce: ReduceOp,
         /// Reduction axis.
         axis: Axis,
+    },
+    /// Fused attention combine (paper Fig. 5b, PASS): `pattern` re-valued
+    /// with `unary(Σ_k a_k[e] · W[k, col])` — the chain `StackEdgeValues` →
+    /// `Gemm` by `W` → `DenseUnary`s → `EdgeValuesFromDense { col }` as one
+    /// edge-map kernel with the chain's per-edge operation sequence and
+    /// neither intermediate. `[pattern, a_1, .., a_k, W(dense)] -> Matrix`.
+    FusedEdgeCombine {
+        /// Which column of `W` projects the channels.
+        col: usize,
+        /// The dense unary maps of the chain, applied in order.
+        unary: Vec<UnaryOp>,
     },
     /// A node whose value was precomputed at compile time (pre-processing
     /// pass); the attribute indexes the executable's constant table.
@@ -331,6 +342,11 @@ impl Op {
                 fold(&[46]);
                 fold(&(*slot as u64).to_le_bytes());
             }
+            Op::FusedEdgeCombine { col, unary } => {
+                fold(&[47]);
+                fold(&(*col as u64).to_le_bytes());
+                unary.iter().for_each(|op| fold(&[*op as u8]));
+            }
         }
     }
 
@@ -417,6 +433,7 @@ impl Op {
                 steps.len(),
                 reduce.name()
             ),
+            Op::FusedEdgeCombine { col, .. } => format!("fused_edge_combine({col})"),
             Op::Precomputed { slot } => format!("precomputed({slot})"),
         }
     }

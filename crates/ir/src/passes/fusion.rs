@@ -1,6 +1,6 @@
 //! Operator fusion (paper §4.2, Fig. 5).
 //!
-//! Three rules tailored to the ECSF model:
+//! Four rules tailored to the ECSF model:
 //!
 //! - **Extract-Select fusion**: a uniform `individual_sample` applied
 //!   directly to an extracted sub-matrix (and nothing else reading that
@@ -14,6 +14,12 @@
 //!   never written to memory (Fig. 5c, LADIES). Applied even when the
 //!   mapped matrix has other consumers (the map node then stays alive for
 //!   them; the reduction still skips one materialization).
+//! - **Attention-combine fusion**: PASS's `stack([A1, A2, A3]) @ W` →
+//!   dense unary maps → "column `col` as edge values" is an edge-map in
+//!   dense clothing (the rest of Fig. 5b). When every link has exactly one
+//!   consumer it collapses into one [`Op::FusedEdgeCombine`]: the same
+//!   operations per edge in the same order — the same bits — without the
+//!   `nnz × k` stack or the product.
 
 use crate::op::{EdgeMapStep, Op};
 use crate::program::{Node, OpId, Program};
@@ -29,6 +35,8 @@ pub struct FusionResult {
     pub edge_map: usize,
     /// Edge-map-reduce fusions applied.
     pub edge_map_reduce: usize,
+    /// Attention-combine fusions applied.
+    pub edge_combine: usize,
 }
 
 /// View an edge-map-like node as `(matrix_input, vector_inputs, steps)`.
@@ -70,7 +78,30 @@ fn concat_steps(
     (vecs, steps)
 }
 
-/// Run all three fusion rules to fixpoint.
+/// The fused op and its inputs `[pattern, a_1..a_k, W]` for the chain ending
+/// in the `EdgeValuesFromDense` node `id`, if it is one.
+fn combine_chain(prog: &Program, consumers: &[Vec<OpId>], id: OpId) -> Option<(Op, Vec<OpId>)> {
+    let Op::EdgeValuesFromDense { col } = prog.node(id).op else {
+        return None;
+    };
+    let (mut cur, mut reader, mut unary) = (prog.node(id).inputs[1], id, Vec::new());
+    // Up the unary maps to the product, every link read by the next only.
+    while let (Op::DenseUnary(u), true) = (&prog.node(cur).op, consumers[cur] == [reader]) {
+        unary.insert(0, *u);
+        (cur, reader) = (prog.node(cur).inputs[0], cur);
+    }
+    let product = prog.node(cur);
+    let stack = *product.inputs.first()?;
+    let chained = matches!(product.op, Op::Gemm) && consumers[cur] == [reader];
+    if !chained || prog.node(stack).op != Op::StackEdgeValues || consumers[stack] != [cur] {
+        return None;
+    }
+    let pattern = [prog.node(id).inputs[0]];
+    let inputs = [&pattern[..], &prog.node(stack).inputs, &product.inputs[1..]].concat();
+    Some((Op::FusedEdgeCombine { col, unary }, inputs))
+}
+
+/// Run all four fusion rules to fixpoint.
 pub fn run(program: &Program) -> FusionResult {
     let mut prog = program.clone();
     let mut result = FusionResult::default();
@@ -162,6 +193,15 @@ pub fn run(program: &Program) -> FusionResult {
                 result.edge_map_reduce += 1;
             }
             None => break,
+        }
+    }
+
+    // 4. Attention-combine fusion; one sweep, since chains share no link.
+    let consumers = prog.consumers();
+    for id in 0..prog.len() {
+        if let Some((op, inputs)) = combine_chain(&prog, &consumers, id) {
+            prog.replace(id, op, inputs);
+            result.edge_combine += 1;
         }
     }
 
@@ -343,5 +383,64 @@ mod tests {
         assert_eq!(r.edge_map_reduce, 0);
         assert_eq!(r.edge_map, 0);
         assert_eq!(r.extract_select, 0);
+    }
+
+    /// PASS's bias tail over three attention channels: stack, project by
+    /// `W`, `unary` maps in order, column `col` as `sub`'s edge values.
+    /// `extra_reader` names a chain link ("stack" / "product" / "unary")
+    /// that gets a second consumer.
+    fn combine_program(unary: &[UnaryOp], col: usize, extra_reader: Option<&str>) -> Program {
+        let mut p = Program::new();
+        let g = p.add(Op::InputGraph, vec![]);
+        let f = p.add(Op::InputFrontiers, vec![]);
+        let sub = p.add(Op::SliceCols, vec![g, f]);
+        let a1 = p.add(Op::ScalarOp(EltOp::Mul, 2.0), vec![sub]);
+        let a2 = p.add(Op::ScalarOp(EltOp::Mul, 3.0), vec![sub]);
+        let w = p.add(Op::InputDense("W3".into()), vec![]);
+        let stack = p.add(Op::StackEdgeValues, vec![a1, a2, sub]);
+        let product = p.add(Op::Gemm, vec![stack, w]);
+        let mut last = product;
+        for &u in unary {
+            last = p.add(Op::DenseUnary(u), vec![last]);
+        }
+        let probs = p.add(Op::EdgeValuesFromDense { col }, vec![sub, last]);
+        p.mark_output(probs);
+        let shared = match extra_reader {
+            Some("stack") => Some(stack),
+            Some("product") => Some(product),
+            Some("unary") => Some(last),
+            _ => None,
+        };
+        if let Some(link) = shared {
+            let extra = p.add(Op::DenseSoftmaxRows, vec![link]);
+            p.mark_output(extra);
+        }
+        p
+    }
+
+    #[test]
+    fn attention_combine_fuses_carrying_col_and_unaries_in_order() {
+        let r = run(&combine_program(&[UnaryOp::Relu, UnaryOp::Exp], 1, None));
+        assert_eq!(r.edge_combine, 1);
+        let (prog, removed) = dce::run(&r.program);
+        assert_eq!(removed, 4); // stack, product, both unaries
+        prog.validate().unwrap();
+        let fused = prog.node(prog.outputs()[0]);
+        let unary = vec![UnaryOp::Relu, UnaryOp::Exp];
+        assert_eq!(fused.op, Op::FusedEdgeCombine { col: 1, unary });
+        // [pattern, a1, a2, a3 = sub itself, W]
+        assert_eq!(fused.inputs, vec![2, 3, 4, 2, 5]);
+        // No unary at all is a chain too.
+        assert_eq!(run(&combine_program(&[], 0, None)).edge_combine, 1);
+    }
+
+    #[test]
+    fn attention_combine_refuses_a_shared_link() {
+        for link in ["stack", "product", "unary"] {
+            let p = combine_program(&[UnaryOp::Relu], 0, Some(link));
+            let r = run(&p);
+            assert_eq!(r.edge_combine, 0, "shared {link}");
+            assert_eq!(r.program, p, "shared {link}");
+        }
     }
 }

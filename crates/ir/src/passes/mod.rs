@@ -27,7 +27,7 @@ pub struct OptConfig {
     pub cse: bool,
     /// Pre-processing: hoist sampling-invariant compute onto the full graph.
     pub preprocess: bool,
-    /// Operator fusion (Extract-Select, Edge-Map, Edge-MapReduce).
+    /// Operator fusion (Extract-Select, Edge-Map, Edge-MapReduce, combine).
     pub fusion: bool,
     /// Data-layout selection strategy.
     pub layout: LayoutMode,
@@ -148,6 +148,8 @@ pub struct PassReport {
     pub dce_removed: usize,
     /// Nodes deduplicated by CSE.
     pub cse_merged: usize,
+    /// `Gemm(gather(X), W)` nodes CSE rewrote to `gather(Gemm(X, W))`.
+    pub gather_through_gemm: usize,
     /// Nodes hoisted into the precompute program.
     pub preprocessed: usize,
     /// Extract-Select fusions applied.
@@ -156,6 +158,8 @@ pub struct PassReport {
     pub edge_map_fused: usize,
     /// Edge-map-reduce fusions applied.
     pub edge_map_reduce_fused: usize,
+    /// Attention-combine fusions applied.
+    pub edge_combine_fused: usize,
     /// Layout decisions, if the layout pass ran.
     pub layout: Option<LayoutReport>,
 }
@@ -191,10 +195,9 @@ pub fn run_passes(
 
     if config.cse {
         let mut span = gsampler_obs::span("pass", "cse");
-        let (p, merged) = cse::run(&prog);
-        prog = p;
-        report.cse_merged = merged;
-        span.arg("merged", merged);
+        (prog, report.cse_merged, report.gather_through_gemm) = cse::run(&prog);
+        span.arg("merged", report.cse_merged);
+        span.arg("gather_through_gemm", report.gather_through_gemm);
     }
 
     let mut precompute = Program::new();
@@ -214,9 +217,11 @@ pub fn run_passes(
         report.extract_select_fused = r.extract_select;
         report.edge_map_fused = r.edge_map;
         report.edge_map_reduce_fused = r.edge_map_reduce;
+        report.edge_combine_fused = r.edge_combine;
         span.arg("extract_select", r.extract_select);
         span.arg("edge_map", r.edge_map);
         span.arg("edge_map_reduce", r.edge_map_reduce);
+        span.arg("edge_combine", r.edge_combine);
     }
 
     if config.dce {

@@ -376,7 +376,8 @@ pub fn output_kind(op: &Op) -> ValueKind {
         | Op::CompactCols
         | Op::Convert(..)
         | Op::FusedExtractSelect { .. }
-        | Op::FusedEdgeMap { .. } => ValueKind::Matrix,
+        | Op::FusedEdgeMap { .. }
+        | Op::FusedEdgeCombine { .. } => ValueKind::Matrix,
         Op::InputDense(..)
         | Op::Spmm
         | Op::SpmmT
@@ -497,6 +498,12 @@ fn check_inputs(op: &Op, got: &[ValueKind]) -> Result<(), String> {
             }
             Ok(())
         }
+        Op::FusedEdgeCombine { .. } => match got.split_last() {
+            Some((V::Dense, mats)) if mats.len() >= 2 && mats.iter().all(|&g| g == V::Matrix) => {
+                Ok(())
+            }
+            _ => Err("fused edge-combine expects >= 2 matrices and a dense".to_string()),
+        },
         Op::Precomputed { .. } => expect(&[]),
     }
 }

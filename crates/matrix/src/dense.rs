@@ -5,13 +5,57 @@
 //! ReLU. This module provides the dense half: a row-major `f32` matrix with
 //! exactly the operations those algorithms (and the GNN trainer in
 //! `gsampler-train`) need. It deliberately avoids BLAS bindings to stay
-//! within the sanctioned dependency set; GEMM is partitioned over row
-//! blocks on the shared `gsampler-runtime` worker pool.
+//! within the sanctioned dependency set.
+//!
+//! # GEMM
+//!
+//! [`Dense::matmul`] hands the pool blocks of [`BLOCK_ROWS`] output rows and
+//! fills a block one [`TILE_ROWS`] × [`TILE_COLS`] panel at a time: a panel
+//! accumulates in locals across the whole inner loop, so an output element
+//! is stored once and one loaded `rhs` segment serves four rows.
+//!
+//! The summation order is part of the result (goldens, the eager baseline
+//! and CSE's gather-through-GEMM rewrite pin the bits): every element is
+//! `0.0 + a[i,0]·b[0,j] + a[i,1]·b[1,j] + …` in ascending `k`, whatever the
+//! tiling or thread count. A left element equal to `0.0` is skipped, not
+//! multiplied — the shortcut ReLU activations want — so `0 × inf` and
+//! `0 × NaN` contribute `0`, not `NaN`.
 
 use gsampler_runtime::parallel_scatter;
 
 use crate::error::{Error, Result};
 use crate::par_gate;
+
+/// Output rows per parallel segment of [`Dense::matmul`], and the output
+/// rows × columns of one register panel.
+const BLOCK_ROWS: usize = 64;
+const TILE_ROWS: usize = 4;
+const TILE_COLS: usize = 16;
+
+/// `out[e] = x · y(e)`, each summed left to right from `-0.0` —
+/// `Iterator::sum::<f32>`'s identity; a `+0.0` start misses an all-`-0.0`
+/// dot. The fixed order makes a dot one chain of dependent adds, so the
+/// instruction-level parallelism comes from running four chains abreast.
+#[inline]
+pub(crate) fn dots<'a>(x: &[f32], y: impl Fn(usize) -> &'a [f32], out: &mut [f32]) {
+    let k = x.len();
+    let done = out.len() & !3;
+    for (q, quad) in out.chunks_exact_mut(4).enumerate() {
+        let e = 4 * q;
+        let (y0, y1, y2, y3) = (&y(e)[..k], &y(e + 1)[..k], &y(e + 2)[..k], &y(e + 3)[..k]);
+        let mut acc = [-0.0f32; 4];
+        for j in 0..k {
+            acc[0] += x[j] * y0[j];
+            acc[1] += x[j] * y1[j];
+            acc[2] += x[j] * y2[j];
+            acc[3] += x[j] * y3[j];
+        }
+        quad.copy_from_slice(&acc);
+    }
+    for (e, slot) in out.iter_mut().enumerate().skip(done) {
+        *slot = x.iter().zip(y(e)).fold(-0.0, |acc, (&a, &b)| acc + a * b);
+    }
+}
 
 /// A dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,6 +167,13 @@ impl Dense {
         &mut self.data
     }
 
+    /// Column `c` as a vector (one strided read); panics if `c >= cols`.
+    pub fn column(&self, c: usize) -> Vec<f32> {
+        assert!(c < self.cols, "dense index out of bounds");
+        let strided = self.data.iter().skip(c).step_by(self.cols);
+        strided.copied().collect()
+    }
+
     /// Consume into the row-major buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
@@ -130,25 +181,18 @@ impl Dense {
 
     /// Gather rows by index: `out.row(i) = self.row(idx[i])`.
     pub fn gather_rows(&self, idx: &[u32]) -> Result<Dense> {
-        let mut out = Dense::zeros(idx.len(), self.cols);
-        for (i, &src) in idx.iter().enumerate() {
-            if (src as usize) >= self.rows {
-                return Err(Error::IndexOutOfBounds {
-                    op: "Dense::gather_rows",
-                    index: src as usize,
-                    bound: self.rows,
-                });
-            }
-            out.row_mut(i).copy_from_slice(self.row(src as usize));
+        if let Some(&bad) = idx.iter().find(|&&src| src as usize >= self.rows) {
+            let (op, index, bound) = ("Dense::gather_rows", bad as usize, self.rows);
+            return Err(Error::IndexOutOfBounds { op, index, bound });
         }
-        Ok(out)
+        let mut data = Vec::with_capacity(idx.len() * self.cols);
+        for &src in idx {
+            data.extend_from_slice(self.row(src as usize));
+        }
+        Dense::from_vec(idx.len(), self.cols, data)
     }
 
-    /// Matrix multiplication `self @ rhs`.
-    ///
-    /// Row blocks are computed on the shared worker pool when the product
-    /// is large enough to amortize a parallel region (the emulation-side
-    /// hotspot of the model-driven samplers).
+    /// Matrix multiplication `self @ rhs` (module docs: tiling, fixed order).
     pub fn matmul(&self, rhs: &Dense) -> Result<Dense> {
         if self.cols != rhs.rows {
             return Err(Error::ShapeMismatch {
@@ -158,39 +202,50 @@ impl Dense {
             });
         }
         let mut out = Dense::zeros(self.rows, rhs.cols);
-        let out_cols = rhs.cols;
-        let flops = self.rows * self.cols * out_cols;
-        let offsets: Vec<usize> = (0..=self.rows).map(|r| r * out_cols).collect();
-        parallel_scatter(&mut out.data, &offsets, par_gate(flops), |r, row| {
-            self.matmul_rows(rhs, r..r + 1, row);
+        let n = rhs.cols;
+        let flops = self.rows * self.cols * n;
+        let offsets: Vec<usize> = (0..=self.rows.div_ceil(BLOCK_ROWS))
+            .map(|b| (b * BLOCK_ROWS).min(self.rows) * n)
+            .collect();
+        parallel_scatter(&mut out.data, &offsets, par_gate(flops), |b, block| {
+            for (t, tile) in block.chunks_mut(TILE_ROWS * n.max(1)).enumerate() {
+                let (i, rows) = (b * BLOCK_ROWS + t * TILE_ROWS, tile.len() / n.max(1));
+                for j in (0..n).step_by(TILE_COLS) {
+                    // Constant trip counts keep a full panel in registers.
+                    match (rows, (n - j).min(TILE_COLS)) {
+                        (TILE_ROWS, TILE_COLS) => self.panel(rhs, i, TILE_ROWS, j, TILE_COLS, tile),
+                        (rows, w) => self.panel(rhs, i, rows, j, w, tile),
+                    }
+                }
+            }
         });
         Ok(out)
     }
 
-    /// Compute output rows `range` of `self @ rhs` into `out` (row-major,
-    /// `range.len() * rhs.cols` elements).
-    fn matmul_rows(&self, rhs: &Dense, range: std::ops::Range<usize>, out: &mut [f32]) {
-        let out_cols = rhs.cols;
-        for (oi, i) in range.enumerate() {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
+    /// Rows `i..i + rows`, columns `j..j + w` of `self @ rhs`, into `out[i..]`.
+    #[inline(always)]
+    fn panel(&self, rhs: &Dense, i: usize, rows: usize, j: usize, w: usize, out: &mut [f32]) {
+        let n = rhs.cols;
+        let mut acc = [[0f32; TILE_COLS]; TILE_ROWS];
+        for k in 0..self.cols {
+            let b = &rhs.data[k * n + j..k * n + j + w];
+            for (r, acc) in acc[..rows].iter_mut().enumerate() {
+                let a = self.data[(i + r) * self.cols + k];
                 if a == 0.0 {
                     continue;
                 }
-                let rhs_row = &rhs.data[k * out_cols..(k + 1) * out_cols];
-                let out_row = &mut out[oi * out_cols..(oi + 1) * out_cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
+                for (o, &b) in acc[..w].iter_mut().zip(b) {
                     *o += a * b;
                 }
             }
         }
+        for (r, acc) in acc[..rows].iter().enumerate() {
+            out[r * n + j..r * n + j + w].copy_from_slice(&acc[..w]);
+        }
     }
 
-    /// Matrix multiplication with the transpose of `rhs`: `self @ rhs.T`.
-    ///
-    /// This is the shape PASS uses: `(B @ W) @ (C @ W).T` produces the
-    /// `nrows × ncols` edge-attention matrix. Row-partitioned on the
-    /// shared worker pool like [`Dense::matmul`].
+    /// `self @ rhs.T` (PASS' dense attention, `(B @ W) @ (C @ W).T`): one
+    /// output row per pool segment, each dot in strict order ([`dots`]).
     pub fn matmul_t(&self, rhs: &Dense) -> Result<Dense> {
         if self.cols != rhs.cols {
             return Err(Error::ShapeMismatch {
@@ -203,11 +258,7 @@ impl Dense {
         let flops = self.rows * self.cols * rhs.rows;
         let offsets: Vec<usize> = (0..=self.rows).map(|r| r * rhs.rows).collect();
         parallel_scatter(&mut out.data, &offsets, par_gate(flops), |i, row| {
-            let a_row = self.row(i);
-            for (j, slot) in row.iter_mut().enumerate() {
-                let b_row = rhs.row(j);
-                *slot = a_row.iter().zip(b_row).map(|(&a, &b)| a * b).sum();
-            }
+            dots(self.row(i), |j| rhs.row(j), row);
         });
         Ok(out)
     }

@@ -12,10 +12,12 @@
 //! Plus unary maps ([`unary_op`]) used by model-driven algorithms
 //! (`relu`, `exp`, ...).
 
+use gsampler_runtime::parallel_map;
+
 use crate::dense::Dense;
 use crate::error::{Error, Result};
 use crate::sparse::SparseMatrix;
-use crate::EltOp;
+use crate::{par_gate, EltOp};
 
 /// Unary element-wise function on edge values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -180,6 +182,20 @@ pub fn sparse_op(a: &SparseMatrix, b: &SparseMatrix, op: EltOp) -> Result<Sparse
     Ok(out)
 }
 
+/// The shared edge count of `k >= 1` matrices that claim one pattern.
+fn stacked_nnz(mats: &[&SparseMatrix]) -> Result<usize> {
+    let invalid = |reason: &str| Error::InvalidStructure {
+        reason: format!("stack_edge_values {reason}"),
+    };
+    let first = mats
+        .first()
+        .ok_or_else(|| invalid("needs at least one matrix"))?;
+    let same = |m: &&SparseMatrix| m.nnz() == first.nnz() && m.shape() == first.shape();
+    (mats.iter().all(same))
+        .then_some(first.nnz())
+        .ok_or_else(|| invalid("operands must share shape and nnz"))
+}
+
 /// Stack edge-value vectors of `k` pattern-identical matrices into an
 /// `nnz × k` dense matrix (one row per edge, in `mats[0]`'s storage order).
 ///
@@ -187,25 +203,51 @@ pub fn sparse_op(a: &SparseMatrix, b: &SparseMatrix, op: EltOp) -> Result<Sparse
 /// result feeds a dense projection that maps per-edge attention vectors to
 /// sampling bias.
 pub fn stack_edge_values(mats: &[&SparseMatrix]) -> Result<Dense> {
-    let first = mats.first().ok_or(Error::InvalidStructure {
-        reason: "stack_edge_values needs at least one matrix".to_string(),
-    })?;
-    let nnz = first.nnz();
-    for m in mats {
-        if m.nnz() != nnz || m.shape() != first.shape() {
-            return Err(Error::InvalidStructure {
-                reason: "stack_edge_values operands must share shape and nnz".to_string(),
-            });
-        }
-    }
-    let mut out = Dense::zeros(nnz, mats.len());
-    for (k, m) in mats.iter().enumerate() {
-        let vals = m.values_or_ones();
-        for (i, v) in vals.into_iter().enumerate() {
-            out.set(i, k, v);
+    let (nnz, k) = (stacked_nnz(mats)?, mats.len());
+    let mut out = Dense::zeros(nnz, k);
+    for (ch, m) in mats.iter().enumerate() {
+        let column = out.as_mut_slice().iter_mut().skip(ch).step_by(k);
+        match m.values() {
+            Some(vals) => column.zip(vals).for_each(|(o, &v)| *o = v),
+            None => column.for_each(|o| *o = 1.0),
         }
     }
     Ok(out)
+}
+
+/// PASS' attention combine as one edge-map: `pattern` re-valued with
+/// `unary(Σ_k mats[k][e] · w[k, col])` — what [`stack_edge_values`] →
+/// [`Dense::matmul`] by `w` → the `unary` maps → column `col` computes,
+/// without the stack or the product. The sum runs in stack order from `0.0`
+/// and skips a zero edge value as the GEMM does (same bits); whatever the
+/// chain rejects is rejected here.
+pub fn combine_edge_values(
+    pattern: &SparseMatrix,
+    mats: &[&SparseMatrix],
+    w: &Dense,
+    col: usize,
+    unary: &[UnaryOp],
+) -> Result<SparseMatrix> {
+    let (nnz, k) = (stacked_nnz(mats)?, mats.len());
+    if k != w.nrows() || nnz != pattern.nnz() || col >= w.ncols() {
+        let (shape, edges) = (w.shape(), pattern.nnz());
+        let reason = format!("{nnz}x{k} edge values by {shape:?}, column {col}, onto nnz {edges}");
+        return Err(Error::InvalidStructure { reason });
+    }
+    let channels: Vec<(Option<&[f32]>, f32)> = (mats.iter().enumerate())
+        .map(|(ch, m)| (m.values(), w.get(ch, col)))
+        .collect();
+    let values = parallel_map(nnz, par_gate(nnz.saturating_mul(k)), |e| {
+        let mut acc = 0f32;
+        for &(vals, weight) in &channels {
+            let a = vals.map_or(1.0, |v| v[e]);
+            if a != 0.0 {
+                acc += a * weight;
+            }
+        }
+        unary.iter().fold(acc, |x, op| op.apply(x))
+    });
+    Ok(pattern.with_values(values))
 }
 
 #[cfg(test)]

@@ -621,8 +621,7 @@ mod tests {
         // Column 0 with one overwhelmingly heavy edge: it must virtually
         // always be selected.
         let m = SparseMatrix::Csc(Csc::new(4, 1, vec![0, 4], vec![0, 1, 2, 3], None).unwrap());
-        let mut probs = m.clone();
-        probs.set_values(vec![1e-6, 1e-6, 1e-6, 1.0]);
+        let probs = m.with_values(vec![1e-6, 1e-6, 1e-6, 1.0]);
         let mut hit = 0;
         for seed in 0..50 {
             let out = individual_sample_seeded(&m, 1, Some(&probs), &RngPool::new(seed)).unwrap();

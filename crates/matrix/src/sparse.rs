@@ -130,18 +130,25 @@ impl SparseMatrix {
         slot.get_or_insert_with(|| vec![1.0; nnz])
     }
 
-    /// Replace the edge values wholesale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != self.nnz()`; callers construct aligned
-    /// vectors, so a mismatch is an internal bug.
-    pub fn set_values(&mut self, values: Vec<f32>) {
+    /// This matrix's structure with `values` as its edge values — what a
+    /// pattern-preserving kernel returns: the index arrays are copied once,
+    /// the old values never. Panics (a bug) if `values.len() != self.nnz()`.
+    pub fn with_values(&self, values: Vec<f32>) -> SparseMatrix {
         assert_eq!(values.len(), self.nnz(), "value vector must match nnz");
+        let values = Some(values);
         match self {
-            SparseMatrix::Csc(m) => m.values = Some(values),
-            SparseMatrix::Csr(m) => m.values = Some(values),
-            SparseMatrix::Coo(m) => m.values = Some(values),
+            SparseMatrix::Coo(m) => SparseMatrix::Coo(Coo {
+                nrows: m.nrows,
+                ncols: m.ncols,
+                rows: m.rows.clone(),
+                cols: m.cols.clone(),
+                values,
+            }),
+            _ => {
+                let (axis, (indptr, indices, _)) = self.compressed().expect("CSC or CSR");
+                let parts = (indptr.to_vec(), indices.to_vec(), values);
+                Self::from_compressed(axis, self.shape(), parts)
+            }
         }
     }
 
@@ -432,8 +439,7 @@ mod tests {
 
     #[test]
     fn set_and_clear_values() {
-        let mut m = sample();
-        m.set_values(vec![0.5; 6]);
+        let mut m = sample().with_values(vec![0.5; 6]);
         assert_eq!(m.values().unwrap()[3], 0.5);
         m.clear_values();
         assert!(!m.is_weighted());
@@ -443,7 +449,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "value vector must match nnz")]
     fn set_values_wrong_length_panics() {
-        let mut m = sample();
-        m.set_values(vec![1.0; 3]);
+        let _ = sample().with_values(vec![1.0; 3]);
     }
 }

@@ -40,11 +40,11 @@ use gsampler_runtime::{parallel_map, parallel_scatter};
 
 use crate::csc::Csc;
 use crate::csr::Csr;
-use crate::dense::Dense;
+use crate::dense::{dots, Dense};
 use crate::error::{Error, Result};
 use crate::par_gate;
 use crate::sparse::SparseMatrix;
-use crate::NodeId;
+use crate::{Axis, NodeId};
 
 /// Output rows per blocked-traversal tile (one scatter segment). Block
 /// reuse only happens *within* a tile — a block's dense rows must be
@@ -509,40 +509,74 @@ fn probe_ns_per_access(bytes: usize) -> f64 {
 /// `pattern.ncols()` rows; both must share the feature dimension.
 pub fn sddmm(pattern: &SparseMatrix, b: &Dense, c: &Dense) -> Result<SparseMatrix> {
     if b.nrows() != pattern.nrows() {
-        return Err(Error::ShapeMismatch {
-            op: "sddmm lhs rows",
-            lhs: pattern.shape(),
-            rhs: b.shape(),
-        });
+        return shape_error("sddmm lhs rows", pattern.shape(), b);
     }
+    sddmm_by_id(pattern, None, pattern.nrows(), b, c)
+}
+
+fn shape_error<T>(op: &'static str, lhs: (usize, usize), rhs: &Dense) -> Result<T> {
+    let rhs = rhs.shape();
+    Err(Error::ShapeMismatch { op, lhs, rhs })
+}
+
+/// [`sddmm`] with `B` indexed by each row's *global* ID — `row_ids[r]`, or
+/// `r` without a table — so a compacted sub-matrix reads a full-graph table
+/// directly and a block-diagonal super-batched one through `id mod period`
+/// (only a table of exactly `period` rows wraps); an edge whose row the
+/// table cannot serve is the `"sddmm lhs rows"` shape error.
+///
+/// The one SDDMM (`Op::Sddmm`, the eager baseline and [`sddmm`] run it), in
+/// the storage it is handed: a CSC / CSR segment fixes one operand row (the
+/// column's `C` row, the row's `B` row), gathers the other and writes its
+/// dots into the output values on the pool ([`dots`]: strict order from
+/// `-0.0`, four edges abreast); COO is one task per edge.
+pub fn sddmm_by_id(
+    pattern: &SparseMatrix,
+    row_ids: Option<&[NodeId]>,
+    period: usize,
+    b: &Dense,
+    c: &Dense,
+) -> Result<SparseMatrix> {
     if c.nrows() != pattern.ncols() {
-        return Err(Error::ShapeMismatch {
-            op: "sddmm rhs rows",
-            lhs: pattern.shape(),
-            rhs: c.shape(),
-        });
+        return shape_error("sddmm rhs rows", pattern.shape(), c);
     }
     if b.ncols() != c.ncols() {
-        return Err(Error::ShapeMismatch {
-            op: "sddmm feature dims",
-            lhs: b.shape(),
-            rhs: c.shape(),
-        });
+        return shape_error("sddmm feature dims", b.shape(), c);
     }
-    // Materialize the edge list once (storage order), then compute all dot
-    // products edge-parallel on the pool.
-    let edges: Vec<(u32, u32)> = pattern.iter_edges().map(|(r, c, _)| (r, c)).collect();
-    let feat = b.ncols();
-    let min_chunk = par_gate(edges.len().saturating_mul(feat));
-    let dots: Vec<f32> = parallel_map(edges.len(), min_chunk, |e| {
-        let (r, ccol) = edges[e];
-        let br = b.row(r as usize);
-        let cr = c.row(ccol as usize);
-        br.iter().zip(cr).map(|(&x, &y)| x * y).sum()
-    });
-    let mut out = pattern.clone();
-    out.set_values(dots);
-    Ok(out)
+    let bn = b.nrows();
+    let id = |r: usize| row_ids.map_or(r, |ids| ids[r] as usize);
+    // Only a table of `period` rows wraps; any other must hold the row of
+    // every edge (a row without edges may carry any ID).
+    let mut served = true;
+    if bn != period || bn == 0 {
+        let rows = pattern.edge_index(Axis::Row);
+        rows.for_each(|r, _| served &= id(r) < bn);
+    }
+    if !served {
+        return shape_error("sddmm lhs rows", pattern.shape(), b);
+    }
+    let lhs = |r: usize| b.row(if id(r) < bn { id(r) } else { id(r) % bn.max(1) });
+    let min_items = par_gate(pattern.nnz().saturating_mul(b.ncols()));
+    let values = match (pattern.compressed(), pattern) {
+        (Some((axis, (indptr, indices, _))), _) => {
+            let mut values = vec![0f32; pattern.nnz()];
+            parallel_scatter(&mut values, indptr, min_items, |seg, out| {
+                let ids = &indices[indptr[seg]..indptr[seg + 1]];
+                match axis {
+                    _ if ids.is_empty() => {}
+                    Axis::Col => dots(c.row(seg), |e| lhs(ids[e] as usize), out),
+                    Axis::Row => dots(lhs(seg), |e| c.row(ids[e] as usize), out),
+                }
+            });
+            values
+        }
+        (None, SparseMatrix::Coo(m)) => parallel_map(m.nnz(), min_items, |e| {
+            let (x, y) = (lhs(m.rows[e] as usize), c.row(m.cols[e] as usize));
+            x.iter().zip(y).fold(-0.0, |dot, (&x, &y)| dot + x * y)
+        }),
+        (None, _) => unreachable!("only COO has no compressed axis"),
+    };
+    Ok(pattern.with_values(values))
 }
 
 #[cfg(test)]

@@ -582,3 +582,144 @@ fn large_fanout_pick_matches_the_reference_at_its_cost() {
         "pick {pick_time:?} vs reference {reference_time:?}"
     );
 }
+
+/// `f32` slices compared bit for bit.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A `rows × cols` table of small values; `special(r, c)` overrides cells.
+fn table(
+    rows: usize,
+    cols: usize,
+    seed: u64,
+    special: impl Fn(usize, usize) -> Option<f32>,
+) -> Dense {
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut d = Dense::random(rows, cols, 2.0, &mut rng);
+    for r in 0..rows {
+        for c in 0..cols {
+            if let Some(v) = special(r, c) {
+                d.set(r, c, v);
+            }
+        }
+    }
+    d
+}
+
+/// The one SDDMM against what the serial kernel it replaced computed — a
+/// boxed edge walk in storage order, the row's global ID looked up per
+/// edge, each dot a plain `.sum()` — on every format, ID space and feature
+/// width, bit for bit. The pattern is large enough (about 1,500 edges) that
+/// the wider feature dims take the pooled path, so running the suite at
+/// `GSAMPLER_THREADS` 1 and 2 (ci.sh does) checks both.
+#[test]
+fn sddmm_matches_the_serial_edge_walk_bit_for_bit() {
+    use rand::SeedableRng;
+    let (nrows, ncols, period) = (60usize, 50usize, 200usize);
+    let mut rng = StdRng::seed_from_u64(5);
+    let edges: Vec<Edge> = (0..nrows * ncols)
+        .filter(|_| rng.gen_range(0..2) == 0)
+        .map(|i| ((i / ncols) as NodeId, (i % ncols) as NodeId, 1.0))
+        .collect();
+    let compacted: Vec<NodeId> = (0..nrows as NodeId).map(|r| 3 * r + 1).collect();
+    let blocks: Vec<NodeId> = (compacted.iter().zip(0..))
+        .map(|(&id, r): (_, NodeId)| id + (r / 15) * period as NodeId)
+        .collect();
+    // (row IDs, rows of the left table): identity, compacted IDs into a
+    // full-graph table, block IDs that wrap into it mod `period`.
+    let spaces = [
+        (None, nrows),
+        (Some(&compacted), period),
+        (Some(&blocks), period),
+    ];
+    for fmt in Format::ALL {
+        let m = raw_matrix((nrows, ncols), &edges, fmt, true);
+        for (row_ids, table_rows) in spaces {
+            for dim in [0usize, 1, 3, 16, 17] {
+                // Rows of negative zeros on either side: their dots are
+                // `-0.0`, which only a sum started at `-0.0` reproduces.
+                let b = table(table_rows, dim, 7, |r, _| (r % 9 == 1).then_some(-0.0));
+                let c = table(ncols, dim, 8, |r, _| (r % 7 == 2).then_some(-0.0));
+                let want: Vec<f32> = (m.iter_edges())
+                    .map(|(r, col, _)| {
+                        let g = row_ids.map_or(r, |ids| ids[r as usize]) as usize;
+                        let br = b.row(if g < table_rows { g } else { g % table_rows });
+                        br.iter()
+                            .zip(c.row(col as usize))
+                            .map(|(&x, &y)| x * y)
+                            .sum()
+                    })
+                    .collect();
+                let ids = row_ids.map(|ids| ids.as_slice());
+                let got = spmm::sddmm_by_id(&m, ids, period, &b, &c).unwrap();
+                let what = format!("{fmt:?} ids={} dim={dim}", row_ids.is_some());
+                assert_eq!(got.format(), fmt, "{what}");
+                assert_eq!(storage_edges(&got).len(), edges.len(), "{what}");
+                assert_eq!(bits(got.values().unwrap()), bits(&want), "{what}");
+                if row_ids.is_none() {
+                    assert_eq!(spmm::sddmm(&m, &b, &c).unwrap(), got, "{what}");
+                }
+            }
+        }
+        // Without the wrap (the table is not `period` rows), a row ID
+        // beyond the table is the typed error, not a panic — unless no
+        // edge sits in that row.
+        let (b, c) = (Dense::zeros(period, 4), Dense::zeros(ncols, 4));
+        let err = spmm::sddmm_by_id(&m, Some(&blocks), period + 1, &b, &c).unwrap_err();
+        let lhs_rows = gsampler_matrix::Error::ShapeMismatch {
+            op: "sddmm lhs rows",
+            lhs: (nrows, ncols),
+            rhs: (period, 4),
+        };
+        assert_eq!(err, lhs_rows);
+        let one_row: Vec<Edge> = edges.iter().copied().filter(|e| e.0 == 0).collect();
+        let sparse = raw_matrix((nrows, ncols), &one_row, fmt, false);
+        assert!(spmm::sddmm_by_id(&sparse, Some(&blocks), period + 1, &b, &c).is_ok());
+        let empty = raw_matrix((nrows, ncols), &[], fmt, false);
+        assert!(spmm::sddmm_by_id(&empty, None, 0, &Dense::zeros(0, 4), &c).is_ok());
+    }
+}
+
+/// The tiled GEMM and the interleaved `matmul_t` against the naive loops
+/// (ascending `k`, zero left elements skipped; a plain `.sum()` per dot)
+/// on every ragged shape around the 4 × 16 panel and the 64-row block, with
+/// zeros and a NaN in the left operand.
+#[test]
+fn dense_products_match_the_naive_loops_bit_for_bit() {
+    for rows in [0usize, 1, 3, 4, 5, 63, 64, 65, 130] {
+        for inner in [0usize, 1, 7, 100] {
+            for cols in [1usize, 3, 15, 16, 17, 33] {
+                let a = table(rows, inner, 1, |r, c| match (r + 3 * c) % 11 {
+                    0 => Some(0.0),
+                    5 if r == 2 => Some(f32::NAN),
+                    _ => None,
+                });
+                let b = table(inner, cols, 2, |_, _| None);
+                let mut want = vec![0f32; rows * cols];
+                for i in 0..rows {
+                    for k in (0..inner).filter(|&k| a.get(i, k) != 0.0) {
+                        for j in 0..cols {
+                            want[i * cols + j] += a.get(i, k) * b.get(k, j);
+                        }
+                    }
+                }
+                let got = a.matmul(&b).unwrap();
+                let what = format!("{rows}x{inner}x{cols}");
+                assert_eq!(got.shape(), (rows, cols), "{what}");
+                assert_eq!(bits(got.as_slice()), bits(&want), "matmul {what}");
+
+                let bt = b.transpose();
+                let want_t: Vec<f32> = (0..rows * cols)
+                    .map(|i| {
+                        let (x, y) = (a.row(i / cols), bt.row(i % cols));
+                        x.iter().zip(y).map(|(&x, &y)| x * y).sum()
+                    })
+                    .collect();
+                let got_t = a.matmul_t(&bt).unwrap();
+                assert_eq!(bits(got_t.as_slice()), bits(&want_t), "matmul_t {what}");
+            }
+        }
+    }
+}
