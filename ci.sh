@@ -152,6 +152,11 @@ test -z "$(non_test crates/matrix/src/reduce.rs | grep 'iter_edges()')"
 test -z "$(non_test crates/matrix/src/broadcast.rs | grep 'iter_edges()')"
 test "$(grep -c 'fn collective_sample_segments' crates/matrix/src/sample.rs)" -eq 1
 test "$(grep -rn 'weighted_sample_without_replacement_seeded(' crates/matrix/src crates/core/src | wc -l)" -eq 2
+# The fused collective selects with that one selector and writes through
+# the one gather; pre-processing does sink LADIES' `A ** 2`.
+test "$(grep -rn 'fn collective_select(' crates/matrix/src crates/core/src | wc -l)" -eq 1
+test "$(grep -rn 'fn gather_cols' crates/matrix/src crates/core/src | wc -l)" -eq 1
+test -z "$(non_test crates/ir/src/passes/preprocess.rs | grep 'not implemented')"
 # The model-driven path has one SDDMM (`spmm::sddmm_by_id`; `sddmm(pattern`
 # is its identity-ID entry and `Mat::sddmm` the builder method) that walks
 # no boxed edge iterator and clones no old values; a named input is a

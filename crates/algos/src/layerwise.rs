@@ -8,8 +8,8 @@ use gsampler_core::Axis;
 /// weights are debiased by the selection probability and re-normalized per
 /// frontier for unbiased gradient estimation.
 ///
-/// With pre-processing on, `A ** 2` hoists onto the full graph; with
-/// fusion on, the final divide + column sum fuse into one kernel.
+/// Pre-processing sinks `A ** 2` below the slice and hoists it onto the
+/// full graph; fusion then samples without building the slice at all.
 pub fn ladies_layer(width: usize) -> Layer {
     let b = LayerBuilder::new();
     let a = b.graph();

@@ -430,7 +430,7 @@ fn plan_layers(
     pool: &RngPool,
 ) -> Result<(Vec<CompiledLayer>, usize)> {
     let stats = graph.stats();
-    let mut compiled = Vec::with_capacity(layers.len());
+    let mut compiled: Vec<CompiledLayer> = Vec::with_capacity(layers.len());
     for (li, layer) in layers.into_iter().enumerate() {
         layer.program.validate().map_err(Error::InvalidProgram)?;
         let optimized = Arc::new(run_passes(
@@ -441,9 +441,18 @@ fn plan_layers(
             device.cost_model(),
             graph.residency,
         ));
-        // Evaluate the batch-invariant program once, at compile time.
+        // Evaluate the batch-invariant program once, at compile time — and
+        // once across layers: a layer whose precompute program equals an
+        // earlier layer's shares its values (LADIES' `A ** 2`).
+        let earlier = compiled
+            .iter()
+            .find(|c| c.optimized.precompute == optimized.precompute);
         let precomputed: Vec<Arc<Value>> = if optimized.precompute.is_empty() {
             Vec::new()
+        } else if let Some(earlier) = earlier {
+            let mut span = gsampler_obs::span("compile", "precompute");
+            span.arg("reused", true);
+            earlier.precomputed.clone()
         } else {
             let _span = gsampler_obs::span("compile", "precompute");
             let mut rng = pool.stream(0xF0 + li as u64);

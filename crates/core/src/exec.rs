@@ -92,7 +92,9 @@ pub fn superbatch_compatible(program: &Program) -> bool {
     let frontier_cols = |mut id: usize| loop {
         let n = &nodes[id];
         match n.op {
-            Op::SliceCols | Op::FusedExtractSelect { .. } => return by_frontiers(n),
+            Op::SliceCols | Op::FusedExtractSelect { .. } | Op::FusedExtractCollective { .. } => {
+                return by_frontiers(n)
+            }
             Op::CompactCols => return false,
             _ => match n.inputs.first() {
                 Some(&p) => id = p,
@@ -101,7 +103,11 @@ pub fn superbatch_compatible(program: &Program) -> bool {
         }
     };
     nodes.iter().all(|node| match node.op {
-        Op::SliceCols | Op::SliceRows | Op::FusedExtractSelect { .. } => by_frontiers(node),
+        Op::SliceCols
+        | Op::SliceRows
+        | Op::FusedExtractSelect { .. }
+        | Op::FusedExtractCollective { .. }
+        | Op::FusedExtractReduce { .. } => by_frontiers(node),
         Op::IndividualSample { .. } => frontier_cols(node.inputs[0]),
         Op::InduceSubgraph | Op::ReduceAll(..) | Op::SpmmT => false,
         _ => true,

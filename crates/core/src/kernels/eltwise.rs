@@ -145,55 +145,47 @@ pub fn apply_steps(
 ///
 /// A vector as long as `source` has rows is aligned with them (LADIES'
 /// `row_probs`, reduced from `source`): a sampled row reads it at its
-/// position in `source`'s row space. Any other vector is node-indexed
-/// (FastGCN's `degrees`) and is read by global ID with [`fit_row_vector`]'s
-/// wrap, as `collective_sample` read it when it drew the rows.
-///
-/// The position of a global ID is found by binary search in a sorted
-/// index of `source.row_ids`: the list itself when it is strictly
-/// ascending (it always is after `compact_rows`; one O(R) check),
-/// otherwise its positions stably sorted by ID, the last duplicate
-/// winning.
-pub fn gather_row_bias(v: &[f32], sampled: &GraphMatrix, source: &GraphMatrix) -> Result<Value> {
+/// position in `source`'s row space. Any other vector — every vector when
+/// there is no source — is node-indexed (FastGCN's `degrees`, an
+/// extract-reduce) and is read by global ID with [`fit_row_vector`]'s
+/// wrap, as `collective_sample` read it when it drew the rows. A global
+/// ID's position is its own without row IDs, else read from a flat table
+/// over them (the last duplicate winning).
+pub fn gather_row_bias(
+    v: &[f32],
+    sampled: &GraphMatrix,
+    source: Option<&GraphMatrix>,
+) -> Result<Value> {
     let nrows = sampled.shape().0;
-    if v.len() != source.shape().0 {
+    let Some(source) = source.filter(|s| s.shape().0 == v.len()) else {
         if v.is_empty() && nrows > 0 {
             let empty = "gather_row_bias: empty bias vector".to_string();
             return Err(Error::Execution(empty));
         }
         let by_id = |r| v[sampled.global_row(r) as usize % v.len()];
         return Ok(Value::Vector((0..nrows).map(by_id).collect()));
-    }
-    let ids = source.row_ids.as_deref();
-    let by_id: Option<Vec<usize>> =
-        ids.filter(|ids| !ids.windows(2).all(|w| w[0] < w[1]))
-            .map(|ids| {
-                let mut order: Vec<usize> = (0..ids.len()).collect();
-                order.sort_by_key(|&i| ids[i]);
-                order
-            });
-    let lookup = |g: NodeId| -> Option<usize> {
-        let Some(ids) = ids else {
-            return ((g as usize) < source.shape().0).then_some(g as usize);
-        };
-        // Last position whose ID is `<= g`, in ID order.
-        let pos = match &by_id {
-            None => ids.partition_point(|&id| id <= g).checked_sub(1)?,
-            Some(order) => order[order.partition_point(|&i| ids[i] <= g).checked_sub(1)?],
-        };
-        (ids[pos] == g).then_some(pos)
     };
-    let mut out = Vec::with_capacity(nrows);
-    for r in 0..nrows {
+    let table = source.row_ids.as_deref().map(|ids| {
+        let mut at = vec![usize::MAX; ids.iter().max().map_or(0, |&g| g as usize + 1)];
+        ids.iter()
+            .enumerate()
+            .for_each(|(pos, &g)| at[g as usize] = pos);
+        at
+    });
+    let at = |g: usize| table.as_ref().map_or(Some(g), |at| at.get(g).copied());
+    let lookup = |r| {
         let g = sampled.global_row(r);
-        let pos = lookup(g).ok_or_else(|| {
+        let pos = at(g as usize).filter(|&pos| pos < v.len());
+        pos.map(|pos| v[pos]).ok_or_else(|| {
             Error::Execution(format!(
                 "gather_row_bias: row {g} missing from source space"
             ))
-        })?;
-        out.push(v[pos]);
-    }
-    Ok(Value::Vector(out))
+        })
+    };
+    (0..nrows)
+        .map(lookup)
+        .collect::<Result<_>>()
+        .map(Value::Vector)
 }
 
 pub(super) fn want_matrix<'v>(v: &'v Value, what: &str) -> Result<&'v GraphMatrix> {
@@ -314,8 +306,24 @@ pub(super) fn run(
         Op::GatherRowBias => {
             let v = want_vector(inputs[0], "gather_row_bias")?;
             let sampled = want_matrix(inputs[1], "gather_row_bias")?;
-            let source = want_matrix(inputs[2], "gather_row_bias")?;
-            gather_row_bias(v, sampled, source)
+            let source = inputs.get(2).map(|s| want_matrix(s, "gather_row_bias"));
+            gather_row_bias(v, sampled, source.transpose()?)
+        }
+        Op::FusedExtractReduce { reduce: rop } => {
+            // Each group folds its own columns onto its own block of rows.
+            let m = want_matrix(inputs[0], "fused_extract_reduce")?;
+            let csc = m.data.csc();
+            ctx.check_frontiers(csc.ncols, "fused_extract_reduce")?;
+            let (cols, block) = (ctx.concat_frontiers, ctx.s > 1 && csc.nrows == ctx.n);
+            let groups = if block {
+                ctx.col_offsets
+            } else {
+                &[0, cols.len()]
+            };
+            let value_of = |e: usize| csc.values.as_ref().map_or(1.0, |v| v[e]);
+            Ok(Value::Vector(reduce::reduce_col_groups(
+                &csc, cols, groups, *rop, value_of,
+            )))
         }
         Op::AlignRowVector => {
             let v = want_vector(inputs[0], "align_row_vector")?;
@@ -444,14 +452,14 @@ mod tests {
             let map: HashMap<NodeId, usize> =
                 known.iter().enumerate().map(|(i, &g)| (g, i)).collect();
             let want: Vec<f32> = (0..4).map(|r| bias[map[&sampled.global_row(r)]]).collect();
-            let got = gather_row_bias(&bias, &sampled, &source).unwrap();
+            let got = gather_row_bias(&bias, &sampled, Some(&source)).unwrap();
             assert_eq!(got.as_vector().unwrap(), &want[..], "source rows {ids:?}");
 
             // Below, between and above the known IDs: a typed error.
             for absent in [0, 41, 99] {
                 let known_id = known.contains(&absent);
                 sampled.row_ids = Some(Arc::new(vec![known[1], absent, known[1], known[1]]));
-                let out = gather_row_bias(&bias, &sampled, &source);
+                let out = gather_row_bias(&bias, &sampled, Some(&source));
                 assert_eq!(out.is_ok(), known_id, "row {absent} in {ids:?}");
                 if let Err(e) = out {
                     assert!(e.to_string().contains("missing from source space"));

@@ -140,6 +140,7 @@ fn resolve(op: &Op) -> (&'static str, RunFn) {
         | Op::IndividualSample { .. }
         | Op::CollectiveSample { .. }
         | Op::FusedExtractSelect { .. }
+        | Op::FusedExtractCollective { .. }
         | Op::Convert(..)
         | Op::CompactRows
         | Op::CompactCols
@@ -175,7 +176,8 @@ fn resolve(op: &Op) -> (&'static str, RunFn) {
         | Op::GatherRowBias
         | Op::AlignRowVector
         | Op::FusedEdgeMap { .. }
-        | Op::FusedEdgeMapReduce { .. } => ("eltwise", eltwise::run),
+        | Op::FusedEdgeMapReduce { .. }
+        | Op::FusedExtractReduce { .. } => ("eltwise", eltwise::run),
 
         Op::NextWalkFrontier | Op::Node2VecBias { .. } => ("walk", walk::run),
     }
@@ -269,8 +271,9 @@ pub fn dispatch(
     // a partial-residency plan, count which of *these* frontiers'
     // adjacency lists were pinned — the observed per-batch hit rate, not
     // the planner's byte-weighted prediction. Super-batched frontiers
-    // arrive in block space (id + group × n); `% n` maps them back.
-    if graph_input_resident {
+    // arrive in block space (id + group × n); `% n` maps them back. An
+    // extract-reduce re-reads the frontier list its layer's extract counts.
+    if graph_input_resident && !matches!(op, Op::FusedExtractReduce { .. }) {
         if let Some(plan) = ctx.graph.cache_plan() {
             if let Some(nodes) = inputs.iter().find_map(|v| v.as_nodes()) {
                 let n = ctx.n.max(1);

@@ -101,6 +101,11 @@ pub(super) fn run(
             };
             superbatch::segmented_collective_sample(m, *k, probs, ctx, rngs)
         }
+        Op::FusedExtractCollective { k } => {
+            let m = want_matrix(inputs[0], "fused_extract_collective")?;
+            let probs = want_vector(inputs[2], "fused_extract_collective probs")?;
+            superbatch::fused_extract_collective(m, *k, probs, ctx, rngs)
+        }
         Op::FusedExtractSelect { k, replace } => {
             let m = want_matrix(inputs[0], "fused_extract_select")?;
             fused_extract_select(m, *k, *replace, ctx, rngs)

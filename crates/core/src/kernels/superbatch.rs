@@ -7,9 +7,10 @@
 //! uses: `gather_block` is the matrix crate's `slice::gather_cols` with
 //! this layout's row count and per-column `b·N` offsets — what both extract
 //! kernels (`segmented_slice_cols`, `fused_extract_select`) write through —
-//! and collective sampling is `sample::collective_sample_segments` with one
-//! segment per group. Each group draws from its own RNG stream, which is what keeps
-//! seeded outputs bit-identical across batch modes and thread counts.
+//! and collective sampling is `sample::collective_select` with one segment
+//! per group, sliced or (`fused_extract_collective`) read from the graph.
+//! Each group draws from its own RNG stream, which is what keeps seeded
+//! outputs bit-identical across batch modes and thread counts.
 //!
 //! [`split_outputs`] *un-blocks* at program exit: group `b`'s share of an
 //! output matrix is the diagonal block it already is — columns
@@ -23,7 +24,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use gsampler_ir::{Op, Program};
-use gsampler_matrix::sample::collective_sample_segments;
+use gsampler_matrix::sample::{self, collective_sample_segments, collective_select};
 use gsampler_matrix::{convert, slice, Coo, Csc, GraphMatrix, NodeId, SparseMatrix};
 use rand::rngs::StdRng;
 
@@ -46,7 +47,11 @@ pub(super) fn gather_block<I: Iterator<Item = usize>>(
     positions: impl Fn(usize, Range<usize>) -> I + Sync,
 ) -> Csc {
     let nrows = if ctx.s > 1 { ctx.n * ctx.s } else { csc.nrows };
-    slice::gather_cols(csc, nrows, indptr, positions, |c| ctx.row_offset(c))
+    let lift = |c| {
+        let offset = ctx.row_offset(c);
+        move |r| r + offset
+    };
+    slice::gather_cols(csc, nrows, indptr, positions, lift)
 }
 
 /// Segmented (block-diagonal) column extraction from a base-space matrix:
@@ -80,19 +85,60 @@ pub fn segmented_collective_sample(
     rngs: &mut [StdRng],
 ) -> Result<Value> {
     let weights = probs.map(|p| fit_row_vector(m, p));
-    let segments = ctx.s.max(1);
-    let segment_of = |r: usize| match segments {
-        1 => 0,
-        _ => (m.global_row(r) as usize / ctx.n).min(segments - 1),
+    let pools = segment_subpools(rngs, ctx.s.max(1))?;
+    let runs = segment_runs(m, ctx)?;
+    let sample = collective_sample_segments(&m.data, k, weights.as_deref(), &runs, &pools)?;
+    Ok(selected(m, sample.matrix, &sample.rows))
+}
+
+/// Group `b`'s rows (global IDs `b·N..(b+1)·N`) as runs: arithmetic (the
+/// last group also takes rows past `S·N`), or [`row_runs`] over row IDs.
+fn segment_runs(rows: &GraphMatrix, ctx: &ExecCtx<'_>) -> Result<Vec<usize>> {
+    let (nrows, s) = (rows.shape().0, ctx.s.max(1));
+    let starts = (0..s).map(|b| nrows.min(b * ctx.n));
+    match &rows.row_ids {
+        Some(ids) if s > 1 => row_runs(ids, ctx.n, s),
+        _ => Ok(starts.chain([nrows]).collect()),
+    }
+}
+
+/// The rows `picked` of `rows`' row space, stored as `data`.
+fn selected(rows: &GraphMatrix, data: SparseMatrix, picked: &[NodeId]) -> Value {
+    let globals = picked.iter().map(|&r| rows.global_row(r as usize));
+    let (row_ids, col_ids) = (Some(Arc::new(globals.collect())), rows.col_ids.clone());
+    Value::Matrix(GraphMatrix {
+        data,
+        row_ids,
+        col_ids,
+    })
+}
+
+/// `CollectiveSample(SliceCols(m, frontiers), probs)` without the slice:
+/// the one selector draws in a column-less stand-in for the extract's rows
+/// (`S·N` block rows, else `m`'s), then only the selected rows' edges are
+/// written, from `m`'s frontier columns.
+pub fn fused_extract_collective(
+    m: &GraphMatrix,
+    k: usize,
+    probs: &[f32],
+    ctx: &ExecCtx<'_>,
+    rngs: &mut [StdRng],
+) -> Result<Value> {
+    let (csc, cols) = (m.data.csc(), ctx.concat_frontiers);
+    ctx.check_frontiers(csc.ncols, "fused_extract_collective")?;
+    let block = ctx.s > 1 && csc.nrows == ctx.n;
+    let rows = GraphMatrix {
+        data: SparseMatrix::Csc(Csc::empty(if block { ctx.n * ctx.s } else { csc.nrows }, 0)),
+        row_ids: m.row_ids.clone().filter(|_| !block),
+        col_ids: Some(Arc::new(cols.to_vec())),
     };
-    let pools = segment_subpools(rngs, segments)?;
-    let sample = collective_sample_segments(&m.data, k, weights.as_deref(), segment_of, &pools)?;
-    let globals = sample.rows.iter().map(|&r| m.global_row(r as usize));
-    Ok(Value::Matrix(GraphMatrix {
-        data: sample.matrix,
-        row_ids: Some(Arc::new(globals.collect())),
-        col_ids: m.col_ids.clone(),
-    }))
+    let pools = segment_subpools(rngs, ctx.s.max(1))?;
+    let weights = fit_row_vector(&rows, probs);
+    let picked = collective_select(&weights, k, &segment_runs(&rows, ctx)?, &pools)?;
+    let lift = |c| if block { ctx.row_offset(c) } else { 0 };
+    let out = sample::gather_selected_rows(&csc, cols, lift, rows.shape().0, &picked);
+    let data = SparseMatrix::Csc(out).into_format(m.data.format());
+    Ok(selected(&rows, data, &picked))
 }
 
 /// Per-program-node dataflow analysis: `true` means the node's value is
@@ -116,7 +162,7 @@ pub fn block_space(program: &Program) -> Vec<bool> {
             // Segmented extraction lifts base-space columns into block
             // rows; slicing a block matrix's columns keeps its row space.
             Op::SliceCols => matches!(nodes[node.inputs[0]].op, Op::InputGraph) || inherit(0),
-            Op::FusedExtractSelect { .. } => true,
+            Op::FusedExtractSelect { .. } | Op::FusedExtractCollective { .. } => true,
             // Row-space-preserving operators (select, compute, compact,
             // convert) propagate the property from their matrix input.
             Op::IndividualSample { .. }
@@ -226,7 +272,8 @@ fn unblock(value: Arc<Value>, proven: bool, ctx: &ExecCtx<'_>) -> Result<Vec<Val
     })
 }
 
-/// Row runs from a block-space row-id table. Programs compact and
+/// Row runs from a block-space row-id table — an output's groups, and the
+/// segments a collective sample selects in. Programs compact and
 /// row-select in block space keeping rows ascending, hence grouped.
 fn row_runs(ids: &[NodeId], n: usize, s: usize) -> Result<Vec<usize>> {
     let mut runs = vec![0usize; s + 1];

@@ -826,11 +826,17 @@ fn model_driven_samplers_agree_across_every_ablation() {
     // The fused attention combine against its unfused chain (`no-fusion`,
     // `plain`), the gather moved through the GEMM against the recomputed
     // product (`no-cse`, `plain`), with and without DCE and under every
-    // layout: the same sample, value for value.
+    // layout: the same sample, value for value. The layer-wise samplers
+    // likewise: the fused extracts against the slice chains.
     let graph = cliques_graph(true, 4);
     let bindings = model_bindings();
     let frontiers = [0, 9, 17, 33, 63, 65];
-    for (what, layer) in [("PASS", pass_layer(3)), ("AS-GCN", asgcn_layer(6))] {
+    for (what, layer) in [
+        ("PASS", pass_layer(3)),
+        ("AS-GCN", asgcn_layer(6)),
+        ("LADIES", ladies_layer(6)),
+        ("FastGCN", fastgcn_layer(6, false)),
+    ] {
         let run = |opt: OptConfig| {
             let sampler = compile(graph.clone(), vec![layer.clone()], config(opt)).unwrap();
             let out = sampler.sample_batch(&frontiers, &bindings).unwrap();
@@ -845,6 +851,26 @@ fn model_driven_samplers_agree_across_every_ablation() {
             assert_eq!(run(opt), reference, "{what} under {name}");
         }
     }
+}
+
+#[test]
+fn ladies_layers_share_one_hoisted_square_equal_to_the_per_batch_map() {
+    let graph = test_graph();
+    let layers = vec![ladies_layer(4); 3];
+    let sampler = compile(graph.clone(), layers, config(OptConfig::all())).unwrap();
+    let squares: Vec<&Arc<Value>> = sampler.layers().iter().map(|l| &l.precomputed[0]).collect();
+    assert!(squares.iter().all(|sq| Arc::ptr_eq(sq, squares[0])));
+    // `A ** 2` as the per-batch `ScalarOp` kernel computes it, bit for bit.
+    let bindings = Bindings::new();
+    let ctx = ExecCtx::plain(&graph, &bindings);
+    let pow = Op::ScalarOp(gsampler_core::EltOp::Pow, 2.0);
+    let mut rng = [StdRng::seed_from_u64(0)];
+    let per_batch = kernels::run(&pow, &[&graph.matrix_value()], &ctx, &mut rng).unwrap();
+    let bits = |v: &Value| -> Vec<u32> {
+        let values = v.as_matrix().unwrap().data.values().unwrap();
+        values.iter().map(|x| x.to_bits()).collect()
+    };
+    assert_eq!(bits(squares[0]), bits(&per_batch));
 }
 
 #[test]

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 
 use gsampler_core::builder::{LayerBuilder, Mat, Vect};
 use gsampler_core::{compile, Axis, Bindings, EltOp, Graph, LayoutMode, OptConfig, SamplerConfig};
+use gsampler_graphs::{Dataset, DatasetKind};
 use gsampler_matrix::eltwise::UnaryOp;
 
 /// One step of a randomly generated compute chain on the extracted
@@ -95,6 +96,51 @@ fn run_with(graph: &Arc<Graph>, steps: &[Step], opt: OptConfig, frontiers: &[u32
         .sample_batch(frontiers, &Bindings::new())
         .expect("run");
     out.layers[0][0].as_vector().unwrap().to_vec()
+}
+
+/// LADIES (`square`) or FastGCN as `gsampler-algos` records them.
+fn layer_wise(square: bool) -> gsampler_core::builder::Layer {
+    let b = LayerBuilder::new();
+    let a = b.graph();
+    let sub = a.slice_cols(&b.frontiers());
+    let bias = match square {
+        true => sub.pow(2.0).sum(Axis::Row),
+        false => a.degrees(Axis::Row),
+    };
+    let sample = sub.collective_sample(64, Some(&bias));
+    let out = sample.div(&bias.gather_row_bias(&sample, &sub), Axis::Row);
+    b.output(&out);
+    b.output_next_frontiers(&out.row_nodes());
+    b.build()
+}
+
+#[test]
+fn layer_wise_layers_compile_to_the_fused_extracts() {
+    use gsampler_ir::Op;
+    let pp = Dataset::generate(DatasetKind::OgbnPapers, 0.05, 2023);
+    let graph = Arc::new(pp.graph);
+    for square in [true, false] {
+        let config = SamplerConfig {
+            batch_size: 512,
+            ..SamplerConfig::new()
+        };
+        let sampler = compile(graph.clone(), vec![layer_wise(square)], config).unwrap();
+        let program = &sampler.layers()[0].optimized.program;
+        let count = |pred: fn(&Op) -> bool| program.count_ops(pred);
+        assert_eq!(count(|op| matches!(op, Op::SliceCols)), 0);
+        assert_eq!(count(|op| matches!(op, Op::CompactRows)), 0);
+        assert_eq!(count(|op| matches!(op, Op::ScalarOp(EltOp::Pow, _))), 0);
+        assert_eq!(
+            count(|op| matches!(op, Op::FusedExtractCollective { .. })),
+            1
+        );
+        let want = usize::from(square);
+        assert_eq!(
+            count(|op| matches!(op, Op::FusedExtractReduce { .. })),
+            want
+        );
+        assert_eq!(count(|op| matches!(op, Op::Precomputed { .. })), 1);
+    }
 }
 
 proptest! {

@@ -125,8 +125,8 @@ pub const UVA_TRANSACTION_FACTOR: f64 = 4.0;
 /// whole read at device bandwidth; a fully-cached partial plan prices
 /// identically to `Residency::Device`, an empty plan identically to
 /// `HostUva { cache_hit_rate: 0.0 }` (both checked by the testkit's
-/// differential suite).
-fn residency_split(read_bytes: u64, residency: Residency) -> (u64, u64) {
+/// differential suite). Returns `(device bytes, PCIe bytes)`.
+pub fn residency_split(read_bytes: u64, residency: Residency) -> (u64, u64) {
     let frac = residency.pcie_fraction();
     let device = (read_bytes as f64 * (1.0 - frac)) as u64;
     let pcie = (read_bytes as f64 * frac * UVA_TRANSACTION_FACTOR) as u64;

@@ -151,6 +151,21 @@ pub fn kernel_desc(
             let out_nnz = out_mat.nnz.min(t * k);
             workload::fused_extract_select(fmt0, in0, t, visited, out_nnz, res0)
         }
+        // The reduce / select of the extract they never build, reading the
+        // input's frontier columns (at its average degree) where it lives.
+        Op::FusedExtractReduce { .. } | Op::FusedExtractCollective { .. } => {
+            let t = veclen(&in_shapes[1]);
+            let edges = (t as f64 * in0.nnz as f64 / in0.ncols.max(1) as f64) as usize;
+            let rows = veclen(out_shape).max(in_shapes.get(2).map_or(0, veclen));
+            let extract = MatShape::new(rows.max(in0.nrows), t, edges);
+            if let Op::FusedExtractCollective { k } = op {
+                workload::collective_sample(fmt0, extract, *k, out_mat.nnz, res0)
+            } else {
+                let read = edges as u64 * workload::EDGE_BYTES;
+                let pcie = workload::residency_split(read, res0).1;
+                workload::reduce(fmt0, extract, Axis::Row).with_pcie(pcie)
+            }
+        }
         Op::FusedEdgeMap { steps } => workload::fused_edge_map(fmt0, in0, steps.len()),
         Op::FusedEdgeMapReduce { steps, axis, .. } => {
             workload::fused_edge_map_reduce(fmt0, in0, *axis, steps.len())

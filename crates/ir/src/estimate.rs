@@ -151,19 +151,15 @@ pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize)
             | Op::Convert(..)
             | Op::FusedEdgeMap { .. }
             | Op::FusedEdgeCombine { .. } => input(0),
-            Op::Reduce(_, axis) => {
+            Op::Reduce(_, axis) | Op::FusedEdgeMapReduce { axis, .. } => {
                 let (nrows, ncols, _) = input(0).as_matrix().unwrap_or((n, n, e));
                 ShapeEst::Vector(match axis {
                     gsampler_matrix::Axis::Row => nrows,
                     gsampler_matrix::Axis::Col => ncols,
                 })
             }
-            Op::FusedEdgeMapReduce { axis, .. } => {
-                let (nrows, ncols, _) = input(0).as_matrix().unwrap_or((n, n, e));
-                ShapeEst::Vector(match axis {
-                    gsampler_matrix::Axis::Row => nrows,
-                    gsampler_matrix::Axis::Col => ncols,
-                })
+            Op::FusedExtractReduce { .. } => {
+                ShapeEst::Vector(input(0).as_matrix().map_or(n, |(nrows, _, _)| nrows))
             }
             Op::ReduceAll(..) | Op::VectorSum => ShapeEst::Scalar,
             Op::Spmm => {
@@ -207,11 +203,7 @@ pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize)
             }
             Op::VectorOp(..) | Op::VectorScalar(..) | Op::VectorNormalize => input(0),
             Op::GatherVector => ShapeEst::Vector(nodes_len(input(1))),
-            Op::GatherRowBias => {
-                let (nrows, _, _) = input(1).as_matrix().unwrap_or((n, n, e));
-                ShapeEst::Vector(nrows)
-            }
-            Op::AlignRowVector => {
+            Op::GatherRowBias | Op::AlignRowVector => {
                 let (nrows, _, _) = input(1).as_matrix().unwrap_or((n, n, e));
                 ShapeEst::Vector(nrows)
             }
@@ -224,15 +216,11 @@ pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize)
                     nnz: (ncols * per_col).min(nnz),
                 }
             }
-            Op::CollectiveSample { k } => {
-                let (nrows, ncols, nnz) = input(0).as_matrix().unwrap_or((n, n, e));
-                let distinct = expected_distinct(nnz, nrows).max(1.0);
-                let kept = (*k as f64).min(distinct);
-                ShapeEst::Matrix {
-                    nrows: kept,
-                    ncols,
-                    nnz: nnz * kept / distinct,
-                }
+            Op::CollectiveSample { k } => collective(*k, input(0).as_matrix().unwrap_or((n, n, e))),
+            Op::FusedExtractCollective { k } => {
+                let (nrows, _, _) = input(0).as_matrix().unwrap_or((n, n, e));
+                let t = nodes_len(input(1));
+                collective(*k, (nrows, t, t * deg))
             }
             Op::FusedExtractSelect { k, .. } => {
                 let (nrows, _, _) = input(0).as_matrix().unwrap_or((n, n, e));
@@ -294,6 +282,17 @@ pub fn estimate_transient_bytes(program: &Program, shapes: &[ShapeEst]) -> f64 {
         .filter(|(node, _)| !node.op.is_input())
         .map(|(_, s)| s.bytes())
         .sum()
+}
+
+/// A collective select of `k` rows from a `(nrows, ncols, nnz)` matrix.
+fn collective(k: usize, (nrows, ncols, nnz): (f64, f64, f64)) -> ShapeEst {
+    let distinct = expected_distinct(nnz, nrows).max(1.0);
+    let kept = (k as f64).min(distinct);
+    ShapeEst::Matrix {
+        nrows: kept,
+        ncols,
+        nnz: nnz * kept / distinct,
+    }
 }
 
 fn nodes_len(s: ShapeEst) -> f64 {

@@ -118,7 +118,9 @@ pub enum Op {
     /// aligned with `source`'s rows, by the row's global ID otherwise (a
     /// node-indexed bias). This is how a layer-wise sampler looks up the bias
     /// of each selected node (`row_probs[sample_A.row()]`, paper Fig. 3b),
-    /// compacted source or not. `[vector, matrix(sampled), matrix(source)] -> Vector`.
+    /// compacted source or not; `vector[id mod len]` without one (what the
+    /// aligned lookup reads in an uncompacted extract).
+    /// `[vector, matrix(sampled), matrix(source)?] -> Vector`.
     GatherRowBias,
 
     // ---- select ---------------------------------------------------------
@@ -173,6 +175,20 @@ pub enum Op {
         k: usize,
         /// Sample with replacement.
         replace: bool,
+    },
+    /// `CollectiveSample(SliceCols(m, frontiers), probs)` without the
+    /// slice: selects in its row space, writes only the selected rows'
+    /// edges from `m`'s columns. `[matrix, nodes, vector] -> Matrix`.
+    FusedExtractCollective {
+        /// Row nodes to keep across the layer.
+        k: usize,
+    },
+    /// `Reduce(reduce, Row)` of `SliceCols(m, frontiers)` without the
+    /// slice (pre-processing's sink, `m` the hoisted edge map `M(G)`).
+    /// `[matrix, nodes] -> Vector`.
+    FusedExtractReduce {
+        /// The reduction.
+        reduce: ReduceOp,
     },
     /// Fused chain of edge-map steps executed as one kernel.
     /// `[matrix, vectors...] -> Matrix`.
@@ -347,6 +363,11 @@ impl Op {
                 fold(&(*col as u64).to_le_bytes());
                 unary.iter().for_each(|op| fold(&[*op as u8]));
             }
+            Op::FusedExtractCollective { k } => {
+                fold(&[48]);
+                fold(&(*k as u64).to_le_bytes());
+            }
+            Op::FusedExtractReduce { reduce } => fold(&[49, *reduce as u8]),
         }
     }
 
@@ -357,6 +378,7 @@ impl Op {
             Op::IndividualSample { .. }
                 | Op::CollectiveSample { .. }
                 | Op::FusedExtractSelect { .. }
+                | Op::FusedExtractCollective { .. }
         )
     }
 
@@ -423,6 +445,8 @@ impl Op {
             Op::FusedExtractSelect { k, replace } => {
                 format!("fused_extract_select(k={k}, replace={replace})")
             }
+            Op::FusedExtractCollective { k } => format!("fused_extract_collective(k={k})"),
+            Op::FusedExtractReduce { reduce } => format!("fused_extract_reduce_{}", reduce.name()),
             Op::FusedEdgeMap { steps } => format!("fused_edge_map({} steps)", steps.len()),
             Op::FusedEdgeMapReduce {
                 steps,

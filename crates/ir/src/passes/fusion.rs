@@ -1,11 +1,15 @@
 //! Operator fusion (paper §4.2, Fig. 5).
 //!
-//! Four rules tailored to the ECSF model:
+//! Five rules tailored to the ECSF model:
 //!
 //! - **Extract-Select fusion**: a uniform `individual_sample` applied
 //!   directly to an extracted sub-matrix (and nothing else reading that
 //!   sub-matrix) samples straight from the graph adjacency — the sliced
 //!   matrix is never materialized (Fig. 5a, GraphSAGE).
+//! - **Extract-Collective fusion**, its layer-wise twin: a biased
+//!   `collective_sample` of a frontier slice read otherwise only by that
+//!   sample's `gather_row_bias`es (which drop it) becomes one
+//!   [`Op::FusedExtractCollective`] (LADIES after pre-processing, FastGCN).
 //! - **Edge-Map fusion**: consecutive edge-map operators over the same
 //!   matrix collapse into one kernel that updates each edge value once
 //!   (Fig. 5b, PASS).
@@ -31,6 +35,8 @@ pub struct FusionResult {
     pub program: Program,
     /// Extract-Select fusions applied.
     pub extract_select: usize,
+    /// Extract-Collective fusions applied.
+    pub extract_collective: usize,
     /// Edge-map pair merges applied.
     pub edge_map: usize,
     /// Edge-map-reduce fusions applied.
@@ -101,102 +107,90 @@ fn combine_chain(prog: &Program, consumers: &[Vec<OpId>], id: OpId) -> Option<(O
     Some((Op::FusedEdgeCombine { col, unary }, inputs))
 }
 
-/// Run all four fusion rules to fixpoint.
+/// An Extract-Collective rewrite: `k`, the fused inputs `[G, frontiers,
+/// probs]` and the slice's bias gathers.
+type Collective = (usize, Vec<OpId>, Vec<OpId>);
+
+/// Rule 2 at node `id`, if it applies.
+fn extract_collective(p: &Program, consumers: &[Vec<OpId>], id: OpId) -> Option<Collective> {
+    let (&Op::CollectiveSample { k }, &[sub, probs]) = (&p.node(id).op, &p.node(id).inputs[..])
+    else {
+        return None;
+    };
+    let (slice, mut gathers) = (p.node(sub), consumers[sub].clone());
+    gathers.retain(|&c| c != id);
+    let keyed = slice.op == Op::SliceCols && p.node(slice.inputs[1]).op == Op::InputFrontiers;
+    let gather =
+        |&c: &OpId| p.node(c).op == Op::GatherRowBias && p.node(c).inputs[1..] == [id, sub];
+    let alone = !p.outputs().contains(&sub) && gathers.iter().all(gather);
+    (keyed && alone).then(|| (k, [&slice.inputs[..], &[probs]].concat(), gathers))
+}
+
+/// Run all five fusion rules.
 pub fn run(program: &Program) -> FusionResult {
     let mut prog = program.clone();
     let mut result = FusionResult::default();
 
-    // 1. Extract-Select fusion.
-    loop {
-        let consumers = prog.consumers();
-        let candidate = (0..prog.len()).find(|&id| {
-            let node = prog.node(id);
-            if let Op::IndividualSample { .. } = node.op {
-                if node.inputs.len() != 1 {
-                    return false; // biased sampling needs the sub-matrix
-                }
-                let sub = node.inputs[0];
-                matches!(prog.node(sub).op, Op::SliceCols) && consumers[sub] == vec![id]
-            } else {
-                false
-            }
-        });
-        match candidate {
-            Some(id) => {
-                let (k, replace) = match prog.node(id).op {
-                    Op::IndividualSample { k, replace } => (k, replace),
-                    _ => unreachable!(),
-                };
-                let sub = prog.node(id).inputs[0];
-                let slice_inputs = prog.node(sub).inputs.clone();
-                prog.replace(id, Op::FusedExtractSelect { k, replace }, slice_inputs);
-                result.extract_select += 1;
-            }
-            None => break,
+    // 1. Extract-Select fusion; one sweep, since each sample reads its
+    //    own slice (a biased sample needs the sub-matrix).
+    let consumers = prog.consumers();
+    for id in 0..prog.len() {
+        let node = prog.node(id);
+        let (&Op::IndividualSample { k, replace }, &[sub]) = (&node.op, &node.inputs[..]) else {
+            continue;
+        };
+        if prog.node(sub).op == Op::SliceCols && consumers[sub] == [id] {
+            let slice = prog.node(sub).inputs.clone();
+            prog.replace(id, Op::FusedExtractSelect { k, replace }, slice);
+            result.extract_select += 1;
         }
     }
 
-    // 2. Edge-map chain fusion.
-    loop {
-        let consumers = prog.consumers();
-        let candidate = (0..prog.len()).find_map(|id| {
-            let node = prog.node(id);
-            let (matrix, _, _) = map_steps(node)?;
-            let upstream = prog.node(matrix);
-            map_steps(upstream)?;
-            if consumers[matrix] == vec![id] {
-                Some(id)
-            } else {
-                None
+    // 2. Extract-Collective fusion, likewise.
+    for id in 0..prog.len() {
+        if let Some((k, inputs, gathers)) = extract_collective(&prog, &consumers, id) {
+            for g in gathers {
+                let v = prog.node(g).inputs[0];
+                prog.replace(g, Op::GatherRowBias, vec![v, id]);
             }
-        });
-        match candidate {
-            Some(id) => {
-                let (a_id, b_vecs, b_steps) = map_steps(prog.node(id)).expect("checked");
-                let (src, a_vecs, a_steps) = map_steps(prog.node(a_id)).expect("checked");
-                let (vecs, steps) = concat_steps(&a_vecs, &a_steps, &b_vecs, &b_steps);
-                let mut inputs = vec![src];
-                inputs.extend(vecs);
-                prog.replace(id, Op::FusedEdgeMap { steps }, inputs);
-                result.edge_map += 1;
-            }
-            None => break,
+            prog.replace(id, Op::FusedExtractCollective { k }, inputs);
+            result.extract_collective += 1;
         }
     }
 
-    // 3. Edge-MapReduce fusion (with recompute when the map has other
-    //    consumers).
-    loop {
-        let candidate = (0..prog.len()).find(|&id| {
-            let node = prog.node(id);
-            matches!(node.op, Op::Reduce(..)) && map_steps(prog.node(node.inputs[0])).is_some()
-        });
-        match candidate {
-            Some(id) => {
-                let (reduce, axis) = match prog.node(id).op {
-                    Op::Reduce(r, a) => (r, a),
-                    _ => unreachable!(),
-                };
-                let map_id = prog.node(id).inputs[0];
-                let (src, vecs, steps) = map_steps(prog.node(map_id)).expect("checked");
-                let mut inputs = vec![src];
-                inputs.extend(vecs);
-                prog.replace(
-                    id,
-                    Op::FusedEdgeMapReduce {
-                        steps,
-                        reduce,
-                        axis,
-                    },
-                    inputs,
-                );
-                result.edge_map_reduce += 1;
-            }
-            None => break,
+    // 3. Edge-map chain fusion; an ascending sweep merges whole chains.
+    //    (The sweeps so far change no single-consumer fact they read.)
+    for id in 0..prog.len() {
+        let Some((a_id, b_vecs, b_steps)) = map_steps(prog.node(id)) else {
+            continue;
+        };
+        if let (Some((src, a_vecs, a_steps)), true) =
+            (map_steps(prog.node(a_id)), consumers[a_id] == [id])
+        {
+            let (vecs, steps) = concat_steps(&a_vecs, &a_steps, &b_vecs, &b_steps);
+            prog.replace(id, Op::FusedEdgeMap { steps }, [vec![src], vecs].concat());
+            result.edge_map += 1;
         }
     }
 
-    // 4. Attention-combine fusion; one sweep, since chains share no link.
+    // 4. Edge-MapReduce fusion (with recompute when the map has other
+    //    consumers); one sweep, since a fused reduce is no map.
+    for id in 0..prog.len() {
+        let Op::Reduce(reduce, axis) = prog.node(id).op else {
+            continue;
+        };
+        if let Some((src, vecs, steps)) = map_steps(prog.node(prog.node(id).inputs[0])) {
+            let fused = Op::FusedEdgeMapReduce {
+                steps,
+                reduce,
+                axis,
+            };
+            prog.replace(id, fused, [vec![src], vecs].concat());
+            result.edge_map_reduce += 1;
+        }
+    }
+
+    // 5. Attention-combine fusion; one sweep, since chains share no link.
     let consumers = prog.consumers();
     for id in 0..prog.len() {
         if let Some((op, inputs)) = combine_chain(&prog, &consumers, id) {
@@ -288,6 +282,66 @@ mod tests {
         p.mark_output(deg);
         let r = run(&p);
         assert_eq!(r.extract_select, 0);
+    }
+
+    /// A layer-wise layer as fusion sees it: the slice, a sample biased by
+    /// `bias` (unbiased when `None`), its bias gather and a divide; `align`
+    /// adds AS-GCN's `align_rows` of the slice into the bias.
+    fn layer_wise(bias: Option<Op>, align: bool) -> Program {
+        let mut p = Program::new();
+        let g = p.add(Op::InputGraph, vec![]);
+        let f = p.add(Op::InputFrontiers, vec![]);
+        let sub = p.add(Op::SliceCols, vec![g, f]);
+        let Some(bias) = bias else {
+            let samp = p.add(Op::CollectiveSample { k: 8 }, vec![sub]);
+            p.mark_output(samp);
+            return p;
+        };
+        let reads_graph = matches!(bias, Op::FusedExtractReduce { .. });
+        let mut probs = p.add(bias, if reads_graph { vec![g, f] } else { vec![] });
+        if align {
+            let learned = p.add(Op::InputVector("learned".into()), vec![]);
+            let aligned = p.add(Op::AlignRowVector, vec![learned, sub]);
+            probs = p.add(Op::VectorOp(EltOp::Add), vec![probs, aligned]);
+        }
+        let samp = p.add(Op::CollectiveSample { k: 8 }, vec![sub, probs]);
+        let sel = p.add(Op::GatherRowBias, vec![probs, samp, sub]);
+        let out = p.add(Op::Broadcast(EltOp::Div, Axis::Row), vec![samp, sel]);
+        p.mark_output(out);
+        p
+    }
+
+    #[test]
+    fn extract_collective_fuses_ladies_and_fastgcn() {
+        // LADIES after pre-processing (an extract-reduce bias) and FastGCN
+        // (a hoisted degree vector): the slice dies, the gather loses it.
+        let sum = ReduceOp::Sum;
+        for bias in [
+            Op::FusedExtractReduce { reduce: sum },
+            Op::Precomputed { slot: 0 },
+        ] {
+            let r = run(&layer_wise(Some(bias), false));
+            assert_eq!(r.extract_collective, 1);
+            let (prog, _) = dce::run(&r.program);
+            prog.validate().unwrap();
+            assert_eq!(prog.count_ops(|op| *op == Op::SliceCols), 0);
+            let fused = Op::FusedExtractCollective { k: 8 };
+            let samp = prog.find_op(|op| *op == fused).unwrap();
+            let gather = prog.find_op(|op| *op == Op::GatherRowBias).unwrap();
+            assert_eq!(prog.node(gather).inputs[1..], [samp]);
+        }
+    }
+
+    #[test]
+    fn extract_collective_refuses_a_positional_reader_and_an_unbiased_sample() {
+        // AS-GCN's `align_rows` reads the slice; an unbiased sample needs
+        // its degrees.
+        let asgcn = layer_wise(Some(Op::Precomputed { slot: 0 }), true);
+        for p in [asgcn, layer_wise(None, false)] {
+            let r = run(&p);
+            assert_eq!(r.extract_collective, 0);
+            assert_eq!(r.program, p);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use gsampler_matrix::Format;
 use crate::costing::{self, output_format};
 use crate::estimate::{estimate_shapes, GraphStats};
 use crate::op::Op;
-use crate::program::{OpId, Program};
+use crate::program::{output_kind, OpId, Program, ValueKind};
 
 /// Layout-selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,20 +87,35 @@ pub struct LayoutReport {
 /// is the first step of every sampling program).
 const GRAPH_FMT: Format = Format::Csc;
 
-/// Nodes eligible for a format decision; `bool` = compaction allowed.
-fn choice_points(program: &Program) -> Vec<(OpId, bool)> {
-    program
-        .nodes()
-        .iter()
-        .enumerate()
-        .filter_map(|(id, node)| match node.op {
-            Op::SliceCols | Op::FusedExtractSelect { .. } | Op::IndividualSample { .. } => {
-                Some((id, true))
-            }
-            Op::SliceRows | Op::InduceSubgraph | Op::CollectiveSample { .. } => Some((id, false)),
-            _ => None,
-        })
-        .collect()
+/// Nodes eligible for a format decision; `bool` = compaction allowed —
+/// never on rows a `CollectiveSample` selects from, directly or through
+/// row-preserving operators: a compacted matrix loses its isolated rows,
+/// on which a node-indexed bias (AS-GCN's `learned + 1e-6`) is positive.
+pub fn choice_points(program: &Program) -> Vec<(OpId, bool)> {
+    let mut selected = vec![false; program.len()];
+    for (id, node) in program.nodes().iter().enumerate().rev() {
+        let keeps_rows = output_kind(&node.op) == ValueKind::Matrix
+            && !matches!(
+                node.op,
+                Op::SliceRows | Op::InduceSubgraph | Op::CompactRows
+            );
+        let selects = matches!(node.op, Op::CollectiveSample { .. });
+        if let (true, Some(&rows)) = (selects || selected[id] && keeps_rows, node.inputs.first()) {
+            selected[rows] = true;
+        }
+    }
+    let points = program.nodes().iter().enumerate();
+    (points.filter_map(|(id, node)| match node.op {
+        Op::SliceCols | Op::FusedExtractSelect { .. } | Op::IndividualSample { .. } => {
+            Some((id, !selected[id]))
+        }
+        Op::SliceRows
+        | Op::InduceSubgraph
+        | Op::CollectiveSample { .. }
+        | Op::FusedExtractCollective { .. } => Some((id, false)),
+        _ => None,
+    }))
+    .collect()
 }
 
 /// The *search* half of the pass: price the alternatives and return the
@@ -466,9 +481,16 @@ mod tests {
 
     #[test]
     fn cost_aware_compacts_on_huge_graphs() {
-        // With 111M rows, the per-row reduction and selection dominate
-        // unless isolated rows are dropped first (paper: LADIES on PP).
-        let p = ladies();
+        // With 111M rows, per-row reductions dominate unless isolated rows
+        // are dropped first. (LADIES no longer may: its rows are selected.)
+        let mut p = Program::new();
+        let g = p.add(Op::InputGraph, vec![]);
+        let f = p.add(Op::InputFrontiers, vec![]);
+        let sub = p.add(Op::SliceCols, vec![g, f]);
+        for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Count] {
+            let stat = p.add(Op::Reduce(op, Axis::Row), vec![sub]);
+            p.mark_output(stat);
+        }
         let (out, report) = run(&p, LayoutMode::CostAware, &big_stats(), UVA);
         out.validate().unwrap();
         assert!(
@@ -547,6 +569,32 @@ mod tests {
         // Both outputs follow the compacted matrix.
         assert_eq!(out.outputs()[0], compacted);
         assert_eq!(out.node(out.outputs()[1]).inputs, vec![compacted]);
+    }
+
+    #[test]
+    fn no_compaction_under_a_collective_select() {
+        // LADIES' slice is selected from directly, AS-GCN-like through a
+        // map; a node-wise slice may still compact.
+        let p = ladies();
+        assert_eq!(choice_points(&p), vec![(2, false), (5, false)]);
+        let mut q = Program::new();
+        let g = q.add(Op::InputGraph, vec![]);
+        let f = q.add(Op::InputFrontiers, vec![]);
+        let sub = q.add(Op::SliceCols, vec![g, f]);
+        let sq = q.add(Op::ScalarOp(EltOp::Pow, 2.0), vec![sub]);
+        let samp = q.add(Op::CollectiveSample { k: 8 }, vec![sq]);
+        let sub2 = q.add(Op::SliceCols, vec![g, f]);
+        let picks = q.add(
+            Op::IndividualSample {
+                k: 2,
+                replace: false,
+            },
+            vec![sub2],
+        );
+        q.mark_output(samp);
+        q.mark_output(picks);
+        let points = vec![(sub, false), (samp, false), (sub2, true), (picks, true)];
+        assert_eq!(choice_points(&q), points);
     }
 
     #[test]

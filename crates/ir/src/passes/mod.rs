@@ -25,9 +25,9 @@ pub struct OptConfig {
     pub dce: bool,
     /// Common-subexpression elimination.
     pub cse: bool,
-    /// Pre-processing: hoist sampling-invariant compute onto the full graph.
+    /// Pre-processing: sink and hoist sampling-invariant compute.
     pub preprocess: bool,
-    /// Operator fusion (Extract-Select, Edge-Map, Edge-MapReduce, combine).
+    /// Operator fusion (Extract-Select/-Collective, Edge-Map(Reduce), combine).
     pub fusion: bool,
     /// Data-layout selection strategy.
     pub layout: LayoutMode,
@@ -152,8 +152,12 @@ pub struct PassReport {
     pub gather_through_gemm: usize,
     /// Nodes hoisted into the precompute program.
     pub preprocessed: usize,
+    /// Row reductions pre-processing sank below the extraction.
+    pub extract_reduce_fused: usize,
     /// Extract-Select fusions applied.
     pub extract_select_fused: usize,
+    /// Extract-Collective fusions applied.
+    pub extract_collective_fused: usize,
     /// Edge-map chain fusions applied.
     pub edge_map_fused: usize,
     /// Edge-map-reduce fusions applied.
@@ -207,7 +211,9 @@ pub fn run_passes(
         prog = r.program;
         precompute = r.precompute;
         report.preprocessed = r.hoisted;
+        report.extract_reduce_fused = r.sunk;
         span.arg("hoisted", r.hoisted);
+        span.arg("extract_reduce", r.sunk);
     }
 
     if config.fusion {
@@ -215,10 +221,12 @@ pub fn run_passes(
         let r = fusion::run(&prog);
         prog = r.program;
         report.extract_select_fused = r.extract_select;
+        report.extract_collective_fused = r.extract_collective;
         report.edge_map_fused = r.edge_map;
         report.edge_map_reduce_fused = r.edge_map_reduce;
         report.edge_combine_fused = r.edge_combine;
         span.arg("extract_select", r.extract_select);
+        span.arg("extract_collective", r.extract_collective);
         span.arg("edge_map", r.edge_map);
         span.arg("edge_map_reduce", r.edge_map_reduce);
         span.arg("edge_combine", r.edge_combine);

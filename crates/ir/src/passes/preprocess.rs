@@ -1,15 +1,23 @@
 //! Pre-processing: hoist sampling-invariant computation out of the
 //! per-batch program (paper §4.2, "Pre-processing").
 //!
+//! **Sinking** (LADIES' `A ** 2`): `Reduce(op, Row)` over single-consumer
+//! `ScalarOp` / `UnaryOp` maps over `SliceCols(G, frontiers)`, `G`
+//! batch-invariant, becomes [`Op::FusedExtractReduce`] over `[M(G),
+//! frontiers]`, `M(G)` the maps as one [`Op::FusedEdgeMap`] on the graph
+//! (the same runtime steps, so the same bits). Only when every reader reads
+//! the vector by ID — a `CollectiveSample` bias, a `GatherRowBias` `v` —
+//! so whatever the layout does to the slice, no reader sees a difference.
+//!
 //! **Hoisting**: every batch-invariant node that feeds batch-dependent
 //! consumers (or is an output) is moved into a separate *precompute
 //! program*, evaluated once at compile time; the main program reads the
 //! cached value through an [`Op::Precomputed`] slot. (FastGCN: node
-//! degrees; SEAL: PPR scores.) The paper's other case — sinking an edge-map
-//! below the extraction so LADIES' `A ** 2` can be hoisted — is not
-//! implemented: it pays only on unweighted graphs (DESIGN §5).
+//! degrees; SEAL: PPR scores; LADIES: the sunk `A ** 2`.)
 
-use crate::op::Op;
+use gsampler_matrix::Axis;
+
+use crate::op::{EdgeMapStep, Op};
 use crate::program::{OpId, Program};
 
 /// Result of the pre-processing pass.
@@ -22,6 +30,8 @@ pub struct PreprocessResult {
     pub precompute: Program,
     /// Number of nodes hoisted into the precompute program.
     pub hoisted: usize,
+    /// Row reductions sunk into [`Op::FusedExtractReduce`].
+    pub sunk: usize,
 }
 
 /// True if this operator's value can change between batches even with
@@ -30,7 +40,7 @@ fn dynamic_source(op: &Op) -> bool {
     op.is_random()
         || matches!(
             op,
-            Op::InputFrontiers | Op::InputDense(..) | Op::InputVector(..)
+            Op::InputFrontiers | Op::InputDense(..) | Op::InputVector(..) | Op::InputNodes(..)
         )
 }
 
@@ -46,20 +56,59 @@ fn static_set(program: &Program) -> Vec<bool> {
     s
 }
 
-/// Run the pass: move batch-invariant nodes with batch-dependent consumers
-/// into the precompute program, replacing them with `Precomputed` slots.
-/// Hoisting never adds per-batch work (it caches values that needed no
-/// extraction, like FastGCN's degrees or SEAL's PPR scores).
+/// Sink each eligible row reduction in place: the map the reduce read
+/// becomes `M(G)`, the reduce the fused extract.
+fn sink(program: &mut Program) -> usize {
+    let (stat, consumers) = (static_set(program), program.consumers());
+    let mut sunk = 0;
+    for id in 0..program.len() {
+        let Op::Reduce(reduce, Axis::Row) = program.node(id).op else {
+            continue;
+        };
+        let by_id = |&c: &OpId| match (&program.node(c).op, &program.node(c).inputs[..]) {
+            (Op::CollectiveSample { .. }, &[m, v]) | (Op::GatherRowBias, &[v, m, ..]) => {
+                v == id && m != id
+            }
+            _ => false,
+        };
+        let read = &consumers[id];
+        if read.is_empty() || program.outputs().contains(&id) || !read.iter().all(by_id) {
+            continue;
+        }
+        let (mut cur, mut reader, mut steps) = (program.node(id).inputs[0], id, Vec::new());
+        while consumers[cur] == [reader] {
+            let step = match program.node(cur).op {
+                Op::ScalarOp(op, s) => EdgeMapStep::Scalar(op, s),
+                Op::UnaryOp(op) => EdgeMapStep::Unary(op),
+                _ => break,
+            };
+            steps.insert(0, step);
+            (cur, reader) = (program.node(cur).inputs[0], cur);
+        }
+        let (slice, top) = (program.node(cur), program.node(id).inputs[0]);
+        let &[g, f] = &slice.inputs[..] else { continue };
+        if slice.op != Op::SliceCols || program.node(f).op != Op::InputFrontiers || !stat[g] {
+            continue;
+        }
+        if !steps.is_empty() {
+            program.replace(top, Op::FusedEdgeMap { steps }, vec![g]);
+        }
+        let source = if cur == top { g } else { top };
+        program.replace(id, Op::FusedExtractReduce { reduce }, vec![source, f]);
+        sunk += 1;
+    }
+    sunk
+}
+
+/// Run the pass: sink, then move batch-invariant nodes with
+/// batch-dependent consumers into the precompute program, replacing them
+/// with `Precomputed` slots. Neither adds per-batch work.
 pub fn run(program: &Program) -> PreprocessResult {
+    let mut sunk_program = program.clone();
+    let sunk = sink(&mut sunk_program);
+    let program = &sunk_program;
     let stat = static_set(program);
     let consumers = program.consumers();
-    let is_output: Vec<bool> = {
-        let mut v = vec![false; program.len()];
-        for &o in program.outputs() {
-            v[o] = true;
-        }
-        v
-    };
 
     // Hoist boundary: static, not an input, and visible to dynamic code.
     let hoistable: Vec<OpId> = (0..program.len())
@@ -67,7 +116,7 @@ pub fn run(program: &Program) -> PreprocessResult {
             let node = program.node(id);
             stat[id]
                 && !node.op.is_input()
-                && (is_output[id] || consumers[id].iter().any(|&c| !stat[c]))
+                && (program.outputs().contains(&id) || consumers[id].iter().any(|&c| !stat[c]))
         })
         .collect();
 
@@ -76,6 +125,7 @@ pub fn run(program: &Program) -> PreprocessResult {
             program: program.clone(),
             precompute: Program::new(),
             hoisted: 0,
+            sunk,
         };
     }
 
@@ -116,6 +166,7 @@ pub fn run(program: &Program) -> PreprocessResult {
         program: main,
         precompute: pre,
         hoisted: hoistable.len(),
+        sunk,
     }
 }
 
@@ -188,16 +239,66 @@ mod tests {
     }
 
     #[test]
-    fn default_run_does_not_sink() {
+    fn default_run_sinks_the_square() {
         let p = ladies_head();
         let r = run(&p);
-        // Without sinking, the square stays in the per-batch program.
-        assert_eq!(r.hoisted, 0);
-        assert_eq!(
-            r.program
-                .count_ops(|op| matches!(op, Op::ScalarOp(EltOp::Pow, _))),
-            1
-        );
+        assert_eq!((r.sunk, r.hoisted), (1, 1));
+        // `A ** 2` moves to the precompute program as one edge-map chain
+        // over the graph; the reduce reads it through the frontier list.
+        let (prog, _) = crate::passes::dce::run(&r.program);
+        assert_eq!(prog.count_ops(|op| matches!(op, Op::ScalarOp(..))), 0);
+        let fused = prog
+            .find_op(|op| {
+                *op == Op::FusedExtractReduce {
+                    reduce: ReduceOp::Sum,
+                }
+            })
+            .unwrap();
+        let [slot, f] = prog.node(fused).inputs[..] else {
+            panic!()
+        };
+        assert_eq!(prog.node(slot).op, Op::Precomputed { slot: 0 });
+        assert_eq!(prog.node(f).op, Op::InputFrontiers);
+        let steps = vec![EdgeMapStep::Scalar(EltOp::Pow, 2.0)];
+        let hoisted = r.precompute.node(r.precompute.outputs()[0]);
+        assert_eq!(hoisted.op, Op::FusedEdgeMap { steps });
+        assert_eq!(r.precompute.node(hoisted.inputs[0]).op, Op::InputGraph);
+    }
+
+    /// LADIES' head with `reader` reading the row reduce besides the
+    /// sample, over a slice keyed by `keyed_by` (`None`: the frontiers).
+    fn ladies_read_by(reader: Option<Op>, axis: Axis, keyed_by: Option<Op>) -> Program {
+        let mut p = Program::new();
+        let g = p.add(Op::InputGraph, vec![]);
+        let f = p.add(keyed_by.unwrap_or(Op::InputFrontiers), vec![]);
+        let sub = p.add(Op::SliceCols, vec![g, f]);
+        let sq = p.add(Op::ScalarOp(EltOp::Pow, 2.0), vec![sub]);
+        let probs = p.add(Op::Reduce(ReduceOp::Sum, axis), vec![sq]);
+        let samp = p.add(Op::CollectiveSample { k: 64 }, vec![sub, probs]);
+        p.mark_output(samp);
+        if let Some(op) = reader {
+            let other = p.add(Op::InputVector("learned".into()), vec![]);
+            let read = p.add(op, vec![probs, other]);
+            p.mark_output(read);
+        }
+        p
+    }
+
+    #[test]
+    fn sinking_needs_an_id_read_row_reduce_over_a_frontier_slice() {
+        let row = Axis::Row;
+        let positional = Some(Op::VectorOp(EltOp::Add)); // AS-GCN's bias
+        let prev = Some(Op::InputNodes("prev".into()));
+        for p in [
+            ladies_read_by(positional, row, None),
+            ladies_read_by(None, Axis::Col, None),
+            ladies_read_by(None, row, prev),
+        ] {
+            let r = run(&p);
+            assert_eq!((r.sunk, r.hoisted), (0, 0), "{}", p.display());
+            assert_eq!(r.program, p);
+        }
+        assert_eq!(run(&ladies_read_by(None, row, None)).sunk, 1);
     }
 
     #[test]

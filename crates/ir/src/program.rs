@@ -376,6 +376,7 @@ pub fn output_kind(op: &Op) -> ValueKind {
         | Op::CompactCols
         | Op::Convert(..)
         | Op::FusedExtractSelect { .. }
+        | Op::FusedExtractCollective { .. }
         | Op::FusedEdgeMap { .. }
         | Op::FusedEdgeCombine { .. } => ValueKind::Matrix,
         Op::InputDense(..)
@@ -397,6 +398,7 @@ pub fn output_kind(op: &Op) -> ValueKind {
         | Op::GatherRowBias
         | Op::AlignRowVector
         | Op::DenseColumn { .. }
+        | Op::FusedExtractReduce { .. }
         | Op::FusedEdgeMapReduce { .. } => ValueKind::Vector,
         Op::InputFrontiers
         | Op::InputNodes(..)
@@ -452,7 +454,7 @@ fn check_inputs(op: &Op, got: &[ValueKind]) -> Result<(), String> {
         Op::VectorOp(..) => expect(&[V::Vector, V::Vector]),
         Op::VectorScalar(..) | Op::VectorSum | Op::VectorNormalize => expect(&[V::Vector]),
         Op::GatherVector => expect(&[V::Vector, V::Nodes]),
-        Op::GatherRowBias => expect(&[V::Vector, V::Matrix, V::Matrix]),
+        Op::GatherRowBias => expect(&[V::Vector, V::Matrix, V::Matrix][..got.len().clamp(2, 3)]),
         Op::AlignRowVector => expect(&[V::Vector, V::Matrix]),
         Op::IndividualSample { .. } => {
             if got.len() == 1 {
@@ -476,7 +478,10 @@ fn check_inputs(op: &Op, got: &[ValueKind]) -> Result<(), String> {
         | Op::CompactRows
         | Op::CompactCols
         | Op::Convert(..) => expect(&[V::Matrix]),
-        Op::FusedExtractSelect { .. } => expect(&[V::Matrix, V::Nodes]),
+        Op::FusedExtractSelect { .. } | Op::FusedExtractReduce { .. } => {
+            expect(&[V::Matrix, V::Nodes])
+        }
+        Op::FusedExtractCollective { .. } => expect(&[V::Matrix, V::Nodes, V::Vector]),
         Op::FusedEdgeMap { steps } | Op::FusedEdgeMapReduce { steps, .. } => {
             let broadcasts = steps
                 .iter()

@@ -140,7 +140,11 @@ pub enum EltOp {
     Mul,
     /// Division.
     Div,
-    /// Exponentiation (`lhs.powf(rhs)`).
+    /// Exponentiation (`lhs.powf(rhs)`). Pitfall: glibc `powf(x, 2.0)` and
+    /// `x * x` differ on 774,403 of the 2^31 non-negative `f32` patterns,
+    /// and LLVM folds a *constant* exponent 2 to `x * x`. A rewrite that
+    /// moves a `Pow` (pre-processing's hoisted `A ** 2`) must evaluate it
+    /// through the same runtime `apply` — never a `Pow, 2.0` special case.
     Pow,
     /// Keep the maximum of the two operands.
     Max,

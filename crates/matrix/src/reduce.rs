@@ -11,10 +11,37 @@
 //! edges are visited in storage order, serially, so a sum is the same bits
 //! in every run. [`reduce_with`] takes the edge values from a closure, so a
 //! fused edge-map chain reduces over its *input's* structure without
-//! building a matrix. The boxed edge iterator is for tests and cold paths.
+//! building a matrix, and [`reduce_col_groups`] folds a graph's frontier
+//! columns without building the extract. The boxed edge iterator is for
+//! tests and cold paths.
 
+use crate::csc::Csc;
 use crate::sparse::{EdgeIndex, SparseMatrix};
-use crate::{Axis, ReduceOp};
+use crate::{Axis, NodeId, ReduceOp};
+
+/// The edges a reduction folds, as `(slot, storage position)`, in order.
+trait Edges {
+    fn each(&self, f: impl FnMut(usize, usize));
+}
+
+impl Edges for EdgeIndex<'_> {
+    fn each(&self, f: impl FnMut(usize, usize)) {
+        self.for_each(f)
+    }
+}
+
+/// The row edges of `src[:, cols]` read from `src`, in the extract's order.
+struct ColumnRows<'a>(&'a Csc, &'a [NodeId]);
+
+impl Edges for ColumnRows<'_> {
+    fn each(&self, mut f: impl FnMut(usize, usize)) {
+        for &c in self.1 {
+            let range = self.0.col_range(c as usize);
+            let rows = &self.0.indices[range.clone()];
+            range.zip(rows).for_each(|(e, &r)| f(r as usize, e));
+        }
+    }
+}
 
 /// Reduce edge values onto one axis, returning a dense vector indexed by
 /// that axis (length `nrows` for `Axis::Row`, `ncols` for `Axis::Col`).
@@ -41,35 +68,54 @@ pub fn reduce_with(
         Axis::Col => m.ncols(),
     };
     let edges = m.edge_index(axis);
+    // Degree scan: when the format compresses the reduced axis the counts
+    // are indptr differences — no edge traversal at all. Bit-exact with the
+    // incremental loop as long as every degree is f32-representable (+1.0
+    // saturates at 2^24, direct conversion rounds; below that both are
+    // exact).
+    if let (ReduceOp::Count, EdgeIndex::Segments(indptr)) = (op, &edges) {
+        if indptr.windows(2).all(|w| w[1] - w[0] <= 1 << 24) {
+            return indptr.windows(2).map(|w| (w[1] - w[0]) as f32).collect();
+        }
+    }
+    let mut out = vec![0f32; n];
+    fold(&mut out, op, edges, value_of);
+    out
+}
+
+/// The row reduction of `src[:, cols]` sliced block-diagonally, without
+/// the slice: group `b`, columns `cols[groups[b]..groups[b + 1]]`, folds
+/// onto its own `src.nrows` rows, block `b` of the output, serially (the
+/// time is the same whether or not a second worker is free). [`ColumnRows`]
+/// folds in the extract's order, so these are the bits of its
+/// [`reduce_with`].
+pub fn reduce_col_groups(
+    src: &Csc,
+    cols: &[NodeId],
+    groups: &[usize],
+    op: ReduceOp,
+    value_of: impl Fn(usize) -> f32,
+) -> Vec<f32> {
+    let mut out = vec![0f32; groups.len().saturating_sub(1) * src.nrows];
+    for (block, g) in out.chunks_mut(src.nrows.max(1)).zip(groups.windows(2)) {
+        fold(block, op, ColumnRows(src, &cols[g[0]..g[1]]), &value_of);
+    }
+    out
+}
+
+/// Fold `edges` into the zeroed slots `out`.
+fn fold(out: &mut [f32], op: ReduceOp, edges: impl Edges, value_of: impl Fn(usize) -> f32) {
     match op {
-        ReduceOp::Sum => {
-            let mut out = vec![0f32; n];
-            edges.for_each(|i, e| out[i] += value_of(e));
-            out
-        }
-        ReduceOp::Count => {
-            // Degree scan: when the format compresses the reduced axis the
-            // counts are indptr differences — no edge traversal at all.
-            // Bit-exact with the incremental loop as long as every degree
-            // is f32-representable (+1.0 saturates at 2^24, direct
-            // conversion rounds; below that both are exact).
-            if let EdgeIndex::Segments(indptr) = edges {
-                if indptr.windows(2).all(|w| w[1] - w[0] <= 1 << 24) {
-                    return indptr.windows(2).map(|w| (w[1] - w[0]) as f32).collect();
-                }
-            }
-            let mut out = vec![0f32; n];
-            edges.for_each(|i, _| out[i] += 1.0);
-            out
-        }
+        ReduceOp::Sum => edges.each(|i, e| out[i] += value_of(e)),
+        ReduceOp::Count => edges.each(|i, _| out[i] += 1.0),
         ReduceOp::Max | ReduceOp::Min => {
             let (start, pick): (f32, fn(f32, f32) -> f32) = match op {
                 ReduceOp::Max => (f32::NEG_INFINITY, f32::max),
                 _ => (f32::INFINITY, f32::min),
             };
-            let mut out = vec![start; n];
-            let mut seen = vec![false; n];
-            edges.for_each(|i, e| {
+            out.fill(start);
+            let mut seen = vec![false; out.len()];
+            edges.each(|i, e| {
                 out[i] = pick(out[i], value_of(e));
                 seen[i] = true;
             });
@@ -78,21 +124,18 @@ pub fn reduce_with(
                     *o = 0.0;
                 }
             }
-            out
         }
         ReduceOp::Mean => {
-            let mut sum = vec![0f32; n];
-            let mut cnt = vec![0f32; n];
-            edges.for_each(|i, e| {
-                sum[i] += value_of(e);
+            let mut cnt = vec![0f32; out.len()];
+            edges.each(|i, e| {
+                out[i] += value_of(e);
                 cnt[i] += 1.0;
             });
-            for (s, &c) in sum.iter_mut().zip(&cnt) {
+            for (s, &c) in out.iter_mut().zip(&cnt) {
                 if c > 0.0 {
                     *s /= c;
                 }
             }
-            sum
         }
     }
 }

@@ -24,11 +24,12 @@
 //! The per-call primitives — Floyd's [`uniform_sample_without_replacement`],
 //! Efraimidis–Spirakis [`weighted_sample_without_replacement`] (and its
 //! `_seeded` form, which collective sampling runs; both keep the `k`
-//! smallest `(key, index)` pairs by a top-`k` selection, not a full sort —
-//! keys are `-ln(u)/w` or `+∞`, never NaN) and [`AliasTable`] for
-//! O(1) weighted draws with replacement (the structure SkyWalker-style
-//! baselines use) — are the references the pick is tested against: it
-//! calls the weighted two per column and runs Floyd in place.
+//! smallest `(key, index)` pairs in one bounded heap, not a full sort, and
+//! skip the logarithm of a key that cannot win — keys are `-ln(u)/w` or
+//! `+∞`, never NaN) and [`AliasTable`] for O(1) weighted draws with
+//! replacement (the structure SkyWalker-style baselines use) — are the
+//! references the pick is tested against: it calls the weighted two per
+//! column and runs Floyd in place.
 //!
 //! The operators take a [`StreamSource`] (an [`RngPool`], hence
 //! `_seeded`): column `c` (or candidate `i`) always consumes RNG stream
@@ -36,9 +37,10 @@
 //! count.
 
 use std::borrow::Cow;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use gsampler_runtime::{parallel_map, parallel_scatter, RngPool};
+use gsampler_runtime::{parallel_scatter, RngPool};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -114,7 +116,7 @@ pub fn individual_sample(
     });
     let (indptr, picks) = pick_columns(&csc, None, k, replace, weights.as_deref(), streams)?;
     let positions = |_, out: Range<usize>| picks[out].iter().copied();
-    let out = slice::gather_cols(&csc, csc.nrows, indptr, positions, |_| 0);
+    let out = slice::gather_cols(&csc, csc.nrows, indptr, positions, |_| |r| r);
     Ok(SparseMatrix::Csc(out).into_format(m.format()))
 }
 
@@ -274,26 +276,18 @@ pub fn collective_sample_seeded(
     node_probs: Option<&[f32]>,
     pool: &RngPool,
 ) -> Result<CollectiveSample> {
-    collective_sample_segments(m, k, node_probs, |_| 0, std::slice::from_ref(pool))
+    let runs = [0, m.nrows()];
+    collective_sample_segments(m, k, node_probs, &runs, std::slice::from_ref(pool))
 }
 
-/// Collective selection, the one routine: up to `k` distinct rows are
-/// chosen inside every segment of the row space — `segment_of(r)` names
-/// row `r`'s segment, one per entry of `pools` (the groups of a
-/// super-batch; a plain call has one) — and the rows chosen anywhere are
-/// sliced out together, ascending.
-///
-/// Weights -> candidates -> keys -> `slice_rows`: one pass validates every
-/// row's bias, keeps the rows with a positive one as their segment's
-/// candidates and collects their weights; a segment with more than `k`
-/// candidates runs [`weighted_sample_without_replacement_seeded`] on its
-/// own pool (candidate `i` of the segment on stream `i`), so each segment
-/// selects what it would selecting alone, at any thread count.
+/// Collective selection over a matrix: [`collective_select`] on its rows
+/// (segment `b` is rows `runs[b]..runs[b + 1]`, one per entry of `pools`),
+/// then `slice_rows` of the chosen ones.
 pub fn collective_sample_segments(
     m: &SparseMatrix,
     k: usize,
     node_probs: Option<&[f32]>,
-    segment_of: impl Fn(usize) -> usize,
+    runs: &[usize],
     pools: &[RngPool],
 ) -> Result<CollectiveSample> {
     let nrows = m.nrows();
@@ -308,57 +302,112 @@ pub fn collective_sample_segments(
         Some(p) => Cow::Borrowed(p),
         None => Cow::Owned(m.row_degrees().iter().map(|&d| d as f32).collect()),
     };
-    let mut candidates: Vec<(Vec<NodeId>, Vec<f32>)> = vec![Default::default(); pools.len()];
-    for (r, &w) in weights.iter().enumerate() {
-        if !w.is_finite() || w < 0.0 {
-            return Err(Error::InvalidProbability { index: r, value: w });
-        }
-        if w > 0.0 {
-            let (rows, row_weights) = &mut candidates[segment_of(r)];
-            rows.push(r as NodeId);
-            row_weights.push(w);
-        }
-    }
-    let mut rows: Vec<NodeId> = Vec::new();
-    for ((cands, cand_weights), pool) in candidates.iter().zip(pools) {
-        if cands.len() <= k {
-            rows.extend_from_slice(cands);
-        } else {
-            let picks = weighted_sample_without_replacement_seeded(cand_weights, k, pool);
-            rows.extend(picks.into_iter().map(|off| cands[off]));
-        }
-    }
-    rows.sort_unstable();
-
+    let rows = collective_select(&weights, k, runs, pools)?;
     let matrix = slice::slice_rows(m, &rows)?;
     Ok(CollectiveSample { matrix, rows })
 }
 
-/// The Efraimidis–Spirakis exponential key of an item of weight `w` for
-/// the uniform draw `u ∈ [f64::MIN_POSITIVE, 1)`: `-ln(u)/w`, positive and
-/// finite when `w > 0`, else `+∞` — never NaN, so keys order totally.
-fn exponential_key(w: f32, rng: &mut impl Rng) -> f64 {
+/// Collective selection, the one selector: up to `k` distinct rows chosen
+/// in every segment — rows `runs[b]..runs[b + 1]` — ascending. The bias is
+/// validated first; a segment's candidates are its positive rows, and with
+/// more than `k` of them it runs [`weighted_sample_without_replacement_seeded`]
+/// on its own pool (candidate `i` on stream `i`), selecting what it would alone.
+pub fn collective_select(
+    weights: &[f32],
+    k: usize,
+    runs: &[usize],
+    pools: &[RngPool],
+) -> Result<Vec<NodeId>> {
+    validate_weights(weights)?;
+    let (mut rows, mut cands, mut buf) = (Vec::new(), Vec::new(), [0 as NodeId; 256]);
+    for (run, pool) in runs.windows(2).zip(pools) {
+        // A chunk's rows are all written, their count advanced by sign.
+        cands.clear();
+        for (c, chunk) in weights[run[0]..run[1]].chunks(buf.len()).enumerate() {
+            let mut len = 0;
+            for (i, &w) in chunk.iter().enumerate() {
+                buf[len] = (run[0] + c * buf.len() + i) as NodeId;
+                len += usize::from(w > 0.0);
+            }
+            cands.extend_from_slice(&buf[..len]);
+        }
+        if cands.len() <= k {
+            rows.extend_from_slice(&cands);
+        } else {
+            let cand_weights: Vec<f32> = cands.iter().map(|&r| weights[r as usize]).collect();
+            let picks = weighted_sample_without_replacement_seeded(&cand_weights, k, pool);
+            rows.extend(picks.into_iter().map(|off| cands[off]));
+        }
+    }
+    rows.sort_unstable();
+    Ok(rows)
+}
+
+/// `slice_rows(rows)` of the `nrows`-row extract `src[:, cols]` (column
+/// `c`'s rows lifted by `lift(c)`) that was never built: one pass picks the
+/// positions whose lifted row is in the ascending `rows`' bitmap, which
+/// [`slice::gather_cols`] writes, renamed to their rank (a prefix popcount).
+pub fn gather_selected_rows(
+    src: &Csc,
+    cols: &[NodeId],
+    lift: impl Fn(usize) -> NodeId + Sync,
+    nrows: usize,
+    rows: &[NodeId],
+) -> Csc {
+    let mut words = vec![0u64; nrows.div_ceil(64)];
+    rows.iter()
+        .for_each(|&r| words[r as usize / 64] |= 1 << (r % 64));
+    let mut ranks = vec![0u32; words.len()];
+    (1..words.len()).for_each(|w| ranks[w] = ranks[w - 1] + words[w - 1].count_ones());
+    let (words, ranks) = (&words, &ranks);
+    let below = move |x: NodeId| words[x as usize / 64] & ((1u64 << (x % 64)) - 1);
+    let kept = move |x: NodeId| words[x as usize / 64] >> (x % 64) & 1 == 1;
+    let rank = move |x: NodeId| ranks[x as usize / 64] + below(x).count_ones();
+    let (mut indptr, mut picks) = (vec![0], Vec::new());
+    for (c, &col) in cols.iter().enumerate() {
+        let (lift, range) = (lift(c), src.col_range(col as usize));
+        picks.extend(range.filter(|&p| kept(src.indices[p] + lift)));
+        indptr.push(picks.len());
+    }
+    let positions = |_, out: Range<usize>| picks[out].iter().copied();
+    let row_map = |c: usize| {
+        let lift = lift(c);
+        move |r: NodeId| rank(r + lift)
+    };
+    slice::gather_cols(src, rows.len(), indptr, positions, row_map)
+}
+
+/// The Efraimidis–Spirakis key `-ln(u)/w` of an item of weight `w`, for `u`
+/// drawn in `[f64::MIN_POSITIVE, 1)`: positive and finite when `w > 0`,
+/// else `+∞` — never NaN. `None` (no logarithm) when provably above
+/// `bound`: `-ln(u) >= 1 - u`, and the `1e-12` margin covers the rounding.
+fn exponential_key(w: f32, rng: &mut impl Rng, bound: f64) -> Option<f64> {
     if w > 0.0 {
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        -u.ln() / w as f64
+        ((1.0 - u) * (1.0 - 1e-12) <= bound * w as f64).then(|| -u.ln() / w as f64)
     } else {
-        f64::INFINITY
+        Some(f64::INFINITY)
     }
 }
 
-/// The items of the `k` smallest `(key, item)` pairs, ascending — the
-/// first `k` of a stable sort by key — by a top-`k` selection and a sort
-/// of the `k` winners rather than a sort of everything. Keys are never
-/// NaN (see [`exponential_key`]), so `total_cmp` is the numeric order and
-/// ties (zero-weight items all key `+∞`) resolve by item.
-fn smallest_k(mut keyed: Vec<(f64, usize)>, k: usize) -> Vec<usize> {
-    let by_key = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-    if k < keyed.len() {
-        keyed.select_nth_unstable_by(k, by_key);
-        keyed.truncate(k);
+/// The items of the `k` smallest `(key(i, _), i)` pairs over `0..n`,
+/// ascending (a stable sort's first `k`): one pass keeps them in a max-heap
+/// (positive or `+∞` keys order as their bits) whose top, once full, bounds `key`.
+fn smallest_k(n: usize, k: usize, mut key: impl FnMut(usize, f64) -> Option<f64>) -> Vec<usize> {
+    let mut kept: BinaryHeap<(u64, usize)> = BinaryHeap::with_capacity(k);
+    for i in 0..n {
+        let top = kept.peek().filter(|_| kept.len() == k);
+        let Some(key) = key(i, top.map_or(f64::INFINITY, |t| f64::from_bits(t.0))) else {
+            continue;
+        };
+        let item = (key.to_bits(), i);
+        if kept.len() < k {
+            kept.push(item);
+        } else if let Some(mut top) = kept.peek_mut().filter(|top| item < **top) {
+            *top = item;
+        }
     }
-    keyed.sort_unstable_by(by_key);
-    keyed.into_iter().map(|(_, item)| item).collect()
+    kept.into_sorted_vec().into_iter().map(|t| t.1).collect()
 }
 
 /// Draw `k` distinct indices from `0..weights.len()` with probability
@@ -374,17 +423,13 @@ pub fn weighted_sample_without_replacement(
     rng: &mut impl Rng,
 ) -> Vec<usize> {
     assert!(k <= weights.len(), "k must not exceed the population");
-    let keyed = weights.iter().enumerate();
-    smallest_k(
-        keyed.map(|(i, &w)| (exponential_key(w, rng), i)).collect(),
-        k,
-    )
+    let key = |i: usize, bound| exponential_key(weights[i], rng, bound);
+    smallest_k(weights.len(), k, key)
 }
 
 /// [`weighted_sample_without_replacement`] with one RNG stream per item:
-/// item `i`'s exponential key is drawn from `pool.stream(i)`, so the key
-/// vector (computed item-parallel on the worker pool) and therefore the
-/// selection are independent of the thread count.
+/// item `i`'s exponential key is drawn from `pool.stream(i)`, so the
+/// selection is independent of the thread count.
 ///
 /// # Panics
 ///
@@ -395,10 +440,8 @@ pub fn weighted_sample_without_replacement_seeded(
     pool: &RngPool,
 ) -> Vec<usize> {
     assert!(k <= weights.len(), "k must not exceed the population");
-    let keyed = parallel_map(weights.len(), par_gate(weights.len()), |i| {
-        (exponential_key(weights[i], &mut pool.stream(i as u64)), i)
-    });
-    smallest_k(keyed, k)
+    let key = |i: usize, bound| exponential_key(weights[i], &mut pool.stream(i as u64), bound);
+    smallest_k(weights.len(), k, key)
 }
 
 /// Draw `k` distinct indices from `0..n` uniformly, via Floyd's algorithm
@@ -546,6 +589,13 @@ impl AliasTable {
 }
 
 fn validate_weights(weights: &[f32]) -> Result<()> {
+    // One branch-free sweep; the loop looks for the bad weight if it fails.
+    if weights
+        .iter()
+        .fold(true, |ok, w| ok & (0.0..=f32::MAX).contains(w))
+    {
+        return Ok(());
+    }
     for (i, &w) in weights.iter().enumerate() {
         if !w.is_finite() || w < 0.0 {
             return Err(Error::InvalidProbability { index: i, value: w });
@@ -687,6 +737,20 @@ mod tests {
         assert!(collective_sample_seeded(&m, 2, Some(&[1.0, 2.0]), &pool()).is_err());
         let neg = vec![1.0, -1.0, 1.0, 1.0, 1.0, 1.0];
         assert!(collective_sample_seeded(&m, 2, Some(&neg), &pool()).is_err());
+    }
+
+    #[test]
+    fn collective_select_reports_the_lowest_bad_row() {
+        let mut w = vec![1.0f32; 2000];
+        for (at, bad) in [(1900, -1.0), (700, f32::NAN), (701, f32::INFINITY)] {
+            w[at] = bad;
+        }
+        let runs = [0, 1000, 2000];
+        let err = collective_select(&w, 5, &runs, &[pool(), pool()]).unwrap_err();
+        assert!(
+            matches!(err, Error::InvalidProbability { index: 700, .. }),
+            "{err}"
+        );
     }
 
     #[test]

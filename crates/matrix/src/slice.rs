@@ -83,24 +83,25 @@ fn check_bounds(ids: &[NodeId], bound: usize, op: &'static str) -> Result<()> {
 /// Gather stored entries of `src` into a new `nrows`-row CSC whose column
 /// pointers are `indptr`: output column `c`, which owns output entries
 /// `out = indptr[c]..indptr[c + 1]`, takes the entries at source positions
-/// `positions(c, out)` (as many, in order) with their rows lifted by
-/// `row_offset(c)`. Each column's segment is filled independently on the
-/// worker pool. The one writer behind node-wise selection and the
-/// block-diagonal extract of super-batching (offset `b·N` for group `b`).
-pub fn gather_cols<I: Iterator<Item = usize>>(
+/// `positions(c, out)` (as many, in order) with their rows renamed by
+/// `row_map(c)`. Each column's segment is filled independently on the
+/// worker pool. The one writer behind node-wise selection, the
+/// block-diagonal extract of super-batching (a lift by `b·N` for group `b`)
+/// and the fused collective select (a selected row's rank).
+pub fn gather_cols<I: Iterator<Item = usize>, R: Fn(NodeId) -> NodeId>(
     src: &Csc,
     nrows: usize,
     indptr: Vec<usize>,
     positions: impl Fn(usize, Range<usize>) -> I + Sync,
-    row_offset: impl Fn(usize) -> NodeId + Sync,
+    row_map: impl Fn(usize) -> R + Sync,
 ) -> Csc {
     let nnz = *indptr.last().expect("column pointers start with 0");
     let gate = par_gate(nnz);
     let mut indices = vec![0 as NodeId; nnz];
     let fill = |c: usize, seg: &mut [NodeId]| {
-        let offset = row_offset(c);
+        let row = row_map(c);
         for (dst, pos) in seg.iter_mut().zip(positions(c, indptr[c]..indptr[c + 1])) {
-            *dst = src.indices[pos] + offset;
+            *dst = row(src.indices[pos]);
         }
     };
     let values = src.values.as_ref().map(|vals| {

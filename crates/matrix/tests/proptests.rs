@@ -583,6 +583,34 @@ fn large_fanout_pick_matches_the_reference_at_its_cost() {
     );
 }
 
+/// Weights over 40 orders of magnitude, zeros and repeats, 20 000 items:
+/// the seeded selection's bounded heap, which skips the logarithm of a key
+/// that cannot win, picks the first `k` of a stable sort of every exact
+/// key — `collective_sample_bounds_rows` with a deep heap.
+#[test]
+fn seeded_selection_is_the_sort_of_every_key() {
+    let mut r = <StdRng as rand::SeedableRng>::seed_from_u64(7);
+    let weights: Vec<f32> = (0..20_000)
+        .map(|i| match i % 7 {
+            0 => 0.0,
+            1 => 1.0,
+            _ => 10f32.powi(r.gen_range(-20..20)) * r.gen::<f32>(),
+        })
+        .collect();
+    for (seed, k) in [(1, 1), (2, 37), (3, 512), (4, 17_142), (5, 20_000)] {
+        let pool = RngPool::new(seed);
+        let key = |(i, &w): (usize, &f32)| match w > 0.0 {
+            true => -pool.stream(i as u64).gen_range(f64::MIN_POSITIVE..1.0).ln() / w as f64,
+            false => f64::INFINITY,
+        };
+        let keys: Vec<f64> = weights.iter().enumerate().map(key).collect();
+        let mut order: Vec<usize> = (0..weights.len()).collect();
+        order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+        let picks = weighted_sample_without_replacement_seeded(&weights, k, &pool);
+        assert_eq!(picks, order[..k], "k = {k}");
+    }
+}
+
 /// `f32` slices compared bit for bit.
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()

@@ -70,15 +70,27 @@ pub fn run_algorithm(
     frontiers: &[u32],
     fault: Option<Fault>,
 ) -> Result<Option<Vec<Value>>, DriveError> {
+    let Some(sampler) = compile_algorithm(graph, algo, h, config.clone(), fault)? else {
+        return Ok(None);
+    };
+    drive_sampler(graph, algo, h, &sampler, config, frontiers).map(Some)
+}
+
+/// [`run_algorithm`]'s drive of an already compiled `sampler` of `algo`
+/// (`config` compiles the induce samplers some drivers add).
+pub fn drive_sampler(
+    graph: &Arc<Graph>,
+    algo: &str,
+    h: &Hyper,
+    sampler: &Sampler,
+    config: SamplerConfig,
+    frontiers: &[u32],
+) -> Result<Vec<Value>, DriveError> {
     let driver = all_algorithms(h)
         .into_iter()
         .find(|s| s.name == algo)
         .ok_or_else(|| format!("unknown algorithm {algo}"))?
         .driver;
-    let sampler = match compile_algorithm(graph, algo, h, config.clone(), fault)? {
-        Some(s) => s,
-        None => return Ok(None),
-    };
     let fail = |e| format!("{algo}: drive failed: {e}");
 
     let mut out: Vec<Value> = Vec::new();
@@ -124,7 +136,7 @@ pub fn run_algorithm(
         }
         Driver::Walk => {
             let is_n2v = algo == "Node2Vec";
-            let trace = drivers::run_walk_batch(&sampler, frontiers, h.walk_length, is_n2v, 0.0, 1)
+            let trace = drivers::run_walk_batch(sampler, frontiers, h.walk_length, is_n2v, 0.0, 1)
                 .map_err(fail)?;
             for step in trace.positions {
                 out.push(Value::Nodes(step));
@@ -133,12 +145,12 @@ pub fn run_algorithm(
         Driver::WalkCounting => {
             let seeds: Vec<u32> = frontiers.iter().take(4).copied().collect();
             if algo == "PinSAGE" {
-                let neigh = drivers::pinsage_neighbors(&sampler, &seeds, h, 1).map_err(fail)?;
+                let neigh = drivers::pinsage_neighbors(sampler, &seeds, h, 1).map_err(fail)?;
                 for list in neigh {
                     out.push(Value::Nodes(list));
                 }
             } else {
-                let neigh = drivers::hetgnn_neighbors(&sampler, &seeds, h, 1).map_err(fail)?;
+                let neigh = drivers::hetgnn_neighbors(sampler, &seeds, h, 1).map_err(fail)?;
                 for groups in neigh {
                     for group in groups {
                         out.push(Value::Nodes(group));
@@ -149,7 +161,7 @@ pub fn run_algorithm(
         Driver::WalkInduce => {
             let induce = drivers::induce_sampler(graph.clone(), config).map_err(fail)?;
             let roots: Vec<u32> = frontiers.iter().take(8).copied().collect();
-            let m = drivers::graphsaint_sample(&sampler, &induce, &roots, h, 1).map_err(fail)?;
+            let m = drivers::graphsaint_sample(sampler, &induce, &roots, h, 1).map_err(fail)?;
             out.push(Value::Matrix(m));
         }
         Driver::ChainedInduce => {
@@ -160,12 +172,12 @@ pub fn run_algorithm(
             } else {
                 let induce = drivers::induce_sampler(graph.clone(), config).map_err(fail)?;
                 let roots: Vec<u32> = frontiers.iter().take(8).copied().collect();
-                let m = drivers::shadow_sample(&sampler, &induce, &roots, 1).map_err(fail)?;
+                let m = drivers::shadow_sample(sampler, &induce, &roots, 1).map_err(fail)?;
                 out.push(Value::Matrix(m));
             }
         }
     }
-    Ok(Some(out))
+    Ok(out)
 }
 
 /// The 15 registered algorithm names, in registry order.

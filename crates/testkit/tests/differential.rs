@@ -3,9 +3,19 @@
 //! of adversarial graph shapes. The fuzzer explores randomly; this test
 //! pins a deterministic slice of the same oracle into tier-1 CI.
 
-use gsampler_ir::passes::{LayoutMode, OptConfig};
+use gsampler_algos::all_algorithms;
+use gsampler_core::builder::Layer;
+use gsampler_core::{compile, Graph};
+use gsampler_engine::{CostModel, DeviceProfile};
+use gsampler_ir::passes::layout::{self, choice_points, LayoutDecision, LayoutPlan};
+use gsampler_ir::passes::{run_passes, LayoutMode, OptConfig};
+use gsampler_matrix::Format;
+use gsampler_testkit::drive::{drive_sampler, run_algorithm, sampler_config};
+use gsampler_testkit::fingerprint::of_values;
 use gsampler_testkit::gen::{GraphSpec, Topology};
-use gsampler_testkit::oracle::Oracle;
+use gsampler_testkit::oracle::{oracle_hyper, Oracle};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn specs() -> Vec<GraphSpec> {
     vec![
@@ -83,4 +93,88 @@ fn ablation_set_toggles_every_pass_exactly_once() {
     // Every ablation keeps super-batching off; the oracle checks that
     // path separately (different RNG stream keying by design).
     assert!(abl.iter().all(|(_, c)| c.super_batch == 1));
+}
+
+/// `layer` as the passes leave it with the layout off (pre-processing too,
+/// so it reads no precomputed slot), every choice point then laid out in
+/// `format` and compacted wherever `compact` and `choice_points` allow.
+fn forced_layout(
+    graph: &Graph,
+    layer: &Layer,
+    compact: bool,
+    format: Format,
+    batch: usize,
+) -> Layer {
+    let opt = OptConfig {
+        preprocess: false,
+        layout: LayoutMode::None,
+        ..OptConfig::all()
+    };
+    let model = CostModel::new(DeviceProfile::v100());
+    let program = run_passes(
+        &layer.program,
+        &opt,
+        &graph.stats(),
+        batch,
+        &model,
+        graph.residency,
+    );
+    let decide = |(op_id, allowed)| LayoutDecision {
+        op_id,
+        format,
+        compact: compact && allowed,
+    };
+    let decisions = choice_points(&program.program).into_iter().map(decide);
+    let plan = LayoutPlan {
+        decisions: decisions.collect(),
+        ..LayoutPlan::default()
+    };
+    Layer {
+        program: layout::apply(&program.program, &plan).0,
+        ..layer.clone()
+    }
+}
+
+#[test]
+fn forced_layouts_are_invisible() {
+    // The layout search rarely compacts a small graph, so force it: every
+    // compaction `choice_points` allows, then every point in each
+    // non-natural format, run with no passes, samples what the all-on
+    // pipeline does, for all 15 algorithms. (The parent's choice points
+    // fail the compacting leg on FastGCN and AS-GCN.)
+    let h = oracle_hyper();
+    let mut rng = StdRng::seed_from_u64(0x1A70);
+    let randoms: Vec<GraphSpec> = (0..12).map(|_| GraphSpec::arbitrary(&mut rng)).collect();
+    let raw = OptConfig {
+        layout: LayoutMode::None,
+        ..OptConfig::plain()
+    };
+    for spec in specs().into_iter().chain(randoms) {
+        let (graph, frontiers) = (spec.build(), spec.frontiers(8));
+        let config = |opt: &OptConfig| sampler_config(opt.clone(), 0x5EED, frontiers.len());
+        for algo in all_algorithms(&h) {
+            let all = config(&OptConfig::all());
+            let reference = run_algorithm(&graph, algo.name, &h, all, &frontiers, None);
+            let reference = of_values(&reference.unwrap().unwrap());
+            for (compact, format) in [
+                (true, Format::Csc),
+                (false, Format::Csr),
+                (false, Format::Coo),
+            ] {
+                let forced = algo
+                    .layers
+                    .iter()
+                    .map(|l| forced_layout(&graph, l, compact, format, frontiers.len()));
+                let sampler = compile(graph.clone(), forced.collect(), config(&raw)).unwrap();
+                let got = drive_sampler(&graph, algo.name, &h, &sampler, config(&raw), &frontiers);
+                let what = format!("{} compact {compact} {format:?}", algo.name);
+                assert_eq!(
+                    of_values(&got.unwrap()),
+                    reference,
+                    "{what} on {}",
+                    spec.describe()
+                );
+            }
+        }
+    }
 }
