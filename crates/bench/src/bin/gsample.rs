@@ -264,14 +264,13 @@ fn main() {
     if faults_on {
         let i = gsampler_engine::faults::injected();
         println!(
-            "fault plane: {} fires (oom={} kernel={} worker_panic={} worker_stall={} \
-             worker_hang={}) over {} alloc / {} kernel / {} pool sites",
+            "fault plane: {} fires (oom={} kernel={} worker_panic={} worker_stall={}) \
+             over {} alloc / {} kernel / {} pool sites",
             i.total(),
             i.oom,
             i.kernel,
             i.worker_panic,
             i.worker_stall,
-            i.worker_hang,
             i.alloc_sites,
             i.kernel_sites,
             i.worker_sites,

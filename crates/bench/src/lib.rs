@@ -528,7 +528,7 @@ pub fn fmt_fault_report(f: &gsampler_engine::FaultReport) -> String {
     format!(
         "injected: oom={} kernel={} worker_panics={}; recovery: kernel_retries={} \
          batch_retries={} degrade_steps={} spill_events={} spilled={} quarantined={} \
-         watchdog_reclaims={} deadline_shed_retries={}",
+         deadline_shed_retries={}",
         f.injected_oom,
         f.injected_kernel,
         f.worker_panics,
@@ -538,7 +538,6 @@ pub fn fmt_fault_report(f: &gsampler_engine::FaultReport) -> String {
         f.spill_events,
         fmt_bytes(f.spilled_bytes),
         f.quarantined_batches,
-        f.watchdog_reclaims,
         f.deadline_shed_retries,
     )
 }

@@ -757,7 +757,6 @@ impl Sampler {
                 &[("budget_ms", gsampler_obs::Arg::from(d.as_millis() as f64))],
             );
         }
-        let watchdog_before = gsampler_runtime::watchdog_metrics();
         let wall_start = Instant::now();
         let batch = self.config.batch_size.max(1);
         let policy = &self.config.recovery;
@@ -905,13 +904,6 @@ impl Sampler {
             }
             Ok((batch_idx, factor))
         });
-        // Watchdog reclaims during this epoch count as recovery actions of
-        // this epoch, whether it ultimately succeeded or not.
-        let watchdog_delta = gsampler_runtime::watchdog_metrics().since(&watchdog_before);
-        if watchdog_delta.reclaims > 0 {
-            self.device
-                .note_faults(|f| f.watchdog_reclaims += watchdog_delta.reclaims);
-        }
         let (batch_idx, factor) = match result {
             Ok(v) => v,
             Err(e) => {

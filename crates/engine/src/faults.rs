@@ -18,9 +18,6 @@
 //!   participant share,
 //! - `worker-stall` (alias `stall`) — a worker-side delay of `ms`
 //!   milliseconds (default 2) that must **not** fail the region,
-//! - `hang` (alias `worker-hang`) — an *infinite* worker-side stall: the
-//!   share parks until the runtime watchdog reclaims it, the region fails
-//!   as a transient `PoolError`, and recovery retries it bit-identically,
 //!
 //! and params `at=N` (fire at the N-th occurrence of the site, 1-based),
 //! `every=N` (every N-th occurrence), `p=F` (probability per occurrence,
@@ -56,10 +53,6 @@ pub enum FaultKind {
     WorkerPanic,
     /// Stall inside a pool worker (delays, does not fail).
     WorkerStall,
-    /// Infinite stall inside a pool worker: the share parks until the
-    /// runtime watchdog reclaims it, then fails the region (exercises the
-    /// watchdog escalation path).
-    WorkerHang,
 }
 
 impl FaultKind {
@@ -67,7 +60,7 @@ impl FaultKind {
         match self {
             FaultKind::DeviceOom => Site::Alloc,
             FaultKind::KernelTransient => Site::Kernel,
-            FaultKind::WorkerPanic | FaultKind::WorkerStall | FaultKind::WorkerHang => Site::Worker,
+            FaultKind::WorkerPanic | FaultKind::WorkerStall => Site::Worker,
         }
     }
 
@@ -77,7 +70,6 @@ impl FaultKind {
             FaultKind::KernelTransient => "kernel",
             FaultKind::WorkerPanic => "worker.panic",
             FaultKind::WorkerStall => "worker.stall",
-            FaultKind::WorkerHang => "worker.hang",
         }
     }
 }
@@ -167,7 +159,6 @@ impl FaultSpec {
                 "kernel" => (FaultKind::KernelTransient, 0),
                 "worker-panic" | "worker" => (FaultKind::WorkerPanic, 0),
                 "worker-stall" | "stall" => (FaultKind::WorkerStall, 2),
-                "hang" | "worker-hang" => (FaultKind::WorkerHang, 0),
                 other => return Err(format!("unknown fault kind: {other:?}")),
             };
             let mut rule = FaultRule {
@@ -246,8 +237,6 @@ pub struct InjectedCounts {
     pub worker_panic: u64,
     /// Worker stall fires.
     pub worker_stall: u64,
-    /// Worker hang (infinite stall) fires.
-    pub worker_hang: u64,
     /// Site occurrences seen: allocations polled.
     pub alloc_sites: u64,
     /// Site occurrences seen: kernel dispatches polled.
@@ -259,7 +248,7 @@ pub struct InjectedCounts {
 impl InjectedCounts {
     /// Total fires across all kinds.
     pub fn total(&self) -> u64 {
-        self.oom + self.kernel + self.worker_panic + self.worker_stall + self.worker_hang
+        self.oom + self.kernel + self.worker_panic + self.worker_stall
     }
 }
 
@@ -271,7 +260,6 @@ struct Plane {
     kernel: AtomicU64,
     worker_panic: AtomicU64,
     worker_stall: AtomicU64,
-    worker_hang: AtomicU64,
 }
 
 impl Plane {
@@ -285,7 +273,6 @@ impl Plane {
             kernel: AtomicU64::new(0),
             worker_panic: AtomicU64::new(0),
             worker_stall: AtomicU64::new(0),
-            worker_hang: AtomicU64::new(0),
         }
     }
 
@@ -312,7 +299,6 @@ impl Plane {
                 FaultKind::KernelTransient => &self.kernel,
                 FaultKind::WorkerPanic => &self.worker_panic,
                 FaultKind::WorkerStall => &self.worker_stall,
-                FaultKind::WorkerHang => &self.worker_hang,
             };
             counter.fetch_add(1, Ordering::SeqCst);
             gsampler_obs::event(
@@ -334,7 +320,6 @@ impl Plane {
             kernel: self.kernel.load(Ordering::SeqCst),
             worker_panic: self.worker_panic.load(Ordering::SeqCst),
             worker_stall: self.worker_stall.load(Ordering::SeqCst),
-            worker_hang: self.worker_hang.load(Ordering::SeqCst),
             alloc_sites: self.site_occurrences[Site::Alloc as usize].load(Ordering::SeqCst),
             kernel_sites: self.site_occurrences[Site::Kernel as usize].load(Ordering::SeqCst),
             worker_sites: self.site_occurrences[Site::Worker as usize].load(Ordering::SeqCst),
@@ -374,7 +359,6 @@ pub fn install(spec: FaultSpec) {
         match hooked.poll(Site::Worker) {
             Some((FaultKind::WorkerPanic, _)) => Some(WorkerFault::Panic),
             Some((FaultKind::WorkerStall, ms)) => Some(WorkerFault::Stall { ms }),
-            Some((FaultKind::WorkerHang, _)) => Some(WorkerFault::Hang),
             _ => None,
         }
     })));
@@ -452,28 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_hang_kind_and_fires_at_worker_site() {
-        let spec = FaultSpec::parse("hang:at=2; worker-hang:every=3").unwrap();
-        assert_eq!(spec.rules[0].kind, FaultKind::WorkerHang);
-        assert_eq!(spec.rules[0].at, Some(2));
-        assert_eq!(spec.rules[0].count, 1);
-        assert_eq!(spec.rules[1].kind, FaultKind::WorkerHang);
-        let plane = Plane::new(FaultSpec::parse("hang:at=2").unwrap());
-        assert!(plane.poll(Site::Worker).is_none());
-        assert!(matches!(
-            plane.poll(Site::Worker),
-            Some((FaultKind::WorkerHang, _))
-        ));
-        assert!(plane.poll(Site::Worker).is_none());
-        let counts = plane.injected();
-        assert_eq!(counts.worker_hang, 1);
-        assert_eq!(counts.worker_sites, 3);
-        assert_eq!(counts.total(), 1);
-    }
-
-    #[test]
     fn rejects_malformed_specs() {
         assert!(FaultSpec::parse("explode").is_err());
+        // The infinite-stall kind is not part of the grammar.
+        for spec in ["hang:at=1", "worker-hang"] {
+            let err = FaultSpec::parse(spec).unwrap_err();
+            assert!(err.starts_with("unknown fault kind"), "{spec}: {err}");
+        }
         assert!(FaultSpec::parse("kernel:at=x").is_err());
         assert!(FaultSpec::parse("kernel:at=1,every=2").is_err());
         assert!(FaultSpec::parse("kernel:p=1.5").is_err());

@@ -120,9 +120,6 @@ pub struct FaultReport {
     pub spilled_bytes: u64,
     /// Mini-batches abandoned after exhausting the recovery policy.
     pub quarantined_batches: u64,
-    /// Hung worker shares reclaimed by the runtime watchdog during this
-    /// session (each costs one transparent region retry).
-    pub watchdog_reclaims: u64,
     /// Retry/backoff rungs skipped because the remaining deadline could
     /// not cover the backoff sleep (the request shed instead).
     pub deadline_shed_retries: u64,
@@ -145,7 +142,6 @@ impl FaultReport {
         self.spill_events += other.spill_events;
         self.spilled_bytes += other.spilled_bytes;
         self.quarantined_batches += other.quarantined_batches;
-        self.watchdog_reclaims += other.watchdog_reclaims;
         self.deadline_shed_retries += other.deadline_shed_retries;
     }
 }

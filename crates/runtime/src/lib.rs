@@ -5,12 +5,15 @@
 //! that park between kernels (no per-call spawn storms), with two
 //! scheduling disciplines layered on top:
 //!
-//! - **static chunking** ([`parallel::parallel_for_chunks`]) for uniform
-//!   loops (SpMM rows, dense GEMM row blocks, format conversions), and
+//! - **static chunking** ([`parallel::parallel_for_chunks`], used through
+//!   [`parallel::parallel_map`]) for uniform per-item maps (per-edge value
+//!   combines, COO SDDMM, compaction bitmaps and renames, slice segment
+//!   counts), and
 //! - **dynamic claiming** ([`parallel::parallel_scatter`] and
 //!   [`parallel::parallel_scatter2`], which hand out output segments from
-//!   a shared counter) for degree-skewed loops (per-frontier sampling,
-//!   variable-length gathers).
+//!   a shared counter) for everything segmented: per-frontier sampling,
+//!   variable-length gathers, SpMM rows, dense GEMM row blocks and format
+//!   conversions.
 //!
 //! Determinism is a hard requirement: kernel outputs must be bit-identical
 //! at any thread count. The rule every parallel kernel follows is that
@@ -32,7 +35,6 @@ pub mod cancel;
 pub mod parallel;
 pub mod prefetch;
 pub mod rng;
-pub mod watchdog;
 
 pub use arena::{
     arena_metrics, take as take_scratch, take_filled as take_scratch_filled, ArenaMetrics, Recycled,
@@ -43,12 +45,10 @@ pub use parallel::{
     pool_metrics, set_worker_fault_hook, PoolError, PoolMetrics, WorkerFault, WorkerFaultHook,
 };
 pub use rng::RngPool;
-pub use watchdog::{set_stall_threshold_ms, stall_threshold_ms, watchdog_metrics, WatchdogMetrics};
 
-/// Serializes every unit test of this binary that touches a process-global
-/// test knob — the one-slot worker fault hook or the stall-threshold
-/// override — so none of them can clear or overwrite another's setting
-/// between installing it and dispatching the region it is meant for.
+/// Serializes every unit test of this binary that installs the one-slot
+/// worker fault hook, so none of them can clear or overwrite another's
+/// hook between installing it and dispatching the region it is meant for.
 #[cfg(test)]
 pub(crate) fn test_globals_guard() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -83,12 +83,6 @@ pub enum WorkerFault {
         /// Injected delay in milliseconds.
         ms: u64,
     },
-    /// Stall the participant *forever*: it parks in a cooperative loop —
-    /// before the region closure runs — until the watchdog orders the
-    /// share abandoned, then fails the region like a worker panic and
-    /// exits through the respawn path. With the watchdog disabled the
-    /// share fails immediately instead of hanging the caller.
-    Hang,
 }
 
 /// A fault-injection hook polled once per dispatched region, on the
@@ -348,68 +342,35 @@ fn worker_loop(pool: &'static Pool) {
 /// by the pool).
 fn run_participant(job: &Job, tid: usize) -> bool {
     let start = Instant::now();
-    // Heartbeat: the watchdog sees this share from here until return.
-    let monitor = crate::watchdog::register_share();
     // SAFETY: the dispatching caller blocks until `finished == max`, so
     // the closure (and everything it borrows) outlives this call.
     let f = unsafe { &*job.func.0 };
     let fault = job.fault.lock().unwrap_or_else(|p| p.into_inner()).take();
-    let survived = if matches!(fault, Some(WorkerFault::Hang)) {
-        // The cooperative infinite stall. Crucially this parks *before*
-        // the region closure runs: the share never touches `f`, so the
-        // watchdog may abandon it without racing the caller on borrowed
-        // state. The share then fails the region exactly like a worker
-        // panic and this thread exits through the respawn path.
-        let reason = match &monitor {
-            Some(m) => {
-                let waited = m.park_until_reclaimed();
-                format!(
-                    "injected fault: worker hang (participant {tid}), reclaimed by watchdog \
-                     after {}ms",
-                    waited.as_millis()
-                )
+    // Spawned participants inherit the caller's cancel token so the
+    // chunk-claim loops inside `f` poll the right deadline.
+    let cancel = job.cancel.as_ref().map(|t| crate::cancel::scope(t.clone()));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        match fault {
+            Some(WorkerFault::Panic) => panic!("injected fault: worker panic (participant {tid})"),
+            Some(WorkerFault::Stall { ms }) => {
+                std::thread::sleep(std::time::Duration::from_millis(ms))
             }
-            None => format!(
-                "injected fault: worker hang (participant {tid}), watchdog disabled — \
-                 failing the share immediately"
-            ),
-        };
-        let mut slot = job.payload.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.is_none() {
-            *slot = Some(Box::new(reason) as Box<dyn Any + Send>);
+            None => {}
         }
-        drop(slot);
-        job.panicked.store(true, Ordering::SeqCst);
-        false
-    } else {
-        // Spawned participants inherit the caller's cancel token so the
-        // chunk-claim loops inside `f` poll the right deadline.
-        let _cancel = job.cancel.as_ref().map(|t| crate::cancel::scope(t.clone()));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            match fault {
-                Some(WorkerFault::Panic) => {
-                    panic!("injected fault: worker panic (participant {tid})")
-                }
-                Some(WorkerFault::Stall { ms }) => {
-                    std::thread::sleep(std::time::Duration::from_millis(ms))
-                }
-                Some(WorkerFault::Hang) | None => {}
+        f(tid)
+    }));
+    drop(cancel);
+    let survived = match result {
+        Ok(()) => true,
+        Err(payload) => {
+            let mut slot = job.payload.lock().unwrap_or_else(|p| p.into_inner());
+            if slot.is_none() {
+                *slot = Some(payload);
             }
-            f(tid)
-        }));
-        match result {
-            Ok(()) => true,
-            Err(payload) => {
-                let mut slot = job.payload.lock().unwrap_or_else(|p| p.into_inner());
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-                job.panicked.store(true, Ordering::SeqCst);
-                false
-            }
+            job.panicked.store(true, Ordering::SeqCst);
+            false
         }
     };
-    drop(monitor);
     job.busy_ns
         .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     job.finished.fetch_add(1, Ordering::SeqCst);
@@ -676,11 +637,7 @@ pub fn parallel_scatter2<A, B, F>(
         // unsafe disjoint writes.
         for i in 0..segs {
             let (s, e) = (offsets[i], offsets[i + 1]);
-            // Split to hand out both buffers' segments simultaneously.
-            let (seg_a, seg_b) = (&mut a[s..e] as *mut [A], &mut b[s..e] as *mut [B]);
-            // SAFETY: distinct buffers; the raw round-trip only sidesteps
-            // borrowing `a` and `b` in one expression.
-            unsafe { f(i, &mut *seg_a, &mut *seg_b) };
+            f(i, &mut a[s..e], &mut b[s..e]);
         }
         return;
     }
@@ -949,56 +906,6 @@ mod tests {
         assert!(err.message().contains("injected fault"), "got: {err}");
         let out = parallel_map(10_000, 1, |i| i * 3);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
-    }
-
-    #[test]
-    fn injected_hang_is_reclaimed_by_watchdog() {
-        if num_threads() < 2 {
-            return;
-        }
-        let _globals = crate::test_globals_guard();
-        // Fast threshold so the test does not sit out the 1s default;
-        // other tests in this binary only run short shares, so the
-        // lowered bound cannot misfire on them (warnings are the worst
-        // case, and those are observational).
-        crate::watchdog::set_stall_threshold_ms(Some(40));
-        set_worker_fault_hook(Some(one_shot_hook(WorkerFault::Hang)));
-        let before = crate::watchdog::watchdog_metrics();
-        let result = catch_unwind(|| parallel_map(10_000, 1, |i| i * 5));
-        set_worker_fault_hook(None);
-        crate::watchdog::set_stall_threshold_ms(None);
-        let payload = result.expect_err("a hung share must fail the region");
-        let err = payload.downcast_ref::<PoolError>().expect("typed payload");
-        assert!(
-            err.message().contains("reclaimed by watchdog"),
-            "got: {err}"
-        );
-        let delta = crate::watchdog::watchdog_metrics().since(&before);
-        assert!(delta.reclaims >= 1, "watchdog recorded no reclaim");
-        // The pool healed: the retried region completes normally.
-        let out = parallel_map(10_000, 1, |i| i * 5);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i * 5));
-    }
-
-    #[test]
-    fn hang_with_watchdog_disabled_fails_fast() {
-        if num_threads() < 2 {
-            return;
-        }
-        let _globals = crate::test_globals_guard();
-        crate::watchdog::set_stall_threshold_ms(Some(0));
-        set_worker_fault_hook(Some(one_shot_hook(WorkerFault::Hang)));
-        let started = Instant::now();
-        let result = catch_unwind(|| parallel_map(10_000, 1, |i| i + 2));
-        set_worker_fault_hook(None);
-        crate::watchdog::set_stall_threshold_ms(None);
-        let payload = result.expect_err("a hang must still fail the region");
-        let err = payload.downcast_ref::<PoolError>().expect("typed payload");
-        assert!(err.message().contains("watchdog disabled"), "got: {err}");
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(5),
-            "disabled-watchdog hang did not fail fast"
-        );
     }
 
     #[test]
