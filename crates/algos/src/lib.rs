@@ -21,7 +21,6 @@
 
 pub mod drivers;
 pub mod layerwise;
-pub mod metapath;
 pub mod nodewise;
 pub mod params;
 pub mod ppr;

@@ -22,10 +22,6 @@
 //!                                (default 256 when auto-planning)
 //!   --no-degrade                 disable fault recovery and the memory
 //!                                degradation ladder (fail fast)
-//!   --prefetch                   overlap next-batch seed-feature
-//!                                extraction with the current window's
-//!                                compute (hides the gather's modeled
-//!                                time behind the window it overlaps)
 //!   --deadline-ms MS             per-epoch wall-clock deadline; an
 //!                                epoch that exceeds it stops
 //!                                cooperatively with a DeadlineExceeded
@@ -48,7 +44,7 @@ fn usage() -> ! {
     eprintln!("  --dataset LJ|PD|PP|FS|tiny   --edges FILE   --scale F");
     eprintln!("  --batch N   --device v100|t4|cpu   --plain   --epochs N");
     eprintln!("  --trace-out FILE   --metrics-out FILE");
-    eprintln!("  --faults SPEC   --budget MIB   --no-degrade   --prefetch");
+    eprintln!("  --faults SPEC   --budget MIB   --no-degrade");
     eprintln!("  --deadline-ms MS");
     std::process::exit(2);
 }
@@ -82,7 +78,6 @@ fn main() {
     let mut breakdown = false;
     let mut dot = false;
     let mut no_degrade = false;
-    let mut prefetch = false;
     let mut faults_spec: Option<String> = None;
     let mut budget_mib: Option<f64> = None;
     let mut deadline_ms: Option<u64> = None;
@@ -128,7 +123,6 @@ fn main() {
             "--breakdown" => breakdown = true,
             "--dot" => dot = true,
             "--no-degrade" => no_degrade = true,
-            "--prefetch" => prefetch = true,
             "--faults" => faults_spec = Some(value("--faults")),
             "--budget" => budget_mib = Some(value("--budget").parse().unwrap_or_else(|_| usage())),
             "--deadline-ms" => {
@@ -200,7 +194,6 @@ fn main() {
         recovery,
         budget_override: budget_mib.map(|mib| mib * (1 << 20) as f64),
         plan_db: None,
-        prefetch,
         deadline: deadline_ms.map(std::time::Duration::from_millis),
     };
     let sampler = gsampler_bench::build_gsampler_with(&graph, algo, &h, device, opt, !plain, opts)

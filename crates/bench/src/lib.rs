@@ -140,10 +140,6 @@ pub struct BuildOpts {
     pub budget_override: Option<f64>,
     /// Plan database to compile through; `None` disables plan caching.
     pub plan_db: Option<Arc<gsampler_core::PlanDb>>,
-    /// Overlap next-batch seed-feature extraction with the current
-    /// window's compute (`--prefetch`). Off by default: on a
-    /// `host_parallelism: 1` host the overlap hides nothing.
-    pub prefetch: bool,
     /// Per-epoch deadline (`--deadline-ms`); an epoch that exceeds it
     /// stops cooperatively with `DeadlineExceeded`. `None` disables the
     /// deadline plane (its disabled-path check is one thread-local read).
@@ -200,7 +196,6 @@ pub fn build_gsampler_with(
         max_super_batch: 16,
         recovery: opts.recovery,
         plan_db: opts.plan_db,
-        prefetch_node_feats: opts.prefetch,
         deadline: opts.deadline,
         cancel: None,
     };

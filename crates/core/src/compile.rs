@@ -11,8 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gsampler_engine::{
-    workload, Device, DeviceProfile, ExecStats, FaultReport, MemoryTracker, PlanDbStats, Residency,
-    RngPool,
+    Device, DeviceProfile, ExecStats, FaultReport, MemoryTracker, PlanDbStats, RngPool,
 };
 use gsampler_ir::passes::{run_passes, OptConfig, OptimizedProgram};
 use gsampler_ir::superbatch;
@@ -100,15 +99,6 @@ pub struct SamplerConfig {
     /// Plan database to look the whole compile up in (and to insert its
     /// result into on a miss). `None` disables plan caching.
     pub plan_db: Option<Arc<PlanDb>>,
-    /// Overlap the *next* window's frontier feature extraction with the
-    /// current window's compute on a prefetch thread (the Snippet-3
-    /// `prefetch_node_feats` stage): only the modeled gather time that
-    /// exceeds the overlapped window lands on the epoch's critical path.
-    /// No effect when the graph carries no features. Off by default — the
-    /// wall-clock benefit needs a host with more than one core (a
-    /// `host_parallelism: 1` machine overlaps nothing in wall time; the
-    /// modeled overlap is still reported).
-    pub prefetch_node_feats: bool,
     /// Per-epoch wall-clock budget. Each [`Sampler::run_epoch_with`] call
     /// arms its cancel token with this budget at epoch start; once it
     /// elapses, the epoch stops cooperatively at the next check point
@@ -140,7 +130,6 @@ impl SamplerConfig {
             max_super_batch: 128,
             recovery: RecoveryPolicy::default(),
             plan_db: None,
-            prefetch_node_feats: false,
             deadline: None,
             cancel: None,
         }
@@ -761,174 +750,79 @@ impl Sampler {
         let batch = self.config.batch_size.max(1);
         let policy = &self.config.recovery;
         let pool = self.pool.subpool(epoch);
-        // Prefetch stage (Snippet 3's `prefetch_node_feats`): while a
-        // window's sampling computes, a helper thread extracts that
-        // window's seed features — sampling never reads them, the
-        // trainer downstream does, so the gather rides for free behind
-        // the window it belongs to. The modeled gather cost is charged
-        // with the overlapped compute's modeled time hidden; only the
-        // overhang reaches the epoch's critical path. (On a host with
-        // one core the wall-clock overlap is nil — see the config
-        // knob's docs — but the modeled accounting is unchanged.)
-        let feats: Option<&gsampler_matrix::Dense> = if self.config.prefetch_node_feats {
-            self.graph.features.as_deref()
-        } else {
-            None
-        };
-        let result = std::thread::scope(|scope| -> Result<(usize, usize)> {
-            let mut factor = self.super_batch.max(1);
-            let mut batch_idx = 0usize;
-            let mut start = 0usize;
-            // (rows, modeled time at spawn, gather thread handle)
-            let mut pending: Option<(usize, f64, std::thread::ScopedJoinHandle<'_, f64>)> = None;
-            // Join the in-flight prefetch and charge its gather with the
-            // window compute that ran since the spawn hidden.
-            let settle =
-                |pending: &mut Option<(usize, f64, std::thread::ScopedJoinHandle<f64>)>| {
-                    let Some((rows, spawn_modeled, handle)) = pending.take() else {
-                        return;
-                    };
-                    let wall = handle.join().expect("prefetch gather does not panic");
-                    let hidden = self.device.modeled_time() - spawn_modeled;
-                    let dim = self.graph.features.as_ref().map_or(0, |f| f.ncols());
-                    // Features of a host-resident graph live host-side; the
-                    // structure cache plan does not cover them.
-                    let feat_res = match self.graph.residency {
-                        Residency::Device => Residency::Device,
-                        _ => Residency::host_uva(0.0),
-                    };
-                    let mut desc = workload::gather_features(rows, dim, feat_res);
-                    desc.name = "prefetch::gather_features".into();
-                    let (full, _) = self.device.cost_model().time_and_utilization(&desc);
-                    self.device.charge_hidden(desc, hidden, wall);
+        let mut factor = self.super_batch.max(1);
+        let mut batch_idx = 0usize;
+        let mut start = 0usize;
+        while start < seeds.len() {
+            // Window boundary is the coarse cancellation check point: RNG
+            // streams are derived fresh per batch, so stopping here needs
+            // no RNG restore — a rerun replays the remaining batches
+            // bit-identically.
+            if let Some(cause) = gsampler_runtime::cancel::poll() {
+                return Err(note_stop(Error::from_cancel(cause)));
+            }
+            // Collect up to `factor` equal-sized groups; `start` is only
+            // committed once the window succeeds (or is quarantined).
+            let mut groups: Vec<Vec<NodeId>> = Vec::new();
+            let mut end = start;
+            while groups.len() < factor && end < seeds.len() {
+                let stop = (end + batch).min(seeds.len());
+                groups.push(seeds[end..stop].to_vec());
+                end = stop;
+            }
+            let window_batches = groups.len();
+            let mut rngs: Vec<StdRng> = (batch_idx..batch_idx + window_batches)
+                .map(|b| pool.stream(b as u64))
+                .collect();
+            match run_window(groups, &mut rngs) {
+                Ok(samples) => {
+                    start = end;
+                    for sample in samples {
+                        consume(batch_idx, sample);
+                        batch_idx += 1;
+                    }
+                }
+                Err(e) if e.is_oom() && policy.allow_degrade && factor > 1 => {
+                    // Degradation ladder: halve the super-batch factor and
+                    // re-execute the same seed window regrouped. Factor 1
+                    // windows that still do not fit take the streaming
+                    // rung inside `sample_groups`.
+                    let from = factor;
+                    factor = (factor / 2).max(1);
+                    self.device.note_faults(|f| {
+                        f.degrade_steps += 1;
+                        f.batch_retries += 1;
+                    });
                     gsampler_obs::event(
-                        "cache",
-                        "prefetch",
+                        "degrade",
+                        "superbatch.factor",
                         &[
-                            ("rows", gsampler_obs::Arg::from(rows)),
-                            ("hidden_s", gsampler_obs::Arg::from(hidden.min(full))),
-                            (
-                                "exposed_s",
-                                gsampler_obs::Arg::from((full - hidden).max(0.0)),
-                            ),
+                            ("from", gsampler_obs::Arg::from(from as f64)),
+                            ("to", gsampler_obs::Arg::from(factor as f64)),
                         ],
                     );
-                };
-            while start < seeds.len() {
-                // Window boundary is the coarse cancellation check point:
-                // RNG streams are derived fresh per batch, so stopping
-                // here needs no RNG restore — a rerun replays the
-                // remaining batches bit-identically.
-                if let Some(cause) = gsampler_runtime::cancel::poll() {
-                    return Err(Error::from_cancel(cause));
                 }
-                // Collect up to `factor` equal-sized groups; `start` is only
-                // committed once the window succeeds (or is quarantined).
-                let mut groups: Vec<Vec<NodeId>> = Vec::new();
-                let mut end = start;
-                while groups.len() < factor && end < seeds.len() {
-                    let stop = (end + batch).min(seeds.len());
-                    groups.push(seeds[end..stop].to_vec());
-                    end = stop;
-                }
-                // Launch this window's feature gather before its compute
-                // runs. One spawn per seed range: degradation retries of
-                // the current window keep the same prefetch in flight
-                // (the already-gathered superset is charged as spawned).
-                if let Some(f) = feats {
-                    if pending.is_none() {
-                        let slice = &seeds[start..end];
-                        let t0 = self.device.modeled_time();
-                        let handle = scope.spawn(move || {
-                            let t = Instant::now();
-                            let _ = f.gather_rows(slice);
-                            t.elapsed().as_secs_f64()
-                        });
-                        pending = Some((slice.len(), t0, handle));
-                    }
-                }
-                let window_batches = groups.len();
-                let mut rngs: Vec<StdRng> = (batch_idx..batch_idx + window_batches)
-                    .map(|b| pool.stream(b as u64))
-                    .collect();
-                match run_window(groups, &mut rngs) {
-                    Ok(samples) => {
-                        start = end;
-                        settle(&mut pending);
-                        for sample in samples {
-                            consume(batch_idx, sample);
-                            batch_idx += 1;
-                        }
-                    }
-                    Err(e) if e.is_oom() && policy.allow_degrade && factor > 1 => {
-                        // Degradation ladder: halve the super-batch factor and
-                        // re-execute the same seed window regrouped. Factor 1
-                        // windows that still do not fit take the streaming
-                        // rung inside `sample_groups`.
-                        let from = factor;
-                        factor = (factor / 2).max(1);
-                        self.device.note_faults(|f| {
-                            f.degrade_steps += 1;
-                            f.batch_retries += 1;
-                        });
-                        gsampler_obs::event(
-                            "degrade",
-                            "superbatch.factor",
-                            &[
-                                ("from", gsampler_obs::Arg::from(from as f64)),
-                                ("to", gsampler_obs::Arg::from(factor as f64)),
-                            ],
-                        );
-                    }
-                    Err(e) if policy.quarantine && !e.is_cancelled() => {
-                        // The window exhausted retries and degradation: skip
-                        // it, keep the epoch alive. Batch numbering stays
-                        // stable — the skipped indices are simply never given
-                        // to `consume`.
-                        self.device
-                            .note_faults(|f| f.quarantined_batches += window_batches as u64);
-                        gsampler_obs::event(
-                            "degrade",
-                            "quarantine",
-                            &[
-                                ("batches", gsampler_obs::Arg::from(window_batches as f64)),
-                                ("error", gsampler_obs::Arg::from(e.to_string())),
-                            ],
-                        );
-                        start = end;
-                        settle(&mut pending);
-                        batch_idx += window_batches;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok((batch_idx, factor))
-        });
-        let (batch_idx, factor) = match result {
-            Ok(v) => v,
-            Err(e) => {
-                match &e {
-                    Error::DeadlineExceeded {
-                        budget_ms,
-                        elapsed_ms,
-                    } => gsampler_obs::event(
-                        "deadline",
-                        "exceeded",
+                Err(e) if policy.quarantine && !e.is_cancelled() => {
+                    // The window exhausted retries and degradation: skip it,
+                    // keep the epoch alive. Batch numbering stays stable —
+                    // the skipped indices are simply never given to
+                    // `consume`.
+                    self.device
+                        .note_faults(|f| f.quarantined_batches += window_batches as u64);
+                    gsampler_obs::event(
+                        "degrade",
+                        "quarantine",
                         &[
-                            ("budget_ms", gsampler_obs::Arg::from(*budget_ms as f64)),
-                            ("elapsed_ms", gsampler_obs::Arg::from(*elapsed_ms as f64)),
+                            ("batches", gsampler_obs::Arg::from(window_batches as f64)),
+                            ("error", gsampler_obs::Arg::from(e.to_string())),
                         ],
-                    ),
-                    Error::Cancelled(_) => gsampler_obs::event(
-                        "cancel",
-                        "fired",
-                        &[("error", gsampler_obs::Arg::from(e.to_string()))],
-                    ),
-                    _ => {}
+                    );
+                    start = end;
+                    batch_idx += window_batches;
                 }
-                return Err(e);
+                Err(e) => return Err(note_stop(e)),
             }
-        };
+        }
         epoch_span.arg("final_super_batch", factor);
         let mut stats = self.device.stats();
         // Compile-time counters survive the per-epoch device reset.
@@ -953,4 +847,29 @@ impl Sampler {
     ) -> Result<EpochReport> {
         self.run_epoch_with(seeds, bindings, epoch, |_, _| {})
     }
+}
+
+/// Trace why an epoch stopped early (deadline or cancel) and pass the
+/// error through.
+fn note_stop(e: Error) -> Error {
+    match &e {
+        Error::DeadlineExceeded {
+            budget_ms,
+            elapsed_ms,
+        } => gsampler_obs::event(
+            "deadline",
+            "exceeded",
+            &[
+                ("budget_ms", gsampler_obs::Arg::from(*budget_ms as f64)),
+                ("elapsed_ms", gsampler_obs::Arg::from(*elapsed_ms as f64)),
+            ],
+        ),
+        Error::Cancelled(_) => gsampler_obs::event(
+            "cancel",
+            "fired",
+            &[("error", gsampler_obs::Arg::from(e.to_string()))],
+        ),
+        _ => {}
+    }
+    e
 }

@@ -22,8 +22,8 @@ pub struct Graph {
     /// Optional `N × d` node feature matrix, as the shared handle programs
     /// read it through (it dereferences to the [`Dense`]).
     pub features: Option<SharedDense>,
-    /// Where the structure lives (device vs UVA host memory, or partially
-    /// resident behind a [`CachePlan`]).
+    /// Where the structure lives (device vs UVA host memory, the latter
+    /// possibly behind a [`CachePlan`]).
     pub residency: Residency,
     /// The pinned hot set when the graph is partially resident: which
     /// adjacency lists live on the device. `residency` carries the
@@ -95,10 +95,10 @@ impl Graph {
     /// Make the graph partially resident behind `plan`: the plan's pinned
     /// rows are served from device memory, tail rows are charged the
     /// PCIe+transaction-padding term. Sets the summary residency to
-    /// [`Residency::partial`] of the plan's predicted hit rate and keeps
+    /// [`Residency::host_uva`] of the plan's predicted hit rate and keeps
     /// the membership map for per-batch hit counting at dispatch.
     pub fn with_cache_plan(mut self, plan: CachePlan) -> Graph {
-        self.residency = Residency::partial(plan.hit_rate);
+        self.residency = Residency::host_uva(plan.hit_rate);
         self.cache_plan = Some(Arc::new(plan));
         self
     }
@@ -194,8 +194,8 @@ mod tests {
         assert_eq!(g.size_bytes(), g.structure_bytes() + 4 * 8 * 4);
         let degrees = g.matrix.data.col_degrees();
         let g = g.with_cache_plan(gsampler_engine::plan_cache(&degrees, u64::MAX));
-        assert!(matches!(g.residency, Residency::Partial { .. }));
         let plan = g.cache_plan().expect("plan attached");
+        assert_eq!(g.residency, Residency::host_uva(plan.hit_rate));
         assert!((plan.hit_rate - 1.0).abs() < 1e-12);
         assert!(plan.is_cached(0) && plan.is_cached(1));
         // Overriding the residency drops the (now inconsistent) plan.

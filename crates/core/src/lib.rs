@@ -47,9 +47,7 @@ pub mod builder;
 pub mod compile;
 pub mod error;
 pub mod exec;
-pub mod export;
 pub mod graph;
-pub mod hetero;
 pub mod kernels;
 pub mod multi_gpu;
 mod plandb;
@@ -61,7 +59,6 @@ pub use compile::{
 };
 pub use error::{Error, Result};
 pub use exec::Bindings;
-pub use export::{to_edge_index_graph, to_message_flow_graph, EdgeIndexGraph, MessageFlowGraph};
 pub use graph::Graph;
 pub use multi_gpu::{MultiGpuReport, MultiGpuSampler};
 pub use plandb::PlanDb;

@@ -1,7 +1,6 @@
 //! Integration tests for the partial residency map: per-batch hit
 //! counting against the graph's `CachePlan`, admission-estimate honesty
-//! for tail rows, the prefetch stage's sample-equivalence, and the modeled
-//! cache sweep on the PP preset.
+//! for tail rows, and the modeled cache sweep on the PP preset.
 
 use std::sync::Arc;
 
@@ -9,7 +8,7 @@ use gsampler_core::builder::{Layer, LayerBuilder};
 use gsampler_core::{compile, Bindings, Graph, SamplerConfig};
 use gsampler_engine::{list_bytes, plan_cache, Residency};
 use gsampler_graphs::{Dataset, DatasetKind};
-use gsampler_matrix::{Dense, NodeId};
+use gsampler_matrix::NodeId;
 
 /// A 48-node graph with deliberate degree skew: node 0 receives an edge
 /// from every other node (a hub), the rest form a sparse ring.
@@ -23,15 +22,7 @@ fn skewed_graph() -> Arc<Graph> {
         edges.push((u, (u + 1) % n, 1.0));
         edges.push(((u + 1) % n, u, 1.0));
     }
-    let features = {
-        let data: Vec<f32> = (0..n as usize * 4).map(|i| (i % 7) as f32 * 0.5).collect();
-        Dense::from_vec(n as usize, 4, data).unwrap()
-    };
-    Arc::new(
-        Graph::from_edges("skewed", n as usize, &edges, false)
-            .unwrap()
-            .with_features(features),
-    )
+    Arc::new(Graph::from_edges("skewed", n as usize, &edges, false).unwrap())
 }
 
 fn sage_layer(k: usize) -> Layer {
@@ -131,57 +122,9 @@ fn admission_estimate_charges_tail_rows() {
     assert!(uva.estimate_request_bytes(cols) > device.estimate_request_bytes(cols));
 }
 
-#[test]
-fn prefetch_stage_preserves_samples_and_charges_the_gather() {
-    let graph = skewed_graph();
-    let degrees = graph.matrix.data.col_degrees();
-    let budget = gsampler_engine::list_bytes(degrees.iter().copied().max().unwrap());
-    let graph = Arc::new(
-        (*graph)
-            .clone()
-            .with_cache_plan(plan_cache(&degrees, budget)),
-    );
-
-    let run = |prefetch: bool| {
-        let config = SamplerConfig {
-            prefetch_node_feats: prefetch,
-            batch_size: 8,
-            ..SamplerConfig::new()
-        };
-        let sampler = compile(graph.clone(), vec![sage_layer(4), sage_layer(4)], config).unwrap();
-        let mut fingerprints = Vec::new();
-        sampler
-            .run_epoch_with(&seeds(), &Bindings::new(), 0, |idx, sample| {
-                fingerprints.push((idx, format!("{sample:?}")));
-            })
-            .unwrap();
-        (fingerprints, sampler.device().stats())
-    };
-
-    let (plain, plain_stats) = run(false);
-    let (prefetched, stats) = run(true);
-    // Prefetch overlaps feature extraction with compute; it must not
-    // change what is sampled.
-    assert_eq!(plain, prefetched);
-    assert!(
-        stats.per_kernel.contains_key("prefetch::gather_features"),
-        "prefetch runs should charge the gather kernel"
-    );
-    assert!(!plain_stats
-        .per_kernel
-        .contains_key("prefetch::gather_features"));
-    // Hit accounting is identical either way.
-    assert_eq!(
-        (plain_stats.cache_hits, plain_stats.cache_misses),
-        (stats.cache_hits, stats.cache_misses)
-    );
-}
-
 /// The degree-skew hot-set sweep: a GraphSAGE [25, 10] epoch over 4096
 /// seeds of the PP preset at scale 0.05, once per pinned fraction of the
 /// structure bytes. Modeled times are deterministic cost-model output.
-/// Prefetch stays off so the sweep isolates structure residency (the
-/// feature gather is constant across fractions).
 #[test]
 fn modeled_epoch_time_is_monotone_in_pinned_fraction() {
     let d = Dataset::generate(DatasetKind::OgbnPapers, 0.05, 2023);

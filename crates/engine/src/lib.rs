@@ -120,29 +120,6 @@ impl Device {
         time
     }
 
-    /// Charge a kernel whose execution was overlapped with `hidden`
-    /// seconds of concurrent compute (the prefetch stage): bytes, FLOPs
-    /// and the launch are charged in full, but only the modeled time that
-    /// *exceeds* the overlap lands on the session's critical path.
-    pub fn charge_hidden(&self, desc: KernelDesc, hidden: f64, wall_time: f64) {
-        let (time, util) = self.cost.time_and_utilization(&desc);
-        let exposed = (time - hidden.max(0.0)).max(0.0);
-        self.stats.lock().record_timed_par(
-            desc,
-            exposed,
-            util,
-            wall_time,
-            PoolMetrics::default(),
-            ArenaMetrics::default(),
-        );
-    }
-
-    /// Total modeled device time accumulated so far (cheap accessor — no
-    /// stats snapshot clone).
-    pub fn modeled_time(&self) -> f64 {
-        self.stats.lock().total_time
-    }
-
     /// Record observed structure-cache hit/miss counts (per-batch frontier
     /// membership against the graph's `CachePlan`, counted at dispatch).
     pub fn note_cache(&self, hits: u64, misses: u64) {
@@ -291,25 +268,6 @@ mod tests {
         dev.reset();
         assert_eq!(dev.stats().kernel_launches, 0);
         assert_eq!(dev.stats().total_time, 0.0);
-    }
-
-    #[test]
-    fn charge_hidden_exposes_only_the_overhang() {
-        let dev = Device::new(DeviceProfile::v100());
-        let desc = KernelDesc::new("prefetch")
-            .with_bytes(1 << 30, 0)
-            .with_parallelism(1 << 22);
-        let (full, _) = dev.cost_model().time_and_utilization(&desc);
-        // Fully hidden behind a longer window: zero critical-path time,
-        // but the bytes are still accounted.
-        dev.charge_hidden(desc.clone(), full * 2.0, 0.0);
-        let s = dev.stats();
-        assert_eq!(s.total_time, 0.0);
-        assert_eq!(s.total_bytes, 1 << 30);
-        assert_eq!(s.kernel_launches, 1);
-        // Half hidden: half the modeled time is exposed.
-        dev.charge_hidden(desc, full / 2.0, 0.0);
-        assert!((dev.stats().total_time - full / 2.0).abs() < full * 1e-9);
     }
 
     #[test]

@@ -122,9 +122,8 @@ pub const UVA_TRANSACTION_FACTOR: f64 = 4.0;
 /// Apply graph residency with per-row charging: the cached (hot) rows
 /// are served at device bandwidth, and only the tail rows cross PCIe —
 /// amplified by transaction padding. A device-resident graph pays the
-/// whole read at device bandwidth; a fully-cached partial plan prices
-/// identically to `Residency::Device`, an empty plan identically to
-/// `HostUva { cache_hit_rate: 0.0 }` (both checked by the testkit's
+/// whole read at device bandwidth; a fully-cached host graph prices
+/// identically to `Residency::Device` (checked by the testkit's
 /// differential suite). Returns `(device bytes, PCIe bytes)`.
 pub fn residency_split(read_bytes: u64, residency: Residency) -> (u64, u64) {
     let frac = residency.pcie_fraction();
@@ -595,21 +594,17 @@ mod tests {
     fn per_row_charging_splits_reads_between_tiers() {
         let g = pd_graph();
         let dev = slice_cols(Format::Csc, g, 25_600, 512, Residency::Device);
-        let half = slice_cols(Format::Csc, g, 25_600, 512, Residency::partial(0.5));
+        let half = slice_cols(Format::Csc, g, 25_600, 512, Residency::host_uva(0.5));
         // Cached rows pay device bandwidth, tail rows pay padded PCIe —
         // the read is split per-row, not charged twice.
         assert!(half.bytes < dev.bytes, "device bytes must shrink with hits");
         assert!(half.bytes_pcie > 0);
-        // Endpoints reproduce the binary residencies exactly.
-        let full = slice_cols(Format::Csc, g, 25_600, 512, Residency::partial(1.0));
+        // A fully cached host graph reproduces the device-resident read.
+        let full = slice_cols(Format::Csc, g, 25_600, 512, Residency::host_uva(1.0));
         assert_eq!(full.bytes, dev.bytes);
         assert_eq!(full.bytes_pcie, 0);
-        let empty = slice_cols(Format::Csc, g, 25_600, 512, Residency::partial(0.0));
-        let uva0 = slice_cols(Format::Csc, g, 25_600, 512, Residency::host_uva(0.0));
-        assert_eq!(empty.bytes, uva0.bytes);
-        assert_eq!(empty.bytes_pcie, uva0.bytes_pcie);
         // A larger hot set is never modeled slower.
-        let quarter = slice_cols(Format::Csc, g, 25_600, 512, Residency::partial(0.25));
+        let quarter = slice_cols(Format::Csc, g, 25_600, 512, Residency::host_uva(0.25));
         assert!(modeled_ms(&half) <= modeled_ms(&quarter));
         assert!(modeled_ms(&full) <= modeled_ms(&half));
     }
