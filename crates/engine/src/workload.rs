@@ -238,18 +238,12 @@ pub fn eltwise(fmt: Format, input: MatShape) -> KernelDesc {
 }
 
 /// `A @ D` — SpMM with dense feature dimension `k`.
-///
-/// The cache-blocked kernel (`gsampler_matrix::spmm`) builds its per-tile
-/// cursor table from the row pointers once and reuses it across every
-/// column-block sweep, so the blocking overhead is one extra pointer-array
-/// read — charged here once, not per block.
 pub fn spmm(fmt: Format, input: MatShape, k: usize) -> KernelDesc {
     let k = k as u64;
-    let block_index_build = input.nrows as u64 * NODE_BYTES;
     KernelDesc::new(format!("spmm[{fmt}]"))
         .with_flops(2 * input.nnz as u64 * k)
         .with_bytes(
-            input.nnz as u64 * EDGE_BYTES + input.nnz as u64 * k * NODE_BYTES + block_index_build,
+            input.nnz as u64 * EDGE_BYTES + input.nnz as u64 * k * NODE_BYTES,
             input.nrows as u64 * k * NODE_BYTES,
         )
         .with_parallelism(input.nnz as u64 * k)

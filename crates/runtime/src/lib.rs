@@ -33,7 +33,6 @@
 pub mod arena;
 pub mod cancel;
 pub mod parallel;
-pub mod prefetch;
 pub mod rng;
 
 pub use arena::{

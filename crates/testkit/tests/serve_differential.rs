@@ -174,3 +174,55 @@ fn batching_off_server_also_matches_solo() {
     assert_eq!(server.snapshot().metrics.batched(), 0);
     server.shutdown();
 }
+
+/// Sixteen tenants of one program, each burst one request per tenant and
+/// drained before the next: every request completes, and at least half of
+/// the completions are served from a pack with batching on, none with it
+/// off. Seeds are drawn from one fixed stream, so both modes see the same
+/// requests.
+#[test]
+fn sixteen_tenant_bursts_pack_with_batching_on_and_never_off() {
+    const TENANTS: usize = 16;
+    const BURSTS: u64 = 4;
+    let graph = Arc::new(Dataset::generate(DatasetKind::Tiny, 1.0, 3).graph);
+    let num_nodes = graph.num_nodes() as NodeId;
+    let packed_fraction = |batching: bool| {
+        let server = EpochServer::start(
+            Arc::clone(&graph),
+            ServeConfig {
+                batching,
+                max_pack: TENANTS,
+                ..ServeConfig::default()
+            },
+        );
+        for i in 0..TENANTS {
+            let mut spec = TenantSpec::graphsage(format!("tenant-{i}"), &[4, 4], 7 + i as u64);
+            spec.batch_size = 32;
+            server.register(spec).expect("register");
+        }
+        let mut rng = StdRng::seed_from_u64(0x5eed_10ad);
+        for r in 0..BURSTS {
+            let burst = (0..TENANTS)
+                .map(|i| {
+                    let seeds = (0..32).map(|_| rng.gen_range(0..num_nodes)).collect();
+                    (format!("tenant-{i}"), seeds, r)
+                })
+                .collect();
+            for ticket in server.submit_burst(burst) {
+                ticket.and_then(|t| t.wait()).expect("serve request");
+            }
+        }
+        let metrics = server.snapshot().metrics;
+        server.shutdown();
+        let completed = metrics.completed();
+        assert_eq!(
+            completed,
+            BURSTS * TENANTS as u64,
+            "batching={batching} lost requests"
+        );
+        metrics.batched() as f64 / completed as f64
+    };
+    assert_eq!(packed_fraction(false), 0.0);
+    let on = packed_fraction(true);
+    assert!(on >= 0.5, "only {:.0}% packed with batching on", on * 100.0);
+}
