@@ -172,6 +172,12 @@ test -z "$(non_test crates/matrix/src/eltwise.rs | grep 'out\.set(')"
 test "$(non_test crates/matrix/src/spmm.rs | grep -c 'fn spmm')" -eq 3
 test -z "$(grep -rn 'prefetch_read\|_mm_prefetch\|calibrated_block\|spmm_with_block\|spmm_baseline' crates src)"
 
+# One fact table per program: kind, row/column space, variance, residency
+# and super-batch legality are reads of `gsampler_ir::facts`, never a walk
+# of their own.
+test -z "$(grep -rnE 'fn (static_set|block_space|superbatch_compatible|block_proof|graph_resident_set|check_inputs)\b' crates/*/src)"
+test "$(grep -rn 'pub fn facts' crates/*/src | wc -l)" -eq 1
+
 # --- Repo benchmark smoke -------------------------------------------------
 # The standalone benchmark package (benchmark/, BENCHMARK.json) at smoke
 # length: all six workloads with their correctness checks, including

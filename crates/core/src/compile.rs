@@ -14,7 +14,7 @@ use gsampler_engine::{
     Device, DeviceProfile, ExecStats, FaultReport, MemoryTracker, PlanDbStats, RngPool,
 };
 use gsampler_ir::passes::{run_passes, OptConfig, OptimizedProgram};
-use gsampler_ir::superbatch;
+use gsampler_ir::{facts, superbatch, Facts};
 use gsampler_matrix::NodeId;
 use rand::rngs::StdRng;
 
@@ -146,26 +146,11 @@ impl Default for SamplerConfig {
 pub struct CompiledLayer {
     /// Source layer (original program + output conventions).
     pub layer: Layer,
-    /// Optimized program and pass report (shared: a plan-database hit
-    /// reuses the compiling sampler's copy without a deep clone).
+    /// Optimized program, fact table and pass report (shared: a plan-database
+    /// hit reuses the compiling sampler's copy without a deep clone).
     pub optimized: Arc<OptimizedProgram>,
     /// Values filling the program's `Precomputed` slots.
     pub precomputed: Vec<Arc<Value>>,
-    /// The program's [`exec::block_proof`]: per node, whether its value is
-    /// provably in block-row space; `None` if it cannot be super-batched.
-    pub block: Option<Vec<bool>>,
-}
-
-impl CompiledLayer {
-    /// Derive the program-only facts every execution reads.
-    fn new(layer: Layer, optimized: Arc<OptimizedProgram>, precomputed: Vec<Arc<Value>>) -> Self {
-        CompiledLayer {
-            block: exec::block_proof(&optimized.program),
-            layer,
-            optimized,
-            precomputed,
-        }
-    }
 }
 
 /// A compiled, executable multi-layer sampler bound to one graph and one
@@ -177,8 +162,8 @@ impl CompiledLayer {
 /// invisible: a degraded or super-batched epoch delivers each batch's
 /// plain-epoch sample, identical, layout included (a group's share of a
 /// block-diagonal execution is the diagonal block its solo run produces).
-/// Programs that cannot be grouped ([`exec::superbatch_compatible`])
-/// compile to factor 1.
+/// Programs that cannot be grouped (not [`facts::batchable`]) compile to
+/// factor 1.
 pub struct Sampler {
     graph: Arc<Graph>,
     graph_value: Arc<Value>,
@@ -187,7 +172,7 @@ pub struct Sampler {
     pool: RngPool,
     config: SamplerConfig,
     super_batch: usize,
-    /// Every layer passes [`exec::scatter_exact`].
+    /// Every layer passes [`facts::scatter_exact`].
     pack_exact: bool,
     /// This sampler's own compile's plan-database lookup (the device
     /// session is reset per epoch, so the compile-time counters are
@@ -226,12 +211,12 @@ pub struct EpochReport {
 fn execute_recovering(
     policy: &RecoveryPolicy,
     program: &gsampler_ir::Program,
+    facts: &[Facts],
     graph: &Graph,
     graph_value: &Arc<Value>,
     groups: &[Vec<NodeId>],
     bindings: &Bindings,
     precomputed: &[Arc<Value>],
-    block: Option<&[bool]>,
     device: &Device,
     rngs: &mut [StdRng],
 ) -> Result<Vec<Vec<Value>>> {
@@ -241,12 +226,12 @@ fn execute_recovering(
     loop {
         match exec::execute(
             program,
+            facts,
             graph,
             graph_value,
             groups,
             bindings,
             precomputed,
-            block,
             device,
             rngs,
         ) {
@@ -361,8 +346,10 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
             let compiled = layers
                 .into_iter()
                 .zip(&plan.layers)
-                .map(|(layer, p)| {
-                    CompiledLayer::new(layer, p.optimized.clone(), p.precomputed.clone())
+                .map(|(layer, p)| CompiledLayer {
+                    layer,
+                    optimized: p.optimized.clone(),
+                    precomputed: p.precomputed.clone(),
                 })
                 .collect();
             (compiled, plan.super_batch)
@@ -394,9 +381,8 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
     Ok(Sampler {
         graph,
         graph_value,
-        pack_exact: compiled
-            .iter()
-            .all(|l| exec::scatter_exact(&l.optimized.program)),
+        pack_exact: (compiled.iter())
+            .all(|l| facts::scatter_exact(&l.optimized.program, &l.optimized.facts)),
         layers: compiled,
         device,
         pool,
@@ -449,12 +435,12 @@ fn plan_layers(
             let out = execute_recovering(
                 &config.recovery,
                 &optimized.precompute,
+                &optimized.precompute_facts,
                 graph,
                 graph_value,
                 &groups,
                 &Bindings::new(),
                 &[],
-                None,
                 device,
                 std::slice::from_mut(&mut rng),
             )?;
@@ -465,7 +451,11 @@ fn plan_layers(
                 .map(Arc::new)
                 .collect()
         };
-        compiled.push(CompiledLayer::new(layer, optimized, precomputed));
+        compiled.push(CompiledLayer {
+            layer,
+            optimized,
+            precomputed,
+        });
     }
     // Precompute cost is one-time; do not let it pollute epoch stats.
     device.reset();
@@ -507,7 +497,8 @@ fn plan_layers(
             }
         }
     }
-    if super_batch > 1 && !compiled.iter().all(|l| l.block.is_some()) {
+    let batchable = |l: &CompiledLayer| facts::batchable(&l.optimized.facts);
+    if super_batch > 1 && !compiled.iter().all(batchable) {
         super_batch = 1;
     }
     Ok((compiled, super_batch))
@@ -613,12 +604,12 @@ impl Sampler {
             let outputs = execute_recovering(
                 &self.config.recovery,
                 &layer.optimized.program,
+                &layer.optimized.facts,
                 &self.graph,
                 &self.graph_value,
                 &groups,
                 bindings,
                 &layer.precomputed,
-                layer.block.as_deref(),
                 &self.device,
                 rngs,
             )?;
@@ -642,7 +633,7 @@ impl Sampler {
 
     /// True if multi-group executions of this sampler's compiled layers
     /// scatter back to per-group results exactly (every layer passes
-    /// [`exec::scatter_exact`]), so independent requests may be packed
+    /// [`facts::scatter_exact`]), so independent requests may be packed
     /// into one super-batch without changing any caller's output.
     pub fn pack_exact(&self) -> bool {
         self.pack_exact

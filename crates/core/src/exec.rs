@@ -7,7 +7,7 @@
 //! except the input slots (`InputGraph`, `Precomputed`, `InputFrontiers`,
 //! `InputDense` / `InputVector` / `InputNodes`), which hold shared handles
 //! and are filled by cloning an `Arc`, never a table — and manages value
-//! lifetimes: reference counts, device alloc/free, the resident graph set.
+//! lifetimes (refcounts, alloc/free, the resident set) by its fact table.
 //!
 //! Super-batch execution (paper §4.4) is transparent to this driver: when
 //! more than one frontier group is passed, the extract kernels build a
@@ -21,8 +21,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 
 use gsampler_engine::Device;
-use gsampler_ir::costing;
-use gsampler_ir::{Node, Op, Program};
+use gsampler_ir::{Facts, Op, Program};
 use gsampler_matrix::{Dense, NodeId};
 
 use crate::error::{Error, Result};
@@ -79,60 +78,6 @@ impl Bindings {
     }
 }
 
-/// True if a program can run in super-batched (block-diagonal) mode: all
-/// base-graph extractions must consume the frontier input directly, so
-/// the executor knows how to segment them, and per-column sampling must
-/// read a matrix whose columns are the frontiers, so each column's draw
-/// belongs to one group's RNG stream.
-pub fn superbatch_compatible(program: &Program) -> bool {
-    let nodes = program.nodes();
-    let by_frontiers = |n: &Node| matches!(nodes[n.inputs[1]].op, Op::InputFrontiers);
-    // Columns are the frontiers after a frontier-keyed extraction and
-    // through every matrix operator that keeps its first input's columns.
-    let frontier_cols = |mut id: usize| loop {
-        let n = &nodes[id];
-        match n.op {
-            Op::SliceCols | Op::FusedExtractSelect { .. } | Op::FusedExtractCollective { .. } => {
-                return by_frontiers(n)
-            }
-            Op::CompactCols => return false,
-            _ => match n.inputs.first() {
-                Some(&p) => id = p,
-                None => return false,
-            },
-        }
-    };
-    nodes.iter().all(|node| match node.op {
-        Op::SliceCols
-        | Op::SliceRows
-        | Op::FusedExtractSelect { .. }
-        | Op::FusedExtractCollective { .. }
-        | Op::FusedExtractReduce { .. } => by_frontiers(node),
-        Op::IndividualSample { .. } => frontier_cols(node.inputs[0]),
-        Op::InduceSubgraph | Op::ReduceAll(..) | Op::SpmmT => false,
-        _ => true,
-    })
-}
-
-/// True if super-batched execution of `program` scatters back to
-/// per-group results *exactly*: the program must be
-/// [`superbatch_compatible`] and every output must live in block-row
-/// space ([`superbatch::block_space`]), so the splitter can attribute
-/// each output row / node ID to its group by construction. Programs
-/// passing this gate may be packed across independent callers (tenants)
-/// and unpacked with per-group fidelity; others must run solo to be
-/// bit-identical.
-pub fn scatter_exact(program: &Program) -> bool {
-    block_proof(program).is_some_and(|block| program.outputs().iter().all(|&o| block[o]))
-}
-
-/// What [`execute`] needs to know about `program` to run it over several
-/// groups, computed once at compile: its [`superbatch::block_space`]
-/// proof, or `None` if it is not [`superbatch_compatible`].
-pub fn block_proof(program: &Program) -> Option<Vec<bool>> {
-    superbatch_compatible(program).then(|| superbatch::block_space(program))
-}
-
 /// Execute `program` over one or more frontier groups.
 ///
 /// Returns one value list per group (in `program.outputs()` order). With a
@@ -140,24 +85,25 @@ pub fn block_proof(program: &Program) -> Option<Vec<bool>> {
 /// groups are sampled together as one super-batch. `rngs` carries one
 /// stream per group (see [`crate::session_rng`]): group `b` draws only
 /// from `rngs[b]`, so its values do not depend on what it is packed with.
-/// `block` is the program's [`block_proof`]; one group runs without it.
+/// `facts` is the program's fact table, resolved once at compile: value
+/// lifetimes, graph residency, and (several groups) super-batch legality.
 // The parameters are the execution context in full; bundling them into a
 // struct would only move the same list one level down.
 #[allow(clippy::too_many_arguments)]
 pub fn execute(
     program: &Program,
+    facts: &[Facts],
     graph: &Graph,
     graph_value: &Arc<Value>,
     frontier_groups: &[Vec<NodeId>],
     bindings: &Bindings,
     precomputed: &[Arc<Value>],
-    block: Option<&[bool]>,
     device: &Device,
     rngs: &mut [StdRng],
 ) -> Result<Vec<Vec<Value>>> {
     let s = frontier_groups.len().max(1);
     let n = graph.num_nodes();
-    if s > 1 && block.is_none() {
+    if s > 1 && !gsampler_ir::facts::batchable(facts) {
         return Err(Error::Execution(
             "program is not super-batch compatible".to_string(),
         ));
@@ -176,17 +122,8 @@ pub fn execute(
     let frontiers: Vec<NodeId> = frontier_groups.iter().flatten().copied().collect();
     let frontiers = Arc::new(Value::Nodes(frontiers));
 
-    let mut refcount: Vec<usize> = vec![0; program.len()];
-    for node in program.nodes() {
-        for &i in &node.inputs {
-            refcount[i] += 1;
-        }
-    }
-    for &o in program.outputs() {
-        refcount[o] += 1;
-    }
-
-    let resident = costing::graph_resident_set(program);
+    let mut refcount: Vec<usize> = facts.iter().map(|f| f.uses).collect();
+    let resident = |i: usize| facts[i].resident;
     let mut env: Vec<Option<Arc<Value>>> = vec![None; program.len()];
 
     let ctx = ExecCtx {
@@ -230,7 +167,7 @@ pub fn execute(
                                 .ok_or_else(|| Error::Execution(format!("value {i} already freed")))
                         })
                         .collect::<Result<Vec<_>>>()?;
-                    let graph_input = node.inputs.first().map(|&i| resident[i]).unwrap_or(false);
+                    let graph_input = node.inputs.first().is_some_and(|&i| resident(i));
                     let run = kernels::dispatch(op, &inputs, graph_input, &ctx, device, rngs);
                     Arc::new(run?)
                 }
@@ -241,7 +178,7 @@ pub fn execute(
             // Release inputs whose last consumer this was.
             for &i in &node.inputs {
                 refcount[i] -= 1;
-                if refcount[i] == 0 && !resident[i] {
+                if refcount[i] == 0 && !resident(i) {
                     if let Some(v) = env[i].take() {
                         device.free(v.bytes());
                     }
@@ -255,7 +192,7 @@ pub fn execute(
         // of the aborted execution, so a retry (possibly at a smaller
         // super-batch factor) does not inherit phantom live bytes.
         for (i, v) in env.iter().enumerate() {
-            if let (Some(v), false) = (v.as_deref(), resident[i]) {
+            if let (Some(v), false) = (v.as_deref(), resident(i)) {
                 device.free(v.bytes());
             }
         }
@@ -274,5 +211,5 @@ pub fn execute(
     // The outputs now hold the only reference to what this run produced.
     drop(env);
 
-    superbatch::split_outputs(outputs, &ctx, block.unwrap_or(&[]), program.outputs())
+    superbatch::split_outputs(outputs, &ctx, facts, program.outputs())
 }

@@ -62,6 +62,7 @@ pub(super) fn run(
         Op::SliceCols => {
             let m = want_matrix(inputs[0], "slice_cols")?;
             let f = want_nodes(inputs[1], "slice_cols")?;
+            // The fact table's `Space::Graph` -> `Space::Block` lift.
             if ctx.s > 1 && m.shape().0 == ctx.n {
                 superbatch::segmented_slice_cols(m, ctx)
             } else {
@@ -85,9 +86,10 @@ pub(super) fn run(
                 None => None,
             };
             // With several groups the matrix columns are the
-            // concatenated frontiers (`exec::superbatch_compatible`
-            // admits nothing else; `ColStreams::draw` re-checks), so
-            // each group draws exactly what it would alone.
+            // concatenated frontiers (the fact table's `Frontier` column
+            // space, which `gsampler_ir::facts::batchable` requires here;
+            // `ColStreams::draw` re-checks), so each group draws exactly
+            // what it would alone.
             let streams = ColStreams::draw(rngs, ctx.col_offsets, m.shape().1)?;
             let probs = probs.map(|p| &p.data);
             let data = individual_sample(&m.data, *k, *replace, probs, &streams)?;

@@ -23,7 +23,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use gsampler_ir::{Op, Program};
+use gsampler_ir::Facts;
 use gsampler_matrix::sample::{self, collective_sample_segments, collective_select};
 use gsampler_matrix::{convert, slice, Coo, Csc, GraphMatrix, NodeId, SparseMatrix};
 use rand::rngs::StdRng;
@@ -141,64 +141,20 @@ pub fn fused_extract_collective(
     Ok(selected(&rows, data, &picked))
 }
 
-/// Per-program-node dataflow analysis: `true` means the node's value is
-/// *definitely* in block-row space under super-batching — a matrix whose
-/// rows carry the `b·N` group offset, or a node list of such row IDs.
-///
-/// The segmented extract kernels ([`segmented_slice_cols`],
-/// `fused_extract_select`) lift the base graph
-/// into block space; row-preserving operators propagate it; everything
-/// else (column space, dense/vector compute, inputs) is conservatively
-/// `false`. [`split_outputs`] uses this to attribute node lists to groups
-/// *by op* rather than by inspecting the IDs — an ID-based guess cannot
-/// distinguish "group 0's rows" from "every group sampled nothing above
-/// N", which mis-scattered empty groups before this analysis existed.
-pub fn block_space(program: &Program) -> Vec<bool> {
-    let nodes = program.nodes();
-    let mut block = vec![false; nodes.len()];
-    for (id, node) in nodes.iter().enumerate() {
-        let inherit = |i: usize| node.inputs.get(i).map(|&p| block[p]).unwrap_or(false);
-        block[id] = match &node.op {
-            // Segmented extraction lifts base-space columns into block
-            // rows; slicing a block matrix's columns keeps its row space.
-            Op::SliceCols => matches!(nodes[node.inputs[0]].op, Op::InputGraph) || inherit(0),
-            Op::FusedExtractSelect { .. } | Op::FusedExtractCollective { .. } => true,
-            // Row-space-preserving operators (select, compute, compact,
-            // convert) propagate the property from their matrix input.
-            Op::IndividualSample { .. }
-            | Op::CollectiveSample { .. }
-            | Op::Convert(..)
-            | Op::CompactRows
-            | Op::CompactCols
-            | Op::ScalarOp(..)
-            | Op::UnaryOp(..)
-            | Op::Broadcast(..)
-            | Op::SparseElt(..)
-            | Op::Sddmm
-            | Op::EdgeValuesFromDense { .. }
-            | Op::FusedEdgeMap { .. }
-            | Op::FusedEdgeMapReduce { .. }
-            | Op::FusedEdgeCombine { .. }
-            | Op::RowNodes
-            | Op::AllRowIds => inherit(0),
-            _ => false,
-        };
-    }
-    block
-}
-
 /// Un-block the outputs of one execution into per-group value lists.
-/// `block` is the program's [`block_space`] proof (computed once, at
-/// compile) and `out_ids` its output nodes, aligned with `outputs`.
+/// `facts` is the program's fact table and `out_ids` its output nodes,
+/// aligned with `outputs`. An output with [`Facts::block_rows`] is split
+/// *by type*: its IDs cannot tell "group 0's rows" from "every group
+/// sampled nothing above N".
 pub fn split_outputs(
     outputs: Vec<Arc<Value>>,
     ctx: &ExecCtx<'_>,
-    block: &[bool],
+    facts: &[Facts],
     out_ids: &[usize],
 ) -> Result<Vec<Vec<Value>>> {
     let mut per_group: Vec<Vec<Value>> = vec![Vec::new(); ctx.s];
     for (value, &id) in outputs.into_iter().zip(out_ids) {
-        let pieces = unblock(value, block.get(id) == Some(&true), ctx)?;
+        let pieces = unblock(value, facts[id].block_rows(), ctx)?;
         for (group, piece) in per_group.iter_mut().zip(pieces) {
             group.push(piece);
         }

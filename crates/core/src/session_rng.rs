@@ -48,9 +48,10 @@ impl ColStreams {
     /// Draw the per-invocation pool seeds — exactly one `u64` per group
     /// stream, preserving downstream RNG alignment. `col_offsets` are the
     /// group prefix sums (`ExecCtx`'s) and `ncols` the column count of the
-    /// matrix being sampled. With several groups the two must agree
-    /// (`exec::superbatch_compatible` keeps other column spaces at one
-    /// group); a single group owns every column whatever the matrix is.
+    /// matrix being sampled. With several groups the two must agree (the
+    /// fact table's super-batch rule admits a per-column draw only over
+    /// frontier columns); a single group owns every column whatever the
+    /// matrix is.
     pub fn draw(rngs: &mut [StdRng], col_offsets: &[usize], ncols: usize) -> Result<ColStreams> {
         let offsets = if rngs.len() == 1 {
             vec![0, ncols]

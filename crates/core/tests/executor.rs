@@ -159,6 +159,31 @@ fn asgcn_layer(k: usize) -> Layer {
     b.build()
 }
 
+/// A node-wise select over a slice of a batch-invariant graph map:
+/// pre-processing hoists `A ** 2` into a precomputed slot, and the extract
+/// lifts that slot's rows into block space as it lifts the graph's.
+fn hoisted_map_slice_layer(k: usize) -> Layer {
+    let b = LayerBuilder::new();
+    let squared = b.graph().pow(2.0);
+    let sample = squared
+        .slice_cols(&b.frontiers())
+        .individual_sample(k, None);
+    b.output(&sample);
+    b.output_next_frontiers(&sample.row_nodes());
+    b.build()
+}
+
+/// A node-wise select over a slice keyed by a bound node list rather than
+/// the frontiers. The fused extract reads the frontier list, so fusing it
+/// would sample the wrong columns.
+fn bound_slice_layer(k: usize) -> Layer {
+    let b = LayerBuilder::new();
+    let sample = (b.graph().slice_cols(&b.nodes_input("prev"))).individual_sample(k, None);
+    b.output(&sample);
+    b.output_next_frontiers(&sample.row_nodes());
+    b.build()
+}
+
 /// Weights for [`pass_layer`] / [`asgcn_layer`] on the 8-wide features of
 /// [`cliques_graph`], with zeros and negative entries.
 fn model_bindings() -> Bindings {
@@ -171,6 +196,7 @@ fn model_bindings() -> Bindings {
         .dense("W2", weights(8, 4, 2))
         .dense("W3", weights(3, 1, 3))
         .dense("Wg", weights(8, 1, 4))
+        .node_list("prev", vec![5, 20, 40, 64])
 }
 
 /// `layer` with its first output also delivered in storage format `fmt`.
@@ -463,6 +489,15 @@ fn super_batch_groups_are_independent_and_valid() {
         check(&[graphsage_layer(3)], OptConfig::plain(), "GraphSAGE");
         check(&[ladies_layer(5)], OptConfig::all(), "LADIES");
         check(&[ladies_layer(5)], OptConfig::plain(), "plain LADIES");
+        let unfused = OptConfig {
+            fusion: false,
+            ..OptConfig::all()
+        };
+        check(
+            &[hoisted_map_slice_layer(3)],
+            unfused,
+            "slice of a hoisted map",
+        );
         for opt in [OptConfig::all(), OptConfig::plain()] {
             let layer = compacted_ladies_layer(5);
             let compiled = compile(graph.clone(), vec![layer.clone()], config(opt.clone()));
@@ -520,7 +555,15 @@ fn cross_group_edge_in_a_block_is_a_typed_error() {
             row_ids: None,
             col_ids: Some(Arc::new(vec![1, 3])),
         };
-        superbatch::split_outputs(vec![Arc::new(Value::Matrix(m))], &ctx, &[true], &[0])
+        // What a frontier slice of the graph is to the fact table.
+        let mut p = gsampler_ir::Program::new();
+        let (g, f) = (
+            p.add(Op::InputGraph, vec![]),
+            p.add(Op::InputFrontiers, vec![]),
+        );
+        let slice = p.add(Op::SliceCols, vec![g, f]);
+        let facts = gsampler_ir::facts(&p, &[]).unwrap();
+        superbatch::split_outputs(vec![Arc::new(Value::Matrix(m))], &ctx, &facts, &[slice])
     };
     let split = block(4 + 2).unwrap();
     assert_eq!(
@@ -672,7 +715,9 @@ fn super_batch_two_layer_chaining_with_uneven_groups() {
 
 #[test]
 fn superbatch_compatibility_detection() {
-    use gsampler_core::exec::superbatch_compatible;
+    let superbatch_compatible = |p: &gsampler_ir::Program| {
+        gsampler_ir::facts::batchable(&gsampler_ir::facts(p, &[]).unwrap())
+    };
     // GraphSAGE-style: compatible.
     let sage = graphsage_layer(3);
     assert!(superbatch_compatible(&sage.program));
@@ -699,6 +744,22 @@ fn superbatch_compatibility_detection() {
     // frontiers (a row slice keeps the base graph's columns): a column's
     // draw cannot be attributed to a group, so not compatible.
     assert!(!superbatch_compatible(&row_slice_sample_layer().program));
+}
+
+#[test]
+fn a_row_sum_over_a_compacted_sample_is_not_pack_exact() {
+    // The sum has one entry per kept block row, but un-blocking splits a
+    // vector by its length: packing tenants would hand each a wrong share.
+    let b = LayerBuilder::new();
+    let sample = (b.graph().slice_cols(&b.frontiers()))
+        .individual_sample(3, None)
+        .compact_rows();
+    b.output(&sample.sum(Axis::Row));
+    let layer = b.build();
+    for opt in [OptConfig::all(), OptConfig::plain()] {
+        let sampler = compile(test_graph(), vec![layer.clone()], config(opt)).unwrap();
+        assert!(!sampler.pack_exact());
+    }
 }
 
 fn row_slice_sample_layer() -> Layer {
@@ -827,7 +888,8 @@ fn model_driven_samplers_agree_across_every_ablation() {
     // `plain`), the gather moved through the GEMM against the recomputed
     // product (`no-cse`, `plain`), with and without DCE and under every
     // layout: the same sample, value for value. The layer-wise samplers
-    // likewise: the fused extracts against the slice chains.
+    // likewise: the fused extracts against the slice chains. A slice not
+    // keyed by the frontiers is never fused.
     let graph = cliques_graph(true, 4);
     let bindings = model_bindings();
     let frontiers = [0, 9, 17, 33, 63, 65];
@@ -836,6 +898,7 @@ fn model_driven_samplers_agree_across_every_ablation() {
         ("AS-GCN", asgcn_layer(6)),
         ("LADIES", ladies_layer(6)),
         ("FastGCN", fastgcn_layer(6, false)),
+        ("slice by a bound list", bound_slice_layer(2)),
     ] {
         let run = |opt: OptConfig| {
             let sampler = compile(graph.clone(), vec![layer.clone()], config(opt)).unwrap();

@@ -11,7 +11,9 @@ use gsampler_engine::{KernelDesc, Residency};
 use gsampler_matrix::{Axis, Format};
 
 use crate::estimate::ShapeEst;
+use crate::facts::{Facts, ValueKind};
 use crate::op::Op;
+use crate::program::Program;
 
 fn mat(s: &ShapeEst) -> MatShape {
     match *s {
@@ -174,69 +176,58 @@ pub fn kernel_desc(
     Some(desc)
 }
 
-/// Storage format an operator naturally produces, given its first matrix
-/// input's format.
+/// Storage format an operator naturally produces, given the kind of its
+/// value and its first matrix input's format.
 ///
 /// Structure and compute operators produce output in their input's format;
 /// explicit `Convert` nodes change it; node-wise sampling kernels emit
-/// per-column runs and therefore produce CSC.
+/// per-column runs and therefore produce CSC. Non-matrix values have none.
 pub fn output_format(
     op: &Op,
+    kind: ValueKind,
     first_input_fmt: Option<Format>,
     graph_fmt: Format,
 ) -> Option<Format> {
-    match op {
-        Op::InputGraph => Some(graph_fmt),
-        Op::Convert(to) => Some(*to),
-        Op::FusedExtractSelect { .. } | Op::IndividualSample { .. } => Some(Format::Csc),
-        Op::Precomputed { .. } => Some(graph_fmt),
-        other
-            if matches!(
-                crate::program::output_kind(other),
-                crate::program::ValueKind::Matrix
-            ) =>
-        {
-            first_input_fmt.or(Some(graph_fmt))
-        }
-        _ => None,
-    }
+    (kind == ValueKind::Matrix).then(|| match op {
+        Op::InputGraph | Op::Precomputed { .. } => graph_fmt,
+        Op::Convert(to) => *to,
+        Op::FusedExtractSelect { .. } | Op::IndividualSample { .. } => Format::Csc,
+        _ => first_input_fmt.unwrap_or(graph_fmt),
+    })
 }
 
 /// Derive the storage format of every node's matrix value (or `None` for
-/// non-matrix values), given that the base graph is stored in `graph_fmt`.
-pub fn derive_formats(program: &crate::program::Program, graph_fmt: Format) -> Vec<Option<Format>> {
+/// non-matrix values), given the program's fact table and that the base
+/// graph is stored in `graph_fmt`.
+pub fn derive_formats(
+    program: &Program,
+    facts: &[Facts],
+    graph_fmt: Format,
+) -> Vec<Option<Format>> {
     let mut fmts: Vec<Option<Format>> = Vec::with_capacity(program.len());
-    for node in program.nodes() {
+    for (node, f) in program.nodes().iter().zip(facts) {
         let first = node.inputs.first().and_then(|&i| fmts[i]);
-        fmts.push(output_format(&node.op, first, graph_fmt));
+        fmts.push(output_format(&node.op, f.kind, first, graph_fmt));
     }
     fmts
 }
 
-/// True if this node's matrix shares the base graph's residency: the graph
-/// input itself, a precomputed full-graph matrix, or a pass-through of one.
-pub fn graph_resident_set(program: &crate::program::Program) -> Vec<bool> {
-    let mut resident = vec![false; program.len()];
-    for (id, node) in program.nodes().iter().enumerate() {
-        resident[id] = matches!(&node.op, Op::InputGraph | Op::Precomputed { .. });
-    }
-    resident
-}
-
 /// Total modeled time of a program under given formats and shapes.
+/// A kernel reading a [`Facts::resident`] value (the graph, or a
+/// precomputed full-graph value) reads it where the graph lives.
 pub fn price_program(
-    program: &crate::program::Program,
+    program: &Program,
+    facts: &[Facts],
     fmts: &[Option<Format>],
     shapes: &[ShapeEst],
     cost_model: &gsampler_engine::CostModel,
     residency: Residency,
 ) -> f64 {
-    let resident = graph_resident_set(program);
     let mut total = 0.0;
     for (id, node) in program.nodes().iter().enumerate() {
         let in_fmts: Vec<Option<Format>> = node.inputs.iter().map(|&i| fmts[i]).collect();
         let in_shapes: Vec<ShapeEst> = node.inputs.iter().map(|&i| shapes[i]).collect();
-        let graph_input = node.inputs.first().map(|&i| resident[i]).unwrap_or(false);
+        let graph_input = node.inputs.first().is_some_and(|&i| facts[i].resident);
         if let Some(desc) = kernel_desc(
             &node.op,
             &in_fmts,
@@ -255,7 +246,6 @@ pub fn price_program(
 mod tests {
     use super::*;
     use crate::estimate::{estimate_shapes, GraphStats};
-    use crate::program::Program;
     use gsampler_engine::{CostModel, DeviceProfile};
     use gsampler_matrix::EltOp;
 
@@ -299,8 +289,9 @@ mod tests {
         let model = CostModel::new(DeviceProfile::v100());
         let price = |p: &Program| {
             let shapes = estimate_shapes(p, &stats(), 1024);
-            let fmts = derive_formats(p, Format::Csc);
-            price_program(p, &fmts, &shapes, &model, Residency::Device)
+            let facts = crate::facts(p, &[]).unwrap();
+            let fmts = derive_formats(p, &facts, Format::Csc);
+            price_program(p, &facts, &fmts, &shapes, &model, Residency::Device)
         };
         let plain = price(&graphsage(false));
         let fused = price(&graphsage(true));
@@ -319,7 +310,7 @@ mod tests {
         let conv = p.add(Op::Convert(Format::Csr), vec![sub]);
         let sq = p.add(Op::ScalarOp(EltOp::Pow, 2.0), vec![conv]);
         p.mark_output(sq);
-        let fmts = derive_formats(&p, Format::Csc);
+        let fmts = derive_formats(&p, &crate::facts(&p, &[]).unwrap(), Format::Csc);
         assert_eq!(fmts[0], Some(Format::Csc));
         assert_eq!(fmts[2], Some(Format::Csc));
         assert_eq!(fmts[3], Some(Format::Csr));
@@ -332,10 +323,12 @@ mod tests {
         let model = CostModel::new(DeviceProfile::v100());
         let p = graphsage(false);
         let shapes = estimate_shapes(&p, &stats(), 1024);
-        let fmts = derive_formats(&p, Format::Csc);
-        let on_device = price_program(&p, &fmts, &shapes, &model, Residency::Device);
+        let facts = crate::facts(&p, &[]).unwrap();
+        let fmts = derive_formats(&p, &facts, Format::Csc);
+        let on_device = price_program(&p, &facts, &fmts, &shapes, &model, Residency::Device);
         let uva = price_program(
             &p,
+            &facts,
             &fmts,
             &shapes,
             &model,

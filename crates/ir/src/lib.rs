@@ -16,6 +16,8 @@
 //! - **super-batch planning** ([`superbatch`]): choose how many
 //!   mini-batches to sample together under a memory budget.
 //!
+//! Passes, planner and executor read one per-node fact table, [`facts()`].
+//!
 //! Execution of (optimized) programs lives in `gsampler-core`; this crate
 //! is purely about representation and transformation, so its tests verify
 //! structural properties while the core crate's tests verify semantics.
@@ -25,12 +27,14 @@
 
 pub mod costing;
 pub mod estimate;
+pub mod facts;
 pub mod op;
 pub mod passes;
 pub mod program;
 pub mod superbatch;
 
 pub use estimate::{GraphStats, ShapeEst};
+pub use facts::{facts, Facts, Space, ValueKind, Varies};
 pub use op::{EdgeMapStep, Op};
 pub use passes::{run_passes, LayoutDecision, LayoutPlan, OptConfig, PassReport};
 pub use program::{Node, OpId, Program};

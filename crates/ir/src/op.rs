@@ -3,6 +3,8 @@
 use gsampler_matrix::eltwise::UnaryOp;
 use gsampler_matrix::{Axis, EltOp, Format, ReduceOp};
 
+use crate::facts::{Facts, Space, ValueKind, Varies};
+
 /// One step of a fused edge-map chain (see [`Op::FusedEdgeMap`]).
 ///
 /// `Broadcast` steps reference the fused node's extra inputs by position:
@@ -220,7 +222,7 @@ pub enum Op {
     },
     /// A node whose value was precomputed at compile time (pre-processing
     /// pass); the attribute indexes the executable's constant table.
-    /// `[] -> any`.
+    /// `[] ->` the kind of the precompute output it reads.
     Precomputed {
         /// Index into the compiled executable's constant pool.
         slot: usize,
@@ -369,6 +371,157 @@ impl Op {
             }
             Op::FusedExtractReduce { reduce } => fold(&[49, *reduce as u8]),
         }
+    }
+
+    /// The transfer table of [`crate::facts()`]: this operator's [`Facts`]
+    /// given its inputs' (`slots` holds the facts of `Precomputed` values),
+    /// or why the inputs are ill-kinded. `uses` is left 0 for the pass to
+    /// count. Exhaustive like [`Op::fold_identity`], so a new operator must
+    /// state its rules; `diagonal` is the super-batch type rule (see
+    /// [the `facts` module](mod@crate::facts)).
+    pub fn transfer(&self, ins: &[Facts], slots: &[Facts]) -> Result<Facts, String> {
+        use Space::{Block, Frontier, Graph};
+        use ValueKind::{Dense, Matrix, Nodes, Scalar, Vector};
+        // Inputs by position; a missing one reads as the default and fails
+        // the kind check below.
+        let [a, b] = [0, 1].map(|i| ins.get(i).copied().unwrap_or_default());
+        let same = (a.rows, a.cols);
+        // The extract kernels lift a side with the graph's `N` rows into
+        // block space and, super-batched, read the frontier list rather
+        // than their node input: legal keyed by it over a whole-graph matrix.
+        let lifted = a.rows.map(|s| if s == Graph { Block } else { s });
+        let extract = (lifted, b.cols);
+        let keyed = (a.rows, a.cols, b.cols) == (Some(Graph), Some(Graph), Some(Frontier));
+        let block_rows = a.rows.filter(|&s| s == Block);
+        // A fold over a value no group owns gives every group the same.
+        let unowned = |f: Facts| f.varies != Varies::Batch;
+        let along = |axis: &Axis| match axis {
+            Axis::Row => (a.rows, None),
+            Axis::Col => (None, a.cols),
+        };
+        // Element-wise vector ops tile a graph-period vector over a block one.
+        let join = |x: Option<Space>, y: Option<Space>| match (x, y) {
+            _ if x == y => x,
+            (Some(Graph), Some(Block)) | (Some(Block), Some(Graph)) => Some(Block),
+            _ => None,
+        };
+        // The variadic operators' input kinds.
+        let variadic = match self {
+            Op::FusedEdgeMap { steps } | Op::FusedEdgeMapReduce { steps, .. } => {
+                let vectors = steps
+                    .iter()
+                    .filter(|s| matches!(s, EdgeMapStep::Broadcast(..)));
+                [vec![Matrix], vec![Vector; vectors.count()]].concat()
+            }
+            Op::FusedEdgeCombine { .. } => {
+                [vec![Matrix; ins.len().max(3) - 1], vec![Dense]].concat()
+            }
+            Op::StackEdgeValues => vec![Matrix; ins.len().max(1)],
+            _ => Vec::new(),
+        };
+        let (want, kind, (rows, cols), diagonal): (&[ValueKind], _, _, _) = match self {
+            Op::InputGraph => (&[], Matrix, (Some(Graph), Some(Graph)), true),
+            Op::InputFrontiers => (&[], Nodes, (None, Some(Frontier)), true),
+            Op::InputDense(_) => (&[], Dense, (None, None), true),
+            Op::InputVector(_) => (&[], Vector, (None, None), true),
+            Op::InputNodes(_) => (&[], Nodes, (None, None), true),
+            Op::Precomputed { slot } => {
+                let f = slots.get(*slot);
+                let f = f.ok_or_else(|| format!("no facts for precomputed slot {slot}"))?;
+                (&[], f.kind, (f.rows, f.cols), true)
+            }
+            Op::SliceCols | Op::FusedExtractSelect { .. } => {
+                (&[Matrix, Nodes], Matrix, extract, keyed)
+            }
+            Op::FusedExtractCollective { .. } => (&[Matrix, Nodes, Vector], Matrix, extract, keyed),
+            Op::FusedExtractReduce { .. } => (&[Matrix, Nodes], Vector, (lifted, None), keyed),
+            // The graph's columns, shared by every group; a subgraph whose
+            // edges cross groups.
+            Op::SliceRows => (&[Matrix, Nodes], Matrix, (b.cols, a.cols), false),
+            Op::InduceSubgraph => (&[Matrix, Nodes], Matrix, (b.cols, b.cols), false),
+            Op::ScalarOp(..) | Op::UnaryOp(..) | Op::Convert(..) => (&[Matrix], Matrix, same, true),
+            Op::Broadcast(..) => (&[Matrix, Vector], Matrix, same, true),
+            Op::SparseElt(..) => (&[Matrix, Matrix], Matrix, same, true),
+            Op::Sddmm => (&[Matrix, Dense, Dense], Matrix, same, true),
+            Op::EdgeValuesFromDense { .. } => (&[Matrix, Dense], Matrix, same, true),
+            Op::Node2VecBias { .. } => (&[Matrix, Nodes, Matrix], Matrix, same, true),
+            Op::FusedEdgeMap { .. } | Op::FusedEdgeCombine { .. } => {
+                (&variadic, Matrix, same, true)
+            }
+            // Block rows stay block IDs through a row-ID table; a positional
+            // side does not survive compaction.
+            Op::CompactRows => (&[Matrix], Matrix, (block_rows, a.cols), true),
+            Op::CompactCols => (&[Matrix], Matrix, (a.rows, None), a.cols != Some(Frontier)),
+            // Each column draws from its own group's stream.
+            Op::IndividualSample { .. } => {
+                let want = &[Matrix, Matrix][..ins.len().clamp(1, 2)];
+                (want, Matrix, same, a.cols == Some(Frontier))
+            }
+            // Each group selects among its own block of rows.
+            Op::CollectiveSample { .. } => {
+                let want = &[Matrix, Vector][..ins.len().clamp(1, 2)];
+                (want, Matrix, same, block_rows.is_some())
+            }
+            Op::Reduce(_, axis) => (&[Matrix], Vector, along(axis), true),
+            Op::FusedEdgeMapReduce { axis, .. } => (&variadic, Vector, along(axis), true),
+            Op::ReduceAll(_) => (&[Matrix], Scalar, (None, None), unowned(a)),
+            Op::Spmm => (&[Matrix, Dense], Dense, (a.rows, b.cols), true),
+            Op::SpmmT => (&[Matrix, Dense], Dense, (a.cols, b.cols), unowned(a)),
+            // `A @ B` sums over `B`'s rows; `A @ B.T` keeps them apart.
+            Op::Gemm => (&[Dense, Dense], Dense, (a.rows, b.cols), unowned(b)),
+            Op::GemmT => (&[Dense, Dense], Dense, (a.rows, b.rows), true),
+            Op::DenseUnary(_) | Op::DenseSoftmaxRows => (&[Dense], Dense, same, true),
+            Op::DenseSoftmaxFlat => (&[Dense], Dense, same, unowned(a)),
+            Op::DenseColumn { .. } => (&[Dense], Vector, (a.rows, None), true),
+            Op::DenseGatherRows => (&[Dense, Nodes], Dense, (b.cols, a.cols), true),
+            Op::StackEdgeValues => (&variadic, Dense, (None, None), true),
+            Op::VectorOp(_) => {
+                let sides = (join(a.rows, b.rows), join(a.cols, b.cols));
+                (&[Vector, Vector], Vector, sides, true)
+            }
+            Op::VectorScalar(..) => (&[Vector], Vector, same, true),
+            Op::VectorNormalize => (&[Vector], Vector, same, unowned(a)),
+            Op::VectorSum => (&[Vector], Scalar, (None, None), unowned(a)),
+            Op::GatherVector => (&[Vector, Nodes], Vector, (None, b.cols), true),
+            Op::GatherRowBias => {
+                let want = &[Vector, Matrix, Matrix][..ins.len().clamp(2, 3)];
+                (want, Vector, (b.rows, None), true)
+            }
+            Op::AlignRowVector => (&[Vector, Matrix], Vector, (b.rows, None), true),
+            Op::RowNodes | Op::AllRowIds => (&[Matrix], Nodes, (a.rows, None), true),
+            // Distinct column IDs merge groups that share a frontier.
+            Op::ColNodes => (&[Matrix], Nodes, (None, None), a.cols != Some(Frontier)),
+            // One ID per walker: not the frontier list, and not claimed as
+            // a row set (a dead-end walker keeps its own node).
+            Op::NextWalkFrontier => (&[Matrix], Nodes, (None, None), true),
+        };
+        if ins.len() != want.len() {
+            return Err(format!("expected {} inputs, got {}", want.len(), ins.len()));
+        }
+        if let Some(i) = (ins.iter().zip(want)).position(|(f, &w)| f.kind != w) {
+            return Err(format!(
+                "input {i}: expected {:?}, got {:?}",
+                want[i], ins[i].kind
+            ));
+        }
+        let varies = match self {
+            Op::InputGraph | Op::Precomputed { .. } => Varies::Graph,
+            Op::InputDense(_) | Op::InputVector(_) | Op::InputNodes(_) => Varies::Binding,
+            Op::InputFrontiers => Varies::Batch,
+            op if op.is_random() => Varies::Batch,
+            _ => ins.iter().map(|f| f.varies).max().unwrap_or(Varies::Graph),
+        };
+        let resident = matches!(self, Op::InputGraph | Op::Precomputed { .. });
+        let uses = 0;
+        Ok(Facts {
+            kind,
+            rows,
+            cols,
+            varies,
+            resident,
+            diagonal,
+            uses,
+        })
     }
 
     /// True for operators whose output depends on an RNG draw.

@@ -3,9 +3,11 @@
 //! Five rules tailored to the ECSF model:
 //!
 //! - **Extract-Select fusion**: a uniform `individual_sample` applied
-//!   directly to an extracted sub-matrix (and nothing else reading that
+//!   directly to a frontier-keyed extract (and nothing else reading that
 //!   sub-matrix) samples straight from the graph adjacency — the sliced
-//!   matrix is never materialized (Fig. 5a, GraphSAGE).
+//!   matrix is never materialized (Fig. 5a, GraphSAGE). Both extract rules
+//!   key by the fact table (`cols == Frontier`): the fused kernels read the
+//!   frontier list, not their node input.
 //! - **Extract-Collective fusion**, its layer-wise twin: a biased
 //!   `collective_sample` of a frontier slice read otherwise only by that
 //!   sample's `gather_row_bias`es (which drop it) becomes one
@@ -25,6 +27,7 @@
 //!   operations per edge in the same order — the same bits — without the
 //!   `nnz × k` stack or the product.
 
+use crate::facts::{Facts, Space};
 use crate::op::{EdgeMapStep, Op};
 use crate::program::{Node, OpId, Program};
 
@@ -112,24 +115,34 @@ fn combine_chain(prog: &Program, consumers: &[Vec<OpId>], id: OpId) -> Option<(O
 type Collective = (usize, Vec<OpId>, Vec<OpId>);
 
 /// Rule 2 at node `id`, if it applies.
-fn extract_collective(p: &Program, consumers: &[Vec<OpId>], id: OpId) -> Option<Collective> {
+fn extract_collective(
+    p: &Program,
+    keyed: impl Fn(OpId) -> bool,
+    consumers: &[Vec<OpId>],
+    id: OpId,
+) -> Option<Collective> {
     let (&Op::CollectiveSample { k }, &[sub, probs]) = (&p.node(id).op, &p.node(id).inputs[..])
     else {
         return None;
     };
     let (slice, mut gathers) = (p.node(sub), consumers[sub].clone());
     gathers.retain(|&c| c != id);
-    let keyed = slice.op == Op::SliceCols && p.node(slice.inputs[1]).op == Op::InputFrontiers;
+    let keyed = slice.op == Op::SliceCols && keyed(sub);
     let gather =
         |&c: &OpId| p.node(c).op == Op::GatherRowBias && p.node(c).inputs[1..] == [id, sub];
     let alone = !p.outputs().contains(&sub) && gathers.iter().all(gather);
     (keyed && alone).then(|| (k, [&slice.inputs[..], &[probs]].concat(), gathers))
 }
 
-/// Run all five fusion rules.
-pub fn run(program: &Program) -> FusionResult {
+/// Run all five fusion rules. `slots` are the facts of the program's
+/// `Precomputed` values.
+pub fn run(program: &Program, slots: &[Facts]) -> FusionResult {
     let mut prog = program.clone();
     let mut result = FusionResult::default();
+    // The fused extracts read the frontier list: only a slice keyed by it
+    // (its columns are the frontiers) fuses. No sweep changes a slice.
+    let table = crate::facts(program, slots).expect("fusion runs on a valid program");
+    let keyed = |sub: OpId| table[sub].cols == Some(Space::Frontier);
 
     // 1. Extract-Select fusion; one sweep, since each sample reads its
     //    own slice (a biased sample needs the sub-matrix).
@@ -139,7 +152,7 @@ pub fn run(program: &Program) -> FusionResult {
         let (&Op::IndividualSample { k, replace }, &[sub]) = (&node.op, &node.inputs[..]) else {
             continue;
         };
-        if prog.node(sub).op == Op::SliceCols && consumers[sub] == [id] {
+        if prog.node(sub).op == Op::SliceCols && keyed(sub) && consumers[sub] == [id] {
             let slice = prog.node(sub).inputs.clone();
             prog.replace(id, Op::FusedExtractSelect { k, replace }, slice);
             result.extract_select += 1;
@@ -148,7 +161,7 @@ pub fn run(program: &Program) -> FusionResult {
 
     // 2. Extract-Collective fusion, likewise.
     for id in 0..prog.len() {
-        if let Some((k, inputs, gathers)) = extract_collective(&prog, &consumers, id) {
+        if let Some((k, inputs, gathers)) = extract_collective(&prog, keyed, &consumers, id) {
             for g in gathers {
                 let v = prog.node(g).inputs[0];
                 prog.replace(g, Op::GatherRowBias, vec![v, id]);
@@ -199,7 +212,6 @@ pub fn run(program: &Program) -> FusionResult {
         }
     }
 
-    debug_assert!(prog.validate().is_ok(), "fusion broke program");
     result.program = prog;
     result
 }
@@ -231,7 +243,7 @@ mod tests {
 
     #[test]
     fn extract_select_fuses_graphsage() {
-        let r = run(&graphsage());
+        let r = run(&graphsage(), &[]);
         assert_eq!(r.extract_select, 1);
         let (prog, removed) = dce::run(&r.program);
         assert_eq!(removed, 1); // the slice died
@@ -260,7 +272,7 @@ mod tests {
             vec![sub, probs],
         );
         p.mark_output(samp);
-        let r = run(&p);
+        let r = run(&p, &[]);
         assert_eq!(r.extract_select, 0);
     }
 
@@ -280,7 +292,7 @@ mod tests {
         let deg = p.add(Op::Reduce(ReduceOp::Count, Axis::Col), vec![sub]);
         p.mark_output(samp);
         p.mark_output(deg);
-        let r = run(&p);
+        let r = run(&p, &[]);
         assert_eq!(r.extract_select, 0);
     }
 
@@ -311,6 +323,15 @@ mod tests {
         p
     }
 
+    /// The facts of slot 0: a full-graph degree vector.
+    fn degree_slot() -> Vec<Facts> {
+        let mut pre = Program::new();
+        let g = pre.add(Op::InputGraph, vec![]);
+        let deg = pre.add(Op::Reduce(ReduceOp::Count, Axis::Row), vec![g]);
+        pre.mark_output(deg);
+        vec![crate::facts(&pre, &[]).unwrap()[deg]]
+    }
+
     #[test]
     fn extract_collective_fuses_ladies_and_fastgcn() {
         // LADIES after pre-processing (an extract-reduce bias) and FastGCN
@@ -320,10 +341,10 @@ mod tests {
             Op::FusedExtractReduce { reduce: sum },
             Op::Precomputed { slot: 0 },
         ] {
-            let r = run(&layer_wise(Some(bias), false));
+            let r = run(&layer_wise(Some(bias), false), &degree_slot());
             assert_eq!(r.extract_collective, 1);
             let (prog, _) = dce::run(&r.program);
-            prog.validate().unwrap();
+            crate::facts(&prog, &degree_slot()).unwrap();
             assert_eq!(prog.count_ops(|op| *op == Op::SliceCols), 0);
             let fused = Op::FusedExtractCollective { k: 8 };
             let samp = prog.find_op(|op| *op == fused).unwrap();
@@ -338,7 +359,7 @@ mod tests {
         // its degrees.
         let asgcn = layer_wise(Some(Op::Precomputed { slot: 0 }), true);
         for p in [asgcn, layer_wise(None, false)] {
-            let r = run(&p);
+            let r = run(&p, &degree_slot());
             assert_eq!(r.extract_collective, 0);
             assert_eq!(r.program, p);
         }
@@ -354,7 +375,7 @@ mod tests {
         let b = p.add(Op::ScalarOp(EltOp::Mul, 0.5), vec![a]);
         let c = p.add(Op::UnaryOp(UnaryOp::Relu), vec![b]);
         p.mark_output(c);
-        let r = run(&p);
+        let r = run(&p, &[]);
         assert_eq!(r.edge_map, 2);
         let (prog, _) = dce::run(&r.program);
         let fused = prog
@@ -380,7 +401,7 @@ mod tests {
         let b1 = p.add(Op::Broadcast(EltOp::Div, Axis::Row), vec![sub, v1]);
         let b2 = p.add(Op::Broadcast(EltOp::Mul, Axis::Col), vec![b1, v2]);
         p.mark_output(b2);
-        let r = run(&p);
+        let r = run(&p, &[]);
         assert_eq!(r.edge_map, 1);
         let fused = r
             .program
@@ -411,7 +432,7 @@ mod tests {
         let colsum = p.add(Op::Reduce(ReduceOp::Sum, Axis::Col), vec![norm1]);
         let norm2 = p.add(Op::Broadcast(EltOp::Div, Axis::Col), vec![norm1, colsum]);
         p.mark_output(norm2);
-        let r = run(&p);
+        let r = run(&p, &[]);
         assert_eq!(r.edge_map_reduce, 1);
         let fused = r
             .program
@@ -433,7 +454,7 @@ mod tests {
         let sub = p.add(Op::SliceCols, vec![g, f]);
         let red = p.add(Op::Reduce(ReduceOp::Sum, Axis::Row), vec![sub]);
         p.mark_output(red);
-        let r = run(&p);
+        let r = run(&p, &[]);
         assert_eq!(r.edge_map_reduce, 0);
         assert_eq!(r.edge_map, 0);
         assert_eq!(r.extract_select, 0);
@@ -474,7 +495,10 @@ mod tests {
 
     #[test]
     fn attention_combine_fuses_carrying_col_and_unaries_in_order() {
-        let r = run(&combine_program(&[UnaryOp::Relu, UnaryOp::Exp], 1, None));
+        let r = run(
+            &combine_program(&[UnaryOp::Relu, UnaryOp::Exp], 1, None),
+            &[],
+        );
         assert_eq!(r.edge_combine, 1);
         let (prog, removed) = dce::run(&r.program);
         assert_eq!(removed, 4); // stack, product, both unaries
@@ -485,14 +509,14 @@ mod tests {
         // [pattern, a1, a2, a3 = sub itself, W]
         assert_eq!(fused.inputs, vec![2, 3, 4, 2, 5]);
         // No unary at all is a chain too.
-        assert_eq!(run(&combine_program(&[], 0, None)).edge_combine, 1);
+        assert_eq!(run(&combine_program(&[], 0, None), &[]).edge_combine, 1);
     }
 
     #[test]
     fn attention_combine_refuses_a_shared_link() {
         for link in ["stack", "product", "unary"] {
             let p = combine_program(&[UnaryOp::Relu], 0, Some(link));
-            let r = run(&p);
+            let r = run(&p, &[]);
             assert_eq!(r.edge_combine, 0, "shared {link}");
             assert_eq!(r.program, p, "shared {link}");
         }

@@ -17,8 +17,10 @@ use gsampler_matrix::Format;
 
 use crate::costing::{self, output_format};
 use crate::estimate::{estimate_shapes, GraphStats};
+use crate::facts::Space::{Block, Graph};
+use crate::facts::{Facts, ValueKind};
 use crate::op::Op;
-use crate::program::{output_kind, OpId, Program, ValueKind};
+use crate::program::{OpId, Program};
 
 /// Layout-selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,19 +91,19 @@ const GRAPH_FMT: Format = Format::Csc;
 
 /// Nodes eligible for a format decision; `bool` = compaction allowed —
 /// never on rows a `CollectiveSample` selects from, directly or through
-/// row-preserving operators: a compacted matrix loses its isolated rows,
+/// matrices in its first input's row set (the fact table's `rows`, graph
+/// rows lifted to block rows): a compacted matrix loses its isolated rows,
 /// on which a node-indexed bias (AS-GCN's `learned + 1e-6`) is positive.
-pub fn choice_points(program: &Program) -> Vec<(OpId, bool)> {
+pub fn choice_points(program: &Program, facts: &[Facts]) -> Vec<(OpId, bool)> {
+    let row_set = |i: OpId| facts[i].rows.map(|s| if s == Graph { Block } else { s });
     let mut selected = vec![false; program.len()];
     for (id, node) in program.nodes().iter().enumerate().rev() {
-        let keeps_rows = output_kind(&node.op) == ValueKind::Matrix
-            && !matches!(
-                node.op,
-                Op::SliceRows | Op::InduceSubgraph | Op::CompactRows
-            );
-        let selects = matches!(node.op, Op::CollectiveSample { .. });
-        if let (true, Some(&rows)) = (selects || selected[id] && keeps_rows, node.inputs.first()) {
-            selected[rows] = true;
+        let Some(&first) = node.inputs.first() else {
+            continue;
+        };
+        let keeps_rows = facts[id].kind == ValueKind::Matrix && row_set(id) == row_set(first);
+        if matches!(node.op, Op::CollectiveSample { .. }) || selected[id] && keeps_rows {
+            selected[first] = true;
         }
     }
     let points = program.nodes().iter().enumerate();
@@ -121,30 +123,34 @@ pub fn choice_points(program: &Program) -> Vec<(OpId, bool)> {
 /// The *search* half of the pass: price the alternatives and return the
 /// decisions as a [`LayoutPlan`], without rewriting the program. All the
 /// expensive work (candidate enumeration, per-candidate shape estimation
-/// and pricing) lives here; [`apply`] is cheap.
+/// and pricing) lives here; [`apply`] is cheap. `facts` is the program's
+/// fact table; `slots`, its `Precomputed` values' facts, price candidates.
+#[allow(clippy::too_many_arguments)]
 pub fn search(
     program: &Program,
+    facts: &[Facts],
+    slots: &[Facts],
     mode: LayoutMode,
     stats: &GraphStats,
     batch_size: usize,
     cost_model: &CostModel,
     residency: Residency,
 ) -> LayoutPlan {
-    let price = |p: &Program| price(p, stats, batch_size, cost_model, residency);
-    let points = choice_points(program);
+    let price = |p: &Program| price(p, slots, stats, batch_size, cost_model, residency);
+    let points = choice_points(program, facts);
     if points.is_empty() {
-        return priced(program, Vec::new(), &price);
+        return priced(program, facts, Vec::new(), &price);
     }
     let decisions = match mode {
         LayoutMode::None => Vec::new(),
         LayoutMode::Greedy => greedy_assignment(program, &points, stats, batch_size, cost_model),
-        LayoutMode::CostAware => search_assignment(program, &points, &price),
+        LayoutMode::CostAware => search_assignment(program, facts, &points, &price),
     };
-    let plan = priced(program, decisions, &price);
+    let plan = priced(program, facts, decisions, &price);
     // Cost-aware must never be worse than natural; fall back if the search
     // (on estimated shapes) picked something the final pricing dislikes.
     if mode == LayoutMode::CostAware && plan.est_time > plan.natural_time {
-        return priced(program, Vec::new(), &price);
+        return priced(program, facts, Vec::new(), &price);
     }
     plan
 }
@@ -153,6 +159,7 @@ pub fn search(
 /// in (an empty list prices as the all-natural layout).
 fn priced(
     program: &Program,
+    facts: &[Facts],
     decisions: Vec<LayoutDecision>,
     price: &impl Fn(&Program) -> f64,
 ) -> LayoutPlan {
@@ -160,7 +167,7 @@ fn priced(
     let est_time = if decisions.is_empty() {
         natural_time
     } else {
-        price(&apply_assignment(program, &decisions))
+        price(&apply_assignment(program, facts, &decisions))
     };
     LayoutPlan {
         decisions,
@@ -170,8 +177,8 @@ fn priced(
 }
 
 /// The *apply* half: rewrite the program according to an already-decided
-/// plan. No pricing, no enumeration.
-pub fn apply(program: &Program, plan: &LayoutPlan) -> (Program, LayoutReport) {
+/// plan. No pricing, no enumeration. `facts` as for [`search`].
+pub fn apply(program: &Program, facts: &[Facts], plan: &LayoutPlan) -> (Program, LayoutReport) {
     if plan.decisions.is_empty() {
         let report = LayoutReport {
             est_time: plan.est_time,
@@ -180,7 +187,7 @@ pub fn apply(program: &Program, plan: &LayoutPlan) -> (Program, LayoutReport) {
         };
         return (program.clone(), report);
     }
-    let rewritten = apply_assignment(program, &plan.decisions);
+    let rewritten = apply_assignment(program, facts, &plan.decisions);
     let report = LayoutReport {
         choices: plan
             .decisions
@@ -233,40 +240,41 @@ pub fn emit_assignment_event(mode: LayoutMode, report: &LayoutReport) {
 
 fn price(
     program: &Program,
+    slots: &[Facts],
     stats: &GraphStats,
     batch_size: usize,
     cost_model: &CostModel,
     residency: Residency,
 ) -> f64 {
+    let facts = crate::facts(program, slots).expect("layout candidates are valid programs");
     let shapes = estimate_shapes(program, stats, batch_size);
-    let fmts = costing::derive_formats(program, GRAPH_FMT);
-    costing::price_program(program, &fmts, &shapes, cost_model, residency)
+    let fmts = costing::derive_formats(program, &facts, GRAPH_FMT);
+    costing::price_program(program, &facts, &fmts, &shapes, cost_model, residency)
 }
 
 /// Insert `CompactRows` / `Convert` nodes realizing `decisions`.
-fn apply_assignment(program: &Program, decisions: &[LayoutDecision]) -> Program {
+fn apply_assignment(program: &Program, facts: &[Facts], decisions: &[LayoutDecision]) -> Program {
     let mut out = Program::new();
     let mut map: Vec<OpId> = Vec::with_capacity(program.len());
     let mut fmts: Vec<Option<Format>> = Vec::new();
 
-    let push = |out: &mut Program, fmts: &mut Vec<Option<Format>>, op: Op, inputs: Vec<OpId>| {
-        let first = inputs.first().and_then(|&i| fmts[i]);
-        let f = output_format(&op, first, GRAPH_FMT);
-        let id = out.add(op, inputs);
-        fmts.push(f);
-        id
+    let push = |out: &mut Program, fmts: &mut Vec<Option<Format>>, op: Op, kind, inputs: Vec<_>| {
+        let first = inputs.first().and_then(|&i: &OpId| fmts[i]);
+        fmts.push(output_format(&op, kind, first, GRAPH_FMT));
+        out.add(op, inputs)
     };
 
     for (old_id, node) in program.nodes().iter().enumerate() {
         let inputs: Vec<OpId> = node.inputs.iter().map(|&i| map[i]).collect();
-        let mut last = push(&mut out, &mut fmts, node.op.clone(), inputs);
+        let kind = facts[old_id].kind;
+        let mut last = push(&mut out, &mut fmts, node.op.clone(), kind, inputs);
         if let Some(d) = decisions.iter().find(|d| d.op_id == old_id) {
             if d.compact {
-                last = push(&mut out, &mut fmts, Op::CompactRows, vec![last]);
+                last = push(&mut out, &mut fmts, Op::CompactRows, kind, vec![last]);
             }
             let current = fmts[last].unwrap_or(GRAPH_FMT);
             if current != d.format {
-                last = push(&mut out, &mut fmts, Op::Convert(d.format), vec![last]);
+                last = push(&mut out, &mut fmts, Op::Convert(d.format), kind, vec![last]);
             }
         }
         map.push(last);
@@ -281,6 +289,7 @@ fn apply_assignment(program: &Program, decisions: &[LayoutDecision]) -> Program 
 /// when small, otherwise coordinate descent from the natural assignment.
 fn search_assignment(
     program: &Program,
+    facts: &[Facts],
     points: &[(OpId, bool)],
     price: &impl Fn(&Program) -> f64,
 ) -> Vec<LayoutDecision> {
@@ -303,6 +312,7 @@ fn search_assignment(
     let evaluate = |choice: &[usize]| -> f64 {
         price(&apply_assignment(
             program,
+            facts,
             &to_decisions(points, &options, choice),
         ))
     };
@@ -468,7 +478,9 @@ mod tests {
         stats: &GraphStats,
         residency: Residency,
     ) -> (Program, LayoutReport) {
-        apply(p, &search(p, mode, stats, 512, &model(), residency))
+        let facts = crate::facts(p, &[]).unwrap();
+        let plan = search(p, &facts, &[], mode, stats, 512, &model(), residency);
+        apply(p, &facts, &plan)
     }
 
     #[test]
@@ -514,7 +526,7 @@ mod tests {
         let p = ladies();
         let (_, aware) = run(&p, LayoutMode::CostAware, &big_stats(), UVA);
         let (greedy_prog, _) = run(&p, LayoutMode::Greedy, &big_stats(), UVA);
-        let greedy_time = price(&greedy_prog, &big_stats(), 512, &model(), UVA);
+        let greedy_time = price(&greedy_prog, &[], &big_stats(), 512, &model(), UVA);
         assert!(
             aware.est_time <= greedy_time,
             "aware {} vs greedy {}",
@@ -554,7 +566,7 @@ mod tests {
             format: GRAPH_FMT,
             compact: true,
         };
-        let out = apply_assignment(&p, &[compact]);
+        let out = apply_assignment(&p, &crate::facts(&p, &[]).unwrap(), &[compact]);
         out.validate().unwrap();
         let compacted = out
             .find_op(|op| matches!(op, Op::CompactRows))
@@ -576,7 +588,8 @@ mod tests {
         // LADIES' slice is selected from directly, AS-GCN-like through a
         // map; a node-wise slice may still compact.
         let p = ladies();
-        assert_eq!(choice_points(&p), vec![(2, false), (5, false)]);
+        let points = |p: &Program| choice_points(p, &crate::facts(p, &[]).unwrap());
+        assert_eq!(points(&p), vec![(2, false), (5, false)]);
         let mut q = Program::new();
         let g = q.add(Op::InputGraph, vec![]);
         let f = q.add(Op::InputFrontiers, vec![]);
@@ -593,8 +606,27 @@ mod tests {
         );
         q.mark_output(samp);
         q.mark_output(picks);
-        let points = vec![(sub, false), (samp, false), (sub2, true), (picks, true)];
-        assert_eq!(choice_points(&q), points);
+        let want = vec![(sub, false), (samp, false), (sub2, true), (picks, true)];
+        assert_eq!(points(&q), want);
+        // A slice keeps its input's rows, lifted from graph to block IDs: a
+        // whole-graph sample selected from through a slice may not compact.
+        let mut r = Program::new();
+        let g = r.add(Op::InputGraph, vec![]);
+        let f = r.add(Op::InputFrontiers, vec![]);
+        let picks = r.add(
+            Op::IndividualSample {
+                k: 2,
+                replace: false,
+            },
+            vec![g],
+        );
+        let sub = r.add(Op::SliceCols, vec![picks, f]);
+        let samp = r.add(Op::CollectiveSample { k: 8 }, vec![sub]);
+        r.mark_output(samp);
+        assert_eq!(
+            points(&r),
+            vec![(picks, false), (sub, false), (samp, false)]
+        );
     }
 
     #[test]

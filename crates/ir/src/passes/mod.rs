@@ -16,6 +16,7 @@ use gsampler_engine::CostModel;
 use gsampler_engine::Residency;
 
 use crate::estimate::GraphStats;
+use crate::facts::Facts;
 use crate::program::Program;
 
 /// Which optimization passes to run (the knobs of paper Fig. 10).
@@ -173,14 +174,20 @@ pub struct PassReport {
 pub struct OptimizedProgram {
     /// The optimized per-batch program.
     pub program: Program,
+    /// `program`'s fact table ([`crate::facts()`]), its slots typed by
+    /// `precompute`'s outputs.
+    pub facts: Vec<Facts>,
     /// Sampling-invariant subprogram, evaluated once at compile time; its
     /// outputs fill the `Precomputed` slots of `program`.
     pub precompute: Program,
+    /// `precompute`'s fact table.
+    pub precompute_facts: Vec<Facts>,
     /// What the passes did.
     pub report: PassReport,
 }
 
-/// Run the configured passes over `program`.
+/// Run the configured passes over `program`, which must be valid
+/// ([`Program::validate`]).
 ///
 /// `stats`/`batch_size` feed shape estimation for the layout search, and
 /// `cost_model`/`residency` price the alternatives.
@@ -216,9 +223,13 @@ pub fn run_passes(
         span.arg("extract_reduce", r.sunk);
     }
 
+    let precompute_facts = crate::facts(&precompute, &[]).expect("precompute programs are valid");
+    let slot = |&o: &usize| precompute_facts[o];
+    let slots: Vec<Facts> = precompute.outputs().iter().map(slot).collect();
+
     if config.fusion {
         let mut span = gsampler_obs::span("pass", "fusion");
-        let r = fusion::run(&prog);
+        let r = fusion::run(&prog, &slots);
         prog = r.program;
         report.extract_select_fused = r.extract_select;
         report.extract_collective_fused = r.extract_collective;
@@ -242,15 +253,18 @@ pub fn run_passes(
 
     if config.layout != LayoutMode::None {
         let mut span = gsampler_obs::span("pass", "layout");
+        let facts = crate::facts(&prog, &slots).expect("layout runs on a valid program");
         let plan = layout::search(
             &prog,
+            &facts,
+            &slots,
             config.layout,
             stats,
             batch_size * config.super_batch.max(1),
             cost_model,
             residency,
         );
-        let (p, lr) = layout::apply(&prog, &plan);
+        let (p, lr) = layout::apply(&prog, &facts, &plan);
         prog = p;
         span.arg("mode", format!("{:?}", config.layout));
         span.arg("conversions", lr.conversions);
@@ -262,10 +276,12 @@ pub fn run_passes(
     }
     pipeline_span.arg("ops_out", prog.nodes().len());
 
-    debug_assert!(prog.validate().is_ok(), "pass broke program: {prog:?}");
+    let facts = crate::facts(&prog, &slots).unwrap_or_else(|e| panic!("pass broke program: {e}"));
     OptimizedProgram {
         program: prog,
+        facts,
         precompute,
+        precompute_facts,
         report,
     }
 }

@@ -17,6 +17,7 @@
 
 use gsampler_matrix::Axis;
 
+use crate::facts::{Space, Varies};
 use crate::op::{EdgeMapStep, Op};
 use crate::program::{OpId, Program};
 
@@ -34,32 +35,11 @@ pub struct PreprocessResult {
     pub sunk: usize,
 }
 
-/// True if this operator's value can change between batches even with
-/// identical inputs (sampling randomness) or *is* a per-batch input.
-fn dynamic_source(op: &Op) -> bool {
-    op.is_random()
-        || matches!(
-            op,
-            Op::InputFrontiers | Op::InputDense(..) | Op::InputVector(..) | Op::InputNodes(..)
-        )
-}
-
-/// Compute, for each node, whether its value is batch-invariant.
-fn static_set(program: &Program) -> Vec<bool> {
-    let mut s = vec![false; program.len()];
-    for (id, node) in program.nodes().iter().enumerate() {
-        if dynamic_source(&node.op) {
-            continue;
-        }
-        s[id] = node.inputs.iter().all(|&i| s[i]);
-    }
-    s
-}
-
 /// Sink each eligible row reduction in place: the map the reduce read
 /// becomes `M(G)`, the reduce the fused extract.
 fn sink(program: &mut Program) -> usize {
-    let (stat, consumers) = (static_set(program), program.consumers());
+    let table = crate::facts(program, &[]).expect("pre-processing runs on a valid program");
+    let consumers = program.consumers();
     let mut sunk = 0;
     for id in 0..program.len() {
         let Op::Reduce(reduce, Axis::Row) = program.node(id).op else {
@@ -87,7 +67,8 @@ fn sink(program: &mut Program) -> usize {
         }
         let (slice, top) = (program.node(cur), program.node(id).inputs[0]);
         let &[g, f] = &slice.inputs[..] else { continue };
-        if slice.op != Op::SliceCols || program.node(f).op != Op::InputFrontiers || !stat[g] {
+        let keyed = table[cur].cols == Some(Space::Frontier);
+        if slice.op != Op::SliceCols || !keyed || table[g].varies != Varies::Graph {
             continue;
         }
         if !steps.is_empty() {
@@ -107,7 +88,9 @@ pub fn run(program: &Program) -> PreprocessResult {
     let mut sunk_program = program.clone();
     let sunk = sink(&mut sunk_program);
     let program = &sunk_program;
-    let stat = static_set(program);
+    // Batch-invariant: varies with the graph only.
+    let table = crate::facts(program, &[]).expect("pre-processing runs on a valid program");
+    let stat: Vec<bool> = table.iter().map(|f| f.varies == Varies::Graph).collect();
     let consumers = program.consumers();
 
     // Hoist boundary: static, not an input, and visible to dynamic code.

@@ -7,23 +7,6 @@ use crate::op::Op;
 /// Index of a node within a [`Program`].
 pub type OpId = usize;
 
-/// Kind of value an operator produces (used for builder-time validation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValueKind {
-    /// A sparse matrix with ID tracking.
-    Matrix,
-    /// A dense matrix.
-    Dense,
-    /// A dense `f32` vector.
-    Vector,
-    /// A list of node IDs.
-    Nodes,
-    /// A scalar.
-    Scalar,
-    /// Unknown at build time (precomputed slots).
-    Any,
-}
-
 /// One node of the program DAG: an operator plus its value dependencies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
@@ -172,11 +155,6 @@ impl Program {
         (out, mapping)
     }
 
-    /// The value kind each node produces.
-    pub fn kinds(&self) -> Vec<ValueKind> {
-        self.nodes.iter().map(|n| output_kind(&n.op)).collect()
-    }
-
     /// Count nodes matching a predicate (test/diagnostic helper).
     pub fn count_ops(&self, pred: impl Fn(&Op) -> bool) -> usize {
         self.nodes.iter().filter(|n| pred(&n.op)).count()
@@ -187,20 +165,11 @@ impl Program {
         self.nodes.iter().position(|n| pred(&n.op))
     }
 
-    /// Structural validation: arity and input-kind checks for every node.
+    /// Structural validation: arity and input kinds of every node, the
+    /// kind rules of [`crate::facts()`]. A `Precomputed` slot has no facts
+    /// without its precompute program, so a program reading one fails here.
     pub fn validate(&self) -> Result<(), String> {
-        let kinds = self.kinds();
-        for (id, node) in self.nodes.iter().enumerate() {
-            let got: Vec<ValueKind> = node.inputs.iter().map(|&i| kinds[i]).collect();
-            check_inputs(&node.op, &got)
-                .map_err(|e| format!("node {id} ({}): {e}", node.op.name()))?;
-        }
-        for &o in &self.outputs {
-            if o >= self.nodes.len() {
-                return Err(format!("output {o} out of range"));
-            }
-        }
-        Ok(())
+        crate::facts(self, &[]).map(drop)
     }
 
     /// Graphviz DOT rendering of the data-flow graph (operators as nodes,
@@ -353,163 +322,6 @@ impl Program {
             );
         }
         s
-    }
-}
-
-/// The value kind an operator produces.
-pub fn output_kind(op: &Op) -> ValueKind {
-    match op {
-        Op::InputGraph
-        | Op::SliceCols
-        | Op::SliceRows
-        | Op::InduceSubgraph
-        | Op::ScalarOp(..)
-        | Op::UnaryOp(..)
-        | Op::Broadcast(..)
-        | Op::SparseElt(..)
-        | Op::Sddmm
-        | Op::EdgeValuesFromDense { .. }
-        | Op::IndividualSample { .. }
-        | Op::CollectiveSample { .. }
-        | Op::Node2VecBias { .. }
-        | Op::CompactRows
-        | Op::CompactCols
-        | Op::Convert(..)
-        | Op::FusedExtractSelect { .. }
-        | Op::FusedExtractCollective { .. }
-        | Op::FusedEdgeMap { .. }
-        | Op::FusedEdgeCombine { .. } => ValueKind::Matrix,
-        Op::InputDense(..)
-        | Op::Spmm
-        | Op::SpmmT
-        | Op::Gemm
-        | Op::GemmT
-        | Op::DenseUnary(..)
-        | Op::DenseSoftmaxRows
-        | Op::DenseSoftmaxFlat
-        | Op::DenseGatherRows
-        | Op::StackEdgeValues => ValueKind::Dense,
-        Op::InputVector(..)
-        | Op::Reduce(..)
-        | Op::VectorOp(..)
-        | Op::VectorScalar(..)
-        | Op::VectorNormalize
-        | Op::GatherVector
-        | Op::GatherRowBias
-        | Op::AlignRowVector
-        | Op::DenseColumn { .. }
-        | Op::FusedExtractReduce { .. }
-        | Op::FusedEdgeMapReduce { .. } => ValueKind::Vector,
-        Op::InputFrontiers
-        | Op::InputNodes(..)
-        | Op::RowNodes
-        | Op::ColNodes
-        | Op::AllRowIds
-        | Op::NextWalkFrontier => ValueKind::Nodes,
-        Op::ReduceAll(..) | Op::VectorSum => ValueKind::Scalar,
-        Op::Precomputed { .. } => ValueKind::Any,
-    }
-}
-
-fn check_inputs(op: &Op, got: &[ValueKind]) -> Result<(), String> {
-    use ValueKind as V;
-    let expect = |want: &[V]| -> Result<(), String> {
-        if got.len() != want.len() {
-            return Err(format!("expected {} inputs, got {}", want.len(), got.len()));
-        }
-        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
-            if g != w && g != V::Any && w != V::Any {
-                return Err(format!("input {i}: expected {w:?}, got {g:?}"));
-            }
-        }
-        Ok(())
-    };
-    match op {
-        Op::InputGraph
-        | Op::InputFrontiers
-        | Op::InputDense(..)
-        | Op::InputVector(..)
-        | Op::InputNodes(..) => expect(&[]),
-        Op::SliceCols | Op::SliceRows | Op::InduceSubgraph => expect(&[V::Matrix, V::Nodes]),
-        Op::ScalarOp(..) | Op::UnaryOp(..) => expect(&[V::Matrix]),
-        Op::Broadcast(..) => expect(&[V::Matrix, V::Vector]),
-        Op::SparseElt(..) => expect(&[V::Matrix, V::Matrix]),
-        Op::Sddmm => expect(&[V::Matrix, V::Dense, V::Dense]),
-        Op::EdgeValuesFromDense { .. } => expect(&[V::Matrix, V::Dense]),
-        Op::Reduce(..) | Op::ReduceAll(..) => expect(&[V::Matrix]),
-        Op::Spmm | Op::SpmmT => expect(&[V::Matrix, V::Dense]),
-        Op::Gemm | Op::GemmT => expect(&[V::Dense, V::Dense]),
-        Op::DenseUnary(..)
-        | Op::DenseSoftmaxRows
-        | Op::DenseSoftmaxFlat
-        | Op::DenseColumn { .. } => expect(&[V::Dense]),
-        Op::DenseGatherRows => expect(&[V::Dense, V::Nodes]),
-        Op::StackEdgeValues => {
-            if got.is_empty() || got.iter().any(|&g| g != V::Matrix) {
-                Err("stack_edge_values needs >= 1 matrix inputs".to_string())
-            } else {
-                Ok(())
-            }
-        }
-        Op::VectorOp(..) => expect(&[V::Vector, V::Vector]),
-        Op::VectorScalar(..) | Op::VectorSum | Op::VectorNormalize => expect(&[V::Vector]),
-        Op::GatherVector => expect(&[V::Vector, V::Nodes]),
-        Op::GatherRowBias => expect(&[V::Vector, V::Matrix, V::Matrix][..got.len().clamp(2, 3)]),
-        Op::AlignRowVector => expect(&[V::Vector, V::Matrix]),
-        Op::IndividualSample { .. } => {
-            if got.len() == 1 {
-                expect(&[V::Matrix])
-            } else {
-                expect(&[V::Matrix, V::Matrix])
-            }
-        }
-        Op::CollectiveSample { .. } => {
-            if got.len() == 1 {
-                expect(&[V::Matrix])
-            } else {
-                expect(&[V::Matrix, V::Vector])
-            }
-        }
-        Op::Node2VecBias { .. } => expect(&[V::Matrix, V::Nodes, V::Matrix]),
-        Op::RowNodes
-        | Op::ColNodes
-        | Op::AllRowIds
-        | Op::NextWalkFrontier
-        | Op::CompactRows
-        | Op::CompactCols
-        | Op::Convert(..) => expect(&[V::Matrix]),
-        Op::FusedExtractSelect { .. } | Op::FusedExtractReduce { .. } => {
-            expect(&[V::Matrix, V::Nodes])
-        }
-        Op::FusedExtractCollective { .. } => expect(&[V::Matrix, V::Nodes, V::Vector]),
-        Op::FusedEdgeMap { steps } | Op::FusedEdgeMapReduce { steps, .. } => {
-            let broadcasts = steps
-                .iter()
-                .filter(|s| matches!(s, crate::op::EdgeMapStep::Broadcast(..)))
-                .count();
-            if got.len() != 1 + broadcasts {
-                return Err(format!(
-                    "fused edge-map expects 1 matrix + {broadcasts} vectors, got {}",
-                    got.len()
-                ));
-            }
-            if got[0] != V::Matrix {
-                return Err("fused edge-map input 0 must be a matrix".to_string());
-            }
-            for (i, &g) in got.iter().enumerate().skip(1) {
-                if g != V::Vector {
-                    return Err(format!("fused edge-map input {i} must be a vector"));
-                }
-            }
-            Ok(())
-        }
-        Op::FusedEdgeCombine { .. } => match got.split_last() {
-            Some((V::Dense, mats)) if mats.len() >= 2 && mats.iter().all(|&g| g == V::Matrix) => {
-                Ok(())
-            }
-            _ => Err("fused edge-combine expects >= 2 matrices and a dense".to_string()),
-        },
-        Op::Precomputed { .. } => expect(&[]),
     }
 }
 

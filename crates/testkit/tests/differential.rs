@@ -124,13 +124,15 @@ fn forced_layout(
         format,
         compact: compact && allowed,
     };
-    let decisions = choice_points(&program.program).into_iter().map(decide);
+    let decisions = choice_points(&program.program, &program.facts)
+        .into_iter()
+        .map(decide);
     let plan = LayoutPlan {
         decisions: decisions.collect(),
         ..LayoutPlan::default()
     };
     Layer {
-        program: layout::apply(&program.program, &plan).0,
+        program: layout::apply(&program.program, &program.facts, &plan).0,
         ..layer.clone()
     }
 }
@@ -178,3 +180,50 @@ fn forced_layouts_are_invisible() {
         }
     }
 }
+
+/// Every forced layout's choice points, per algorithm and layer, as
+/// `(op_id, compaction allowed)` in program order — captured from the
+/// layout pass's own row-preservation walk before it read the fact table.
+#[test]
+fn forced_layout_choice_points_are_pinned() {
+    let h = oracle_hyper();
+    let model = CostModel::new(DeviceProfile::v100());
+    let opt = OptConfig {
+        preprocess: false,
+        layout: LayoutMode::None,
+        ..OptConfig::all()
+    };
+    for spec in specs() {
+        let graph = spec.build();
+        let mut got = String::new();
+        for algo in all_algorithms(&h) {
+            let points: Vec<_> = (algo.layers.iter())
+                .map(|l| {
+                    let stats = graph.stats();
+                    let p = run_passes(&l.program, &opt, &stats, 8, &model, graph.residency);
+                    choice_points(&p.program, &p.facts)
+                })
+                .collect();
+            got.push_str(&format!("{}: {points:?}\n", algo.name));
+        }
+        assert_eq!(got, CHOICE_POINTS, "on {}", spec.describe());
+    }
+}
+
+const CHOICE_POINTS: &str = "\
+DeepWalk: [[(2, true)]]
+GraphSAINT: [[(2, true)]]
+PinSAGE: [[(2, true)]]
+HetGNN: [[(2, true)]]
+GraphSAGE: [[(2, true)], [(2, true)]]
+VR-GCN: [[(2, true), (3, true)], [(2, true), (3, true)]]
+SEAL: [[(3, true), (5, true)], [(3, true), (5, true)]]
+ShaDow: [[(2, true)], [(2, true)]]
+Node2Vec: [[(3, true), (5, true)]]
+GCN-BS: [[(3, true), (5, true)], [(3, true), (5, true)]]
+Thanos: [[(3, true), (5, true)], [(3, true), (5, true)]]
+PASS: [[(2, true), (17, true)], [(2, true), (17, true)]]
+FastGCN: [[(3, false)], [(3, false)]]
+AS-GCN: [[(7, false), (12, false)], [(7, false), (12, false)]]
+LADIES: [[(2, false), (4, false)], [(2, false), (4, false)]]
+";
