@@ -177,6 +177,10 @@ test -z "$(grep -rn 'prefetch_read\|_mm_prefetch\|calibrated_block\|spmm_with_bl
 # of their own.
 test -z "$(grep -rnE 'fn (static_set|block_space|superbatch_compatible|block_proof|graph_resident_set|check_inputs)\b' crates/*/src)"
 test "$(grep -rn 'pub fn facts' crates/*/src | wc -l)" -eq 1
+# One memo of hoisted values (`core::hoist::Hoist`): graph-only precompute
+# is its empty-key case, so no compiled layer or plan keeps a value list
+# of its own.
+test -z "$(grep -rn 'precomputed: Vec<Arc<Value>>' crates/core/src)"
 
 # --- Repo benchmark smoke -------------------------------------------------
 # The standalone benchmark package (benchmark/, BENCHMARK.json) at smoke

@@ -239,8 +239,17 @@ pub fn gsampler_epoch(
         let factor = sampler.super_batch_factor().max(1);
         let run_batches = total_batches.min(MAX_BATCHES.max(factor));
         let subset = &seeds[..(run_batches * h.batch_size).min(seeds.len())];
-        let bindings = algo.bindings(graph, h);
-        let report = sampler.run_epoch(subset, &bindings, 0)?;
+        // PASS and AS-GCN update their sampling model between batches (see
+        // `super_batch_ok`), so every batch binds its weights afresh and
+        // pays for the products hoisted from them, as under training.
+        let report = if algo.super_batch_ok() {
+            sampler.run_epoch(subset, &algo.bindings(graph, h), 0)?
+        } else {
+            let run = |groups, rngs: &mut _| {
+                sampler.sample_groups(groups, &algo.bindings(graph, h), rngs)
+            };
+            sampler.drive_epoch(subset, 0, run, |_, _| {})?
+        };
         let mut per_batch = report.modeled_time / report.batches.max(1) as f64;
         let mut sm = report.stats.sm_utilization();
         let mut peak = report.memory.peak();

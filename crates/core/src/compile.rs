@@ -1,11 +1,11 @@
 //! Compiling layers into executable samplers and driving epochs.
 //!
 //! [`compile`] runs the optimization pipeline over each layer's program
-//! (paper Fig. 4: parse → IR passes → execution), evaluates the
-//! batch-invariant precompute programs once, plans the super-batch factor,
-//! and returns a [`Sampler`] that can sample single batches or whole
-//! epochs while the device session records modeled time, memory, and SM
-//! utilization.
+//! (paper Fig. 4: parse → IR passes → execution), gives each precompute
+//! program its [`Hoist`] memo (filled now when it reads only the graph),
+//! plans the super-batch factor, and returns a [`Sampler`] that can sample
+//! single batches or whole epochs while the device session records modeled
+//! time, memory, and SM utilization.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,6 +22,7 @@ use crate::builder::Layer;
 use crate::error::{Error, Result};
 use crate::exec::{self, Bindings};
 use crate::graph::Graph;
+use crate::hoist::Hoist;
 use crate::plandb::{CompiledPlan, PlanDb, PlanKey};
 use crate::value::Value;
 
@@ -142,15 +143,18 @@ impl Default for SamplerConfig {
     }
 }
 
-/// One compiled layer: the optimized program plus its precomputed values.
+/// One compiled layer: the optimized program plus the memo of its hoisted
+/// values.
 pub struct CompiledLayer {
     /// Source layer (original program + output conventions).
     pub layer: Layer,
     /// Optimized program, fact table and pass report (shared: a plan-database
     /// hit reuses the compiling sampler's copy without a deep clone).
     pub optimized: Arc<OptimizedProgram>,
-    /// Values filling the program's `Precomputed` slots.
-    pub precomputed: Vec<Arc<Value>>,
+    /// The precompute program and the memo of the values filling the
+    /// program's `Precomputed` slots (shared by layers with equal
+    /// precompute programs and by plan-database hits).
+    pub hoist: Arc<Hoist>,
 }
 
 /// A compiled, executable multi-layer sampler bound to one graph and one
@@ -208,7 +212,7 @@ pub struct EpochReport {
 /// before the attempt, so a recovered execution is bit-identical to a
 /// clean one.
 #[allow(clippy::too_many_arguments)]
-fn execute_recovering(
+pub(crate) fn execute_recovering(
     policy: &RecoveryPolicy,
     program: &gsampler_ir::Program,
     facts: &[Facts],
@@ -349,14 +353,14 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
                 .map(|(layer, p)| CompiledLayer {
                     layer,
                     optimized: p.optimized.clone(),
-                    precomputed: p.precomputed.clone(),
+                    hoist: p.hoist.clone(),
                 })
                 .collect();
             (compiled, plan.super_batch)
         }
         None => {
             let (compiled, super_batch) =
-                plan_layers(&graph, &graph_value, layers, &config, &device, &pool)?;
+                plan_layers(&graph, &graph_value, layers, &config, &device)?;
             if let Some((db, key)) = keyed {
                 plan_db_stats.misses = 1;
                 // Never record a degraded compile: one that landed on the
@@ -393,20 +397,19 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
 }
 
 /// The work a plan-database hit skips: run the pass pipeline over every
-/// layer, evaluate the precompute programs, and choose the super-batch
-/// factor. Leaves `device` on the streaming rung when even factor 1 does
-/// not fit the budget.
+/// layer, fill the memos of the precompute programs that read only the
+/// graph, and choose the super-batch factor. Leaves `device` on the
+/// streaming rung when even factor 1 does not fit the budget.
 fn plan_layers(
     graph: &Arc<Graph>,
     graph_value: &Arc<Value>,
     layers: Vec<Layer>,
     config: &SamplerConfig,
     device: &Device,
-    pool: &RngPool,
 ) -> Result<(Vec<CompiledLayer>, usize)> {
     let stats = graph.stats();
     let mut compiled: Vec<CompiledLayer> = Vec::with_capacity(layers.len());
-    for (li, layer) in layers.into_iter().enumerate() {
+    for layer in layers {
         layer.program.validate().map_err(Error::InvalidProgram)?;
         let optimized = Arc::new(run_passes(
             &layer.program,
@@ -416,45 +419,27 @@ fn plan_layers(
             device.cost_model(),
             graph.residency,
         ));
-        // Evaluate the batch-invariant program once, at compile time — and
-        // once across layers: a layer whose precompute program equals an
-        // earlier layer's shares its values (LADIES' `A ** 2`).
+        // One memo per distinct precompute program: a layer whose program
+        // equals an earlier layer's shares its values (LADIES' `A ** 2`,
+        // PASS's projections). One that reads only the graph is filled now.
         let earlier = compiled
             .iter()
             .find(|c| c.optimized.precompute == optimized.precompute);
-        let precomputed: Vec<Arc<Value>> = if optimized.precompute.is_empty() {
-            Vec::new()
-        } else if let Some(earlier) = earlier {
-            let mut span = gsampler_obs::span("compile", "precompute");
-            span.arg("reused", true);
-            earlier.precomputed.clone()
-        } else {
-            let _span = gsampler_obs::span("compile", "precompute");
-            let mut rng = pool.stream(0xF0 + li as u64);
-            let groups = vec![Vec::new()];
-            let out = execute_recovering(
-                &config.recovery,
-                &optimized.precompute,
-                &optimized.precompute_facts,
-                graph,
-                graph_value,
-                &groups,
-                &Bindings::new(),
-                &[],
-                device,
-                std::slice::from_mut(&mut rng),
-            )?;
-            out.into_iter()
-                .next()
-                .unwrap_or_default()
-                .into_iter()
-                .map(Arc::new)
-                .collect()
+        let hoist = match earlier {
+            Some(earlier) => earlier.hoist.clone(),
+            None => {
+                let hoist = Arc::new(Hoist::new(&optimized));
+                if !hoist.reads_bindings() {
+                    let none = Bindings::new();
+                    hoist.values(graph, graph_value, &none, &config.recovery, device)?;
+                }
+                hoist
+            }
         };
         compiled.push(CompiledLayer {
             layer,
             optimized,
-            precomputed,
+            hoist,
         });
     }
     // Precompute cost is one-time; do not let it pollute epoch stats.
@@ -600,17 +585,20 @@ impl Sampler {
         exec_span.arg("groups", s);
         let mut per_group: Vec<GraphSample> =
             (0..s).map(|_| GraphSample { layers: Vec::new() }).collect();
+        let (graph, policy, device) = (&self.graph, &self.config.recovery, &self.device);
         for layer in &self.layers {
+            let hoisted =
+                (layer.hoist).values(graph, &self.graph_value, bindings, policy, device)?;
             let outputs = execute_recovering(
-                &self.config.recovery,
+                policy,
                 &layer.optimized.program,
                 &layer.optimized.facts,
-                &self.graph,
+                graph,
                 &self.graph_value,
                 &groups,
                 bindings,
-                &layer.precomputed,
-                &self.device,
+                &hoisted,
+                device,
                 rngs,
             )?;
             // Chain next-layer frontiers per group.

@@ -167,7 +167,8 @@ pub fn execute(
                                 .ok_or_else(|| Error::Execution(format!("value {i} already freed")))
                         })
                         .collect::<Result<Vec<_>>>()?;
-                    let graph_input = node.inputs.first().is_some_and(|&i| resident(i));
+                    let graph_input = node.inputs.first().map(|&i| &facts[i]);
+                    let graph_input = graph_input.is_some_and(Facts::graph_resident);
                     let run = kernels::dispatch(op, &inputs, graph_input, &ctx, device, rngs);
                     Arc::new(run?)
                 }

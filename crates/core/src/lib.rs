@@ -48,6 +48,7 @@ pub mod compile;
 pub mod error;
 pub mod exec;
 pub mod graph;
+pub mod hoist;
 pub mod kernels;
 pub mod multi_gpu;
 mod plandb;

@@ -1,16 +1,17 @@
 //! The plan database: a memo of whole compiles.
 //!
 //! Compilation runs the pass pipeline with its layout brute-force search
-//! (paper §4.3), evaluates the precompute programs and walks the
+//! (paper §4.3), fills the graph-only precompute memos and walks the
 //! super-batch grid (§4.4). A [`PlanDb`] maps everything those depend on —
 //! the layer programs, every planning-relevant compile knob, the device
 //! profile and the *identity* of the graph — to the compiled result, so a
 //! second compile of the same program against the same graph object takes
-//! the first one's optimized programs, precomputed values and super-batch
-//! factor as they are. The passes are deterministic, so the reuse is
-//! bit-identical to recompiling.
+//! the first one's optimized programs, hoisted-value memos and super-batch
+//! factor as they are, so samplers that bind the same input `Arc`s fill a
+//! binding-dependent memo once between them. The passes are deterministic,
+//! so the reuse is bit-identical to recompiling.
 //!
-//! There is one tier. Precomputed values are per-graph, so nothing here
+//! There is one tier. Hoisted values are per-graph, so nothing here
 //! transfers to another graph (an equal-stats twin misses), and nothing is
 //! persisted: what a decisions-only entry would spare a fresh process is
 //! the layout search, ~0.1 ms of a ~1 ms compile (DESIGN §10).
@@ -30,7 +31,7 @@ use gsampler_obs::Arg;
 use crate::builder::Layer;
 use crate::compile::{CompiledLayer, SamplerConfig};
 use crate::graph::Graph;
-use crate::value::Value;
+use crate::hoist::Hoist;
 
 /// Capacity of the LRU.
 const CAPACITY: usize = 256;
@@ -118,7 +119,7 @@ pub(crate) struct PlannedLayer {
     /// bit-identical to recompiling (fingerprints can collide).
     source: Program,
     pub(crate) optimized: Arc<OptimizedProgram>,
-    pub(crate) precomputed: Vec<Arc<Value>>,
+    pub(crate) hoist: Arc<Hoist>,
 }
 
 /// The cached product of one compile.
@@ -144,7 +145,7 @@ impl CompiledPlan {
                 .map(|c| PlannedLayer {
                     source: c.layer.program.clone(),
                     optimized: c.optimized.clone(),
-                    precomputed: c.precomputed.clone(),
+                    hoist: c.hoist.clone(),
                 })
                 .collect(),
             super_batch,

@@ -6,8 +6,9 @@ use std::sync::Arc;
 use gsampler_core::builder::{Layer, LayerBuilder, Mat};
 use gsampler_core::kernels::{self, superbatch, ExecCtx};
 use gsampler_core::{
-    compile, Axis, Bindings, Error, Graph, LayoutMode, OptConfig, SamplerConfig, Value,
+    compile, Axis, Bindings, Error, Graph, LayoutMode, OptConfig, Sampler, SamplerConfig, Value,
 };
+use gsampler_graphs::{Dataset, DatasetKind};
 use gsampler_ir::Op;
 use gsampler_matrix::{Csc, Dense, Format, GraphMatrix, NodeId, SparseMatrix};
 use rand::rngs::StdRng;
@@ -420,7 +421,7 @@ fn preprocessing_hoists_and_preserves_degree_bias() {
     let sampler = compile(graph.clone(), vec![build()], config(OptConfig::all())).unwrap();
     // The degree reduce was hoisted.
     assert_eq!(sampler.layers()[0].optimized.report.preprocessed, 1);
-    assert_eq!(sampler.layers()[0].precomputed.len(), 1);
+    assert_eq!(sampler.layers()[0].hoist.cached().len(), 1);
     let out = sampler.sample_batch(&[0, 8, 16], &Bindings::new()).unwrap();
     let m = out.layers[0][0].as_matrix().unwrap();
     assert!(m.row_nodes().len() <= 5);
@@ -762,6 +763,39 @@ fn a_row_sum_over_a_compacted_sample_is_not_pack_exact() {
     }
 }
 
+#[test]
+fn a_hoisted_bound_list_slice_is_whole_in_every_group() {
+    // The slice by a bound list varies with the binding only, so it and
+    // its row list hoist: one value, computed once for every group.
+    // Several groups must each get the whole list, as they do solo.
+    let b = LayerBuilder::new();
+    let listed = (b.graph().slice_cols(&b.nodes_input("prev"))).row_nodes();
+    let sample = (b.graph().slice_cols(&b.frontiers())).individual_sample(2, None);
+    b.output(&sample);
+    b.output(&listed);
+    let layer = b.build();
+    let (graph, bindings) = (cliques_graph(true, 4), model_bindings());
+    let groups = vec![vec![0, 9], vec![17, 33], vec![63]];
+    let seeded = |b: usize| StdRng::seed_from_u64(b as u64);
+    for (opt, hoisted) in [(OptConfig::all(), true), (OptConfig::plain(), false)] {
+        let sampler = compile(graph.clone(), vec![layer.clone()], config(opt)).unwrap();
+        let mut rngs: Vec<StdRng> = (0..groups.len()).map(seeded).collect();
+        let packed = sampler.sample_groups(groups.clone(), &bindings, &mut rngs);
+        // In the launch, a slice by a bound list cannot be super-batched.
+        assert_eq!(packed.is_ok(), hoisted);
+        let Ok(packed) = packed else { continue };
+        // Its row list is in no group's block: never packed across callers.
+        assert!(!sampler.pack_exact());
+        for (b, group) in groups.iter().enumerate() {
+            let solo = sampler
+                .sample_groups(vec![group.clone()], &bindings, &mut [seeded(b)])
+                .unwrap();
+            let show = |s: &gsampler_core::GraphSample| format!("{:?}", s.layers);
+            assert_eq!(show(&packed[b]), show(&solo[0]), "group {b}");
+        }
+    }
+}
+
 fn row_slice_sample_layer() -> Layer {
     let b = LayerBuilder::new();
     let a = b.graph();
@@ -921,8 +955,10 @@ fn ladies_layers_share_one_hoisted_square_equal_to_the_per_batch_map() {
     let graph = test_graph();
     let layers = vec![ladies_layer(4); 3];
     let sampler = compile(graph.clone(), layers, config(OptConfig::all())).unwrap();
-    let squares: Vec<&Arc<Value>> = sampler.layers().iter().map(|l| &l.precomputed[0]).collect();
-    assert!(squares.iter().all(|sq| Arc::ptr_eq(sq, squares[0])));
+    let squares: Vec<Arc<Value>> = (sampler.layers().iter())
+        .map(|l| l.hoist.cached()[0].clone())
+        .collect();
+    assert!(squares.iter().all(|sq| Arc::ptr_eq(sq, &squares[0])));
     // `A ** 2` as the per-batch `ScalarOp` kernel computes it, bit for bit.
     let bindings = Bindings::new();
     let ctx = ExecCtx::plain(&graph, &bindings);
@@ -933,7 +969,7 @@ fn ladies_layers_share_one_hoisted_square_equal_to_the_per_batch_map() {
         let values = v.as_matrix().unwrap().data.values().unwrap();
         values.iter().map(|x| x.to_bits()).collect()
     };
-    assert_eq!(bits(squares[0]), bits(&per_batch));
+    assert_eq!(bits(&squares[0]), bits(&per_batch));
 }
 
 #[test]
@@ -943,13 +979,88 @@ fn compiled_pass_layer_computes_each_projection_once() {
     let optimized = &sampler.layers()[0].optimized;
     assert_eq!(optimized.report.gather_through_gemm, 2);
     assert_eq!(optimized.report.edge_combine_fused, 1);
+    // The two projections and `softmax(W3)` read bound inputs only, so
+    // pre-processing hoists them; the launch gathers rows of the products.
+    assert_eq!(optimized.report.preprocessed, 3);
+    let gemm = |op: &Op| matches!(op, Op::Gemm);
+    assert_eq!(optimized.precompute.count_ops(gemm), 2);
     let count = |pred: fn(&Op) -> bool| optimized.program.count_ops(pred);
-    assert_eq!(count(|op| matches!(op, Op::Gemm)), 2);
+    assert_eq!(count(gemm), 0);
     assert_eq!(count(|op| matches!(op, Op::DenseGatherRows)), 2);
     assert_eq!(count(|op| matches!(op, Op::FusedEdgeCombine { .. })), 1);
     assert_eq!(count(|op| matches!(op, Op::StackEdgeValues)), 0);
     assert_eq!(count(|op| matches!(op, Op::DenseUnary(..))), 0);
     assert_eq!(count(|op| matches!(op, Op::EdgeValuesFromDense { .. })), 0);
+}
+
+/// Every output of `sampler`'s sample of `frontiers`, as comparable bits.
+fn sample_bits(sampler: &Sampler, frontiers: &[NodeId], bindings: &Bindings) -> Vec<Vec<u64>> {
+    let out = sampler.sample_batch(frontiers, bindings).unwrap();
+    let bits = |v: &Value| -> Vec<u64> {
+        match v {
+            Value::Matrix(m) => {
+                let mut edges = m.global_edges();
+                edges.sort_by_key(|&(r, c, _)| (r, c));
+                let edge = |(r, c, v): (NodeId, NodeId, f32)| [r, c, v.to_bits()].map(u64::from);
+                edges.into_iter().flat_map(edge).collect()
+            }
+            Value::Nodes(n) => n.iter().map(|&n| u64::from(n)).collect(),
+            other => panic!("unexpected output {other:?}"),
+        }
+    };
+    out.layers.iter().flatten().map(bits).collect()
+}
+
+#[test]
+fn rebinding_a_hoisted_weight_matches_a_freshly_compiled_sampler() {
+    // PASS's projections and AS-GCN's learned score are hoisted and
+    // memoised per bound `Arc`. Rebinding the weight between samples must
+    // give what a sampler that never saw the old weight gives: for new
+    // values, for the same values in a new `Arc`, and for a new `Arc` bound
+    // after every handle to the old one is gone (its address may be reused).
+    let graph = Arc::new(Dataset::generate(DatasetKind::Tiny, 1.0, 2023).graph);
+    let dim = graph.features.as_ref().unwrap().ncols();
+    let frontiers: Vec<NodeId> = (0..48).map(|i| i * 5).collect();
+    let weight = |(rows, cols): (usize, usize), seed: u64| {
+        Dense::random(rows, cols, 1.0, &mut StdRng::seed_from_u64(seed))
+    };
+    let base = Bindings::new()
+        .dense("W1", weight((dim, 4), 1))
+        .dense("W2", weight((dim, 4), 2))
+        .dense("W3", weight((3, 1), 3))
+        .dense("Wg", weight((dim, 1), 4));
+    for (what, layers, name) in [
+        ("PASS", vec![pass_layer(2); 2], "W1"),
+        ("AS-GCN", vec![asgcn_layer(12); 2], "Wg"),
+    ] {
+        let shape = base.get_dense(name).unwrap().shape();
+        let compiled = || compile(graph.clone(), layers.clone(), config(OptConfig::all())).unwrap();
+        let fresh = |b: &Bindings| sample_bits(&compiled(), &frontiers, b);
+        let sampler = compiled();
+        let first = base.clone();
+        assert_eq!(sample_bits(&sampler, &frontiers, &first), fresh(&first));
+
+        // New values; they must sample differently, or the case is blind.
+        let rebound = first.clone().dense(name, weight(shape, 10));
+        let want = fresh(&rebound);
+        assert_ne!(want, fresh(&first), "{what}: the new {name} samples alike");
+        let got = sample_bits(&sampler, &frontiers, &rebound);
+        assert_eq!(got, want, "{what}: new values");
+
+        // The same values in a new `Arc`.
+        let copied = rebound.get_dense(name).unwrap().clone();
+        let copy = rebound.clone().dense(name, copied);
+        let got = sample_bits(&sampler, &frontiers, &copy);
+        assert_eq!(got, want, "{what}: same values, new Arc");
+
+        // Every handle to the memoised weight dropped before the next bind.
+        drop((first, rebound, copy));
+        let again = base.clone().dense(name, weight(shape, 11));
+        let want_again = fresh(&again);
+        assert_ne!(want_again, want, "{what}: the third {name} samples alike");
+        let got = sample_bits(&sampler, &frontiers, &again);
+        assert_eq!(got, want_again, "{what}: old bindings dropped first");
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@ use gsampler_core::builder::{Layer, LayerBuilder};
 use gsampler_core::{compile, Bindings, Graph, SamplerConfig};
 use gsampler_engine::{list_bytes, plan_cache, Residency};
 use gsampler_graphs::{Dataset, DatasetKind};
-use gsampler_matrix::NodeId;
+use gsampler_matrix::{Dense, NodeId};
 
 /// A 48-node graph with deliberate degree skew: node 0 receives an edge
 /// from every other node (a hub), the rest form a sparse ring.
@@ -85,6 +85,48 @@ fn dispatch_reports_actual_hits_under_full_and_empty_plans() {
         .unwrap();
     let stats = sampler.device().stats();
     assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
+}
+
+#[test]
+fn a_slot_hoisted_from_bound_inputs_is_read_on_the_device() {
+    // `X @ W` reads only bound inputs: pre-processing hoists it, and the
+    // device computes it. Gathering its rows reads device memory, not the
+    // graph's host-resident adjacency, however the graph is placed.
+    let layer = || {
+        let b = LayerBuilder::new();
+        let f = b.frontiers();
+        let xw = b.dense_input("X").matmul(&b.dense_input("W"));
+        b.output(&xw.gather_rows(&f));
+        b.build()
+    };
+    let (n, d) = (48, 4);
+    let bindings = Bindings::new()
+        .dense("X", Dense::from_vec(n, d, vec![0.5; n * d]).unwrap())
+        .dense("W", Dense::from_vec(d, d, vec![0.25; d * d]).unwrap());
+    let base = skewed_graph();
+    let degrees = base.matrix.data.col_degrees();
+    let gather = |graph: Graph| {
+        let sampler = compile(Arc::new(graph), vec![layer()], SamplerConfig::new()).unwrap();
+        assert_eq!(sampler.layers()[0].optimized.report.preprocessed, 1);
+        sampler
+            .run_epoch_with(&seeds(), &bindings, 0, |_, _| {})
+            .unwrap();
+        let stats = sampler.device().stats();
+        let agg = stats.per_kernel["gather_features"];
+        (
+            agg.time,
+            agg.bytes_pcie,
+            stats.cache_hits,
+            stats.cache_misses,
+        )
+    };
+    let on_device = gather((*base).clone());
+    // Nothing pinned: a read of the graph would miss on every frontier.
+    let uncached = gather((*base).clone().with_cache_plan(plan_cache(&degrees, 0)));
+    let uva = gather((*base).clone().with_residency(Residency::host_uva(0.0)));
+    assert_eq!(on_device.1, 0);
+    assert_eq!(uncached, on_device);
+    assert_eq!(uva, on_device);
 }
 
 #[test]

@@ -113,7 +113,7 @@ fn another_graph_misses_and_precomputes_for_itself() {
     let db = Arc::new(PlanDb::in_memory());
     let with_db = config(OptConfig::all(), Some(&db));
     let first = compile(g, degree_biased_layers(), with_db.clone()).unwrap();
-    assert!(!first.layers()[0].precomputed.is_empty());
+    assert!(!first.layers()[0].hoist.cached().is_empty());
     for (name, graph) in [("twin", &twin), ("other", &other)] {
         let through_db = compile(graph.clone(), degree_biased_layers(), with_db.clone()).unwrap();
         let s = through_db.plan_db_stats();
@@ -121,7 +121,7 @@ fn another_graph_misses_and_precomputes_for_itself() {
         let (a, b) = (&first.layers()[0], &through_db.layers()[0]);
         assert!(!Arc::ptr_eq(&a.optimized, &b.optimized), "{name}");
         assert!(
-            !Arc::ptr_eq(&a.precomputed[0], &b.precomputed[0]),
+            !Arc::ptr_eq(&a.hoist.cached()[0], &b.hoist.cached()[0]),
             "{name}: took another graph's precomputed values"
         );
         let fresh = compile(

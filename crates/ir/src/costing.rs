@@ -213,7 +213,7 @@ pub fn derive_formats(
 }
 
 /// Total modeled time of a program under given formats and shapes.
-/// A kernel reading a [`Facts::resident`] value (the graph, or a
+/// A kernel reading a [`Facts::graph_resident`] value (the graph, or a
 /// precomputed full-graph value) reads it where the graph lives.
 pub fn price_program(
     program: &Program,
@@ -227,7 +227,10 @@ pub fn price_program(
     for (id, node) in program.nodes().iter().enumerate() {
         let in_fmts: Vec<Option<Format>> = node.inputs.iter().map(|&i| fmts[i]).collect();
         let in_shapes: Vec<ShapeEst> = node.inputs.iter().map(|&i| shapes[i]).collect();
-        let graph_input = node.inputs.first().is_some_and(|&i| facts[i].resident);
+        let graph_input = node
+            .inputs
+            .first()
+            .is_some_and(|&i| facts[i].graph_resident());
         if let Some(desc) = kernel_desc(
             &node.op,
             &in_fmts,

@@ -56,10 +56,12 @@ pub enum Space {
 /// What a value varies with, least to most.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Varies {
-    /// Only the graph: the same in every launch (pre-processing hoists it).
+    /// Only the graph: the same in every launch.
     #[default]
     Graph,
-    /// The bound inputs too (weights, feature tables, bias vectors).
+    /// The bound inputs too (weights, feature tables, bias vectors): the
+    /// same in every launch that binds the same values. Pre-processing
+    /// hoists both this and [`Varies::Graph`].
     Binding,
     /// The batch: its frontiers or a random draw.
     Batch,
@@ -76,8 +78,9 @@ pub struct Facts {
     pub cols: Option<Space>,
     /// What the value varies with.
     pub varies: Varies,
-    /// Shares the base graph's residency: the graph input itself or a
-    /// precomputed slot (computed on the full graph at compile time).
+    /// Kept across launches, like the graph: the graph input itself or a
+    /// precomputed slot (a hoisted value). The executor neither allocates
+    /// nor frees it per launch.
     pub resident: bool,
     /// Keeps the block diagonal: evaluated over several frontier groups at
     /// once, each group's share equals its solo value.
@@ -88,6 +91,14 @@ pub struct Facts {
 }
 
 impl Facts {
+    /// True if a kernel reading this value reads it where the base graph
+    /// lives: the graph, or a resident value derived from the graph alone.
+    /// A slot hoisted from a bound input was computed on the device, so it
+    /// is read there, and it is not the graph's adjacency.
+    pub fn graph_resident(&self) -> bool {
+        self.resident && self.varies == Varies::Graph
+    }
+
     /// True for a matrix or node list in block rows: un-blocking splits it
     /// by type (a vector or dense value it splits by length, unproven).
     pub fn block_rows(&self) -> bool {
@@ -186,19 +197,32 @@ mod tests {
         let g = pre.add(Op::InputGraph, vec![]);
         let sq = pre.add(Op::ScalarOp(EltOp::Pow, 2.0), vec![g]);
         let deg = pre.add(Op::Reduce(ReduceOp::Count, Axis::Row), vec![g]);
+        let w = pre.add(Op::InputDense("W".into()), vec![]);
+        let soft = pre.add(Op::DenseSoftmaxFlat, vec![w]);
         pre.mark_output(sq);
         pre.mark_output(deg);
+        pre.mark_output(soft);
         let pre_table = facts(&pre, &[]).unwrap();
-        let slots = [pre_table[sq], pre_table[deg]];
+        let slots = [pre_table[sq], pre_table[deg], pre_table[soft]];
 
         let mut p = Program::new();
         let m = p.add(Op::Precomputed { slot: 0 }, vec![]);
         let v = p.add(Op::Precomputed { slot: 1 }, vec![]);
+        let d = p.add(Op::Precomputed { slot: 2 }, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
         let sub = p.add(Op::SliceCols, vec![m, f]);
         let samp = p.add(Op::CollectiveSample { k: 4 }, vec![sub, v]);
         p.mark_output(samp);
         let t = facts(&p, &slots).unwrap();
+        // A slot varies with what its precompute output varies with; every
+        // slot is resident.
+        assert_eq!((t[m].varies, t[v].varies), (Varies::Graph, Varies::Graph));
+        assert_eq!(
+            (t[d].kind, t[d].varies),
+            (ValueKind::Dense, Varies::Binding)
+        );
+        assert!(t[d].resident && !t[d].graph_resident());
+        assert!(t[m].graph_resident() && t[v].graph_resident());
         assert_eq!(
             (t[m].kind, t[m].rows),
             (ValueKind::Matrix, Some(Space::Graph))

@@ -220,11 +220,12 @@ pub enum Op {
         /// The dense unary maps of the chain, applied in order.
         unary: Vec<UnaryOp>,
     },
-    /// A node whose value was precomputed at compile time (pre-processing
-    /// pass); the attribute indexes the executable's constant table.
-    /// `[] ->` the kind of the precompute output it reads.
+    /// A node whose value the pre-processing pass hoisted into the
+    /// precompute program, evaluated once per graph and set of bound
+    /// inputs; the attribute indexes that program's outputs.
+    /// `[] ->` the facts of the precompute output it reads.
     Precomputed {
-        /// Index into the compiled executable's constant pool.
+        /// Index into the precompute program's outputs.
         slot: usize,
     },
 }
@@ -425,10 +426,13 @@ impl Op {
             Op::InputDense(_) => (&[], Dense, (None, None), true),
             Op::InputVector(_) => (&[], Vector, (None, None), true),
             Op::InputNodes(_) => (&[], Nodes, (None, None), true),
+            // The precompute program runs as one group, whose block is the
+            // graph's `N` rows, and every group reads its one value whole.
             Op::Precomputed { slot } => {
                 let f = slots.get(*slot);
                 let f = f.ok_or_else(|| format!("no facts for precomputed slot {slot}"))?;
-                (&[], f.kind, (f.rows, f.cols), true)
+                let shared = |s: Option<Space>| s.map(|s| if s == Block { Graph } else { s });
+                (&[], f.kind, (shared(f.rows), shared(f.cols)), true)
             }
             Op::SliceCols | Op::FusedExtractSelect { .. } => {
                 (&[Matrix, Nodes], Matrix, extract, keyed)
@@ -505,7 +509,9 @@ impl Op {
             ));
         }
         let varies = match self {
-            Op::InputGraph | Op::Precomputed { .. } => Varies::Graph,
+            Op::InputGraph => Varies::Graph,
+            // Checked present by the kind rule above.
+            Op::Precomputed { slot } => slots[*slot].varies,
             Op::InputDense(_) | Op::InputVector(_) | Op::InputNodes(_) => Varies::Binding,
             Op::InputFrontiers => Varies::Batch,
             op if op.is_random() => Varies::Batch,

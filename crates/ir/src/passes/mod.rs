@@ -177,7 +177,8 @@ pub struct OptimizedProgram {
     /// `program`'s fact table ([`crate::facts()`]), its slots typed by
     /// `precompute`'s outputs.
     pub facts: Vec<Facts>,
-    /// Sampling-invariant subprogram, evaluated once at compile time; its
+    /// Sampling-invariant subprogram (it reads the graph and bound inputs
+    /// only), evaluated once per graph and set of bound inputs; its
     /// outputs fill the `Precomputed` slots of `program`.
     pub precompute: Program,
     /// `precompute`'s fact table.

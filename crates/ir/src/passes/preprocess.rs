@@ -9,11 +9,15 @@
 //! the vector by ID — a `CollectiveSample` bias, a `GatherRowBias` `v` —
 //! so whatever the layout does to the slice, no reader sees a difference.
 //!
-//! **Hoisting**: every batch-invariant node that feeds batch-dependent
-//! consumers (or is an output) is moved into a separate *precompute
-//! program*, evaluated once at compile time; the main program reads the
-//! cached value through an [`Op::Precomputed`] slot. (FastGCN: node
-//! degrees; SEAL: PPR scores; LADIES: the sunk `A ** 2`.)
+//! **Hoisting**: every node that varies with the graph or the bound inputs
+//! only ([`Varies::Binding`] or less) and feeds a batch-varying consumer
+//! (or is an output) is moved into a separate *precompute program*; the
+//! main program reads the value through an [`Op::Precomputed`] slot. The
+//! compiled sampler evaluates the precompute program once per graph and
+//! set of bound inputs. What hoists: FastGCN's node degrees and LADIES'
+//! sunk `A ** 2` (graph only, evaluated at compile time), PASS's
+//! `features @ W1`, `features @ W2` and `softmax(W3)`, and AS-GCN's learned
+//! score `relu(features @ Wg)` (per bound weights).
 
 use gsampler_matrix::Axis;
 
@@ -88,9 +92,9 @@ pub fn run(program: &Program) -> PreprocessResult {
     let mut sunk_program = program.clone();
     let sunk = sink(&mut sunk_program);
     let program = &sunk_program;
-    // Batch-invariant: varies with the graph only.
+    // Batch-invariant: varies with the graph and the bound inputs only.
     let table = crate::facts(program, &[]).expect("pre-processing runs on a valid program");
-    let stat: Vec<bool> = table.iter().map(|f| f.varies == Varies::Graph).collect();
+    let stat: Vec<bool> = table.iter().map(|f| f.varies <= Varies::Binding).collect();
     let consumers = program.consumers();
 
     // Hoist boundary: static, not an input, and visible to dynamic code.
@@ -112,17 +116,16 @@ pub fn run(program: &Program) -> PreprocessResult {
         };
     }
 
-    // Build the precompute program: the static closure of the hoisted set.
+    // Build the precompute program: the static closure of the hoisted set,
+    // so it reads exactly the inputs the hoisted values depend on.
+    let mut needed = vec![false; program.len()];
+    for id in (0..program.len()).rev() {
+        needed[id] = hoistable.contains(&id) || consumers[id].iter().any(|&c| needed[c]);
+    }
     let mut pre = Program::new();
     let mut pre_map: Vec<Option<OpId>> = vec![None; program.len()];
     for (id, node) in program.nodes().iter().enumerate() {
-        if !stat[id] {
-            continue;
-        }
-        // Copy a static node if it is hoistable or feeds one.
-        let needed =
-            hoistable.contains(&id) || consumers[id].iter().any(|&c| stat[c]) || node.op.is_input();
-        if !needed {
+        if !needed[id] {
             continue;
         }
         let inputs: Vec<OpId> = node
@@ -275,13 +278,56 @@ mod tests {
         for p in [
             ladies_read_by(positional, row, None),
             ladies_read_by(None, Axis::Col, None),
-            ladies_read_by(None, row, prev),
         ] {
             let r = run(&p);
             assert_eq!((r.sunk, r.hoisted), (0, 0), "{}", p.display());
             assert_eq!(r.program, p);
         }
+        // A slice keyed by a bound list is not sunk; it varies with the
+        // binding only, so it hoists whole: the slice the sample reads
+        // and the row reduce.
+        let r = run(&ladies_read_by(None, row, prev));
+        assert_eq!((r.sunk, r.hoisted), (0, 2));
         assert_eq!(run(&ladies_read_by(None, row, None)).sunk, 1);
+    }
+
+    #[test]
+    fn binding_invariant_products_are_hoisted() {
+        // PASS's candidate side: `features @ W` read by a per-batch SDDMM
+        // and, through a frontier gather, by the frontier side.
+        let mut p = Program::new();
+        let g = p.add(Op::InputGraph, vec![]);
+        let f = p.add(Op::InputFrontiers, vec![]);
+        let x = p.add(Op::InputDense("features".into()), vec![]);
+        let w = p.add(Op::InputDense("W".into()), vec![]);
+        let unused = p.add(Op::InputVector("bias".into()), vec![]);
+        let xw = p.add(Op::Gemm, vec![x, w]);
+        let rows = p.add(Op::DenseGatherRows, vec![xw, f]);
+        let sub = p.add(Op::SliceCols, vec![g, f]);
+        let att = p.add(Op::Sddmm, vec![sub, xw, rows]);
+        let per_row = p.add(Op::Broadcast(EltOp::Mul, Axis::Row), vec![att, unused]);
+        p.mark_output(per_row);
+
+        let r = run(&p);
+        assert_eq!((r.sunk, r.hoisted), (0, 1));
+        // The precompute program reads exactly the inputs the product needs.
+        let pre = &r.precompute;
+        let ops: Vec<&Op> = pre.nodes().iter().map(|n| &n.op).collect();
+        assert_eq!(
+            ops,
+            [
+                &Op::InputDense("features".into()),
+                &Op::InputDense("W".into()),
+                &Op::Gemm
+            ]
+        );
+        assert_eq!(r.program.node(xw).op, Op::Precomputed { slot: 0 });
+        let slots = [crate::facts(pre, &[]).unwrap()[pre.outputs()[0]]];
+        let t = crate::facts(&r.program, &slots).unwrap();
+        assert_eq!(
+            (t[xw].varies, t[rows].varies),
+            (Varies::Binding, Varies::Batch)
+        );
     }
 
     #[test]

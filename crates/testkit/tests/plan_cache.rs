@@ -46,7 +46,7 @@ fn warm_cache_compile_is_bit_identical_for_every_algorithm() {
     let spec = spec();
     let graph = spec.build();
     // Same stats and edges, different identity: entries are pinned to the
-    // graph object (FastGCN's and SEAL's carry per-graph precomputed
+    // graph object (FastGCN's and LADIES' carry per-graph hoisted
     // values), so the twin misses and compiles for itself.
     let twin = Arc::new((*graph).clone());
     let frontiers = spec.frontiers(8);
