@@ -149,6 +149,10 @@ test "$(grep -c 'm.data.clone()' crates/core/src/kernels/eltwise.rs)" -eq 1
 test -z "$(non_test crates/matrix/src/reduce.rs | grep 'iter_edges()')"
 test -z "$(non_test crates/matrix/src/broadcast.rs | grep 'iter_edges()')"
 test "$(grep -c 'fn collective_sample_segments' crates/matrix/src/sample.rs)" -eq 1
+# The layer-wise kernels split by super-batch segment (the selector, the
+# extract-reduce) or column chunk (the masked gather's pick), each work item
+# filling its own slice of one buffer: no per-segment or per-column lists.
+test -z "$(grep -l 'Vec<Vec<NodeId>>\|Vec<Vec<usize>>' crates/matrix/src/sample.rs crates/matrix/src/reduce.rs)"
 test "$(grep -rn 'weighted_sample_without_replacement_seeded(' crates/matrix/src crates/core/src | wc -l)" -eq 2
 # The fused collective selects with that one selector and writes through
 # the one gather; pre-processing does sink LADIES' `A ** 2`.

@@ -10,7 +10,10 @@
 //! and collective sampling is `sample::collective_select` with one segment
 //! per group, sliced or (`fused_extract_collective`) read from the graph.
 //! Each group draws from its own RNG stream, which is what keeps seeded
-//! outputs bit-identical across batch modes and thread counts.
+//! outputs bit-identical across batch modes and thread counts; the groups
+//! are also the selector's work items on the worker pool (as they are the
+//! extract-reduce's, `reduce::reduce_col_groups`), so a factor-`S` launch
+//! draws its groups side by side.
 //!
 //! [`split_outputs`] *un-blocks* at program exit: group `b`'s share of an
 //! output matrix is the diagonal block it already is — columns

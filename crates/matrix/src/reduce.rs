@@ -8,14 +8,17 @@
 //!
 //! Every reduction walks the storage arrays directly through the matrix's
 //! per-(format, axis) edge index (`SparseMatrix::edge_index`): a slot's
-//! edges are visited in storage order, serially, so a sum is the same bits
-//! in every run. [`reduce_with`] takes the edge values from a closure, so a
-//! fused edge-map chain reduces over its *input's* structure without
+//! edges are visited in storage order, by one thread, so a sum is the same
+//! bits in every run. [`reduce_with`] takes the edge values from a closure,
+//! so a fused edge-map chain reduces over its *input's* structure without
 //! building a matrix, and [`reduce_col_groups`] folds a graph's frontier
 //! columns without building the extract. The boxed edge iterator is for
 //! tests and cold paths.
 
+use gsampler_runtime::parallel_scatter;
+
 use crate::csc::Csc;
+use crate::par_gate;
 use crate::sparse::{EdgeIndex, SparseMatrix};
 use crate::{Axis, NodeId, ReduceOp};
 
@@ -85,21 +88,25 @@ pub fn reduce_with(
 
 /// The row reduction of `src[:, cols]` sliced block-diagonally, without
 /// the slice: group `b`, columns `cols[groups[b]..groups[b + 1]]`, folds
-/// onto its own `src.nrows` rows, block `b` of the output, serially (the
-/// time is the same whether or not a second worker is free). [`ColumnRows`]
+/// onto its own `src.nrows` rows, block `b` of the output. The blocks are
+/// disjoint, so each is one work item on the worker pool. [`ColumnRows`]
 /// folds in the extract's order, so these are the bits of its
-/// [`reduce_with`].
+/// [`reduce_with`] at any thread count.
 pub fn reduce_col_groups(
     src: &Csc,
     cols: &[NodeId],
     groups: &[usize],
     op: ReduceOp,
-    value_of: impl Fn(usize) -> f32,
+    value_of: impl Fn(usize) -> f32 + Sync,
 ) -> Vec<f32> {
-    let mut out = vec![0f32; groups.len().saturating_sub(1) * src.nrows];
-    for (block, g) in out.chunks_mut(src.nrows.max(1)).zip(groups.windows(2)) {
-        fold(block, op, ColumnRows(src, &cols[g[0]..g[1]]), &value_of);
-    }
+    let blocks = groups.len().saturating_sub(1);
+    let mut out = vec![0f32; blocks * src.nrows];
+    let offsets: Vec<usize> = (0..=blocks).map(|b| b * src.nrows).collect();
+    let gate = par_gate(cols.iter().map(|&c| src.col_range(c as usize).len()).sum());
+    parallel_scatter(&mut out, &offsets, gate, |b, block| {
+        let edges = ColumnRows(src, &cols[groups[b]..groups[b + 1]]);
+        fold(block, op, edges, &value_of);
+    });
     out
 }
 

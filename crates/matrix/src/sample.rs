@@ -21,6 +21,14 @@
 //! -> prefix sum -> fill into one flat buffer; [`slice::gather_cols`]
 //! writes the chosen entries.
 //!
+//! Layer-wise selection splits the same way, by segment (a super-batch
+//! group's rows): [`collective_select`] sweeps every segment once —
+//! validating its bias and counting its candidates — prefix-sums the
+//! counts, and draws each segment into its own slice of one buffer on the
+//! worker pool; [`gather_selected_rows`], the fused collective's masked
+//! gather, picks the selected rows' entries by count -> prefix sum -> fill
+//! over the same fixed column chunks as [`pick_columns`].
+//!
 //! The per-call primitives — Floyd's [`uniform_sample_without_replacement`],
 //! Efraimidis–Spirakis [`weighted_sample_without_replacement`] (and its
 //! `_seeded` form, which collective sampling runs; both keep the `k`
@@ -33,14 +41,14 @@
 //!
 //! The operators take a [`StreamSource`] (an [`RngPool`], hence
 //! `_seeded`): column `c` (or candidate `i`) always consumes RNG stream
-//! `c`, so the sampled output is bit-identical at any worker-pool thread
-//! count.
+//! `c`, and the work items are columns, chunks or segments of the input,
+//! so the sampled output is bit-identical at any worker-pool thread count.
 
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use gsampler_runtime::{parallel_scatter, RngPool};
+use gsampler_runtime::{parallel_map, parallel_scatter, RngPool};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -308,45 +316,79 @@ pub fn collective_sample_segments(
 }
 
 /// Collective selection, the one selector: up to `k` distinct rows chosen
-/// in every segment — rows `runs[b]..runs[b + 1]` — ascending. The bias is
-/// validated first; a segment's candidates are its positive rows, and with
-/// more than `k` of them it runs [`weighted_sample_without_replacement_seeded`]
-/// on its own pool (candidate `i` on stream `i`), selecting what it would alone.
+/// in every segment — rows `runs[b]..runs[b + 1]` — ascending. A segment's
+/// candidates are its positive rows, and with more than `k` of them it runs
+/// [`weighted_sample_without_replacement_seeded`] on its own pool (candidate
+/// `i` on stream `i`), selecting what it would alone.
+///
+/// Count -> prefix sum -> fill, one segment per work item: one sweep per
+/// segment validates its bias and counts its candidates, then every segment
+/// draws into its own slice of the one output buffer on the worker pool.
+/// The work items are the segments, never the thread count, so the rows —
+/// and, for an invalid bias, the error naming the lowest invalid row — are
+/// the same at any width.
 pub fn collective_select(
     weights: &[f32],
     k: usize,
     runs: &[usize],
     pools: &[RngPool],
 ) -> Result<Vec<NodeId>> {
-    validate_weights(weights)?;
-    let (mut rows, mut cands, mut buf) = (Vec::new(), Vec::new(), [0 as NodeId; 256]);
-    for (run, pool) in runs.windows(2).zip(pools) {
-        // A chunk's rows are all written, their count advanced by sign.
-        cands.clear();
-        for (c, chunk) in weights[run[0]..run[1]].chunks(buf.len()).enumerate() {
-            let mut len = 0;
-            for (i, &w) in chunk.iter().enumerate() {
-                buf[len] = (run[0] + c * buf.len() + i) as NodeId;
-                len += usize::from(w > 0.0);
-            }
-            cands.extend_from_slice(&buf[..len]);
+    let segs = runs.len().saturating_sub(1).min(pools.len());
+    let run = |b: usize| runs[b]..runs[b + 1];
+    let gate = par_gate(weights.len());
+    // Per segment: its candidate count and its first invalid row, if any.
+    let scan = parallel_map(segs, gate, |b| {
+        let w = &weights[run(b)];
+        let sweep = |(ok, n), &x: &f32| (ok & valid_weight(x), n + usize::from(x > 0.0));
+        let (ok, candidates) = w.iter().fold((true, 0), sweep);
+        let bad = if ok { None } else { first_invalid(w) };
+        (candidates, bad.map(|i| runs[b] + i))
+    });
+    // Rows outside every segment are validated too, in index order.
+    let (lo, hi) = match segs {
+        0 => (weights.len(), weights.len()),
+        _ => (runs[0], runs[segs]),
+    };
+    let outside = |r: Range<usize>| first_invalid(&weights[r.clone()]).map(|i| r.start + i);
+    let bad = outside(0..lo)
+        .or_else(|| scan.iter().find_map(|s| s.1))
+        .or_else(|| outside(hi..weights.len()));
+    if let Some(index) = bad {
+        return Err(invalid_weight(weights, index));
+    }
+
+    let mut offsets = Vec::with_capacity(segs + 1);
+    offsets.push(0);
+    for (b, &(candidates, _)) in scan.iter().enumerate() {
+        offsets.push(offsets[b] + candidates.min(k));
+    }
+    let mut rows = vec![0 as NodeId; offsets[segs]];
+    parallel_scatter(&mut rows, &offsets, gate, |b, out| {
+        // Every row is written, the count advanced by sign (one slot spare).
+        let (run, mut cands, mut len) = (run(b), vec![0 as NodeId; scan[b].0 + 1], 0);
+        for (r, &w) in run.clone().zip(&weights[run]) {
+            cands[len] = r as NodeId;
+            len += usize::from(w > 0.0);
         }
-        if cands.len() <= k {
-            rows.extend_from_slice(&cands);
+        let cands = &cands[..len];
+        if len <= k {
+            out.copy_from_slice(cands);
         } else {
             let cand_weights: Vec<f32> = cands.iter().map(|&r| weights[r as usize]).collect();
-            let picks = weighted_sample_without_replacement_seeded(&cand_weights, k, pool);
-            rows.extend(picks.into_iter().map(|off| cands[off]));
+            let picks = weighted_sample_without_replacement_seeded(&cand_weights, k, &pools[b]);
+            out.iter_mut().zip(picks).for_each(|(o, p)| *o = cands[p]);
+            out.sort_unstable();
         }
-    }
-    rows.sort_unstable();
+    });
     Ok(rows)
 }
 
 /// `slice_rows(rows)` of the `nrows`-row extract `src[:, cols]` (column
-/// `c`'s rows lifted by `lift(c)`) that was never built: one pass picks the
+/// `c`'s rows lifted by `lift(c)`) that was never built: the pick keeps the
 /// positions whose lifted row is in the ascending `rows`' bitmap, which
 /// [`slice::gather_cols`] writes, renamed to their rank (a prefix popcount).
+/// The pick is count -> prefix sum -> fill over fixed 256-column chunks
+/// on the worker pool.
 pub fn gather_selected_rows(
     src: &Csc,
     cols: &[NodeId],
@@ -363,12 +405,40 @@ pub fn gather_selected_rows(
     let below = move |x: NodeId| words[x as usize / 64] & ((1u64 << (x % 64)) - 1);
     let kept = move |x: NodeId| words[x as usize / 64] >> (x % 64) & 1 == 1;
     let rank = move |x: NodeId| ranks[x as usize / 64] + below(x).count_ones();
-    let (mut indptr, mut picks) = (vec![0], Vec::new());
-    for (c, &col) in cols.iter().enumerate() {
-        let (lift, range) = (lift(c), src.col_range(col as usize));
-        picks.extend(range.filter(|&p| kept(src.indices[p] + lift)));
-        indptr.push(picks.len());
-    }
+    // Column `c`'s source positions and whether each is kept.
+    let scan = |c: usize| {
+        let (lift, range) = (lift(c), src.col_range(cols[c] as usize));
+        let rows = &src.indices[range.clone()];
+        range.zip(rows).map(move |(p, &r)| (p, kept(r + lift)))
+    };
+
+    let ncols = cols.len();
+    let chunk_cols: Vec<usize> = (0..=ncols.div_ceil(PICK_CHUNK))
+        .map(|g| (g * PICK_CHUNK).min(ncols))
+        .collect();
+    let gate = par_gate(cols.iter().map(|&c| src.col_range(c as usize).len()).sum());
+    let mut indptr = vec![0usize; ncols + 1];
+    parallel_scatter(&mut indptr[1..], &chunk_cols, gate, |g, counts| {
+        for (c, n) in (chunk_cols[g]..).zip(counts) {
+            *n = scan(c).map(|(_, keep)| usize::from(keep)).sum();
+        }
+    });
+    (0..ncols).for_each(|c| indptr[c + 1] += indptr[c]);
+    let mut picks = vec![0usize; indptr[ncols]];
+    let chunk_ptr: Vec<usize> = chunk_cols.iter().map(|&c| indptr[c]).collect();
+    parallel_scatter(&mut picks, &chunk_ptr, gate, |g, chunk| {
+        // Every position is written, the cursor advanced only past a kept
+        // one: no branch on the bitmap test.
+        let mut at = 0;
+        for c in chunk_cols[g]..chunk_cols[g + 1] {
+            for (p, keep) in scan(c) {
+                if let Some(slot) = chunk.get_mut(at) {
+                    *slot = p;
+                }
+                at += usize::from(keep);
+            }
+        }
+    });
     let positions = |_, out: Range<usize>| picks[out].iter().copied();
     let row_map = |c: usize| {
         let lift = lift(c);
@@ -588,20 +658,27 @@ impl AliasTable {
     }
 }
 
+/// A bias weight is a finite, non-negative number.
+fn valid_weight(w: f32) -> bool {
+    (0.0..=f32::MAX).contains(&w)
+}
+
+/// The position of the first invalid weight: one branch-free sweep, and
+/// the search only when it fails.
+fn first_invalid(weights: &[f32]) -> Option<usize> {
+    if weights.iter().fold(true, |ok, &w| ok & valid_weight(w)) {
+        return None;
+    }
+    weights.iter().position(|&w| !valid_weight(w))
+}
+
+fn invalid_weight(weights: &[f32], index: usize) -> Error {
+    let value = weights[index];
+    Error::InvalidProbability { index, value }
+}
+
 fn validate_weights(weights: &[f32]) -> Result<()> {
-    // One branch-free sweep; the loop looks for the bad weight if it fails.
-    if weights
-        .iter()
-        .fold(true, |ok, w| ok & (0.0..=f32::MAX).contains(w))
-    {
-        return Ok(());
-    }
-    for (i, &w) in weights.iter().enumerate() {
-        if !w.is_finite() || w < 0.0 {
-            return Err(Error::InvalidProbability { index: i, value: w });
-        }
-    }
-    Ok(())
+    first_invalid(weights).map_or(Ok(()), |i| Err(invalid_weight(weights, i)))
 }
 
 #[cfg(test)]

@@ -17,8 +17,10 @@ use gsampler_core::builder::LayerBuilder;
 use gsampler_core::{compile, Bindings, DeviceProfile, Graph, SamplerConfig};
 use gsampler_engine::RngPool;
 use gsampler_matrix::sample::{
-    collective_sample_seeded, individual_sample_seeded, weighted_sample_without_replacement,
+    collective_sample_seeded, collective_select, individual_sample_seeded,
+    weighted_sample_without_replacement,
 };
+use gsampler_runtime::{num_threads, pool_metrics};
 use gsampler_testkit::stats;
 
 /// A star: node 0 has 6 in-neighbours with distinct weights 1..=6.
@@ -125,6 +127,55 @@ fn collective_sample_follows_degree_weights() {
         counts[out.rows[0] as usize] += 1;
     }
     stats::assert_fits("collective k=1 degree bias", &counts, &expected, TRIALS);
+}
+
+#[test]
+fn segmented_collective_select_matches_analytic_inclusion_per_segment() {
+    // The super-batched layer-wise select: 16 segments of 256 rows, each
+    // with six candidates of its own weights among zero rows, k = 2 per
+    // segment on the segment's own pool. Every segment's inclusion counts
+    // must match the exact successive-draw probabilities of its weights.
+    // 16 x 256 weights open the pool's size gate, so wherever the pool is
+    // wider than one thread (ci.sh runs the suite at GSAMPLER_THREADS=2)
+    // the segments are drawn split across workers.
+    const SEGMENTS: usize = 16;
+    const ROWS: usize = 256;
+    let (k, trials) = (2, 2000u64);
+    let candidate = |b: usize, j: usize| b * ROWS + 17 + 37 * j + b;
+    let segment_weights = |b: usize| -> Vec<f32> {
+        (0..6)
+            .map(|j| ((j + b) % 6 + 1) as f32 * (1.0 + b as f32 / 8.0))
+            .collect()
+    };
+    let mut weights = vec![0f32; SEGMENTS * ROWS];
+    for b in 0..SEGMENTS {
+        for (j, w) in segment_weights(b).into_iter().enumerate() {
+            weights[candidate(b, j)] = w;
+        }
+    }
+    let runs: Vec<usize> = (0..=SEGMENTS).map(|b| b * ROWS).collect();
+    let mut counts = vec![[0u64; 6]; SEGMENTS];
+    let before = pool_metrics();
+    for t in 0..trials {
+        let pools: Vec<RngPool> = (0..SEGMENTS as u64)
+            .map(|b| RngPool::new(0x5E65 ^ t.wrapping_mul(0x9E37_79B9)).subpool(b))
+            .collect();
+        let rows = collective_select(&weights, k, &runs, &pools).unwrap();
+        assert_eq!(rows.len(), SEGMENTS * k);
+        for r in rows {
+            let b = r as usize / ROWS;
+            let j = (0..6).position(|j| candidate(b, j) == r as usize);
+            counts[b][j.expect("a zero-bias row was selected")] += 1;
+        }
+    }
+    if num_threads() >= 2 {
+        assert!(pool_metrics().since(&before).regions >= trials);
+    }
+    for (b, seen) in counts.iter().enumerate() {
+        let expected = stats::inclusion_probabilities_without_replacement(&segment_weights(b), k);
+        let label = format!("segment {b} of {SEGMENTS}, k={k}");
+        stats::assert_inclusion_fits(&label, seen, &expected, trials);
+    }
 }
 
 #[test]
