@@ -185,6 +185,20 @@ test "$(grep -rn 'pub fn facts' crates/*/src | wc -l)" -eq 1
 # is its empty-key case, so no compiled layer or plan keeps a value list
 # of its own.
 test -z "$(grep -rn 'precomputed: Vec<Arc<Value>>' crates/core/src)"
+# One pool discipline: every parallel region claims ranges from one
+# `WorkQueue` in one claim loop, nothing splits work by the thread count,
+# and at most 7 `unsafe` lines remain, each directly under a `// SAFETY:`
+# comment. One SplitMix64 in the workspace's own crates.
+POOL_SRC=crates/runtime/src/parallel.rs
+test "$(non_test $POOL_SRC | grep -c 'WorkQueue::new()')" -eq 1
+test "$(non_test $POOL_SRC | grep -c '\.claim(')" -eq 1
+test -z "$(non_test $POOL_SRC | grep 'div_ceil(threads)')"
+non_test $POOL_SRC | awk '
+    /^[[:space:]]*\/\// { if ($0 ~ /SAFETY:/) safety = 1; next }
+    /unsafe/ { n++; if (!safety) bad++ }
+    { safety = 0 }
+    END { exit (n > 7 || bad > 0) }'
+test "$(grep -rn 'fn splitmix64' crates/*/src | wc -l)" -eq 1
 
 # --- Repo benchmark smoke -------------------------------------------------
 # The standalone benchmark package (benchmark/, BENCHMARK.json) at smoke

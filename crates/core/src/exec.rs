@@ -212,5 +212,11 @@ pub fn execute(
     // The outputs now hold the only reference to what this run produced.
     drop(env);
 
-    superbatch::split_outputs(outputs, &ctx, facts, program.outputs())
+    let groups = superbatch::split_outputs(outputs, &ctx, facts, program.outputs())?;
+    // The split runs pool regions outside any kernel's post-run check, and
+    // a fired token cuts a region short at its next claim: discard.
+    if let Some(cause) = gsampler_runtime::cancel::poll() {
+        return Err(Error::from_cancel(cause));
+    }
+    Ok(groups)
 }

@@ -40,6 +40,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use gsampler_runtime::rng::splitmix64;
 use gsampler_runtime::WorkerFault;
 
 /// What a fired fault simulates.
@@ -216,14 +217,6 @@ fn parse_u64(value: &str, ctx: &str) -> Result<u64, String> {
     value
         .parse()
         .map_err(|_| format!("bad integer in fault param: {ctx:?}"))
-}
-
-/// SplitMix64 finalizer — the deterministic coin for `p=` rules.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 /// How often each fault kind actually fired since the plane was installed.

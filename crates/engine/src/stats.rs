@@ -188,25 +188,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Record one kernel execution with its modeled time and utilization
-    /// (no wall-clock measurement).
-    pub fn record(&mut self, desc: KernelDesc, time: f64, utilization: f64) {
-        self.record_timed(desc, time, utilization, 0.0);
-    }
-
-    /// Record one kernel execution, including the host wall-clock seconds
-    /// the emulation took.
-    pub fn record_timed(&mut self, desc: KernelDesc, time: f64, utilization: f64, wall_time: f64) {
-        self.record_timed_par(
-            desc,
-            time,
-            utilization,
-            wall_time,
-            PoolMetrics::default(),
-            ArenaMetrics::default(),
-        );
-    }
-
     /// Record one kernel execution together with the worker-pool and
     /// scratch-arena activity (metric deltas captured around the kernel)
     /// it caused.
@@ -326,12 +307,18 @@ mod tests {
         KernelDesc::new(name).with_bytes(100, 0).with_flops(10)
     }
 
+    /// One kernel execution with no pool or arena activity.
+    fn record(s: &mut ExecStats, name: &str, time: f64, utilization: f64, wall_time: f64) {
+        let (pool, arena) = (PoolMetrics::default(), ArenaMetrics::default());
+        s.record_timed_par(desc(name), time, utilization, wall_time, pool, arena);
+    }
+
     #[test]
     fn record_accumulates() {
         let mut s = ExecStats::default();
-        s.record(desc("a"), 1.0, 0.5);
-        s.record(desc("a"), 1.0, 1.0);
-        s.record(desc("b"), 2.0, 0.25);
+        record(&mut s, "a", 1.0, 0.5, 0.0);
+        record(&mut s, "a", 1.0, 1.0, 0.0);
+        record(&mut s, "b", 2.0, 0.25, 0.0);
         assert_eq!(s.kernel_launches, 3);
         assert_eq!(s.total_bytes, 300);
         assert_eq!(s.total_flops, 30);
@@ -347,12 +334,12 @@ mod tests {
     #[test]
     fn record_timed_tracks_wall_clock() {
         let mut s = ExecStats::default();
-        s.record_timed(desc("k"), 1.0, 1.0, 0.25);
-        s.record_timed(desc("k"), 1.0, 1.0, 0.5);
+        record(&mut s, "k", 1.0, 1.0, 0.25);
+        record(&mut s, "k", 1.0, 1.0, 0.5);
         assert!((s.total_wall_time - 0.75).abs() < 1e-12);
         assert!((s.per_kernel["k"].wall_time - 0.75).abs() < 1e-12);
-        // Plain `record` contributes zero wall time.
-        s.record(desc("k"), 1.0, 1.0);
+        // An execution without a wall-clock measurement adds none.
+        record(&mut s, "k", 1.0, 1.0, 0.0);
         assert!((s.total_wall_time - 0.75).abs() < 1e-12);
     }
 
@@ -366,7 +353,7 @@ mod tests {
             capacity_ns: 1000,
         };
         s.record_timed_par(desc("k"), 1.0, 1.0, 0.1, region, ArenaMetrics::default());
-        s.record_timed(desc("k"), 1.0, 1.0, 0.1); // sequential invocation
+        record(&mut s, "k", 1.0, 1.0, 0.1); // sequential invocation
         let k = s.per_kernel["k"];
         assert_eq!(k.pool.regions, 2);
         assert!((k.avg_threads() - 4.0).abs() < 1e-12);
@@ -381,7 +368,7 @@ mod tests {
         assert_eq!(s.pool.busy_ns, 1800);
         // A kernel with no regions reports the sequential identity.
         let mut seq = ExecStats::default();
-        seq.record(desc("s"), 1.0, 1.0);
+        record(&mut seq, "s", 1.0, 1.0, 0.0);
         assert!((seq.per_kernel["s"].avg_threads() - 1.0).abs() < 1e-12);
         assert!((seq.per_kernel["s"].parallel_efficiency() - 1.0).abs() < 1e-12);
     }
@@ -395,7 +382,7 @@ mod tests {
             bytes_reused: 4096,
         };
         s.record_timed_par(desc("k"), 1.0, 1.0, 0.1, PoolMetrics::default(), arena);
-        s.record_timed(desc("k"), 1.0, 1.0, 0.1); // no scratch taken
+        record(&mut s, "k", 1.0, 1.0, 0.1); // no scratch taken
         let k = s.per_kernel["k"];
         assert_eq!(k.arena.takes, 4);
         assert_eq!(k.arena.bytes_reused, 4096);
@@ -409,17 +396,17 @@ mod tests {
         assert_eq!(s.arena.bytes_reused, 8192);
         // A kernel that took no scratch reports the no-allocation identity.
         let mut seq = ExecStats::default();
-        seq.record(desc("s"), 1.0, 1.0);
+        record(&mut seq, "s", 1.0, 1.0, 0.0);
         assert!((seq.per_kernel["s"].arena.hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn merge_combines_sessions() {
         let mut a = ExecStats::default();
-        a.record_timed(desc("x"), 1.0, 1.0, 0.1);
+        record(&mut a, "x", 1.0, 1.0, 0.1);
         let mut b = ExecStats::default();
-        b.record_timed(desc("x"), 3.0, 0.5, 0.2);
-        b.record(desc("y"), 1.0, 1.0);
+        record(&mut b, "x", 3.0, 0.5, 0.2);
+        record(&mut b, "y", 1.0, 1.0, 0.0);
         a.merge(&b);
         assert_eq!(a.kernel_launches, 3);
         let x = a.per_kernel["x"];
@@ -432,7 +419,7 @@ mod tests {
     #[test]
     fn merge_into_empty_equals_source() {
         let mut src = ExecStats::default();
-        src.record_timed(desc("only"), 2.0, 0.5, 0.1);
+        record(&mut src, "only", 2.0, 0.5, 0.1);
         let mut dst = ExecStats::default();
         dst.merge(&src);
         assert_eq!(dst.kernel_launches, src.kernel_launches);
@@ -445,9 +432,9 @@ mod tests {
     #[test]
     fn top_kernels_sorted() {
         let mut s = ExecStats::default();
-        s.record(desc("small"), 0.1, 1.0);
-        s.record(desc("big"), 5.0, 1.0);
-        s.record(desc("mid"), 1.0, 1.0);
+        record(&mut s, "small", 0.1, 1.0, 0.0);
+        record(&mut s, "big", 5.0, 1.0, 0.0);
+        record(&mut s, "mid", 1.0, 1.0, 0.0);
         let top = s.top_kernels(2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0, "big");
@@ -457,9 +444,9 @@ mod tests {
     #[test]
     fn profile_sorted_with_full_aggregates() {
         let mut s = ExecStats::default();
-        s.record(desc("small"), 0.1, 1.0);
-        s.record(desc("big"), 5.0, 1.0);
-        s.record(desc("big"), 1.0, 1.0);
+        record(&mut s, "small", 0.1, 1.0, 0.0);
+        record(&mut s, "big", 5.0, 1.0, 0.0);
+        record(&mut s, "big", 1.0, 1.0, 0.0);
         let p = s.profile();
         assert_eq!(p.len(), 2);
         assert_eq!(p[0].0, "big");

@@ -88,16 +88,6 @@ impl Csr {
         &self.indices[self.row_range(r)]
     }
 
-    /// Out-degree of row `r` (number of stored entries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= nrows`.
-    #[inline]
-    pub fn row_degree(&self, r: usize) -> usize {
-        self.indptr[r + 1] - self.indptr[r]
-    }
-
     /// Value of the edge at non-zero position `pos` (1.0 if unweighted).
     #[inline]
     pub fn value_at(&self, pos: usize) -> f32 {
@@ -234,7 +224,7 @@ mod tests {
         let m = sample();
         assert_eq!(m.shape(), (3, 4));
         assert_eq!(m.nnz(), 6);
-        assert_eq!(m.row_degree(2), 3);
+        assert_eq!(m.row_cols(2).len(), 3);
         assert_eq!(m.row_cols(0), &[0, 2]);
     }
 

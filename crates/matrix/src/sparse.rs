@@ -152,15 +152,6 @@ impl SparseMatrix {
         }
     }
 
-    /// Drop explicit values, reverting to an unweighted matrix.
-    pub fn clear_values(&mut self) {
-        match self {
-            SparseMatrix::Csc(m) => m.values = None,
-            SparseMatrix::Csr(m) => m.values = None,
-            SparseMatrix::Coo(m) => m.values = None,
-        }
-    }
-
     /// Edge values as a materialized vector (1.0 for unweighted matrices).
     pub fn values_or_ones(&self) -> Vec<f32> {
         match self {
@@ -439,9 +430,15 @@ mod tests {
 
     #[test]
     fn set_and_clear_values() {
-        let mut m = sample().with_values(vec![0.5; 6]);
+        let m = sample().with_values(vec![0.5; 6]);
         assert_eq!(m.values().unwrap()[3], 0.5);
-        m.clear_values();
+        let SparseMatrix::Csc(csc) = m else {
+            unreachable!("with_values keeps the format")
+        };
+        let m = SparseMatrix::Csc(Csc {
+            values: None,
+            ..csc
+        });
         assert!(!m.is_weighted());
         assert_eq!(m.values_or_ones(), vec![1.0; 6]);
     }

@@ -17,6 +17,15 @@ use gsampler_runtime::RngPool;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// `m`'s structure with `values: None`.
+fn unweighted(m: &SparseMatrix) -> SparseMatrix {
+    match m.clone() {
+        SparseMatrix::Csc(m) => SparseMatrix::Csc(Csc { values: None, ..m }),
+        SparseMatrix::Csr(m) => SparseMatrix::Csr(Csr { values: None, ..m }),
+        SparseMatrix::Coo(m) => SparseMatrix::Coo(Coo { values: None, ..m }),
+    }
+}
+
 /// What node-wise selection must choose from a column of `deg` entries on
 /// its stream, by the reference primitives: sorted distinct offsets.
 fn reference_picks(
@@ -299,8 +308,7 @@ proptest! {
             }
             // Every reduction, bit for bit: a slot folds its edges in
             // storage order.
-            let mut unweighted = converted.clone();
-            unweighted.clear_values();
+            let unweighted = unweighted(&converted);
             for m in [&converted, &unweighted] {
                 let mut slots: Vec<Vec<f32>> = vec![Vec::new(); n];
                 for (r, c, v) in storage_edges(m) {
@@ -534,9 +542,7 @@ proptest! {
     fn values_or_ones_matches_weightedness(m in arb_matrix()) {
         let v = m.values_or_ones();
         prop_assert_eq!(v.len(), m.nnz());
-        let mut unweighted = m.clone();
-        unweighted.clear_values();
-        prop_assert!(unweighted.values_or_ones().iter().all(|&x| x == 1.0));
+        prop_assert!(unweighted(&m).values_or_ones().iter().all(|&x| x == 1.0));
     }
 }
 

@@ -2,18 +2,15 @@
 //!
 //! The paper's sampling operators are massively data-parallel GPU kernels;
 //! this crate is the CPU stand-in: a pool of **long-lived worker threads**
-//! that park between kernels (no per-call spawn storms), with two
-//! scheduling disciplines layered on top:
-//!
-//! - **static chunking** ([`parallel::parallel_for_chunks`], used through
-//!   [`parallel::parallel_map`]) for uniform per-item maps (per-edge value
-//!   combines, COO SDDMM, compaction bitmaps and renames, slice segment
-//!   counts), and
-//! - **dynamic claiming** ([`parallel::parallel_scatter`] and
-//!   [`parallel::parallel_scatter2`], which hand out output segments from
-//!   a shared counter) for everything segmented: per-frontier sampling,
-//!   variable-length gathers, SpMM rows, dense GEMM row blocks and format
-//!   conversions.
+//! that park between kernels (no per-call spawn storms), with one
+//! scheduling discipline on top: **work-queue claiming**. Every parallel
+//! region's participants claim ranges from one shared counter until it
+//! drains — uniform chunks of a per-item map ([`parallel::parallel_for_chunks`],
+//! [`parallel::parallel_map`]: per-edge value combines, COO SDDMM,
+//! compaction bitmaps and renames, slice segment counts) or caller-defined
+//! output segments ([`parallel::parallel_scatter`],
+//! [`parallel::parallel_scatter2`]: per-frontier sampling, variable-length
+//! gathers, SpMM rows, dense GEMM row blocks and format conversions).
 //!
 //! Determinism is a hard requirement: kernel outputs must be bit-identical
 //! at any thread count. The rule every parallel kernel follows is that

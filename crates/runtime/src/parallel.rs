@@ -1,4 +1,4 @@
-//! The persistent worker pool and the scheduling primitives built on it.
+//! The persistent worker pool and the one scheduler built on it.
 //!
 //! Workers are spawned once (lazily, up to the largest requested width) and
 //! park on a condvar between parallel regions — a kernel-sized region costs
@@ -6,22 +6,26 @@
 //! participates as worker 0, so a width-`t` region occupies the caller plus
 //! `t - 1` pool workers.
 //!
-//! Two disciplines are layered on the pool:
+//! Every primitive runs through one claim loop: each participant claims
+//! `[lo, hi)` ranges from one shared [`WorkQueue`] until it drains, so
+//! skewed loops (power-law degrees) balance across workers and uniform
+//! ones lose nothing to it.
 //!
-//! - [`parallel_for_chunks`] / [`parallel_map`]: static chunking for
-//!   uniform loops.
-//! - [`parallel_scatter`] / [`parallel_scatter2`]: segments claimed
-//!   dynamically from a shared counter, for skewed loops (power-law
-//!   degrees) where static chunks would straggle.
+//! - [`parallel_for_chunks`] / [`parallel_map`]: uniform chunks of
+//!   `max(min_chunk, len / 64)` items.
+//! - [`parallel_scatter`] / [`parallel_scatter2`]: caller-defined output
+//!   segments.
 //!
-//! Both guarantee that the *decomposition visible to kernels* (which items
-//! exist, what order their outputs land in) depends only on the input
-//! sizes, never on the thread count — the invariant that keeps seeded
-//! sampling bit-identical under any `GSAMPLER_THREADS`.
+//! The *decomposition visible to kernels* (which chunks and segments exist,
+//! what order their outputs land in) depends only on the input sizes, never
+//! on the thread count — the invariant that keeps seeded sampling
+//! bit-identical under any `GSAMPLER_THREADS`. At width 1, and for a region
+//! nested inside another, the caller runs the same loop alone.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -39,10 +43,6 @@ pub struct PoolError {
 }
 
 impl PoolError {
-    fn new(message: String) -> PoolError {
-        PoolError { message }
-    }
-
     /// The original panic payload, rendered as text (`&str`/`String`
     /// payloads verbatim; other payload types are named as opaque).
     pub fn message(&self) -> &str {
@@ -146,30 +146,28 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Width a region of `len` items with the given minimum chunk should use
-/// (1 = run inline).
-fn plan_threads(len: usize, min_chunk: usize) -> usize {
-    let min_chunk = min_chunk.max(1);
-    if len <= min_chunk || IN_POOL.with(|f| f.get()) {
+/// Participants a region of `items` items in `claims` claimable ranges
+/// should use on a pool of `threads` (1 = run inline): at most one per
+/// range and one per `min_items` items, and 1 inside another region.
+fn plan_width(threads: usize, items: usize, min_items: usize, claims: usize) -> usize {
+    let min_items = min_items.max(1);
+    if items <= min_items || IN_POOL.with(|f| f.get()) {
         return 1;
     }
-    let t = num_threads();
-    if t <= 1 {
-        1
-    } else {
-        t.min(len.div_ceil(min_chunk))
-    }
+    threads.min(items.div_ceil(min_items)).min(claims)
 }
 
-/// A type-erased pointer to a region closure. The dispatching caller
-/// blocks until every participant has finished, which is what makes the
-/// lifetime erasure sound.
-struct RawFunc(*const (dyn Fn(usize) + Sync));
+/// A type-erased pointer to a region's share closure. The dispatching
+/// caller blocks until every participant has finished, which is what makes
+/// the lifetime erasure in [`dispatch`] sound.
+struct RawFunc(*const (dyn Fn() + Sync));
 
-// SAFETY: the pointee is `Sync` and is only dereferenced between job
-// publication and the caller's completion wait.
+// SAFETY: the pointee is `Sync`, so calling it from another thread is
+// sound, and it is only dereferenced between job publication and the
+// caller's completion wait, while the borrow it was made from is live.
 unsafe impl Send for RawFunc {}
-// SAFETY: see above.
+// SAFETY: sharing a `&RawFunc` only lets a thread make that same call of a
+// `Sync` closure; the liveness argument is the one above.
 unsafe impl Sync for RawFunc {}
 
 /// One parallel region, shared between the pool workers executing it.
@@ -342,12 +340,13 @@ fn worker_loop(pool: &'static Pool) {
 /// by the pool).
 fn run_participant(job: &Job, tid: usize) -> bool {
     let start = Instant::now();
-    // SAFETY: the dispatching caller blocks until `finished == max`, so
-    // the closure (and everything it borrows) outlives this call.
+    // SAFETY: `dispatch` made `func` from a borrow it outlives, and does not
+    // return (nor unwind) until `finished == max`, which this share only
+    // bumps after its last use of `f` below.
     let f = unsafe { &*job.func.0 };
     let fault = job.fault.lock().unwrap_or_else(|p| p.into_inner()).take();
-    // Spawned participants inherit the caller's cancel token so the
-    // chunk-claim loops inside `f` poll the right deadline.
+    // Spawned participants inherit the caller's cancel token so the claim
+    // loop inside `f` polls the right deadline.
     let cancel = job.cancel.as_ref().map(|t| crate::cancel::scope(t.clone()));
     let result = catch_unwind(AssertUnwindSafe(|| {
         match fault {
@@ -357,7 +356,7 @@ fn run_participant(job: &Job, tid: usize) -> bool {
             }
             None => {}
         }
-        f(tid)
+        f()
     }));
     drop(cancel);
     let survived = match result {
@@ -377,18 +376,18 @@ fn run_participant(job: &Job, tid: usize) -> bool {
     survived
 }
 
-/// Run `f(participant)` for participants `0..=extra` (0 on the calling
-/// thread, the rest on pool workers), blocking until all finish.
-fn dispatch(extra: usize, f: &(dyn Fn(usize) + Sync)) {
-    debug_assert!(extra >= 1, "dispatch needs at least one pool worker");
+/// Run `f` once on the calling thread and once on each of `extra` pool
+/// workers, blocking until all of them finish.
+fn dispatch(extra: usize, f: &(dyn Fn() + Sync)) {
     let pool = pool();
     let mut region_span = gsampler_obs::span("pool", "pool.region");
     let region_start = Instant::now();
-    // SAFETY: lifetime erasure — `dispatch` does not return until every
+    // SAFETY: lifetime erasure only. `dispatch` does not return, and does
+    // not unwind (the caller's share runs under `catch_unwind`), until every
     // participant has finished with the closure.
     let func = RawFunc(unsafe {
-        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
-    } as *const _);
+        std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(f)
+    });
     // Fault injection is decided here, on the calling thread, once per
     // region: the placement (which region fails) is then a pure function
     // of dispatch order, independent of worker scheduling.
@@ -428,7 +427,7 @@ fn dispatch(extra: usize, f: &(dyn Fn(usize) + Sync)) {
     // run inline.
     let caller_start = Instant::now();
     let was_in_pool = IN_POOL.with(|flag| flag.replace(true));
-    let caller_result = catch_unwind(AssertUnwindSafe(|| f(0)));
+    let caller_result = catch_unwind(AssertUnwindSafe(f));
     IN_POOL.with(|flag| flag.set(was_in_pool));
     let caller_busy = caller_start.elapsed().as_nanos() as u64;
 
@@ -466,46 +465,57 @@ fn dispatch(extra: usize, f: &(dyn Fn(usize) + Sync)) {
                 Some(p) => panic_message(p.as_ref()),
                 None => "worker panic payload missing".to_string(),
             };
-            std::panic::panic_any(PoolError::new(message));
+            std::panic::panic_any(PoolError { message });
         }
         Ok(()) => {}
     }
 }
 
+/// The one scheduler. `width` participants (the caller plus `width - 1`
+/// pool workers) claim `[lo, hi)` ranges of at most `grain` items of `0..n`
+/// from one [`WorkQueue`] and run `body(lo, hi)` on each, polling the
+/// current cancel token before every range. At width 1 the caller runs the
+/// same loop alone.
+fn claim_loop(width: usize, n: usize, grain: usize, body: &(dyn Fn(usize, usize) + Sync)) {
+    let queue = WorkQueue::new();
+    let share = || {
+        while let Some((lo, hi)) = queue.claim(n, grain) {
+            // Claim-boundary cancel check: a fired token backs out between
+            // ranges; the caller discards the region's partial output.
+            if crate::cancel::poll().is_some() {
+                break;
+            }
+            body(lo, hi);
+        }
+    };
+    if width <= 1 {
+        share();
+    } else {
+        dispatch(width - 1, &share);
+    }
+}
+
+/// The chunk length of [`parallel_for_chunks`] and [`parallel_map`].
+fn chunk_len(len: usize, min_chunk: usize) -> usize {
+    min_chunk.max(1).max(len.div_ceil(64))
+}
+
 /// Run `f(start, end)` over disjoint chunks of `0..len` on the pool.
 /// `f` must be safe to call concurrently on disjoint ranges.
 ///
-/// Falls back to a single inline call for small inputs where region
-/// overhead would dominate, and for nested calls from inside a region.
+/// Chunks are `max(min_chunk, len / 64)` items at every width. A single
+/// chunk, or a call from inside a region, runs inline on the caller.
 pub fn parallel_for_chunks<F>(len: usize, min_chunk: usize, f: F)
 where
     F: Fn(usize, usize) + Sync,
 {
-    if len == 0 {
-        return;
-    }
-    let threads = plan_threads(len, min_chunk);
-    if threads <= 1 {
-        f(0, len);
-        return;
-    }
-    let chunk = len.div_ceil(threads).max(min_chunk.max(1));
-    let participants = len.div_ceil(chunk);
-    if participants <= 1 {
-        f(0, len);
-        return;
-    }
-    dispatch(participants - 1, &|tid| {
-        // Chunk-boundary cancel check: a fired token skips the share
-        // (the caller discards the region's output on the same poll).
-        if crate::cancel::poll().is_some() {
-            return;
-        }
-        let start = tid * chunk;
-        if start < len {
-            f(start, (start + chunk).min(len));
-        }
-    });
+    for_chunks_at(num_threads(), len, min_chunk, &f);
+}
+
+fn for_chunks_at(threads: usize, len: usize, min_chunk: usize, f: &(dyn Fn(usize, usize) + Sync)) {
+    let chunk = chunk_len(len, min_chunk);
+    let width = plan_width(threads, len, min_chunk, len.div_ceil(chunk));
+    claim_loop(width, len, chunk, f);
 }
 
 /// Map `0..len` through `f` into a vector, in parallel, preserving order.
@@ -514,21 +524,24 @@ where
     T: Send + Default + Clone,
     F: Fn(usize) -> T + Sync,
 {
+    map_at(num_threads(), len, min_chunk, f)
+}
+
+fn map_at<T, F>(threads: usize, len: usize, min_chunk: usize, f: F) -> Vec<T>
+where
+    T: Send + Default + Clone,
+    F: Fn(usize) -> T + Sync,
+{
     let mut out = vec![T::default(); len];
-    {
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        parallel_for_chunks(len, min_chunk, |start, end| {
-            let ptr = out_ptr;
-            for i in start..end {
-                // SAFETY: each chunk writes a disjoint index range of a
-                // buffer that outlives the region, so no two threads
-                // alias the same element.
-                unsafe {
-                    *ptr.0.add(i) = f(i);
-                }
-            }
-        });
-    }
+    let offsets: Vec<usize> = (0..len)
+        .step_by(chunk_len(len, min_chunk))
+        .chain([len])
+        .collect();
+    scatter_at(threads, &mut out, &offsets, min_chunk, |c, chunk| {
+        for (slot, i) in chunk.iter_mut().zip(offsets[c]..) {
+            *slot = f(i);
+        }
+    });
     out
 }
 
@@ -548,55 +561,18 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let segs = offsets.len().saturating_sub(1);
-    if segs == 0 {
-        return;
-    }
-    assert!(
-        offsets[segs] <= out.len(),
-        "parallel_scatter: offsets exceed the output buffer"
-    );
-    let total = offsets[segs].saturating_sub(offsets[0]);
-    // Cap by segment count: a region can never use more workers than there
-    // are segments to claim, and with one segment the queue round-trip is
-    // pure overhead — run inline on the caller.
-    let threads = plan_threads(total, min_items).min(segs);
-    if threads <= 1 {
-        // Safe range indexing already panics on a decreasing or
-        // out-of-bounds segment, so the inline path skips the O(segs)
-        // monotonicity scan — it exists to justify the *unsafe* disjoint
-        // writes below, and at width 1 it would be the dominant cost of
-        // fine-grained dispatch.
-        for i in 0..segs {
-            f(i, &mut out[offsets[i]..offsets[i + 1]]);
-        }
-        return;
-    }
-    assert!(
-        offsets.windows(2).all(|w| w[0] <= w[1]),
-        "parallel_scatter: offsets must be non-decreasing"
-    );
-    let base = SendPtr(out.as_mut_ptr());
-    let grain = (segs / (threads * 8)).max(1);
-    let queue = WorkQueue::new();
-    let q = &queue;
-    let fr = &f;
-    dispatch(threads - 1, &move |_tid| {
-        while let Some((s, e)) = q.claim(segs, grain) {
-            // Claim-boundary cancel check: back out between chunks; the
-            // caller discards the region's (partial) output.
-            if crate::cancel::poll().is_some() {
-                break;
-            }
-            for i in s..e {
-                let (a, b) = (offsets[i], offsets[i + 1]);
-                let ptr = base;
-                // SAFETY: offsets are non-decreasing and bounded, so the
-                // segments of distinct `i` never overlap.
-                let segment = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(a), b - a) };
-                fr(i, segment);
-            }
-        }
+    scatter_at(num_threads(), out, offsets, min_items, f);
+}
+
+fn scatter_at<T, F>(threads: usize, out: &mut [T], offsets: &[usize], min_items: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let len = out.len();
+    let out = Segments::new(out);
+    segments(threads, offsets, len, min_items, |i, lo, hi| {
+        f(i, out.get(lo, hi))
     });
 }
 
@@ -618,75 +594,94 @@ pub fn parallel_scatter2<A, B, F>(
     B: Send,
     F: Fn(usize, &mut [A], &mut [B]) + Sync,
 {
+    scatter2_at(num_threads(), a, b, offsets, min_items, f);
+}
+
+fn scatter2_at<A, B, F>(
+    threads: usize,
+    a: &mut [A],
+    b: &mut [B],
+    offsets: &[usize],
+    min_items: usize,
+    f: F,
+) where
+    A: Send,
+    B: Send,
+    F: Fn(usize, &mut [A], &mut [B]) + Sync,
+{
+    let len = a.len().min(b.len());
+    let (a, b) = (Segments::new(a), Segments::new(b));
+    segments(threads, offsets, len, min_items, |i, lo, hi| {
+        f(i, a.get(lo, hi), b.get(lo, hi))
+    });
+}
+
+/// Both scatters' driver: run `seg(i, offsets[i], offsets[i + 1])` once
+/// for every segment `i`, over buffers of at least `len` items.
+fn segments(
+    threads: usize,
+    offsets: &[usize],
+    len: usize,
+    min_items: usize,
+    seg: impl Fn(usize, usize, usize) + Sync,
+) {
     let segs = offsets.len().saturating_sub(1);
     if segs == 0 {
         return;
     }
-    assert!(
-        offsets[segs] <= a.len() && offsets[segs] <= b.len(),
-        "parallel_scatter2: offsets exceed an output buffer"
-    );
     let total = offsets[segs].saturating_sub(offsets[0]);
-    // Same segment-count cap as `parallel_scatter`: surplus workers would
-    // only spin on a drained queue.
-    let threads = plan_threads(total, min_items).min(segs);
-    if threads <= 1 {
-        // As in `parallel_scatter`, safe range indexing enforces the
-        // segment invariants one segment at a time; the full monotonicity
-        // scan is deferred to the parallel path that needs it for the
-        // unsafe disjoint writes.
-        for i in 0..segs {
-            let (s, e) = (offsets[i], offsets[i + 1]);
-            f(i, &mut a[s..e], &mut b[s..e]);
-        }
-        return;
+    let width = plan_width(threads, total, min_items, segs);
+    // Concurrent segments are disjoint and in bounds only if the offsets
+    // are, so a region checks them all before any body runs. Inline, one
+    // segment is live at a time and `Segments::get` checks it alone.
+    if width > 1 {
+        assert!(
+            offsets.windows(2).all(|w| w[0] <= w[1]) && offsets[segs] <= len,
+            "parallel_scatter: offsets must be non-decreasing and within the buffer"
+        );
     }
-    assert!(
-        offsets.windows(2).all(|w| w[0] <= w[1]),
-        "parallel_scatter2: offsets must be non-decreasing"
-    );
-    let base_a = SendPtr(a.as_mut_ptr());
-    let base_b = SendPtr(b.as_mut_ptr());
-    let grain = (segs / (threads * 8)).max(1);
-    let queue = WorkQueue::new();
-    let q = &queue;
-    let fr = &f;
-    dispatch(threads - 1, &move |_tid| {
-        while let Some((s, e)) = q.claim(segs, grain) {
-            if crate::cancel::poll().is_some() {
-                break;
-            }
-            for i in s..e {
-                let (lo, hi) = (offsets[i], offsets[i + 1]);
-                let (pa, pb) = (base_a, base_b);
-                // SAFETY: offsets are non-decreasing and bounded in both
-                // buffers, so segments of distinct `i` never overlap.
-                let seg_a = unsafe { std::slice::from_raw_parts_mut(pa.0.add(lo), hi - lo) };
-                let seg_b = unsafe { std::slice::from_raw_parts_mut(pb.0.add(lo), hi - lo) };
-                fr(i, seg_a, seg_b);
-            }
+    claim_loop(width, segs, (segs / (width * 8)).max(1), &|lo, hi| {
+        for i in lo..hi {
+            seg(i, offsets[i], offsets[i + 1]);
         }
     });
 }
 
-/// Wrapper making a raw pointer `Send + Copy` for disjoint-range writes.
-struct SendPtr<T>(*mut T);
+/// An exclusively borrowed buffer that the participants of one scatter cut
+/// into `&mut` segments.
+struct Segments<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _buf: PhantomData<&'a mut [T]>,
+}
 
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
+// SAFETY: a shared `&Segments` only yields `&mut T` segments of a buffer it
+// borrows exclusively, so sharing it lets threads take `T`s, never alias
+// them (see `get`): sound for `T: Send`.
+unsafe impl<T: Send> Sync for Segments<'_, T> {}
+
+impl<'a, T> Segments<'a, T> {
+    fn new(buf: &'a mut [T]) -> Self {
+        Segments {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+            _buf: PhantomData,
+        }
+    }
+
+    /// The segment `buf[lo..hi]`. Panics unless `lo <= hi <= len`. Only
+    /// `segments`' bodies call it, each with its own segment's bounds.
+    fn get(&self, lo: usize, hi: usize) -> &'a mut [T] {
+        assert!(lo <= hi && hi <= self.len, "parallel_scatter: bad segment");
+        // SAFETY: `lo..hi` lies inside the borrowed buffer (asserted above).
+        // No other live reference overlaps it: `segments` asks for each
+        // segment once, segments are live together only on the parallel
+        // path, and there it has checked the offsets non-decreasing.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
     }
 }
 
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: only used for writes to provably disjoint index ranges.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: see above — shared access is never to overlapping elements.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-/// A saturating atomic work counter for dynamic chunk claiming in loops
-/// whose per-item cost is skewed (e.g. power-law degree distributions).
+/// A saturating atomic work counter: the one source of claimed ranges.
 struct WorkQueue {
     next: AtomicUsize,
 }
@@ -794,13 +789,114 @@ mod tests {
         assert!(b[2500..5000].iter().all(|&v| v == 1.5));
     }
 
-    // Descending offsets still panic on the inline path — via safe range
-    // indexing rather than the up-front scan the parallel path runs.
+    // Descending offsets still panic on the inline path — via the segment
+    // check in `Segments::get` rather than the up-front scan a region runs.
     #[test]
     #[should_panic]
     fn scatter_rejects_descending_offsets() {
         let mut out = vec![0u8; 10];
         parallel_scatter(&mut out, &[0, 5, 2], 1, |_, _| {});
+    }
+
+    /// Every `(lo, hi)` a `parallel_for_chunks` body sees at `width`.
+    fn chunks_at(width: usize, len: usize, min_chunk: usize) -> Vec<(usize, usize)> {
+        let seen = Mutex::new(Vec::new());
+        for_chunks_at(width, len, min_chunk, &|lo, hi| {
+            seen.lock().unwrap().push((lo, hi));
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        seen
+    }
+
+    #[test]
+    fn chunk_boundaries_ignore_the_width() {
+        for len in [1, 63, 64, 65, 10_000] {
+            for min_chunk in [1, 16] {
+                let inline = chunks_at(1, len, min_chunk);
+                let covered: usize = inline.iter().map(|(lo, hi)| hi - lo).sum();
+                assert_eq!(covered, len);
+                for width in [2, 4] {
+                    assert_eq!(chunks_at(width, len, min_chunk), inline, "len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn caller_panic_waits_for_every_worker_share() {
+        // The caller panics on its first chunk; a worker share holds its
+        // chunk until then and writes the rest afterwards. The region may
+        // only unwind once those writes to the borrowed buffer are done.
+        let caller = std::thread::current().id();
+        let caller_claimed = AtomicBool::new(false);
+        let written: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            for_chunks_at(2, written.len(), 1, &|lo, hi| {
+                if std::thread::current().id() == caller {
+                    caller_claimed.store(true, Ordering::SeqCst);
+                    panic!("caller share exploded");
+                }
+                while !caller_claimed.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                for slot in &written[lo..hi] {
+                    slot.store(1, Ordering::SeqCst);
+                }
+            });
+        }));
+        let payload = result.expect_err("the caller's panic must fail the region");
+        assert_eq!(panic_message(payload.as_ref()), "caller share exploded");
+        let done = written.iter().filter(|w| w.load(Ordering::SeqCst) == 1);
+        assert_eq!(
+            done.count(),
+            63,
+            "region unwound before its worker share ended"
+        );
+    }
+
+    #[test]
+    fn scatter_offsets_past_the_buffer_panic_before_any_segment() {
+        let ran = AtomicU64::new(0);
+        // The last offset is past the end; a middle one is past the end.
+        for offsets in [[0usize, 4, 12], [0, 12, 5]] {
+            let (mut a, mut b) = (vec![0u8; 10], vec![0u32; 10]);
+            let one = catch_unwind(AssertUnwindSafe(|| {
+                scatter_at(2, &mut a, &offsets, 1, |_, _| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                })
+            }));
+            assert!(one.is_err(), "parallel_scatter accepted {offsets:?}");
+            let two = catch_unwind(AssertUnwindSafe(|| {
+                scatter2_at(2, &mut a, &mut b, &offsets, 1, |_, _, _| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                })
+            }));
+            assert!(two.is_err(), "parallel_scatter2 accepted {offsets:?}");
+        }
+        // Past the end of the shorter of the two buffers only.
+        let (mut a, mut b) = (vec![0u8; 10], vec![0u32; 6]);
+        let short = catch_unwind(AssertUnwindSafe(|| {
+            scatter2_at(2, &mut a, &mut b, &[0, 4, 8], 1, |_, _, _| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        assert!(
+            short.is_err(),
+            "parallel_scatter2 wrote past its shorter buffer"
+        );
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "a segment body ran");
+    }
+
+    #[test]
+    fn map_keeps_order_over_a_ragged_last_chunk() {
+        // 1000 items in chunks of 16: the last chunk holds 8.
+        assert_eq!(chunk_len(1000, 7), 16);
+        for width in [1, 2, 4] {
+            let out = map_at(width, 1000, 7, |i| i * 3 + 1);
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3 + 1));
+        }
     }
 
     #[test]
@@ -872,10 +968,18 @@ mod tests {
         if num_threads() < 2 {
             return; // inline mode: no worker-side participants exist
         }
+        // Only worker shares panic, and the caller holds its first chunk
+        // until one has: any participant may claim any chunk.
+        let caller = std::thread::current().id();
+        let worker_ran = AtomicBool::new(false);
         let result = catch_unwind(|| {
             parallel_for_chunks(10_000, 1, |start, _end| {
-                if start > 0 {
+                if std::thread::current().id() != caller {
+                    worker_ran.store(true, Ordering::SeqCst);
                     panic!("chunk {start} exploded");
+                }
+                while !worker_ran.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
                 }
             });
         });
@@ -933,7 +1037,7 @@ mod tests {
         assert_eq!(
             ran.load(Ordering::Relaxed),
             0,
-            "static chunks must skip their share under a fired token"
+            "uniform chunks must stop at the first poll of a fired token"
         );
     }
 

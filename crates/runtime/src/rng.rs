@@ -42,8 +42,10 @@ impl RngPool {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation — the
+/// workspace's one copy (stream derivation here, `p=` fault coins in the
+/// engine).
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
