@@ -199,6 +199,16 @@ non_test $POOL_SRC | awk '
     { safety = 0 }
     END { exit (n > 7 || bad > 0) }'
 test "$(grep -rn 'fn splitmix64' crates/*/src | wc -l)" -eq 1
+# One window, one ladder: every recovery decision (retry, halve, one run
+# per group, streaming, quarantine) lives in `core::window`; serve runs
+# lone requests and packs alike as one window over one `sample_groups`
+# call; `compile.rs` keeps config -> compile -> the single-batch API.
+SERVE_SRC=$(for f in crates/serve/src/*.rs crates/serve/src/bin/*.rs; do non_test "$f"; done)
+test -z "$(echo "$SERVE_SRC" | grep 'sample_batch_seeded(')"
+test "$(echo "$SERVE_SRC" | grep -c 'sample_groups(')" -eq 1
+test "$(grep -rl 'fn execute_recovering\|degrade_steps += 1' crates/*/src src)" = \
+    crates/core/src/window.rs
+test "$(non_test crates/core/src/compile.rs | wc -l)" -le 500
 
 # --- Repo benchmark smoke -------------------------------------------------
 # The standalone benchmark package (benchmark/, BENCHMARK.json) at smoke

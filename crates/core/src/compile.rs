@@ -1,80 +1,28 @@
-//! Compiling layers into executable samplers and driving epochs.
+//! Compiling layers into executable samplers.
 //!
 //! [`compile`] runs the optimization pipeline over each layer's program
 //! (paper Fig. 4: parse → IR passes → execution), gives each precompute
 //! program its [`Hoist`] memo (filled now when it reads only the graph),
-//! plans the super-batch factor, and returns a [`Sampler`] that can sample
-//! single batches or whole epochs while the device session records modeled
-//! time, memory, and SM utilization.
+//! plans the super-batch factor, and returns a [`Sampler`] whose device
+//! session records modeled time, memory, and SM utilization. Epochs and
+//! recovery are [`crate::window`]'s.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use gsampler_engine::{
-    Device, DeviceProfile, ExecStats, FaultReport, MemoryTracker, PlanDbStats, RngPool,
-};
+use gsampler_engine::{Device, DeviceProfile, PlanDbStats, RngPool};
 use gsampler_ir::passes::{run_passes, OptConfig, OptimizedProgram};
-use gsampler_ir::{facts, superbatch, Facts};
+use gsampler_ir::{facts, superbatch};
 use gsampler_matrix::NodeId;
 use rand::rngs::StdRng;
 
 use crate::builder::Layer;
 use crate::error::{Error, Result};
-use crate::exec::{self, Bindings};
+use crate::exec::Bindings;
 use crate::graph::Graph;
 use crate::hoist::Hoist;
 use crate::plandb::{CompiledPlan, PlanDb, PlanKey};
 use crate::value::Value;
-
-/// How the epoch drivers respond to faults: bounded retry for transient
-/// failures, a degradation ladder for memory pressure, and optional
-/// quarantine of batches that exhaust both.
-///
-/// Recovery is invisible in the samples by construction: a retried
-/// execution restores the RNG checkpoint taken before the failed attempt,
-/// and every mini-batch keeps its own RNG stream when its window is
-/// regrouped, so a run that retries, degrades or quarantines delivers the
-/// clean run's samples (see [`Sampler`]) for every batch it delivers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Maximum plain retries per execution for transient faults
-    /// (injected kernel failures, worker-pool panics). 0 = fail fast.
-    pub max_retries: u32,
-    /// Base backoff in milliseconds, doubled each retry (deterministic —
-    /// no jitter, so wall time varies but behavior does not).
-    pub backoff_ms: u64,
-    /// Allow the memory-pressure ladder: halve the super-batch factor
-    /// down to per-minibatch execution, then fall back to the streaming
-    /// (spill) layout.
-    pub allow_degrade: bool,
-    /// Skip (rather than fail the epoch on) a mini-batch window that
-    /// exhausts retries and degradation.
-    pub quarantine: bool,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff_ms: 1,
-            allow_degrade: true,
-            quarantine: false,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// Fail-fast policy: no retries, no degradation, no quarantine —
-    /// pre-recovery behavior, and what strict benchmarking wants.
-    pub fn disabled() -> RecoveryPolicy {
-        RecoveryPolicy {
-            max_retries: 0,
-            backoff_ms: 0,
-            allow_degrade: false,
-            quarantine: false,
-        }
-    }
-}
+use crate::window::{execute_recovering, RecoveryPolicy};
 
 /// Sampler configuration: optimization knobs plus runtime parameters.
 #[derive(Debug, Clone)]
@@ -172,157 +120,16 @@ pub struct Sampler {
     graph: Arc<Graph>,
     graph_value: Arc<Value>,
     layers: Vec<CompiledLayer>,
-    device: Device,
-    pool: RngPool,
-    config: SamplerConfig,
-    super_batch: usize,
+    pub(crate) device: Device,
+    pub(crate) pool: RngPool,
+    pub(crate) config: SamplerConfig,
+    pub(crate) super_batch: usize,
     /// Every layer passes [`facts::scatter_exact`].
     pack_exact: bool,
     /// This sampler's own compile's plan-database lookup (the device
     /// session is reset per epoch, so the compile-time counters are
     /// carried here and re-injected into every epoch's stats).
-    plan_db_stats: PlanDbStats,
-}
-
-/// Everything one epoch produced: modeled device time plus session stats.
-#[derive(Debug, Clone)]
-pub struct EpochReport {
-    /// Modeled device time for the epoch, in seconds — the headline
-    /// "sampling time" quantity of the paper's figures.
-    pub modeled_time: f64,
-    /// Host wall-clock time actually spent emulating, in seconds.
-    pub wall_time: f64,
-    /// Number of mini-batches processed.
-    pub batches: usize,
-    /// Execution statistics (kernel launches, bytes, SM utilization).
-    pub stats: ExecStats,
-    /// Device memory accounting (peak = paper Table 9's "Memory").
-    pub memory: MemoryTracker,
-    /// Super-batch factor used.
-    pub super_batch: usize,
-    /// Injected faults and recovery actions observed during the epoch
-    /// (a copy of `stats.faults`; all zero on a healthy run).
-    pub faults: FaultReport,
-}
-
-/// Run one program execution under `policy`: bounded deterministic retry
-/// for transient faults, and — for single-group executions, the bottom of
-/// the degradation ladder — a switch to the streaming (spill) layout on
-/// memory pressure. Every retry first restores the RNG checkpoint taken
-/// before the attempt, so a recovered execution is bit-identical to a
-/// clean one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_recovering(
-    policy: &RecoveryPolicy,
-    program: &gsampler_ir::Program,
-    facts: &[Facts],
-    graph: &Graph,
-    graph_value: &Arc<Value>,
-    groups: &[Vec<NodeId>],
-    bindings: &Bindings,
-    precomputed: &[Arc<Value>],
-    device: &Device,
-    rngs: &mut [StdRng],
-) -> Result<Vec<Vec<Value>>> {
-    let checkpoint = rngs.to_vec();
-    let mut retries = 0u32;
-    let mut tried_spill = false;
-    loop {
-        match exec::execute(
-            program,
-            facts,
-            graph,
-            graph_value,
-            groups,
-            bindings,
-            precomputed,
-            device,
-            rngs,
-        ) {
-            Ok(out) => return Ok(out),
-            Err(e) if e.is_transient() && retries < policy.max_retries => {
-                // A fired cancel token outranks the retry budget: restore
-                // the RNG (a later rerun of this execution is bit-identical
-                // to a clean run) and surface the cancellation, not the
-                // fault it interrupted.
-                if let Some(cause) = gsampler_runtime::cancel::poll() {
-                    rngs.clone_from_slice(&checkpoint);
-                    return Err(Error::from_cancel(cause));
-                }
-                retries += 1;
-                device.note_faults(|f| f.kernel_retries += 1);
-                gsampler_obs::event(
-                    "fault",
-                    "retry",
-                    &[("attempt", gsampler_obs::Arg::from(retries as f64))],
-                );
-                if policy.backoff_ms > 0 {
-                    // Deterministic exponential backoff: no jitter, so the
-                    // recovery *behavior* is a pure function of the fault
-                    // schedule (only wall time varies).
-                    let shift = (retries - 1).min(16);
-                    let backoff = std::time::Duration::from_millis(policy.backoff_ms << shift);
-                    // Deadline-aware rung skip: backoff the remaining
-                    // budget cannot afford is not spent — the retry is
-                    // shed and the deadline surfaced now, so a request
-                    // near its deadline fails in microseconds instead of
-                    // burning the tail on sleeps it can never recover.
-                    match gsampler_runtime::cancel::remaining() {
-                        Some(rem) if rem < backoff => {
-                            device.note_faults(|f| f.deadline_shed_retries += 1);
-                            gsampler_obs::event(
-                                "deadline",
-                                "shed_retry",
-                                &[
-                                    (
-                                        "backoff_ms",
-                                        gsampler_obs::Arg::from(backoff.as_millis() as f64),
-                                    ),
-                                    (
-                                        "remaining_ms",
-                                        gsampler_obs::Arg::from(rem.as_millis() as f64),
-                                    ),
-                                ],
-                            );
-                            rngs.clone_from_slice(&checkpoint);
-                            let budget_ms = gsampler_runtime::cancel::current()
-                                .and_then(|t| t.budget_ms())
-                                .unwrap_or(0);
-                            return Err(Error::DeadlineExceeded {
-                                budget_ms,
-                                elapsed_ms: budget_ms.saturating_sub(rem.as_millis() as u64),
-                            });
-                        }
-                        _ => std::thread::sleep(backoff),
-                    }
-                }
-                rngs.clone_from_slice(&checkpoint);
-            }
-            Err(Error::Oom(oom))
-                if policy.allow_degrade
-                    && groups.len() <= 1
-                    && !tried_spill
-                    && !device.spill_enabled() =>
-            {
-                // Bottom rung of the ladder: per-minibatch execution still
-                // does not fit, so stream over-budget values host-side at
-                // PCIe cost (gSampler §4.5's UVA fallback) and re-run.
-                tried_spill = true;
-                device.enter_spill();
-                device.note_faults(|f| f.degrade_steps += 1);
-                gsampler_obs::event(
-                    "degrade",
-                    "streaming",
-                    &[(
-                        "requested_bytes",
-                        gsampler_obs::Arg::from(oom.requested as f64),
-                    )],
-                );
-                rngs.clone_from_slice(&checkpoint);
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    pub(crate) plan_db_stats: PlanDbStats,
 }
 
 /// Compile `layers` for `graph` under `config`.
@@ -542,6 +349,13 @@ impl Sampler {
         self.sample_batch_seeded(frontiers, bindings, 0)
     }
 
+    /// The RNG stream `stream` of this sampler's seed: what
+    /// [`Sampler::sample_batch_seeded`] draws from, and what a caller
+    /// packing requests onto [`Sampler::sample_groups`] hands each group.
+    pub fn stream(&self, stream: u64) -> StdRng {
+        self.pool.stream(stream)
+    }
+
     /// Sample one mini-batch on an explicit RNG stream; drivers that call
     /// the sampler repeatedly (random walks, bandit updates) vary the
     /// stream per step to get independent draws while staying
@@ -552,7 +366,7 @@ impl Sampler {
         bindings: &Bindings,
         stream: u64,
     ) -> Result<GraphSample> {
-        let mut rng = self.pool.stream(stream);
+        let mut rng = self.stream(stream);
         let mut samples = self.sample_groups(
             vec![frontiers.to_vec()],
             bindings,
@@ -572,8 +386,8 @@ impl Sampler {
     /// Runs under the configured [`RecoveryPolicy`]: transient faults are
     /// retried (bit-identically — the RNGs are checkpointed per layer
     /// execution), and single-group memory pressure falls back to the
-    /// streaming layout. Multi-group OOM propagates so the epoch driver
-    /// can walk the super-batch degradation ladder instead.
+    /// streaming layout. Multi-group OOM propagates so that
+    /// [`Sampler::window`] can halve the super-batch instead.
     pub fn sample_groups(
         &self,
         mut groups: Vec<Vec<NodeId>>,
@@ -651,204 +465,4 @@ impl Sampler {
             * gsampler_engine::UVA_TRANSACTION_FACTOR;
         (base + tail_staging) as u64
     }
-
-    /// Run one epoch: go through `seeds` once in mini-batches of the
-    /// configured size, sampling `super_batch` batches per execution
-    /// ([`Sampler::drive_epoch`] is the window loop). `consume` is called
-    /// once per mini-batch with its sample. Mini-batch `b` always draws
-    /// from `pool.subpool(epoch).stream(b)`, so super-batched, degraded
-    /// and quarantining epochs deliver the plain factor-1 epoch's samples.
-    pub fn run_epoch_with(
-        &self,
-        seeds: &[NodeId],
-        bindings: &Bindings,
-        epoch: u64,
-        consume: impl FnMut(usize, GraphSample),
-    ) -> Result<EpochReport> {
-        self.drive_epoch(
-            seeds,
-            epoch,
-            |groups, rngs| self.sample_groups(groups, bindings, rngs),
-            consume,
-        )
-    }
-
-    /// The epoch driver: cut `seeds` into mini-batches of the configured
-    /// size and hand `run_window` up to `super_batch` of them at a time,
-    /// as one frontier group per batch plus one RNG stream per group —
-    /// batch `b`'s is always `pool.subpool(epoch).stream(b)`, however
-    /// windows are regrouped. `run_window` returns one item per group,
-    /// each passed to `consume` with its mini-batch index.
-    ///
-    /// Epochs are checkpointed per window: a failed window is re-executed
-    /// — walking the degradation ladder (halve the factor → per-minibatch
-    /// execution → streaming layout) under memory pressure — without
-    /// redoing batches that already succeeded. Windows that exhaust the
-    /// [`RecoveryPolicy`] are quarantined (skipped, counted in the
-    /// [`FaultReport`]) when the policy allows, and fail the epoch
-    /// otherwise. Mini-batch indices stay stable across quarantines.
-    pub fn drive_epoch<T>(
-        &self,
-        seeds: &[NodeId],
-        epoch: u64,
-        mut run_window: impl FnMut(Vec<Vec<NodeId>>, &mut [StdRng]) -> Result<Vec<T>>,
-        mut consume: impl FnMut(usize, T),
-    ) -> Result<EpochReport> {
-        self.device.reset();
-        let mut epoch_span = gsampler_obs::span("epoch", "run_epoch");
-        epoch_span.arg("epoch", epoch);
-        epoch_span.arg("seeds", seeds.len());
-        epoch_span.arg("super_batch", self.super_batch);
-        // Deadline plane: arm the caller's token (or a fresh one) with the
-        // per-epoch budget and install it as this thread's current token.
-        // Every kernel dispatch and pool chunk claim below polls it; pool
-        // workers inherit it through the dispatched job. With neither a
-        // deadline nor a caller token, nothing is installed and any
-        // enclosing scope (e.g. a serving request) stays in effect.
-        let token = match (&self.config.cancel, self.config.deadline) {
-            (Some(t), d) => {
-                if let Some(d) = d {
-                    t.arm_deadline(d);
-                }
-                Some(t.clone())
-            }
-            (None, Some(d)) => Some(gsampler_runtime::CancelToken::with_deadline(d)),
-            (None, None) => None,
-        };
-        let _cancel_scope = token
-            .as_ref()
-            .map(|t| gsampler_runtime::cancel::scope(t.clone()));
-        if let Some(d) = self.config.deadline {
-            gsampler_obs::event(
-                "deadline",
-                "set",
-                &[("budget_ms", gsampler_obs::Arg::from(d.as_millis() as f64))],
-            );
-        }
-        let wall_start = Instant::now();
-        let batch = self.config.batch_size.max(1);
-        let policy = &self.config.recovery;
-        let pool = self.pool.subpool(epoch);
-        let mut factor = self.super_batch.max(1);
-        let mut batch_idx = 0usize;
-        let mut start = 0usize;
-        while start < seeds.len() {
-            // Window boundary is the coarse cancellation check point: RNG
-            // streams are derived fresh per batch, so stopping here needs
-            // no RNG restore — a rerun replays the remaining batches
-            // bit-identically.
-            if let Some(cause) = gsampler_runtime::cancel::poll() {
-                return Err(note_stop(Error::from_cancel(cause)));
-            }
-            // Collect up to `factor` equal-sized groups; `start` is only
-            // committed once the window succeeds (or is quarantined).
-            let mut groups: Vec<Vec<NodeId>> = Vec::new();
-            let mut end = start;
-            while groups.len() < factor && end < seeds.len() {
-                let stop = (end + batch).min(seeds.len());
-                groups.push(seeds[end..stop].to_vec());
-                end = stop;
-            }
-            let window_batches = groups.len();
-            let mut rngs: Vec<StdRng> = (batch_idx..batch_idx + window_batches)
-                .map(|b| pool.stream(b as u64))
-                .collect();
-            match run_window(groups, &mut rngs) {
-                Ok(samples) => {
-                    start = end;
-                    for sample in samples {
-                        consume(batch_idx, sample);
-                        batch_idx += 1;
-                    }
-                }
-                Err(e) if e.is_oom() && policy.allow_degrade && factor > 1 => {
-                    // Degradation ladder: halve the super-batch factor and
-                    // re-execute the same seed window regrouped. Factor 1
-                    // windows that still do not fit take the streaming
-                    // rung inside `sample_groups`.
-                    let from = factor;
-                    factor = (factor / 2).max(1);
-                    self.device.note_faults(|f| {
-                        f.degrade_steps += 1;
-                        f.batch_retries += 1;
-                    });
-                    gsampler_obs::event(
-                        "degrade",
-                        "superbatch.factor",
-                        &[
-                            ("from", gsampler_obs::Arg::from(from as f64)),
-                            ("to", gsampler_obs::Arg::from(factor as f64)),
-                        ],
-                    );
-                }
-                Err(e) if policy.quarantine && !e.is_cancelled() => {
-                    // The window exhausted retries and degradation: skip it,
-                    // keep the epoch alive. Batch numbering stays stable —
-                    // the skipped indices are simply never given to
-                    // `consume`.
-                    self.device
-                        .note_faults(|f| f.quarantined_batches += window_batches as u64);
-                    gsampler_obs::event(
-                        "degrade",
-                        "quarantine",
-                        &[
-                            ("batches", gsampler_obs::Arg::from(window_batches as f64)),
-                            ("error", gsampler_obs::Arg::from(e.to_string())),
-                        ],
-                    );
-                    start = end;
-                    batch_idx += window_batches;
-                }
-                Err(e) => return Err(note_stop(e)),
-            }
-        }
-        epoch_span.arg("final_super_batch", factor);
-        let mut stats = self.device.stats();
-        // Compile-time counters survive the per-epoch device reset.
-        stats.plan_db = self.plan_db_stats;
-        Ok(EpochReport {
-            modeled_time: stats.total_time,
-            wall_time: wall_start.elapsed().as_secs_f64(),
-            batches: batch_idx,
-            faults: stats.faults,
-            stats,
-            memory: self.device.memory(),
-            super_batch: self.super_batch,
-        })
-    }
-
-    /// Run one epoch, discarding the samples (pure timing runs).
-    pub fn run_epoch(
-        &self,
-        seeds: &[NodeId],
-        bindings: &Bindings,
-        epoch: u64,
-    ) -> Result<EpochReport> {
-        self.run_epoch_with(seeds, bindings, epoch, |_, _| {})
-    }
-}
-
-/// Trace why an epoch stopped early (deadline or cancel) and pass the
-/// error through.
-fn note_stop(e: Error) -> Error {
-    match &e {
-        Error::DeadlineExceeded {
-            budget_ms,
-            elapsed_ms,
-        } => gsampler_obs::event(
-            "deadline",
-            "exceeded",
-            &[
-                ("budget_ms", gsampler_obs::Arg::from(*budget_ms as f64)),
-                ("elapsed_ms", gsampler_obs::Arg::from(*elapsed_ms as f64)),
-            ],
-        ),
-        Error::Cancelled(_) => gsampler_obs::event(
-            "cancel",
-            "fired",
-            &[("error", gsampler_obs::Arg::from(e.to_string()))],
-        ),
-        _ => {}
-    }
-    e
 }

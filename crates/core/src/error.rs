@@ -1,7 +1,7 @@
 //! Error type of the public API.
 
 /// Errors surfaced by compiling or executing sampling programs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Error {
     /// A matrix kernel failed (shape/bounds/probability violations).
     Matrix(gsampler_matrix::Error),

@@ -29,12 +29,12 @@ use gsampler_ir::{Op, Program, Varies};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::compile::{execute_recovering, RecoveryPolicy};
 use crate::error::Result;
 use crate::exec::Bindings;
 use crate::graph::Graph;
 use crate::kernels::{self, ExecCtx};
 use crate::value::Value;
+use crate::window::{execute_recovering, RecoveryPolicy};
 
 /// A layer's precompute program with the memo of its outputs. Layers with
 /// equal precompute programs, and samplers that share a plan-database

@@ -54,16 +54,16 @@ pub mod multi_gpu;
 mod plandb;
 pub mod session_rng;
 pub mod value;
+pub mod window;
 
-pub use compile::{
-    compile, CompiledLayer, EpochReport, GraphSample, RecoveryPolicy, Sampler, SamplerConfig,
-};
+pub use compile::{compile, CompiledLayer, GraphSample, Sampler, SamplerConfig};
 pub use error::{Error, Result};
 pub use exec::Bindings;
 pub use graph::Graph;
 pub use multi_gpu::{MultiGpuReport, MultiGpuSampler};
 pub use plandb::PlanDb;
 pub use value::Value;
+pub use window::{EpochReport, RecoveryPolicy};
 
 // Re-export the configuration surface users need alongside the API.
 pub use gsampler_engine::{DeviceProfile, PlanDbStats, Residency};

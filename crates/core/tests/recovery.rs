@@ -1,6 +1,6 @@
 //! Fault-recovery tests for the epoch drivers: bounded retry for
 //! transient kernel faults, the super-batch degradation ladder under
-//! memory pressure, quarantine of unrecoverable windows, and the
+//! memory pressure, quarantine of unrecoverable batches, and the
 //! determinism contract: a batch's RNG stream depends on its index only,
 //! so retried, degraded and quarantine-surviving batches are all
 //! bit-identical to the clean run's.
@@ -156,8 +156,9 @@ fn exhausted_retries_fail_the_epoch_unless_quarantined() {
     assert!(report.faults.kernel_retries >= 4);
     faults::clear();
 
-    // One unrecoverable window out of two: the survivors are exactly the
-    // clean run's batches, under their clean-run indices.
+    // One unrecoverable batch: the window of two fails, each of its
+    // batches reruns alone, and the first fails again. The survivors are
+    // exactly the clean run's batches, under their clean-run indices.
     let fail_fast = compile(
         graph(),
         vec![sage_layer(3)],
@@ -172,10 +173,10 @@ fn exhausted_retries_fail_the_epoch_unless_quarantined() {
     )
     .unwrap();
     let (clean, _) = run_epoch_fingerprints(&fail_fast, &seeds, 0);
-    faults::install(FaultSpec::parse("kernel:at=1").unwrap());
+    faults::install(FaultSpec::parse("kernel:every=1,count=2").unwrap());
     let (survivors, report) = run_epoch_fingerprints(&fail_fast, &seeds, 0);
-    assert_eq!(report.faults.quarantined_batches, 2, "the first window");
-    assert_eq!(survivors, clean[2..], "survivors must equal the clean run");
+    assert_eq!(report.faults.quarantined_batches, 1, "the first batch");
+    assert_eq!(survivors, clean[1..], "survivors must equal the clean run");
     faults::clear();
 }
 

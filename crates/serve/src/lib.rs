@@ -20,10 +20,11 @@
 //!   heterogeneous request sizes), then scatters per-tenant results back
 //!   out exactly. One RNG stream per group keeps each tenant's draws a
 //!   pure function of its own seed and stream.
-//! - **Fault isolation**: an injected fault (e.g. OOM) against one tenant
-//!   runs that request solo under the engine's recovery policy and, if
-//!   recovery is exhausted, quarantines only that session — co-tenants'
-//!   outputs stay bit-identical to a fault-free run.
+//! - **Fault isolation**: a pack is one `Sampler::window`, so a failed
+//!   pack is split by the core's one recovery ladder (halve on OOM, one
+//!   run per member otherwise) and a member that still fails quarantines
+//!   only its own session; an injected fault runs its request alone.
+//!   Co-tenants' outputs stay bit-identical to a fault-free run.
 //!
 //! Per-tenant latency, throughput, and queue-depth counters surface both
 //! through [`EpochServer::snapshot`] and as `serve/*` trace events via

@@ -13,8 +13,11 @@
 //!   [`Sampler::pack_exact`] (every output provably scatters back
 //!   exactly);
 //! - [`Sampler::sample_groups`] gives every group its own RNG stream:
-//!   group `b` draws only from that tenant's own `RngPool` stream, the
-//!   same stream a solo call would use.
+//!   group `b` draws only from its tenant's `Sampler::stream`, the
+//!   stream a solo call would use;
+//! - a pack runs as one `Sampler::window`, whose recovery ladder (halve
+//!   on memory pressure, one run per member on any other failure) restarts
+//!   every rung from those streams.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,9 +220,9 @@ impl EpochServer {
     }
 
     /// Submit a sampling request: `tenant` samples one mini-batch from
-    /// `seeds` on RNG stream `stream`. The reply is bit-identical to
-    /// `session.sampler.sample_batch_seeded(&seeds, &Bindings::new(),
-    /// stream)` run alone.
+    /// `seeds` on RNG stream `stream`. The reply is bit-identical to the
+    /// tenant's own sampler's `sample_batch_seeded` of `seeds` on `stream`
+    /// with no bindings, run alone.
     pub fn submit(&self, tenant: &str, seeds: Vec<NodeId>, stream: u64) -> Result<Ticket> {
         self.submit_with_deadline(tenant, seeds, stream, self.inner.config.default_deadline)
     }
@@ -354,11 +357,7 @@ impl EpochServer {
         };
         let n = drained.len();
         for request in drained {
-            let tenant = request.session.spec.name.clone();
-            let _ = request.reply.send(Err(ServeError::Drained));
-            self.inner.admission.release(request.bytes);
-            self.inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            self.inner.metrics.note_failed(&tenant);
+            finish(&self.inner, request, Err(ServeError::Drained), false);
         }
         if n > 0 {
             gsampler_obs::event(
@@ -443,11 +442,7 @@ impl EpochServer {
             let mut queue = self.inner.queue.lock().unwrap();
             queue.shutdown = true;
             for request in queue.items.drain(..) {
-                let tenant = request.session.spec.name.clone();
-                let _ = request.reply.send(Err(ServeError::Shutdown));
-                self.inner.admission.release(request.bytes);
-                self.inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                self.inner.metrics.note_failed(&tenant);
+                finish(&self.inner, request, Err(ServeError::Shutdown), false);
             }
         }
         self.inner.queue_cv.notify_all();
@@ -499,7 +494,7 @@ fn run_batch(inner: &Inner, batch: Vec<QueuedRequest>) {
             .deadline
             .is_some_and(|(expiry, _)| Instant::now() >= expiry)
         {
-            shed(inner, request);
+            deadline_missed(inner, request, true);
             continue;
         }
         let tenant = request.session.spec.name.clone();
@@ -520,32 +515,23 @@ fn run_batch(inner: &Inner, batch: Vec<QueuedRequest>) {
     for (_, mut members) in keyed {
         while !members.is_empty() {
             let take = members.len().min(inner.config.max_pack.max(1));
-            let chunk: Vec<QueuedRequest> = members.drain(..take).collect();
-            if chunk.len() == 1 {
-                for request in chunk {
-                    run_solo(inner, request, None);
-                }
-            } else {
-                run_packed(inner, chunk);
-            }
+            run_chunk(inner, members.drain(..take).collect(), None);
         }
     }
     for (request, fault) in solo {
-        run_solo(inner, request, fault);
+        run_chunk(inner, vec![request], fault);
     }
 }
 
-/// Execute a packed group as one block-diagonal super-batch on the first
-/// member's sampler (all members compiled structurally identical plans),
-/// with one independent RNG stream per member. Falls back to solo runs if
-/// the packed execution fails — per-group RNG isolation means the
-/// fallback is still bit-identical for every member.
-/// Reply [`ServeError::DeadlineExceeded`] to a request that expired
-/// before (or without) running, and release its reservation.
-fn shed(inner: &Inner, request: QueuedRequest) {
+/// Reply [`ServeError::DeadlineExceeded`] to a request whose deadline
+/// passed, before it ran (`shed`) or during its run, and release its
+/// reservation. A miss is a latency event, not a fault: it never
+/// quarantines, and the reply carries the original budget so the client
+/// can tell shed from slow.
+fn deadline_missed(inner: &Inner, request: QueuedRequest, shed: bool) {
     let tenant = request.session.spec.name.clone();
     let budget_ms = request.deadline.map_or(0, |(_, b)| b);
-    inner.metrics.note_deadline_missed(&tenant, true);
+    inner.metrics.note_deadline_missed(&tenant, shed);
     inner.release(&request);
     let _ = request.reply.send(Err(ServeError::DeadlineExceeded {
         tenant,
@@ -554,132 +540,75 @@ fn shed(inner: &Inner, request: QueuedRequest) {
     }));
 }
 
-/// The cancel token for one execution covering `deadlines` (the earliest
-/// expiry wins), installed as the scheduler thread's current token so
-/// kernels and pool workers under this run poll it.
-fn deadline_token(
-    deadlines: impl Iterator<Item = Option<(Instant, u64)>>,
-) -> Option<gsampler_runtime::CancelToken> {
-    let earliest = deadlines.flatten().map(|(e, _)| e).min()?;
-    Some(gsampler_runtime::CancelToken::with_deadline(
-        earliest.saturating_duration_since(Instant::now()),
-    ))
-}
-
-fn run_packed(inner: &Inner, group: Vec<QueuedRequest>) {
-    let executor = Arc::clone(&group[0].session.sampler);
-    let seeds: Vec<Vec<NodeId>> = group.iter().map(|r| r.seeds.clone()).collect();
-    let mut rngs: Vec<rand::rngs::StdRng> = group
-        .iter()
-        .map(|r| r.session.pool.stream(r.stream))
+/// Serve `chunk` — one request, or a pack of requests whose sessions
+/// compiled structurally identical plans — as one window on the first
+/// member's sampler, each member on its own session's RNG stream, so
+/// every reply is the member's solo sample however the window ran. A
+/// failed pack is split by `Sampler::window`'s ladder; the run it makes
+/// for one member alone sheds that member if it already expired.
+/// `fault` is installed around a lone request's run (the scheduler is
+/// single-threaded, so the process-global fault plane touches exactly
+/// that request).
+fn run_chunk(inner: &Inner, chunk: Vec<QueuedRequest>, fault: Option<FaultSpec>) {
+    if chunk.len() > 1 {
+        let tenants: Vec<&str> = chunk.iter().map(|r| r.session.spec.name.as_str()).collect();
+        gsampler_obs::event(
+            "serve",
+            "pack",
+            &[
+                ("size", gsampler_obs::Arg::from(chunk.len())),
+                ("tenants", gsampler_obs::Arg::Str(tenants.join(","))),
+            ],
+        );
+    }
+    let executor = Arc::clone(&chunk[0].session.sampler);
+    let rngs: Vec<_> = (chunk.iter())
+        .map(|r| r.session.sampler.stream(r.stream))
         .collect();
-    gsampler_obs::event(
-        "serve",
-        "pack",
-        &[
-            ("size", gsampler_obs::Arg::from(group.len())),
-            (
-                "tenants",
-                gsampler_obs::Arg::Str(
-                    group
-                        .iter()
-                        .map(|r| r.session.spec.name.as_str())
-                        .collect::<Vec<_>>()
-                        .join(","),
-                ),
-            ),
-        ],
-    );
-    let result = {
-        // Earliest member deadline bounds the whole pack; a mid-run expiry
-        // aborts the packed execution and each member retries solo below,
-        // where expired members shed and live ones run bit-identically
-        // (per-group RNG isolation makes the fallback invisible).
-        let token = deadline_token(group.iter().map(|r| r.deadline));
-        let _scope = token
-            .as_ref()
-            .map(|t| gsampler_runtime::cancel::scope(t.clone()));
-        executor.sample_groups(seeds, &Bindings::new(), &mut rngs)
-    };
-    match result {
-        Ok(samples) => {
-            for (request, sample) in group.into_iter().zip(samples) {
-                finish(inner, request, Ok(sample), true);
-            }
-        }
-        Err(_) => {
-            for request in group {
-                run_solo(inner, request, None);
-            }
-        }
-    }
-}
-
-/// Execute one request alone on its own session, optionally with a
-/// one-shot fault installed around it (the scheduler is single-threaded,
-/// so the process-global fault plane touches exactly this request).
-fn run_solo(inner: &Inner, request: QueuedRequest, fault: Option<FaultSpec>) {
-    // The packed→solo fallback can arrive here after the deadline that
-    // aborted the pack; shed instead of starting a run that cannot finish.
-    if request
-        .deadline
-        .is_some_and(|(expiry, _)| Instant::now() >= expiry)
-    {
-        shed(inner, request);
-        return;
-    }
+    let mut unrun = vec![false; chunk.len()];
     let injected = fault.is_some();
     if let Some(spec) = fault {
         faults::install(spec);
     }
-    let result = {
-        let token = deadline_token(std::iter::once(request.deadline));
-        let _scope = token
-            .as_ref()
-            .map(|t| gsampler_runtime::cancel::scope(t.clone()));
-        request.session.sampler.sample_batch_seeded(
-            &request.seeds,
-            &Bindings::new(),
-            request.stream,
-        )
-    };
+    let mut factor = chunk.len();
+    let results = executor.window(&rngs, &mut factor, |idx, rngs| {
+        if let [g] = *idx {
+            if let Some((_, budget_ms)) = chunk[g].deadline.filter(|&(e, _)| Instant::now() >= e) {
+                unrun[g] = true;
+                let elapsed_ms = chunk[g].submitted_at.elapsed().as_millis() as u64;
+                return Err(gsampler_core::Error::DeadlineExceeded {
+                    budget_ms,
+                    elapsed_ms,
+                });
+            }
+        }
+        // The earliest member deadline bounds the run; a pack it cancels
+        // falls to one run per member, under each member's own deadline.
+        let earliest = idx.iter().filter_map(|&g| chunk[g].deadline).min();
+        let _scope = earliest.map(|(expiry, _)| {
+            let left = expiry.saturating_duration_since(Instant::now());
+            gsampler_runtime::cancel::scope(gsampler_runtime::CancelToken::with_deadline(left))
+        });
+        let seeds = idx.iter().map(|&g| chunk[g].seeds.clone()).collect();
+        let samples = executor.sample_groups(seeds, &Bindings::new(), rngs)?;
+        Ok(samples.into_iter().map(|s| (s, idx.len() > 1)).collect())
+    });
     if injected {
         faults::clear();
     }
-    match result {
-        Ok(sample) => finish(inner, request, Ok(sample), false),
-        Err(e) if e.is_cancelled() => {
-            // Deadline expiry mid-execution: a latency event, not a fault
-            // — no quarantine, and the typed reply carries the original
-            // budget so the client can distinguish shed from slow.
-            let tenant = request.session.spec.name.clone();
-            let budget_ms = request.deadline.map_or(0, |(_, b)| b);
-            inner.metrics.note_deadline_missed(&tenant, false);
-            inner.release(&request);
-            let _ = request.reply.send(Err(ServeError::DeadlineExceeded {
-                tenant,
-                budget_ms,
-                elapsed_ms: request.submitted_at.elapsed().as_millis() as u64,
-            }));
-        }
-        Err(e) => {
-            if inner.config.recovery.quarantine {
-                request.session.quarantine();
-                gsampler_obs::event(
-                    "serve",
-                    "quarantine",
-                    &[(
-                        "tenant",
-                        gsampler_obs::Arg::Str(request.session.spec.name.clone()),
-                    )],
-                );
+    for ((request, result), unrun) in chunk.into_iter().zip(results).zip(unrun) {
+        match result {
+            Ok((sample, batched)) => finish(inner, request, Ok(sample), batched),
+            Err(e) if e.is_cancelled() => deadline_missed(inner, request, unrun),
+            Err(e) => {
+                if inner.config.recovery.quarantine {
+                    request.session.quarantine();
+                    let tenant = gsampler_obs::Arg::Str(request.session.spec.name.clone());
+                    gsampler_obs::event("serve", "quarantine", &[("tenant", tenant)]);
+                }
+                let reply = Err(ServeError::Execution(e.to_string()));
+                finish(inner, request, reply, false);
             }
-            finish(
-                inner,
-                request,
-                Err(ServeError::Execution(e.to_string())),
-                false,
-            );
         }
     }
 }

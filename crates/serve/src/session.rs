@@ -9,7 +9,6 @@ use std::sync::Arc;
 use gsampler_algos::nodewise;
 use gsampler_core::builder::Layer;
 use gsampler_core::{compile, Graph, OptConfig, PlanDb, Sampler, SamplerConfig};
-use gsampler_engine::RngPool;
 
 use crate::error::{Result, ServeError};
 use crate::server::ServeConfig;
@@ -81,11 +80,10 @@ pub struct Session {
     /// The registration this session was built from.
     pub spec: TenantSpec,
     /// The tenant's compiled sampler (own seed, own device session).
+    /// Request `stream` draws from `sampler.stream(stream)`, the stream
+    /// `sample_batch_seeded` uses, so a served reply is bit-identical to a
+    /// direct call.
     pub sampler: Arc<Sampler>,
-    /// Per-tenant RNG streams: request `stream` draws from
-    /// `pool.stream(stream)` — exactly what `sample_batch_seeded` would
-    /// use, so served output is bit-identical to a direct call.
-    pub pool: RngPool,
     /// Set when the recovery policy quarantines the session; subsequent
     /// requests are rejected with a typed error.
     pub quarantined: AtomicBool,
@@ -115,11 +113,9 @@ impl Session {
         };
         let sampler = compile(graph, spec.algorithm.layers(), sampler_config)
             .map_err(|e| ServeError::Compile(format!("{}: {e}", spec.name)))?;
-        let pool = RngPool::new(spec.seed);
         Ok(Session {
             spec,
             sampler: Arc::new(sampler),
-            pool,
             quarantined: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
         })

@@ -311,13 +311,13 @@ fn a_tenant_sessions_stats_do_not_grow_with_its_requests() {
     .unwrap();
     let serve = |requests: std::ops::Range<u64>| {
         for r in requests {
-            // `run_solo`'s call, then `run_packed`'s.
+            // A lone request's run, then a two-request pack's.
             let solo =
                 session
                     .sampler
                     .sample_batch_seeded(&seeds_for(0, r, n), &Bindings::new(), r);
             solo.expect("solo request");
-            let mut rngs = vec![session.pool.stream(r), session.pool.stream(r + 1)];
+            let mut rngs = vec![session.sampler.stream(r), session.sampler.stream(r + 1)];
             let groups = vec![seeds_for(1, r, n), seeds_for(2, r, n)];
             let packed = session
                 .sampler
