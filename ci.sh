@@ -209,6 +209,16 @@ test "$(echo "$SERVE_SRC" | grep -c 'sample_groups(')" -eq 1
 test "$(grep -rl 'fn execute_recovering\|degrade_steps += 1' crates/*/src src)" = \
     crates/core/src/window.rs
 test "$(non_test crates/core/src/compile.rs | wc -l)" -le 500
+# One program identity: CSE, the plan key and hoist sharing decide "the
+# same" by `gsampler_ir::identity` (the `Debug` rendering), so no operator
+# byte fold, no canonical fingerprint (what is left of `fingerprint` is a
+# digest of the rendering) and no collision check beside the key. No IR
+# operator that nothing emits.
+test -z "$(grep -rn 'fn fold_identity' crates/ir/src)"
+test "$(grep -A1 'pub fn fingerprint' crates/ir/src/program.rs | grep -c 'format!("{self:?}")')" -eq 1
+test "$(grep -l '[^_a-z]identity(' crates/ir/src/program.rs crates/core/src/plandb.rs crates/core/src/compile.rs | wc -l)" -eq 3
+test -z "$(grep -rn 'CompactCols\|ReduceAll' crates/*/src)"
+test "$(non_test crates/core/src/plandb.rs | wc -l)" -le 240
 
 # --- Repo benchmark smoke -------------------------------------------------
 # The standalone benchmark package (benchmark/, BENCHMARK.json) at smoke

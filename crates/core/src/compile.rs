@@ -7,6 +7,7 @@
 //! session records modeled time, memory, and SM utilization. Epochs and
 //! recovery are [`crate::window`]'s.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use gsampler_engine::{Device, DeviceProfile, PlanDbStats, RngPool};
@@ -100,8 +101,9 @@ pub struct CompiledLayer {
     /// hit reuses the compiling sampler's copy without a deep clone).
     pub optimized: Arc<OptimizedProgram>,
     /// The precompute program and the memo of the values filling the
-    /// program's `Precomputed` slots (shared by layers with equal
-    /// precompute programs and by plan-database hits).
+    /// program's `Precomputed` slots (shared by layers whose precompute
+    /// programs have one [`gsampler_ir::identity`] and by plan-database
+    /// hits).
     pub hoist: Arc<Hoist>,
 }
 
@@ -148,19 +150,17 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
         .plan_db
         .as_deref()
         .map(|db| (db, PlanKey::new(&graph, &layers, &config)));
-    let cached = keyed
-        .as_ref()
-        .and_then(|(db, key)| db.lookup(key, &graph, &layers));
+    let cached = keyed.as_ref().and_then(|(db, key)| db.lookup(key.as_ref()));
     let (compiled, super_batch) = match cached {
         Some(plan) => {
             plan_db_stats.hits = 1;
             let compiled = layers
                 .into_iter()
                 .zip(&plan.layers)
-                .map(|(layer, p)| CompiledLayer {
+                .map(|(layer, (optimized, hoist))| CompiledLayer {
                     layer,
-                    optimized: p.optimized.clone(),
-                    hoist: p.hoist.clone(),
+                    optimized: optimized.clone(),
+                    hoist: hoist.clone(),
                 })
                 .collect();
             (compiled, plan.super_batch)
@@ -172,8 +172,9 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
                 plan_db_stats.misses = 1;
                 // Never record a degraded compile: one that landed on the
                 // streaming rung planned under memory pressure, and handing
-                // it to a healthy compile would bake the degradation in.
-                if !device.spill_enabled() {
+                // it to a healthy compile would bake the degradation in. A
+                // compile without a key has nowhere to go.
+                if let Some(key) = key.filter(|_| !device.spill_enabled()) {
                     let plan = Arc::new(CompiledPlan::new(&graph, &compiled, super_batch));
                     plan_db_stats.inserts = 1;
                     plan_db_stats.evictions = db.insert(key, plan);
@@ -216,6 +217,7 @@ fn plan_layers(
 ) -> Result<(Vec<CompiledLayer>, usize)> {
     let stats = graph.stats();
     let mut compiled: Vec<CompiledLayer> = Vec::with_capacity(layers.len());
+    let mut shared: HashMap<String, Arc<Hoist>> = HashMap::new();
     for layer in layers {
         layer.program.validate().map_err(Error::InvalidProgram)?;
         let optimized = Arc::new(run_passes(
@@ -227,18 +229,20 @@ fn plan_layers(
             graph.residency,
         ));
         // One memo per distinct precompute program: a layer whose program
-        // equals an earlier layer's shares its values (LADIES' `A ** 2`,
-        // PASS's projections). One that reads only the graph is filled now.
-        let earlier = compiled
-            .iter()
-            .find(|c| c.optimized.precompute == optimized.precompute);
-        let hoist = match earlier {
-            Some(earlier) => earlier.hoist.clone(),
+        // has an earlier layer's identity shares its values (LADIES' `A **
+        // 2`, PASS's projections). One that reads only the graph is filled
+        // now.
+        let identity = gsampler_ir::identity(&optimized.precompute);
+        let hoist = match identity.as_ref().and_then(|id| shared.get(id)) {
+            Some(earlier) => earlier.clone(),
             None => {
                 let hoist = Arc::new(Hoist::new(&optimized));
                 if !hoist.reads_bindings() {
                     let none = Bindings::new();
                     hoist.values(graph, graph_value, &none, &config.recovery, device)?;
+                }
+                if let Some(id) = identity {
+                    shared.insert(id, hoist.clone());
                 }
                 hoist
             }

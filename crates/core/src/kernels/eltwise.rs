@@ -238,10 +238,6 @@ pub(super) fn run(
             let m = want_matrix(inputs[0], "reduce")?;
             Ok(Value::Vector(reduce::reduce(&m.data, *o, *axis)))
         }
-        Op::ReduceAll(o) => {
-            let m = want_matrix(inputs[0], "reduce_all")?;
-            Ok(Value::Scalar(reduce::reduce_all(&m.data, *o)))
-        }
         Op::VectorOp(o) => {
             let a = want_vector(inputs[0], "vector_op")?;
             let b = want_vector(inputs[1], "vector_op")?;

@@ -143,7 +143,6 @@ fn resolve(op: &Op) -> (&'static str, RunFn) {
         | Op::FusedExtractCollective { .. }
         | Op::Convert(..)
         | Op::CompactRows
-        | Op::CompactCols
         | Op::RowNodes
         | Op::ColNodes
         | Op::AllRowIds => ("slice_sample", slice_sample::run),
@@ -167,7 +166,6 @@ fn resolve(op: &Op) -> (&'static str, RunFn) {
         | Op::Broadcast(..)
         | Op::SparseElt(..)
         | Op::Reduce(..)
-        | Op::ReduceAll(..)
         | Op::VectorOp(..)
         | Op::VectorScalar(..)
         | Op::VectorSum

@@ -122,10 +122,6 @@ pub(super) fn run(
             let m = want_matrix(inputs[0], "compact_rows")?;
             Ok(Value::Matrix(m.compact_rows()))
         }
-        Op::CompactCols => {
-            let m = want_matrix(inputs[0], "compact_cols")?;
-            Ok(Value::Matrix(m.compact_cols()))
-        }
         Op::RowNodes => {
             let m = want_matrix(inputs[0], "row_nodes")?;
             Ok(Value::Nodes(m.row_nodes()))

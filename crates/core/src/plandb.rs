@@ -21,11 +21,12 @@
 //! transient pressure episode cannot poison later compiles.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use gsampler_engine::PlanDbStats;
-use gsampler_ir::passes::{OptConfig, OptimizedProgram};
-use gsampler_ir::Program;
+use gsampler_ir::passes::OptimizedProgram;
+use gsampler_ir::{identity, Program};
 use gsampler_obs::Arg;
 
 use crate::builder::Layer;
@@ -40,86 +41,53 @@ const CAPACITY: usize = 256;
 /// identical passes, precomputes and searches.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
-    /// FNV-1a fold of every layer's canonical program fingerprint plus each
-    /// compile knob that changes what the planner would decide (pass
-    /// config, batch size, budget, factor cap, residency).
-    fingerprint: u64,
+    /// The [`identity`] of everything planning reads: every layer's source
+    /// program, the pass config, batch size, budget, factor cap, the
+    /// graph's residency and the whole device profile.
+    planning: String,
     /// Address of the graph object. The entry's `Weak<Graph>` keeps that
     /// allocation from being reused, so an equal address *is* the graph
     /// the entry was compiled against.
     graph: usize,
-    /// Device profile name.
-    device: &'static str,
 }
 
 impl PlanKey {
-    pub(crate) fn new(graph: &Arc<Graph>, layers: &[Layer], config: &SamplerConfig) -> PlanKey {
-        const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for layer in layers {
-            fold(&layer.program.fingerprint().to_le_bytes());
-        }
-        // Exhaustive on purpose: a new `OptConfig` field fails to compile
-        // here until it is folded into the key, so two configurations can
-        // never share an entry by omission.
-        let OptConfig {
-            dce,
-            cse,
-            preprocess,
-            fusion,
-            layout,
-            super_batch,
-        } = &config.opt;
-        fold(&[
-            u8::from(*dce),
-            u8::from(*cse),
-            u8::from(*preprocess),
-            u8::from(*fusion),
-        ]);
-        fold(format!("{layout:?}").as_bytes());
-        fold(&(*super_batch as u64).to_le_bytes());
-        fold(&(config.batch_size as u64).to_le_bytes());
-        match config.auto_super_batch_budget {
-            Some(b) => fold(&b.to_bits().to_le_bytes()),
-            None => fold(b"no-budget"),
-        }
-        fold(&(config.max_super_batch as u64).to_le_bytes());
-        fold(format!("{:?}", graph.residency).as_bytes());
-        PlanKey {
-            fingerprint: h,
-            graph: Arc::as_ptr(graph) as usize,
-            device: config.device.name,
-        }
-    }
-
-    fn event(&self, name: &str, extra: &[(&'static str, Arg)]) {
-        if gsampler_obs::is_enabled() {
-            let key = format!(
-                "fp{:016x}/g{:x}/{}",
-                self.fingerprint, self.graph, self.device
-            );
-            let mut args = vec![("key", Arg::Str(key))];
-            args.extend_from_slice(extra);
-            gsampler_obs::event("plan", name, &args);
-        }
+    /// The key of compiling `layers` for `graph` under `config`; `None`
+    /// when those inputs have no identity (a `NaN` among them), so such a
+    /// compile always misses and is never inserted.
+    pub(crate) fn new(
+        graph: &Arc<Graph>,
+        layers: &[Layer],
+        config: &SamplerConfig,
+    ) -> Option<PlanKey> {
+        let programs: Vec<&Program> = layers.iter().map(|l| &l.program).collect();
+        let planning = identity(&(
+            programs,
+            &config.opt,
+            config.batch_size,
+            config.auto_super_batch_budget,
+            config.max_super_batch,
+            graph.residency,
+            &config.device,
+        ))?;
+        let graph = Arc::as_ptr(graph) as usize;
+        Some(PlanKey { planning, graph })
     }
 }
 
-/// One layer of a [`CompiledPlan`].
-pub(crate) struct PlannedLayer {
-    /// The layer's source program, pre-optimization. Equality against the
-    /// incoming program is the guarantee that reusing `optimized` is
-    /// bit-identical to recompiling (fingerprints can collide).
-    source: Program,
-    pub(crate) optimized: Arc<OptimizedProgram>,
-    pub(crate) hoist: Arc<Hoist>,
+/// Emit `plan/<name>` with the key as `<hash of the rendering>/g<graph
+/// address>` (`none` for a compile without one).
+fn event(key: Option<&PlanKey>, name: &str, extra: &[(&'static str, Arg)]) {
+    if gsampler_obs::is_enabled() {
+        let key = key.map_or("none".into(), |k| {
+            let mut h = std::hash::DefaultHasher::new();
+            k.planning.hash(&mut h);
+            format!("{:016x}/g{:x}", h.finish(), k.graph)
+        });
+        let mut args = vec![("key", Arg::Str(key))];
+        args.extend_from_slice(extra);
+        gsampler_obs::event("plan", name, &args);
+    }
 }
 
 /// The cached product of one compile.
@@ -127,7 +95,8 @@ pub(crate) struct CompiledPlan {
     /// The graph this was compiled against; weak, so the database never
     /// keeps a graph alive — an entry whose graph is gone is purged.
     graph: Weak<Graph>,
-    pub(crate) layers: Vec<PlannedLayer>,
+    /// Per layer, the optimized program and the memo of its hoisted values.
+    pub(crate) layers: Vec<(Arc<OptimizedProgram>, Arc<Hoist>)>,
     /// The final super-batch factor.
     pub(crate) super_batch: usize,
 }
@@ -138,30 +107,14 @@ impl CompiledPlan {
         compiled: &[CompiledLayer],
         super_batch: usize,
     ) -> CompiledPlan {
+        let layers = compiled
+            .iter()
+            .map(|c| (c.optimized.clone(), c.hoist.clone()));
         CompiledPlan {
             graph: Arc::downgrade(graph),
-            layers: compiled
-                .iter()
-                .map(|c| PlannedLayer {
-                    source: c.layer.program.clone(),
-                    optimized: c.optimized.clone(),
-                    hoist: c.hoist.clone(),
-                })
-                .collect(),
+            layers: layers.collect(),
             super_batch,
         }
-    }
-
-    /// Whether this is a compile of exactly `layers` against exactly
-    /// `graph` (the object, not an equal one).
-    fn matches(&self, graph: &Arc<Graph>, layers: &[Layer]) -> bool {
-        std::ptr::eq(self.graph.as_ptr(), Arc::as_ptr(graph))
-            && self.layers.len() == layers.len()
-            && self
-                .layers
-                .iter()
-                .zip(layers)
-                .all(|(p, l)| p.source == l.program)
     }
 }
 
@@ -223,25 +176,16 @@ impl PlanDb {
         self.lock().stats
     }
 
-    /// The cached compile of `layers` against `graph` under `key`, if any.
-    /// Counts a hit or a miss and emits the matching `plan/cache.*` event.
-    pub(crate) fn lookup(
-        &self,
-        key: &PlanKey,
-        graph: &Arc<Graph>,
-        layers: &[Layer],
-    ) -> Option<Arc<CompiledPlan>> {
+    /// The cached compile under `key`, if any (never for no key). Counts a
+    /// hit or a miss and emits the matching `plan/cache.*` event.
+    pub(crate) fn lookup(&self, key: Option<&PlanKey>) -> Option<Arc<CompiledPlan>> {
         let mut inner = self.lock();
         inner.clock += 1;
         let now = inner.clock;
-        let hit = inner
-            .entries
-            .get_mut(key)
-            .filter(|e| e.plan.matches(graph, layers))
-            .map(|e| {
-                e.last_used = now;
-                e.plan.clone()
-            });
+        let hit = key.and_then(|k| inner.entries.get_mut(k)).map(|e| {
+            e.last_used = now;
+            e.plan.clone()
+        });
         match hit {
             Some(_) => inner.stats.hits += 1,
             None => inner.stats.misses += 1,
@@ -252,7 +196,7 @@ impl PlanDb {
         } else {
             "cache.miss"
         };
-        key.event(name, &[]);
+        event(key, name, &[]);
         hit
     }
 
@@ -281,7 +225,8 @@ impl PlanDb {
         }
         inner.stats.evictions += evicted;
         drop(inner);
-        key.event(
+        event(
+            Some(&key),
             "cache.insert",
             &[
                 ("evicted", Arg::Num(evicted as f64)),
@@ -321,11 +266,10 @@ mod tests {
     }
 
     /// A key no compile would produce, for driving the map directly.
-    fn key(fingerprint: u64, graph: &Arc<Graph>) -> PlanKey {
+    fn key(n: u64, graph: &Arc<Graph>) -> PlanKey {
         PlanKey {
-            fingerprint,
+            planning: n.to_string(),
             graph: Arc::as_ptr(graph) as usize,
-            device: "V100",
         }
     }
 
@@ -338,11 +282,11 @@ mod tests {
         let db = PlanDb::in_memory();
         let g = graph();
         let k = key(1, &g);
-        assert!(db.lookup(&k, &g, &[]).is_none());
+        assert!(db.lookup(Some(&k)).is_none());
         assert_eq!(db.insert(k.clone(), empty_plan(&g)), 0);
-        assert!(db.lookup(&k, &g, &[]).is_some());
-        // Same key, different programs (a fingerprint collision): a miss.
-        assert!(db.lookup(&k, &g, &[layer()]).is_none());
+        assert!(db.lookup(Some(&k)).is_some());
+        // A compile without a key misses whatever is cached.
+        assert!(db.lookup(None).is_none());
         let s = db.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 2, 1));
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -352,18 +296,18 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let db = PlanDb::in_memory();
         let g = graph();
-        let keys: Vec<PlanKey> = (0..=CAPACITY as u64).map(|fp| key(fp, &g)).collect();
+        let keys: Vec<PlanKey> = (0..=CAPACITY as u64).map(|n| key(n, &g)).collect();
         for k in &keys[..CAPACITY] {
             db.insert(k.clone(), empty_plan(&g));
         }
         assert_eq!((db.len(), db.stats().evictions), (CAPACITY, 0));
         // Touch the oldest entry so the second-oldest becomes the victim
         // of the insert that goes past capacity.
-        assert!(db.lookup(&keys[0], &g, &[]).is_some());
+        assert!(db.lookup(Some(&keys[0])).is_some());
         assert_eq!(db.insert(keys[CAPACITY].clone(), empty_plan(&g)), 1);
         assert_eq!(db.len(), CAPACITY);
-        assert!(db.lookup(&keys[0], &g, &[]).is_some());
-        assert!(db.lookup(&keys[1], &g, &[]).is_none());
+        assert!(db.lookup(Some(&keys[0])).is_some());
+        assert!(db.lookup(Some(&keys[1])).is_none());
         assert_eq!(db.stats().evictions, 1);
     }
 

@@ -1,13 +1,14 @@
 //! Plan-database behaviour through `compile`: what hits (the same graph
-//! object and programs), what can only miss (any other graph), what is
-//! never inserted or kept, per-compile counters, and the coverage of the
-//! lookup key.
+//! object and programs), what can only miss (any other graph, any program
+//! that renders differently), what is never inserted or kept, per-compile
+//! counters, and the coverage of the lookup key.
 
 use std::sync::Arc;
 
 use gsampler_core::builder::{Layer, LayerBuilder};
 use gsampler_core::{
-    compile, Axis, Bindings, Graph, LayoutMode, OptConfig, PlanDb, Sampler, SamplerConfig,
+    compile, Axis, Bindings, EltOp, Graph, LayoutMode, OptConfig, PlanDb, PlanDbStats, Sampler,
+    SamplerConfig,
 };
 use gsampler_matrix::NodeId;
 
@@ -58,6 +59,41 @@ fn degree_biased_layers() -> Vec<Layer> {
     vec![b.build()]
 }
 
+/// `(A / zero)[:, frontiers]`: pre-processing hoists the division onto the
+/// whole graph, so the layer's precompute program carries `zero`.
+fn divided_by(zero: f32) -> Layer {
+    let b = LayerBuilder::new();
+    let sub = b
+        .graph()
+        .scalar(EltOp::Div, zero)
+        .slice_cols(&b.frontiers());
+    b.output(&sub);
+    b.build()
+}
+
+/// A layer-wise layer with a knob per kind of edit: the bias exponent, the
+/// width, whether the two outputs read one draw or two, and the order the
+/// outputs are marked in.
+fn variant(pow: f32, k: usize, one_draw: bool, rows_first: bool) -> Layer {
+    let b = LayerBuilder::new();
+    let sub = b.graph().slice_cols(&b.frontiers());
+    let probs = sub.pow(pow).sum(Axis::Row);
+    let first = sub.collective_sample(k, Some(&probs));
+    let second = match one_draw {
+        true => first.clone(),
+        false => sub.collective_sample(k, Some(&probs)),
+    };
+    let (rows, cols) = (first.row_nodes(), second.col_nodes());
+    if rows_first {
+        b.output(&rows);
+        b.output(&cols);
+    } else {
+        b.output(&cols);
+        b.output(&rows);
+    }
+    b.build()
+}
+
 fn layers() -> Vec<Layer> {
     vec![layerwise_layer(8), nodewise_layer(3)]
 }
@@ -96,6 +132,88 @@ fn same_graph_and_program_hit_the_first_compiles_programs() {
     assert_eq!(warm.super_batch_factor(), cold.super_batch_factor());
     let fresh = compile(g, layers(), config(OptConfig::all(), None)).unwrap();
     assert_eq!(samples(&warm), samples(&fresh));
+}
+
+/// Compile `layer` alone on `g` through `db` and report its lookup.
+fn compile_one(g: &Arc<Graph>, db: &Arc<PlanDb>, layer: Layer) -> PlanDbStats {
+    let config = config(OptConfig::all(), Some(db));
+    let sampler = compile(g.clone(), vec![layer], config).unwrap();
+    sampler.plan_db_stats()
+}
+
+/// Compile `base` and then each of `edits` through one database: every
+/// edit is a distinct program, so each misses and is inserted.
+fn assert_each_edit_misses(base: Layer, edits: Vec<(&str, Layer)>) {
+    let g = graph(300);
+    let db = Arc::new(PlanDb::in_memory());
+    assert_eq!(compile_one(&g, &db, base).misses, 1);
+    for (edit, layer) in edits {
+        let s = compile_one(&g, &db, layer);
+        assert_eq!((s.hits, s.misses, s.inserts), (0, 1, 1), "{edit}");
+    }
+}
+
+#[test]
+fn an_attribute_edit_misses() {
+    assert_each_edit_misses(
+        variant(2.0, 8, true, true),
+        vec![
+            ("pow 2 -> 3", variant(3.0, 8, true, true)),
+            ("pow 0", variant(0.0, 8, true, true)),
+            ("pow 0 -> -0", variant(-0.0, 8, true, true)),
+            ("k 8 -> 7", variant(2.0, 7, true, true)),
+        ],
+    );
+}
+
+#[test]
+fn one_draw_and_two_draws_miss_each_other() {
+    // Sampling once and reading the draw twice is another program than
+    // sampling twice.
+    let edit = ("one draw -> two", variant(2.0, 8, false, true));
+    assert_each_edit_misses(variant(2.0, 8, true, true), vec![edit]);
+}
+
+#[test]
+fn a_rebuilt_program_hits_and_swapped_outputs_miss() {
+    let g = graph(300);
+    let db = Arc::new(PlanDb::in_memory());
+    assert_eq!(compile_one(&g, &db, variant(2.0, 8, true, true)).misses, 1);
+    let s = compile_one(&g, &db, variant(2.0, 8, true, true));
+    assert_eq!((s.hits, s.misses), (1, 0), "an identical rebuilt program");
+    let s = compile_one(&g, &db, variant(2.0, 8, true, false));
+    assert_eq!((s.hits, s.misses, s.inserts), (0, 1, 1), "outputs swapped");
+}
+
+#[test]
+fn a_nan_attribute_program_misses_every_time() {
+    let g = graph(300);
+    let db = Arc::new(PlanDb::in_memory());
+    for compile_no in 0..2 {
+        let s = compile_one(&g, &db, divided_by(f32::NAN));
+        assert_eq!((s.hits, s.misses, s.inserts), (0, 1, 0), "{compile_no}");
+    }
+    assert!(db.is_empty());
+}
+
+#[test]
+fn layers_apart_only_in_a_zeros_sign_neither_share_nor_hit() {
+    let g = graph(300);
+    let no_db = config(OptConfig::all(), None);
+    let layers = vec![divided_by(0.0), divided_by(-0.0)];
+    let pair = compile(g.clone(), layers, no_db.clone()).unwrap();
+    let solo = compile(g.clone(), vec![divided_by(-0.0)], no_db).unwrap();
+    let seeds: Vec<NodeId> = (0..16).collect();
+    let sampled = |s: &Sampler| s.sample_batch(&seeds, &Bindings::new()).unwrap().layers;
+    let (pair, solo) = (sampled(&pair), sampled(&solo));
+    let second = format!("{:?}", pair[1]);
+    assert!(second.contains("-inf"), "{second}");
+    assert_eq!(second, format!("{:?}", solo[0]));
+
+    let db = Arc::new(PlanDb::in_memory());
+    assert_eq!(compile_one(&g, &db, divided_by(0.0)).misses, 1);
+    let s = compile_one(&g, &db, divided_by(-0.0));
+    assert_eq!((s.hits, s.misses, s.inserts), (0, 1, 1));
 }
 
 #[test]

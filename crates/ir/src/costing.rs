@@ -89,7 +89,6 @@ pub fn kernel_desc(
             workload::sddmm(fmt0, in0, k.max(1))
         }
         Op::Reduce(_, axis) => workload::reduce(fmt0, in0, *axis),
-        Op::ReduceAll(_) => workload::reduce(fmt0, in0, Axis::Row),
         Op::Spmm | Op::SpmmT => {
             let (_, k) = dense_dims(&in_shapes[1]);
             workload::spmm(fmt0, in0, k.max(1))
@@ -145,7 +144,6 @@ pub fn kernel_desc(
             workload::vector_op(in0.nnz.max(veclen(out_shape)))
         }
         Op::CompactRows => workload::compact(fmt0, in0, Axis::Row),
-        Op::CompactCols => workload::compact(fmt0, in0, Axis::Col),
         Op::Convert(to) => workload::convert(fmt0, *to, in0),
         Op::FusedExtractSelect { k, .. } => {
             let t = out_mat.ncols;

@@ -161,7 +161,7 @@ pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize)
             Op::FusedExtractReduce { .. } => {
                 ShapeEst::Vector(input(0).as_matrix().map_or(n, |(nrows, _, _)| nrows))
             }
-            Op::ReduceAll(..) | Op::VectorSum => ShapeEst::Scalar,
+            Op::VectorSum => ShapeEst::Scalar,
             Op::Spmm => {
                 let (nrows, _, _) = input(0).as_matrix().unwrap_or((n, n, e));
                 let cols = dense_cols(input(1), fdim);
@@ -253,14 +253,6 @@ pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize)
                 ShapeEst::Matrix {
                     nrows: expected_distinct(nnz, nrows).min(nrows),
                     ncols,
-                    nnz,
-                }
-            }
-            Op::CompactCols => {
-                let (nrows, ncols, nnz) = input(0).as_matrix().unwrap_or((n, n, e));
-                ShapeEst::Matrix {
-                    nrows,
-                    ncols: expected_distinct(nnz, ncols).min(ncols),
                     nnz,
                 }
             }

@@ -262,7 +262,8 @@ mod tests {
         assert!(!batchable(&facts(&p, &[]).unwrap()));
         // Folding the graph is the same for every group.
         let (mut q, ..) = sage(Op::InputFrontiers);
-        q.add(Op::ReduceAll(ReduceOp::Sum), vec![0]);
+        let degrees = q.add(Op::Reduce(ReduceOp::Sum, Axis::Row), vec![0]);
+        q.add(Op::VectorSum, vec![degrees]);
         assert!(batchable(&facts(&q, &[]).unwrap()));
     }
 }

@@ -37,4 +37,4 @@ pub use estimate::{GraphStats, ShapeEst};
 pub use facts::{facts, Facts, Space, ValueKind, Varies};
 pub use op::{EdgeMapStep, Op};
 pub use passes::{run_passes, LayoutDecision, LayoutPlan, OptConfig, PassReport};
-pub use program::{Node, OpId, Program};
+pub use program::{identity, Node, OpId, Program};

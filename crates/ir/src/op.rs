@@ -70,8 +70,6 @@ pub enum Op {
     // ---- compute: edge-reduce ------------------------------------------
     /// `A.sum(axis)` and friends. `[matrix] -> Vector`.
     Reduce(ReduceOp, Axis),
-    /// Scalar reduction over all edges. `[matrix] -> Scalar`.
-    ReduceAll(ReduceOp),
     /// `A @ D`. `[matrix, dense] -> Dense`.
     Spmm,
     /// `A.T @ D`. `[matrix, dense] -> Dense`.
@@ -163,8 +161,6 @@ pub enum Op {
     NextWalkFrontier,
     /// Drop isolated rows. `[matrix] -> Matrix`.
     CompactRows,
-    /// Drop isolated columns. `[matrix] -> Matrix`.
-    CompactCols,
 
     // ---- inserted by passes ----------------------------------------------
     /// Convert storage format. `[matrix] -> Matrix`.
@@ -230,155 +226,12 @@ pub enum Op {
     },
 }
 
-impl EdgeMapStep {
-    /// See [`Op::fold_identity`].
-    fn fold_identity(&self, fold: &mut impl FnMut(&[u8])) {
-        match self {
-            EdgeMapStep::Scalar(op, s) => {
-                fold(&[0, *op as u8]);
-                fold(&s.to_bits().to_le_bytes());
-            }
-            EdgeMapStep::Unary(op) => fold(&[1, *op as u8]),
-            EdgeMapStep::Broadcast(op, axis, pos) => {
-                fold(&[2, *op as u8, *axis as u8]);
-                fold(&(*pos as u64).to_le_bytes());
-            }
-        }
-    }
-}
-
 impl Op {
-    /// Fold this operator's identity into a byte-fold hasher: a distinct
-    /// tag byte per variant followed by the raw bytes of every attribute.
-    /// This is the operator half of [`crate::Program::fingerprint`], which
-    /// runs on every cache-enabled compile — hashing raw bytes instead of
-    /// a formatted string keeps that path allocation-free. Exhaustive on
-    /// purpose (no wildcard arms, all fields bound): adding a variant or a
-    /// field without extending the fold is a compile error, not a silent
-    /// hash collision between distinct operators.
-    pub fn fold_identity(&self, fold: &mut impl FnMut(&[u8])) {
-        match self {
-            Op::InputGraph => fold(&[0]),
-            Op::InputFrontiers => fold(&[1]),
-            Op::InputDense(n) => {
-                fold(&[2]);
-                fold(&(n.len() as u64).to_le_bytes());
-                fold(n.as_bytes());
-            }
-            Op::InputVector(n) => {
-                fold(&[3]);
-                fold(&(n.len() as u64).to_le_bytes());
-                fold(n.as_bytes());
-            }
-            Op::InputNodes(n) => {
-                fold(&[4]);
-                fold(&(n.len() as u64).to_le_bytes());
-                fold(n.as_bytes());
-            }
-            Op::SliceCols => fold(&[5]),
-            Op::SliceRows => fold(&[6]),
-            Op::InduceSubgraph => fold(&[7]),
-            Op::ScalarOp(op, s) => {
-                fold(&[8, *op as u8]);
-                fold(&s.to_bits().to_le_bytes());
-            }
-            Op::UnaryOp(op) => fold(&[9, *op as u8]),
-            Op::Broadcast(op, axis) => fold(&[10, *op as u8, *axis as u8]),
-            Op::SparseElt(op) => fold(&[11, *op as u8]),
-            Op::Sddmm => fold(&[12]),
-            Op::EdgeValuesFromDense { col } => {
-                fold(&[13]);
-                fold(&(*col as u64).to_le_bytes());
-            }
-            Op::Reduce(op, axis) => fold(&[14, *op as u8, *axis as u8]),
-            Op::ReduceAll(op) => fold(&[15, *op as u8]),
-            Op::Spmm => fold(&[16]),
-            Op::SpmmT => fold(&[17]),
-            Op::Gemm => fold(&[18]),
-            Op::GemmT => fold(&[19]),
-            Op::DenseUnary(op) => fold(&[20, *op as u8]),
-            Op::DenseSoftmaxRows => fold(&[21]),
-            Op::DenseSoftmaxFlat => fold(&[22]),
-            Op::DenseColumn { col } => {
-                fold(&[23]);
-                fold(&(*col as u64).to_le_bytes());
-            }
-            Op::DenseGatherRows => fold(&[24]),
-            Op::StackEdgeValues => fold(&[25]),
-            Op::VectorOp(op) => fold(&[26, *op as u8]),
-            Op::VectorScalar(op, s) => {
-                fold(&[27, *op as u8]);
-                fold(&s.to_bits().to_le_bytes());
-            }
-            Op::VectorSum => fold(&[28]),
-            Op::VectorNormalize => fold(&[29]),
-            Op::GatherVector => fold(&[30]),
-            Op::GatherRowBias => fold(&[31]),
-            Op::AlignRowVector => fold(&[32]),
-            Op::IndividualSample { k, replace } => {
-                fold(&[33, u8::from(*replace)]);
-                fold(&(*k as u64).to_le_bytes());
-            }
-            Op::CollectiveSample { k } => {
-                fold(&[34]);
-                fold(&(*k as u64).to_le_bytes());
-            }
-            Op::Node2VecBias { p, q } => {
-                fold(&[35]);
-                fold(&p.to_bits().to_le_bytes());
-                fold(&q.to_bits().to_le_bytes());
-            }
-            Op::RowNodes => fold(&[36]),
-            Op::ColNodes => fold(&[37]),
-            Op::AllRowIds => fold(&[38]),
-            Op::NextWalkFrontier => fold(&[39]),
-            Op::CompactRows => fold(&[40]),
-            Op::CompactCols => fold(&[41]),
-            Op::Convert(f) => fold(&[42, *f as u8]),
-            Op::FusedExtractSelect { k, replace } => {
-                fold(&[43, u8::from(*replace)]);
-                fold(&(*k as u64).to_le_bytes());
-            }
-            Op::FusedEdgeMap { steps } => {
-                fold(&[44]);
-                fold(&(steps.len() as u64).to_le_bytes());
-                for step in steps {
-                    step.fold_identity(fold);
-                }
-            }
-            Op::FusedEdgeMapReduce {
-                steps,
-                reduce,
-                axis,
-            } => {
-                fold(&[45, *reduce as u8, *axis as u8]);
-                fold(&(steps.len() as u64).to_le_bytes());
-                for step in steps {
-                    step.fold_identity(fold);
-                }
-            }
-            Op::Precomputed { slot } => {
-                fold(&[46]);
-                fold(&(*slot as u64).to_le_bytes());
-            }
-            Op::FusedEdgeCombine { col, unary } => {
-                fold(&[47]);
-                fold(&(*col as u64).to_le_bytes());
-                unary.iter().for_each(|op| fold(&[*op as u8]));
-            }
-            Op::FusedExtractCollective { k } => {
-                fold(&[48]);
-                fold(&(*k as u64).to_le_bytes());
-            }
-            Op::FusedExtractReduce { reduce } => fold(&[49, *reduce as u8]),
-        }
-    }
-
     /// The transfer table of [`crate::facts()`]: this operator's [`Facts`]
     /// given its inputs' (`slots` holds the facts of `Precomputed` values),
     /// or why the inputs are ill-kinded. `uses` is left 0 for the pass to
-    /// count. Exhaustive like [`Op::fold_identity`], so a new operator must
-    /// state its rules; `diagonal` is the super-batch type rule (see
+    /// count. Exhaustive (no wildcard arms), so a new operator must state
+    /// its rules; `diagonal` is the super-batch type rule (see
     /// [the `facts` module](mod@crate::facts)).
     pub fn transfer(&self, ins: &[Facts], slots: &[Facts]) -> Result<Facts, String> {
         use Space::{Block, Frontier, Graph};
@@ -455,7 +308,6 @@ impl Op {
             // Block rows stay block IDs through a row-ID table; a positional
             // side does not survive compaction.
             Op::CompactRows => (&[Matrix], Matrix, (block_rows, a.cols), true),
-            Op::CompactCols => (&[Matrix], Matrix, (a.rows, None), a.cols != Some(Frontier)),
             // Each column draws from its own group's stream.
             Op::IndividualSample { .. } => {
                 let want = &[Matrix, Matrix][..ins.len().clamp(1, 2)];
@@ -468,7 +320,6 @@ impl Op {
             }
             Op::Reduce(_, axis) => (&[Matrix], Vector, along(axis), true),
             Op::FusedEdgeMapReduce { axis, .. } => (&variadic, Vector, along(axis), true),
-            Op::ReduceAll(_) => (&[Matrix], Scalar, (None, None), unowned(a)),
             Op::Spmm => (&[Matrix, Dense], Dense, (a.rows, b.cols), true),
             Op::SpmmT => (&[Matrix, Dense], Dense, (a.cols, b.cols), unowned(a)),
             // `A @ B` sums over `B`'s rows; `A @ B.T` keeps them apart.
@@ -571,7 +422,6 @@ impl Op {
             Op::Sddmm => "sddmm".into(),
             Op::EdgeValuesFromDense { col } => format!("edge_values_from_dense({col})"),
             Op::Reduce(op, axis) => format!("reduce_{}[{axis:?}]", op.name()),
-            Op::ReduceAll(op) => format!("reduce_all_{}", op.name()),
             Op::Spmm => "spmm".into(),
             Op::SpmmT => "spmm_t".into(),
             Op::Gemm => "gemm".into(),
@@ -599,7 +449,6 @@ impl Op {
             Op::AllRowIds => "all_row_ids".into(),
             Op::NextWalkFrontier => "next_walk_frontier".into(),
             Op::CompactRows => "compact_rows".into(),
-            Op::CompactCols => "compact_cols".into(),
             Op::Convert(f) => format!("convert[{f}]"),
             Op::FusedExtractSelect { k, replace } => {
                 format!("fused_extract_select(k={k}, replace={replace})")

@@ -21,7 +21,7 @@ use crate::program::{cse_key, Node, OpId, Program};
 /// number of nodes merged away and the number of `Gemm(gather(X), W)` nodes
 /// rewritten to `gather(Gemm(X, W))`.
 pub fn run(program: &Program) -> (Program, usize, usize) {
-    let mut table: HashMap<(String, Vec<OpId>), OpId> = HashMap::new();
+    let mut table: HashMap<String, OpId> = HashMap::new();
     // For each old node: the node it is replaced by in the rebuilt program.
     let mut redirect: Vec<OpId> = Vec::with_capacity(program.len());
     let mut out = Program::new();

@@ -1,7 +1,5 @@
 //! Program representation: a DAG of operator nodes.
 
-use std::collections::HashMap;
-
 use crate::op::Op;
 
 /// Index of a node within a [`Program`].
@@ -200,112 +198,13 @@ impl Program {
         s
     }
 
-    /// Canonical FNV-1a fingerprint of the program's *semantics*.
-    ///
-    /// Two programs fingerprint equal iff they are the same DAG after
-    /// normalization: dead nodes are ignored (only nodes reachable from
-    /// the outputs contribute), structurally identical pure nodes are
-    /// value-numbered together (the same merging CSE performs — random
-    /// and input operators never merge, mirroring [`cse_key`]), and node
-    /// IDs are replaced by a canonical post-order numbering reachable from
-    /// the outputs. Insertion order therefore does not matter, but sharing
-    /// a random operator vs. duplicating it does — exactly the semantic
-    /// distinction the executor sees.
-    ///
-    /// This is the key half of the plan database: a cached layout /
-    /// super-batch artifact is only offered to a program whose
-    /// fingerprint matches the one it was planned for.
+    /// A 64-bit FNV-1a digest of the program's `Debug` rendering, for
+    /// reports that want a short label. Equal programs digest equal, but a
+    /// digest decides nothing: "the same program" is [`identity`]'s call.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-        const FNV_PRIME: u64 = 0x1_0000_0000_01B3;
-
-        /// FNV-1a accumulator. Operators hash through
-        /// [`Op::fold_identity`] — raw attribute bytes, no formatting, no
-        /// allocation (fingerprints run on every cache-enabled compile).
-        struct Fnv(u64);
-        fn op_hash(op: &Op) -> u64 {
-            let mut h = FNV_OFFSET;
-            op.fold_identity(&mut |bytes: &[u8]| {
-                for &b in bytes {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(FNV_PRIME);
-                }
-            });
-            h
-        }
-
-        // 1. Value numbering: map every node to its representative.
-        // Structural identity keys on an FNV fold of (operator hash,
-        // representative inputs) — the same merging CSE performs. Folding
-        // the inputs into the key instead of keying on the input list
-        // keeps this allocation-free; a 64-bit collision between two
-        // distinct structures in one program is vanishingly unlikely and
-        // would only conflate their plan entries, never their execution.
-        let mut rep: Vec<OpId> = (0..self.nodes.len()).collect();
-        let mut op_hashes: Vec<u64> = Vec::with_capacity(self.nodes.len());
-        let mut table: HashMap<u64, OpId> = HashMap::new();
-        for (id, node) in self.nodes.iter().enumerate() {
-            op_hashes.push(op_hash(&node.op));
-            if node.op.is_random() || node.op.is_input() {
-                continue;
-            }
-            let mut key = op_hashes[id];
-            for &i in &node.inputs {
-                for b in (rep[i] as u64).to_le_bytes() {
-                    key ^= u64::from(b);
-                    key = key.wrapping_mul(FNV_PRIME);
-                }
-            }
-            rep[id] = *table.entry(key).or_insert(id);
-        }
-
-        // 2. Canonical numbering: iterative post-order DFS from the
-        // outputs over representatives; the visit sequence is the
-        // canonical node order regardless of insertion order.
-        let mut canon: Vec<u64> = vec![u64::MAX; self.nodes.len()];
-        let mut order: Vec<OpId> = Vec::new();
-        let mut stack: Vec<(OpId, bool)> = Vec::new();
-        for &o in self.outputs.iter().rev() {
-            stack.push((rep[o], false));
-        }
-        while let Some((id, expanded)) = stack.pop() {
-            if canon[id] != u64::MAX {
-                continue;
-            }
-            if expanded {
-                canon[id] = order.len() as u64;
-                order.push(id);
-            } else {
-                stack.push((id, true));
-                for &i in self.nodes[id].inputs.iter().rev() {
-                    stack.push((rep[i], false));
-                }
-            }
-        }
-
-        // 3. Fold the canonical node sequence and the output list. Each
-        // operator contributes its step-1 hash (already a lossless FNV of
-        // its `Debug` form), so no node is formatted twice.
-        let mut h = Fnv(FNV_OFFSET);
-        fn fold(h: &mut Fnv, bytes: &[u8]) {
-            for &b in bytes {
-                h.0 ^= b as u64;
-                h.0 = h.0.wrapping_mul(FNV_PRIME);
-            }
-        }
-        for &id in &order {
-            let node = &self.nodes[id];
-            fold(&mut h, &op_hashes[id].to_le_bytes());
-            fold(&mut h, &(node.inputs.len() as u64).to_le_bytes());
-            for &i in &node.inputs {
-                fold(&mut h, &canon[rep[i]].to_le_bytes());
-            }
-        }
-        fold(&mut h, &(self.outputs.len() as u64).to_le_bytes());
-        for &o in &self.outputs {
-            fold(&mut h, &canon[rep[o]].to_le_bytes());
-        }
-        h.0
+        (format!("{self:?}").bytes()).fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
     }
 
     /// Human-readable listing (one node per line) for debugging and docs.
@@ -325,13 +224,26 @@ impl Program {
     }
 }
 
-/// Structural hash key for CSE: operator + inputs. Random operators never
-/// produce a key (two samples are never "the same value").
-pub fn cse_key(node: &Node) -> Option<(String, Vec<OpId>)> {
+/// The structural identity of a program, a node, or anything else planning
+/// reads: its `Debug` rendering. Floats render in their shortest round-trip
+/// form, so two renderings are equal exactly when every value in them is,
+/// `0.0` and `-0.0` apart. `NaN` is the one value a rendering cannot pin
+/// down (every payload prints alike, and none equals itself), so a
+/// rendering that contains it has no identity: it never hits and never
+/// shares. CSE, the plan database's key and cross-layer hoist sharing all
+/// decide "the same" by this rule.
+pub fn identity(value: &impl std::fmt::Debug) -> Option<String> {
+    let text = format!("{value:?}");
+    (!text.contains("NaN")).then_some(text)
+}
+
+/// Structural key for CSE: the node's [`identity`]. Random and input
+/// operators never produce a key (two samples are never "the same value").
+pub fn cse_key(node: &Node) -> Option<String> {
     if node.op.is_random() || node.op.is_input() {
         return None;
     }
-    Some((format!("{:?}", node.op), node.inputs.clone()))
+    identity(node)
 }
 
 #[cfg(test)]
@@ -447,123 +359,6 @@ mod tests {
         let edge_count = dot.matches(" -> ").count();
         let expected: usize = p.nodes().iter().map(|n| n.inputs.len()).sum();
         assert_eq!(edge_count, expected);
-    }
-
-    /// Two-output diamond over a slice, with the square either shared or
-    /// duplicated depending on `duplicate` — CSE-equivalent programs.
-    fn diamond(duplicate: bool, pow: f32) -> Program {
-        let mut p = Program::new();
-        let g = p.add(Op::InputGraph, vec![]);
-        let f = p.add(Op::InputFrontiers, vec![]);
-        let sub = p.add(Op::SliceCols, vec![g, f]);
-        let sq1 = p.add(Op::ScalarOp(EltOp::Pow, pow), vec![sub]);
-        let sq2 = if duplicate {
-            p.add(Op::ScalarOp(EltOp::Pow, pow), vec![sub])
-        } else {
-            sq1
-        };
-        let r1 = p.add(Op::Reduce(ReduceOp::Sum, Axis::Row), vec![sq1]);
-        let r2 = p.add(Op::Reduce(ReduceOp::Sum, Axis::Col), vec![sq2]);
-        p.mark_output(r1);
-        p.mark_output(r2);
-        p
-    }
-
-    #[test]
-    fn fingerprint_ignores_insertion_order() {
-        // Same DAG recorded in two different node orders (frontiers
-        // before / after the graph input, squares interleaved).
-        let mut a = Program::new();
-        let g = a.add(Op::InputGraph, vec![]);
-        let f = a.add(Op::InputFrontiers, vec![]);
-        let sub = a.add(Op::SliceCols, vec![g, f]);
-        let sq = a.add(Op::ScalarOp(EltOp::Pow, 2.0), vec![sub]);
-        let red = a.add(Op::Reduce(ReduceOp::Sum, Axis::Row), vec![sq]);
-        a.mark_output(red);
-
-        let mut b = Program::new();
-        let f = b.add(Op::InputFrontiers, vec![]);
-        let g = b.add(Op::InputGraph, vec![]);
-        let sub = b.add(Op::SliceCols, vec![g, f]);
-        let sq = b.add(Op::ScalarOp(EltOp::Pow, 2.0), vec![sub]);
-        let red = b.add(Op::Reduce(ReduceOp::Sum, Axis::Row), vec![sq]);
-        b.mark_output(red);
-
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_normalizes_pre_cse_duplicates() {
-        // A duplicated pure node (pre-CSE) hashes like the shared one.
-        assert_eq!(
-            diamond(true, 2.0).fingerprint(),
-            diamond(false, 2.0).fingerprint()
-        );
-    }
-
-    #[test]
-    fn fingerprint_changes_on_semantic_edit() {
-        // One operator attribute apart: must hash different.
-        assert_ne!(
-            diamond(false, 2.0).fingerprint(),
-            diamond(false, 3.0).fingerprint()
-        );
-        let p512 = ladies_program(512);
-        let p511 = ladies_program(511);
-        assert_ne!(p512.fingerprint(), p511.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_ignores_dead_nodes() {
-        let mut live = Program::new();
-        let g = live.add(Op::InputGraph, vec![]);
-        let f = live.add(Op::InputFrontiers, vec![]);
-        let sub = live.add(Op::SliceCols, vec![g, f]);
-        let next = live.add(Op::RowNodes, vec![sub]);
-        live.mark_output(next);
-        let mut with_dead = live.clone();
-        with_dead.add(Op::ScalarOp(EltOp::Mul, 3.0), vec![sub]);
-        assert_eq!(live.fingerprint(), with_dead.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_shared_vs_duplicated_random_ops() {
-        // Random operators never merge: sampling once and reading the
-        // result twice is semantically different from sampling twice.
-        let build = |share: bool| {
-            let mut p = Program::new();
-            let g = p.add(Op::InputGraph, vec![]);
-            let f = p.add(Op::InputFrontiers, vec![]);
-            let sub = p.add(Op::SliceCols, vec![g, f]);
-            let s1 = p.add(Op::CollectiveSample { k: 8 }, vec![sub]);
-            let s2 = if share {
-                s1
-            } else {
-                p.add(Op::CollectiveSample { k: 8 }, vec![sub])
-            };
-            let n1 = p.add(Op::RowNodes, vec![s1]);
-            let n2 = p.add(Op::ColNodes, vec![s2]);
-            p.mark_output(n1);
-            p.mark_output(n2);
-            p
-        };
-        assert_ne!(build(true).fingerprint(), build(false).fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_sees_output_order() {
-        let a = ladies_program(64);
-        let b = ladies_program(64);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        // Re-marking cannot reorder, so rebuild with swapped outputs.
-        let outs: Vec<OpId> = b.outputs().to_vec();
-        let mut swapped = Program::new();
-        for node in b.nodes() {
-            swapped.add(node.op.clone(), node.inputs.clone());
-        }
-        swapped.mark_output(outs[1]);
-        swapped.mark_output(outs[0]);
-        assert_ne!(a.fingerprint(), swapped.fingerprint());
     }
 
     #[test]

@@ -164,21 +164,6 @@ impl GraphMatrix {
         }
     }
 
-    /// Compaction: drop isolated columns, composing the ID mapping.
-    pub fn compact_cols(&self) -> GraphMatrix {
-        let c = compact::compact_cols(&self.data);
-        let globals: Vec<NodeId> = c
-            .kept
-            .iter()
-            .map(|&c| self.global_col(c as usize))
-            .collect();
-        GraphMatrix {
-            data: c.matrix,
-            row_ids: self.row_ids.clone(),
-            col_ids: Some(Arc::new(globals)),
-        }
-    }
-
     /// All stored edges as `(global_row, global_col, value)`, sorted —
     /// the format-independent view used by correctness tests.
     pub fn global_edges(&self) -> Vec<(NodeId, NodeId, f32)> {
@@ -376,8 +361,6 @@ mod tests {
             let mut other = sub.clone();
             other.data = other.data.to_format(fmt);
             assert_eq!(other.col_nodes(), vec![1, 4], "{fmt:?}");
-            assert_eq!(other.compact_cols().col_nodes(), vec![1, 4]);
-            assert_eq!(other.compact_cols().shape(), (8, 2));
         }
     }
 

@@ -147,26 +147,6 @@ fn fold(out: &mut [f32], op: ReduceOp, edges: impl Edges, value_of: impl Fn(usiz
     }
 }
 
-/// Total of all edge values (`A.sum()` with no axis).
-pub fn reduce_all(m: &SparseMatrix, op: ReduceOp) -> f32 {
-    match m.values() {
-        Some(v) => fold_all(op, v.iter().copied()),
-        None => fold_all(op, std::iter::repeat_n(1.0, m.nnz())),
-    }
-}
-
-fn fold_all(op: ReduceOp, values: impl ExactSizeIterator<Item = f32>) -> f32 {
-    let nnz = values.len();
-    match op {
-        ReduceOp::Sum => values.sum(),
-        ReduceOp::Count => nnz as f32,
-        ReduceOp::Max => values.fold(f32::NEG_INFINITY, f32::max),
-        ReduceOp::Min => values.fold(f32::INFINITY, f32::min),
-        ReduceOp::Mean if nnz == 0 => 0.0,
-        ReduceOp::Mean => values.sum::<f32>() / nnz as f32,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,16 +217,6 @@ mod tests {
         let m = SparseMatrix::Csc(Csc::new(3, 2, vec![0, 1, 1], vec![2], Some(vec![4.0])).unwrap());
         assert_eq!(reduce(&m, ReduceOp::Max, Axis::Row), vec![0.0, 0.0, 4.0]);
         assert_eq!(reduce(&m, ReduceOp::Min, Axis::Col), vec![4.0, 0.0]);
-    }
-
-    #[test]
-    fn reduce_all_variants() {
-        let m = sample();
-        assert_eq!(reduce_all(&m, ReduceOp::Sum), 21.0);
-        assert_eq!(reduce_all(&m, ReduceOp::Count), 6.0);
-        assert_eq!(reduce_all(&m, ReduceOp::Max), 6.0);
-        assert_eq!(reduce_all(&m, ReduceOp::Min), 1.0);
-        assert_eq!(reduce_all(&m, ReduceOp::Mean), 3.5);
     }
 
     #[test]
