@@ -219,6 +219,12 @@ test "$(grep -A1 'pub fn fingerprint' crates/ir/src/program.rs | grep -c 'format
 test "$(grep -l '[^_a-z]identity(' crates/ir/src/program.rs crates/core/src/plandb.rs crates/core/src/compile.rs | wc -l)" -eq 3
 test -z "$(grep -rn 'CompactCols\|ReduceAll' crates/*/src)"
 test "$(non_test crates/core/src/plandb.rs | wc -l)" -le 240
+# One way to write a property test: a seeded `StdRng` case loop. No
+# vendored property-testing framework, no manifest naming one, and the
+# only offline stand-ins left are for `rand` and `parking_lot`.
+test -z "$(find . \( -name Cargo.toml -o -name Cargo.lock \) -not -path '*/target/*' | xargs grep -l proptest)"
+test "$(ls crates/compat | xargs)" = "parking_lot rand"
+test -z "$(grep -rnE 'proptest!|prop_assert|prop_oneof!' crates src tests examples)"
 
 # --- Repo benchmark smoke -------------------------------------------------
 # The standalone benchmark package (benchmark/, BENCHMARK.json) at smoke

@@ -24,11 +24,6 @@ pub fn deepwalk_step() -> Layer {
     b.build()
 }
 
-/// A full DeepWalk program: `length` chained step layers.
-pub fn deepwalk(length: usize) -> Vec<Layer> {
-    (0..length.max(1)).map(|_| deepwalk_step()).collect()
-}
-
 /// One Node2Vec step: the second-order bias (`1/p` return, `1` neighbour,
 /// `1/q` explore) is computed against the previous frontier, bound per
 /// step under the name `"prev"`.
@@ -55,12 +50,6 @@ mod tests {
         let layer = deepwalk_step();
         layer.program.validate().unwrap();
         assert_eq!(layer.next_frontier_output, Some(1));
-    }
-
-    #[test]
-    fn deepwalk_builds_length_layers() {
-        assert_eq!(deepwalk(5).len(), 5);
-        assert_eq!(deepwalk(0).len(), 1);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property-based tests of the optimization passes: randomly generated
 //! deterministic compute programs must produce bit-identical results under
 //! every optimization configuration, and random sampling programs must
-//! keep their structural guarantees.
+//! keep their structural guarantees, 24 seeded cases per property.
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use gsampler_core::builder::{LayerBuilder, Mat, Vect};
 use gsampler_core::{compile, Axis, Bindings, EltOp, Graph, LayoutMode, OptConfig, SamplerConfig};
@@ -24,15 +25,30 @@ enum Step {
     MulRowSum,
 }
 
-fn arb_step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (1.0f32..3.0).prop_map(Step::Pow),
-        (0.2f32..3.0).prop_map(Step::MulScalar),
-        (0.1f32..2.0).prop_map(Step::AddScalar),
-        (0u8..3).prop_map(Step::Unary),
-        Just(Step::DivColSum),
-        Just(Step::MulRowSum),
-    ]
+/// The `n` cases of the property `name`, each drawing from a generator
+/// seeded with FNV-1a of the name mixed with the case index.
+fn cases(name: &str, n: u64) -> impl Iterator<Item = StdRng> {
+    let fnv = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
+    let seed = name.bytes().fold(0xCBF2_9CE4_8422_2325, fnv);
+    (0..n).map(move |i| StdRng::seed_from_u64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
+
+fn arb_step(rng: &mut StdRng) -> Step {
+    match rng.gen_range(0..6) {
+        0 => Step::Pow(rng.gen_range(1.0..3.0)),
+        1 => Step::MulScalar(rng.gen_range(0.2..3.0)),
+        2 => Step::AddScalar(rng.gen_range(0.1..2.0)),
+        3 => Step::Unary(rng.gen_range(0..3)),
+        4 => Step::DivColSum,
+        _ => Step::MulRowSum,
+    }
+}
+
+/// Between 1 and 7 frontiers of the 48-node test graph.
+fn arb_picks(rng: &mut StdRng) -> Vec<u32> {
+    (0..rng.gen_range(1..8))
+        .map(|_| rng.gen_range(0..48))
+        .collect()
 }
 
 fn apply_step(m: &Mat, step: &Step) -> Mat {
@@ -98,6 +114,19 @@ fn run_with(graph: &Arc<Graph>, steps: &[Step], opt: OptConfig, frontiers: &[u32
     out.layers[0][0].as_vector().unwrap().to_vec()
 }
 
+/// Node-wise sampling: up to `k` in-neighbours per frontier, their rows
+/// the next frontiers.
+fn node_wise(k: usize) -> gsampler_core::builder::Layer {
+    let b = LayerBuilder::new();
+    let samp = b
+        .graph()
+        .slice_cols(&b.frontiers())
+        .individual_sample(k, None);
+    b.output(&samp);
+    b.output_next_frontiers(&samp.row_nodes());
+    b.build()
+}
+
 /// LADIES (`square`) or FastGCN as `gsampler-algos` records them.
 fn layer_wise(square: bool) -> gsampler_core::builder::Layer {
     let b = LayerBuilder::new();
@@ -143,14 +172,13 @@ fn layer_wise_layers_compile_to_the_fused_extracts() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn passes_preserve_random_compute_chains(
-        steps in proptest::collection::vec(arb_step(), 0..6),
-        picks in proptest::collection::vec(0u32..48, 1..8),
-    ) {
+#[test]
+fn passes_preserve_random_compute_chains() {
+    for mut rng in cases("passes_preserve_random_compute_chains", 24) {
+        let steps: Vec<Step> = (0..rng.gen_range(0..6))
+            .map(|_| arb_step(&mut rng))
+            .collect();
+        let picks = arb_picks(&mut rng);
         let graph = test_graph();
         let reference = run_with(&graph, &steps, OptConfig::plain(), &picks);
         for opt in [
@@ -167,106 +195,76 @@ proptest! {
             },
         ] {
             let got = run_with(&graph, &steps, opt, &picks);
-            prop_assert_eq!(got.len(), reference.len());
+            assert_eq!(got.len(), reference.len());
             for (g, r) in got.iter().zip(&reference) {
-                prop_assert!(
+                assert!(
                     (g - r).abs() <= 1e-3 * (1.0 + r.abs()),
-                    "pass changed value: {} vs {} (steps {:?})",
-                    g, r, &steps
+                    "pass changed value: {g} vs {r} (steps {steps:?})"
                 );
             }
         }
     }
+}
 
-    #[test]
-    fn sampled_programs_keep_guarantees_under_all_configs(
-        k in 1usize..5,
-        picks in proptest::collection::vec(0u32..48, 1..8),
-        layout_aware in any::<bool>(),
-    ) {
+#[test]
+fn sampled_programs_keep_guarantees_under_all_configs() {
+    for mut rng in cases("sampled_programs_keep_guarantees_under_all_configs", 24) {
+        let (k, picks) = (rng.gen_range(1usize..5), arb_picks(&mut rng));
+        let layout = [LayoutMode::Greedy, LayoutMode::CostAware][rng.gen::<bool>() as usize];
         let graph = test_graph();
-        let build = || {
-            let b = LayerBuilder::new();
-            let a = b.graph();
-            let f = b.frontiers();
-            let sub = a.slice_cols(&f);
-            let samp = sub.individual_sample(k, None);
-            let next = samp.row_nodes();
-            b.output(&samp);
-            b.output_next_frontiers(&next);
-            b.build()
-        };
         let opt = OptConfig {
-            layout: if layout_aware { LayoutMode::CostAware } else { LayoutMode::Greedy },
+            layout,
             ..OptConfig::all()
         };
-        let sampler = compile(
-            graph.clone(),
-            vec![build()],
-            SamplerConfig { opt, batch_size: picks.len(), ..SamplerConfig::new() },
-        ).expect("compile");
+        let config = SamplerConfig {
+            opt,
+            batch_size: picks.len(),
+            ..SamplerConfig::new()
+        };
+        let sampler = compile(graph.clone(), vec![node_wise(k)], config).expect("compile");
         let out = sampler.sample_batch(&picks, &Bindings::new()).expect("run");
         let m = out.layers[0][0].as_matrix().unwrap();
-        prop_assert_eq!(m.global_col_ids(), picks.clone());
-        let base: std::collections::HashSet<(u32, u32)> = graph
-            .matrix
-            .global_edges()
-            .into_iter()
-            .map(|(r, c, _)| (r, c))
-            .collect();
+        assert_eq!(m.global_col_ids(), picks);
+        let base = graph.matrix.global_edges();
         for (r, c, _) in m.global_edges() {
-            prop_assert!(base.contains(&(r, c)));
+            assert!(base.iter().any(|e| (e.0, e.1) == (r, c)));
         }
         for d in m.data.col_degrees() {
-            prop_assert!(d <= k);
+            assert!(d <= k);
         }
     }
+}
 
-    #[test]
-    fn super_batch_grouping_is_sound_for_random_groups(
-        sizes in proptest::collection::vec(1usize..6, 2..5),
-        k in 1usize..4,
-    ) {
+#[test]
+fn super_batch_grouping_is_sound_for_random_groups() {
+    for mut rng in cases("super_batch_grouping_is_sound_for_random_groups", 24) {
+        // Random uneven groups of consecutive nodes.
+        let mut nodes = (0u32..).map(|v| v % 48);
+        let groups: Vec<Vec<u32>> = (0..rng.gen_range(2..5))
+            .map(|_| nodes.by_ref().take(rng.gen_range(1..6)).collect())
+            .collect();
+        let k = rng.gen_range(1usize..4);
         let graph = test_graph();
-        let b = LayerBuilder::new();
-        let a = b.graph();
-        let f = b.frontiers();
-        let samp = a.slice_cols(&f).individual_sample(k, None);
-        let next = samp.row_nodes();
-        b.output(&samp);
-        b.output_next_frontiers(&next);
-        let sampler = compile(
-            graph.clone(),
-            vec![b.build()],
-            SamplerConfig { batch_size: 8, ..SamplerConfig::new() },
-        ).expect("compile");
-        // Random uneven groups.
-        let mut start = 0u32;
-        let groups: Vec<Vec<u32>> = sizes
-            .iter()
-            .map(|&s| {
-                let g: Vec<u32> = (start..start + s as u32).map(|v| v % 48).collect();
-                start += s as u32;
-                g
-            })
-            .collect();
-        use rand::SeedableRng;
-        let mut rngs: Vec<rand::rngs::StdRng> = (0..groups.len() as u64)
-            .map(rand::rngs::StdRng::seed_from_u64)
-            .collect();
+        let config = SamplerConfig {
+            batch_size: 8,
+            ..SamplerConfig::new()
+        };
+        let sampler = compile(graph.clone(), vec![node_wise(k)], config).expect("compile");
+        let seeds = 0..groups.len() as u64;
+        let mut rngs: Vec<StdRng> = seeds.map(StdRng::seed_from_u64).collect();
         let outs = sampler
             .sample_groups(groups.clone(), &Bindings::new(), &mut rngs)
             .expect("grouped run");
-        prop_assert_eq!(outs.len(), groups.len());
+        assert_eq!(outs.len(), groups.len());
         for (g, out) in groups.iter().zip(&outs) {
             let m = out.layers[0][0].as_matrix().unwrap();
-            prop_assert_eq!(&m.global_col_ids(), g);
+            assert_eq!(&m.global_col_ids(), g);
             for d in m.data.col_degrees() {
-                prop_assert!(d <= k);
+                assert!(d <= k);
             }
             // Next frontiers stay inside the graph's node range.
             let next = out.layers[0][1].as_nodes().unwrap();
-            prop_assert!(next.iter().all(|&v| (v as usize) < graph.num_nodes()));
+            assert!(next.iter().all(|&v| (v as usize) < graph.num_nodes()));
         }
     }
 }

@@ -1,20 +1,20 @@
-//! Row/column compaction — dropping isolated nodes.
+//! Row compaction — dropping isolated rows — and row / column occupancy.
 //!
 //! The extract step keeps the full row dimension of the input graph, so a
 //! sliced sub-matrix can carry millions of isolated rows (paper §4.3). The
 //! data-layout-selection pass decides whether to pay the relabelling cost;
-//! these kernels do the actual work and report the kept-node mapping so
-//! that global IDs survive.
+//! [`compact_rows`] does the actual work and reports the kept-node mapping
+//! so that global IDs survive.
 //!
 //! Compaction never drops an edge — the kept ids are exactly the occupied
 //! ones — so it is a rename done in the input's own format, one pass over
 //! the edges and no round trip through another layout:
 //!
-//! - along the *index* axis (CSC rows, CSR columns, either axis of COO)
-//!   the index array is mapped through a pooled `old -> new` table while
-//!   `indptr` and the values carry over;
-//! - along the *compressed* axis (CSR rows, CSC columns) the empty
-//!   `indptr` entries go and `indices` / values carry over.
+//! - where rows are the *index* axis (CSC, COO) the row ids are mapped
+//!   through a pooled `old -> new` table while `indptr` and the values
+//!   carry over;
+//! - where they are the *compressed* axis (CSR) the empty `indptr`
+//!   entries go and `indices` / values carry over.
 //!
 //! CSC and CSR results then get the canonical within-segment order every
 //! conversion produces (`convert::sort_segments`). The rename is
@@ -85,7 +85,7 @@ fn mark_hits(n: usize, ids: &[NodeId]) -> HitSet {
 pub struct Compacted {
     /// The compacted matrix.
     pub matrix: SparseMatrix,
-    /// `kept[i]` is the old index of new row/column `i` (ascending).
+    /// `kept[i]` is the old index of new row `i` (ascending).
     pub kept: Vec<NodeId>,
 }
 
@@ -116,37 +116,19 @@ pub fn occupied_cols(m: &SparseMatrix) -> Vec<NodeId> {
 
 /// Drop rows with no stored edges, relabelling the survivors `0..n`.
 pub fn compact_rows(m: &SparseMatrix) -> Compacted {
-    compact(m, Axis::Row)
-}
-
-/// Drop columns with no stored edges, relabelling the survivors `0..n`.
-pub fn compact_cols(m: &SparseMatrix) -> Compacted {
-    compact(m, Axis::Col)
-}
-
-fn compact(m: &SparseMatrix, axis: Axis) -> Compacted {
-    let kept = occupied(m, axis);
-    let (shape, n) = match axis {
-        Axis::Row => ((kept.len(), m.ncols()), m.nrows()),
-        Axis::Col => ((m.nrows(), kept.len()), m.ncols()),
-    };
+    let kept = occupied_rows(m);
+    let (shape, n) = ((kept.len(), m.ncols()), m.nrows());
     let matrix = match (m, m.compressed()) {
-        (SparseMatrix::Coo(c), _) => {
-            let (rows, cols) = match axis {
-                Axis::Row => (rename(&c.rows, n, &kept), c.cols.clone()),
-                Axis::Col => (c.rows.clone(), rename(&c.cols, n, &kept)),
-            };
-            SparseMatrix::Coo(Coo {
-                nrows: shape.0,
-                ncols: shape.1,
-                rows,
-                cols,
-                values: c.values.clone(),
-            })
-        }
+        (SparseMatrix::Coo(c), _) => SparseMatrix::Coo(Coo {
+            nrows: shape.0,
+            ncols: shape.1,
+            rows: rename(&c.rows, n, &kept),
+            cols: c.cols.clone(),
+            values: c.values.clone(),
+        }),
         (_, Some((major, (indptr, indices, values)))) => {
-            let (indptr, mut indices) = if major == axis {
-                // The compressed axis: the empty segments go.
+            let (indptr, mut indices) = if major == Axis::Row {
+                // CSR: the empty row segments go.
                 let starts = kept.iter().map(|&k| indptr[k as usize]);
                 let indptr = starts.chain(indptr.last().copied()).collect();
                 (indptr, indices.to_vec())
@@ -216,16 +198,6 @@ mod tests {
             assert_eq!(c.matrix.format(), fmt);
             assert_eq!(c.kept, vec![1, 3, 4]);
         }
-    }
-
-    #[test]
-    fn compact_cols_drops_isolated() {
-        // 2x4 with edges only in columns 0 and 3.
-        let m = SparseMatrix::Csc(Csc::new(2, 4, vec![0, 1, 1, 1, 2], vec![0, 1], None).unwrap());
-        let c = compact_cols(&m);
-        assert_eq!(c.kept, vec![0, 3]);
-        assert_eq!(c.matrix.shape(), (2, 2));
-        assert_eq!(c.matrix.sorted_edges(), vec![(0, 0, 1.0), (1, 1, 1.0)]);
     }
 
     #[test]

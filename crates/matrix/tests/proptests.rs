@@ -1,9 +1,7 @@
 //! Property-based tests of the sparse-matrix substrate: format
 //! conversions, slicing, reductions, broadcasts, compaction, and sampling
 //! are checked against brute-force reference implementations on random
-//! matrices.
-
-use proptest::prelude::*;
+//! matrices, 64 seeded cases per property.
 
 use gsampler_matrix::sample::{
     collective_sample_seeded, individual_sample, pick_columns, uniform_sample_without_replacement,
@@ -15,7 +13,15 @@ use gsampler_matrix::{
 };
 use gsampler_runtime::RngPool;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+
+/// The `n` cases of the property `name`, each drawing from a generator
+/// seeded with FNV-1a of the name mixed with the case index.
+fn cases(name: &str, n: u64) -> impl Iterator<Item = StdRng> {
+    let fnv = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
+    let seed = name.bytes().fold(0xCBF2_9CE4_8422_2325, fnv);
+    (0..n).map(move |i| StdRng::seed_from_u64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
 
 /// `m`'s structure with `values: None`.
 fn unweighted(m: &SparseMatrix) -> SparseMatrix {
@@ -23,6 +29,14 @@ fn unweighted(m: &SparseMatrix) -> SparseMatrix {
         SparseMatrix::Csc(m) => SparseMatrix::Csc(Csc { values: None, ..m }),
         SparseMatrix::Csr(m) => SparseMatrix::Csr(Csr { values: None, ..m }),
         SparseMatrix::Coo(m) => SparseMatrix::Coo(Coo { values: None, ..m }),
+    }
+}
+
+/// The coordinate of `(r, c)` along `axis`.
+fn along<T>(axis: Axis, r: T, c: T) -> T {
+    match axis {
+        Axis::Row => r,
+        Axis::Col => c,
     }
 }
 
@@ -51,32 +65,27 @@ fn reference_picks(
     picks
 }
 
-/// Strategy: a random sparse matrix (as canonical COO) with bounded size.
-fn arb_matrix() -> impl Strategy<Value = SparseMatrix> {
-    (1usize..20, 1usize..20).prop_flat_map(|(nrows, ncols)| {
-        let max_edges = (nrows * ncols).min(60);
-        proptest::collection::btree_set((0..nrows, 0..ncols), 0..=max_edges).prop_flat_map(
-            move |cells| {
-                let n = cells.len();
-                let cells: Vec<(usize, usize)> = cells.into_iter().collect();
-                proptest::collection::vec(0.05f32..10.0, n).prop_map(move |vals| {
-                    let mut coo = Coo {
-                        nrows,
-                        ncols,
-                        rows: cells.iter().map(|&(r, _)| r as NodeId).collect(),
-                        cols: cells.iter().map(|&(_, c)| c as NodeId).collect(),
-                        values: Some(vals),
-                    };
-                    coo.sort_col_major();
-                    SparseMatrix::Coo(coo)
-                })
-            },
-        )
-    })
+/// A random sparse matrix (as canonical COO) with bounded size.
+fn arb_matrix(rng: &mut StdRng) -> SparseMatrix {
+    let (nrows, ncols) = (rng.gen_range(1usize..20), rng.gen_range(1usize..20));
+    let target = rng.gen_range(0..=(nrows * ncols).min(60));
+    let mut cells = std::collections::BTreeSet::new();
+    while cells.len() < target {
+        cells.insert((rng.gen_range(0..nrows), rng.gen_range(0..ncols)));
+    }
+    let mut coo = Coo {
+        nrows,
+        ncols,
+        rows: cells.iter().map(|cell| cell.0 as NodeId).collect(),
+        cols: cells.iter().map(|cell| cell.1 as NodeId).collect(),
+        values: Some(cells.iter().map(|_| rng.gen_range(0.05..10.0)).collect()),
+    };
+    coo.sort_col_major();
+    SparseMatrix::Coo(coo)
 }
 
-fn arb_format() -> impl Strategy<Value = Format> {
-    prop_oneof![Just(Format::Csc), Just(Format::Csr), Just(Format::Coo)]
+fn arb_format(rng: &mut StdRng) -> Format {
+    Format::ALL[rng.gen_range(0usize..3)]
 }
 
 type Edge = (NodeId, NodeId, f32);
@@ -133,24 +142,23 @@ fn raw_matrix(
     }
 }
 
-/// Strategy: an arbitrary edge list — any order, multi-edges, possibly
-/// empty (every node isolated) or `cover`ing every row and column (none
+/// An arbitrary edge list — any order, multi-edges, possibly empty
+/// (every node isolated) or `cover`ing every row and column (none
 /// isolated) — in every format, weighted or not.
-fn arb_raw_matrix() -> impl Strategy<Value = SparseMatrix> {
-    (1usize..10, 1usize..10).prop_flat_map(|(nrows, ncols)| {
-        let edge = (0..nrows as NodeId, 0..ncols as NodeId, 0.05f32..10.0);
-        let flags = (arb_format(), any::<bool>(), any::<bool>());
-        (proptest::collection::vec(edge, 0..30), flags).prop_map(
-            move |(mut edges, (fmt, weighted, cover))| {
-                if cover {
-                    for i in 0..nrows.max(ncols) {
-                        edges.push(((i % nrows) as NodeId, (i % ncols) as NodeId, 1.5));
-                    }
-                }
-                raw_matrix((nrows, ncols), &edges, fmt, weighted)
-            },
-        )
-    })
+fn arb_raw_matrix(rng: &mut StdRng) -> SparseMatrix {
+    let (nrows, ncols) = (rng.gen_range(1usize..10), rng.gen_range(1usize..10));
+    let mut edges: Vec<Edge> = Vec::new();
+    for _ in 0..rng.gen_range(0..30) {
+        let (r, c) = (rng.gen_range(0..nrows), rng.gen_range(0..ncols));
+        edges.push((r as NodeId, c as NodeId, rng.gen_range(0.05..10.0)));
+    }
+    let (fmt, weighted, cover) = (arb_format(rng), rng.gen(), rng.gen());
+    if cover {
+        for i in 0..nrows.max(ncols) {
+            edges.push(((i % nrows) as NodeId, (i % ncols) as NodeId, 1.5));
+        }
+    }
+    raw_matrix((nrows, ncols), &edges, fmt, weighted)
 }
 
 /// `m`'s stored edges in storage order, read off the storage arrays.
@@ -178,11 +186,7 @@ fn storage_edges(m: &SparseMatrix) -> Vec<Edge> {
 /// the canonical order of the input's own format.
 fn reference_compaction(m: &SparseMatrix, axis: Axis) -> (SparseMatrix, Vec<NodeId>) {
     let edges = storage_edges(m);
-    let id = |e: &Edge| match axis {
-        Axis::Row => e.0,
-        Axis::Col => e.1,
-    };
-    let mut kept: Vec<NodeId> = edges.iter().map(id).collect();
+    let mut kept: Vec<NodeId> = edges.iter().map(|e| along(axis, e.0, e.1)).collect();
     kept.sort_unstable();
     kept.dedup();
     let new = |old: NodeId| kept.binary_search(&old).unwrap() as NodeId;
@@ -210,20 +214,26 @@ fn reference_compaction(m: &SparseMatrix, axis: Axis) -> (SparseMatrix, Vec<Node
     (SparseMatrix::Coo(coo).to_format(m.format()), kept)
 }
 
-proptest! {
-    #[test]
-    fn conversion_roundtrips_preserve_edges(m in arb_matrix(), f1 in arb_format(), f2 in arb_format()) {
-        let reference = m.sorted_edges();
+#[test]
+fn conversion_roundtrips_preserve_edges() {
+    for mut rng in cases("conversion_roundtrips_preserve_edges", 64) {
+        let m = arb_matrix(&mut rng);
+        let (f1, f2) = (arb_format(&mut rng), arb_format(&mut rng));
         let converted = m.to_format(f1).to_format(f2);
-        prop_assert_eq!(converted.sorted_edges(), reference);
-        prop_assert!(converted.validate().is_ok());
+        assert_eq!(converted.sorted_edges(), m.sorted_edges());
+        assert!(converted.validate().is_ok());
     }
+}
 
-    #[test]
-    fn slice_cols_matches_bruteforce(m in arb_matrix(), picks in proptest::collection::vec(0usize..20, 0..8)) {
-        let cols: Vec<NodeId> = picks.into_iter().map(|p| (p % m.ncols()) as NodeId).collect();
+#[test]
+fn slice_cols_matches_bruteforce() {
+    for mut rng in cases("slice_cols_matches_bruteforce", 64) {
+        let m = arb_matrix(&mut rng);
+        let cols: Vec<NodeId> = (0..rng.gen_range(0..8))
+            .map(|_| (rng.gen_range(0usize..20) % m.ncols()) as NodeId)
+            .collect();
         let sliced = slice::slice_cols(&m, &cols).unwrap();
-        prop_assert_eq!(sliced.shape(), (m.nrows(), cols.len()));
+        assert_eq!(sliced.shape(), (m.nrows(), cols.len()));
         // Brute force: output edge (r, j) exists with value v iff input
         // has edge (r, cols[j]) with value v.
         let mut expected: Vec<(NodeId, NodeId, f32)> = Vec::new();
@@ -235,34 +245,41 @@ proptest! {
             }
         }
         expected.sort_by_key(|a| (a.0, a.1));
-        prop_assert_eq!(sliced.sorted_edges(), expected);
+        assert_eq!(sliced.sorted_edges(), expected);
     }
+}
 
-    #[test]
-    fn slice_format_invariance(m in arb_matrix(), f in arb_format(), picks in proptest::collection::vec(0usize..20, 1..6)) {
-        let cols: Vec<NodeId> = picks.into_iter().map(|p| (p % m.ncols()) as NodeId).collect();
-        let a = slice::slice_cols(&m, &cols).unwrap().sorted_edges();
-        let b = slice::slice_cols(&m.to_format(f), &cols).unwrap().sorted_edges();
-        prop_assert_eq!(a, b);
+#[test]
+fn slice_format_invariance() {
+    for mut rng in cases("slice_format_invariance", 64) {
+        let (m, f) = (arb_matrix(&mut rng), arb_format(&mut rng));
+        let cols: Vec<NodeId> = (0..rng.gen_range(1..6))
+            .map(|_| (rng.gen_range(0usize..20) % m.ncols()) as NodeId)
+            .collect();
+        let sliced = |m: &SparseMatrix| slice::slice_cols(m, &cols).unwrap().sorted_edges();
+        assert_eq!(sliced(&m), sliced(&m.to_format(f)));
     }
+}
 
-    #[test]
-    fn slice_rows_matches_bruteforce_in_storage_order(
-        m in arb_raw_matrix(),
-        picks in proptest::collection::vec(0usize..20, 0..8),
-    ) {
+#[test]
+fn slice_rows_matches_bruteforce_in_storage_order() {
+    for mut rng in cases("slice_rows_matches_bruteforce_in_storage_order", 64) {
+        let m = arb_raw_matrix(&mut rng);
         // Ascending-distinct, unsorted and duplicated row lists alike: the
         // output holds, for every stored edge in storage order, one copy
         // per request of its row, renamed to the requesting position —
         // then stably ordered by new index within each CSC column, or
         // gathered whole, as stored, into each requested CSR row.
-        let unsorted: Vec<NodeId> = picks.iter().map(|&p| (p % m.nrows()) as NodeId).collect();
+        let unsorted: Vec<NodeId> = (0..rng.gen_range(0..8))
+            .map(|_| (rng.gen_range(0usize..20) % m.nrows()) as NodeId)
+            .collect();
         let mut ascending = unsorted.clone();
         ascending.sort_unstable();
         ascending.dedup();
         for rows in [ascending, unsorted] {
             let sliced = slice::slice_rows(&m, &rows).unwrap();
-            prop_assert_eq!((sliced.shape(), sliced.format()), ((rows.len(), m.ncols()), m.format()));
+            let want = ((rows.len(), m.ncols()), m.format());
+            assert_eq!((sliced.shape(), sliced.format()), want);
             let mut expected: Vec<Edge> = Vec::new();
             for (r, c, v) in storage_edges(&m) {
                 let asked = rows.iter().enumerate().filter(|&(_, &old)| old == r);
@@ -273,8 +290,8 @@ proptest! {
                 Format::Csr => expected.sort_by_key(|e| e.0),
                 Format::Coo => {}
             }
-            prop_assert_eq!(storage_edges(&sliced), expected, "rows {:?} of {:?}", rows, m);
-            prop_assert_eq!(sliced.is_weighted(), m.is_weighted());
+            assert_eq!(storage_edges(&sliced), expected, "rows {rows:?} of {m:?}");
+            assert_eq!(sliced.is_weighted(), m.is_weighted());
             // The column mirror is the same code with the axes swapped.
             let cols: Vec<NodeId> = rows.iter().map(|&r| r % m.ncols() as NodeId).collect();
             let mut expected: Vec<Edge> = Vec::new();
@@ -288,23 +305,25 @@ proptest! {
                 Format::Csr => expected.sort_by_key(|e| (e.0, e.1)),
                 Format::Coo => {}
             }
-            prop_assert_eq!(storage_edges(&sliced), expected, "cols {:?} of {:?}", cols, m);
+            assert_eq!(storage_edges(&sliced), expected, "cols {cols:?} of {m:?}");
         }
     }
+}
 
-    #[test]
-    fn reduce_matches_bruteforce(m in arb_matrix(), f in arb_format()) {
+#[test]
+fn reduce_matches_bruteforce() {
+    for mut rng in cases("reduce_matches_bruteforce", 64) {
+        let (m, f) = (arb_matrix(&mut rng), arb_format(&mut rng));
         let converted = m.to_format(f);
         for axis in [Axis::Row, Axis::Col] {
             let got = reduce::reduce(&converted, ReduceOp::Sum, axis);
-            let n = match axis { Axis::Row => m.nrows(), Axis::Col => m.ncols() };
+            let n = along(axis, m.nrows(), m.ncols());
             let mut want = vec![0f32; n];
             for (r, c, v) in m.iter_edges() {
-                let i = match axis { Axis::Row => r, Axis::Col => c } as usize;
-                want[i] += v;
+                want[along(axis, r, c) as usize] += v;
             }
             for (g, w) in got.iter().zip(&want) {
-                prop_assert!((g - w).abs() < 1e-3, "sum {g} != {w}");
+                assert!((g - w).abs() < 1e-3, "sum {g} != {w}");
             }
             // Every reduction, bit for bit: a slot folds its edges in
             // storage order.
@@ -312,38 +331,42 @@ proptest! {
             for m in [&converted, &unweighted] {
                 let mut slots: Vec<Vec<f32>> = vec![Vec::new(); n];
                 for (r, c, v) in storage_edges(m) {
-                    slots[match axis { Axis::Row => r, Axis::Col => c } as usize].push(v);
+                    slots[along(axis, r, c) as usize].push(v);
                 }
-                for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min, ReduceOp::Mean, ReduceOp::Count] {
-                    let want: Vec<f32> = slots.iter().map(|vals| {
+                use ReduceOp::*;
+                for op in [Sum, Max, Min, Mean, Count] {
+                    let fold = |vals: &Vec<f32>| {
                         let sum = vals.iter().fold(0f32, |a, &v| a + v);
                         let count = vals.iter().fold(0f32, |a, _| a + 1.0);
                         match op {
                             _ if vals.is_empty() => 0.0,
-                            ReduceOp::Sum => sum,
-                            ReduceOp::Max => vals.iter().fold(f32::NEG_INFINITY, |a, &v| a.max(v)),
-                            ReduceOp::Min => vals.iter().fold(f32::INFINITY, |a, &v| a.min(v)),
-                            ReduceOp::Mean => sum / count,
-                            ReduceOp::Count => count,
+                            Sum => sum,
+                            Max => vals.iter().fold(f32::NEG_INFINITY, |a, &v| a.max(v)),
+                            Min => vals.iter().fold(f32::INFINITY, |a, &v| a.min(v)),
+                            Mean => sum / count,
+                            Count => count,
                         }
-                    }).collect();
+                    };
+                    let want: Vec<f32> = slots.iter().map(fold).collect();
                     let got = reduce::reduce(m, op, axis);
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    prop_assert_eq!(bits(&got), bits(&want), "{:?} {:?} {:?}", op, axis, f);
+                    assert_eq!(bits(&got), bits(&want), "{op:?} {axis:?} {f:?}");
                 }
             }
         }
     }
+}
 
-    #[test]
-    fn broadcast_then_reduce_scales(m in arb_matrix(), scale in 0.5f32..4.0) {
+#[test]
+fn broadcast_then_reduce_scales() {
+    for mut rng in cases("broadcast_then_reduce_scales", 64) {
+        let (m, scale) = (arb_matrix(&mut rng), rng.gen_range(0.5f32..4.0));
         // Multiplying every edge in column c by s scales the column sums by s.
         let v = vec![scale; m.ncols()];
         let scaled = broadcast::broadcast(&m, &v, EltOp::Mul, Axis::Col).unwrap();
         let before = reduce::reduce(&m, ReduceOp::Sum, Axis::Col);
         let after = reduce::reduce(&scaled, ReduceOp::Sum, Axis::Col);
         for (b, a) in before.iter().zip(&after) {
-            prop_assert!((b * scale - a).abs() < 1e-2, "{} * {scale} != {a}", b);
+            assert!((b * scale - a).abs() < 1e-2, "{b} * {scale} != {a}");
         }
         // Per (format, axis), bit for bit: edge `e` combines with the
         // vector entry of its own row / column, and the pattern is kept.
@@ -353,48 +376,49 @@ proptest! {
                 let v: Vec<f32> = (0..n).map(|i| scale + i as f32).collect();
                 for op in [EltOp::Add, EltOp::Sub, EltOp::Mul, EltOp::Div, EltOp::Max] {
                     let out = broadcast::broadcast(&m, &v, op, axis).unwrap();
-                    let want: Vec<Edge> = storage_edges(&m).into_iter().map(|(r, c, x)| {
-                        let i = match axis { Axis::Row => r, Axis::Col => c } as usize;
-                        (r, c, op.apply(x, v[i]))
-                    }).collect();
-                    let bits = |e: &[Edge]| e.iter().map(|e| (e.0, e.1, e.2.to_bits())).collect::<Vec<_>>();
-                    prop_assert_eq!(bits(&storage_edges(&out)), bits(&want), "{:?} {:?} {:?}", op, axis, fmt);
+                    let what = format!("{op:?} {axis:?} {fmt:?}");
+                    assert_eq!(unweighted(&out), unweighted(&m), "{what}");
+                    let at = |(r, c, x): Edge| op.apply(x, v[along(axis, r, c) as usize]);
+                    let want: Vec<f32> = storage_edges(&m).into_iter().map(at).collect();
+                    assert_eq!(bits(&out.values_or_ones()), bits(&want), "{what}");
                 }
             }
         }
     }
+}
 
-    #[test]
-    fn compaction_preserves_edges_and_ids(m in arb_matrix(), raw in arb_raw_matrix()) {
+#[test]
+fn compaction_preserves_edges_and_ids() {
+    for mut rng in cases("compaction_preserves_edges_and_ids", 64) {
+        let (m, raw) = (arb_matrix(&mut rng), arb_raw_matrix(&mut rng));
         // Field by field (`PartialEq` compares format, shape, `indptr`,
         // `indices` / `rows` / `cols` and `values`), on every format, with
         // unsorted segments and multi-edges.
         for input in [&m, &raw] {
             let (want, kept) = reference_compaction(input, Axis::Row);
+            assert_eq!(compact::occupied_rows(input), kept);
             let got = compact::compact_rows(input);
-            prop_assert_eq!((&got.matrix, &got.kept), (&want, &kept), "rows of {:?}", input);
-            prop_assert_eq!(compact::occupied_rows(input), kept);
-            let (want, kept) = reference_compaction(input, Axis::Col);
-            let got = compact::compact_cols(input);
-            prop_assert_eq!((&got.matrix, &got.kept), (&want, &kept), "cols of {:?}", input);
-            prop_assert_eq!(compact::occupied_cols(input), kept);
+            assert_eq!((got.matrix, got.kept), (want, kept), "rows of {input:?}");
+            let (_, kept) = reference_compaction(input, Axis::Col);
+            assert_eq!(compact::occupied_cols(input), kept);
         }
         let c = compact::compact_rows(&m);
-        prop_assert_eq!(c.matrix.nnz(), m.nnz());
+        assert_eq!(c.matrix.nnz(), m.nnz());
         // Every kept row has at least one edge; mapping is ascending.
-        prop_assert!(c.kept.windows(2).all(|w| w[0] < w[1]));
+        assert!(c.kept.windows(2).all(|w| w[0] < w[1]));
         let original = m.sorted_edges();
-        let mut restored: Vec<(NodeId, NodeId, f32)> = c
-            .matrix
-            .iter_edges()
-            .map(|(r, col, v)| (c.kept[r as usize], col, v))
-            .collect();
+        let restore = |(r, col, v): Edge| (c.kept[r as usize], col, v);
+        let mut restored: Vec<Edge> = c.matrix.iter_edges().map(restore).collect();
         restored.sort_by_key(|a| (a.0, a.1));
-        prop_assert_eq!(restored, original);
+        assert_eq!(restored, original);
     }
+}
 
-    #[test]
-    fn individual_sample_is_subset_with_fanout(m in arb_matrix(), k in 0usize..5, seed in 0u64..1000) {
+#[test]
+fn individual_sample_is_subset_with_fanout() {
+    for mut rng in cases("individual_sample_is_subset_with_fanout", 64) {
+        let m = arb_matrix(&mut rng);
+        let (k, seed) = (rng.gen_range(0usize..5), rng.gen_range(0u64..1000));
         // Every column holds exactly the edges the reference primitive
         // chooses on the column's stream — empty columns, `deg <= k` and
         // `k == 0` included — which makes it a subset with the fan-out.
@@ -404,55 +428,58 @@ proptest! {
         for (replace, weighted) in [(false, false), (false, true), (true, false), (true, true)] {
             let probs = weighted.then_some(&m);
             let out = individual_sample(&m, k, replace, probs, &streams).unwrap();
-            prop_assert_eq!((out.shape(), out.format()), (m.shape(), m.format()));
+            assert_eq!((out.shape(), out.format()), (m.shape(), m.format()));
             let out = out.to_csc();
             for c in 0..csc.ncols {
                 let col = csc.col_range(c);
                 let w = weighted.then(|| &weights[col.clone()]);
-                let want: Vec<usize> = reference_picks(col.len(), k, replace, w, streams.stream(c as u64))
-                    .into_iter()
-                    .map(|off| col.start + off)
-                    .collect();
+                let picks = reference_picks(col.len(), k, replace, w, streams.stream(c as u64));
+                let want: Vec<usize> = picks.iter().map(|off| col.start + off).collect();
                 let got = out.col_range(c);
                 let rows: Vec<NodeId> = want.iter().map(|&p| csc.indices[p]).collect();
                 let vals: Vec<f32> = want.iter().map(|&p| weights[p]).collect();
-                prop_assert_eq!(&out.indices[got.clone()], &rows[..], "column {} replace {} weighted {}", c, replace, weighted);
-                prop_assert_eq!(&out.values.as_ref().unwrap()[got], &vals[..]);
-                prop_assert!(replace || want.len() == col.len().min(k));
+                let what = format!("column {c} replace {replace} weighted {weighted}");
+                assert_eq!(&out.indices[got.clone()], &rows[..], "{what}");
+                assert_eq!(&out.values.as_ref().unwrap()[got], &vals[..]);
+                assert!(replace || want.len() == col.len().min(k));
             }
         }
     }
+}
 
-    #[test]
-    fn collective_sample_bounds_rows(
-        m in arb_matrix(),
-        k in 1usize..8,
-        seed in 0u64..1000,
-        weights in proptest::collection::vec(prop_oneof![Just(0.0f32), 0.0f32..5.0], 1..30),
-    ) {
+#[test]
+fn collective_sample_bounds_rows() {
+    for mut rng in cases("collective_sample_bounds_rows", 64) {
+        let m = arb_matrix(&mut rng);
+        let (k, seed) = (rng.gen_range(1usize..8), rng.gen_range(0u64..1000));
+        let weights: Vec<f32> = (0..rng.gen_range(1..30))
+            .map(|_| match rng.gen_range(0..2) {
+                0 => 0.0,
+                _ => rng.gen_range(0.0..5.0),
+            })
+            .collect();
         // The top-k selection is the first `k` of the full stable sort by
         // key — ties included: zero weights all key +inf, and a `k` beyond
         // the positive count puts them among the winners, by index.
         let pool = RngPool::new(seed);
-        let keys: Vec<f64> = weights.iter().enumerate().map(|(i, &w)| {
-            if w > 0.0 {
-                -pool.stream(i as u64).gen_range(f64::MIN_POSITIVE..1.0).ln() / w as f64
-            } else {
-                f64::INFINITY
-            }
-        }).collect();
+        let key = |(i, &w): (usize, &f32)| match w > 0.0 {
+            true => -pool.stream(i as u64).gen_range(f64::MIN_POSITIVE..1.0).ln() / w as f64,
+            false => f64::INFINITY,
+        };
+        let keys: Vec<f64> = weights.iter().enumerate().map(key).collect();
         let mut order: Vec<usize> = (0..weights.len()).collect();
         order.sort_by(|&a, &b| keys[a].partial_cmp(&keys[b]).unwrap());
         let n = weights.len();
         let positive = weights.iter().filter(|&&w| w > 0.0).count();
         for top in [0, 1, n - 1, n, (positive + 1).min(n)] {
             let picks = weighted_sample_without_replacement_seeded(&weights, top, &pool);
-            prop_assert_eq!(&picks[..], &order[..top], "k = {} of {:?}", top, weights);
+            assert_eq!(&picks[..], &order[..top], "k = {top} of {weights:?}");
         }
         // And collective sampling is that selection over the positive
         // rows, sliced out ascending.
         let bias: Vec<f32> = (0..m.nrows()).map(|r| weights[r % n]).collect();
-        let cands: Vec<NodeId> = (0..m.nrows()).filter(|&r| bias[r] > 0.0).map(|r| r as NodeId).collect();
+        let positive_rows = (0..m.nrows() as NodeId).filter(|&r| bias[r as usize] > 0.0);
+        let cands: Vec<NodeId> = positive_rows.collect();
         let mut rows = cands.clone();
         if cands.len() > k {
             let w: Vec<f32> = cands.iter().map(|&r| bias[r as usize]).collect();
@@ -461,70 +488,77 @@ proptest! {
             rows.sort_unstable();
         }
         let out = collective_sample_seeded(&m, k, Some(&bias), &pool).unwrap();
-        prop_assert_eq!(&out.matrix, &slice::slice_rows(&m, &rows).unwrap());
-        prop_assert_eq!(out.rows, rows);
+        assert_eq!(&out.matrix, &slice::slice_rows(&m, &rows).unwrap());
+        assert_eq!(out.rows, rows);
 
         let out = collective_sample_seeded(&m, k, None, &RngPool::new(seed)).unwrap();
-        prop_assert!(out.rows.len() <= k.max(out.rows.len().min(k)) || out.rows.len() <= m.nrows());
-        prop_assert!(out.rows.len() <= k || out.rows.len() <= m.nrows());
-        prop_assert_eq!(out.matrix.shape().0, out.rows.len());
-        // Selected rows had positive degree.
+        // The default bias is the degree: `min(k, rows with edges)` rows,
+        // each with a positive degree.
         let degs = m.row_degrees();
+        let occupied = degs.iter().filter(|&&d| d > 0).count();
+        assert_eq!(out.rows.len(), k.min(occupied));
+        assert_eq!(out.matrix.shape().0, out.rows.len());
         for &r in &out.rows {
-            prop_assert!(degs[r as usize] > 0);
+            assert!(degs[r as usize] > 0);
         }
     }
+}
 
-    #[test]
-    fn weighted_selection_without_replacement_is_distinct(
-        weights in proptest::collection::vec(0.0f32..5.0, 1..30),
-        seed in 0u64..1000,
-    ) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+#[test]
+fn weighted_selection_without_replacement_is_distinct() {
+    for mut rng in cases("weighted_selection_without_replacement_is_distinct", 64) {
+        let weights: Vec<f32> = (0..rng.gen_range(1..30))
+            .map(|_| rng.gen_range(0.0..5.0))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(rng.gen_range(0..1000));
         let positive = weights.iter().filter(|&&w| w > 0.0).count();
         let k = positive.min(weights.len() / 2 + 1);
         let picks = weighted_sample_without_replacement(&weights, k, &mut rng);
         let set: std::collections::HashSet<_> = picks.iter().collect();
-        prop_assert_eq!(set.len(), picks.len(), "duplicates in {:?}", picks);
+        assert_eq!(set.len(), picks.len(), "duplicates in {picks:?}");
         // Zero-weight items are only taken once positives run out.
         let zero_picked = picks.iter().filter(|&&i| weights[i] == 0.0).count();
-        prop_assert!(zero_picked == 0 || picks.len() > positive);
+        assert!(zero_picked == 0 || picks.len() > positive);
     }
+}
 
-    #[test]
-    fn floyd_sampling_distinct(n in 1usize..100, seed in 0u64..1000) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+#[test]
+fn floyd_sampling_distinct() {
+    for mut rng in cases("floyd_sampling_distinct", 64) {
+        let n = rng.gen_range(1usize..100);
+        let mut rng = StdRng::seed_from_u64(rng.gen_range(0..1000));
         let k = (n / 2).max(1);
         let picks = uniform_sample_without_replacement(n, k, &mut rng);
         let set: std::collections::HashSet<_> = picks.iter().collect();
-        prop_assert_eq!(set.len(), k);
-        prop_assert!(picks.iter().all(|&p| p < n));
+        assert_eq!(set.len(), k);
+        assert!(picks.iter().all(|&p| p < n));
     }
+}
 
-    #[test]
-    fn alias_table_always_returns_positive_weight_items(
-        weights in proptest::collection::vec(0.0f32..5.0, 1..20),
-        seed in 0u64..200,
-    ) {
-        use rand::SeedableRng;
-        prop_assume!(weights.iter().any(|&w| w > 0.0));
+#[test]
+fn alias_table_always_returns_positive_weight_items() {
+    for mut rng in cases("alias_table_always_returns_positive_weight_items", 64) {
+        let weights: Vec<f32> = (0..rng.gen_range(1..20))
+            .map(|_| rng.gen_range(0.0..5.0))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(rng.gen_range(0..200));
+        if !weights.iter().any(|&w| w > 0.0) {
+            continue;
+        }
         let table = AliasTable::new(&weights).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for _ in 0..50 {
             let i = table.sample(&mut rng);
-            prop_assert!(weights[i] > 0.0, "drew zero-weight item {i}");
+            assert!(weights[i] > 0.0, "drew zero-weight item {i}");
         }
     }
+}
 
-    #[test]
-    fn spmm_matches_dense_reference(m in arb_matrix(), k in 1usize..4) {
-        let d = Dense::from_vec(
-            m.ncols(),
-            k,
-            (0..m.ncols() * k).map(|i| (i % 7) as f32 - 3.0).collect(),
-        ).unwrap();
+#[test]
+fn spmm_matches_dense_reference() {
+    for mut rng in cases("spmm_matches_dense_reference", 64) {
+        let (m, k) = (arb_matrix(&mut rng), rng.gen_range(1usize..4));
+        let ramp = (0..m.ncols() * k).map(|i| (i % 7) as f32 - 3.0).collect();
+        let d = Dense::from_vec(m.ncols(), k, ramp).unwrap();
         let fast = spmm::spmm(&m, &d).unwrap();
         let mut dense_a = Dense::zeros(m.nrows(), m.ncols());
         for (r, c, v) in m.iter_edges() {
@@ -533,16 +567,18 @@ proptest! {
         let slow = dense_a.matmul(&d).unwrap();
         for r in 0..fast.nrows() {
             for c in 0..fast.ncols() {
-                prop_assert!((fast.get(r, c) - slow.get(r, c)).abs() < 1e-2);
+                assert!((fast.get(r, c) - slow.get(r, c)).abs() < 1e-2);
             }
         }
     }
+}
 
-    #[test]
-    fn values_or_ones_matches_weightedness(m in arb_matrix()) {
-        let v = m.values_or_ones();
-        prop_assert_eq!(v.len(), m.nnz());
-        prop_assert!(unweighted(&m).values_or_ones().iter().all(|&x| x == 1.0));
+#[test]
+fn values_or_ones_matches_weightedness() {
+    for mut rng in cases("values_or_ones_matches_weightedness", 64) {
+        let m = arb_matrix(&mut rng);
+        assert_eq!(m.values_or_ones().len(), m.nnz());
+        assert!(unweighted(&m).values_or_ones().iter().all(|&x| x == 1.0));
     }
 }
 
@@ -629,7 +665,6 @@ fn table(
     seed: u64,
     special: impl Fn(usize, usize) -> Option<f32>,
 ) -> Dense {
-    use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut d = Dense::random(rows, cols, 2.0, &mut rng);
     for r in 0..rows {
@@ -650,7 +685,6 @@ fn table(
 /// `GSAMPLER_THREADS` 1 and 2 (ci.sh does) checks both.
 #[test]
 fn sddmm_matches_the_serial_edge_walk_bit_for_bit() {
-    use rand::SeedableRng;
     let (nrows, ncols, period) = (60usize, 50usize, 200usize);
     let mut rng = StdRng::seed_from_u64(5);
     let edges: Vec<Edge> = (0..nrows * ncols)

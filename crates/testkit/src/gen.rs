@@ -1,11 +1,12 @@
 //! Deterministic arbitrary-graph generation with shrinking.
 //!
-//! The vendored `proptest` shim has no shrinking support, so the harness
-//! carries its own generator: a [`GraphSpec`] is a small, serializable
-//! value that rebuilds the same [`Graph`] bit-for-bit from its embedded
-//! seed, which makes failing fuzz cases replayable fixtures. Shrinking
-//! proposes strictly simpler specs (fewer nodes/edges, plainer topology,
-//! fewer flags) and keeps any candidate on which the failure reproduces.
+//! The fuzzer needs two things a plain seeded case loop does not give:
+//! replayable fixtures and shrinking. A [`GraphSpec`] is a small,
+//! serializable value that rebuilds the same [`Graph`] bit-for-bit from
+//! its embedded seed, so a failing fuzz case is saved and replayed as a
+//! fixture. Shrinking proposes strictly simpler specs (fewer nodes/edges,
+//! plainer topology, fewer flags) and keeps any candidate on which the
+//! failure reproduces.
 
 use std::sync::Arc;
 

@@ -6,6 +6,8 @@
 //! and add the regression guard for biased (PASS-style) selection without
 //! replacement: the Efraimidis–Spirakis kernel must match the exact
 //! successive-draw inclusion probabilities, not the with-replacement ones.
+//! Weighted draws *with* replacement (the alias table) are held to their
+//! own closed form.
 
 use std::sync::Arc;
 
@@ -17,7 +19,7 @@ use gsampler_core::builder::LayerBuilder;
 use gsampler_core::{compile, Bindings, DeviceProfile, Graph, SamplerConfig};
 use gsampler_engine::RngPool;
 use gsampler_matrix::sample::{
-    collective_sample_seeded, collective_select, individual_sample_seeded,
+    collective_sample_seeded, collective_select, individual_sample, individual_sample_seeded,
     weighted_sample_without_replacement,
 };
 use gsampler_runtime::{num_threads, pool_metrics};
@@ -103,6 +105,37 @@ fn biased_individual_sample_matches_analytic_inclusion() {
         }
     }
     stats::assert_inclusion_fits("biased select k=2", &counts, &expected, 3000);
+}
+
+#[test]
+fn weighted_with_replacement_matches_analytic_inclusion() {
+    // The alias-table path: k=3 weighted draws with replacement keep their
+    // distinct outcomes, so spoke i (weight i of 21) is included with
+    // probability 1 - (1 - i/21)^3. Uniform draws (0.42 for every spoke)
+    // or one draw per column fail it decisively.
+    let graph = star();
+    let col = graph.matrix.slice_cols_global(&[0]).unwrap();
+    let weights: Vec<f32> = col.data.to_csc().values_or_ones();
+    let total: f32 = weights.iter().sum();
+    assert_eq!(total, 21.0);
+    let miss = |w: f32| 1.0 - (w / total) as f64;
+    let expected: Vec<f64> = weights.iter().map(|&w| 1.0 - miss(w).powi(3)).collect();
+
+    let mut counts = vec![0u64; 6];
+    for t in 0..3000u64 {
+        let streams = RngPool::new(0xA11A5 ^ t);
+        let picked = individual_sample(&col.data, 3, true, Some(&col.data), &streams).unwrap();
+        assert!(picked.nnz() <= 3);
+        for (r, _, _) in picked.iter_edges() {
+            counts[r as usize - 1] += 1;
+        }
+    }
+    stats::assert_inclusion_fits(
+        "alias select k=3 with replacement",
+        &counts,
+        &expected,
+        3000,
+    );
 }
 
 #[test]
