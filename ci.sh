@@ -75,6 +75,14 @@ fi
 ./target/release/trace-check "$TRACE_TMP/deadline.json" \
     --require-event deadline/set \
     --require-event deadline/exceeded
+# The deadline is the token in scope around the whole epoch, so it bounds
+# every algorithm: a walk epoch, which never reaches the epoch driver's
+# window loop, must fail inside 1 ms too.
+if GSAMPLER_THREADS=2 ./target/release/gsample deepwalk --dataset PD --scale 0.05 \
+    --deadline-ms 1 >/dev/null 2>&1; then
+    echo "gsample finished a PD walk epoch inside a 1 ms deadline" >&2
+    exit 1
+fi
 
 # --- Cache-residency smoke ----------------------------------------------
 # PP runs partially resident behind a degree-skew cache plan: a traced
@@ -225,6 +233,15 @@ test "$(non_test crates/core/src/plandb.rs | wc -l)" -le 240
 test -z "$(find . \( -name Cargo.toml -o -name Cargo.lock \) -not -path '*/target/*' | xargs grep -l proptest)"
 test "$(ls crates/compat | xargs)" = "parking_lot rand"
 test -z "$(grep -rnE 'proptest!|prop_assert|prop_oneof!' crates src tests examples)"
+# One way to stop a run: the caller's token installed with
+# `cancel::scope`. No deadline or token in the sampler config, no token
+# re-arming or time-left query, and a transient failure is retried at once
+# (no backoff sleep, so no deadline-aware shed of one). `gsample` installs
+# its `--deadline-ms` token once, around each epoch.
+test -z "$(sed -n '/^pub struct SamplerConfig/,/^}/p' crates/core/src/compile.rs | grep 'pub deadline\|pub cancel')"
+test -z "$(grep -rn 'backoff\|thread::sleep' crates/core/src)"
+test -z "$(grep -rn 'arm_deadline\|fn remaining\|deadline_shed' crates/*/src)"
+test "$(grep -c 'cancel::scope(' crates/bench/src/bin/gsample.rs)" -eq 1
 
 # --- Repo benchmark smoke -------------------------------------------------
 # The standalone benchmark package (benchmark/, BENCHMARK.json) at smoke

@@ -22,10 +22,11 @@
 //!                                (default 256 when auto-planning)
 //!   --no-degrade                 disable fault recovery and the memory
 //!                                degradation ladder (fail fast)
-//!   --deadline-ms MS             per-epoch wall-clock deadline; an
-//!                                epoch that exceeds it stops
-//!                                cooperatively with a DeadlineExceeded
-//!                                error (exit 1, trace still written)
+//!   --deadline-ms MS             per-epoch wall-clock deadline, for
+//!                                every algorithm; an epoch that
+//!                                exceeds it stops cooperatively with a
+//!                                DeadlineExceeded error (exit 1, trace
+//!                                still written)
 //! ```
 //!
 //! With a fault schedule installed (flag or environment) the epoch lines
@@ -33,10 +34,11 @@
 //! `--no-degrade` is a hard error (exit 1).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use gsampler_algos::Hyper;
 use gsampler_bench::{dataset, fmt_time, gsampler_epoch, Algo, TraceOpts};
-use gsampler_core::{DeviceProfile, Graph, OptConfig};
+use gsampler_core::{cancel, CancelToken, DeviceProfile, Graph, OptConfig};
 use gsampler_graphs::DatasetKind;
 
 fn usage() -> ! {
@@ -80,7 +82,7 @@ fn main() {
     let mut no_degrade = false;
     let mut faults_spec: Option<String> = None;
     let mut budget_mib: Option<f64> = None;
-    let mut deadline_ms: Option<u64> = None;
+    let mut deadline: Option<Duration> = None;
     let trace = TraceOpts::from_args(&args);
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
@@ -126,7 +128,8 @@ fn main() {
             "--faults" => faults_spec = Some(value("--faults")),
             "--budget" => budget_mib = Some(value("--budget").parse().unwrap_or_else(|_| usage())),
             "--deadline-ms" => {
-                deadline_ms = Some(value("--deadline-ms").parse().unwrap_or_else(|_| usage()))
+                let ms = value("--deadline-ms").parse().unwrap_or_else(|_| usage());
+                deadline = Some(Duration::from_millis(ms))
             }
             // Parsed before the loop; skip the file path here.
             "--trace-out" | "--metrics-out" => {
@@ -194,7 +197,6 @@ fn main() {
         recovery,
         budget_override: budget_mib.map(|mib| mib * (1 << 20) as f64),
         plan_db: None,
-        deadline: deadline_ms.map(std::time::Duration::from_millis),
     };
     let sampler = gsampler_bench::build_gsampler_with(&graph, algo, &h, device, opt, !plain, opts)
         .unwrap_or_else(|e| {
@@ -232,6 +234,9 @@ fn main() {
     }
 
     for epoch in 0..epochs {
+        // The deadline is the token in scope: every window, walk step and
+        // kernel dispatch of the epoch polls it.
+        let _deadline = deadline.map(|d| cancel::scope(CancelToken::with_deadline(d)));
         let est = gsampler_epoch(&sampler, &graph, algo, &seeds, &h).unwrap_or_else(|e| {
             eprintln!("epoch failed: {e}");
             // The trace is the post-mortem: a deadline miss or fault that

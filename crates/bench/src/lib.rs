@@ -140,10 +140,6 @@ pub struct BuildOpts {
     pub budget_override: Option<f64>,
     /// Plan database to compile through; `None` disables plan caching.
     pub plan_db: Option<Arc<gsampler_core::PlanDb>>,
-    /// Per-epoch deadline (`--deadline-ms`); an epoch that exceeds it
-    /// stops cooperatively with `DeadlineExceeded`. `None` disables the
-    /// deadline plane (its disabled-path check is one thread-local read).
-    pub deadline: Option<std::time::Duration>,
 }
 
 /// Build the gSampler sampler for an algorithm (default recovery policy:
@@ -196,8 +192,6 @@ pub fn build_gsampler_with(
         max_super_batch: 16,
         recovery: opts.recovery,
         plan_db: opts.plan_db,
-        deadline: opts.deadline,
-        cancel: None,
     };
     compile(graph.clone(), algo.layers(h), config)
 }
@@ -531,8 +525,7 @@ pub fn install_faults_from_env() -> bool {
 pub fn fmt_fault_report(f: &gsampler_engine::FaultReport) -> String {
     format!(
         "injected: oom={} kernel={} worker_panics={}; recovery: kernel_retries={} \
-         batch_retries={} degrade_steps={} spill_events={} spilled={} quarantined={} \
-         deadline_shed_retries={}",
+         batch_retries={} degrade_steps={} spill_events={} spilled={} quarantined={}",
         f.injected_oom,
         f.injected_kernel,
         f.worker_panics,
@@ -542,7 +535,6 @@ pub fn fmt_fault_report(f: &gsampler_engine::FaultReport) -> String {
         f.spill_events,
         fmt_bytes(f.spilled_bytes),
         f.quarantined_batches,
-        f.deadline_shed_retries,
     )
 }
 

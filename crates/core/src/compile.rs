@@ -49,23 +49,6 @@ pub struct SamplerConfig {
     /// Plan database to look the whole compile up in (and to insert its
     /// result into on a miss). `None` disables plan caching.
     pub plan_db: Option<Arc<PlanDb>>,
-    /// Per-epoch wall-clock budget. Each [`Sampler::run_epoch_with`] call
-    /// arms its cancel token with this budget at epoch start; once it
-    /// elapses, the epoch stops cooperatively at the next check point
-    /// (kernel chunk boundary / window boundary) with
-    /// [`Error::DeadlineExceeded`]. `None` (the default) disables the
-    /// deadline — the token fast-path then costs one thread-local read
-    /// per check.
-    pub deadline: Option<std::time::Duration>,
-    /// Caller-supplied cancel token, for drivers that want to stop an
-    /// epoch from another thread ([`CancelToken::cancel`]) or share one
-    /// deadline across several samplers. `None` with `deadline` set makes
-    /// each epoch build its own token; `None` without a deadline runs
-    /// uncancellable (beyond any token installed by an enclosing scope,
-    /// e.g. the serving layer's per-request tokens).
-    ///
-    /// [`CancelToken::cancel`]: gsampler_runtime::CancelToken::cancel
-    pub cancel: Option<gsampler_runtime::CancelToken>,
 }
 
 impl SamplerConfig {
@@ -80,8 +63,6 @@ impl SamplerConfig {
             max_super_batch: 128,
             recovery: RecoveryPolicy::default(),
             plan_db: None,
-            deadline: None,
-            cancel: None,
         }
     }
 }

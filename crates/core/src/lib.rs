@@ -69,3 +69,5 @@ pub use window::{EpochReport, RecoveryPolicy};
 pub use gsampler_engine::{DeviceProfile, PlanDbStats, Residency};
 pub use gsampler_ir::passes::{LayoutMode, OptConfig};
 pub use gsampler_matrix::{Axis, EltOp, ReduceOp};
+// The one way to stop a run: install a token with `cancel::scope`.
+pub use gsampler_runtime::{cancel, CancelToken};

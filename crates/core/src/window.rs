@@ -31,11 +31,9 @@ use crate::value::Value;
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
     /// Maximum plain retries per execution for transient faults
-    /// (injected kernel failures, worker-pool panics). 0 = fail fast.
+    /// (injected kernel failures, worker-pool panics), each run at once
+    /// from the RNG checkpoint. 0 = fail fast.
     pub max_retries: u32,
-    /// Base backoff in milliseconds, doubled each retry (deterministic —
-    /// no jitter, so wall time varies but behavior does not).
-    pub backoff_ms: u64,
     /// Allow the degradation ladder: halve the super-batch factor down to
     /// per-minibatch execution under memory pressure (then fall back to
     /// the streaming (spill) layout), and run a window's mini-batches
@@ -50,7 +48,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             max_retries: 3,
-            backoff_ms: 1,
             allow_degrade: true,
             quarantine: false,
         }
@@ -63,7 +60,6 @@ impl RecoveryPolicy {
     pub fn disabled() -> RecoveryPolicy {
         RecoveryPolicy {
             max_retries: 0,
-            backoff_ms: 0,
             allow_degrade: false,
             quarantine: false,
         }
@@ -91,8 +87,8 @@ pub struct EpochReport {
     pub faults: FaultReport,
 }
 
-/// Run one program execution under `policy`: bounded deterministic retry
-/// for transient faults, and — for single-group executions, the bottom of
+/// Run one program execution under `policy`: bounded retry, at once, for
+/// transient faults, and — for single-group executions, the bottom of
 /// the degradation ladder — a switch to the streaming (spill) layout on
 /// memory pressure. Every retry first restores the RNG checkpoint taken
 /// before the attempt, so a recovered execution is bit-identical to a
@@ -142,46 +138,6 @@ pub(crate) fn execute_recovering(
                     "retry",
                     &[("attempt", gsampler_obs::Arg::from(retries as f64))],
                 );
-                if policy.backoff_ms > 0 {
-                    // Deterministic exponential backoff: no jitter, so the
-                    // recovery *behavior* is a pure function of the fault
-                    // schedule (only wall time varies).
-                    let shift = (retries - 1).min(16);
-                    let backoff = std::time::Duration::from_millis(policy.backoff_ms << shift);
-                    // Deadline-aware rung skip: backoff the remaining
-                    // budget cannot afford is not spent — the retry is
-                    // shed and the deadline surfaced now, so a request
-                    // near its deadline fails in microseconds instead of
-                    // burning the tail on sleeps it can never recover.
-                    match gsampler_runtime::cancel::remaining() {
-                        Some(rem) if rem < backoff => {
-                            device.note_faults(|f| f.deadline_shed_retries += 1);
-                            gsampler_obs::event(
-                                "deadline",
-                                "shed_retry",
-                                &[
-                                    (
-                                        "backoff_ms",
-                                        gsampler_obs::Arg::from(backoff.as_millis() as f64),
-                                    ),
-                                    (
-                                        "remaining_ms",
-                                        gsampler_obs::Arg::from(rem.as_millis() as f64),
-                                    ),
-                                ],
-                            );
-                            rngs.clone_from_slice(&checkpoint);
-                            let budget_ms = gsampler_runtime::cancel::current()
-                                .and_then(|t| t.budget_ms())
-                                .unwrap_or(0);
-                            return Err(Error::DeadlineExceeded {
-                                budget_ms,
-                                elapsed_ms: budget_ms.saturating_sub(rem.as_millis() as u64),
-                            });
-                        }
-                        _ => std::thread::sleep(backoff),
-                    }
-                }
                 rngs.clone_from_slice(&checkpoint);
             }
             Err(Error::Oom(oom))
@@ -334,28 +290,15 @@ impl Sampler {
         epoch_span.arg("epoch", epoch);
         epoch_span.arg("seeds", seeds.len());
         epoch_span.arg("super_batch", self.super_batch);
-        // Deadline plane: arm the caller's token (or a fresh one) with the
-        // per-epoch budget and install it as this thread's current token.
-        // Every kernel dispatch and pool chunk claim below polls it; pool
-        // workers inherit it through the dispatched job. With neither a
-        // deadline nor a caller token, nothing is installed and any
-        // enclosing scope (e.g. a serving request) stays in effect.
-        let token = match (&self.config.cancel, self.config.deadline) {
-            (Some(t), d) => {
-                if let Some(d) = d {
-                    t.arm_deadline(d);
-                }
-                Some(t.clone())
-            }
-            (None, Some(d)) => Some(gsampler_runtime::CancelToken::with_deadline(d)),
-            (None, None) => None,
-        };
-        let _cancel_scope = token.map(gsampler_runtime::cancel::scope);
-        if let Some(d) = self.config.deadline {
+        // Deadline plane: the caller's scoped token (see
+        // `gsampler_runtime::cancel::scope`) bounds the epoch. Every window
+        // boundary, kernel dispatch and pool chunk claim below polls it;
+        // pool workers inherit it through the dispatched job.
+        if let Some(budget_ms) = gsampler_runtime::cancel::current().and_then(|t| t.budget_ms()) {
             gsampler_obs::event(
                 "deadline",
                 "set",
-                &[("budget_ms", gsampler_obs::Arg::from(d.as_millis() as f64))],
+                &[("budget_ms", gsampler_obs::Arg::from(budget_ms as f64))],
             );
         }
         let wall_start = Instant::now();

@@ -1,16 +1,17 @@
 //! Cooperative cancellation and deadlines.
 //!
-//! A [`CancelToken`] is a shared flag plus an optional deadline. The party
-//! that owns an execution (an epoch driver, a serving scheduler) installs
-//! its token on its own thread with [`scope`]; everything downstream —
-//! kernel dispatch, pool work-queue claims, retry/backoff decisions —
-//! polls the *current* token through [`poll`] and backs out at the next
-//! check point when it has fired.
+//! A [`CancelToken`] is a shared flag plus an optional deadline, fixed
+//! when the token is made. The party that owns an execution (a CLI epoch
+//! loop, a serving scheduler, a test) installs its token on its own thread
+//! with [`scope`]; that is the one way to stop a run. Everything downstream
+//! — window boundaries, kernel dispatch, pool work-queue claims, retry
+//! decisions — polls the *current* token through [`poll`] and backs out at
+//! the next check point when it has fired.
 //!
 //! The discipline mirrors the obs disabled-span path: with no token
 //! installed, a poll is a single thread-local flag read (no atomics, no
-//! clock). Only armed polls pay for an `Instant::now()` against the
-//! deadline. Tokens are **thread-scoped**, not process-global, so two
+//! clock). Only a token with a deadline pays for an `Instant::now()` per
+//! poll. Tokens are **thread-scoped**, not process-global, so two
 //! concurrent executions (a serving scheduler next to a test-driven
 //! epoch) can never cancel each other; the worker pool forwards the
 //! dispatching caller's token to spawned participants for the duration of
@@ -24,7 +25,7 @@
 //! abandons (and then discards) the region's output moves.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,11 +38,11 @@ const CAUSE_DEADLINE: u8 = 2;
 pub enum CancelCause {
     /// [`CancelToken::cancel`] was called.
     Explicit,
-    /// The armed deadline elapsed.
+    /// The token's deadline elapsed.
     Deadline {
-        /// The budget the token was armed with, in milliseconds.
+        /// The budget the token was made with, in milliseconds.
         budget_ms: u64,
-        /// Time since arming when the expiry was first observed, in
+        /// Time since the token was made, when the cause was read, in
         /// milliseconds.
         elapsed_ms: u64,
     },
@@ -51,11 +52,10 @@ pub enum CancelCause {
 struct Inner {
     /// Sticky cause: once fired, every later poll sees the same cause.
     cause: AtomicU8,
-    /// Deadline expiry in nanoseconds after `armed_at`; 0 = not armed.
-    deadline_ns: AtomicU64,
-    /// Reference point for the armed deadline (set at construction; the
-    /// offset in `deadline_ns` moves on re-arm).
-    origin: Instant,
+    /// When the token was made and the budget it was made with; the
+    /// token's deadline is their sum, fixed for its life. `None` = no
+    /// deadline.
+    deadline: Option<(Instant, Duration)>,
 }
 
 /// A shared cancellation flag with an optional deadline. Cloning is cheap
@@ -74,28 +74,21 @@ impl Default for CancelToken {
 impl CancelToken {
     /// A token with no deadline; fires only via [`cancel`](Self::cancel).
     pub fn new() -> CancelToken {
+        CancelToken::make(None)
+    }
+
+    /// A token that fires `budget` from now.
+    pub fn with_deadline(budget: Duration) -> CancelToken {
+        CancelToken::make(Some((Instant::now(), budget)))
+    }
+
+    fn make(deadline: Option<(Instant, Duration)>) -> CancelToken {
         CancelToken {
             inner: Arc::new(Inner {
                 cause: AtomicU8::new(CAUSE_NONE),
-                deadline_ns: AtomicU64::new(0),
-                origin: Instant::now(),
+                deadline,
             }),
         }
-    }
-
-    /// A token armed to fire `budget` from now.
-    pub fn with_deadline(budget: Duration) -> CancelToken {
-        let t = CancelToken::new();
-        t.arm_deadline(budget);
-        t
-    }
-
-    /// Arm (or re-arm) the deadline to `budget` from *now*. Re-arming a
-    /// not-yet-fired token moves the expiry; a fired token stays fired.
-    pub fn arm_deadline(&self, budget: Duration) {
-        let offset = self.inner.origin.elapsed() + budget;
-        let ns = (offset.as_nanos() as u64).max(1);
-        self.inner.deadline_ns.store(ns, Ordering::Relaxed);
     }
 
     /// Fire the token explicitly. Idempotent; an already-fired token
@@ -109,39 +102,38 @@ impl CancelToken {
         );
     }
 
-    /// The millisecond budget the deadline was armed with, if any.
+    /// The millisecond budget the token was made with, if it has a
+    /// deadline.
     pub fn budget_ms(&self) -> Option<u64> {
-        // Budget = armed expiry minus arming instant; we only keep the
-        // expiry offset, so report it relative to origin — close enough
-        // for diagnostics, and exact when armed at construction.
-        let ns = self.inner.deadline_ns.load(Ordering::Relaxed);
-        (ns != 0).then_some(ns / 1_000_000)
+        self.inner
+            .deadline
+            .map(|(_, budget)| budget.as_millis() as u64)
     }
 
     /// Check the token: `None` while live, the (sticky) cause once fired.
-    /// The first poll past an armed deadline latches the cause, so every
+    /// The first poll past the deadline latches the cause, so every
     /// observer agrees on why the execution stopped.
     pub fn status(&self) -> Option<CancelCause> {
         match self.inner.cause.load(Ordering::Relaxed) {
             CAUSE_EXPLICIT => return Some(CancelCause::Explicit),
-            CAUSE_DEADLINE => return Some(self.deadline_cause()),
+            CAUSE_DEADLINE => return self.deadline_cause(),
             _ => {}
         }
-        let deadline = self.inner.deadline_ns.load(Ordering::Relaxed);
-        if deadline != 0 && self.elapsed_ns() >= deadline {
-            let _ = self.inner.cause.compare_exchange(
-                CAUSE_NONE,
-                CAUSE_DEADLINE,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            // Re-read: a racing explicit cancel may have won the latch.
-            return match self.inner.cause.load(Ordering::Relaxed) {
-                CAUSE_EXPLICIT => Some(CancelCause::Explicit),
-                _ => Some(self.deadline_cause()),
-            };
+        let (made, budget) = self.inner.deadline?;
+        if made.elapsed() < budget {
+            return None;
         }
-        None
+        let _ = self.inner.cause.compare_exchange(
+            CAUSE_NONE,
+            CAUSE_DEADLINE,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+        // Re-read: a racing explicit cancel may have won the latch.
+        match self.inner.cause.load(Ordering::Relaxed) {
+            CAUSE_EXPLICIT => Some(CancelCause::Explicit),
+            _ => self.deadline_cause(),
+        }
     }
 
     /// True once the token has fired (either cause).
@@ -149,31 +141,12 @@ impl CancelToken {
         self.status().is_some()
     }
 
-    /// Time left before the armed deadline (`None` with no deadline,
-    /// zero once expired or explicitly cancelled).
-    pub fn remaining(&self) -> Option<Duration> {
-        let deadline = self.inner.deadline_ns.load(Ordering::Relaxed);
-        if deadline == 0 {
-            return None;
-        }
-        if self.inner.cause.load(Ordering::Relaxed) != CAUSE_NONE {
-            return Some(Duration::ZERO);
-        }
-        Some(Duration::from_nanos(
-            deadline.saturating_sub(self.elapsed_ns()),
-        ))
-    }
-
-    fn elapsed_ns(&self) -> u64 {
-        self.inner.origin.elapsed().as_nanos() as u64
-    }
-
-    fn deadline_cause(&self) -> CancelCause {
-        let deadline = self.inner.deadline_ns.load(Ordering::Relaxed);
-        CancelCause::Deadline {
-            budget_ms: deadline / 1_000_000,
-            elapsed_ms: self.elapsed_ns() / 1_000_000,
-        }
+    fn deadline_cause(&self) -> Option<CancelCause> {
+        let (made, budget) = self.inner.deadline?;
+        Some(CancelCause::Deadline {
+            budget_ms: budget.as_millis() as u64,
+            elapsed_ms: made.elapsed().as_millis() as u64,
+        })
     }
 }
 
@@ -185,8 +158,8 @@ thread_local! {
 }
 
 /// Install `token` as this thread's current token, returning the previous
-/// one (for nesting). Prefer the RAII [`scope`] wrapper.
-pub fn set_current(token: Option<CancelToken>) -> Option<CancelToken> {
+/// one (for nesting).
+fn set_current(token: Option<CancelToken>) -> Option<CancelToken> {
     ACTIVE.with(|a| a.set(token.is_some()));
     CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), token))
 }
@@ -208,28 +181,15 @@ pub fn poll() -> Option<CancelCause> {
     CURRENT.with(|c| c.borrow().as_ref().and_then(|t| t.status()))
 }
 
-/// Time remaining on the current token's deadline (`None` when no token
-/// is installed or it has no deadline).
-pub fn remaining() -> Option<Duration> {
-    if !ACTIVE.with(|a| a.get()) {
-        return None;
-    }
-    CURRENT.with(|c| c.borrow().as_ref().and_then(|t| t.remaining()))
-}
-
 /// RAII guard installing a token for a lexical scope; the previous token
 /// is restored on drop (scopes nest).
 pub struct CancelScope {
     prior: Option<CancelToken>,
-    restored: bool,
 }
 
 impl Drop for CancelScope {
     fn drop(&mut self) {
-        if !self.restored {
-            self.restored = true;
-            set_current(self.prior.take());
-        }
+        set_current(self.prior.take());
     }
 }
 
@@ -237,7 +197,6 @@ impl Drop for CancelScope {
 pub fn scope(token: CancelToken) -> CancelScope {
     CancelScope {
         prior: set_current(Some(token)),
-        restored: false,
     }
 }
 
@@ -252,9 +211,6 @@ mod tests {
         assert!(!t.is_cancelled());
         t.cancel();
         assert_eq!(t.status(), Some(CancelCause::Explicit));
-        // A later deadline arm does not change the cause.
-        t.arm_deadline(Duration::ZERO);
-        assert_eq!(t.status(), Some(CancelCause::Explicit));
     }
 
     #[test]
@@ -267,17 +223,6 @@ mod tests {
         // Sticky: an explicit cancel after the fact keeps the cause.
         t.cancel();
         assert!(matches!(t.status(), Some(CancelCause::Deadline { .. })));
-    }
-
-    #[test]
-    fn remaining_counts_down_and_floors_at_zero() {
-        let t = CancelToken::new();
-        assert_eq!(t.remaining(), None);
-        t.arm_deadline(Duration::from_secs(3600));
-        let r = t.remaining().unwrap();
-        assert!(r > Duration::from_secs(3000) && r <= Duration::from_secs(3600));
-        t.cancel();
-        assert_eq!(t.remaining(), Some(Duration::ZERO));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Deadline-plane tests: a worker-side transient failure must be retried
 //! bit-identically by every algorithm, epoch deadlines must fail cleanly
-//! (and generous ones must be invisible), and a mid-epoch cancellation
+//! (and generous ones must be invisible), every entry point must obey the
+//! caller's scoped token (`cancel::scope`, the one way to stop a run), and
+//! a mid-epoch cancellation
 //! must leave the worker pool and batch arenas reusable — the next clean
 //! run is bit-identical and allocation-free at steady state. See
 //! `DESIGN.md` §14.
@@ -9,9 +11,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
-use gsampler_algos::drivers::run_walk_epoch_with;
-use gsampler_core::{compile, Bindings, OptConfig, Sampler};
-use gsampler_runtime::{arena_metrics, CancelToken};
+use gsampler_algos::drivers::{run_walk_batch, run_walk_epoch, run_walk_epoch_with};
+use gsampler_core::{cancel, compile, Bindings, CancelToken, OptConfig, Sampler};
+use gsampler_runtime::arena_metrics;
 use gsampler_testkit::chaos::{chaos_lock, run_schedule};
 use gsampler_testkit::drive::sampler_config;
 use gsampler_testkit::gen::{GraphSpec, Topology};
@@ -115,10 +117,16 @@ fn epoch_deadline_fails_cleanly_and_a_generous_one_is_invisible() {
 
     // An already-expired deadline: the epoch stops at the first check
     // point with the typed error, before producing anything.
-    let mut config = sampler_config(OptConfig::all(), 11, 8);
-    config.deadline = Some(Duration::ZERO);
-    let sampler = compile(graph.clone(), layers_of(&h, "GraphSAGE"), config).unwrap();
-    let (prints, report) = epoch_prints(&sampler, &seeds);
+    let sampler = compile(
+        graph,
+        layers_of(&h, "GraphSAGE"),
+        sampler_config(OptConfig::all(), 11, 8),
+    )
+    .unwrap();
+    let (prints, report) = {
+        let _scope = cancel::scope(CancelToken::with_deadline(Duration::ZERO));
+        epoch_prints(&sampler, &seeds)
+    };
     let err = report.expect_err("a zero deadline must fail the epoch");
     assert!(err.is_deadline() && err.is_cancelled(), "got: {err}");
     assert!(
@@ -127,22 +135,96 @@ fn epoch_deadline_fails_cleanly_and_a_generous_one_is_invisible() {
     );
 
     // A generous deadline changes nothing: same outputs as no deadline,
-    // bit for bit (the armed token is polled but never fires).
-    let no_deadline = compile(
-        graph.clone(),
-        layers_of(&h, "GraphSAGE"),
-        sampler_config(OptConfig::all(), 11, 8),
-    )
-    .unwrap();
-    let (clean, report) = epoch_prints(&no_deadline, &seeds);
+    // bit for bit (the token is polled but never fires).
+    let (clean, report) = epoch_prints(&sampler, &seeds);
     report.expect("clean epoch");
-    let mut config = sampler_config(OptConfig::all(), 11, 8);
-    config.deadline = Some(Duration::from_secs(3600));
-    let generous = compile(graph, layers_of(&h, "GraphSAGE"), config).unwrap();
-    let (armed, report) = epoch_prints(&generous, &seeds);
-    let report = report.expect("generous deadline epoch");
+    let (armed, report) = {
+        let _scope = cancel::scope(CancelToken::with_deadline(Duration::from_secs(3600)));
+        epoch_prints(&sampler, &seeds)
+    };
+    report.expect("generous deadline epoch");
     assert_eq!(clean, armed, "a live (unfired) deadline must be invisible");
-    assert_eq!(report.faults.deadline_shed_retries, 0);
+}
+
+#[test]
+fn an_installed_token_stops_every_entry_point() {
+    let _g = chaos_lock();
+    let spec = GraphSpec {
+        topology: Topology::PowerLaw,
+        nodes: 48,
+        edges: 200,
+        weighted: true,
+        self_loops: true,
+        duplicate_edges: true,
+        dangling: false,
+        seed: 0x5C0E,
+    };
+    let graph = spec.build();
+    let h = gsampler_algos::Hyper {
+        batch_size: 8,
+        ..oracle_hyper()
+    };
+    let seeds: Vec<u32> = (0..32).map(|i| i % graph.num_nodes() as u32).collect();
+    let compiled = |algo| {
+        let config = sampler_config(OptConfig::all(), 11, h.batch_size);
+        compile(graph.clone(), layers_of(&h, algo), config).unwrap()
+    };
+    let (sage, walk) = (compiled("GraphSAGE"), compiled("DeepWalk"));
+    let bindings = Bindings::new();
+    let entry_points = || -> Vec<(&str, gsampler_core::Result<()>)> {
+        let groups = vec![seeds[..8].to_vec(), seeds[8..16].to_vec()];
+        let rngs = &mut [sage.stream(0), sage.stream(1)];
+        vec![
+            (
+                "sample_batch",
+                sage.sample_batch(&seeds[..8], &bindings).map(drop),
+            ),
+            (
+                "sample_groups",
+                sage.sample_groups(groups, &bindings, rngs).map(drop),
+            ),
+            ("run_epoch", sage.run_epoch(&seeds, &bindings, 0).map(drop)),
+            (
+                "run_walk_batch",
+                run_walk_batch(&walk, &seeds[..8], h.walk_length, false, 0.0, 0).map(drop),
+            ),
+            (
+                "run_walk_epoch",
+                run_walk_epoch(&walk, &seeds, &h, false, 0).map(drop),
+            ),
+        ]
+    };
+
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    for (token, deadline) in [
+        (CancelToken::with_deadline(Duration::ZERO), true),
+        (cancelled, false),
+    ] {
+        let _scope = cancel::scope(token);
+        for (name, result) in entry_points() {
+            let err = result.expect_err(name);
+            assert!(
+                err.is_cancelled() && err.is_deadline() == deadline,
+                "{name}: got {err}"
+            );
+        }
+    }
+
+    // Once the scope drops, the stopped samplers run clean epochs.
+    let walk_traces = |sampler: &Sampler| {
+        let mut traces = Vec::new();
+        run_walk_epoch_with(sampler, &seeds, &h, false, 0, |_, t| {
+            traces.push(t.positions)
+        })
+        .expect("walk epoch after the scope");
+        traces
+    };
+    assert_eq!(
+        epoch_prints(&sage, &seeds).0,
+        epoch_prints(&compiled("GraphSAGE"), &seeds).0
+    );
+    assert_eq!(walk_traces(&walk), walk_traces(&compiled("DeepWalk")));
 }
 
 #[test]
@@ -184,12 +266,16 @@ fn mid_epoch_cancel_leaves_pool_and_arenas_reusable() {
     // and the batches it did deliver are a bit-identical prefix of the
     // clean run (cancellation never perturbs sampling).
     let token = CancelToken::new();
-    let mut config = sampler_config(OptConfig::all(), 11, 8);
-    config.cancel = Some(token.clone());
-    let cancel_sampler = compile(graph.clone(), layers_of(&h, "GraphSAGE"), config).unwrap();
+    let cancel_sampler = compile(
+        graph.clone(),
+        layers_of(&h, "GraphSAGE"),
+        sampler_config(OptConfig::all(), 11, 8),
+    )
+    .unwrap();
     let mut prints: Vec<u64> = Vec::new();
-    let err = cancel_sampler
-        .run_epoch_with(&seeds, &Bindings::new(), 0, |idx, sample| {
+    let result = {
+        let _scope = cancel::scope(token.clone());
+        cancel_sampler.run_epoch_with(&seeds, &Bindings::new(), 0, |idx, sample| {
             let mut hasher = DefaultHasher::new();
             (idx, format!("{:?}", sample.layers)).hash(&mut hasher);
             prints.push(hasher.finish());
@@ -197,7 +283,8 @@ fn mid_epoch_cancel_leaves_pool_and_arenas_reusable() {
                 token.cancel();
             }
         })
-        .expect_err("a cancelled epoch must not complete");
+    };
+    let err = result.expect_err("a cancelled epoch must not complete");
     assert!(err.is_cancelled() && !err.is_deadline(), "got: {err}");
     assert!(
         !prints.is_empty() && prints.len() < clean.len(),
@@ -215,14 +302,14 @@ fn mid_epoch_cancel_leaves_pool_and_arenas_reusable() {
     // cancelled after batch 0, the delivered traces are a prefix of the
     // clean walk epoch's.
     let h = gsampler_algos::Hyper { batch_size: 8, ..h };
-    let walk_epoch = |cancel: Option<CancelToken>| {
-        let mut config = sampler_config(OptConfig::all(), 11, h.batch_size);
-        config.cancel = cancel.clone();
+    let walk_epoch = |token: Option<CancelToken>| {
+        let config = sampler_config(OptConfig::all(), 11, h.batch_size);
         let sampler = compile(graph.clone(), layers_of(&h, "DeepWalk"), config).unwrap();
+        let _scope = token.clone().map(cancel::scope);
         let mut traces: Vec<Vec<Vec<u32>>> = Vec::new();
         let result = run_walk_epoch_with(&sampler, &seeds, &h, false, 0, |idx, trace| {
             traces.push(trace.positions);
-            if let (0, Some(token)) = (idx, &cancel) {
+            if let (0, Some(token)) = (idx, &token) {
                 token.cancel();
             }
         });

@@ -244,7 +244,6 @@ fn injected_oom_quarantines_only_the_victim() {
     let _guard = chaos_lock();
     let strict = RecoveryPolicy {
         max_retries: 0,
-        backoff_ms: 0,
         allow_degrade: false,
         quarantine: true,
     };
@@ -272,7 +271,6 @@ fn injected_oom_under_degrade_policy_is_bit_transparent() {
     let _guard = chaos_lock();
     let lenient = RecoveryPolicy {
         max_retries: 2,
-        backoff_ms: 0,
         allow_degrade: true,
         quarantine: false,
     };

@@ -7,7 +7,7 @@
 //! replacement: the Efraimidis–Spirakis kernel must match the exact
 //! successive-draw inclusion probabilities, not the with-replacement ones.
 //! Weighted draws *with* replacement (the alias table) are held to their
-//! own closed form.
+//! own closed form, and one Node2Vec step to its second-order transition.
 
 use std::sync::Arc;
 
@@ -79,6 +79,38 @@ fn eager_engine_fanout_is_uniform() {
         }
     }
     stats::assert_fits("eager fanout-1", &counts, &uniform_spokes(), TRIALS);
+}
+
+#[test]
+fn node2vec_step_matches_the_second_order_transition() {
+    // A walker at 0 that came from 1 picks among 0's in-neighbours 1..=6:
+    // back to 1 with weight 1/p, to 2 and 3 (adjacent to 1, one edge each
+    // way) with weight 1, and to 4..=6 with weight 1/q.
+    let (p, q) = (0.5f32, 2.0f32);
+    let mut edges: Vec<(u32, u32, f32)> = (1..7u32).map(|r| (r, 0, 1.0)).collect();
+    edges.extend([(2, 1, 1.0), (1, 3, 1.0)]);
+    let graph = Arc::new(Graph::from_edges("n2v", 7, &edges, false).unwrap());
+    let config = SamplerConfig {
+        batch_size: 1,
+        ..SamplerConfig::new()
+    };
+    let gs = compile(
+        graph,
+        vec![gsampler_algos::walks::node2vec_step(p, q)],
+        config,
+    )
+    .unwrap();
+    let bindings = Bindings::new().node_list("prev", vec![1]);
+    let mut counts = [0u64; 7];
+    for t in 0..TRIALS {
+        let out = gs.sample_batch_seeded(&[0], &bindings, t).unwrap();
+        counts[out.layers[0][1].as_nodes().unwrap()[0] as usize] += 1;
+    }
+    let (p, q) = (p as f64, q as f64);
+    let weights = [0.0, 1.0 / p, 1.0, 1.0, 1.0 / q, 1.0 / q, 1.0 / q];
+    let total: f64 = weights.iter().sum();
+    let expected: Vec<f64> = weights.iter().map(|w| w / total).collect();
+    stats::assert_fits("node2vec step p=0.5 q=2", &counts, &expected, TRIALS);
 }
 
 #[test]
