@@ -77,12 +77,17 @@ fi
     --require-event deadline/exceeded
 # The deadline is the token in scope around the whole epoch, so it bounds
 # every algorithm: a walk epoch, which never reaches the epoch driver's
-# window loop, must fail inside 1 ms too.
+# window loop, must stop too, and leave the same post-mortem (its loop runs
+# under the same stop bracket). A walk epoch can finish inside 1 ms, so the
+# budget is 0 ms: the first poll fires, on any host.
 if GSAMPLER_THREADS=2 ./target/release/gsample deepwalk --dataset PD --scale 0.05 \
-    --deadline-ms 1 >/dev/null 2>&1; then
-    echo "gsample finished a PD walk epoch inside a 1 ms deadline" >&2
+    --deadline-ms 0 --trace-out "$TRACE_TMP/walk_deadline.json" >/dev/null 2>&1; then
+    echo "gsample finished a PD walk epoch inside a 0 ms deadline" >&2
     exit 1
 fi
+./target/release/trace-check "$TRACE_TMP/walk_deadline.json" --require pass,kernel \
+    --require-event deadline/set \
+    --require-event deadline/exceeded
 
 # --- Cache-residency smoke ----------------------------------------------
 # PP runs partially resident behind a degree-skew cache plan: a traced
@@ -178,6 +183,18 @@ test -z "$(non_test crates/core/src/kernels/matmul.rs | grep 'fn sddmm\|iter_edg
 test "$(sed -n '/^pub(crate) fn run_input/,/^}/p' crates/core/src/kernels/mod.rs | grep -c 'Arc<Value>')" -eq 1
 test -z "$(sed -n '/^pub(crate) fn run_input/,/^}/p' crates/core/src/kernels/mod.rs | grep 'Value::\|to_vec()')"
 test -z "$(non_test crates/matrix/src/eltwise.rs | grep 'out\.set(')"
+# Bias on the fly: a bias chain only the node-wise select reads is
+# evaluated inside the pick (`Op::FusedBiasSelect`), so the standalone
+# attention-combine kernel, its matrix routine and its fusion rule are gone;
+# the biased select picks through the one `pick_columns` (called by
+# `sample_columns` and the fused extract-select only), and its dots are the
+# one `dense::dots` the SDDMM runs, not a second dot loop.
+test -z "$(grep -rn 'FusedEdgeCombine\|combine_edge_values\|combine_chain\|edge_combine' crates src tests examples)"
+test "$(grep -rn 'fn pick_columns' crates/*/src | wc -l)" -eq 1
+test "$(grep -rn 'pick_columns(' crates/*/src | grep -vc 'fn pick_columns')" -eq 2
+test "$(grep -c 'sample_columns(' crates/core/src/kernels/slice_sample.rs)" -eq 1
+test "$(grep -rn 'fn dots' crates/*/src | wc -l)" -eq 1
+test -z "$(non_test crates/matrix/src/bias.rs | grep 'fold(-0\|Rng\|sample_without')"
 # SpMM is one plain traversal (`spmm` and `spmm_t` over `spmm_lines`): no
 # cache blocking, no host cache probe, no software prefetch, and no second
 # kernel kept only as a speed reference.

@@ -218,7 +218,12 @@ pub fn gsampler_epoch(
             .map(|c| c.to_vec())
             .collect();
         let ran = groups.len();
-        drivers::run_walk_groups(sampler, groups, steps, algo == Algo::Node2Vec, 0.0, 1)?;
+        // A walk epoch never reaches `drive_epoch`; it stops and leaves its
+        // post-mortem under the same bracket.
+        let node2vec = algo == Algo::Node2Vec;
+        gsampler_core::window::stop_bracket(|| {
+            drivers::run_walk_groups(sampler, groups, steps, node2vec, 0.0, 1)
+        })?;
         let stats = sampler.device().stats();
         let per_step_batch = stats.total_time / (ran * steps) as f64;
         Ok(EpochEstimate {

@@ -124,16 +124,6 @@ pub(super) fn run(
                 m.data.with_values(d.column(*col)),
             )))
         }
-        Op::FusedEdgeCombine { col, unary } => {
-            let m = want_matrix(inputs[0], "fused_edge_combine")?;
-            let (w, channels) = inputs[1..].split_last().ok_or_else(|| {
-                Error::Execution("fused_edge_combine: no projection input".to_string())
-            })?;
-            let mats = want_patterns(channels, "fused_edge_combine")?;
-            let w = want_dense(w, "fused_edge_combine")?;
-            let data = eltwise::combine_edge_values(&m.data, &mats, w, *col, unary)?;
-            Ok(Value::Matrix(with_data(m, data)))
-        }
         other => Err(Error::Execution(format!(
             "matmul kernel cannot evaluate {other:?}"
         ))),

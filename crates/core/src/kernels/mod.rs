@@ -141,6 +141,7 @@ fn resolve(op: &Op) -> (&'static str, RunFn) {
         | Op::CollectiveSample { .. }
         | Op::FusedExtractSelect { .. }
         | Op::FusedExtractCollective { .. }
+        | Op::FusedBiasSelect { .. }
         | Op::Convert(..)
         | Op::CompactRows
         | Op::RowNodes
@@ -158,8 +159,7 @@ fn resolve(op: &Op) -> (&'static str, RunFn) {
         | Op::DenseColumn { .. }
         | Op::DenseGatherRows
         | Op::StackEdgeValues
-        | Op::EdgeValuesFromDense { .. }
-        | Op::FusedEdgeCombine { .. } => ("matmul", matmul::run),
+        | Op::EdgeValuesFromDense { .. } => ("matmul", matmul::run),
 
         Op::ScalarOp(..)
         | Op::UnaryOp(..)

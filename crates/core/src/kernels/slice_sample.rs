@@ -3,23 +3,28 @@
 //! format conversion, and compaction.
 //!
 //! Node-wise selection has one implementation, in the matrix crate:
-//! `Op::IndividualSample` and `Op::FusedExtractSelect` both pick with
-//! `sample::pick_columns` — over the matrix's own columns and over the
-//! frontiers' columns of the base graph — and both write with
+//! `Op::IndividualSample`, `Op::FusedBiasSelect` and `Op::FusedExtractSelect`
+//! all pick with `sample::pick_columns` — over the matrix's own columns (with
+//! a materialized bias, one evaluated per edge inside the pick, or none) and
+//! over the frontiers' columns of the base graph — and all write with
 //! `slice::gather_cols`. This module only draws the per-group column
-//! streams ([`ColStreams`]) and supplies the block-diagonal row offsets.
+//! streams ([`ColStreams`]), resolves a fused bias's leaves and supplies the
+//! block-diagonal row offsets.
 
 use rand::rngs::StdRng;
 
-use gsampler_ir::Op;
-use gsampler_matrix::sample::{individual_sample, pick_columns};
-use gsampler_matrix::{GraphMatrix, SparseMatrix};
+use gsampler_ir::{BiasChannel, EdgeBias, EdgeMapStep, Op};
+use gsampler_matrix::bias::{self, Channel, MapStep};
+use gsampler_matrix::sample::{individual_sample, pick_columns, sample_columns, Uniform};
+use gsampler_matrix::spmm::RowsById;
+use gsampler_matrix::{Axis, Csc, GraphMatrix, SparseMatrix};
 
 use crate::error::{Error, Result};
 use crate::session_rng::ColStreams;
 use crate::value::Value;
 
-use super::eltwise::{want_matrix, want_nodes, want_vector, with_data};
+use super::eltwise::{fit_axis_vector, want_matrix, want_nodes, want_vector, with_data};
+use super::matmul::want_dense;
 use super::{superbatch, ExecCtx};
 
 /// Fused extract + node-wise select: sample `k` in-neighbours per frontier
@@ -42,13 +47,58 @@ pub fn fused_extract_select(
     let cols_f = ctx.concat_frontiers;
     ctx.check_frontiers(csc.ncols, "fused_extract_select")?;
     let streams = ColStreams::draw(rngs, ctx.col_offsets, cols_f.len())?;
-    let (indptr, picks) = pick_columns(&csc, Some(cols_f), k, replace, None, &streams)?;
+    let (indptr, picks) = pick_columns(&csc, Some(cols_f), k, replace, &Uniform, &streams)?;
     let block = superbatch::gather_block(&csc, indptr, ctx, |_, out| picks[out].iter().copied());
     Ok(Value::Matrix(GraphMatrix {
         data: SparseMatrix::Csc(block),
         row_ids: m.row_ids.clone(),
         col_ids: Some(std::sync::Arc::new(cols_f.to_vec())),
     }))
+}
+
+/// The bias chain `bias` of a [`Op::FusedBiasSelect`] over `m` (whose
+/// CSC is `csc`), its leaves read from `inputs`: the operands, lookups and
+/// checks the unfused chain's kernels would use — a dot's `B` by row ID as
+/// in `Op::Sddmm`, a step's vector fitted as in `Op::Broadcast` — so the
+/// weights are theirs, bit for bit, and so are the errors.
+fn edge_bias<'a>(
+    m: &'a GraphMatrix,
+    csc: &'a Csc,
+    bias: &EdgeBias,
+    inputs: &[&'a Value],
+    period: usize,
+) -> Result<bias::EdgeBias<'a>> {
+    let what = "fused_bias_select";
+    let row_ids = m.row_ids.as_ref().map(|ids| ids.as_slice());
+    let step = |step: &EdgeMapStep| -> Result<MapStep<'a>> {
+        Ok(match *step {
+            EdgeMapStep::Scalar(op, s) => MapStep::Scalar(op, s),
+            EdgeMapStep::Unary(op) => MapStep::Unary(op),
+            EdgeMapStep::Broadcast(op, axis, pos) => {
+                let v = want_vector(inputs[pos], what)?;
+                let fitted = fit_axis_vector(m, v, axis, period)?;
+                match axis {
+                    Axis::Row => MapStep::Row(op, fitted),
+                    Axis::Col => MapStep::Col(op, fitted),
+                }
+            }
+        })
+    };
+    let channel = |channel: &BiasChannel| -> Result<Channel<'a>> {
+        Ok(match channel {
+            BiasChannel::Dot(b, c) => {
+                let (b, c) = (want_dense(inputs[*b], what)?, want_dense(inputs[*c], what)?);
+                Channel::Dot(RowsById::new(&m.data, row_ids, period, b, c)?, c)
+            }
+            BiasChannel::Map(steps) => Channel::Map(steps.iter().map(step).collect::<Result<_>>()?),
+        })
+    };
+    let channels = bias.channels.iter().map(channel).collect::<Result<_>>()?;
+    let combine = match &bias.combine {
+        Some(c) => Some((want_dense(inputs[c.w], what)?, c.col, c.unary.clone())),
+        None => None,
+    };
+    Ok(bias::EdgeBias::new(csc, channels, combine)?)
 }
 
 /// Extract / select operator family: evaluate `op` on `inputs`.
@@ -93,6 +143,16 @@ pub(super) fn run(
             let streams = ColStreams::draw(rngs, ctx.col_offsets, m.shape().1)?;
             let probs = probs.map(|p| &p.data);
             let data = individual_sample(&m.data, *k, *replace, probs, &streams)?;
+            Ok(Value::Matrix(with_data(m, data)))
+        }
+        Op::FusedBiasSelect { k, replace, bias } => {
+            let m = want_matrix(inputs[0], "fused_bias_select")?;
+            let csc = m.data.csc();
+            let bias = edge_bias(m, &csc, bias, inputs, ctx.n)?;
+            // The streams `Op::IndividualSample` draws.
+            let streams = ColStreams::draw(rngs, ctx.col_offsets, m.shape().1)?;
+            let out = sample_columns(&csc, *k, *replace, &bias, &streams)?;
+            let data = SparseMatrix::Csc(out).into_format(m.data.format());
             Ok(Value::Matrix(with_data(m, data)))
         }
         Op::CollectiveSample { k } => {

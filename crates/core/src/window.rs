@@ -290,75 +290,69 @@ impl Sampler {
         epoch_span.arg("epoch", epoch);
         epoch_span.arg("seeds", seeds.len());
         epoch_span.arg("super_batch", self.super_batch);
-        // Deadline plane: the caller's scoped token (see
-        // `gsampler_runtime::cancel::scope`) bounds the epoch. Every window
-        // boundary, kernel dispatch and pool chunk claim below polls it;
-        // pool workers inherit it through the dispatched job.
-        if let Some(budget_ms) = gsampler_runtime::cancel::current().and_then(|t| t.budget_ms()) {
-            gsampler_obs::event(
-                "deadline",
-                "set",
-                &[("budget_ms", gsampler_obs::Arg::from(budget_ms as f64))],
-            );
-        }
-        let wall_start = Instant::now();
-        let batch = self.config.batch_size.max(1);
-        let quarantine = self.config.recovery.quarantine;
-        let pool = self.pool.subpool(epoch);
-        let mut factor = self.super_batch.max(1);
-        let mut batch_idx = 0usize;
-        let mut start = 0usize;
-        while start < seeds.len() {
-            // Window boundary is the coarse cancellation check point: RNG
-            // streams are derived fresh per batch, so stopping here needs
-            // no RNG restore — a rerun replays the remaining batches
-            // bit-identically.
-            if let Some(cause) = gsampler_runtime::cancel::poll() {
-                return Err(note_stop(Error::from_cancel(cause)));
-            }
-            let groups: Vec<&[NodeId]> = seeds[start..].chunks(batch).take(factor).collect();
-            start += groups.iter().map(|g| g.len()).sum::<usize>();
-            let rngs: Vec<StdRng> = (batch_idx..batch_idx + groups.len())
-                .map(|b| pool.stream(b as u64))
-                .collect();
-            let results = self.window(&rngs, &mut factor, |idx, rngs| {
-                run_window(idx.iter().map(|&g| groups[g].to_vec()).collect(), rngs)
-            });
-            for result in results {
-                match result {
-                    Ok(item) => consume(batch_idx, item),
-                    Err(e) if quarantine && !e.is_cancelled() => {
-                        // The batch exhausted retries and degradation: skip
-                        // it, keep the epoch alive. Batch numbering stays
-                        // stable — the skipped index is simply never given
-                        // to `consume`.
-                        self.device.note_faults(|f| f.quarantined_batches += 1);
-                        gsampler_obs::event(
-                            "degrade",
-                            "quarantine",
-                            &[
-                                ("batch", gsampler_obs::Arg::from(batch_idx as f64)),
-                                ("error", gsampler_obs::Arg::from(e.to_string())),
-                            ],
-                        );
-                    }
-                    Err(e) => return Err(note_stop(e)),
+        // Deadline plane: the caller's scoped token bounds the epoch. Every
+        // window boundary, kernel dispatch and pool chunk claim below polls
+        // it; pool workers inherit it through the dispatched job.
+        stop_bracket(|| {
+            let wall_start = Instant::now();
+            let batch = self.config.batch_size.max(1);
+            let quarantine = self.config.recovery.quarantine;
+            let pool = self.pool.subpool(epoch);
+            let mut factor = self.super_batch.max(1);
+            let mut batch_idx = 0usize;
+            let mut start = 0usize;
+            while start < seeds.len() {
+                // Window boundary is the coarse cancellation check point: RNG
+                // streams are derived fresh per batch, so stopping here needs
+                // no RNG restore — a rerun replays the remaining batches
+                // bit-identically.
+                if let Some(cause) = gsampler_runtime::cancel::poll() {
+                    return Err(Error::from_cancel(cause));
                 }
-                batch_idx += 1;
+                let groups: Vec<&[NodeId]> = seeds[start..].chunks(batch).take(factor).collect();
+                start += groups.iter().map(|g| g.len()).sum::<usize>();
+                let rngs: Vec<StdRng> = (batch_idx..batch_idx + groups.len())
+                    .map(|b| pool.stream(b as u64))
+                    .collect();
+                let results = self.window(&rngs, &mut factor, |idx, rngs| {
+                    run_window(idx.iter().map(|&g| groups[g].to_vec()).collect(), rngs)
+                });
+                for result in results {
+                    match result {
+                        Ok(item) => consume(batch_idx, item),
+                        Err(e) if quarantine && !e.is_cancelled() => {
+                            // The batch exhausted retries and degradation: skip
+                            // it, keep the epoch alive. Batch numbering stays
+                            // stable — the skipped index is simply never given
+                            // to `consume`.
+                            self.device.note_faults(|f| f.quarantined_batches += 1);
+                            gsampler_obs::event(
+                                "degrade",
+                                "quarantine",
+                                &[
+                                    ("batch", gsampler_obs::Arg::from(batch_idx as f64)),
+                                    ("error", gsampler_obs::Arg::from(e.to_string())),
+                                ],
+                            );
+                        }
+                        Err(e) => return Err(e),
+                    }
+                    batch_idx += 1;
+                }
             }
-        }
-        epoch_span.arg("final_super_batch", factor);
-        let mut stats = self.device.stats();
-        // Compile-time counters survive the per-epoch device reset.
-        stats.plan_db = self.plan_db_stats;
-        Ok(EpochReport {
-            modeled_time: stats.total_time,
-            wall_time: wall_start.elapsed().as_secs_f64(),
-            batches: batch_idx,
-            faults: stats.faults,
-            stats,
-            memory: self.device.memory(),
-            super_batch: self.super_batch,
+            epoch_span.arg("final_super_batch", factor);
+            let mut stats = self.device.stats();
+            // Compile-time counters survive the per-epoch device reset.
+            stats.plan_db = self.plan_db_stats;
+            Ok(EpochReport {
+                modeled_time: stats.total_time,
+                wall_time: wall_start.elapsed().as_secs_f64(),
+                batches: batch_idx,
+                faults: stats.faults,
+                stats,
+                memory: self.device.memory(),
+                super_batch: self.super_batch,
+            })
         })
     }
 
@@ -371,6 +365,23 @@ impl Sampler {
     ) -> Result<EpochReport> {
         self.run_epoch_with(seeds, bindings, epoch, |_, _| {})
     }
+}
+
+/// Run one epoch, `run`, under the stop token the caller installed with
+/// `cancel::scope`: a `deadline/set` event when that token carries a
+/// budget, then a `deadline/exceeded` or `cancel/fired` event if `run`
+/// stops on it. Every epoch driver brackets its run with this —
+/// [`Sampler::drive_epoch`] and the walk epochs alike — so a stopped run
+/// leaves the same post-mortem whichever loop it ran.
+pub fn stop_bracket<T>(run: impl FnOnce() -> Result<T>) -> Result<T> {
+    if let Some(budget_ms) = gsampler_runtime::cancel::current().and_then(|t| t.budget_ms()) {
+        gsampler_obs::event(
+            "deadline",
+            "set",
+            &[("budget_ms", gsampler_obs::Arg::from(budget_ms as f64))],
+        );
+    }
+    run().map_err(note_stop)
 }
 
 /// Trace why an epoch stopped early (deadline or cancel) and pass the

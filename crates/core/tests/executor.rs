@@ -978,7 +978,7 @@ fn compiled_pass_layer_computes_each_projection_once() {
     let sampler = compile(graph, vec![pass_layer(3)], config(OptConfig::all())).unwrap();
     let optimized = &sampler.layers()[0].optimized;
     assert_eq!(optimized.report.gather_through_gemm, 2);
-    assert_eq!(optimized.report.edge_combine_fused, 1);
+    assert_eq!(optimized.report.bias_select_fused, 1);
     // The two projections and `softmax(W3)` read bound inputs only, so
     // pre-processing hoists them; the launch gathers rows of the products.
     assert_eq!(optimized.report.preprocessed, 3);
@@ -987,7 +987,10 @@ fn compiled_pass_layer_computes_each_projection_once() {
     let count = |pred: fn(&Op) -> bool| optimized.program.count_ops(pred);
     assert_eq!(count(gemm), 0);
     assert_eq!(count(|op| matches!(op, Op::DenseGatherRows)), 2);
-    assert_eq!(count(|op| matches!(op, Op::FusedEdgeCombine { .. })), 1);
+    // The bias chain is evaluated inside the select: no SDDMM, broadcast,
+    // stack, projection or edge-value array.
+    assert_eq!(count(|op| matches!(op, Op::FusedBiasSelect { .. })), 1);
+    assert_eq!(count(|op| matches!(op, Op::Sddmm | Op::Broadcast(..))), 0);
     assert_eq!(count(|op| matches!(op, Op::StackEdgeValues)), 0);
     assert_eq!(count(|op| matches!(op, Op::DenseUnary(..))), 0);
     assert_eq!(count(|op| matches!(op, Op::EdgeValuesFromDense { .. })), 0);

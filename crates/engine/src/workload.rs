@@ -306,6 +306,27 @@ pub fn individual_sample(
         .with_parallelism(input.ncols as u64)
 }
 
+/// [`individual_sample`] whose bias is evaluated per edge inside the pick:
+/// the weighted select fused with, per edge, a dot of each width in
+/// `dot_dims` (reading one row of its row-side table) and `edge_ops` other
+/// operations, which expose one work item per edge ([`KernelDesc::fuse`]'s
+/// rule); no bias array is written.
+pub fn biased_individual_sample(
+    fmt: Format,
+    input: MatShape,
+    k: usize,
+    dot_dims: &[usize],
+    edge_ops: usize,
+    residency: Residency,
+) -> KernelDesc {
+    let (nnz, dot) = (input.nnz as u64, dot_dims.iter().sum::<usize>() as u64);
+    let mut desc = individual_sample(fmt, input, k, true, residency);
+    desc.flops += nnz * (2 * dot + edge_ops as u64);
+    desc.bytes += nnz * dot * NODE_BYTES;
+    desc.parallelism = desc.parallelism.max(nnz);
+    desc
+}
+
 /// `A.collective_sample(K, node_probs)` — layer-wise select.
 ///
 /// Dominated by gathering the `k` selected rows: sequential on CSR,

@@ -12,7 +12,7 @@ use gsampler_matrix::{Axis, Format};
 
 use crate::estimate::ShapeEst;
 use crate::facts::{Facts, ValueKind};
-use crate::op::Op;
+use crate::op::{BiasChannel, Op};
 use crate::program::Program;
 
 fn mat(s: &ShapeEst) -> MatShape {
@@ -78,10 +78,9 @@ pub fn kernel_desc(
         Op::InduceSubgraph => {
             workload::induce_subgraph(fmt0, in0, out_mat.nnz, out_mat.nrows, res0)
         }
-        Op::ScalarOp(..)
-        | Op::UnaryOp(..)
-        | Op::EdgeValuesFromDense { .. }
-        | Op::FusedEdgeCombine { .. } => workload::eltwise(fmt0, in0),
+        Op::ScalarOp(..) | Op::UnaryOp(..) | Op::EdgeValuesFromDense { .. } => {
+            workload::eltwise(fmt0, in0)
+        }
         Op::Broadcast(..) => workload::broadcast(fmt0, in0),
         Op::SparseElt(..) => workload::sparse_elt(fmt0, in0),
         Op::Sddmm => {
@@ -129,6 +128,22 @@ pub fn kernel_desc(
         Op::IndividualSample { k, .. } => {
             let weighted = in_shapes.len() > 1;
             workload::individual_sample(fmt0, in0, *k, weighted, res0)
+        }
+        // The select plus the chain it evaluates per edge: the dots (at
+        // their feature dimensions) and every other per-edge operation.
+        Op::FusedBiasSelect { k, bias, .. } => {
+            let mut dims = Vec::new();
+            let mut edge_ops = bias
+                .combine
+                .as_ref()
+                .map_or(0, |c| 2 * bias.channels.len() + c.unary.len());
+            for channel in &bias.channels {
+                match channel {
+                    BiasChannel::Dot(b, _) => dims.push(dense_dims(&in_shapes[*b]).1.max(1)),
+                    BiasChannel::Map(steps) => edge_ops += steps.len(),
+                }
+            }
+            workload::biased_individual_sample(fmt0, in0, *k, &dims, edge_ops, res0)
         }
         Op::CollectiveSample { k } => workload::collective_sample(fmt0, in0, *k, out_mat.nnz, res0),
         Op::Node2VecBias { .. } => {
@@ -189,7 +204,9 @@ pub fn output_format(
     (kind == ValueKind::Matrix).then(|| match op {
         Op::InputGraph | Op::Precomputed { .. } => graph_fmt,
         Op::Convert(to) => *to,
-        Op::FusedExtractSelect { .. } | Op::IndividualSample { .. } => Format::Csc,
+        Op::FusedExtractSelect { .. }
+        | Op::IndividualSample { .. }
+        | Op::FusedBiasSelect { .. } => Format::Csc,
         _ => first_input_fmt.unwrap_or(graph_fmt),
     })
 }

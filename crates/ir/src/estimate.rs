@@ -149,8 +149,7 @@ pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize)
             | Op::EdgeValuesFromDense { .. }
             | Op::Node2VecBias { .. }
             | Op::Convert(..)
-            | Op::FusedEdgeMap { .. }
-            | Op::FusedEdgeCombine { .. } => input(0),
+            | Op::FusedEdgeMap { .. } => input(0),
             Op::Reduce(_, axis) | Op::FusedEdgeMapReduce { axis, .. } => {
                 let (nrows, ncols, _) = input(0).as_matrix().unwrap_or((n, n, e));
                 ShapeEst::Vector(match axis {
@@ -207,7 +206,7 @@ pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize)
                 let (nrows, _, _) = input(1).as_matrix().unwrap_or((n, n, e));
                 ShapeEst::Vector(nrows)
             }
-            Op::IndividualSample { k, .. } => {
+            Op::IndividualSample { k, .. } | Op::FusedBiasSelect { k, .. } => {
                 let (nrows, ncols, nnz) = input(0).as_matrix().unwrap_or((n, n, e));
                 let per_col = deg.min(*k as f64);
                 ShapeEst::Matrix {

@@ -35,6 +35,6 @@ pub mod superbatch;
 
 pub use estimate::{GraphStats, ShapeEst};
 pub use facts::{facts, Facts, Space, ValueKind, Varies};
-pub use op::{EdgeMapStep, Op};
+pub use op::{BiasChannel, BiasCombine, EdgeBias, EdgeMapStep, Op};
 pub use passes::{run_passes, LayoutDecision, LayoutPlan, OptConfig, PassReport};
 pub use program::{identity, Node, OpId, Program};

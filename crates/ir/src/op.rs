@@ -20,6 +20,67 @@ pub enum EdgeMapStep {
     Broadcast(EltOp, Axis, usize),
 }
 
+/// One per-edge value of an [`EdgeBias`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum BiasChannel {
+    /// `B.row(row) · C.row(col)`: an [`Op::Sddmm`] of the select's matrix,
+    /// `B` and `C` the fused node's inputs at these positions.
+    Dot(usize, usize),
+    /// The edge's own value through these steps: an edge-map chain over
+    /// the select's matrix, its broadcast vectors the fused node's inputs
+    /// at the steps' positions (none: the value itself).
+    Map(Vec<EdgeMapStep>),
+}
+
+/// A per-edge sampling bias [`Op::FusedBiasSelect`] evaluates inside its
+/// pick. The grammar is fixed — channels, then an optional combine — and
+/// is not an interpreter: the chain a fusion rule cannot spell in it stays
+/// materialized.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EdgeBias {
+    /// The channels, in stack order.
+    pub channels: Vec<BiasChannel>,
+    /// `unary(Σ_k [a_k ≠ 0] a_k · W[k, col])` over the channels (PASS's
+    /// stack → project → map → column); `None`: the one channel as it is.
+    pub combine: Option<BiasCombine>,
+}
+
+/// The combine of an [`EdgeBias`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BiasCombine {
+    /// Position of `W` among the fused node's inputs.
+    pub w: usize,
+    /// Which column of `W` projects the channels.
+    pub col: usize,
+    /// The dense unary maps of the chain, applied in order.
+    pub unary: Vec<UnaryOp>,
+}
+
+impl EdgeBias {
+    /// The fused node's input kinds after its matrix: the leaves by
+    /// position (a dot's two dense inputs, a step's vector, `W`).
+    fn leaf_kinds(&self) -> Vec<ValueKind> {
+        let mut leaves = Vec::new();
+        for channel in &self.channels {
+            match channel {
+                BiasChannel::Dot(b, c) => {
+                    leaves.extend([(*b, ValueKind::Dense), (*c, ValueKind::Dense)])
+                }
+                BiasChannel::Map(steps) => leaves.extend(steps.iter().filter_map(|s| match s {
+                    EdgeMapStep::Broadcast(_, _, pos) => Some((*pos, ValueKind::Vector)),
+                    _ => None,
+                })),
+            }
+        }
+        leaves.extend(self.combine.as_ref().map(|c| (c.w, ValueKind::Dense)));
+        let mut kinds = vec![ValueKind::Matrix; leaves.iter().map(|l| l.0).max().unwrap_or(0)];
+        leaves
+            .into_iter()
+            .for_each(|(pos, kind)| kinds[pos - 1] = kind);
+        kinds
+    }
+}
+
 /// Operators of the sampling IR.
 ///
 /// Attributes live here; value dependencies live in
@@ -205,16 +266,17 @@ pub enum Op {
         /// Reduction axis.
         axis: Axis,
     },
-    /// Fused attention combine (paper Fig. 5b, PASS): `pattern` re-valued
-    /// with `unary(Σ_k a_k[e] · W[k, col])` — the chain `StackEdgeValues` →
-    /// `Gemm` by `W` → `DenseUnary`s → `EdgeValuesFromDense { col }` as one
-    /// edge-map kernel with the chain's per-edge operation sequence and
-    /// neither intermediate. `[pattern, a_1, .., a_k, W(dense)] -> Matrix`.
-    FusedEdgeCombine {
-        /// Which column of `W` projects the channels.
-        col: usize,
-        /// The dense unary maps of the chain, applied in order.
-        unary: Vec<UnaryOp>,
+    /// `IndividualSample(m, probs)` whose bias chain, read by nothing else,
+    /// is evaluated per edge inside the pick ([`EdgeBias`]): the chain's
+    /// SDDMM, edge-map and combine arrays are never materialized.
+    /// `[matrix, leaves...] -> Matrix`, the leaves at `bias`'s positions.
+    FusedBiasSelect {
+        /// Neighbours to keep per frontier.
+        k: usize,
+        /// Sample with replacement.
+        replace: bool,
+        /// The per-edge bias.
+        bias: EdgeBias,
     },
     /// A node whose value the pre-processing pass hoisted into the
     /// precompute program, evaluated once per graph and set of bound
@@ -267,9 +329,7 @@ impl Op {
                     .filter(|s| matches!(s, EdgeMapStep::Broadcast(..)));
                 [vec![Matrix], vec![Vector; vectors.count()]].concat()
             }
-            Op::FusedEdgeCombine { .. } => {
-                [vec![Matrix; ins.len().max(3) - 1], vec![Dense]].concat()
-            }
+            Op::FusedBiasSelect { bias, .. } => [vec![Matrix], bias.leaf_kinds()].concat(),
             Op::StackEdgeValues => vec![Matrix; ins.len().max(1)],
             _ => Vec::new(),
         };
@@ -302,9 +362,7 @@ impl Op {
             Op::Sddmm => (&[Matrix, Dense, Dense], Matrix, same, true),
             Op::EdgeValuesFromDense { .. } => (&[Matrix, Dense], Matrix, same, true),
             Op::Node2VecBias { .. } => (&[Matrix, Nodes, Matrix], Matrix, same, true),
-            Op::FusedEdgeMap { .. } | Op::FusedEdgeCombine { .. } => {
-                (&variadic, Matrix, same, true)
-            }
+            Op::FusedEdgeMap { .. } => (&variadic, Matrix, same, true),
             // Block rows stay block IDs through a row-ID table; a positional
             // side does not survive compaction.
             Op::CompactRows => (&[Matrix], Matrix, (block_rows, a.cols), true),
@@ -313,6 +371,7 @@ impl Op {
                 let want = &[Matrix, Matrix][..ins.len().clamp(1, 2)];
                 (want, Matrix, same, a.cols == Some(Frontier))
             }
+            Op::FusedBiasSelect { .. } => (&variadic, Matrix, same, a.cols == Some(Frontier)),
             // Each group selects among its own block of rows.
             Op::CollectiveSample { .. } => {
                 let want = &[Matrix, Vector][..ins.len().clamp(1, 2)];
@@ -388,6 +447,7 @@ impl Op {
             Op::IndividualSample { .. }
                 | Op::CollectiveSample { .. }
                 | Op::FusedExtractSelect { .. }
+                | Op::FusedBiasSelect { .. }
                 | Op::FusedExtractCollective { .. }
         )
     }
@@ -465,7 +525,10 @@ impl Op {
                 steps.len(),
                 reduce.name()
             ),
-            Op::FusedEdgeCombine { col, .. } => format!("fused_edge_combine({col})"),
+            Op::FusedBiasSelect { k, replace, bias } => format!(
+                "fused_bias_select(k={k}, replace={replace}, {} channels)",
+                bias.channels.len()
+            ),
             Op::Precomputed { slot } => format!("precomputed({slot})"),
         }
     }

@@ -20,15 +20,19 @@
 //!   never written to memory (Fig. 5c, LADIES). Applied even when the
 //!   mapped matrix has other consumers (the map node then stays alive for
 //!   them; the reduction still skips one materialization).
-//! - **Attention-combine fusion**: PASS's `stack([A1, A2, A3]) @ W` →
-//!   dense unary maps → "column `col` as edge values" is an edge-map in
-//!   dense clothing (the rest of Fig. 5b). When every link has exactly one
-//!   consumer it collapses into one [`Op::FusedEdgeCombine`]: the same
-//!   operations per edge in the same order — the same bits — without the
-//!   `nnz × k` stack or the product.
+//! - **Bias-Select fusion**: an edge-value chain read only by the bias
+//!   input of a node-wise `individual_sample` is evaluated per edge inside
+//!   the pick ([`Op::FusedBiasSelect`], C-SAW's `EdgeBias` in the select):
+//!   no channel, combine or bias array is materialized. The chain must be
+//!   spelled in [`EdgeBias`]'s fixed grammar over the select's own matrix —
+//!   channels that are an [`Op::Sddmm`] of it, an edge-map chain of it or
+//!   it itself, optionally combined the way PASS combines its three
+//!   attention channels (Fig. 5b: `stack` → `@ W` → dense unary maps →
+//!   column `col` as edge values) — with every link read by the next one
+//!   only. Any other op keeps the chain materialized.
 
 use crate::facts::{Facts, Space};
-use crate::op::{EdgeMapStep, Op};
+use crate::op::{BiasChannel, BiasCombine, EdgeBias, EdgeMapStep, Op};
 use crate::program::{Node, OpId, Program};
 
 /// What the fusion pass did.
@@ -44,8 +48,8 @@ pub struct FusionResult {
     pub edge_map: usize,
     /// Edge-map-reduce fusions applied.
     pub edge_map_reduce: usize,
-    /// Attention-combine fusions applied.
-    pub edge_combine: usize,
+    /// Bias-Select fusions applied.
+    pub bias_select: usize,
 }
 
 /// View an edge-map-like node as `(matrix_input, vector_inputs, steps)`.
@@ -87,27 +91,84 @@ fn concat_steps(
     (vecs, steps)
 }
 
-/// The fused op and its inputs `[pattern, a_1..a_k, W]` for the chain ending
-/// in the `EdgeValuesFromDense` node `id`, if it is one.
-fn combine_chain(prog: &Program, consumers: &[Vec<OpId>], id: OpId) -> Option<(Op, Vec<OpId>)> {
+/// PASS's combine ending in the `EdgeValuesFromDense` node `id` over
+/// `pattern`, every link read by the next only: the stack node, `W` and
+/// the combine.
+fn projected_channels(
+    prog: &Program,
+    only: impl Fn(OpId, OpId) -> bool,
+    pattern: OpId,
+    id: OpId,
+) -> Option<(OpId, OpId, BiasCombine)> {
     let Op::EdgeValuesFromDense { col } = prog.node(id).op else {
         return None;
     };
     let (mut cur, mut reader, mut unary) = (prog.node(id).inputs[1], id, Vec::new());
     // Up the unary maps to the product, every link read by the next only.
-    while let (Op::DenseUnary(u), true) = (&prog.node(cur).op, consumers[cur] == [reader]) {
+    while let (Op::DenseUnary(u), true) = (&prog.node(cur).op, only(cur, reader)) {
         unary.insert(0, *u);
         (cur, reader) = (prog.node(cur).inputs[0], cur);
     }
     let product = prog.node(cur);
     let stack = *product.inputs.first()?;
-    let chained = matches!(product.op, Op::Gemm) && consumers[cur] == [reader];
-    if !chained || prog.node(stack).op != Op::StackEdgeValues || consumers[stack] != [cur] {
+    let chained = matches!(product.op, Op::Gemm) && only(cur, reader);
+    let stacked = prog.node(stack).op == Op::StackEdgeValues && only(stack, cur);
+    let over = prog.node(id).inputs[0] == pattern;
+    let combine = BiasCombine { w: 0, col, unary };
+    (chained && stacked && over).then(|| (stack, product.inputs[1], combine))
+}
+
+/// Rule 5 at node `id`: the fused select and its inputs `[matrix,
+/// leaves...]`, if `id` is a biased `IndividualSample` whose bias chain
+/// [`EdgeBias`] spells.
+fn bias_select(p: &Program, consumers: &[Vec<OpId>], id: OpId) -> Option<(Op, Vec<OpId>)> {
+    let (&Op::IndividualSample { k, replace }, &[sub, probs]) =
+        (&p.node(id).op, &p.node(id).inputs[..])
+    else {
+        return None;
+    };
+    // `node` is read by `reader` alone, and is no program output.
+    let only = |node: OpId, reader: OpId| {
+        consumers[node].iter().all(|&c| c == reader) && !p.outputs().contains(&node)
+    };
+    if !only(probs, id) {
         return None;
     }
-    let pattern = [prog.node(id).inputs[0]];
-    let inputs = [&pattern[..], &prog.node(stack).inputs, &product.inputs[1..]].concat();
-    Some((Op::FusedEdgeCombine { col, unary }, inputs))
+    let (links, combine) = match projected_channels(p, only, sub, probs) {
+        Some((stack, w, combine)) => (
+            p.node(stack).inputs.iter().map(|&a| (a, stack)).collect(),
+            Some((w, combine)),
+        ),
+        None => (vec![(probs, id)], None),
+    };
+    let mut inputs = vec![sub];
+    let mut channels = Vec::with_capacity(links.len());
+    for (a, reader) in links {
+        let node = p.node(a);
+        channels.push(if a == sub {
+            BiasChannel::Map(Vec::new())
+        } else if !only(a, reader) {
+            return None;
+        } else if node.op == Op::Sddmm && node.inputs[0] == sub {
+            inputs.extend_from_slice(&node.inputs[1..]);
+            BiasChannel::Dot(inputs.len() - 2, inputs.len() - 1)
+        } else {
+            let (_, vecs, steps) = map_steps(node).filter(|m| m.0 == sub)?;
+            // Re-base the steps' vectors after the leaves so far.
+            let (_, steps) = concat_steps(&inputs[1..], &[], &[], &steps);
+            inputs.extend(vecs);
+            BiasChannel::Map(steps)
+        });
+    }
+    let combine = combine.map(|(w, combine)| {
+        inputs.push(w);
+        BiasCombine {
+            w: inputs.len() - 1,
+            ..combine
+        }
+    });
+    let bias = EdgeBias { channels, combine };
+    Some((Op::FusedBiasSelect { k, replace, bias }, inputs))
 }
 
 /// An Extract-Collective rewrite: `k`, the fused inputs `[G, frontiers,
@@ -203,12 +264,12 @@ pub fn run(program: &Program, slots: &[Facts]) -> FusionResult {
         }
     }
 
-    // 5. Attention-combine fusion; one sweep, since chains share no link.
+    // 5. Bias-Select fusion; one sweep, since no chain feeds two selects.
     let consumers = prog.consumers();
     for id in 0..prog.len() {
-        if let Some((op, inputs)) = combine_chain(&prog, &consumers, id) {
+        if let Some((op, inputs)) = bias_select(&prog, &consumers, id) {
             prog.replace(id, op, inputs);
-            result.edge_combine += 1;
+            result.bias_select += 1;
         }
     }
 
@@ -460,17 +521,23 @@ mod tests {
         assert_eq!(r.extract_select, 0);
     }
 
-    /// PASS's bias tail over three attention channels: stack, project by
-    /// `W`, `unary` maps in order, column `col` as `sub`'s edge values.
-    /// `extra_reader` names a chain link ("stack" / "product" / "unary")
-    /// that gets a second consumer.
-    fn combine_program(unary: &[UnaryOp], col: usize, extra_reader: Option<&str>) -> Program {
+    /// PASS's bias over three channels of the slice `sub` — an SDDMM, a
+    /// row-broadcast map, `sub` itself — stacked, projected by `W`, mapped
+    /// by `unary` in order, column `col` read as `sub`'s edge values and
+    /// sampled by. `extra_reader` names a link ("sddmm" / "stack" /
+    /// "product" / "unary" / "probs") that gets a second consumer.
+    fn pass_program(unary: &[UnaryOp], col: usize, extra_reader: Option<&str>) -> Program {
         let mut p = Program::new();
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
         let sub = p.add(Op::SliceCols, vec![g, f]);
-        let a1 = p.add(Op::ScalarOp(EltOp::Mul, 2.0), vec![sub]);
-        let a2 = p.add(Op::ScalarOp(EltOp::Mul, 3.0), vec![sub]);
+        let (b, c) = (
+            p.add(Op::InputDense("B".into()), vec![]),
+            p.add(Op::InputDense("C".into()), vec![]),
+        );
+        let a1 = p.add(Op::Sddmm, vec![sub, b, c]);
+        let v = p.add(Op::InputVector("rows".into()), vec![]);
+        let a2 = p.add(Op::Broadcast(EltOp::Div, Axis::Row), vec![sub, v]);
         let w = p.add(Op::InputDense("W3".into()), vec![]);
         let stack = p.add(Op::StackEdgeValues, vec![a1, a2, sub]);
         let product = p.add(Op::Gemm, vec![stack, w]);
@@ -479,46 +546,116 @@ mod tests {
             last = p.add(Op::DenseUnary(u), vec![last]);
         }
         let probs = p.add(Op::EdgeValuesFromDense { col }, vec![sub, last]);
-        p.mark_output(probs);
+        let select = Op::IndividualSample {
+            k: 4,
+            replace: false,
+        };
+        let samp = p.add(select, vec![sub, probs]);
+        p.mark_output(samp);
         let shared = match extra_reader {
+            Some("sddmm") => Some(a1),
             Some("stack") => Some(stack),
             Some("product") => Some(product),
             Some("unary") => Some(last),
+            Some("probs") => Some(probs),
             _ => None,
         };
         if let Some(link) = shared {
-            let extra = p.add(Op::DenseSoftmaxRows, vec![link]);
+            let extra = match p.node(link).op {
+                Op::Sddmm | Op::EdgeValuesFromDense { .. } => Op::Reduce(ReduceOp::Sum, Axis::Row),
+                _ => Op::DenseSoftmaxRows,
+            };
+            let extra = p.add(extra, vec![link]);
             p.mark_output(extra);
         }
         p
     }
 
     #[test]
-    fn attention_combine_fuses_carrying_col_and_unaries_in_order() {
-        let r = run(
-            &combine_program(&[UnaryOp::Relu, UnaryOp::Exp], 1, None),
-            &[],
-        );
-        assert_eq!(r.edge_combine, 1);
+    fn bias_select_fuses_pass_carrying_col_and_unaries_in_order() {
+        let r = run(&pass_program(&[UnaryOp::Relu, UnaryOp::Exp], 1, None), &[]);
+        assert_eq!(r.bias_select, 1);
         let (prog, removed) = dce::run(&r.program);
-        assert_eq!(removed, 4); // stack, product, both unaries
+        // sddmm, broadcast, stack, product, both unaries, the edge values
+        assert_eq!(removed, 7);
         prog.validate().unwrap();
+        crate::facts(&prog, &[]).unwrap();
         let fused = prog.node(prog.outputs()[0]);
         let unary = vec![UnaryOp::Relu, UnaryOp::Exp];
-        assert_eq!(fused.op, Op::FusedEdgeCombine { col: 1, unary });
-        // [pattern, a1, a2, a3 = sub itself, W]
-        assert_eq!(fused.inputs, vec![2, 3, 4, 2, 5]);
+        let bias = EdgeBias {
+            channels: vec![
+                BiasChannel::Dot(1, 2),
+                BiasChannel::Map(vec![EdgeMapStep::Broadcast(EltOp::Div, Axis::Row, 3)]),
+                BiasChannel::Map(vec![]),
+            ],
+            combine: Some(BiasCombine {
+                w: 4,
+                col: 1,
+                unary,
+            }),
+        };
+        let (k, replace) = (4, false);
+        assert_eq!(fused.op, Op::FusedBiasSelect { k, replace, bias });
+        // [sub, B, C, rows, W3], renumbered by DCE
+        assert_eq!(fused.inputs, vec![2, 3, 4, 5, 6]);
         // No unary at all is a chain too.
-        assert_eq!(run(&combine_program(&[], 0, None), &[]).edge_combine, 1);
+        assert_eq!(run(&pass_program(&[], 0, None), &[]).bias_select, 1);
     }
 
     #[test]
-    fn attention_combine_refuses_a_shared_link() {
-        for link in ["stack", "product", "unary"] {
-            let p = combine_program(&[UnaryOp::Relu], 0, Some(link));
+    fn bias_select_refuses_a_shared_link() {
+        for link in ["sddmm", "stack", "product", "unary", "probs"] {
+            let p = pass_program(&[UnaryOp::Relu], 0, Some(link));
             let r = run(&p, &[]);
-            assert_eq!(r.edge_combine, 0, "shared {link}");
+            assert_eq!(r.bias_select, 0, "shared {link}");
             assert_eq!(r.program, p, "shared {link}");
         }
+    }
+
+    #[test]
+    fn bias_select_fuses_a_lone_map_and_refuses_other_ops() {
+        // GCN-BS: `pow(0) · arms[row]`, merged into one map by rule 3.
+        let bandit = |map_over_map: bool| {
+            let mut p = Program::new();
+            let g = p.add(Op::InputGraph, vec![]);
+            let f = p.add(Op::InputFrontiers, vec![]);
+            let sub = p.add(Op::SliceCols, vec![g, f]);
+            let arms = p.add(Op::InputVector("bandit".into()), vec![]);
+            let ones = p.add(Op::ScalarOp(EltOp::Pow, 0.0), vec![sub]);
+            // A chain over an SDDMM is no channel of the grammar.
+            let src = match map_over_map {
+                true => ones,
+                false => {
+                    let d = p.add(Op::InputDense("D".into()), vec![]);
+                    p.add(Op::Sddmm, vec![sub, d, d])
+                }
+            };
+            let probs = p.add(Op::Broadcast(EltOp::Mul, Axis::Row), vec![src, arms]);
+            let samp = p.add(
+                Op::IndividualSample {
+                    k: 2,
+                    replace: true,
+                },
+                vec![sub, probs],
+            );
+            p.mark_output(samp);
+            p
+        };
+        let r = run(&bandit(true), &[]);
+        assert_eq!((r.edge_map, r.bias_select), (1, 1));
+        let (prog, _) = dce::run(&r.program);
+        let fused = prog.node(prog.outputs()[0]);
+        let steps = vec![
+            EdgeMapStep::Scalar(EltOp::Pow, 0.0),
+            EdgeMapStep::Broadcast(EltOp::Mul, Axis::Row, 1),
+        ];
+        let bias = EdgeBias {
+            channels: vec![BiasChannel::Map(steps)],
+            combine: None,
+        };
+        let (k, replace) = (2, true);
+        assert_eq!(fused.op, Op::FusedBiasSelect { k, replace, bias });
+        assert_eq!(fused.inputs, vec![2, 3]);
+        assert_eq!(run(&bandit(false), &[]).bias_select, 0);
     }
 }

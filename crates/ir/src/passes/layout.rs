@@ -108,9 +108,10 @@ pub fn choice_points(program: &Program, facts: &[Facts]) -> Vec<(OpId, bool)> {
     }
     let points = program.nodes().iter().enumerate();
     (points.filter_map(|(id, node)| match node.op {
-        Op::SliceCols | Op::FusedExtractSelect { .. } | Op::IndividualSample { .. } => {
-            Some((id, !selected[id]))
-        }
+        Op::SliceCols
+        | Op::FusedExtractSelect { .. }
+        | Op::IndividualSample { .. }
+        | Op::FusedBiasSelect { .. } => Some((id, !selected[id])),
         Op::SliceRows
         | Op::InduceSubgraph
         | Op::CollectiveSample { .. }

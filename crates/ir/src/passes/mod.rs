@@ -28,7 +28,7 @@ pub struct OptConfig {
     pub cse: bool,
     /// Pre-processing: sink and hoist sampling-invariant compute.
     pub preprocess: bool,
-    /// Operator fusion (Extract-Select/-Collective, Edge-Map(Reduce), combine).
+    /// Operator fusion (Extract-Select/-Collective, Edge-Map(Reduce), Bias-Select).
     pub fusion: bool,
     /// Data-layout selection strategy.
     pub layout: LayoutMode,
@@ -163,8 +163,8 @@ pub struct PassReport {
     pub edge_map_fused: usize,
     /// Edge-map-reduce fusions applied.
     pub edge_map_reduce_fused: usize,
-    /// Attention-combine fusions applied.
-    pub edge_combine_fused: usize,
+    /// Bias-Select fusions applied.
+    pub bias_select_fused: usize,
     /// Layout decisions, if the layout pass ran.
     pub layout: Option<LayoutReport>,
 }
@@ -236,12 +236,12 @@ pub fn run_passes(
         report.extract_collective_fused = r.extract_collective;
         report.edge_map_fused = r.edge_map;
         report.edge_map_reduce_fused = r.edge_map_reduce;
-        report.edge_combine_fused = r.edge_combine;
+        report.bias_select_fused = r.bias_select;
         span.arg("extract_select", r.extract_select);
         span.arg("extract_collective", r.extract_collective);
         span.arg("edge_map", r.edge_map);
         span.arg("edge_map_reduce", r.edge_map_reduce);
-        span.arg("edge_combine", r.edge_combine);
+        span.arg("bias_select", r.bias_select);
     }
 
     if config.dce {

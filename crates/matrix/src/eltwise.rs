@@ -12,12 +12,10 @@
 //! Plus unary maps ([`unary_op`]) used by model-driven algorithms
 //! (`relu`, `exp`, ...).
 
-use gsampler_runtime::parallel_map;
-
 use crate::dense::Dense;
 use crate::error::{Error, Result};
 use crate::sparse::SparseMatrix;
-use crate::{par_gate, EltOp};
+use crate::EltOp;
 
 /// Unary element-wise function on edge values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -213,41 +211,6 @@ pub fn stack_edge_values(mats: &[&SparseMatrix]) -> Result<Dense> {
         }
     }
     Ok(out)
-}
-
-/// PASS' attention combine as one edge-map: `pattern` re-valued with
-/// `unary(Σ_k mats[k][e] · w[k, col])` — what [`stack_edge_values`] →
-/// [`Dense::matmul`] by `w` → the `unary` maps → column `col` computes,
-/// without the stack or the product. The sum runs in stack order from `0.0`
-/// and skips a zero edge value as the GEMM does (same bits); whatever the
-/// chain rejects is rejected here.
-pub fn combine_edge_values(
-    pattern: &SparseMatrix,
-    mats: &[&SparseMatrix],
-    w: &Dense,
-    col: usize,
-    unary: &[UnaryOp],
-) -> Result<SparseMatrix> {
-    let (nnz, k) = (stacked_nnz(mats)?, mats.len());
-    if k != w.nrows() || nnz != pattern.nnz() || col >= w.ncols() {
-        let (shape, edges) = (w.shape(), pattern.nnz());
-        let reason = format!("{nnz}x{k} edge values by {shape:?}, column {col}, onto nnz {edges}");
-        return Err(Error::InvalidStructure { reason });
-    }
-    let channels: Vec<(Option<&[f32]>, f32)> = (mats.iter().enumerate())
-        .map(|(ch, m)| (m.values(), w.get(ch, col)))
-        .collect();
-    let values = parallel_map(nnz, par_gate(nnz.saturating_mul(k)), |e| {
-        let mut acc = 0f32;
-        for &(vals, weight) in &channels {
-            let a = vals.map_or(1.0, |v| v[e]);
-            if a != 0.0 {
-                acc += a * weight;
-            }
-        }
-        unary.iter().fold(acc, |x, op| op.apply(x))
-    });
-    Ok(pattern.with_values(values))
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod bias;
 pub mod broadcast;
 pub mod compact;
 pub mod convert;

@@ -19,7 +19,10 @@
 //! frontier's column for the fused extract-select kernel, which is
 //! therefore the same selection read through the frontier map — by count
 //! -> prefix sum -> fill into one flat buffer; [`slice::gather_cols`]
-//! writes the chosen entries.
+//! writes the chosen entries. The pick reads its bias through a
+//! [`ColumnBias`], one column at a time inside its parallel region: a
+//! materialized array, a per-edge expression evaluated there
+//! ([`crate::bias::EdgeBias`]), or none ([`Uniform`]).
 //!
 //! Layer-wise selection splits the same way, by segment (a super-batch
 //! group's rows): [`collective_select`] sweeps every segment once —
@@ -47,6 +50,8 @@
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 use gsampler_runtime::{parallel_map, parallel_scatter, RngPool};
 use rand::rngs::StdRng;
@@ -117,15 +122,41 @@ pub fn individual_sample(
         });
     }
     let csc = m.csc();
-    let probs = probs.map(|p| p.csc());
-    let weights: Option<Cow<'_, [f32]>> = probs.as_ref().map(|p| match &p.values {
-        Some(v) => Cow::Borrowed(v.as_slice()),
-        None => Cow::Owned(vec![1.0; p.nnz()]),
-    });
-    let (indptr, picks) = pick_columns(&csc, None, k, replace, weights.as_deref(), streams)?;
-    let positions = |_, out: Range<usize>| picks[out].iter().copied();
-    let out = slice::gather_cols(&csc, csc.nrows, indptr, positions, |_| |r| r);
+    let out = match probs.map(|p| p.csc()) {
+        None => sample_columns(&csc, k, replace, &Uniform, streams)?,
+        Some(p) => {
+            let ones: Vec<f32>;
+            let weights = match &p.values {
+                Some(v) => v.as_slice(),
+                None => {
+                    ones = vec![1.0; p.nnz()];
+                    &ones
+                }
+            };
+            sample_columns(&csc, k, replace, weights, streams)?
+        }
+    };
     Ok(SparseMatrix::Csc(out).into_format(m.format()))
+}
+
+/// Node-wise selection over `csc`'s own columns with the bias `bias`:
+/// [`pick_columns`], written by [`slice::gather_cols`].
+pub fn sample_columns<B: ColumnBias + ?Sized>(
+    csc: &Csc,
+    k: usize,
+    replace: bool,
+    bias: &B,
+    streams: &impl StreamSource,
+) -> Result<Csc> {
+    let (indptr, picks) = pick_columns(csc, None, k, replace, bias, streams)?;
+    let positions = |_, out: Range<usize>| picks[out].iter().copied();
+    Ok(slice::gather_cols(
+        csc,
+        csc.nrows,
+        indptr,
+        positions,
+        |_| |r| r,
+    ))
 }
 
 /// [`individual_sample`] without replacement.
@@ -141,6 +172,38 @@ pub fn individual_sample_seeded(
 /// Output columns picked per scratch set-up (and per pool work item).
 const PICK_CHUNK: usize = 256;
 
+/// The sampling bias [`pick_columns`] reads, one output column at a time,
+/// inside its parallel region: a bias array aligned with the source's
+/// entries (`[f32]`), one evaluated per edge as the column is picked
+/// ([`crate::bias::EdgeBias`]), or none ([`Uniform`]).
+pub trait ColumnBias: Sync {
+    /// `false` for uniform selection, whose pick never asks for weights.
+    const WEIGHTED: bool = true;
+
+    /// The weights of output column `c`, whose source entries are the
+    /// positions `range`, one per entry: borrowed, or written into
+    /// `scratch` (the chunk's, reused across its columns).
+    fn weights<'s>(&'s self, c: usize, range: Range<usize>, scratch: &'s mut Vec<f32>)
+        -> &'s [f32];
+}
+
+/// No bias: every entry of a column is equally likely.
+pub struct Uniform;
+
+impl ColumnBias for Uniform {
+    const WEIGHTED: bool = false;
+
+    fn weights<'s>(&'s self, _: usize, _: Range<usize>, _: &'s mut Vec<f32>) -> &'s [f32] {
+        &[]
+    }
+}
+
+impl ColumnBias for [f32] {
+    fn weights<'s>(&'s self, _: usize, range: Range<usize>, _: &'s mut Vec<f32>) -> &'s [f32] {
+        &self[range]
+    }
+}
+
 /// Node-wise selection, the pick: choose up to `k` stored entries from one
 /// column of `src` per output column and return the output column pointers
 /// and, in one flat buffer aligned with them, every column's chosen source
@@ -149,10 +212,9 @@ const PICK_CHUNK: usize = 256;
 /// Output column `c` reads source column `cols[c]` — `src`'s own column
 /// `c` when `cols` is `None`; the fused extract-select kernel passes the
 /// frontiers, so it selects exactly what slicing them out first would.
-/// `weights`, aligned with `src`'s entries, bias the choice (uniform when
-/// omitted). Without replacement a column keeps `min(degree, k)` entries:
-/// all of them when `degree <= k`, else the set
-/// [`uniform_sample_without_replacement`] or
+/// `bias` weights the choice ([`Uniform`] for none). Without replacement a
+/// column keeps `min(degree, k)` entries: all of them when `degree <= k`,
+/// else the set [`uniform_sample_without_replacement`] or
 /// [`weighted_sample_without_replacement`] chooses. With replacement it
 /// keeps the distinct outcomes of `k` uniform or [`AliasTable`] draws.
 ///
@@ -163,41 +225,26 @@ const PICK_CHUNK: usize = 256;
 /// `streams.stream(c)`, and only when it has a choice to make, so the
 /// picks are the same at any thread count.
 ///
+/// A weighted column's bias is read (evaluated) and validated whole inside
+/// the region, kept column or not; an invalid weight fails the pick with
+/// the lowest invalid position, and with replacement a non-empty all-zero
+/// column fails it as `InvalidProbability { index: 0, value: 0.0 }` — what
+/// validating the whole bias array up front reports.
+///
 /// # Panics
 ///
 /// Panics if an entry of `cols` is not a column of `src`; callers check
 /// their frontiers first.
-pub fn pick_columns(
+pub fn pick_columns<B: ColumnBias + ?Sized>(
     src: &Csc,
     cols: Option<&[NodeId]>,
     k: usize,
     replace: bool,
-    weights: Option<&[f32]>,
+    bias: &B,
     streams: &impl StreamSource,
 ) -> Result<(Vec<usize>, Vec<usize>)> {
     let ncols = cols.map_or(src.ncols, <[NodeId]>::len);
     let col_range = |c: usize| src.col_range(cols.map_or(c, |f| f[c] as usize));
-    if let Some(w) = weights {
-        if w.len() != src.nnz() {
-            return Err(Error::LengthMismatch {
-                op: "pick_columns weights",
-                expected: src.nnz(),
-                actual: w.len(),
-            });
-        }
-        validate_weights(w)?;
-        // An alias table cannot be built on a non-empty all-zero column;
-        // surface that before the parallel region, where errors cannot
-        // propagate.
-        let dead = |r: Range<usize>| !r.is_empty() && !w[r].iter().any(|&x| x > 0.0);
-        if replace && (0..ncols).map(col_range).any(dead) {
-            return Err(Error::InvalidProbability {
-                index: 0,
-                value: 0.0,
-            });
-        }
-    }
-
     let mut indptr = Vec::with_capacity(ncols + 1);
     indptr.push(0usize);
     for c in 0..ncols {
@@ -207,16 +254,41 @@ pub fn pick_columns(
     let chunk_ptr: Vec<usize> = (0..=ncols.div_ceil(PICK_CHUNK))
         .map(|g| indptr[(g * PICK_CHUNK).min(ncols)])
         .collect();
-    let gate = par_gate(indptr[ncols]);
+    // The lowest invalid weight, and whether an alias table would be built
+    // on an all-zero column: found per column, reported after the region.
+    let (invalid, dead) = (Mutex::new(None::<(usize, f32)>), AtomicBool::new(false));
+    // A weighted pick reads every entry's bias; a uniform one, its picks.
+    let work = match B::WEIGHTED {
+        true => (0..ncols).map(|c| col_range(c).len()).sum(),
+        false => indptr[ncols],
+    };
+    let gate = par_gate(work);
     parallel_scatter(&mut picks, &chunk_ptr, gate, |g, chunk| {
         // Scratch shared by the chunk's columns: Floyd's membership table,
-        // and the raw draws of a with-replacement column.
-        let (mut seen, mut draws) = (Vec::new(), Vec::new());
+        // the raw draws of a with-replacement column, and evaluated weights.
+        let (mut seen, mut draws, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
         let first = g * PICK_CHUNK;
         for c in first..(first + PICK_CHUNK).min(ncols) {
             let seg = &mut chunk[indptr[c] - indptr[first]..indptr[c + 1] - indptr[first]];
             let range = col_range(c);
             let (start, deg) = (range.start, range.len());
+            let weights = if B::WEIGHTED {
+                let w = bias.weights(c, range.clone(), &mut scratch);
+                if let Some(i) = first_invalid(w) {
+                    let mut lowest = invalid.lock().unwrap_or_else(|e| e.into_inner());
+                    if lowest.is_none_or(|(at, _)| start + i < at) {
+                        *lowest = Some((start + i, w[i]));
+                    }
+                    continue;
+                }
+                if replace && deg > 0 && !w.iter().any(|&x| x > 0.0) {
+                    dead.store(true, Ordering::Relaxed);
+                    continue;
+                }
+                Some(w)
+            } else {
+                None
+            };
             if seg.is_empty() || (!replace && deg <= k) {
                 // No choice to make: the whole column, or none of it.
                 seg.iter_mut().zip(range).for_each(|(p, pos)| *p = pos);
@@ -227,7 +299,7 @@ pub fn pick_columns(
                 draws.clear();
                 match weights {
                     Some(w) => {
-                        let table = AliasTable::new(&w[range]).expect("weights validated above");
+                        let table = AliasTable::new(w).expect("weights validated above");
                         draws.extend((0..k).map(|_| table.sample(&mut rng)));
                     }
                     None => draws.extend((0..k).map(|_| rng.gen_range(0..deg))),
@@ -241,7 +313,7 @@ pub fn pick_columns(
             } else {
                 match weights {
                     Some(w) => {
-                        let keyed = weighted_sample_without_replacement(&w[range], k, &mut rng);
+                        let keyed = weighted_sample_without_replacement(w, k, &mut rng);
                         seg.copy_from_slice(&keyed);
                     }
                     None => fill_uniform_sample_without_replacement(deg, &mut rng, &mut seen, seg),
@@ -252,6 +324,15 @@ pub fn pick_columns(
             chosen.iter_mut().for_each(|p| *p += start);
         }
     });
+    if let Some((index, value)) = invalid.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        return Err(Error::InvalidProbability { index, value });
+    }
+    if dead.into_inner() {
+        return Err(Error::InvalidProbability {
+            index: 0,
+            value: 0.0,
+        });
+    }
     if replace {
         // Close the gaps the collapsed duplicates left (`usize::MAX`
         // padding sorts behind every position).

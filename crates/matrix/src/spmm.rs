@@ -144,25 +144,8 @@ pub fn sddmm_by_id(
     b: &Dense,
     c: &Dense,
 ) -> Result<SparseMatrix> {
-    if c.nrows() != pattern.ncols() {
-        return shape_error("sddmm rhs rows", pattern.shape(), c);
-    }
-    if b.ncols() != c.ncols() {
-        return shape_error("sddmm feature dims", b.shape(), c);
-    }
-    let bn = b.nrows();
-    let id = |r: usize| row_ids.map_or(r, |ids| ids[r] as usize);
-    // Only a table of `period` rows wraps; any other must hold the row of
-    // every edge (a row without edges may carry any ID).
-    let mut served = true;
-    if bn != period || bn == 0 {
-        let rows = pattern.edge_index(Axis::Row);
-        rows.for_each(|r, _| served &= id(r) < bn);
-    }
-    if !served {
-        return shape_error("sddmm lhs rows", pattern.shape(), b);
-    }
-    let lhs = |r: usize| b.row(if id(r) < bn { id(r) } else { id(r) % bn.max(1) });
+    let lhs = RowsById::new(pattern, row_ids, period, b, c)?;
+    let lhs = |r: usize| lhs.row(r);
     let min_items = par_gate(pattern.nnz().saturating_mul(b.ncols()));
     let values = match (pattern.compressed(), pattern) {
         (Some((axis, (indptr, indices, _))), _) => {
@@ -184,6 +167,59 @@ pub fn sddmm_by_id(
         (None, _) => unreachable!("only COO has no compressed axis"),
     };
     Ok(pattern.with_values(values))
+}
+
+/// The `B` operand of an SDDMM by row ID ([`sddmm_by_id`]), checked
+/// against its pattern and `C`: [`row`](Self::row) is `B`'s row for a
+/// pattern row. Per-edge dots evaluated elsewhere (a bias inside the
+/// node-wise pick) read `B` through this one lookup.
+#[derive(Clone, Copy)]
+pub struct RowsById<'a> {
+    b: &'a Dense,
+    row_ids: Option<&'a [NodeId]>,
+}
+
+impl<'a> RowsById<'a> {
+    /// Check `B` (rows by global ID, `row_ids[r]` or `r`) and `C` (one row
+    /// per column) against `pattern`, with [`sddmm_by_id`]'s errors.
+    pub fn new(
+        pattern: &SparseMatrix,
+        row_ids: Option<&'a [NodeId]>,
+        period: usize,
+        b: &'a Dense,
+        c: &Dense,
+    ) -> Result<RowsById<'a>> {
+        if c.nrows() != pattern.ncols() {
+            return shape_error("sddmm rhs rows", pattern.shape(), c);
+        }
+        if b.ncols() != c.ncols() {
+            return shape_error("sddmm feature dims", b.shape(), c);
+        }
+        let (bn, by_id) = (b.nrows(), RowsById { b, row_ids });
+        // Only a table of `period` rows wraps; any other must hold the row
+        // of every edge (a row without edges may carry any ID).
+        let mut served = true;
+        if bn != period || bn == 0 {
+            let rows = pattern.edge_index(Axis::Row);
+            rows.for_each(|r, _| served &= by_id.id(r) < bn);
+        }
+        if !served {
+            return shape_error("sddmm lhs rows", pattern.shape(), b);
+        }
+        Ok(by_id)
+    }
+
+    fn id(&self, r: usize) -> usize {
+        self.row_ids.map_or(r, |ids| ids[r] as usize)
+    }
+
+    /// `B`'s row for pattern row `r`: its global ID's, wrapped by the
+    /// table's length when beyond it.
+    #[inline]
+    pub fn row(&self, r: usize) -> &'a [f32] {
+        let (id, bn) = (self.id(r), self.b.nrows());
+        self.b.row(if id < bn { id } else { id % bn.max(1) })
+    }
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 use gsampler_matrix::sample::{
     collective_sample_seeded, individual_sample, pick_columns, uniform_sample_without_replacement,
     weighted_sample_without_replacement, weighted_sample_without_replacement_seeded, AliasTable,
+    Uniform,
 };
 use gsampler_matrix::{
     broadcast, compact, reduce, slice, spmm, Axis, Coo, Csc, Csr, Dense, EltOp, Format, NodeId,
@@ -604,7 +605,7 @@ fn large_fanout_pick_matches_the_reference_at_its_cost() {
 
     let mut picked = (Vec::new(), Vec::new());
     let pick_time =
-        fastest(&mut || picked = pick_columns(&csc, None, k, false, None, &streams).unwrap());
+        fastest(&mut || picked = pick_columns(&csc, None, k, false, &Uniform, &streams).unwrap());
     let mut expected = Vec::new();
     let reference_time = fastest(&mut || {
         expected.clear();

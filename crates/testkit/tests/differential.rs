@@ -217,12 +217,12 @@ PinSAGE: [[(2, true)]]
 HetGNN: [[(2, true)]]
 GraphSAGE: [[(2, true)], [(2, true)]]
 VR-GCN: [[(2, true), (3, true)], [(2, true), (3, true)]]
-SEAL: [[(3, true), (5, true)], [(3, true), (5, true)]]
+SEAL: [[(3, true), (4, true)], [(3, true), (4, true)]]
 ShaDow: [[(2, true)], [(2, true)]]
 Node2Vec: [[(3, true), (5, true)]]
-GCN-BS: [[(3, true), (5, true)], [(3, true), (5, true)]]
-Thanos: [[(3, true), (5, true)], [(3, true), (5, true)]]
-PASS: [[(2, true), (17, true)], [(2, true), (17, true)]]
+GCN-BS: [[(3, true), (4, true)], [(3, true), (4, true)]]
+Thanos: [[(3, true), (4, true)], [(3, true), (4, true)]]
+PASS: [[(2, true), (13, true)], [(2, true), (13, true)]]
 FastGCN: [[(3, false)], [(3, false)]]
 AS-GCN: [[(7, false), (12, false)], [(7, false), (12, false)]]
 LADIES: [[(2, false), (4, false)], [(2, false), (4, false)]]

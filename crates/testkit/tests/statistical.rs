@@ -139,6 +139,97 @@ fn biased_individual_sample_matches_analytic_inclusion() {
     stats::assert_inclusion_fits("biased select k=2", &counts, &expected, 3000);
 }
 
+/// The spokes (by ID) a one-layer sampler on `star()` picks from frontier
+/// 0 over `trials` seeded calls, counted per spoke `1..=6` at index `r - 1`.
+fn spoke_counts(sampler: &gsampler_core::Sampler, bindings: &Bindings, trials: u64) -> Vec<u64> {
+    let mut counts = vec![0u64; 6];
+    for t in 0..trials {
+        let out = sampler.sample_batch_seeded(&[0], bindings, t).unwrap();
+        for &r in out.layers[0][1].as_nodes().unwrap() {
+            counts[r as usize - 1] += 1;
+        }
+    }
+    counts
+}
+
+fn one_batch(graph: Arc<Graph>, layer: gsampler_core::builder::Layer) -> gsampler_core::Sampler {
+    let config = SamplerConfig {
+        batch_size: 1,
+        ..SamplerConfig::new()
+    };
+    compile(graph, vec![layer], config).unwrap()
+}
+
+#[test]
+fn bandit_select_matches_arm_weights() {
+    // GCN-BS / Thanos: spoke `r` is drawn with weight `arms[r]` (the
+    // layer's `pow(0) · arms[row]`), whatever its edge weight; a zero arm
+    // is never drawn. Reading the arms by column instead reads `arms[0]`
+    // for every spoke, a uniform draw this gate rejects.
+    let arms = vec![9.0f32, 0.5, 3.0, 0.0, 1.0, 2.0, 4.0];
+    let bindings = Bindings::new().vector("bandit", arms.clone());
+    let sampler = one_batch(star(), gsampler_algos::nodewise::bandit_layer(2));
+    let trials = 3000;
+    let counts = spoke_counts(&sampler, &bindings, trials);
+    let expected = stats::inclusion_probabilities_without_replacement(&arms[1..], 2);
+    stats::assert_inclusion_fits("bandit select k=2", &counts, &expected, trials);
+}
+
+#[test]
+fn pass_select_matches_the_attention_bias() {
+    // PASS end to end: spoke `r`'s bias is
+    // `relu(s_1 a_1 + s_2 a_2 + s_3 a_3)` with `s = softmax(W3)`,
+    // `a_i = (X W_i)[r] · (X W_i)[0]`, and `a_3 = 1` (the spoke's edge
+    // weight over its row sum in the one-column slice). Spoke 1's sum is
+    // negative, so it is clamped to 0 and never drawn.
+    let x: [[f64; 2]; 7] = [
+        [1.0, 1.0],
+        [-2.0, 0.5],
+        [-0.5, 1.0],
+        [0.0, 1.0],
+        [1.0, 0.5],
+        [2.0, 1.5],
+        [3.0, 0.5],
+    ];
+    let w1 = [[1.0, 0.0], [0.0, 0.5]];
+    let w2 = [[0.5, 0.0], [-0.5, 1.0]];
+    let w3 = [0.7, -0.4, 0.2];
+    let project = |w: &[[f64; 2]; 2], r: usize| -> [f64; 2] {
+        [0, 1].map(|j| x[r][0] * w[0][j] + x[r][1] * w[1][j])
+    };
+    let dot = |w: &[[f64; 2]; 2], r: usize| {
+        let (p, q) = (project(w, r), project(w, 0));
+        p[0] * q[0] + p[1] * q[1]
+    };
+    let z: f64 = w3.iter().map(|v: &f64| v.exp()).sum();
+    let s = w3.map(|v| v.exp() / z);
+    let bias: Vec<f32> = (1..7)
+        .map(|r| (s[0] * dot(&w1, r) + s[1] * dot(&w2, r) + s[2]).max(0.0) as f32)
+        .collect();
+    assert_eq!(bias[0], 0.0, "spoke 1 is clamped");
+    assert!(bias[1..].iter().all(|&b| b > 0.0), "{bias:?}");
+
+    let dense = |rows: usize, v: Vec<f64>| {
+        gsampler_matrix::Dense::from_vec(
+            rows,
+            v.len() / rows,
+            v.iter().map(|&x| x as f32).collect(),
+        )
+        .unwrap()
+    };
+    let features = dense(7, x.iter().flatten().copied().collect());
+    let graph = Arc::new(Arc::unwrap_or_clone(star()).with_features(features));
+    let bindings = Bindings::new()
+        .dense("W1", dense(2, w1.iter().flatten().copied().collect()))
+        .dense("W2", dense(2, w2.iter().flatten().copied().collect()))
+        .dense("W3", dense(3, w3.to_vec()));
+    let sampler = one_batch(graph, gsampler_algos::nodewise::pass_layer(2));
+    let trials = 3000;
+    let counts = spoke_counts(&sampler, &bindings, trials);
+    let expected = stats::inclusion_probabilities_without_replacement(&bias, 2);
+    stats::assert_inclusion_fits("PASS select k=2", &counts, &expected, trials);
+}
+
 #[test]
 fn weighted_with_replacement_matches_analytic_inclusion() {
     // The alias-table path: k=3 weighted draws with replacement keep their
