@@ -143,7 +143,7 @@ test -z "$(sed -n '/^pub fn split_outputs/,$p' crates/core/src/kernels/superbatc
 # copy anywhere trips it), and no gather loop beside the shared one.
 SEL="crates/matrix/src/sample.rs crates/core/src/kernels/slice_sample.rs"
 test -z "$(grep -l 'Vec<Vec<usize>>' $SEL)"
-test "$(grep -rn 'gen_range(0\.\.deg)' crates/matrix/src crates/core/src | wc -l)" -eq 1
+test "$(grep -rn 'below(counter(col, j), deg)' crates/matrix/src crates/core/src | wc -l)" -eq 1
 test "$(grep -rn 'uniform_sample_without_replacement(deg' crates/matrix/src crates/core/src | wc -l)" -eq 1
 test "$(grep -rn 'parallel_scatter2(' crates/matrix/src/sample.rs crates/core/src/kernels | wc -l)" -le 1
 test "$(grep -rn 'parallel_scatter2(' crates/matrix/src crates/core/src | wc -l)" -le 8
@@ -166,7 +166,6 @@ test "$(grep -c 'fn collective_sample_segments' crates/matrix/src/sample.rs)" -e
 # extract-reduce) or column chunk (the masked gather's pick), each work item
 # filling its own slice of one buffer: no per-segment or per-column lists.
 test -z "$(grep -l 'Vec<Vec<NodeId>>\|Vec<Vec<usize>>' crates/matrix/src/sample.rs crates/matrix/src/reduce.rs)"
-test "$(grep -rn 'weighted_sample_without_replacement_seeded(' crates/matrix/src crates/core/src | wc -l)" -eq 2
 # The fused collective selects with that one selector and writes through
 # the one gather; pre-processing does sink LADIES' `A ** 2`.
 test "$(grep -rn 'fn collective_select(' crates/matrix/src crates/core/src | wc -l)" -eq 1
@@ -213,7 +212,7 @@ test -z "$(grep -rn 'precomputed: Vec<Arc<Value>>' crates/core/src)"
 # One pool discipline: every parallel region claims ranges from one
 # `WorkQueue` in one claim loop, nothing splits work by the thread count,
 # and at most 7 `unsafe` lines remain, each directly under a `// SAFETY:`
-# comment. One SplitMix64 in the workspace's own crates.
+# comment. One SplitMix64 and one counter-based draw (`Key`), no streams.
 POOL_SRC=crates/runtime/src/parallel.rs
 test "$(non_test $POOL_SRC | grep -c 'WorkQueue::new()')" -eq 1
 test "$(non_test $POOL_SRC | grep -c '\.claim(')" -eq 1
@@ -224,6 +223,7 @@ non_test $POOL_SRC | awk '
     { safety = 0 }
     END { exit (n > 7 || bad > 0) }'
 test "$(grep -rn 'fn splitmix64' crates/*/src | wc -l)" -eq 1
+test -z "$(grep -rn 'StreamSource\|ColStreams\|segment_subpools\|struct RngPool\|fn subpool(' crates/*/src)"
 # One window, one ladder: every recovery decision (retry, halve, one run
 # per group, streaming, quarantine) lives in `core::window`; serve runs
 # lone requests and packs alike as one window over one `sample_groups`

@@ -5,12 +5,13 @@
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use gsampler_core::builder::LayerBuilder;
 use gsampler_core::{
-    compile, Bindings, EpochReport, Graph, GraphSample, Result, Sampler, SamplerConfig,
+    compile, Bindings, EpochReport, Graph, GraphSample, Key, Result, Sampler, SamplerConfig,
 };
+use gsampler_engine::rng::counter;
 use gsampler_matrix::{GraphMatrix, NodeId};
 
 use crate::params::Hyper;
@@ -73,7 +74,7 @@ pub fn run_walk_batch(
 /// Drive several batches of walks *together* as one super-batch per step
 /// (paper §4.4: walk batches are tiny, so stepping many at once is what
 /// fills the device). Returns one trace per group. Group `g` draws only
-/// from `RngPool::new(stream + g)`, so its trace is the one
+/// with `sampler.key(stream + g)`, so its trace is the one
 /// [`run_walk_batch`] returns for it alone on stream `stream + g`.
 pub fn run_walk_groups(
     sampler: &Sampler,
@@ -83,29 +84,26 @@ pub fn run_walk_groups(
     restart: f32,
     stream: u64,
 ) -> Result<Vec<WalkTrace>> {
-    let keys: Vec<u64> = (0..seed_groups.len() as u64).map(|g| stream + g).collect();
+    let keys: Vec<Key> = (0..seed_groups.len() as u64)
+        .map(|g| sampler.key(stream + g))
+        .collect();
     walk_groups(sampler, seed_groups, length, node2vec, restart, &keys)
 }
 
-/// [`run_walk_groups`] with one explicit RNG key per group: group `g`'s
-/// steps draw from `RngPool::new(keys[g])` and its restarts from a stream
-/// of their own, so a group's trace depends on its key and nothing else.
+/// [`run_walk_groups`] with one explicit key per group: group `g`'s step
+/// `s` draws with `keys[g].child(0).child(s)`, and its walker `w`'s restart
+/// coin at step `s` is draw `(s, w)` of `keys[g].child(1)`, so a group's
+/// trace depends on its key and nothing else.
 fn walk_groups(
     sampler: &Sampler,
     seed_groups: Vec<Vec<NodeId>>,
     length: usize,
     node2vec: bool,
     restart: f32,
-    keys: &[u64],
+    keys: &[Key],
 ) -> Result<Vec<WalkTrace>> {
-    let pools: Vec<gsampler_engine::RngPool> = keys
-        .iter()
-        .map(|&k| gsampler_engine::RngPool::new(k))
-        .collect();
-    let mut restart_rngs: Vec<StdRng> = keys
-        .iter()
-        .map(|&k| StdRng::seed_from_u64(k ^ 0x5EED))
-        .collect();
+    let steps: Vec<Key> = keys.iter().map(|k| k.child(0)).collect();
+    let restarts: Vec<Key> = keys.iter().map(|k| k.child(1)).collect();
     let mut frontiers: Vec<Vec<NodeId>> = seed_groups.clone();
     let mut positions: Vec<Vec<Vec<NodeId>>> = seed_groups
         .iter()
@@ -126,8 +124,8 @@ fn walk_groups(
             };
             bindings = bindings.node_list("prev", prev);
         }
-        let mut rngs: Vec<StdRng> = pools.iter().map(|p| p.stream(step as u64)).collect();
-        let outs = sampler.sample_groups(frontiers.clone(), &bindings, &mut rngs)?;
+        let step_keys: Vec<Key> = steps.iter().map(|k| k.child(step as u64)).collect();
+        let outs = sampler.sample_groups(frontiers.clone(), &bindings, &step_keys)?;
         for (g, out) in outs.into_iter().enumerate() {
             let mut next = out.layers[0]
                 .last()
@@ -137,7 +135,7 @@ fn walk_groups(
             debug_assert_eq!(next.len(), frontiers[g].len());
             if restart > 0.0 {
                 for (w, pos) in next.iter_mut().enumerate() {
-                    if restart_rngs[g].gen_range(0.0f32..1.0) < restart {
+                    if restarts[g].unit(counter(step, w)) < restart as f64 {
                         *pos = seed_groups[g][w];
                     }
                 }
@@ -169,8 +167,8 @@ pub fn run_walk_epoch(
 /// [`run_walk_epoch`], handing each mini-batch's trace to `consume` with
 /// its batch index. Runs on [`Sampler::drive_epoch`], so walk epochs share
 /// its super-batch windows, degradation ladder, quarantine and
-/// cancellation; batch `b`'s walk is keyed by the first draw of the
-/// stream the driver hands it, at any super-batch factor.
+/// cancellation; batch `b`'s walk is keyed by the key the driver hands it,
+/// at any super-batch factor.
 pub fn run_walk_epoch_with(
     sampler: &Sampler,
     seeds: &[NodeId],
@@ -187,10 +185,7 @@ pub fn run_walk_epoch_with(
     sampler.drive_epoch(
         seeds,
         epoch,
-        |groups, rngs| {
-            let keys: Vec<u64> = rngs.iter_mut().map(|r| r.gen()).collect();
-            walk_groups(sampler, groups, hyper.walk_length, node2vec, 0.0, &keys)
-        },
+        |groups, keys| walk_groups(sampler, groups, hyper.walk_length, node2vec, 0.0, keys),
         consume,
     )
 }

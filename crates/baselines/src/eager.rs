@@ -23,13 +23,10 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use gsampler_core::kernels::{self, ExecCtx};
-use gsampler_core::{Bindings, Graph, Value};
+use gsampler_core::{Bindings, Graph, Key, Value};
 use gsampler_engine::workload::{self, MatShape};
-use gsampler_engine::{Device, DeviceProfile, Residency, RngPool};
+use gsampler_engine::{Device, DeviceProfile, Residency};
 use gsampler_ir::Op;
 use gsampler_matrix::{Axis, Dense, EltOp, Format, GraphMatrix, NodeId, ReduceOp, SparseMatrix};
 
@@ -43,7 +40,7 @@ pub struct EagerSampler {
     graph: Arc<Graph>,
     graph_value: Value,
     device: Device,
-    pool: RngPool,
+    key: Key,
 }
 
 impl EagerSampler {
@@ -53,7 +50,7 @@ impl EagerSampler {
             graph_value: Value::Matrix(graph.matrix.clone()),
             graph,
             device: Device::new(profile),
-            pool: RngPool::new(seed),
+            key: Key::new(seed),
         }
     }
 
@@ -82,17 +79,25 @@ impl EagerSampler {
     }
 
     /// Run one operator through the shared kernel registry with a plain
-    /// (single-batch, no super-batch segmentation) context.
-    fn run_kernel(&self, op: &Op, inputs: &[&Value], rng: &mut StdRng) -> Value {
+    /// (single-batch, no super-batch segmentation) context; a randomized
+    /// one draws with `key`.
+    fn run_kernel(&self, op: &Op, inputs: &[&Value], key: Key) -> Value {
         let bindings = Bindings::new();
         let ctx = ExecCtx::plain(&self.graph, &bindings);
-        kernels::run(op, inputs, &ctx, std::slice::from_mut(rng)).expect("eager kernel")
+        kernels::run(op, inputs, &ctx, &[key]).expect("eager kernel")
     }
 
     /// Same for operators that consume no randomness.
     fn run_kernel_norng(&self, op: &Op, inputs: &[&Value]) -> Value {
-        let mut rng = StdRng::seed_from_u64(0);
-        self.run_kernel(op, inputs, &mut rng)
+        self.run_kernel(op, inputs, Key::new(0))
+    }
+
+    /// The key the compiled pipeline gives the first randomized op of
+    /// layer `layer` of stream `stream` (`Sampler::key(stream)`, then
+    /// the layer, then the op's ordinal): the one select of every eager
+    /// layer draws with it, so eager and compiled GraphSAGE pick alike.
+    fn layer_key(&self, stream: u64, layer: usize) -> Key {
+        self.key.child(stream).child(layer as u64).child(0)
     }
 
     fn as_matrix(v: Value) -> GraphMatrix {
@@ -172,7 +177,7 @@ impl EagerSampler {
         k: usize,
         replace: bool,
         probs: Option<&GraphMatrix>,
-        rng: &mut StdRng,
+        key: Key,
     ) -> GraphMatrix {
         self.charge(workload::individual_sample(
             sub.data.format(),
@@ -186,9 +191,9 @@ impl EagerSampler {
         let out = match probs {
             Some(p) => {
                 let pv = Value::Matrix(p.clone());
-                self.run_kernel(&op, &[&sv, &pv], rng)
+                self.run_kernel(&op, &[&sv, &pv], key)
             }
-            None => self.run_kernel(&op, &[&sv], rng),
+            None => self.run_kernel(&op, &[&sv], key),
         };
         Self::as_matrix(out)
     }
@@ -200,7 +205,7 @@ impl EagerSampler {
         width: usize,
         probs: &[f32],
         frontier_count: usize,
-        rng: &mut StdRng,
+        key: Key,
     ) -> GraphMatrix {
         self.charge(workload::collective_sample(
             sub.data.format(),
@@ -211,7 +216,7 @@ impl EagerSampler {
         ));
         let sv = Value::Matrix(sub.clone());
         let pv = Value::Vector(probs.to_vec());
-        let out = self.run_kernel(&Op::CollectiveSample { k: width }, &[&sv, &pv], rng);
+        let out = self.run_kernel(&Op::CollectiveSample { k: width }, &[&sv, &pv], key);
         Self::as_matrix(out)
     }
 
@@ -228,14 +233,9 @@ impl EagerSampler {
 
     /// One uniform node-wise layer (GraphSAGE): extract then select, both
     /// materialized.
-    pub fn graphsage_layer(
-        &self,
-        frontiers: &[NodeId],
-        fanout: usize,
-        rng: &mut StdRng,
-    ) -> GraphMatrix {
+    pub fn graphsage_layer(&self, frontiers: &[NodeId], fanout: usize, key: Key) -> GraphMatrix {
         let sub = self.extract(frontiers);
-        let out = self.select(&sub, fanout, false, None, rng);
+        let out = self.select(&sub, fanout, false, None, key);
         self.device.alloc(out.data.size_bytes());
         self.device.free(sub.data.size_bytes());
         out
@@ -248,11 +248,10 @@ impl EagerSampler {
         fanouts: &[usize],
         stream: u64,
     ) -> Vec<GraphMatrix> {
-        let mut rng = self.pool.stream(stream);
         let mut cur: Vec<NodeId> = frontiers.to_vec();
         let mut out = Vec::with_capacity(fanouts.len());
-        for &k in fanouts {
-            let m = self.graphsage_layer(&cur, k, &mut rng);
+        for (l, &k) in fanouts.iter().enumerate() {
+            let m = self.graphsage_layer(&cur, k, self.layer_key(stream, l));
             cur = m.row_nodes();
             out.push(m);
         }
@@ -262,12 +261,7 @@ impl EagerSampler {
     /// One LADIES layer: squared-weight bias via message passing (no
     /// pre-processed `A**2`), greedy conversions for the reduce and the
     /// row gather, collective select, debias, renormalize.
-    pub fn ladies_layer(
-        &self,
-        frontiers: &[NodeId],
-        width: usize,
-        rng: &mut StdRng,
-    ) -> GraphMatrix {
+    pub fn ladies_layer(&self, frontiers: &[NodeId], width: usize, key: Key) -> GraphMatrix {
         let sub = self.extract(frontiers);
         // Bias: square every batch (DGL has no pre-processing pass).
         let sq = self.edge_map_scalar(&sub, EltOp::Pow, 2.0);
@@ -276,7 +270,7 @@ impl EagerSampler {
         let row_probs = self.mp_reduce(&sq_csr, ReduceOp::Sum, Axis::Row);
         // Collective select prefers CSR as well; sub must follow.
         let sub_csr = self.convert(&sub, Format::Csr);
-        let sampled = self.collective(&sub_csr, width, &row_probs, frontiers.len(), rng);
+        let sampled = self.collective(&sub_csr, width, &row_probs, frontiers.len(), key);
         self.device.alloc(sampled.data.size_bytes());
         // Debias by selection probability, renormalize per frontier.
         let sel: Vec<f32> = sampled
@@ -302,11 +296,10 @@ impl EagerSampler {
         layers: usize,
         stream: u64,
     ) -> Vec<GraphMatrix> {
-        let mut rng = self.pool.stream(stream);
         let mut cur: Vec<NodeId> = frontiers.to_vec();
         let mut out = Vec::with_capacity(layers);
-        for _ in 0..layers {
-            let m = self.ladies_layer(&cur, width, &mut rng);
+        for l in 0..layers {
+            let m = self.ladies_layer(&cur, width, self.layer_key(stream, l));
             cur = m.row_nodes();
             out.push(m);
         }
@@ -316,12 +309,7 @@ impl EagerSampler {
     /// FastGCN: like LADIES but with degree bias — recomputed every batch
     /// over the *full graph* (no pre-processing), the expensive part DGL
     /// pays.
-    pub fn fastgcn_layer(
-        &self,
-        frontiers: &[NodeId],
-        width: usize,
-        rng: &mut StdRng,
-    ) -> GraphMatrix {
+    pub fn fastgcn_layer(&self, frontiers: &[NodeId], width: usize, key: Key) -> GraphMatrix {
         let g = &self.graph.matrix;
         // Degrees of the full graph, every batch.
         self.charge(workload::reduce(
@@ -332,7 +320,7 @@ impl EagerSampler {
         let deg: Vec<f32> = g.data.row_degrees().iter().map(|&d| d as f32).collect();
         let sub = self.extract(frontiers);
         let sub_csr = self.convert(&sub, Format::Csr);
-        let sampled = self.collective(&sub_csr, width, &deg, frontiers.len(), rng);
+        let sampled = self.collective(&sub_csr, width, &deg, frontiers.len(), key);
         let sel: Vec<f32> = sampled
             .global_row_ids()
             .iter()
@@ -351,7 +339,7 @@ impl EagerSampler {
         frontiers: &[NodeId],
         width: usize,
         wg: &Dense,
-        rng: &mut StdRng,
+        key: Key,
     ) -> GraphMatrix {
         let feats = self.graph.features.as_ref().expect("features required");
         self.charge(workload::gemm(feats.nrows(), feats.ncols(), wg.ncols()));
@@ -370,7 +358,7 @@ impl EagerSampler {
             .map(|(&s, &l)| s + l)
             .collect();
         let sub_csr = self.convert(&sub, Format::Csr);
-        let sampled = self.collective(&sub_csr, width, &bias, frontiers.len(), rng);
+        let sampled = self.collective(&sub_csr, width, &bias, frontiers.len(), key);
         let sel: Vec<f32> = sampled
             .global_row_ids()
             .iter()
@@ -392,7 +380,7 @@ impl EagerSampler {
         w1: &Dense,
         w2: &Dense,
         w3: &Dense,
-        rng: &mut StdRng,
+        key: Key,
     ) -> GraphMatrix {
         let feats = self.graph.features.as_ref().expect("features required");
         let sub_value = Value::Matrix(self.extract(frontiers));
@@ -472,7 +460,7 @@ impl EagerSampler {
             k: fanout,
             replace: false,
         };
-        let out = Self::as_matrix(self.run_kernel(&op, &[&sub_value, &pv], rng));
+        let out = Self::as_matrix(self.run_kernel(&op, &[&sub_value, &pv], key));
         self.device.free(sub.data.size_bytes());
         self.device.free(transient);
         out
@@ -507,12 +495,11 @@ impl EagerSampler {
     /// One random-walk step for every walker (DGL's `random_walk`):
     /// extract + sample, materialized, with framework dispatch.
     pub fn walk_batch(&self, seeds: &[NodeId], length: usize, stream: u64) -> Vec<Vec<NodeId>> {
-        let mut rng = self.pool.stream(stream);
         let mut cur: Vec<NodeId> = seeds.to_vec();
         let mut trace = Vec::with_capacity(length);
-        for _ in 0..length {
+        for s in 0..length {
             let sub = self.extract(&cur);
-            let step = self.select(&sub, 1, false, None, &mut rng);
+            let step = self.select(&sub, 1, false, None, self.layer_key(stream, s));
             let sv = Value::Matrix(step);
             let next = match self.run_kernel_norng(&Op::NextWalkFrontier, &[&sv]) {
                 Value::Nodes(n) => n,
@@ -572,8 +559,7 @@ mod tests {
     #[test]
     fn ladies_layer_normalizes() {
         let s = EagerSampler::new(graph(), DeviceProfile::v100(), 2);
-        let mut rng = StdRng::seed_from_u64(3);
-        let out = s.ladies_layer(&[0, 1, 2], 8, &mut rng);
+        let out = s.ladies_layer(&[0, 1, 2], 8, Key::new(3));
         let sums = gsampler_matrix::reduce::reduce(&out.data, ReduceOp::Sum, Axis::Col);
         for v in sums {
             if v != 0.0 {
@@ -603,11 +589,11 @@ mod tests {
     fn pass_layer_respects_fanout() {
         let g = graph();
         let s = EagerSampler::new(g, DeviceProfile::v100(), 4);
-        let mut rng = StdRng::seed_from_u64(5);
+
         let w1 = Dense::from_vec(4, 2, vec![0.2; 8]).unwrap();
         let w2 = Dense::from_vec(4, 2, vec![-0.1; 8]).unwrap();
         let w3 = Dense::from_vec(3, 1, vec![0.4, 0.3, 0.3]).unwrap();
-        let out = s.pass_layer(&[0, 1], 2, &w1, &w2, &w3, &mut rng);
+        let out = s.pass_layer(&[0, 1], 2, &w1, &w2, &w3, Key::new(5));
         for d in out.data.col_degrees() {
             assert!(d <= 2);
         }
@@ -627,11 +613,10 @@ mod tests {
     fn fastgcn_and_asgcn_run() {
         let g = graph();
         let s = EagerSampler::new(g, DeviceProfile::v100(), 6);
-        let mut rng = StdRng::seed_from_u64(7);
-        let f = s.fastgcn_layer(&[0, 1, 2], 6, &mut rng);
+        let f = s.fastgcn_layer(&[0, 1, 2], 6, Key::new(7));
         assert!(f.row_nodes().len() <= 6);
         let wg = Dense::from_vec(4, 1, vec![0.3; 4]).unwrap();
-        let a = s.asgcn_layer(&[0, 1, 2], 6, &wg, &mut rng);
+        let a = s.asgcn_layer(&[0, 1, 2], 6, &wg, Key::new(8));
         assert!(a.row_nodes().len() <= 6);
     }
 
@@ -658,14 +643,14 @@ mod tests {
         // where zero-weight candidates are legal), not reject the batch.
         let g = graph();
         let s = EagerSampler::new(g, DeviceProfile::v100(), 9);
-        let mut rng = StdRng::seed_from_u64(1);
+
         let sub = s.extract(&[0, 1, 2]);
         let probs = GraphMatrix {
             data: sub.data.with_values(vec![0.0; sub.nnz()]),
             row_ids: sub.row_ids.clone(),
             col_ids: sub.col_ids.clone(),
         };
-        let out = s.select(&sub, 2, false, Some(&probs), &mut rng);
+        let out = s.select(&sub, 2, false, Some(&probs), Key::new(1));
         for d in out.data.col_degrees() {
             assert!(d <= 2);
         }
@@ -684,15 +669,15 @@ mod tests {
 
         let bindings = Bindings::new();
         let ctx = ExecCtx::plain(&g, &bindings);
-        let mut rng = [RngPool::new(11).stream(7)];
+        let key = [Key::new(11).child(7).child(0).child(0)];
         let gv = Value::Matrix(g.matrix.clone());
         let fv = Value::Nodes(frontiers);
-        let sub = kernels::run(&Op::SliceCols, &[&gv, &fv], &ctx, &mut rng).unwrap();
+        let sub = kernels::run(&Op::SliceCols, &[&gv, &fv], &ctx, &key).unwrap();
         let op = Op::IndividualSample {
             k: 3,
             replace: false,
         };
-        let direct = kernels::run(&op, &[&sub], &ctx, &mut rng).unwrap();
+        let direct = kernels::run(&op, &[&sub], &ctx, &key).unwrap();
         let direct_m = direct.as_matrix().unwrap();
         assert_eq!(eager_out[0].global_edges(), direct_m.global_edges());
     }

@@ -10,12 +10,10 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
-use gsampler_core::Graph;
+use gsampler_core::{Graph, Key};
+use gsampler_engine::rng::counter;
 use gsampler_engine::workload::KernelDesc;
-use gsampler_engine::{Device, DeviceProfile, RngPool};
+use gsampler_engine::{Device, DeviceProfile};
 use gsampler_matrix::sample::AliasTable;
 use gsampler_matrix::{Csc, NodeId};
 
@@ -29,7 +27,7 @@ pub struct VertexCentricSampler {
     csc: Csc,
     tables: Vec<Option<AliasTable>>,
     device: Device,
-    pool: RngPool,
+    key: Key,
     pcie_fraction: f64,
 }
 
@@ -53,7 +51,7 @@ impl VertexCentricSampler {
             csc,
             tables,
             device: Device::new(profile),
-            pool: RngPool::new(seed),
+            key: Key::new(seed),
             pcie_fraction: graph.residency.pcie_fraction(),
         }
     }
@@ -80,21 +78,23 @@ impl VertexCentricSampler {
         );
     }
 
-    fn draw_neighbor(&self, v: NodeId, rng: &mut StdRng) -> Option<NodeId> {
+    /// Node `v`'s neighbour drawn by draw `counter` of `key`.
+    fn draw_neighbor(&self, v: NodeId, key: Key, counter: u64) -> Option<NodeId> {
         let table = self.tables[v as usize].as_ref()?;
-        let off = table.sample(rng);
+        let off = table.sample(key, counter);
         let pos = self.csc.col_range(v as usize).start + off;
         Some(self.csc.indices[pos])
     }
 
-    /// DeepWalk: one alias draw per walker per step.
+    /// DeepWalk: one alias draw per walker per step (walker `w`'s step `s`
+    /// is draw `(s, w)` of the stream's key).
     pub fn deepwalk_batch(&self, seeds: &[NodeId], length: usize, stream: u64) -> Vec<Vec<NodeId>> {
-        let mut rng = self.pool.stream(stream);
+        let key = self.key.child(stream);
         let mut cur: Vec<NodeId> = seeds.to_vec();
         let mut trace = Vec::with_capacity(length);
-        for _ in 0..length {
-            for pos in cur.iter_mut() {
-                if let Some(next) = self.draw_neighbor(*pos, &mut rng) {
+        for s in 0..length {
+            for (w, pos) in cur.iter_mut().enumerate() {
+                if let Some(next) = self.draw_neighbor(*pos, key, counter(s, w)) {
                     *pos = next;
                 }
             }
@@ -120,16 +120,14 @@ impl VertexCentricSampler {
         q: f32,
         stream: u64,
     ) -> Vec<Vec<NodeId>> {
-        let mut rng = self.pool.stream(stream);
+        let key = self.key.child(stream);
         let mut prev: Vec<NodeId> = seeds.to_vec();
         let mut cur: Vec<NodeId> = seeds.to_vec();
         let mut trace = Vec::with_capacity(length);
-        for _ in 0..length {
+        for s in 0..length {
             let mut scan_bytes: u64 = 0;
-            let next: Vec<NodeId> = cur
-                .iter()
-                .zip(prev.iter())
-                .map(|(&v, &pv)| {
+            let next: Vec<NodeId> = (cur.iter().zip(prev.iter()).enumerate())
+                .map(|(w, (&v, &pv))| {
                     let range = self.csc.col_range(v as usize);
                     if range.is_empty() {
                         return v;
@@ -155,7 +153,8 @@ impl VertexCentricSampler {
                     }
                     // Inverse-transform draw over the computed weights.
                     let total: f32 = weights.iter().sum();
-                    let mut target = rng.gen_range(0.0f32..total.max(f32::MIN_POSITIVE));
+                    let u = key.unit(counter(s, w)) as f32;
+                    let mut target = u * total.max(f32::MIN_POSITIVE);
                     let mut chosen = range.len() - 1;
                     for (i, &w) in weights.iter().enumerate() {
                         if target < w {
@@ -183,17 +182,18 @@ impl VertexCentricSampler {
         fanouts: &[usize],
         stream: u64,
     ) -> Vec<Vec<Vec<NodeId>>> {
-        let mut rng = self.pool.stream(stream);
+        let key = self.key.child(stream);
         let mut cur: Vec<NodeId> = frontiers.to_vec();
         let mut layers = Vec::with_capacity(fanouts.len());
-        for &k in fanouts {
+        for (l, &k) in fanouts.iter().enumerate() {
+            let layer = key.child(l as u64);
             let mut per_frontier: Vec<Vec<NodeId>> = Vec::with_capacity(cur.len());
             let mut draws = 0u64;
-            for &f in &cur {
+            for (i, &f) in cur.iter().enumerate() {
                 let mut picked: Vec<NodeId> = Vec::with_capacity(k);
-                for _ in 0..k {
+                for j in 0..k {
                     draws += 1;
-                    if let Some(n) = self.draw_neighbor(f, &mut rng) {
+                    if let Some(n) = self.draw_neighbor(f, layer, counter(i, j)) {
                         picked.push(n);
                     }
                 }

@@ -244,9 +244,8 @@ pub fn gsampler_epoch(
         let report = if algo.super_batch_ok() {
             sampler.run_epoch(subset, &algo.bindings(graph, h), 0)?
         } else {
-            let run = |groups, rngs: &mut _| {
-                sampler.sample_groups(groups, &algo.bindings(graph, h), rngs)
-            };
+            let run =
+                |groups, keys: &_| sampler.sample_groups(groups, &algo.bindings(graph, h), keys);
             sampler.drive_epoch(subset, 0, run, |_, _| {})?
         };
         let mut per_batch = report.modeled_time / report.batches.max(1) as f64;
@@ -349,25 +348,27 @@ pub fn eager_epoch_with_stats(
         Algo::AsGcn => {
             let batches = run(6);
             let wg = gsampler_matrix::Dense::from_vec(dim, 1, vec![0.05; dim]).ok()?;
-            let mut rng = rand::SeedableRng::seed_from_u64(3);
-            for chunk in seeds.chunks(h.batch_size.max(1)).take(batches) {
-                for _ in 0..h.layers {
-                    sampler.asgcn_layer(chunk, h.layer_width, &wg, &mut rng);
+            let key = gsampler_core::Key::new(3);
+            for (b, chunk) in seeds.chunks(h.batch_size.max(1)).take(batches).enumerate() {
+                for l in 0..h.layers {
+                    let layer = key.child(b as u64).child(l as u64);
+                    sampler.asgcn_layer(chunk, h.layer_width, &wg, layer);
                 }
             }
             (batches, 1.0)
         }
         Algo::Pass => {
             let batches = run(4);
-            let mut rng = rand::SeedableRng::seed_from_u64(4);
+            let key = gsampler_core::Key::new(4);
             let w1 =
                 gsampler_matrix::Dense::from_vec(dim, h.hidden, vec![0.02; dim * h.hidden]).ok()?;
             let w2 = w1.clone();
             let w3 = gsampler_matrix::Dense::from_vec(3, 1, vec![0.3, 0.3, 0.4]).ok()?;
-            for chunk in seeds.chunks(h.batch_size.max(1)).take(batches) {
+            for (b, chunk) in seeds.chunks(h.batch_size.max(1)).take(batches).enumerate() {
                 let mut cur: Vec<u32> = chunk.to_vec();
-                for &k in &h.fanouts {
-                    let m = sampler.pass_layer(&cur, k, &w1, &w2, &w3, &mut rng);
+                for (l, &k) in h.fanouts.iter().enumerate() {
+                    let layer = key.child(b as u64).child(l as u64);
+                    let m = sampler.pass_layer(&cur, k, &w1, &w2, &w3, layer);
                     cur = m.row_nodes();
                 }
             }

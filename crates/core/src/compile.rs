@@ -10,11 +10,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gsampler_engine::{Device, DeviceProfile, PlanDbStats, RngPool};
+use gsampler_engine::{Device, DeviceProfile, PlanDbStats};
 use gsampler_ir::passes::{run_passes, OptConfig, OptimizedProgram};
 use gsampler_ir::{facts, superbatch};
 use gsampler_matrix::NodeId;
-use rand::rngs::StdRng;
+use gsampler_runtime::Key;
 
 use crate::builder::Layer;
 use crate::error::{Error, Result};
@@ -93,7 +93,7 @@ pub struct CompiledLayer {
 ///
 /// Every path from seeds to samples (single batches, epochs, walks,
 /// multi-GPU shards, serving) goes through [`Sampler::sample_groups`] with
-/// one RNG stream per mini-batch, so how batches share executions is
+/// one key per mini-batch, so how batches share executions is
 /// invisible: a degraded or super-batched epoch delivers each batch's
 /// plain-epoch sample, identical, layout included (a group's share of a
 /// block-diagonal execution is the diagonal block its solo run produces).
@@ -104,7 +104,8 @@ pub struct Sampler {
     graph_value: Arc<Value>,
     layers: Vec<CompiledLayer>,
     pub(crate) device: Device,
-    pub(crate) pool: RngPool,
+    /// `Key::new(config.seed)`.
+    pub(crate) key: Key,
     pub(crate) config: SamplerConfig,
     pub(crate) super_batch: usize,
     /// Every layer passes [`facts::scatter_exact`].
@@ -122,7 +123,7 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
     compile_span.arg("batch_size", config.batch_size);
     let device = Device::new(config.device.clone());
     let graph_value = graph.matrix_value();
-    let pool = RngPool::new(config.seed);
+    let key = Key::new(config.seed);
 
     // One lookup, whose outcome is this compile's own (a before/after
     // delta of the shared counters would count concurrent compiles).
@@ -178,7 +179,7 @@ pub fn compile(graph: Arc<Graph>, layers: Vec<Layer>, config: SamplerConfig) -> 
             .all(|l| facts::scatter_exact(&l.optimized.program, &l.optimized.facts)),
         layers: compiled,
         device,
-        pool,
+        key,
         config,
         super_batch,
         plan_db_stats,
@@ -334,50 +335,47 @@ impl Sampler {
         self.sample_batch_seeded(frontiers, bindings, 0)
     }
 
-    /// The RNG stream `stream` of this sampler's seed: what
-    /// [`Sampler::sample_batch_seeded`] draws from, and what a caller
-    /// packing requests onto [`Sampler::sample_groups`] hands each group.
-    pub fn stream(&self, stream: u64) -> StdRng {
-        self.pool.stream(stream)
+    /// The key of stream `stream` of this sampler's seed,
+    /// `Key::new(seed).child(stream)`: what [`Sampler::sample_batch_seeded`]
+    /// draws with, and what a caller packing requests onto
+    /// [`Sampler::sample_groups`] hands each group.
+    pub fn key(&self, stream: u64) -> Key {
+        self.key.child(stream)
     }
 
-    /// Sample one mini-batch on an explicit RNG stream; drivers that call
-    /// the sampler repeatedly (random walks, bandit updates) vary the
-    /// stream per step to get independent draws while staying
-    /// reproducible.
+    /// Sample one mini-batch on an explicit stream; drivers that call the
+    /// sampler repeatedly (random walks, bandit updates) vary the stream
+    /// per step to get independent draws while staying reproducible.
     pub fn sample_batch_seeded(
         &self,
         frontiers: &[NodeId],
         bindings: &Bindings,
         stream: u64,
     ) -> Result<GraphSample> {
-        let mut rng = self.stream(stream);
-        let mut samples = self.sample_groups(
-            vec![frontiers.to_vec()],
-            bindings,
-            std::slice::from_mut(&mut rng),
-        )?;
+        let key = self.key(stream);
+        let groups = vec![frontiers.to_vec()];
+        let mut samples = self.sample_groups(groups, bindings, &[key])?;
         Ok(samples.pop().expect("one group in, one sample out"))
     }
 
     /// The one door from frontiers to samples: execute every layer over
     /// `groups` together (one super-batch execution) and return one
-    /// [`GraphSample`] per group. `rngs` carries one stream per group and
-    /// group `b` draws only from `rngs[b]` — exactly the sequence it would
-    /// consume sampled alone with that stream — so how mini-batches (or
+    /// [`GraphSample`] per group. `keys` carries one key per group, and
+    /// layer `l` of group `b` draws with `keys[b].child(l)` only — what it
+    /// would draw sampled alone with that key — so how mini-batches (or
     /// independent tenants' requests, given [`Sampler::pack_exact`]) are
     /// grouped onto executions never shows in the samples.
     ///
     /// Runs under the configured [`RecoveryPolicy`]: transient faults are
-    /// retried (bit-identically — the RNGs are checkpointed per layer
-    /// execution), and single-group memory pressure falls back to the
-    /// streaming layout. Multi-group OOM propagates so that
-    /// [`Sampler::window`] can halve the super-batch instead.
+    /// retried (bit-identically — a retry draws with the same keys), and
+    /// single-group memory pressure falls back to the streaming layout.
+    /// Multi-group OOM propagates so that [`Sampler::window`] can halve the
+    /// super-batch instead.
     pub fn sample_groups(
         &self,
         mut groups: Vec<Vec<NodeId>>,
         bindings: &Bindings,
-        rngs: &mut [StdRng],
+        keys: &[Key],
     ) -> Result<Vec<GraphSample>> {
         let s = groups.len();
         let mut exec_span = gsampler_obs::span("exec", "sample_groups");
@@ -385,7 +383,8 @@ impl Sampler {
         let mut per_group: Vec<GraphSample> =
             (0..s).map(|_| GraphSample { layers: Vec::new() }).collect();
         let (graph, policy, device) = (&self.graph, &self.config.recovery, &self.device);
-        for layer in &self.layers {
+        for (l, layer) in self.layers.iter().enumerate() {
+            let layer_keys: Vec<Key> = keys.iter().map(|k| k.child(l as u64)).collect();
             let hoisted =
                 (layer.hoist).values(graph, &self.graph_value, bindings, policy, device)?;
             let outputs = execute_recovering(
@@ -398,7 +397,7 @@ impl Sampler {
                 bindings,
                 &hoisted,
                 device,
-                rngs,
+                &layer_keys,
             )?;
             // Chain next-layer frontiers per group.
             if let Some(pos) = layer.layer.next_frontier_output {

@@ -18,11 +18,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-
 use gsampler_engine::Device;
 use gsampler_ir::{Facts, Op, Program};
 use gsampler_matrix::{Dense, NodeId};
+use gsampler_runtime::Key;
 
 use crate::error::{Error, Result};
 use crate::graph::Graph;
@@ -82,9 +81,11 @@ impl Bindings {
 ///
 /// Returns one value list per group (in `program.outputs()` order). With a
 /// single group this is ordinary mini-batch execution; with several, the
-/// groups are sampled together as one super-batch. `rngs` carries one
-/// stream per group (see [`crate::session_rng`]): group `b` draws only
-/// from `rngs[b]`, so its values do not depend on what it is packed with.
+/// groups are sampled together as one super-batch. `keys` carries one key
+/// per group: the `i`-th randomized op of the program ([`Op::is_random`],
+/// in program order) draws group `b`'s bits with `keys[b].child(i)`, so a
+/// group's values depend on its key and the program only — not on what it
+/// is packed with, nor on how often the execution is retried.
 /// `facts` is the program's fact table, resolved once at compile: value
 /// lifetimes, graph residency, and (several groups) super-batch legality.
 // The parameters are the execution context in full; bundling them into a
@@ -99,7 +100,7 @@ pub fn execute(
     bindings: &Bindings,
     precomputed: &[Arc<Value>],
     device: &Device,
-    rngs: &mut [StdRng],
+    keys: &[Key],
 ) -> Result<Vec<Vec<Value>>> {
     let s = frontier_groups.len().max(1);
     let n = graph.num_nodes();
@@ -108,10 +109,10 @@ pub fn execute(
             "program is not super-batch compatible".to_string(),
         ));
     }
-    if rngs.len() != s {
+    if keys.len() != s {
         return Err(Error::Execution(format!(
-            "{} RNG streams but the execution has {s} groups",
-            rngs.len()
+            "{} keys but the execution has {s} groups",
+            keys.len()
         )));
     }
     let mut col_offsets = Vec::with_capacity(s + 1);
@@ -125,6 +126,7 @@ pub fn execute(
     let mut refcount: Vec<usize> = facts.iter().map(|f| f.uses).collect();
     let resident = |i: usize| facts[i].resident;
     let mut env: Vec<Option<Arc<Value>>> = vec![None; program.len()];
+    let mut randomized = 0u64;
 
     let ctx = ExecCtx {
         graph,
@@ -169,7 +171,12 @@ pub fn execute(
                         .collect::<Result<Vec<_>>>()?;
                     let graph_input = node.inputs.first().map(|&i| &facts[i]);
                     let graph_input = graph_input.is_some_and(Facts::graph_resident);
-                    let run = kernels::dispatch(op, &inputs, graph_input, &ctx, device, rngs);
+                    let op_keys: Vec<Key> = match op.is_random() {
+                        true => keys.iter().map(|k| k.child(randomized)).collect(),
+                        false => Vec::new(),
+                    };
+                    randomized += u64::from(op.is_random());
+                    let run = kernels::dispatch(op, &inputs, graph_input, &ctx, device, &op_keys);
                     Arc::new(run?)
                 }
             };

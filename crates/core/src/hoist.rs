@@ -26,8 +26,7 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 use gsampler_engine::Device;
 use gsampler_ir::passes::OptimizedProgram;
 use gsampler_ir::{Op, Program, Varies};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use gsampler_runtime::Key;
 
 use crate::error::Result;
 use crate::exec::Bindings;
@@ -129,7 +128,8 @@ impl Hoist {
         if !memo.holds(&bound) {
             let mut span = gsampler_obs::span("hoist", "fill");
             span.arg("bound_inputs", bound.len());
-            let mut rng = StdRng::seed_from_u64(0);
+            // Precompute is never randomized (a random op varies by batch),
+            // so its one key is never drawn from.
             let out = execute_recovering(
                 policy,
                 program,
@@ -140,7 +140,7 @@ impl Hoist {
                 bindings,
                 &[],
                 device,
-                std::slice::from_mut(&mut rng),
+                &[Key::new(0)],
             )?;
             *memo = Memo {
                 key: Some(bound.iter().map(Arc::downgrade).collect()),

@@ -15,8 +15,6 @@
 
 use std::borrow::Cow;
 
-use rand::rngs::StdRng;
-
 use gsampler_ir::op::EdgeMapStep;
 use gsampler_ir::Op;
 use gsampler_matrix::{broadcast, eltwise, reduce, Axis, GraphMatrix, NodeId, SparseMatrix};
@@ -208,7 +206,7 @@ pub(super) fn run(
     op: &Op,
     inputs: &[&Value],
     ctx: &ExecCtx<'_>,
-    _rngs: &mut [StdRng],
+    _keys: &[gsampler_runtime::Key],
 ) -> Result<Value> {
     match op {
         Op::ScalarOp(o, s) => {

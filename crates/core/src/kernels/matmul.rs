@@ -6,8 +6,6 @@
 //! `spmm::sddmm_by_id`, handed the row IDs and the node period) and
 //! re-attaches the ID spaces.
 
-use rand::rngs::StdRng;
-
 use gsampler_ir::Op;
 use gsampler_matrix::{eltwise, spmm, Dense, NodeId, SparseMatrix};
 
@@ -32,7 +30,7 @@ pub(super) fn run(
     op: &Op,
     inputs: &[&Value],
     ctx: &ExecCtx<'_>,
-    _rngs: &mut [StdRng],
+    _keys: &[gsampler_runtime::Key],
 ) -> Result<Value> {
     match op {
         Op::Spmm => {

@@ -30,7 +30,7 @@ use std::time::Instant;
 use gsampler_engine::{arena_metrics, faults, pool_metrics, Device, PoolError};
 use gsampler_ir::{costing, Op, ShapeEst};
 use gsampler_matrix::{Format, NodeId};
-use rand::rngs::StdRng;
+use gsampler_runtime::Key;
 
 use crate::error::{Error, Result};
 use crate::exec::Bindings;
@@ -120,7 +120,9 @@ fn not_a_kernel(op: &Op) -> Error {
     Error::Execution(format!("{op:?} is a shared input slot, not a kernel"))
 }
 
-type RunFn = fn(&Op, &[&Value], &ExecCtx<'_>, &mut [StdRng]) -> Result<Value>;
+/// An evaluator: the op, its inputs, the context, and — for a randomized op
+/// — one key per frontier group (see [`dispatch`]).
+type RunFn = fn(&Op, &[&Value], &ExecCtx<'_>, &[Key]) -> Result<Value>;
 
 /// The dispatch table every execution path shares: the family name of
 /// `op` (the prefix of its kernel span name, `{family}::{op}`) and its
@@ -182,21 +184,26 @@ fn resolve(op: &Op) -> (&'static str, RunFn) {
 }
 
 /// Evaluate `op` on `inputs`, uninstrumented (no device charge, no span).
-pub fn run(op: &Op, inputs: &[&Value], ctx: &ExecCtx<'_>, rngs: &mut [StdRng]) -> Result<Value> {
-    (resolve(op).1)(op, inputs, ctx, rngs)
+pub fn run(op: &Op, inputs: &[&Value], ctx: &ExecCtx<'_>, keys: &[Key]) -> Result<Value> {
+    (resolve(op).1)(op, inputs, ctx, keys)
 }
 
 /// Run one operator through the registry with full instrumentation:
 /// evaluate, derive the workload from actual shapes, and charge modeled
 /// time, SM utilization, host wall-clock time, and the worker-pool
 /// occupancy delta (threads used, parallel efficiency) to `device`.
+///
+/// A randomized op ([`Op::is_random`]) draws with `keys`, one per frontier
+/// group: group `b`'s draws are a function of `keys[b]` and their position
+/// in the group's own columns or rows, so the group samples what it would
+/// alone. Other ops ignore them.
 pub fn dispatch(
     op: &Op,
     inputs: &[&Value],
     graph_input_resident: bool,
     ctx: &ExecCtx<'_>,
     device: &Device,
-    rngs: &mut [StdRng],
+    keys: &[Key],
 ) -> Result<Value> {
     let (family, eval) = resolve(op);
     let in_fmts: Vec<Option<Format>> = inputs
@@ -237,7 +244,7 @@ pub fn dispatch(
     // `PoolError` (the pool has already respawned the worker). Contain it
     // as a transient, retryable failure of just this kernel; any other
     // panic is a real bug and keeps unwinding.
-    let run_result = catch_unwind(AssertUnwindSafe(|| eval(op, inputs, ctx, rngs)));
+    let run_result = catch_unwind(AssertUnwindSafe(|| eval(op, inputs, ctx, keys)));
     let value = match run_result {
         Ok(result) => result?,
         Err(payload) => match payload.downcast::<PoolError>() {
@@ -327,7 +334,6 @@ mod tests {
     use super::*;
     use gsampler_engine::DeviceProfile;
     use gsampler_matrix::{EltOp, ReduceOp};
-    use rand::SeedableRng;
 
     fn graph() -> Graph {
         let edges: Vec<(u32, u32, f32)> = (0..24u32)
@@ -355,7 +361,7 @@ mod tests {
         let bindings = Bindings::new();
         let ctx = ExecCtx::plain(&g, &bindings);
         let device = Device::new(DeviceProfile::v100());
-        let mut rng = [StdRng::seed_from_u64(1)];
+        let keys = [Key::new(1)];
         let gv = Value::Matrix(g.matrix.clone());
         let out = dispatch(
             &Op::ScalarOp(EltOp::Mul, 2.0),
@@ -363,7 +369,7 @@ mod tests {
             true,
             &ctx,
             &device,
-            &mut rng,
+            &keys,
         )
         .unwrap();
         assert!(out.as_matrix().is_some());
@@ -383,7 +389,7 @@ mod tests {
             let bindings = Bindings::new();
             let ctx = ExecCtx::plain(&g, &bindings);
             let device = Device::new(DeviceProfile::v100());
-            let mut rng = [StdRng::seed_from_u64(1)];
+            let keys = [Key::new(1)];
             let gv = Value::Matrix(g.matrix.clone());
             let frontiers = Value::Nodes(vec![1, 5, 9, 13]);
             dispatch(
@@ -392,7 +398,7 @@ mod tests {
                 true,
                 &ctx,
                 &device,
-                &mut rng,
+                &keys,
             )
             .unwrap();
             let s = device.stats();
@@ -407,7 +413,7 @@ mod tests {
         let bindings = Bindings::new();
         let ctx = ExecCtx::plain(&g, &bindings);
         let device = Device::new(DeviceProfile::v100());
-        let mut rng = [StdRng::seed_from_u64(1)];
+        let keys = [Key::new(1)];
         let gv = Value::Matrix(g.matrix.clone());
         let frontiers = Value::Nodes(vec![1, 5]);
         dispatch(
@@ -416,7 +422,7 @@ mod tests {
             true,
             &ctx,
             &device,
-            &mut rng,
+            &keys,
         )
         .unwrap();
         let s = device.stats();
@@ -473,9 +479,9 @@ mod tests {
         }
         // Inputs are slots, not kernels: the registry refuses to run one.
         let device = Device::new(DeviceProfile::v100());
-        let mut rng = [StdRng::seed_from_u64(1)];
+        let keys = [Key::new(1)];
         let op = Op::InputVector("w".into());
-        assert!(dispatch(&op, &[], false, &ctx, &device, &mut rng).is_err());
+        assert!(dispatch(&op, &[], false, &ctx, &device, &keys).is_err());
         assert_eq!(device.stats().kernel_launches, 0);
     }
 }

@@ -7,11 +7,12 @@
 //! all pick with `sample::pick_columns` — over the matrix's own columns (with
 //! a materialized bias, one evaluated per edge inside the pick, or none) and
 //! over the frontiers' columns of the base graph — and all write with
-//! `slice::gather_cols`. This module only draws the per-group column
-//! streams ([`ColStreams`]), resolves a fused bias's leaves and supplies the
+//! `slice::gather_cols`. This module only hands the pick its column groups
+//! ([`group_starts`]: group `b` draws with `keys[b]`, counting its columns
+//! from its first), resolves a fused bias's leaves and supplies the
 //! block-diagonal row offsets.
 
-use rand::rngs::StdRng;
+use gsampler_runtime::Key;
 
 use gsampler_ir::{BiasChannel, EdgeBias, EdgeMapStep, Op};
 use gsampler_matrix::bias::{self, Channel, MapStep};
@@ -20,7 +21,6 @@ use gsampler_matrix::spmm::RowsById;
 use gsampler_matrix::{Axis, Csc, GraphMatrix, SparseMatrix};
 
 use crate::error::{Error, Result};
-use crate::session_rng::ColStreams;
 use crate::value::Value;
 
 use super::eltwise::{fit_axis_vector, want_matrix, want_nodes, want_vector, with_data};
@@ -34,26 +34,43 @@ use super::{superbatch, ExecCtx};
 /// The selector `Op::IndividualSample` runs, read through the frontier map
 /// instead of from a materialised slice: [`pick_columns`] over the columns
 /// `concat_frontiers[c]`, written by [`superbatch::gather_block`]. Column
-/// `c` draws from stream `c` of [`ColStreams`] — exactly one
-/// `gen::<u64>()` per group stream — as it would after `Op::SliceCols`.
+/// `c` draws what it would after `Op::SliceCols`: its group's key, counted
+/// from the group's first column.
 pub fn fused_extract_select(
     m: &GraphMatrix,
     k: usize,
     replace: bool,
     ctx: &ExecCtx<'_>,
-    rngs: &mut [StdRng],
+    keys: &[Key],
 ) -> Result<Value> {
     let csc = m.data.csc();
     let cols_f = ctx.concat_frontiers;
     ctx.check_frontiers(csc.ncols, "fused_extract_select")?;
-    let streams = ColStreams::draw(rngs, ctx.col_offsets, cols_f.len())?;
-    let (indptr, picks) = pick_columns(&csc, Some(cols_f), k, replace, &Uniform, &streams)?;
+    let starts = group_starts(ctx, cols_f.len())?;
+    let (indptr, picks) = pick_columns(&csc, Some(cols_f), k, replace, &Uniform, keys, starts)?;
     let block = superbatch::gather_block(&csc, indptr, ctx, |_, out| picks[out].iter().copied());
     Ok(Value::Matrix(GraphMatrix {
         data: SparseMatrix::Csc(block),
         row_ids: m.row_ids.clone(),
         col_ids: Some(std::sync::Arc::new(cols_f.to_vec())),
     }))
+}
+
+/// The first output column of every group, the columns a per-column draw
+/// counts from. With several groups the `ncols` columns being sampled must
+/// be the concatenated frontiers (the fact table's super-batch rule admits
+/// a per-column draw only over frontier columns); a single group owns
+/// every column whatever the matrix is.
+fn group_starts<'c>(ctx: &ExecCtx<'c>, ncols: usize) -> Result<&'c [usize]> {
+    let (s, offsets) = (ctx.s.max(1), ctx.col_offsets);
+    match s {
+        1 => Ok(&[0]),
+        _ if offsets.len() == s + 1 && offsets[s] == ncols => Ok(&offsets[..s]),
+        _ => Err(Error::Execution(format!(
+            "cannot key columns by group: {s} groups, col_offsets {offsets:?}, \
+             matrix has {ncols} columns"
+        ))),
+    }
 }
 
 /// The bias chain `bias` of a [`Op::FusedBiasSelect`] over `m` (whose
@@ -102,12 +119,15 @@ fn edge_bias<'a>(
 }
 
 /// Extract / select operator family: evaluate `op` on `inputs`.
-pub(super) fn run(
-    op: &Op,
-    inputs: &[&Value],
-    ctx: &ExecCtx<'_>,
-    rngs: &mut [StdRng],
-) -> Result<Value> {
+pub(super) fn run(op: &Op, inputs: &[&Value], ctx: &ExecCtx<'_>, keys: &[Key]) -> Result<Value> {
+    // A randomized op draws with one key per group.
+    let groups = ctx.s.max(1);
+    if op.is_random() && keys.len() != groups {
+        let n = keys.len();
+        return Err(Error::Execution(format!(
+            "{n} keys but the execution has {groups} groups"
+        )));
+    }
     match op {
         Op::SliceCols => {
             let m = want_matrix(inputs[0], "slice_cols")?;
@@ -138,20 +158,20 @@ pub(super) fn run(
             // With several groups the matrix columns are the
             // concatenated frontiers (the fact table's `Frontier` column
             // space, which `gsampler_ir::facts::batchable` requires here;
-            // `ColStreams::draw` re-checks), so each group draws exactly
-            // what it would alone.
-            let streams = ColStreams::draw(rngs, ctx.col_offsets, m.shape().1)?;
+            // `group_starts` re-checks), so each group draws exactly what it
+            // would alone.
+            let starts = group_starts(ctx, m.shape().1)?;
             let probs = probs.map(|p| &p.data);
-            let data = individual_sample(&m.data, *k, *replace, probs, &streams)?;
+            let data = individual_sample(&m.data, *k, *replace, probs, keys, starts)?;
             Ok(Value::Matrix(with_data(m, data)))
         }
         Op::FusedBiasSelect { k, replace, bias } => {
             let m = want_matrix(inputs[0], "fused_bias_select")?;
             let csc = m.data.csc();
             let bias = edge_bias(m, &csc, bias, inputs, ctx.n)?;
-            // The streams `Op::IndividualSample` draws.
-            let streams = ColStreams::draw(rngs, ctx.col_offsets, m.shape().1)?;
-            let out = sample_columns(&csc, *k, *replace, &bias, &streams)?;
+            // The draws `Op::IndividualSample` makes.
+            let starts = group_starts(ctx, m.shape().1)?;
+            let out = sample_columns(&csc, *k, *replace, &bias, keys, starts)?;
             let data = SparseMatrix::Csc(out).into_format(m.data.format());
             Ok(Value::Matrix(with_data(m, data)))
         }
@@ -161,16 +181,16 @@ pub(super) fn run(
                 Some(v) => Some(want_vector(v, "collective_sample probs")?),
                 None => None,
             };
-            superbatch::segmented_collective_sample(m, *k, probs, ctx, rngs)
+            superbatch::segmented_collective_sample(m, *k, probs, ctx, keys)
         }
         Op::FusedExtractCollective { k } => {
             let m = want_matrix(inputs[0], "fused_extract_collective")?;
             let probs = want_vector(inputs[2], "fused_extract_collective probs")?;
-            superbatch::fused_extract_collective(m, *k, probs, ctx, rngs)
+            superbatch::fused_extract_collective(m, *k, probs, ctx, keys)
         }
         Op::FusedExtractSelect { k, replace } => {
             let m = want_matrix(inputs[0], "fused_extract_select")?;
-            fused_extract_select(m, *k, *replace, ctx, rngs)
+            fused_extract_select(m, *k, *replace, ctx, keys)
         }
         Op::Convert(fmt) => {
             let m = want_matrix(inputs[0], "convert")?;
@@ -197,5 +217,48 @@ pub(super) fn run(
         other => Err(Error::Execution(format!(
             "slice_sample kernel cannot evaluate {other:?}"
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::Bindings;
+    use crate::graph::Graph;
+
+    fn starts(col_offsets: &[usize], s: usize, ncols: usize) -> Result<Vec<usize>> {
+        let graph = Graph::from_edges("t", 3, &[(1, 0, 1.0)], false).unwrap();
+        let bindings = Bindings::new();
+        let ctx = ExecCtx {
+            s,
+            col_offsets,
+            ..ExecCtx::plain(&graph, &bindings)
+        };
+        group_starts(&ctx, ncols).map(<[usize]>::to_vec)
+    }
+
+    #[test]
+    fn one_group_owns_every_column() {
+        // Offsets that disagree with the matrix are fine for one group.
+        assert_eq!(starts(&[0], 1, 5).unwrap(), [0]);
+        assert_eq!(starts(&[0, 2, 5], 1, 7).unwrap(), [0]);
+        assert_eq!(starts(&[0, 2, 5], 2, 5).unwrap(), [0, 2]);
+    }
+
+    #[test]
+    fn rejects_mismatched_offsets() {
+        assert!(starts(&[0, 2, 5], 2, 4).is_err());
+        assert!(starts(&[0, 5], 2, 5).is_err());
+        // And a randomized op handed a key count other than its groups'.
+        let graph = Graph::from_edges("t", 3, &[(1, 0, 1.0)], false).unwrap();
+        let bindings = Bindings::new();
+        let ctx = ExecCtx::plain(&graph, &bindings);
+        let select = Op::IndividualSample {
+            k: 1,
+            replace: false,
+        };
+        let m = graph.matrix_value();
+        assert!(run(&select, &[&m], &ctx, &[]).is_err());
+        assert!(run(&select, &[&m], &ctx, &[Key::new(1)]).is_ok());
     }
 }

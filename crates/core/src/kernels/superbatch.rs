@@ -9,8 +9,8 @@
 //! kernels (`segmented_slice_cols`, `fused_extract_select`) write through —
 //! and collective sampling is `sample::collective_select` with one segment
 //! per group, sliced or (`fused_extract_collective`) read from the graph.
-//! Each group draws from its own RNG stream, which is what keeps seeded
-//! outputs bit-identical across batch modes and thread counts; the groups
+//! Each group draws with its own key, which is what keeps seeded outputs
+//! bit-identical across batch modes and thread counts; the groups
 //! are also the selector's work items on the worker pool (as they are the
 //! extract-reduce's, `reduce::reduce_col_groups`), so a factor-`S` launch
 //! draws its groups side by side.
@@ -29,10 +29,9 @@ use std::sync::Arc;
 use gsampler_ir::Facts;
 use gsampler_matrix::sample::{self, collective_sample_segments, collective_select};
 use gsampler_matrix::{convert, slice, Coo, Csc, GraphMatrix, NodeId, SparseMatrix};
-use rand::rngs::StdRng;
+use gsampler_runtime::Key;
 
 use crate::error::{Error, Result};
-use crate::session_rng::segment_subpools;
 use crate::value::Value;
 
 use super::eltwise::fit_row_vector;
@@ -78,19 +77,18 @@ pub fn segmented_slice_cols(m: &GraphMatrix, ctx: &ExecCtx<'_>) -> Result<Value>
 /// Collective (layer-wise) sampling, segmented per super-batch group: `k`
 /// distinct rows are selected inside each group's row range. The matrix
 /// crate's one collective routine, given this layout's segments — a row
-/// belongs to the group its global (block) ID falls in — and one RNG
-/// subpool per segment, the one its group would build running alone.
+/// belongs to the group its global (block) ID falls in — and one key per
+/// segment, its group's.
 pub fn segmented_collective_sample(
     m: &GraphMatrix,
     k: usize,
     probs: Option<&[f32]>,
     ctx: &ExecCtx<'_>,
-    rngs: &mut [StdRng],
+    keys: &[Key],
 ) -> Result<Value> {
     let weights = probs.map(|p| fit_row_vector(m, p));
-    let pools = segment_subpools(rngs, ctx.s.max(1))?;
     let runs = segment_runs(m, ctx)?;
-    let sample = collective_sample_segments(&m.data, k, weights.as_deref(), &runs, &pools)?;
+    let sample = collective_sample_segments(&m.data, k, weights.as_deref(), &runs, keys)?;
     Ok(selected(m, sample.matrix, &sample.rows))
 }
 
@@ -125,7 +123,7 @@ pub fn fused_extract_collective(
     k: usize,
     probs: &[f32],
     ctx: &ExecCtx<'_>,
-    rngs: &mut [StdRng],
+    keys: &[Key],
 ) -> Result<Value> {
     let (csc, cols) = (m.data.csc(), ctx.concat_frontiers);
     ctx.check_frontiers(csc.ncols, "fused_extract_collective")?;
@@ -135,9 +133,8 @@ pub fn fused_extract_collective(
         row_ids: m.row_ids.clone().filter(|_| !block),
         col_ids: Some(Arc::new(cols.to_vec())),
     };
-    let pools = segment_subpools(rngs, ctx.s.max(1))?;
     let weights = fit_row_vector(&rows, probs);
-    let picked = collective_select(&weights, k, &segment_runs(&rows, ctx)?, &pools)?;
+    let picked = collective_select(&weights, k, &segment_runs(&rows, ctx)?, keys)?;
     let lift = |c| if block { ctx.row_offset(c) } else { 0 };
     let out = sample::gather_selected_rows(&csc, cols, lift, rows.shape().0, &picked);
     let data = SparseMatrix::Csc(out).into_format(m.data.format());
@@ -181,7 +178,7 @@ fn unblock(value: Arc<Value>, proven: bool, ctx: &ExecCtx<'_>) -> Result<Vec<Val
     let value = Arc::try_unwrap(value).unwrap_or_else(|shared| (*shared).clone());
     Ok(match value {
         // One group owns every row and column, whatever the value is (as
-        // in `ColStreams::draw`): its block is the value itself.
+        // in `slice_sample::group_starts`): its block is the value itself.
         whole if s == 1 => vec![whole],
         Value::Matrix(m) => {
             let nrows = m.shape().0;

@@ -1,8 +1,6 @@
 //! Random-walk kernels: per-walker frontier advancement and the
 //! second-order Node2Vec transition bias.
 
-use rand::rngs::StdRng;
-
 use gsampler_ir::Op;
 use gsampler_matrix::{GraphMatrix, NodeId};
 
@@ -72,7 +70,7 @@ pub(super) fn run(
     op: &Op,
     inputs: &[&Value],
     ctx: &ExecCtx<'_>,
-    _rngs: &mut [StdRng],
+    _keys: &[gsampler_runtime::Key],
 ) -> Result<Value> {
     match op {
         Op::NextWalkFrontier => {

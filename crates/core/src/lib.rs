@@ -52,7 +52,6 @@ pub mod hoist;
 pub mod kernels;
 pub mod multi_gpu;
 mod plandb;
-pub mod session_rng;
 pub mod value;
 pub mod window;
 
@@ -69,5 +68,6 @@ pub use window::{EpochReport, RecoveryPolicy};
 pub use gsampler_engine::{DeviceProfile, PlanDbStats, Residency};
 pub use gsampler_ir::passes::{LayoutMode, OptConfig};
 pub use gsampler_matrix::{Axis, EltOp, ReduceOp};
-// The one way to stop a run: install a token with `cancel::scope`.
-pub use gsampler_runtime::{cancel, CancelToken};
+// The one way to stop a run: install a token with `cancel::scope`. The one
+// way to draw: `mix(key, counter)`.
+pub use gsampler_runtime::{cancel, CancelToken, Key};

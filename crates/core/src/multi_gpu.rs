@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use gsampler_engine::ExecStats;
 use gsampler_matrix::NodeId;
+use gsampler_runtime::Key;
 
 use crate::builder::Layer;
 use crate::compile::{compile, Sampler, SamplerConfig};
@@ -55,9 +56,10 @@ impl MultiGpuSampler {
         let n = num_gpus.max(1);
         let mut shards = Vec::with_capacity(n);
         for g in 0..n {
-            let mut cfg = config.clone();
-            cfg.seed = config.seed.wrapping_add(g as u64 * 0x9E37);
-            shards.push(compile(graph.clone(), layers.clone(), cfg)?);
+            let mut shard = compile(graph.clone(), layers.clone(), config.clone())?;
+            // Shard `g` draws with its own child of the seed's key.
+            shard.key = Key::new(config.seed).child(g as u64);
+            shards.push(shard);
         }
         Ok(MultiGpuSampler { shards })
     }

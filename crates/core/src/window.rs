@@ -4,6 +4,10 @@
 //! that does not fit (§4.5), [`Sampler::window`] splits a failed window
 //! and answers per group, and [`Sampler::drive_epoch`] cuts epochs into
 //! windows. Epochs, walk epochs and serve packs all run on the window.
+//!
+//! Recovery keeps no RNG state: a group's draws are a pure function of its
+//! key ([`Key`]), so a retried execution, a halved window and a group run
+//! alone all re-derive the same bits from the same keys.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,7 +15,7 @@ use std::time::Instant;
 use gsampler_engine::{Device, ExecStats, FaultReport, MemoryTracker};
 use gsampler_ir::Facts;
 use gsampler_matrix::NodeId;
-use rand::rngs::StdRng;
+use gsampler_runtime::Key;
 
 use crate::compile::{GraphSample, Sampler};
 use crate::error::{Error, Result};
@@ -23,16 +27,16 @@ use crate::value::Value;
 /// failures, a degradation ladder for memory pressure, and optional
 /// quarantine of batches that exhaust both.
 ///
-/// Recovery is invisible in the samples by construction: a retried
-/// execution restores the RNG checkpoint taken before the failed attempt,
-/// and every mini-batch keeps its own RNG stream when its window is
-/// regrouped, so a run that retries, degrades or quarantines delivers the
-/// clean run's samples (see [`Sampler`]) for every batch it delivers.
+/// Recovery is invisible in the samples by construction: every draw is a
+/// pure function of its mini-batch's key, which a retried execution reuses
+/// and a regrouped window hands each batch unchanged, so a run that
+/// retries, degrades or quarantines delivers the clean run's samples (see
+/// [`Sampler`]) for every batch it delivers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
     /// Maximum plain retries per execution for transient faults
     /// (injected kernel failures, worker-pool panics), each run at once
-    /// from the RNG checkpoint. 0 = fail fast.
+    /// with the same keys. 0 = fail fast.
     pub max_retries: u32,
     /// Allow the degradation ladder: halve the super-batch factor down to
     /// per-minibatch execution under memory pressure (then fall back to
@@ -90,9 +94,8 @@ pub struct EpochReport {
 /// Run one program execution under `policy`: bounded retry, at once, for
 /// transient faults, and — for single-group executions, the bottom of
 /// the degradation ladder — a switch to the streaming (spill) layout on
-/// memory pressure. Every retry first restores the RNG checkpoint taken
-/// before the attempt, so a recovered execution is bit-identical to a
-/// clean one.
+/// memory pressure. A retry draws with the same `keys`, so a recovered
+/// execution is bit-identical to a clean one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_recovering(
     policy: &RecoveryPolicy,
@@ -104,9 +107,8 @@ pub(crate) fn execute_recovering(
     bindings: &Bindings,
     precomputed: &[Arc<Value>],
     device: &Device,
-    rngs: &mut [StdRng],
+    keys: &[Key],
 ) -> Result<Vec<Vec<Value>>> {
-    let checkpoint = rngs.to_vec();
     let mut retries = 0u32;
     let mut tried_spill = false;
     loop {
@@ -119,16 +121,13 @@ pub(crate) fn execute_recovering(
             bindings,
             precomputed,
             device,
-            rngs,
+            keys,
         ) {
             Ok(out) => return Ok(out),
             Err(e) if e.is_transient() && retries < policy.max_retries => {
-                // A fired cancel token outranks the retry budget: restore
-                // the RNG (a later rerun of this execution is bit-identical
-                // to a clean run) and surface the cancellation, not the
-                // fault it interrupted.
+                // A fired cancel token outranks the retry budget: surface
+                // the cancellation, not the fault it interrupted.
                 if let Some(cause) = gsampler_runtime::cancel::poll() {
-                    rngs.clone_from_slice(&checkpoint);
                     return Err(Error::from_cancel(cause));
                 }
                 retries += 1;
@@ -138,7 +137,6 @@ pub(crate) fn execute_recovering(
                     "retry",
                     &[("attempt", gsampler_obs::Arg::from(retries as f64))],
                 );
-                rngs.clone_from_slice(&checkpoint);
             }
             Err(Error::Oom(oom))
                 if policy.allow_degrade
@@ -160,7 +158,6 @@ pub(crate) fn execute_recovering(
                         gsampler_obs::Arg::from(oom.requested as f64),
                     )],
                 );
-                rngs.clone_from_slice(&checkpoint);
             }
             Err(e) => return Err(e),
         }
@@ -168,11 +165,11 @@ pub(crate) fn execute_recovering(
 }
 
 impl Sampler {
-    /// Run one window of groups `0..rngs.len()` and return one result per
-    /// group, in order. `run(idx, streams)` executes groups `idx` together
-    /// on fresh copies of their `rngs` and returns one item per group, so
-    /// a group's item never depends on the rung that produced it. A failed
-    /// run is answered under the configured [`RecoveryPolicy`]:
+    /// Run one window of groups `0..keys.len()` and return one result per
+    /// group, in order. `run(idx, keys)` executes groups `idx` together with
+    /// their `keys` and returns one item per group, so a group's item never
+    /// depends on the rung that produced it. A failed run is answered under
+    /// the configured [`RecoveryPolicy`]:
     ///
     /// 1. if the caller's cancel token has fired, each of its groups gets
     ///    the cancellation;
@@ -184,13 +181,13 @@ impl Sampler {
     ///    each of its groups' result.
     pub fn window<T>(
         &self,
-        rngs: &[StdRng],
+        keys: &[Key],
         factor: &mut usize,
-        mut run: impl FnMut(&[usize], &mut [StdRng]) -> Result<Vec<T>>,
+        mut run: impl FnMut(&[usize], &[Key]) -> Result<Vec<T>>,
     ) -> Vec<Result<T>> {
-        let groups: Vec<usize> = (0..rngs.len()).collect();
+        let groups: Vec<usize> = (0..keys.len()).collect();
         let mut out = Vec::with_capacity(groups.len());
-        self.rung(&groups, rngs, factor, &mut run, &mut out);
+        self.rung(&groups, keys, factor, &mut run, &mut out);
         out
     }
 
@@ -199,13 +196,13 @@ impl Sampler {
     fn rung<T>(
         &self,
         chunk: &[usize],
-        rngs: &[StdRng],
+        keys: &[Key],
         factor: &mut usize,
-        run: &mut impl FnMut(&[usize], &mut [StdRng]) -> Result<Vec<T>>,
+        run: &mut impl FnMut(&[usize], &[Key]) -> Result<Vec<T>>,
         out: &mut Vec<Result<T>>,
     ) {
-        let mut streams: Vec<StdRng> = chunk.iter().map(|&g| rngs[g].clone()).collect();
-        let e = match run(chunk, &mut streams) {
+        let chunk_keys: Vec<Key> = chunk.iter().map(|&g| keys[g]).collect();
+        let e = match run(chunk, &chunk_keys) {
             Ok(items) => {
                 assert_eq!(items.len(), chunk.len(), "one item per group");
                 return out.extend(items.into_iter().map(Ok));
@@ -240,7 +237,7 @@ impl Sampler {
         while !rest.is_empty() {
             let size = if e.is_oom() { *factor } else { 1 };
             let (head, tail) = rest.split_at(size.min(rest.len()));
-            self.rung(head, rngs, factor, run, out);
+            self.rung(head, keys, factor, run, out);
             rest = tail;
         }
     }
@@ -249,8 +246,9 @@ impl Sampler {
     /// configured size, sampling `super_batch` batches per execution
     /// ([`Sampler::drive_epoch`] is the window loop). `consume` is called
     /// once per mini-batch with its sample. Mini-batch `b` always draws
-    /// from `pool.subpool(epoch).stream(b)`, so super-batched, degraded
-    /// and quarantining epochs deliver the plain factor-1 epoch's samples.
+    /// with `Key::new(seed).child(epoch).child(b)`, so super-batched,
+    /// degraded and quarantining epochs deliver the plain factor-1 epoch's
+    /// samples.
     pub fn run_epoch_with(
         &self,
         seeds: &[NodeId],
@@ -261,15 +259,15 @@ impl Sampler {
         self.drive_epoch(
             seeds,
             epoch,
-            |groups, rngs| self.sample_groups(groups, bindings, rngs),
+            |groups, keys| self.sample_groups(groups, bindings, keys),
             consume,
         )
     }
 
     /// The epoch driver: cut `seeds` into mini-batches of the configured
     /// size and hand `run_window` up to `super_batch` of them at a time,
-    /// as one frontier group per batch plus one RNG stream per group —
-    /// batch `b`'s is always `pool.subpool(epoch).stream(b)`, however
+    /// as one frontier group per batch plus one key per group — batch
+    /// `b`'s is always `Key::new(seed).child(epoch).child(b)`, however
     /// windows are regrouped. `run_window` returns one item per group,
     /// each passed to `consume` with its mini-batch index.
     ///
@@ -282,7 +280,7 @@ impl Sampler {
         &self,
         seeds: &[NodeId],
         epoch: u64,
-        mut run_window: impl FnMut(Vec<Vec<NodeId>>, &mut [StdRng]) -> Result<Vec<T>>,
+        mut run_window: impl FnMut(Vec<Vec<NodeId>>, &[Key]) -> Result<Vec<T>>,
         mut consume: impl FnMut(usize, T),
     ) -> Result<EpochReport> {
         self.device.reset();
@@ -297,25 +295,24 @@ impl Sampler {
             let wall_start = Instant::now();
             let batch = self.config.batch_size.max(1);
             let quarantine = self.config.recovery.quarantine;
-            let pool = self.pool.subpool(epoch);
+            let epoch_key = self.key.child(epoch);
             let mut factor = self.super_batch.max(1);
             let mut batch_idx = 0usize;
             let mut start = 0usize;
             while start < seeds.len() {
-                // Window boundary is the coarse cancellation check point: RNG
-                // streams are derived fresh per batch, so stopping here needs
-                // no RNG restore — a rerun replays the remaining batches
-                // bit-identically.
+                // Window boundary is the coarse cancellation check point: keys
+                // are derived per batch, so a rerun replays the remaining
+                // batches bit-identically.
                 if let Some(cause) = gsampler_runtime::cancel::poll() {
                     return Err(Error::from_cancel(cause));
                 }
                 let groups: Vec<&[NodeId]> = seeds[start..].chunks(batch).take(factor).collect();
                 start += groups.iter().map(|g| g.len()).sum::<usize>();
-                let rngs: Vec<StdRng> = (batch_idx..batch_idx + groups.len())
-                    .map(|b| pool.stream(b as u64))
+                let keys: Vec<Key> = (batch_idx..batch_idx + groups.len())
+                    .map(|b| epoch_key.child(b as u64))
                     .collect();
-                let results = self.window(&rngs, &mut factor, |idx, rngs| {
-                    run_window(idx.iter().map(|&g| groups[g].to_vec()).collect(), rngs)
+                let results = self.window(&keys, &mut factor, |idx, keys| {
+                    run_window(idx.iter().map(|&g| groups[g].to_vec()).collect(), keys)
                 });
                 for result in results {
                     match result {
@@ -413,8 +410,6 @@ fn note_stop(e: Error) -> Error {
 mod tests {
     use std::cell::RefCell;
 
-    use rand::Rng;
-
     use super::*;
     use crate::builder::LayerBuilder;
     use crate::compile::{compile, SamplerConfig};
@@ -434,9 +429,8 @@ mod tests {
         compile(Arc::new(graph), vec![b.build()], config).unwrap()
     }
 
-    fn streams(n: u64) -> Vec<StdRng> {
-        let pool = gsampler_engine::RngPool::new(7);
-        (0..n).map(|b| pool.stream(b)).collect()
+    fn keys(n: u64) -> Vec<Key> {
+        (0..n).map(|b| Key::new(7).child(b)).collect()
     }
 
     fn oom() -> Error {
@@ -456,7 +450,7 @@ mod tests {
         fail: impl Fn(&[usize]) -> Option<Error>,
     ) -> (Vec<Result<usize>>, Vec<Vec<usize>>) {
         let calls = RefCell::new(Vec::new());
-        let results = s.window(&streams(groups), factor, |idx, _| {
+        let results = s.window(&keys(groups), factor, |idx, _| {
             calls.borrow_mut().push(idx.to_vec());
             fail(idx).map_or_else(|| Ok(idx.to_vec()), Err)
         });
@@ -511,15 +505,14 @@ mod tests {
     }
 
     #[test]
-    fn every_rung_starts_from_the_checkpointed_streams() {
+    fn every_rung_draws_with_each_groups_own_key() {
         let s = sampler(RecoveryPolicy::default());
-        let checkpoint = streams(4);
-        let firsts: Vec<u64> = checkpoint.iter().map(|r| r.clone().gen()).collect();
+        let window = keys(4);
         let mut seen = Vec::new();
         let mut factor = 4;
-        s.window(&checkpoint, &mut factor, |idx, rngs| {
-            for (&g, rng) in idx.iter().zip(rngs.iter_mut()) {
-                seen.push((g, rng.gen::<u64>()));
+        s.window(&window, &mut factor, |idx, keys| {
+            for (&g, &key) in idx.iter().zip(keys) {
+                seen.push((g, key));
             }
             match idx.len() {
                 4 => Err(oom()),
@@ -529,7 +522,7 @@ mod tests {
         });
         // One full run, two halves, then four lone runs.
         assert_eq!(seen.len(), 4 + 4 + 4);
-        assert!(seen.iter().all(|&(g, first)| first == firsts[g]));
+        assert!(seen.iter().all(|&(g, key)| key == window[g]));
     }
 
     #[test]

@@ -6,7 +6,8 @@ use std::sync::Arc;
 use gsampler_core::builder::{Layer, LayerBuilder, Mat};
 use gsampler_core::kernels::{self, superbatch, ExecCtx};
 use gsampler_core::{
-    compile, Axis, Bindings, Error, Graph, LayoutMode, OptConfig, Sampler, SamplerConfig, Value,
+    compile, Axis, Bindings, Error, Graph, Key, LayoutMode, OptConfig, Sampler, SamplerConfig,
+    Value,
 };
 use gsampler_graphs::{Dataset, DatasetKind};
 use gsampler_ir::Op;
@@ -227,17 +228,13 @@ fn assert_groups_equal_solo(graph: &Arc<Graph>, layers: &[Layer], opt: OptConfig
     };
     for s in [1, 2, 3, 16] {
         let groups: Vec<Vec<NodeId>> = (0..s).map(group).collect();
-        let mut rngs: Vec<StdRng> = (0..s)
-            .map(|b| StdRng::seed_from_u64(90 + b as u64))
-            .collect();
+        let keys: Vec<Key> = (0..s).map(|b| Key::new(90 + b as u64)).collect();
         let packed = sampler
-            .sample_groups(groups.clone(), &bindings, &mut rngs)
+            .sample_groups(groups.clone(), &bindings, &keys)
             .unwrap_or_else(|e| panic!("{what}: factor {s} failed: {e}"));
         for (b, (group, got)) in groups.into_iter().zip(&packed).enumerate() {
-            let mut rng = [StdRng::seed_from_u64(90 + b as u64)];
-            let solo = sampler
-                .sample_groups(vec![group], &bindings, &mut rng)
-                .unwrap();
+            let key = [Key::new(90 + b as u64)];
+            let solo = sampler.sample_groups(vec![group], &bindings, &key).unwrap();
             assert_eq!(
                 format!("{:#?}", got.layers),
                 format!("{:#?}", solo[0].layers),
@@ -600,18 +597,15 @@ fn fused_extract_select_is_slice_then_sample_field_by_field() {
             ..ExecCtx::plain(&graph, &bindings)
         };
         let frontiers = Value::Nodes(concat.clone());
-        let streams = || -> Vec<StdRng> {
-            (0..groups.len() as u64)
-                .map(|b| StdRng::seed_from_u64(40 + b))
-                .collect()
-        };
+        let streams =
+            || -> Vec<Key> { (0..groups.len() as u64).map(|b| Key::new(40 + b)).collect() };
         for (k, replace) in [(3, false), (3, true), (1, true), (100, false)] {
             let fused = Op::FusedExtractSelect { k, replace };
-            let fused = kernels::run(&fused, &[&base], &ctx, &mut streams()).unwrap();
-            let mut rngs = streams();
-            let sliced = kernels::run(&Op::SliceCols, &[&base, &frontiers], &ctx, &mut rngs);
+            let fused = kernels::run(&fused, &[&base], &ctx, &streams()).unwrap();
+            let rngs = streams();
+            let sliced = kernels::run(&Op::SliceCols, &[&base, &frontiers], &ctx, &rngs);
             let select = Op::IndividualSample { k, replace };
-            let unfused = kernels::run(&select, &[&sliced.unwrap()], &ctx, &mut rngs).unwrap();
+            let unfused = kernels::run(&select, &[&sliced.unwrap()], &ctx, &rngs).unwrap();
             // `Debug` spells out format, shape, `indptr`, `indices`,
             // `values`, `row_ids` and `col_ids`.
             assert_eq!(
@@ -776,11 +770,11 @@ fn a_hoisted_bound_list_slice_is_whole_in_every_group() {
     let layer = b.build();
     let (graph, bindings) = (cliques_graph(true, 4), model_bindings());
     let groups = vec![vec![0, 9], vec![17, 33], vec![63]];
-    let seeded = |b: usize| StdRng::seed_from_u64(b as u64);
+    let seeded = |b: usize| Key::new(b as u64);
     for (opt, hoisted) in [(OptConfig::all(), true), (OptConfig::plain(), false)] {
         let sampler = compile(graph.clone(), vec![layer.clone()], config(opt)).unwrap();
-        let mut rngs: Vec<StdRng> = (0..groups.len()).map(seeded).collect();
-        let packed = sampler.sample_groups(groups.clone(), &bindings, &mut rngs);
+        let keys: Vec<Key> = (0..groups.len()).map(seeded).collect();
+        let packed = sampler.sample_groups(groups.clone(), &bindings, &keys);
         // In the launch, a slice by a bound list cannot be super-batched.
         assert_eq!(packed.is_ok(), hoisted);
         let Ok(packed) = packed else { continue };
@@ -788,7 +782,7 @@ fn a_hoisted_bound_list_slice_is_whole_in_every_group() {
         assert!(!sampler.pack_exact());
         for (b, group) in groups.iter().enumerate() {
             let solo = sampler
-                .sample_groups(vec![group.clone()], &bindings, &mut [seeded(b)])
+                .sample_groups(vec![group.clone()], &bindings, &[seeded(b)])
                 .unwrap();
             let show = |s: &gsampler_core::GraphSample| format!("{:?}", s.layers);
             assert_eq!(show(&packed[b]), show(&solo[0]), "group {b}");
@@ -963,8 +957,7 @@ fn ladies_layers_share_one_hoisted_square_equal_to_the_per_batch_map() {
     let bindings = Bindings::new();
     let ctx = ExecCtx::plain(&graph, &bindings);
     let pow = Op::ScalarOp(gsampler_core::EltOp::Pow, 2.0);
-    let mut rng = [StdRng::seed_from_u64(0)];
-    let per_batch = kernels::run(&pow, &[&graph.matrix_value()], &ctx, &mut rng).unwrap();
+    let per_batch = kernels::run(&pow, &[&graph.matrix_value()], &ctx, &[Key::new(0)]).unwrap();
     let bits = |v: &Value| -> Vec<u32> {
         let values = v.as_matrix().unwrap().data.values().unwrap();
         values.iter().map(|x| x.to_bits()).collect()

@@ -9,7 +9,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use gsampler_core::builder::{LayerBuilder, Mat, Vect};
-use gsampler_core::{compile, Axis, Bindings, EltOp, Graph, LayoutMode, OptConfig, SamplerConfig};
+use gsampler_core::{
+    compile, Axis, Bindings, EltOp, Graph, Key, LayoutMode, OptConfig, SamplerConfig,
+};
 use gsampler_graphs::{Dataset, DatasetKind};
 use gsampler_matrix::eltwise::UnaryOp;
 
@@ -251,9 +253,9 @@ fn super_batch_grouping_is_sound_for_random_groups() {
         };
         let sampler = compile(graph.clone(), vec![node_wise(k)], config).expect("compile");
         let seeds = 0..groups.len() as u64;
-        let mut rngs: Vec<StdRng> = seeds.map(StdRng::seed_from_u64).collect();
+        let keys: Vec<Key> = seeds.map(Key::new).collect();
         let outs = sampler
-            .sample_groups(groups.clone(), &Bindings::new(), &mut rngs)
+            .sample_groups(groups.clone(), &Bindings::new(), &keys)
             .expect("grouped run");
         assert_eq!(outs.len(), groups.len());
         for (g, out) in groups.iter().zip(&outs) {

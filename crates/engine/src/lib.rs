@@ -37,9 +37,13 @@ pub use cost::CostModel;
 pub use device::{DeviceProfile, Residency};
 pub use faults::{FaultKind, FaultSpec, InjectedCounts};
 pub use gsampler_runtime::{
-    arena_metrics, pool_metrics, take_scratch, take_scratch_filled, ArenaMetrics, PoolError,
-    PoolMetrics, Recycled, RngPool,
+    arena_metrics, pool_metrics, rng, take_scratch, take_scratch_filled, ArenaMetrics, Key,
+    PoolError, PoolMetrics, Recycled,
 };
+
+/// The older name of [`Key`], kept because `benchmark/src/probes.rs` still
+/// seeds its kernel probes with `RngPool::new`.
+pub type RngPool = Key;
 pub use memory::{MemoryTracker, OomError};
 pub use stats::{ExecStats, FaultReport, KernelAgg, PlanDbStats};
 pub use workload::{KernelDesc, EDGE_BYTES, UVA_TRANSACTION_FACTOR};

@@ -259,7 +259,7 @@ mod tests {
     use super::*;
     use crate::csc::Csc;
     use crate::sample;
-    use gsampler_runtime::RngPool;
+    use gsampler_runtime::rng::Key;
 
     /// The toy graph of paper Fig. 1: 8 nodes a..h = 0..7.
     /// In-edges: a<-{b,c,e}, b<-{c,d,f}, e<-{f,g,h}.
@@ -294,7 +294,7 @@ mod tests {
         let sub = g.slice_cols_global(&[1, 4]).unwrap();
         // Selection keeps the shape, so the slice's ID spaces carry over.
         let sampled = GraphMatrix {
-            data: sample::individual_sample_seeded(&sub.data, 2, None, &RngPool::new(7)).unwrap(),
+            data: sample::individual_sample_seeded(&sub.data, 2, None, &Key::new(7)).unwrap(),
             ..sub.clone()
         };
         assert_eq!(sampled.shape(), (8, 2));
@@ -311,7 +311,7 @@ mod tests {
         let sub = g.slice_cols_global(&[1, 4]).unwrap();
         // Selected rows are local to `sub`; composing with its row space
         // keeps `row()` reporting global IDs.
-        let out = sample::collective_sample_seeded(&sub.data, 4, None, &RngPool::new(7)).unwrap();
+        let out = sample::collective_sample_seeded(&sub.data, 4, None, &Key::new(7)).unwrap();
         let globals = out.rows.iter().map(|&r| sub.global_row(r as usize));
         let sampled = GraphMatrix {
             data: out.matrix,

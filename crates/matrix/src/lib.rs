@@ -15,13 +15,13 @@
 //!   sampled dense-dense multiplication (SDDMM).
 //! - Selection kernels: per-column weighted sampling without replacement
 //!   (*individual sample*, node-wise algorithms) and cross-column row
-//!   sampling (*collective sample*, layer-wise algorithms), plus alias
-//!   tables for with-replacement draws.
+//!   sampling (*collective sample*, layer-wise algorithms), plus the
+//!   alias table the vertex-centric baseline draws with.
 //! - A small dense tensor module ([`dense`]) sufficient for the
 //!   model-driven sampling algorithms (PASS, AS-GCN) and the GNN trainer.
 //!
-//! The kernels here are pure and deterministic (given an RNG or a seeded
-//! [`gsampler_runtime::RngPool`]). Hot kernels — SpMM/SDDMM, dense GEMM,
+//! The kernels here are pure and deterministic (a draw is a function of a
+//! [`gsampler_runtime::rng::Key`] and a counter). Hot kernels — SpMM/SDDMM, dense GEMM,
 //! sampling, slicing, compaction and format conversions — run on the
 //! persistent worker pool of `gsampler-runtime`; decomposition is always a
 //! function of the input alone, so results are bit-identical at any thread

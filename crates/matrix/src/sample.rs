@@ -2,8 +2,7 @@
 //!
 //! Two operators mirror the paper's Table 4:
 //!
-//! - [`individual_sample`] (`replace: bool`; [`individual_sample_seeded`]
-//!   is its without-replacement form): each column (frontier)
+//! - [`individual_sample`] (`replace: bool`): each column (frontier)
 //!   independently samples up to `K` of its stored edges — node-wise
 //!   sampling (GraphSAGE, PASS, random walks with `K = 1`).
 //! - [`collective_sample_seeded`]: sample `K` distinct *row* nodes across
@@ -32,20 +31,23 @@
 //! gather, picks the selected rows' entries by count -> prefix sum -> fill
 //! over the same fixed column chunks as [`pick_columns`].
 //!
-//! The per-call primitives — Floyd's [`uniform_sample_without_replacement`],
-//! Efraimidis–Spirakis [`weighted_sample_without_replacement`] (and its
-//! `_seeded` form, which collective sampling runs; both keep the `k`
-//! smallest `(key, index)` pairs in one bounded heap, not a full sort, and
-//! skip the logarithm of a key that cannot win — keys are `-ln(u)/w` or
-//! `+∞`, never NaN) and [`AliasTable`] for O(1) weighted draws with
-//! replacement (the structure SkyWalker-style baselines use) — are the
-//! references the pick is tested against: it calls the weighted two per
-//! column and runs Floyd in place.
+//! The per-call primitives — Floyd's [`uniform_sample_without_replacement`]
+//! and Efraimidis–Spirakis [`weighted_sample_without_replacement`] (which
+//! keeps the `k` smallest `(key, index)` pairs in one bounded heap, not a
+//! full sort, and skips the logarithm of a key that cannot win — keys are
+//! `-ln(u)/w` or `+∞`, never NaN) — are the references the pick is tested
+//! against: it runs both in place. [`AliasTable`], O(1) weighted draws with
+//! replacement, is the structure the SkyWalker-style baseline builds.
 //!
-//! The operators take a [`StreamSource`] (an [`RngPool`], hence
-//! `_seeded`): column `c` (or candidate `i`) always consumes RNG stream
-//! `c`, and the work items are columns, chunks or segments of the input,
-//! so the sampled output is bit-identical at any worker-pool thread count.
+//! Every draw is `mix(key, counter)` ([`Key`]). Draw `j` of output column
+//! `c` is `key.draw(counter(c, j))`, with `c` counted from its group's first
+//! column and `key` the group's; the ES key of a segment's row `r` is draw
+//! `r`, counted from the segment's first row. A draw depends on its group's
+//! key and its position only — not on the thread, work item or order that
+//! makes it — so the output is bit-identical at any worker-pool thread
+//! count, and a packed group picks what it picks alone. With replacement,
+//! a weighted column draws by inverse CDF: one uniform per draw, searched
+//! in the column's running sums.
 
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
@@ -53,9 +55,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use gsampler_runtime::{parallel_map, parallel_scatter, RngPool};
-use rand::rngs::StdRng;
-use rand::Rng;
+use gsampler_runtime::rng::{counter, Key};
+use gsampler_runtime::{parallel_map, parallel_scatter};
 
 use crate::csc::Csc;
 use crate::error::{Error, Result};
@@ -63,26 +64,6 @@ use crate::par_gate;
 use crate::slice;
 use crate::sparse::SparseMatrix;
 use crate::NodeId;
-
-/// A deterministic source of per-column RNG streams for the `_seeded`
-/// sampling entry points.
-///
-/// [`RngPool`] is the canonical implementation (column `c` draws from
-/// stream `c` of one pool). Callers that pack several independent batches
-/// into one matrix — cross-request super-batching — implement this to
-/// remap each column onto *its own batch's* pool, so the packed sample is
-/// bit-identical to sampling every batch alone. `Sync` because streams are
-/// derived on worker-pool threads.
-pub trait StreamSource: Sync {
-    /// The RNG stream for column (or candidate) `index`.
-    fn stream(&self, index: u64) -> StdRng;
-}
-
-impl StreamSource for RngPool {
-    fn stream(&self, index: u64) -> StdRng {
-        RngPool::stream(self, index)
-    }
-}
 
 /// Result of a collective (layer-wise) sampling step.
 #[derive(Debug, Clone)]
@@ -106,13 +87,14 @@ pub struct CollectiveSample {
 /// When omitted, edges are sampled uniformly. The result preserves `m`'s
 /// shape, format and edge values, with only the selected edges stored:
 /// [`pick_columns`] over `m`'s own columns, written by
-/// [`slice::gather_cols`].
+/// [`slice::gather_cols`]; `keys` and `starts` are its column groups.
 pub fn individual_sample(
     m: &SparseMatrix,
     k: usize,
     replace: bool,
     probs: Option<&SparseMatrix>,
-    streams: &impl StreamSource,
+    keys: &[Key],
+    starts: &[usize],
 ) -> Result<SparseMatrix> {
     if let Some(p) = probs.filter(|p| p.shape() != m.shape() || p.nnz() != m.nnz()) {
         return Err(Error::ShapeMismatch {
@@ -123,7 +105,7 @@ pub fn individual_sample(
     }
     let csc = m.csc();
     let out = match probs.map(|p| p.csc()) {
-        None => sample_columns(&csc, k, replace, &Uniform, streams)?,
+        None => sample_columns(&csc, k, replace, &Uniform, keys, starts)?,
         Some(p) => {
             let ones: Vec<f32>;
             let weights = match &p.values {
@@ -133,7 +115,7 @@ pub fn individual_sample(
                     &ones
                 }
             };
-            sample_columns(&csc, k, replace, weights, streams)?
+            sample_columns(&csc, k, replace, weights, keys, starts)?
         }
     };
     Ok(SparseMatrix::Csc(out).into_format(m.format()))
@@ -146,9 +128,10 @@ pub fn sample_columns<B: ColumnBias + ?Sized>(
     k: usize,
     replace: bool,
     bias: &B,
-    streams: &impl StreamSource,
+    keys: &[Key],
+    starts: &[usize],
 ) -> Result<Csc> {
-    let (indptr, picks) = pick_columns(csc, None, k, replace, bias, streams)?;
+    let (indptr, picks) = pick_columns(csc, None, k, replace, bias, keys, starts)?;
     let positions = |_, out: Range<usize>| picks[out].iter().copied();
     Ok(slice::gather_cols(
         csc,
@@ -159,14 +142,15 @@ pub fn sample_columns<B: ColumnBias + ?Sized>(
     ))
 }
 
-/// [`individual_sample`] without replacement.
+/// [`individual_sample`] without replacement, every column in one group
+/// keyed by `key` (the benchmark's kernel probe calls it).
 pub fn individual_sample_seeded(
     m: &SparseMatrix,
     k: usize,
     probs: Option<&SparseMatrix>,
-    pool: &impl StreamSource,
+    key: &Key,
 ) -> Result<SparseMatrix> {
-    individual_sample(m, k, false, probs, pool)
+    individual_sample(m, k, false, probs, std::slice::from_ref(key), &[0])
 }
 
 /// Output columns picked per scratch set-up (and per pool work item).
@@ -216,14 +200,18 @@ impl ColumnBias for [f32] {
 /// column keeps `min(degree, k)` entries: all of them when `degree <= k`,
 /// else the set [`uniform_sample_without_replacement`] or
 /// [`weighted_sample_without_replacement`] chooses. With replacement it
-/// keeps the distinct outcomes of `k` uniform or [`AliasTable`] draws.
+/// keeps the distinct outcomes of `k` uniform or inverse-CDF draws.
+///
+/// Output columns are cut into groups: group `b` owns the columns from
+/// `starts[b]` (`starts[0] == 0`) up to the next start and draws with
+/// `keys[b]`, counting its columns from 0 — draw `j` of its column `c` is
+/// `keys[b].draw(counter(c, j))` — so a group picks what it would pick
+/// alone. A column draws only when it has a choice to make.
 ///
 /// Count -> prefix sum -> fill: the counts are known up front (an upper
 /// bound under replacement, closed up afterwards), so every column fills
 /// its own segment of the one buffer on the worker pool and the uniform
-/// paths allocate nothing per column. Column `c` draws from
-/// `streams.stream(c)`, and only when it has a choice to make, so the
-/// picks are the same at any thread count.
+/// paths allocate nothing per column.
 ///
 /// A weighted column's bias is read (evaluated) and validated whole inside
 /// the region, kept column or not; an invalid weight fails the pick with
@@ -241,8 +229,10 @@ pub fn pick_columns<B: ColumnBias + ?Sized>(
     k: usize,
     replace: bool,
     bias: &B,
-    streams: &impl StreamSource,
+    keys: &[Key],
+    starts: &[usize],
 ) -> Result<(Vec<usize>, Vec<usize>)> {
+    debug_assert!(starts.first() == Some(&0) && starts.len() == keys.len());
     let ncols = cols.map_or(src.ncols, <[NodeId]>::len);
     let col_range = |c: usize| src.col_range(cols.map_or(c, |f| f[c] as usize));
     let mut indptr = Vec::with_capacity(ncols + 1);
@@ -265,10 +255,17 @@ pub fn pick_columns<B: ColumnBias + ?Sized>(
     let gate = par_gate(work);
     parallel_scatter(&mut picks, &chunk_ptr, gate, |g, chunk| {
         // Scratch shared by the chunk's columns: Floyd's membership table,
-        // the raw draws of a with-replacement column, and evaluated weights.
-        let (mut seen, mut draws, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        // the raw draws of a with-replacement column, evaluated weights and
+        // their running sums.
+        let (mut seen, mut draws, mut scratch, mut cdf) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let first = g * PICK_CHUNK;
+        // The group owning the chunk's first column; later columns advance it.
+        let mut b = starts.partition_point(|&s| s <= first) - 1;
         for c in first..(first + PICK_CHUNK).min(ncols) {
+            while starts.get(b + 1).is_some_and(|&s| s <= c) {
+                b += 1;
+            }
             let seg = &mut chunk[indptr[c] - indptr[first]..indptr[c + 1] - indptr[first]];
             let range = col_range(c);
             let (start, deg) = (range.start, range.len());
@@ -294,15 +291,26 @@ pub fn pick_columns<B: ColumnBias + ?Sized>(
                 seg.iter_mut().zip(range).for_each(|(p, pos)| *p = pos);
                 continue;
             }
-            let mut rng = streams.stream(c as u64);
+            let (key, col) = (keys[b], c - starts[b]);
             let chosen = if replace {
                 draws.clear();
                 match weights {
                     Some(w) => {
-                        let table = AliasTable::new(w).expect("weights validated above");
-                        draws.extend((0..k).map(|_| table.sample(&mut rng)));
+                        // Inverse CDF; a zero weight adds nothing to the
+                        // running sum, so no draw lands on it.
+                        cdf.clear();
+                        cdf.extend(w.iter().scan(0f64, |sum, &x| {
+                            *sum += x as f64;
+                            Some(*sum)
+                        }));
+                        let total = cdf[deg - 1];
+                        let last = cdf.partition_point(|&p| p < total);
+                        draws.extend((0..k).map(|j| {
+                            let u = key.unit(counter(col, j)) * total;
+                            cdf.partition_point(|&p| p <= u).min(last)
+                        }));
                     }
-                    None => draws.extend((0..k).map(|_| rng.gen_range(0..deg))),
+                    None => draws.extend((0..k).map(|j| key.below(counter(col, j), deg))),
                 }
                 draws.sort_unstable();
                 draws.dedup();
@@ -313,10 +321,10 @@ pub fn pick_columns<B: ColumnBias + ?Sized>(
             } else {
                 match weights {
                     Some(w) => {
-                        let keyed = weighted_sample_without_replacement(w, k, &mut rng);
+                        let keyed = weighted_sample_without_replacement(w, k, key, col);
                         seg.copy_from_slice(&keyed);
                     }
-                    None => fill_uniform_sample_without_replacement(deg, &mut rng, &mut seen, seg),
+                    None => fill_uniform_sample_without_replacement(deg, key, col, &mut seen, seg),
                 }
                 seg.sort_unstable();
                 seg
@@ -358,26 +366,26 @@ pub fn pick_columns<B: ColumnBias + ?Sized>(
 /// `m` (each edge contributes bias 1, per the paper's default). If fewer
 /// than `k` rows have positive bias, all of them are taken.
 ///
-/// The one-segment call of [`collective_sample_segments`].
+/// The one-segment call of [`collective_sample_segments`], keyed by `key`.
 pub fn collective_sample_seeded(
     m: &SparseMatrix,
     k: usize,
     node_probs: Option<&[f32]>,
-    pool: &RngPool,
+    key: &Key,
 ) -> Result<CollectiveSample> {
     let runs = [0, m.nrows()];
-    collective_sample_segments(m, k, node_probs, &runs, std::slice::from_ref(pool))
+    collective_sample_segments(m, k, node_probs, &runs, std::slice::from_ref(key))
 }
 
 /// Collective selection over a matrix: [`collective_select`] on its rows
-/// (segment `b` is rows `runs[b]..runs[b + 1]`, one per entry of `pools`),
+/// (segment `b` is rows `runs[b]..runs[b + 1]`, one per entry of `keys`),
 /// then `slice_rows` of the chosen ones.
 pub fn collective_sample_segments(
     m: &SparseMatrix,
     k: usize,
     node_probs: Option<&[f32]>,
     runs: &[usize],
-    pools: &[RngPool],
+    keys: &[Key],
 ) -> Result<CollectiveSample> {
     let nrows = m.nrows();
     let weights: Cow<'_, [f32]> = match node_probs {
@@ -391,16 +399,17 @@ pub fn collective_sample_segments(
         Some(p) => Cow::Borrowed(p),
         None => Cow::Owned(m.row_degrees().iter().map(|&d| d as f32).collect()),
     };
-    let rows = collective_select(&weights, k, runs, pools)?;
+    let rows = collective_select(&weights, k, runs, keys)?;
     let matrix = slice::slice_rows(m, &rows)?;
     Ok(CollectiveSample { matrix, rows })
 }
 
 /// Collective selection, the one selector: up to `k` distinct rows chosen
 /// in every segment — rows `runs[b]..runs[b + 1]` — ascending. A segment's
-/// candidates are its positive rows, and with more than `k` of them it runs
-/// [`weighted_sample_without_replacement_seeded`] on its own pool (candidate
-/// `i` on stream `i`), selecting what it would alone.
+/// candidates are its positive rows, and with more than `k` of them the `k`
+/// smallest Efraimidis–Spirakis keys win, row `r`'s drawn as
+/// `keys[b].unit(r - runs[b])`: the segment selects what it would alone,
+/// and a row's key does not depend on which other rows are candidates.
 ///
 /// Count -> prefix sum -> fill, one segment per work item: one sweep per
 /// segment validates its bias and counts its candidates, then every segment
@@ -412,9 +421,9 @@ pub fn collective_select(
     weights: &[f32],
     k: usize,
     runs: &[usize],
-    pools: &[RngPool],
+    keys: &[Key],
 ) -> Result<Vec<NodeId>> {
-    let segs = runs.len().saturating_sub(1).min(pools.len());
+    let segs = runs.len().saturating_sub(1).min(keys.len());
     let run = |b: usize| runs[b]..runs[b + 1];
     let gate = par_gate(weights.len());
     // Per segment: its candidate count and its first invalid row, if any.
@@ -455,8 +464,12 @@ pub fn collective_select(
         if len <= k {
             out.copy_from_slice(cands);
         } else {
-            let cand_weights: Vec<f32> = cands.iter().map(|&r| weights[r as usize]).collect();
-            let picks = weighted_sample_without_replacement_seeded(&cand_weights, k, &pools[b]);
+            let (key, start) = (keys[b], runs[b]);
+            let row_key = |i: usize, bound| {
+                let r = cands[i] as usize;
+                exponential_key(weights[r], || key.unit((r - start) as u64), bound)
+            };
+            let picks = smallest_k(len, k, row_key);
             out.iter_mut().zip(picks).for_each(|(o, p)| *o = cands[p]);
             out.sort_unstable();
         }
@@ -529,12 +542,13 @@ pub fn gather_selected_rows(
 }
 
 /// The Efraimidis–Spirakis key `-ln(u)/w` of an item of weight `w`, for `u`
-/// drawn in `[f64::MIN_POSITIVE, 1)`: positive and finite when `w > 0`,
-/// else `+∞` — never NaN. `None` (no logarithm) when provably above
-/// `bound`: `-ln(u) >= 1 - u`, and the `1e-12` margin covers the rounding.
-fn exponential_key(w: f32, rng: &mut impl Rng, bound: f64) -> Option<f64> {
+/// drawn in `[f64::MIN_POSITIVE, 1)` (only when `w > 0`): positive and
+/// finite when `w > 0`, else `+∞` — never NaN. `None` (no logarithm) when
+/// provably above `bound`: `-ln(u) >= 1 - u`, and the `1e-12` margin covers
+/// the rounding.
+fn exponential_key(w: f32, u: impl FnOnce() -> f64, bound: f64) -> Option<f64> {
     if w > 0.0 {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u = u();
         ((1.0 - u) * (1.0 - 1e-12) <= bound * w as f64).then(|| -u.ln() / w as f64)
     } else {
         Some(f64::INFINITY)
@@ -563,7 +577,9 @@ fn smallest_k(n: usize, k: usize, mut key: impl FnMut(usize, f64) -> Option<f64>
 
 /// Draw `k` distinct indices from `0..weights.len()` with probability
 /// proportional to `weights`, via the Efraimidis–Spirakis exponential-key
-/// method (each item gets key `-ln(u)/w`; the `k` smallest keys win).
+/// method (each item gets key `-ln(u)/w`; the `k` smallest keys win). Item
+/// `i`'s `u` is `key.unit(counter(col, i))`: `col` is the column these are
+/// the entries of (0 for a lone list, whose item `i` is then draw `i`).
 ///
 /// # Panics
 ///
@@ -571,42 +587,28 @@ fn smallest_k(n: usize, k: usize, mut key: impl FnMut(usize, f64) -> Option<f64>
 pub fn weighted_sample_without_replacement(
     weights: &[f32],
     k: usize,
-    rng: &mut impl Rng,
+    key: Key,
+    col: usize,
 ) -> Vec<usize> {
     assert!(k <= weights.len(), "k must not exceed the population");
-    let key = |i: usize, bound| exponential_key(weights[i], rng, bound);
-    smallest_k(weights.len(), k, key)
-}
-
-/// [`weighted_sample_without_replacement`] with one RNG stream per item:
-/// item `i`'s exponential key is drawn from `pool.stream(i)`, so the
-/// selection is independent of the thread count.
-///
-/// # Panics
-///
-/// Panics if `k > weights.len()`; callers clamp first.
-pub fn weighted_sample_without_replacement_seeded(
-    weights: &[f32],
-    k: usize,
-    pool: &RngPool,
-) -> Vec<usize> {
-    assert!(k <= weights.len(), "k must not exceed the population");
-    let key = |i: usize, bound| exponential_key(weights[i], &mut pool.stream(i as u64), bound);
-    smallest_k(weights.len(), k, key)
+    let item_key = |i, bound| exponential_key(weights[i], || key.unit(counter(col, i)), bound);
+    smallest_k(weights.len(), k, item_key)
 }
 
 /// Draw `k` distinct indices from `0..n` uniformly, via Floyd's algorithm
-/// (O(k) expected work, no allocation proportional to `n`).
+/// (O(k) expected work, no allocation proportional to `n`). Draw `i` is
+/// `key.below(counter(col, i), _)`, `col` as in
+/// [`weighted_sample_without_replacement`].
 ///
 /// # Panics
 ///
 /// Panics if `k > n`; callers clamp first.
-pub fn uniform_sample_without_replacement(n: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+pub fn uniform_sample_without_replacement(n: usize, k: usize, key: Key, col: usize) -> Vec<usize> {
     assert!(k <= n, "k must not exceed the population");
     let mut chosen = std::collections::HashSet::with_capacity(k);
     let mut out = Vec::with_capacity(k);
-    for j in (n - k)..n {
-        let t = rng.gen_range(0..=j);
+    for (i, j) in ((n - k)..n).enumerate() {
+        let t = key.below(counter(col, i), j + 1);
         if chosen.insert(t) {
             out.push(t);
         } else {
@@ -623,7 +625,8 @@ pub fn uniform_sample_without_replacement(n: usize, k: usize, rng: &mut impl Rng
 /// open-addressing table at most half full — instead of a fresh `HashSet`.
 fn fill_uniform_sample_without_replacement(
     n: usize,
-    rng: &mut impl Rng,
+    key: Key,
+    col: usize,
     seen: &mut Vec<usize>,
     out: &mut [usize],
 ) {
@@ -645,8 +648,8 @@ fn fill_uniform_sample_without_replacement(
         true
     };
     let first = n - out.len();
-    for (slot, j) in out.iter_mut().zip(first..n) {
-        let t = rng.gen_range(0..=j);
+    for (i, (slot, j)) in out.iter_mut().zip(first..n).enumerate() {
+        let t = key.below(counter(col, i), j + 1);
         *slot = if insert(t) {
             t
         } else {
@@ -717,11 +720,14 @@ impl AliasTable {
         Ok(AliasTable { prob, alias })
     }
 
-    /// Draw one index with probability proportional to the build weights.
-    pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        let n = self.prob.len();
-        let i = rng.gen_range(0..n);
-        if rng.gen_range(0f64..1f64) < self.prob[i] {
+    /// Draw one index with probability proportional to the build weights,
+    /// from draw `counter` of `key`: its high 32 bits pick the slot, its low
+    /// 32 bits toss the slot's coin.
+    pub fn sample(&self, key: Key, counter: u64) -> usize {
+        let bits = key.draw(counter);
+        let i = (((bits >> 32) * self.prob.len() as u64) >> 32) as usize;
+        let coin = (bits as u32) as f64 / (1u64 << 32) as f64;
+        if coin < self.prob[i] {
             i
         } else {
             self.alias[i]
@@ -767,14 +773,9 @@ mod tests {
     use super::*;
     use crate::csc::Csc;
     use crate::Format;
-    use rand::SeedableRng;
 
-    fn rng() -> rand::rngs::StdRng {
-        rand::rngs::StdRng::seed_from_u64(7)
-    }
-
-    fn pool() -> RngPool {
-        RngPool::new(7)
+    fn key() -> Key {
+        Key::new(7)
     }
 
     fn sample_matrix() -> SparseMatrix {
@@ -794,7 +795,7 @@ mod tests {
     #[test]
     fn individual_respects_fanout() {
         let m = sample_matrix();
-        let out = individual_sample_seeded(&m, 2, None, &pool()).unwrap();
+        let out = individual_sample_seeded(&m, 2, None, &key()).unwrap();
         assert_eq!(out.shape(), m.shape());
         assert_eq!(out.col_degrees(), vec![2, 2, 0]);
         // Selected edges are a subset of the input's.
@@ -811,7 +812,7 @@ mod tests {
     #[test]
     fn individual_small_degree_keeps_all() {
         let m = sample_matrix();
-        let out = individual_sample_seeded(&m, 10, None, &pool()).unwrap();
+        let out = individual_sample_seeded(&m, 10, None, &key()).unwrap();
         assert_eq!(out.nnz(), m.nnz());
     }
 
@@ -819,7 +820,7 @@ mod tests {
     fn individual_output_format_matches_input() {
         let m = sample_matrix();
         for fmt in Format::ALL {
-            let out = individual_sample_seeded(&m.to_format(fmt), 2, None, &pool()).unwrap();
+            let out = individual_sample_seeded(&m.to_format(fmt), 2, None, &key()).unwrap();
             assert_eq!(out.format(), fmt);
         }
     }
@@ -832,7 +833,7 @@ mod tests {
         let probs = m.with_values(vec![1e-6, 1e-6, 1e-6, 1.0]);
         let mut hit = 0;
         for seed in 0..50 {
-            let out = individual_sample_seeded(&m, 1, Some(&probs), &RngPool::new(seed)).unwrap();
+            let out = individual_sample_seeded(&m, 1, Some(&probs), &Key::new(seed)).unwrap();
             if out.iter_edges().any(|(row, _, _)| row == 3) {
                 hit += 1;
             }
@@ -844,13 +845,13 @@ mod tests {
     fn individual_rejects_mismatched_probs() {
         let m = sample_matrix();
         let bad = SparseMatrix::Csc(Csc::new(6, 3, vec![0, 1, 1, 1], vec![0], None).unwrap());
-        assert!(individual_sample_seeded(&m, 2, Some(&bad), &pool()).is_err());
+        assert!(individual_sample_seeded(&m, 2, Some(&bad), &key()).is_err());
     }
 
     #[test]
     fn with_replacement_bounded_by_k_and_degree() {
         let m = sample_matrix();
-        let out = individual_sample(&m, 3, true, None, &pool()).unwrap();
+        let out = individual_sample(&m, 3, true, None, &[key()], &[0]).unwrap();
         for (c, d) in out.col_degrees().into_iter().enumerate() {
             assert!(d <= 3, "column {c} kept {d} > 3 edges");
         }
@@ -859,7 +860,7 @@ mod tests {
     #[test]
     fn collective_selects_k_rows() {
         let m = sample_matrix();
-        let out = collective_sample_seeded(&m, 3, None, &pool()).unwrap();
+        let out = collective_sample_seeded(&m, 3, None, &key()).unwrap();
         assert_eq!(out.rows.len(), 3);
         assert_eq!(out.matrix.shape(), (3, 3));
         // Rows are ascending and unique.
@@ -875,7 +876,7 @@ mod tests {
         probs[0] = 0.0;
         probs[5] = 0.0;
         for seed in 0..20 {
-            let out = collective_sample_seeded(&m, 4, Some(&probs), &RngPool::new(seed)).unwrap();
+            let out = collective_sample_seeded(&m, 4, Some(&probs), &Key::new(seed)).unwrap();
             assert!(!out.rows.contains(&0));
             assert!(!out.rows.contains(&5));
         }
@@ -884,7 +885,7 @@ mod tests {
     #[test]
     fn collective_takes_all_when_k_large() {
         let m = sample_matrix();
-        let out = collective_sample_seeded(&m, 100, None, &pool()).unwrap();
+        let out = collective_sample_seeded(&m, 100, None, &key()).unwrap();
         // All rows with degree > 0: every row of the 6 appears in edges.
         assert_eq!(out.rows.len(), 6);
     }
@@ -892,9 +893,9 @@ mod tests {
     #[test]
     fn collective_rejects_bad_probs() {
         let m = sample_matrix();
-        assert!(collective_sample_seeded(&m, 2, Some(&[1.0, 2.0]), &pool()).is_err());
+        assert!(collective_sample_seeded(&m, 2, Some(&[1.0, 2.0]), &key()).is_err());
         let neg = vec![1.0, -1.0, 1.0, 1.0, 1.0, 1.0];
-        assert!(collective_sample_seeded(&m, 2, Some(&neg), &pool()).is_err());
+        assert!(collective_sample_seeded(&m, 2, Some(&neg), &key()).is_err());
     }
 
     #[test]
@@ -904,7 +905,7 @@ mod tests {
             w[at] = bad;
         }
         let runs = [0, 1000, 2000];
-        let err = collective_select(&w, 5, &runs, &[pool(), pool()]).unwrap_err();
+        let err = collective_select(&w, 5, &runs, &[key(), key()]).unwrap_err();
         assert!(
             matches!(err, Error::InvalidProbability { index: 700, .. }),
             "{err}"
@@ -914,10 +915,9 @@ mod tests {
     #[test]
     fn efraimidis_spirakis_distribution() {
         // Weight 9:1 between two items; item 0 should be first pick ~90%.
-        let mut r = rng();
         let mut first0 = 0;
-        for _ in 0..1000 {
-            let picks = weighted_sample_without_replacement(&[9.0, 1.0], 1, &mut r);
+        for t in 0..1000 {
+            let picks = weighted_sample_without_replacement(&[9.0, 1.0], 1, key(), t);
             if picks[0] == 0 {
                 first0 += 1;
             }
@@ -927,9 +927,8 @@ mod tests {
 
     #[test]
     fn floyd_sampling_uniform_and_distinct() {
-        let mut r = rng();
-        for _ in 0..100 {
-            let picks = uniform_sample_without_replacement(10, 4, &mut r);
+        for t in 0..100 {
+            let picks = uniform_sample_without_replacement(10, 4, key(), t);
             assert_eq!(picks.len(), 4);
             let set: std::collections::HashSet<_> = picks.iter().collect();
             assert_eq!(set.len(), 4);
@@ -940,11 +939,10 @@ mod tests {
     #[test]
     fn alias_table_distribution() {
         let table = AliasTable::new(&[1.0, 2.0, 7.0]).unwrap();
-        let mut r = rng();
         let mut counts = [0usize; 3];
         let n = 20_000;
-        for _ in 0..n {
-            counts[table.sample(&mut r)] += 1;
+        for c in 0..n as u64 {
+            counts[table.sample(key(), c)] += 1;
         }
         let f2 = counts[2] as f64 / n as f64;
         assert!((f2 - 0.7).abs() < 0.03, "p(2) = {f2}");
@@ -960,11 +958,71 @@ mod tests {
         assert!(AliasTable::new(&[-1.0]).is_err());
     }
 
+    /// Five columns of six entries each, weighted 1..=4 by position.
+    fn five_columns() -> Csc {
+        let indices = (0..5).flat_map(|c| (0..6).map(move |r| r + c));
+        let values = (0..30).map(|i| 1.0 + (i % 4) as f32).collect();
+        let indptr = (0..=5).map(|c| c * 6).collect();
+        Csc::new(10, 5, indptr, indices.collect(), Some(values)).unwrap()
+    }
+
+    /// The rows `k = 2` without replacement keeps, two per column.
+    fn picked_rows(csc: &Csc, weighted: bool, keys: &[Key], starts: &[usize]) -> Vec<NodeId> {
+        let values = csc.values.as_deref().unwrap();
+        let out = match weighted {
+            true => sample_columns(csc, 2, false, values, keys, starts),
+            false => sample_columns(csc, 2, false, &Uniform, keys, starts),
+        };
+        out.unwrap().indices
+    }
+
+    #[test]
+    fn packed_pick_matches_each_group_alone() {
+        // Groups of 2 and 3 columns picked together, each with its own key,
+        // pick what each picks alone: a column's draws are counted from its
+        // group's first column. Every column has a choice to make.
+        let csc = five_columns();
+        let part = |cols: std::ops::Range<usize>| {
+            let ids: Vec<NodeId> = cols.map(|c| c as NodeId).collect();
+            slice::slice_cols(&SparseMatrix::Csc(csc.clone()), &ids)
+                .unwrap()
+                .to_csc()
+        };
+        let (g0, g1) = (Key::new(10), Key::new(11));
+        for weighted in [false, true] {
+            let packed = picked_rows(&csc, weighted, &[g0, g1], &[0, 2]);
+            let alone = [
+                picked_rows(&part(0..2), weighted, &[g0], &[0]),
+                picked_rows(&part(2..5), weighted, &[g1], &[0]),
+            ];
+            assert_eq!(packed, alone.concat(), "weighted {weighted}");
+            // The keys are what tells the groups apart.
+            let swapped = picked_rows(&part(2..5), weighted, &[g0], &[0]);
+            assert_ne!(swapped, alone[1], "weighted {weighted}");
+        }
+        // An empty group owns no column: the next one starts at its start.
+        let with_empty = picked_rows(&csc, false, &[g0, Key::new(3), g1], &[0, 2, 2]);
+        assert_eq!(with_empty, picked_rows(&csc, false, &[g0, g1], &[0, 2]));
+    }
+
+    #[test]
+    fn packed_collective_select_matches_each_segment_alone() {
+        // Segment 1 of a packed call selects what it selects alone: its
+        // rows' keys are counted from its own first row.
+        let w: Vec<f32> = (0..64).map(|r| 1.0 + (r % 5) as f32).collect();
+        let (a, b) = (Key::new(10), Key::new(11));
+        let packed = collective_select(&w, 4, &[0, 32, 64], &[a, b]).unwrap();
+        let first = collective_select(&w[..32], 4, &[0, 32], &[a]).unwrap();
+        let second = collective_select(&w[32..], 4, &[0, 32], &[b]).unwrap();
+        let second: Vec<NodeId> = second.iter().map(|&r| r + 32).collect();
+        assert_eq!(packed, [first, second].concat());
+    }
+
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let m = sample_matrix();
-        let a = individual_sample_seeded(&m, 2, None, &pool()).unwrap();
-        let b = individual_sample_seeded(&m, 2, None, &pool()).unwrap();
+        let a = individual_sample_seeded(&m, 2, None, &key()).unwrap();
+        let b = individual_sample_seeded(&m, 2, None, &key()).unwrap();
         assert_eq!(a, b);
     }
 }

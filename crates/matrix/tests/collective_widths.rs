@@ -5,9 +5,9 @@
 //! weights open the pool's size gate, and at width 2 each call must
 //! dispatch a region.
 
-use gsampler_matrix::sample::{collective_select, weighted_sample_without_replacement_seeded};
+use gsampler_matrix::sample::{collective_select, weighted_sample_without_replacement};
 use gsampler_matrix::{Error, NodeId, Result};
-use gsampler_runtime::{pool_metrics, RngPool};
+use gsampler_runtime::{pool_metrics, Key};
 
 const SEGMENTS: usize = 16;
 const ROWS: usize = 300;
@@ -20,10 +20,8 @@ fn runs() -> Vec<usize> {
     runs
 }
 
-fn pools() -> Vec<RngPool> {
-    (0..SEGMENTS as u64)
-        .map(|b| RngPool::new(b).subpool(0))
-        .collect()
+fn pools() -> Vec<Key> {
+    (0..SEGMENTS as u64).map(|b| Key::new(b).child(0)).collect()
 }
 
 /// Positive, zero and tiny weights; segment 5 has only 3 candidates and
@@ -40,8 +38,10 @@ fn weights() -> Vec<f32> {
 }
 
 /// The selection one serial pass makes: the whole bias validated, then
-/// each segment's positive rows, drawn down to `k` on its own pool.
-fn serial(weights: &[f32], runs: &[usize], pools: &[RngPool]) -> Result<Vec<NodeId>> {
+/// each segment's positive rows, drawn down to `k` with its own key: the
+/// Efraimidis–Spirakis selection over the segment's weights, row `r` of
+/// the segment keyed by draw `r` (a zero weight keys `+∞` and never wins).
+fn serial(weights: &[f32], runs: &[usize], pools: &[Key]) -> Result<Vec<NodeId>> {
     if let Some(index) = weights.iter().position(|w| !(0.0..=f32::MAX).contains(w)) {
         let value = weights[index];
         return Err(Error::InvalidProbability { index, value });
@@ -52,9 +52,9 @@ fn serial(weights: &[f32], runs: &[usize], pools: &[RngPool]) -> Result<Vec<Node
         if cands.len() <= K {
             rows.extend(cands.iter().map(|&r| r as NodeId));
         } else {
-            let w: Vec<f32> = cands.iter().map(|&r| weights[r]).collect();
-            let picks = weighted_sample_without_replacement_seeded(&w, K, pool);
-            let mut picked: Vec<NodeId> = picks.into_iter().map(|p| cands[p] as NodeId).collect();
+            let picks = weighted_sample_without_replacement(&weights[run[0]..run[1]], K, *pool, 0);
+            let mut picked: Vec<NodeId> =
+                picks.into_iter().map(|p| (run[0] + p) as NodeId).collect();
             picked.sort_unstable();
             rows.extend(picked);
         }

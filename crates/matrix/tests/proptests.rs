@@ -5,14 +5,13 @@
 
 use gsampler_matrix::sample::{
     collective_sample_seeded, individual_sample, pick_columns, uniform_sample_without_replacement,
-    weighted_sample_without_replacement, weighted_sample_without_replacement_seeded, AliasTable,
-    Uniform,
+    weighted_sample_without_replacement, AliasTable, Uniform,
 };
 use gsampler_matrix::{
     broadcast, compact, reduce, slice, spmm, Axis, Coo, Csc, Csr, Dense, EltOp, Format, NodeId,
     ReduceOp, SparseMatrix,
 };
-use gsampler_runtime::RngPool;
+use gsampler_runtime::rng::{counter, Key};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,25 +40,37 @@ fn along<T>(axis: Axis, r: T, c: T) -> T {
     }
 }
 
-/// What node-wise selection must choose from a column of `deg` entries on
-/// its stream, by the reference primitives: sorted distinct offsets.
+/// What node-wise selection must choose from column `col` of `deg`
+/// entries with `key`, by the reference primitives: sorted distinct
+/// offsets. A weighted draw with replacement is the first entry whose
+/// running sum exceeds `u · total`, found by a linear scan (the last
+/// positive entry if rounding runs past the end).
 fn reference_picks(
     deg: usize,
     k: usize,
     replace: bool,
     weights: Option<&[f32]>,
-    mut rng: StdRng,
+    key: Key,
+    col: usize,
 ) -> Vec<usize> {
+    let inverse_cdf = |w: &[f32], u: f64| {
+        let total: f64 = w.iter().map(|&x| x as f64).sum();
+        let mut sum = 0f64;
+        let first = w.iter().position(|&x| {
+            sum += x as f64;
+            sum > u * total
+        });
+        first.unwrap_or_else(|| w.iter().rposition(|&x| x > 0.0).unwrap())
+    };
     let mut picks: Vec<usize> = match (replace, weights) {
         _ if deg == 0 => Vec::new(),
-        (true, Some(w)) => {
-            let table = AliasTable::new(w).unwrap();
-            (0..k).map(|_| table.sample(&mut rng)).collect()
-        }
-        (true, None) => (0..k).map(|_| rng.gen_range(0..deg)).collect(),
+        (true, Some(w)) => (0..k)
+            .map(|j| inverse_cdf(w, key.unit(counter(col, j))))
+            .collect(),
+        (true, None) => (0..k).map(|j| key.below(counter(col, j), deg)).collect(),
         (false, _) if deg <= k => (0..deg).collect(),
-        (false, Some(w)) => weighted_sample_without_replacement(w, k, &mut rng),
-        (false, None) => uniform_sample_without_replacement(deg, k, &mut rng),
+        (false, Some(w)) => weighted_sample_without_replacement(w, k, key, col),
+        (false, None) => uniform_sample_without_replacement(deg, k, key, col),
     };
     picks.sort_unstable();
     picks.dedup();
@@ -421,20 +432,20 @@ fn individual_sample_is_subset_with_fanout() {
         let m = arb_matrix(&mut rng);
         let (k, seed) = (rng.gen_range(0usize..5), rng.gen_range(0u64..1000));
         // Every column holds exactly the edges the reference primitive
-        // chooses on the column's stream — empty columns, `deg <= k` and
+        // chooses with the column's draws — empty columns, `deg <= k` and
         // `k == 0` included — which makes it a subset with the fan-out.
-        let streams = RngPool::new(seed);
+        let key = Key::new(seed);
         let csc = m.to_csc();
         let weights = csc.values.as_deref().unwrap();
         for (replace, weighted) in [(false, false), (false, true), (true, false), (true, true)] {
             let probs = weighted.then_some(&m);
-            let out = individual_sample(&m, k, replace, probs, &streams).unwrap();
+            let out = individual_sample(&m, k, replace, probs, &[key], &[0]).unwrap();
             assert_eq!((out.shape(), out.format()), (m.shape(), m.format()));
             let out = out.to_csc();
             for c in 0..csc.ncols {
                 let col = csc.col_range(c);
                 let w = weighted.then(|| &weights[col.clone()]);
-                let picks = reference_picks(col.len(), k, replace, w, streams.stream(c as u64));
+                let picks = reference_picks(col.len(), k, replace, w, key, c);
                 let want: Vec<usize> = picks.iter().map(|off| col.start + off).collect();
                 let got = out.col_range(c);
                 let rows: Vec<NodeId> = want.iter().map(|&p| csc.indices[p]).collect();
@@ -462,37 +473,37 @@ fn collective_sample_bounds_rows() {
         // The top-k selection is the first `k` of the full stable sort by
         // key — ties included: zero weights all key +inf, and a `k` beyond
         // the positive count puts them among the winners, by index.
-        let pool = RngPool::new(seed);
-        let key = |(i, &w): (usize, &f32)| match w > 0.0 {
-            true => -pool.stream(i as u64).gen_range(f64::MIN_POSITIVE..1.0).ln() / w as f64,
+        let key = Key::new(seed);
+        let exp_key = |(i, &w): (usize, &f32)| match w > 0.0 {
+            true => -key.unit(i as u64).ln() / w as f64,
             false => f64::INFINITY,
         };
-        let keys: Vec<f64> = weights.iter().enumerate().map(key).collect();
+        let keys: Vec<f64> = weights.iter().enumerate().map(exp_key).collect();
         let mut order: Vec<usize> = (0..weights.len()).collect();
         order.sort_by(|&a, &b| keys[a].partial_cmp(&keys[b]).unwrap());
         let n = weights.len();
         let positive = weights.iter().filter(|&&w| w > 0.0).count();
         for top in [0, 1, n - 1, n, (positive + 1).min(n)] {
-            let picks = weighted_sample_without_replacement_seeded(&weights, top, &pool);
+            let picks = weighted_sample_without_replacement(&weights, top, key, 0);
             assert_eq!(&picks[..], &order[..top], "k = {top} of {weights:?}");
         }
         // And collective sampling is that selection over the positive
-        // rows, sliced out ascending.
+        // rows, row `r` keyed by draw `r`, sliced out ascending.
         let bias: Vec<f32> = (0..m.nrows()).map(|r| weights[r % n]).collect();
         let positive_rows = (0..m.nrows() as NodeId).filter(|&r| bias[r as usize] > 0.0);
         let cands: Vec<NodeId> = positive_rows.collect();
         let mut rows = cands.clone();
         if cands.len() > k {
-            let w: Vec<f32> = cands.iter().map(|&r| bias[r as usize]).collect();
-            let picks = weighted_sample_without_replacement_seeded(&w, k, &pool);
-            rows = picks.into_iter().map(|i| cands[i]).collect();
+            let row_key = |&r: &NodeId| -key.unit(r as u64).ln() / bias[r as usize] as f64;
+            rows.sort_by(|a, b| row_key(a).total_cmp(&row_key(b)).then(a.cmp(b)));
+            rows.truncate(k);
             rows.sort_unstable();
         }
-        let out = collective_sample_seeded(&m, k, Some(&bias), &pool).unwrap();
+        let out = collective_sample_seeded(&m, k, Some(&bias), &key).unwrap();
         assert_eq!(&out.matrix, &slice::slice_rows(&m, &rows).unwrap());
         assert_eq!(out.rows, rows);
 
-        let out = collective_sample_seeded(&m, k, None, &RngPool::new(seed)).unwrap();
+        let out = collective_sample_seeded(&m, k, None, &Key::new(seed)).unwrap();
         // The default bias is the degree: `min(k, rows with edges)` rows,
         // each with a positive degree.
         let degs = m.row_degrees();
@@ -511,10 +522,10 @@ fn weighted_selection_without_replacement_is_distinct() {
         let weights: Vec<f32> = (0..rng.gen_range(1..30))
             .map(|_| rng.gen_range(0.0..5.0))
             .collect();
-        let mut rng = StdRng::seed_from_u64(rng.gen_range(0..1000));
+        let key = Key::new(rng.gen_range(0..1000));
         let positive = weights.iter().filter(|&&w| w > 0.0).count();
         let k = positive.min(weights.len() / 2 + 1);
-        let picks = weighted_sample_without_replacement(&weights, k, &mut rng);
+        let picks = weighted_sample_without_replacement(&weights, k, key, 0);
         let set: std::collections::HashSet<_> = picks.iter().collect();
         assert_eq!(set.len(), picks.len(), "duplicates in {picks:?}");
         // Zero-weight items are only taken once positives run out.
@@ -527,9 +538,9 @@ fn weighted_selection_without_replacement_is_distinct() {
 fn floyd_sampling_distinct() {
     for mut rng in cases("floyd_sampling_distinct", 64) {
         let n = rng.gen_range(1usize..100);
-        let mut rng = StdRng::seed_from_u64(rng.gen_range(0..1000));
+        let key = Key::new(rng.gen_range(0..1000));
         let k = (n / 2).max(1);
-        let picks = uniform_sample_without_replacement(n, k, &mut rng);
+        let picks = uniform_sample_without_replacement(n, k, key, 0);
         let set: std::collections::HashSet<_> = picks.iter().collect();
         assert_eq!(set.len(), k);
         assert!(picks.iter().all(|&p| p < n));
@@ -542,13 +553,13 @@ fn alias_table_always_returns_positive_weight_items() {
         let weights: Vec<f32> = (0..rng.gen_range(1..20))
             .map(|_| rng.gen_range(0.0..5.0))
             .collect();
-        let mut rng = StdRng::seed_from_u64(rng.gen_range(0..200));
+        let key = Key::new(rng.gen_range(0..200));
         if !weights.iter().any(|&w| w > 0.0) {
             continue;
         }
         let table = AliasTable::new(&weights).unwrap();
-        for _ in 0..50 {
-            let i = table.sample(&mut rng);
+        for c in 0..50 {
+            let i = table.sample(key, c);
             assert!(weights[i] > 0.0, "drew zero-weight item {i}");
         }
     }
@@ -593,7 +604,7 @@ fn large_fanout_pick_matches_the_reference_at_its_cost() {
     let indptr: Vec<usize> = (0..=ncols).map(|c| c * deg).collect();
     let indices: Vec<NodeId> = (0..ncols).flat_map(|_| 0..deg as NodeId).collect();
     let csc = Csc::new(deg, ncols, indptr, indices, None).unwrap();
-    let streams = RngPool::new(11);
+    let key = Key::new(11);
     let fastest = |run: &mut dyn FnMut()| {
         let timed = (0..5).map(|_| {
             let start = std::time::Instant::now();
@@ -604,14 +615,14 @@ fn large_fanout_pick_matches_the_reference_at_its_cost() {
     };
 
     let mut picked = (Vec::new(), Vec::new());
-    let pick_time =
-        fastest(&mut || picked = pick_columns(&csc, None, k, false, &Uniform, &streams).unwrap());
+    let pick_time = fastest(&mut || {
+        picked = pick_columns(&csc, None, k, false, &Uniform, &[key], &[0]).unwrap()
+    });
     let mut expected = Vec::new();
     let reference_time = fastest(&mut || {
         expected.clear();
         for c in 0..ncols {
-            let mut rng = streams.stream(c as u64);
-            let mut offs = uniform_sample_without_replacement(deg, k, &mut rng);
+            let mut offs = uniform_sample_without_replacement(deg, k, key, c);
             offs.sort_unstable();
             expected.extend(offs.into_iter().map(|off| c * deg + off));
         }
@@ -641,15 +652,15 @@ fn seeded_selection_is_the_sort_of_every_key() {
         })
         .collect();
     for (seed, k) in [(1, 1), (2, 37), (3, 512), (4, 17_142), (5, 20_000)] {
-        let pool = RngPool::new(seed);
-        let key = |(i, &w): (usize, &f32)| match w > 0.0 {
-            true => -pool.stream(i as u64).gen_range(f64::MIN_POSITIVE..1.0).ln() / w as f64,
+        let key = Key::new(seed);
+        let exp_key = |(i, &w): (usize, &f32)| match w > 0.0 {
+            true => -key.unit(i as u64).ln() / w as f64,
             false => f64::INFINITY,
         };
-        let keys: Vec<f64> = weights.iter().enumerate().map(key).collect();
+        let keys: Vec<f64> = weights.iter().enumerate().map(exp_key).collect();
         let mut order: Vec<usize> = (0..weights.len()).collect();
         order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
-        let picks = weighted_sample_without_replacement_seeded(&weights, k, &pool);
+        let picks = weighted_sample_without_replacement(&weights, k, key, 0);
         assert_eq!(picks, order[..k], "k = {k}");
     }
 }

@@ -16,10 +16,9 @@
 //! at any thread count. The rule every parallel kernel follows is that
 //! *work decomposition is a function of the input only* — chunk boundaries
 //! that feed RNG or accumulation order never depend on how many threads
-//! happen to run. Randomized kernels draw per-item streams from
-//! [`RngPool`] (SplitMix64-derived independent generators), so the stream
-//! an item consumes is keyed by its index, not by the worker that executes
-//! it.
+//! happen to run. Randomized kernels draw `mix(key, counter)` ([`Key`]):
+//! an item's bits are keyed by its index, not by the worker that executes
+//! it or the order it runs in.
 //!
 //! The number of workers comes from [`parallel::num_threads`]:
 //! `GSAMPLER_THREADS` overrides (determinism tests, CI reproducibility),
@@ -40,7 +39,7 @@ pub use parallel::{
     num_threads, parallel_for_chunks, parallel_map, parallel_scatter, parallel_scatter2,
     pool_metrics, set_worker_fault_hook, PoolError, PoolMetrics, WorkerFault, WorkerFaultHook,
 };
-pub use rng::RngPool;
+pub use rng::Key;
 
 /// Serializes every unit test of this binary that installs the one-slot
 /// worker fault hook, so none of them can clear or overwrite another's

@@ -18,8 +18,8 @@
 //!   tenants into one block-diagonal super-batch
 //!   (`Sampler::sample_groups`, the §4.4 planner extended to
 //!   heterogeneous request sizes), then scatters per-tenant results back
-//!   out exactly. One RNG stream per group keeps each tenant's draws a
-//!   pure function of its own seed and stream.
+//!   out exactly. One key per group keeps each tenant's draws a pure
+//!   function of its own seed and stream.
 //! - **Fault isolation**: a pack is one `Sampler::window`, so a failed
 //!   pack is split by the core's one recovery ladder (halve on OOM, one
 //!   run per member otherwise) and a member that still fails quarantines

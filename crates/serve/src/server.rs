@@ -12,9 +12,9 @@
 //!   shared plan database), and whose programs pass
 //!   [`Sampler::pack_exact`] (every output provably scatters back
 //!   exactly);
-//! - [`Sampler::sample_groups`] gives every group its own RNG stream:
-//!   group `b` draws only from its tenant's `Sampler::stream`, the
-//!   stream a solo call would use;
+//! - [`Sampler::sample_groups`] gives every group its own key: group `b`
+//!   draws only with its tenant's `Sampler::key`, the key a solo call
+//!   would use;
 //! - a pack runs as one `Sampler::window`, whose recovery ladder (halve
 //!   on memory pressure, one run per member on any other failure) restarts
 //!   every rung from those streams.
@@ -542,7 +542,7 @@ fn deadline_missed(inner: &Inner, request: QueuedRequest, shed: bool) {
 
 /// Serve `chunk` — one request, or a pack of requests whose sessions
 /// compiled structurally identical plans — as one window on the first
-/// member's sampler, each member on its own session's RNG stream, so
+/// member's sampler, each member with its own session's key, so
 /// every reply is the member's solo sample however the window ran. A
 /// failed pack is split by `Sampler::window`'s ladder; the run it makes
 /// for one member alone sheds that member if it already expired.
@@ -562,8 +562,8 @@ fn run_chunk(inner: &Inner, chunk: Vec<QueuedRequest>, fault: Option<FaultSpec>)
         );
     }
     let executor = Arc::clone(&chunk[0].session.sampler);
-    let rngs: Vec<_> = (chunk.iter())
-        .map(|r| r.session.sampler.stream(r.stream))
+    let keys: Vec<_> = (chunk.iter())
+        .map(|r| r.session.sampler.key(r.stream))
         .collect();
     let mut unrun = vec![false; chunk.len()];
     let injected = fault.is_some();
@@ -571,7 +571,7 @@ fn run_chunk(inner: &Inner, chunk: Vec<QueuedRequest>, fault: Option<FaultSpec>)
         faults::install(spec);
     }
     let mut factor = chunk.len();
-    let results = executor.window(&rngs, &mut factor, |idx, rngs| {
+    let results = executor.window(&keys, &mut factor, |idx, keys| {
         if let [g] = *idx {
             if let Some((_, budget_ms)) = chunk[g].deadline.filter(|&(e, _)| Instant::now() >= e) {
                 unrun[g] = true;
@@ -590,7 +590,7 @@ fn run_chunk(inner: &Inner, chunk: Vec<QueuedRequest>, fault: Option<FaultSpec>)
             gsampler_runtime::cancel::scope(gsampler_runtime::CancelToken::with_deadline(left))
         });
         let seeds = idx.iter().map(|&g| chunk[g].seeds.clone()).collect();
-        let samples = executor.sample_groups(seeds, &Bindings::new(), rngs)?;
+        let samples = executor.sample_groups(seeds, &Bindings::new(), keys)?;
         Ok(samples.into_iter().map(|s| (s, idx.len() > 1)).collect())
     });
     if injected {

@@ -80,7 +80,7 @@ pub struct Session {
     /// The registration this session was built from.
     pub spec: TenantSpec,
     /// The tenant's compiled sampler (own seed, own device session).
-    /// Request `stream` draws from `sampler.stream(stream)`, the stream
+    /// Request `stream` draws with `sampler.key(stream)`, the key
     /// `sample_batch_seeded` uses, so a served reply is bit-identical to a
     /// direct call.
     pub sampler: Arc<Sampler>,

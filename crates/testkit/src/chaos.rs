@@ -9,8 +9,8 @@
 //! 2. **Determinism** — two runs of the same seed + schedule produce
 //!    bit-identical output fingerprints *and* identical injected-fault
 //!    counts; plain-retry recovery is additionally *transparent*
-//!    (bit-identical to the clean, fault-free run, because every retry
-//!    restores the RNG checkpoint taken before the failed attempt).
+//!    (bit-identical to the clean, fault-free run, because a draw is a
+//!    pure function of its batch's key, which a retry reuses).
 //! 3. **Counts match the schedule** — the plane's [`InjectedCounts`] are
 //!    what the schedule promises, no silent over- or under-firing.
 //!

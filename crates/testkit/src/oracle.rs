@@ -5,14 +5,14 @@
 //! 1. **Exact differential** — every single-pass ablation of the
 //!    optimizing pipeline (`OptConfig::ablations()`) must produce the
 //!    same semantic fingerprint as the all-on reference. This is sound
-//!    because every randomized kernel draws exactly one value per group
-//!    RNG stream and fans out per-column streams from it, CSE never
-//!    merges random ops, and preprocessing never hoists them — so pass
-//!    toggles cannot change RNG stream assignment for live ops. The same
-//!    discipline makes a super-batched epoch identical to the factor-1
-//!    epoch, storage layout included (a batch's stream depends on its
-//!    index only, and its share of the block-diagonal execution is the
-//!    diagonal block), which is checked value by value, structurally.
+//!    because the `i`-th randomized op of a layer draws with its group's
+//!    key `.child(i)`, CSE never merges random ops, and preprocessing
+//!    never hoists them — so pass toggles cannot change which key a live
+//!    op draws with. The same discipline makes a super-batched epoch
+//!    identical to the factor-1 epoch, storage layout included (a batch's
+//!    key depends on its index only, and its share of the block-diagonal
+//!    execution is the diagonal block), which is checked value by value,
+//!    structurally.
 //!    The plan database is checked by fingerprint like the ablations: a
 //!    compile served from it, and one on an equal graph that can only
 //!    miss, must sample what a database-less compile does.

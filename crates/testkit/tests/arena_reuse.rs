@@ -5,14 +5,12 @@
 //! fingerprints, and the compaction path must actually route its scratch
 //! through the arena so the property is not vacuously true.
 
-use gsampler_core::{Bindings, OptConfig};
+use gsampler_core::{Bindings, Key, OptConfig};
 use gsampler_runtime::{arena_metrics, take_scratch_filled};
 use gsampler_testkit::drive::{self, run_algorithm};
 use gsampler_testkit::fingerprint::of_values;
 use gsampler_testkit::gen::{GraphSpec, Topology};
 use gsampler_testkit::oracle::oracle_hyper;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Fill every per-type pool on this thread with garbage-valued buffers,
 /// then drop them back — any kernel that reads recycled contents instead
@@ -88,10 +86,10 @@ fn poisoned_arena_never_leaks_into_outputs() {
         .expect("compile failed")
         .expect("no fault");
     let groups: Vec<Vec<u32>> = (0..16).map(|b| spec.frontiers(3 + b % 2)).collect();
-    let mut rngs: Vec<StdRng> = (0..16).map(StdRng::seed_from_u64).collect();
+    let keys: Vec<Key> = (0..16).map(Key::new).collect();
     let before = arena_metrics();
     let samples = sampler
-        .sample_groups(groups, &Bindings::new(), &mut rngs)
+        .sample_groups(groups, &Bindings::new(), &keys)
         .expect("super-batch failed");
     assert_eq!(samples.len(), 16);
     assert_eq!(arena_metrics().since(&before).takes, 0);

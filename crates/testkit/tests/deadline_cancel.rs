@@ -68,8 +68,8 @@ fn worker_panic_schedule_is_transparent_across_all_algorithms() {
     let h = oracle_hyper();
     // A worker panic at the first worker site of every drive: the share
     // fails its region as a typed `PoolError`, the pool respawns the
-    // worker, and the retry restores the RNG checkpoint — so recovery
-    // must be invisible and deterministic across reruns.
+    // worker, and the retry draws with the same keys — so recovery must
+    // be invisible and deterministic across reruns.
     let reports = run_schedule(&graph, &h, "seed=2;worker-panic:at=1", 3, &frontiers)
         .expect("every algorithm must absorb an injected worker panic");
     assert_eq!(reports.len(), 15, "all registry algorithms must be driven");
@@ -173,7 +173,7 @@ fn an_installed_token_stops_every_entry_point() {
     let bindings = Bindings::new();
     let entry_points = || -> Vec<(&str, gsampler_core::Result<()>)> {
         let groups = vec![seeds[..8].to_vec(), seeds[8..16].to_vec()];
-        let rngs = &mut [sage.stream(0), sage.stream(1)];
+        let keys = [sage.key(0), sage.key(1)];
         vec![
             (
                 "sample_batch",
@@ -181,7 +181,7 @@ fn an_installed_token_stops_every_entry_point() {
             ),
             (
                 "sample_groups",
-                sage.sample_groups(groups, &bindings, rngs).map(drop),
+                sage.sample_groups(groups, &bindings, &keys).map(drop),
             ),
             ("run_epoch", sage.run_epoch(&seeds, &bindings, 0).map(drop)),
             (

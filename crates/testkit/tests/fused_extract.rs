@@ -5,7 +5,7 @@
 //! `CollectiveSample` field by field, errors included.
 
 use gsampler_core::kernels::{self, ExecCtx};
-use gsampler_core::{Bindings, Graph, ReduceOp, Value};
+use gsampler_core::{Bindings, Graph, Key, ReduceOp, Value};
 use gsampler_ir::op::EdgeMapStep;
 use gsampler_ir::Op;
 use gsampler_matrix::{Axis, EltOp, NodeId};
@@ -26,12 +26,10 @@ fn groups(rng: &mut StdRng, s: usize, n: usize) -> Vec<Vec<NodeId>> {
         .collect()
 }
 
-/// Evaluate `op` with `s` fresh group streams seeded alike for every call.
+/// Evaluate `op` with `s` group keys alike for every call.
 fn eval(op: &Op, inputs: &[&Value], ctx: &ExecCtx<'_>) -> gsampler_core::Result<Value> {
-    let mut rngs: Vec<StdRng> = (0..ctx.s)
-        .map(|b| StdRng::seed_from_u64(b as u64))
-        .collect();
-    kernels::run(op, inputs, ctx, &mut rngs)
+    let keys: Vec<Key> = (0..ctx.s).map(|b| Key::new(b as u64)).collect();
+    kernels::run(op, inputs, ctx, &keys)
 }
 
 /// Every case: an arbitrary graph, `A` and `A ** 2` on it, and a context

@@ -70,7 +70,7 @@ fn rebinding_the_projections_every_batch_runs_two_gemms_per_batch() {
         .drive_epoch(
             &seeds,
             0,
-            |groups, rngs| {
+            |groups, keys| {
                 // A trainer's step: new `W1` / `W2`, the same `W3`.
                 batch += 1;
                 let step = pass_weights(&graph, 100 + batch);
@@ -78,7 +78,7 @@ fn rebinding_the_projections_every_batch_runs_two_gemms_per_batch() {
                     .clone()
                     .dense("W1", step.get_dense("W1").unwrap().clone())
                     .dense("W2", step.get_dense("W2").unwrap().clone());
-                sampler.sample_groups(groups, &bindings, rngs)
+                sampler.sample_groups(groups, &bindings, keys)
             },
             |_, _| {},
         )

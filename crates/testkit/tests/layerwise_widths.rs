@@ -7,27 +7,23 @@
 //! itself.
 
 use gsampler_core::kernels::{self, ExecCtx};
-use gsampler_core::{Bindings, Value};
+use gsampler_core::{Bindings, Key, Value};
 use gsampler_graphs::{Dataset, DatasetKind};
 use gsampler_ir::op::EdgeMapStep;
 use gsampler_ir::Op;
 use gsampler_matrix::{Axis, EltOp, GraphMatrix, NodeId, ReduceOp};
 use gsampler_runtime::pool_metrics;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const FACTOR: usize = 16;
 const GROUP: usize = 32;
 const K: usize = 64;
 
-/// Evaluate `op` with `ctx.s` group streams seeded alike for every call,
-/// and the pool regions it dispatched.
+/// Evaluate `op` with `ctx.s` group keys alike for every call, and the
+/// pool regions it dispatched.
 fn eval(op: &Op, inputs: &[&Value], ctx: &ExecCtx<'_>) -> (Value, u64) {
-    let mut rngs: Vec<StdRng> = (0..ctx.s)
-        .map(|b| StdRng::seed_from_u64(0x1A1E5 ^ b as u64))
-        .collect();
+    let keys: Vec<Key> = (0..ctx.s).map(|b| Key::new(0x1A1E5 ^ b as u64)).collect();
     let before = pool_metrics();
-    let out = kernels::run(op, inputs, ctx, &mut rngs).unwrap_or_else(|e| panic!("{op:?}: {e}"));
+    let out = kernels::run(op, inputs, ctx, &keys).unwrap_or_else(|e| panic!("{op:?}: {e}"));
     (out, pool_metrics().since(&before).regions)
 }
 

@@ -11,12 +11,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gsampler_core::{Bindings, OptConfig, Value};
+use gsampler_core::{Bindings, Key, OptConfig, Value};
 use gsampler_testkit::drive;
 use gsampler_testkit::gen::{GraphSpec, Topology};
 use gsampler_testkit::oracle::oracle_hyper;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -76,15 +74,15 @@ fn selection_allocations_do_not_scale_with_frontier_columns() {
                 })
                 .collect()
         };
-        let mut rngs: Vec<StdRng> = (0..16).map(StdRng::seed_from_u64).collect();
+        let keys: Vec<Key> = (0..16).map(Key::new).collect();
         // Warm the worker pool and every lazily built table first.
         sampler
-            .sample_groups(groups(1), &Bindings::new(), &mut rngs)
+            .sample_groups(groups(1), &Bindings::new(), &keys)
             .expect("warm-up failed");
         let input = groups(0);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let samples = sampler
-            .sample_groups(input, &Bindings::new(), &mut rngs)
+            .sample_groups(input, &Bindings::new(), &keys)
             .expect("super-batch failed");
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
         let matrices = samples.iter().flat_map(|s| s.layers.iter().flatten());

@@ -315,11 +315,11 @@ fn a_tenant_sessions_stats_do_not_grow_with_its_requests() {
                     .sampler
                     .sample_batch_seeded(&seeds_for(0, r, n), &Bindings::new(), r);
             solo.expect("solo request");
-            let mut rngs = vec![session.sampler.stream(r), session.sampler.stream(r + 1)];
+            let keys = [session.sampler.key(r), session.sampler.key(r + 1)];
             let groups = vec![seeds_for(1, r, n), seeds_for(2, r, n)];
             let packed = session
                 .sampler
-                .sample_groups(groups, &Bindings::new(), &mut rngs);
+                .sample_groups(groups, &Bindings::new(), &keys);
             packed.expect("packed request");
         }
         session.sampler.device().stats()

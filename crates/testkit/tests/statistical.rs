@@ -6,18 +6,16 @@
 //! and add the regression guard for biased (PASS-style) selection without
 //! replacement: the Efraimidis–Spirakis kernel must match the exact
 //! successive-draw inclusion probabilities, not the with-replacement ones.
-//! Weighted draws *with* replacement (the alias table) are held to their
-//! own closed form, and one Node2Vec step to its second-order transition.
+//! Weighted draws *with* replacement (inverse CDF) are held to their own
+//! closed form, one DeepWalk and one Node2Vec step to their transitions,
+//! and the model-driven selects (the bandits, PASS, AS-GCN) to their
+//! biases end to end.
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use gsampler_baselines::EagerSampler;
 use gsampler_core::builder::LayerBuilder;
-use gsampler_core::{compile, Bindings, DeviceProfile, Graph, SamplerConfig};
-use gsampler_engine::RngPool;
+use gsampler_core::{compile, Bindings, DeviceProfile, Graph, Key, SamplerConfig};
 use gsampler_matrix::sample::{
     collective_sample_seeded, collective_select, individual_sample, individual_sample_seeded,
     weighted_sample_without_replacement,
@@ -82,6 +80,65 @@ fn eager_engine_fanout_is_uniform() {
 }
 
 #[test]
+fn deepwalk_step_is_uniform_over_in_neighbours() {
+    // One DeepWalk step through the walk driver: a walker at the star's
+    // hub moves to one of its six in-neighbours, each with probability 1/6,
+    // whatever the spoke's edge weight.
+    let config = SamplerConfig {
+        batch_size: 1,
+        ..SamplerConfig::new()
+    };
+    let gs = compile(star(), vec![gsampler_algos::walks::deepwalk_step()], config).unwrap();
+    let mut counts = [0u64; 7];
+    for t in 0..TRIALS {
+        let trace = gsampler_algos::drivers::run_walk_batch(&gs, &[0], 1, false, 0.0, t).unwrap();
+        counts[trace.positions[0][0] as usize] += 1;
+    }
+    stats::assert_fits("deepwalk step", &counts, &uniform_spokes(), TRIALS);
+}
+
+#[test]
+fn asgcn_select_matches_the_combined_bias() {
+    // AS-GCN end to end through the collective select: candidate row `r`'s
+    // bias is its structural term `sum(A[r, f]^2)` plus the learned
+    // `relu(X Wg)[r] + 1e-6`. With k = 1 a row is drawn with probability
+    // proportional to that sum. Dropping either term, or reading the
+    // learned score at another row, moves spoke 1 from 3/107.5 of the mass
+    // to 1/91 or further.
+    let x: [[f32; 2]; 7] = [
+        [-1.0, 0.0],
+        [2.0, 0.0],
+        [0.0, 2.0],
+        [5.0, 2.0],
+        [1.0, 1.0],
+        [0.0, 0.0],
+        [10.0, 0.0],
+    ];
+    let wg = [1.0f32, -0.5];
+    let learned = |r: usize| (x[r][0] * wg[0] + x[r][1] * wg[1]).max(0.0) + 1e-6;
+    // Spoke `r` enters the hub with weight `r`; row 0 has no edge into it.
+    let bias: Vec<f64> = (0..7)
+        .map(|r| ((r * r) as f32 + learned(r)) as f64)
+        .collect();
+    let total: f64 = bias.iter().sum();
+    let expected: Vec<f64> = bias.iter().map(|b| b / total).collect();
+
+    let features = gsampler_matrix::Dense::from_vec(7, 2, x.concat()).unwrap();
+    let graph = Arc::new(Arc::unwrap_or_clone(star()).with_features(features));
+    let wg = gsampler_matrix::Dense::from_vec(2, 1, wg.to_vec()).unwrap();
+    let bindings = Bindings::new().dense("Wg", wg);
+    let sampler = one_batch(graph, gsampler_algos::layerwise::asgcn_layer(1));
+    let mut counts = [0u64; 7];
+    for t in 0..TRIALS {
+        let out = sampler.sample_batch_seeded(&[0], &bindings, t).unwrap();
+        for &r in out.layers[0][1].as_nodes().unwrap() {
+            counts[r as usize] += 1;
+        }
+    }
+    stats::assert_fits("AS-GCN select k=1", &counts, &expected, TRIALS);
+}
+
+#[test]
 fn node2vec_step_matches_the_second_order_transition() {
     // A walker at 0 that came from 1 picks among 0's in-neighbours 1..=6:
     // back to 1 with weight 1/p, to 2 and 3 (adjacent to 1, one edge each
@@ -128,8 +185,8 @@ fn biased_individual_sample_matches_analytic_inclusion() {
 
     let mut counts = vec![0u64; 6];
     for t in 0..3000u64 {
-        let streams = RngPool::new(0x9A55 ^ t);
-        let picked = individual_sample_seeded(&col.data, 2, Some(&col.data), &streams).unwrap();
+        let key = Key::new(0x9A55 ^ t);
+        let picked = individual_sample_seeded(&col.data, 2, Some(&col.data), &key).unwrap();
         // The column slice keeps the identity row space: row = spoke ID.
         for (r, _, _) in picked.iter_edges() {
             // Edge for spoke r sits at CSC position r-1 in the column.
@@ -232,7 +289,7 @@ fn pass_select_matches_the_attention_bias() {
 
 #[test]
 fn weighted_with_replacement_matches_analytic_inclusion() {
-    // The alias-table path: k=3 weighted draws with replacement keep their
+    // The inverse-CDF path: k=3 weighted draws with replacement keep their
     // distinct outcomes, so spoke i (weight i of 21) is included with
     // probability 1 - (1 - i/21)^3. Uniform draws (0.42 for every spoke)
     // or one draw per column fail it decisively.
@@ -246,15 +303,15 @@ fn weighted_with_replacement_matches_analytic_inclusion() {
 
     let mut counts = vec![0u64; 6];
     for t in 0..3000u64 {
-        let streams = RngPool::new(0xA11A5 ^ t);
-        let picked = individual_sample(&col.data, 3, true, Some(&col.data), &streams).unwrap();
+        let key = [Key::new(0xA11A5 ^ t)];
+        let picked = individual_sample(&col.data, 3, true, Some(&col.data), &key, &[0]).unwrap();
         assert!(picked.nnz() <= 3);
         for (r, _, _) in picked.iter_edges() {
             counts[r as usize - 1] += 1;
         }
     }
     stats::assert_inclusion_fits(
-        "alias select k=3 with replacement",
+        "weighted select k=3 with replacement",
         &counts,
         &expected,
         3000,
@@ -277,8 +334,8 @@ fn collective_sample_follows_degree_weights() {
     let expected = [3.0 / 6.0, 2.0 / 6.0, 1.0 / 6.0, 0.0];
     let mut counts = [0u64; 4];
     for t in 0..TRIALS {
-        let streams = RngPool::new(0xC011 ^ t);
-        let out = collective_sample_seeded(&graph.matrix.data, 1, None, &streams).unwrap();
+        let key = Key::new(0xC011 ^ t);
+        let out = collective_sample_seeded(&graph.matrix.data, 1, None, &key).unwrap();
         assert_eq!(out.rows.len(), 1);
         counts[out.rows[0] as usize] += 1;
     }
@@ -289,7 +346,7 @@ fn collective_sample_follows_degree_weights() {
 fn segmented_collective_select_matches_analytic_inclusion_per_segment() {
     // The super-batched layer-wise select: 16 segments of 256 rows, each
     // with six candidates of its own weights among zero rows, k = 2 per
-    // segment on the segment's own pool. Every segment's inclusion counts
+    // segment with the segment's own key. Every segment's inclusion counts
     // must match the exact successive-draw probabilities of its weights.
     // 16 x 256 weights open the pool's size gate, so wherever the pool is
     // wider than one thread (ci.sh runs the suite at GSAMPLER_THREADS=2)
@@ -313,10 +370,10 @@ fn segmented_collective_select_matches_analytic_inclusion_per_segment() {
     let mut counts = vec![[0u64; 6]; SEGMENTS];
     let before = pool_metrics();
     for t in 0..trials {
-        let pools: Vec<RngPool> = (0..SEGMENTS as u64)
-            .map(|b| RngPool::new(0x5E65 ^ t.wrapping_mul(0x9E37_79B9)).subpool(b))
+        let keys: Vec<Key> = (0..SEGMENTS as u64)
+            .map(|b| Key::new(0x5E65 ^ t.wrapping_mul(0x9E37_79B9)).child(b))
             .collect();
-        let rows = collective_select(&weights, k, &runs, &pools).unwrap();
+        let rows = collective_select(&weights, k, &runs, &keys).unwrap();
         assert_eq!(rows.len(), SEGMENTS * k);
         for r in rows {
             let b = r as usize / ROWS;
@@ -344,8 +401,8 @@ fn weighted_without_replacement_matches_analytic_inclusion() {
     let trials = 4000u64;
     let mut counts = vec![0u64; weights.len()];
     for t in 0..trials {
-        let mut rng = StdRng::seed_from_u64(0xE5 ^ t.wrapping_mul(0x9E37_79B9));
-        for i in weighted_sample_without_replacement(&weights, k, &mut rng) {
+        let key = Key::new(0xE5 ^ t.wrapping_mul(0x9E37_79B9));
+        for i in weighted_sample_without_replacement(&weights, k, key, 0) {
             counts[i] += 1;
         }
     }
@@ -356,8 +413,7 @@ fn weighted_without_replacement_matches_analytic_inclusion() {
 fn zero_weight_candidates_are_never_selected() {
     let weights = [2.0f32, 0.0, 3.0, 0.0, 1.0];
     for t in 0..500u64 {
-        let mut rng = StdRng::seed_from_u64(t);
-        let picked = weighted_sample_without_replacement(&weights, 3, &mut rng);
+        let picked = weighted_sample_without_replacement(&weights, 3, Key::new(t), 0);
         assert_eq!(picked.len(), 3);
         assert!(
             !picked.contains(&1) && !picked.contains(&3),

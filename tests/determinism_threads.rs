@@ -20,7 +20,7 @@ use std::sync::Arc;
 use gsampler::algos::drivers::{self, BanditRule, BanditState};
 use gsampler::algos::{all_algorithms, nodewise, Driver, Hyper};
 use gsampler::core::{compile, Bindings, Graph, MultiGpuSampler, OptConfig, SamplerConfig, Value};
-use gsampler::engine::RngPool;
+use gsampler::engine::Key;
 use gsampler::graphs::{Dataset, DatasetKind};
 use gsampler::matrix::sample::{collective_sample_seeded, individual_sample_seeded};
 use gsampler::matrix::{compact, spmm, SparseMatrix};
@@ -111,11 +111,11 @@ fn fingerprint_workload() -> u64 {
     fold_matrix(&mut h, &SparseMatrix::Coo(m.to_coo()));
 
     // Seeded samplers with explicit stream pools.
-    let pool = RngPool::new(0xD1CE);
-    let ind = individual_sample_seeded(m, 8, None, &pool.subpool(0)).unwrap();
+    let pool = Key::new(0xD1CE);
+    let ind = individual_sample_seeded(m, 8, None, &pool.child(0)).unwrap();
     fold(&mut h, b"individual");
     fold_matrix(&mut h, &ind);
-    let coll = collective_sample_seeded(m, 64, None, &pool.subpool(1)).unwrap();
+    let coll = collective_sample_seeded(m, 64, None, &pool.child(1)).unwrap();
     fold(&mut h, b"collective");
     fold_matrix(&mut h, &coll.matrix);
     for r in &coll.rows {
