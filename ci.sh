@@ -136,15 +136,9 @@ test -z "$(grep -rn 'watchdog\|WorkerFault::Hang\|WorkerHang' crates/*/src src)"
 # prefetch stage that discards its gather, one host residency variant.
 test -z "$(grep -rn 'prefetch_node_feats\|charge_hidden\|Residency::Partial\|hetero::\|metapath\|to_message_flow_graph' crates/*/src src examples)"
 test -z "$(sed -n '/^pub fn split_outputs/,$p' crates/core/src/kernels/superbatch.rs | grep -E 'slice_cols\(|compact_rows\(|global_row_ids\(')"
-# Node-wise selection is one pick (`sample::pick_columns`) and one gather
-# (`slice::gather_cols`): no per-column pick lists, one uniform draw loop
-# with replacement and one call of Floyd's selection without (the in-place
-# `fill_uniform_sample_without_replacement`; tests included, so a second
-# copy anywhere trips it), and no gather loop beside the shared one.
-SEL="crates/matrix/src/sample.rs crates/core/src/kernels/slice_sample.rs"
-test -z "$(grep -l 'Vec<Vec<usize>>' $SEL)"
-test "$(grep -rn 'below(counter(col, j), deg)' crates/matrix/src crates/core/src | wc -l)" -eq 1
-test "$(grep -rn 'uniform_sample_without_replacement(deg' crates/matrix/src crates/core/src | wc -l)" -eq 1
+# No gather loop beside the shared one (`slice::gather_cols`). The select
+# census (one draw routine, no `replace`, no per-segment lists) is
+# `tests/architecture.rs`.
 test "$(grep -rn 'parallel_scatter2(' crates/matrix/src/sample.rs crates/core/src/kernels | wc -l)" -le 1
 test "$(grep -rn 'parallel_scatter2(' crates/matrix/src crates/core/src | wc -l)" -le 8
 # The layer-wise path has one way to compact (a rename in the input's own
@@ -161,14 +155,8 @@ test -z "$(non_test crates/core/src/kernels/eltwise.rs | grep 'HashMap')"
 test "$(grep -c 'm.data.clone()' crates/core/src/kernels/eltwise.rs)" -eq 1
 test -z "$(non_test crates/matrix/src/reduce.rs | grep 'iter_edges()')"
 test -z "$(non_test crates/matrix/src/broadcast.rs | grep 'iter_edges()')"
-test "$(grep -c 'fn collective_sample_segments' crates/matrix/src/sample.rs)" -eq 1
-# The layer-wise kernels split by super-batch segment (the selector, the
-# extract-reduce) or column chunk (the masked gather's pick), each work item
-# filling its own slice of one buffer: no per-segment or per-column lists.
-test -z "$(grep -l 'Vec<Vec<NodeId>>\|Vec<Vec<usize>>' crates/matrix/src/sample.rs crates/matrix/src/reduce.rs)"
-# The fused collective selects with that one selector and writes through
-# the one gather; pre-processing does sink LADIES' `A ** 2`.
-test "$(grep -rn 'fn collective_select(' crates/matrix/src crates/core/src | wc -l)" -eq 1
+# The fused collective writes through the one gather; pre-processing does
+# sink LADIES' `A ** 2`.
 test "$(grep -rn 'fn gather_cols' crates/matrix/src crates/core/src | wc -l)" -eq 1
 test -z "$(non_test crates/ir/src/passes/preprocess.rs | grep 'not implemented')"
 # The model-driven path has one SDDMM (`spmm::sddmm_by_id`; `sddmm(pattern`
@@ -185,13 +173,8 @@ test -z "$(non_test crates/matrix/src/eltwise.rs | grep 'out\.set(')"
 # Bias on the fly: a bias chain only the node-wise select reads is
 # evaluated inside the pick (`Op::FusedBiasSelect`), so the standalone
 # attention-combine kernel, its matrix routine and its fusion rule are gone;
-# the biased select picks through the one `pick_columns` (called by
-# `sample_columns` and the fused extract-select only), and its dots are the
-# one `dense::dots` the SDDMM runs, not a second dot loop.
+# its dots are the one `dense::dots` the SDDMM runs, not a second dot loop.
 test -z "$(grep -rn 'FusedEdgeCombine\|combine_edge_values\|combine_chain\|edge_combine' crates src tests examples)"
-test "$(grep -rn 'fn pick_columns' crates/*/src | wc -l)" -eq 1
-test "$(grep -rn 'pick_columns(' crates/*/src | grep -vc 'fn pick_columns')" -eq 2
-test "$(grep -c 'sample_columns(' crates/core/src/kernels/slice_sample.rs)" -eq 1
 test "$(grep -rn 'fn dots' crates/*/src | wc -l)" -eq 1
 test -z "$(non_test crates/matrix/src/bias.rs | grep 'fold(-0\|Rng\|sample_without')"
 # SpMM is one plain traversal (`spmm` and `spmm_t` over `spmm_lines`): no

@@ -175,7 +175,6 @@ impl EagerSampler {
         &self,
         sub: &GraphMatrix,
         k: usize,
-        replace: bool,
         probs: Option<&GraphMatrix>,
         key: Key,
     ) -> GraphMatrix {
@@ -183,11 +182,11 @@ impl EagerSampler {
             sub.data.format(),
             Self::shape(sub),
             k,
-            replace,
+            probs.is_some(),
             Residency::Device,
         ));
         let sv = Value::Matrix(sub.clone());
-        let op = Op::IndividualSample { k, replace };
+        let op = Op::IndividualSample { k };
         let out = match probs {
             Some(p) => {
                 let pv = Value::Matrix(p.clone());
@@ -235,7 +234,7 @@ impl EagerSampler {
     /// materialized.
     pub fn graphsage_layer(&self, frontiers: &[NodeId], fanout: usize, key: Key) -> GraphMatrix {
         let sub = self.extract(frontiers);
-        let out = self.select(&sub, fanout, false, None, key);
+        let out = self.select(&sub, fanout, None, key);
         self.device.alloc(out.data.size_bytes());
         self.device.free(sub.data.size_bytes());
         out
@@ -445,9 +444,8 @@ impl EagerSampler {
         self.device.alloc(
             a1.size_bytes() + a2.size_bytes() + stacked.size_bytes() + probs.data.size_bytes(),
         );
-        // DGL charges its replacement-capable pick kernel here, but the
-        // pick itself is weighted *without* replacement — relu can zero
-        // whole columns, which only the without-replacement path accepts.
+        // The weighted pick: relu can zero whole columns, whose zero-weight
+        // candidates still fill them up to the fan-out.
         self.charge(workload::individual_sample(
             sub.data.format(),
             shape,
@@ -456,10 +454,7 @@ impl EagerSampler {
             Residency::Device,
         ));
         let pv = Value::Matrix(probs.clone());
-        let op = Op::IndividualSample {
-            k: fanout,
-            replace: false,
-        };
+        let op = Op::IndividualSample { k: fanout };
         let out = Self::as_matrix(self.run_kernel(&op, &[&sub_value, &pv], key));
         self.device.free(sub.data.size_bytes());
         self.device.free(transient);
@@ -499,7 +494,7 @@ impl EagerSampler {
         let mut trace = Vec::with_capacity(length);
         for s in 0..length {
             let sub = self.extract(&cur);
-            let step = self.select(&sub, 1, false, None, self.layer_key(stream, s));
+            let step = self.select(&sub, 1, None, self.layer_key(stream, s));
             let sv = Value::Matrix(step);
             let next = match self.run_kernel_norng(&Op::NextWalkFrontier, &[&sv]) {
                 Value::Nodes(n) => n,
@@ -650,11 +645,18 @@ mod tests {
             row_ids: sub.row_ids.clone(),
             col_ids: sub.col_ids.clone(),
         };
-        let out = s.select(&sub, 2, false, Some(&probs), Key::new(1));
+        let before = s.device.stats().total_time;
+        let out = s.select(&sub, 2, Some(&probs), Key::new(1));
         for d in out.data.col_degrees() {
             assert!(d <= 2);
         }
         assert!(out.nnz() > 0);
+        // A weighted select reads its bias too: it charges more modeled
+        // time than the same select without one.
+        let weighted = s.device.stats().total_time - before;
+        let before = s.device.stats().total_time;
+        s.select(&sub, 2, None, Key::new(1));
+        assert!(weighted > s.device.stats().total_time - before);
     }
 
     #[test]
@@ -673,10 +675,7 @@ mod tests {
         let gv = Value::Matrix(g.matrix.clone());
         let fv = Value::Nodes(frontiers);
         let sub = kernels::run(&Op::SliceCols, &[&gv, &fv], &ctx, &key).unwrap();
-        let op = Op::IndividualSample {
-            k: 3,
-            replace: false,
-        };
+        let op = Op::IndividualSample { k: 3 };
         let direct = kernels::run(&op, &[&sub], &ctx, &key).unwrap();
         let direct_m = direct.as_matrix().unwrap();
         assert_eq!(eager_out[0].global_edges(), direct_m.global_edges());

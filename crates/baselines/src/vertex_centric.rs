@@ -14,13 +14,101 @@ use gsampler_core::{Graph, Key};
 use gsampler_engine::rng::counter;
 use gsampler_engine::workload::KernelDesc;
 use gsampler_engine::{Device, DeviceProfile};
-use gsampler_matrix::sample::AliasTable;
-use gsampler_matrix::{Csc, NodeId};
+use gsampler_matrix::{Csc, Error, NodeId, Result};
 
 use crate::BaselineReport;
 
 /// Bytes touched per alias-table draw (table entry + output).
 const DRAW_BYTES: u64 = 24;
+
+/// Walker's alias table: O(n) construction, O(1) weighted draws with
+/// replacement. This is the sampling structure SkyWalker builds per
+/// adjacency list.
+#[derive(Debug, Clone)]
+pub struct AliasTable {
+    prob: Vec<f64>,
+    alias: Vec<usize>,
+}
+
+impl AliasTable {
+    /// Build an alias table from non-negative weights (not all zero).
+    pub fn new(weights: &[f32]) -> Result<AliasTable> {
+        let n = weights.len();
+        if n == 0 {
+            return Err(Error::InvalidStructure {
+                reason: "alias table needs at least one weight".to_string(),
+            });
+        }
+        if let Some(index) = weights.iter().position(|w| !(0.0..=f32::MAX).contains(w)) {
+            let value = weights[index];
+            return Err(Error::InvalidProbability { index, value });
+        }
+        let total: f64 = weights.iter().map(|&w| w as f64).sum();
+        if total <= 0.0 {
+            return Err(Error::InvalidProbability {
+                index: 0,
+                value: 0.0,
+            });
+        }
+        let scaled: Vec<f64> = weights
+            .iter()
+            .map(|&w| (w as f64) * n as f64 / total)
+            .collect();
+        let mut prob = vec![0f64; n];
+        let mut alias = vec![0usize; n];
+        let mut small: Vec<usize> = Vec::new();
+        let mut large: Vec<usize> = Vec::new();
+        let mut scaled = scaled;
+        for (i, &s) in scaled.iter().enumerate() {
+            if s < 1.0 {
+                small.push(i);
+            } else {
+                large.push(i);
+            }
+        }
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            large.pop();
+            prob[s] = scaled[s];
+            alias[s] = l;
+            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+            if scaled[l] < 1.0 {
+                small.push(l);
+            } else {
+                large.push(l);
+            }
+        }
+        for &i in small.iter().chain(large.iter()) {
+            prob[i] = 1.0;
+            alias[i] = i;
+        }
+        Ok(AliasTable { prob, alias })
+    }
+
+    /// Draw one index with probability proportional to the build weights,
+    /// from draw `counter` of `key`: its high 32 bits pick the slot, its low
+    /// 32 bits toss the slot's coin.
+    pub fn sample(&self, key: Key, counter: u64) -> usize {
+        let bits = key.draw(counter);
+        let i = (((bits >> 32) * self.prob.len() as u64) >> 32) as usize;
+        let coin = (bits as u32) as f64 / (1u64 << 32) as f64;
+        if coin < self.prob[i] {
+            i
+        } else {
+            self.alias[i]
+        }
+    }
+
+    /// Number of entries in the table.
+    pub fn len(&self) -> usize {
+        self.prob.len()
+    }
+
+    /// True if the table has no entries (never constructed in practice).
+    pub fn is_empty(&self) -> bool {
+        self.prob.is_empty()
+    }
+}
 
 /// A vertex-centric sampler with per-node alias tables.
 pub struct VertexCentricSampler {
@@ -227,6 +315,8 @@ impl VertexCentricSampler {
 mod tests {
     use super::*;
     use gsampler_matrix::Dense;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn graph() -> Arc<Graph> {
         let mut edges = Vec::new();
@@ -294,5 +384,51 @@ mod tests {
         let b =
             VertexCentricSampler::new(g, DeviceProfile::v100(), 9).deepwalk_batch(&[0, 1], 5, 3);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn alias_table_distribution() {
+        let table = AliasTable::new(&[1.0, 2.0, 7.0]).unwrap();
+        let mut counts = [0usize; 3];
+        let n = 20_000;
+        for c in 0..n as u64 {
+            counts[table.sample(Key::new(7), c)] += 1;
+        }
+        let f2 = counts[2] as f64 / n as f64;
+        assert!((f2 - 0.7).abs() < 0.03, "p(2) = {f2}");
+        let f0 = counts[0] as f64 / n as f64;
+        assert!((f0 - 0.1).abs() < 0.02, "p(0) = {f0}");
+    }
+
+    #[test]
+    fn alias_table_rejects_degenerate() {
+        assert!(AliasTable::new(&[]).is_err());
+        assert!(AliasTable::new(&[0.0, 0.0]).is_err());
+        assert!(AliasTable::new(&[1.0, f32::NAN]).is_err());
+        assert!(AliasTable::new(&[-1.0]).is_err());
+    }
+
+    #[test]
+    fn alias_table_always_returns_positive_weight_items() {
+        // 64 cases, each a generator seeded with FNV-1a of the test's name
+        // mixed with the case index.
+        let name = "alias_table_always_returns_positive_weight_items";
+        let fnv = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
+        let seed = name.bytes().fold(0xCBF2_9CE4_8422_2325, fnv);
+        for i in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let weights: Vec<f32> = (0..rng.gen_range(1..20))
+                .map(|_| rng.gen_range(0.0..5.0))
+                .collect();
+            let key = Key::new(rng.gen_range(0..200));
+            if !weights.iter().any(|&w| w > 0.0) {
+                continue;
+            }
+            let table = AliasTable::new(&weights).unwrap();
+            for c in 0..50 {
+                let i = table.sample(key, c);
+                assert!(weights[i] > 0.0, "drew zero-weight item {i}");
+            }
+        }
     }
 }

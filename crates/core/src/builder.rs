@@ -297,7 +297,7 @@ impl Mat {
         if let Some(p) = probs {
             inputs.push(p.id);
         }
-        let id = self.add(Op::IndividualSample { k, replace: false }, inputs);
+        let id = self.add(Op::IndividualSample { k }, inputs);
         self.mat(id)
     }
 

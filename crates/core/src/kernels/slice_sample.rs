@@ -4,19 +4,19 @@
 //!
 //! Node-wise selection has one implementation, in the matrix crate:
 //! `Op::IndividualSample`, `Op::FusedBiasSelect` and `Op::FusedExtractSelect`
-//! all pick with `sample::pick_columns` — over the matrix's own columns (with
-//! a materialized bias, one evaluated per edge inside the pick, or none) and
-//! over the frontiers' columns of the base graph — and all write with
-//! `slice::gather_cols`. This module only hands the pick its column groups
-//! ([`group_starts`]: group `b` draws with `keys[b]`, counting its columns
-//! from its first), resolves a fused bias's leaves and supplies the
-//! block-diagonal row offsets.
+//! all draw with `sample::select`, without replacement — over the matrix's
+//! own columns (with a materialized bias, one evaluated per edge inside the
+//! pick, or none) and over the frontiers' columns of the base graph — and
+//! all write with `slice::gather_cols`. This module only hands the select
+//! its column groups ([`group_starts`]: group `b` draws with `keys[b]`,
+//! counting its columns from its first), resolves a fused bias's leaves and
+//! supplies the block-diagonal row offsets.
 
 use gsampler_runtime::Key;
 
 use gsampler_ir::{BiasChannel, EdgeBias, EdgeMapStep, Op};
 use gsampler_matrix::bias::{self, Channel, MapStep};
-use gsampler_matrix::sample::{individual_sample, pick_columns, sample_columns, Uniform};
+use gsampler_matrix::sample::{individual_sample, sample_columns, select, Uniform};
 use gsampler_matrix::spmm::RowsById;
 use gsampler_matrix::{Axis, Csc, GraphMatrix, SparseMatrix};
 
@@ -32,14 +32,13 @@ use super::{superbatch, ExecCtx};
 /// offsets under super-batching.
 ///
 /// The selector `Op::IndividualSample` runs, read through the frontier map
-/// instead of from a materialised slice: [`pick_columns`] over the columns
+/// instead of from a materialised slice: [`select`] over the columns
 /// `concat_frontiers[c]`, written by [`superbatch::gather_block`]. Column
 /// `c` draws what it would after `Op::SliceCols`: its group's key, counted
 /// from the group's first column.
 pub fn fused_extract_select(
     m: &GraphMatrix,
     k: usize,
-    replace: bool,
     ctx: &ExecCtx<'_>,
     keys: &[Key],
 ) -> Result<Value> {
@@ -47,7 +46,8 @@ pub fn fused_extract_select(
     let cols_f = ctx.concat_frontiers;
     ctx.check_frontiers(csc.ncols, "fused_extract_select")?;
     let starts = group_starts(ctx, cols_f.len())?;
-    let (indptr, picks) = pick_columns(&csc, Some(cols_f), k, replace, &Uniform, keys, starts)?;
+    let segment = |c: usize| csc.col_range(cols_f[c] as usize);
+    let (indptr, picks) = select(cols_f.len(), segment, k, &Uniform, keys, starts)?;
     let block = superbatch::gather_block(&csc, indptr, ctx, |_, out| picks[out].iter().copied());
     Ok(Value::Matrix(GraphMatrix {
         data: SparseMatrix::Csc(block),
@@ -149,7 +149,7 @@ pub(super) fn run(op: &Op, inputs: &[&Value], ctx: &ExecCtx<'_>, keys: &[Key]) -
             let nodes = want_nodes(inputs[1], "induce_subgraph")?;
             Ok(Value::Matrix(m.induce_subgraph(nodes)?))
         }
-        Op::IndividualSample { k, replace } => {
+        Op::IndividualSample { k } => {
             let m = want_matrix(inputs[0], "individual_sample")?;
             let probs = match inputs.get(1) {
                 Some(v) => Some(want_matrix(v, "individual_sample probs")?),
@@ -162,16 +162,16 @@ pub(super) fn run(op: &Op, inputs: &[&Value], ctx: &ExecCtx<'_>, keys: &[Key]) -
             // would alone.
             let starts = group_starts(ctx, m.shape().1)?;
             let probs = probs.map(|p| &p.data);
-            let data = individual_sample(&m.data, *k, *replace, probs, keys, starts)?;
+            let data = individual_sample(&m.data, *k, probs, keys, starts)?;
             Ok(Value::Matrix(with_data(m, data)))
         }
-        Op::FusedBiasSelect { k, replace, bias } => {
+        Op::FusedBiasSelect { k, bias } => {
             let m = want_matrix(inputs[0], "fused_bias_select")?;
             let csc = m.data.csc();
             let bias = edge_bias(m, &csc, bias, inputs, ctx.n)?;
             // The draws `Op::IndividualSample` makes.
             let starts = group_starts(ctx, m.shape().1)?;
-            let out = sample_columns(&csc, *k, *replace, &bias, keys, starts)?;
+            let out = sample_columns(&csc, *k, &bias, keys, starts)?;
             let data = SparseMatrix::Csc(out).into_format(m.data.format());
             Ok(Value::Matrix(with_data(m, data)))
         }
@@ -188,9 +188,9 @@ pub(super) fn run(op: &Op, inputs: &[&Value], ctx: &ExecCtx<'_>, keys: &[Key]) -
             let probs = want_vector(inputs[2], "fused_extract_collective probs")?;
             superbatch::fused_extract_collective(m, *k, probs, ctx, keys)
         }
-        Op::FusedExtractSelect { k, replace } => {
+        Op::FusedExtractSelect { k } => {
             let m = want_matrix(inputs[0], "fused_extract_select")?;
-            fused_extract_select(m, *k, *replace, ctx, keys)
+            fused_extract_select(m, *k, ctx, keys)
         }
         Op::Convert(fmt) => {
             let m = want_matrix(inputs[0], "convert")?;
@@ -253,10 +253,7 @@ mod tests {
         let graph = Graph::from_edges("t", 3, &[(1, 0, 1.0)], false).unwrap();
         let bindings = Bindings::new();
         let ctx = ExecCtx::plain(&graph, &bindings);
-        let select = Op::IndividualSample {
-            k: 1,
-            replace: false,
-        };
+        let select = Op::IndividualSample { k: 1 };
         let m = graph.matrix_value();
         assert!(run(&select, &[&m], &ctx, &[]).is_err());
         assert!(run(&select, &[&m], &ctx, &[Key::new(1)]).is_ok());

@@ -7,13 +7,14 @@
 //! uses: `gather_block` is the matrix crate's `slice::gather_cols` with
 //! this layout's row count and per-column `b·N` offsets — what both extract
 //! kernels (`segmented_slice_cols`, `fused_extract_select`) write through —
-//! and collective sampling is `sample::collective_select` with one segment
-//! per group, sliced or (`fused_extract_collective`) read from the graph.
-//! Each group draws with its own key, which is what keeps seeded outputs
-//! bit-identical across batch modes and thread counts; the groups
-//! are also the selector's work items on the worker pool (as they are the
-//! extract-reduce's, `reduce::reduce_col_groups`), so a factor-`S` launch
-//! draws its groups side by side.
+//! and collective sampling is `sample::collective_select` — the one
+//! `sample::select`, with one segment per group — sliced or
+//! (`fused_extract_collective`) read from the graph. Each group draws with
+//! its own key, which is what keeps seeded outputs bit-identical across
+//! batch modes and thread counts; a group's row run of 256 rows or more is
+//! a work item of its own on the worker pool (the groups are the
+//! extract-reduce's work items too, `reduce::reduce_col_groups`), so a
+//! factor-`S` launch draws its groups side by side.
 //!
 //! [`split_outputs`] *un-blocks* at program exit: group `b`'s share of an
 //! output matrix is the diagonal block it already is — columns

@@ -599,29 +599,29 @@ fn fused_extract_select_is_slice_then_sample_field_by_field() {
         let frontiers = Value::Nodes(concat.clone());
         let streams =
             || -> Vec<Key> { (0..groups.len() as u64).map(|b| Key::new(40 + b)).collect() };
-        for (k, replace) in [(3, false), (3, true), (1, true), (100, false)] {
-            let fused = Op::FusedExtractSelect { k, replace };
+        for k in [3, 1, 100] {
+            let fused = Op::FusedExtractSelect { k };
             let fused = kernels::run(&fused, &[&base], &ctx, &streams()).unwrap();
             let rngs = streams();
             let sliced = kernels::run(&Op::SliceCols, &[&base, &frontiers], &ctx, &rngs);
-            let select = Op::IndividualSample { k, replace };
+            let select = Op::IndividualSample { k };
             let unfused = kernels::run(&select, &[&sliced.unwrap()], &ctx, &rngs).unwrap();
             // `Debug` spells out format, shape, `indptr`, `indices`,
             // `values`, `row_ids` and `col_ids`.
             assert_eq!(
                 format!("{fused:#?}"),
                 format!("{unfused:#?}"),
-                "k {k} replace {replace} over {} groups",
+                "k {k} over {} groups",
                 groups.len()
             );
             let m = fused.as_matrix().unwrap();
             assert_eq!(m.shape(), (64 * groups.len(), concat.len()));
             assert!(m.data.is_weighted());
             let degrees = m.data.col_degrees();
-            // Every in-degree is >= 7: three distinct picks without
-            // replacement, at least one and at most `k` with.
+            // Every in-degree is >= 7: `min(k, degree)` distinct picks, at
+            // least one and at most `k`.
             assert!(degrees.iter().all(|&d| (1..=k).contains(&d)), "{degrees:?}");
-            assert!(replace || k > 3 || degrees.iter().all(|&d| d == 3));
+            assert!(k > 3 || degrees.iter().all(|&d| d == k));
         }
     }
 }

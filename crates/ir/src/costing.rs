@@ -280,23 +280,11 @@ mod tests {
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
         if fused {
-            let s = p.add(
-                Op::FusedExtractSelect {
-                    k: 10,
-                    replace: false,
-                },
-                vec![g, f],
-            );
+            let s = p.add(Op::FusedExtractSelect { k: 10 }, vec![g, f]);
             p.mark_output(s);
         } else {
             let sub = p.add(Op::SliceCols, vec![g, f]);
-            let s = p.add(
-                Op::IndividualSample {
-                    k: 10,
-                    replace: false,
-                },
-                vec![sub],
-            );
+            let s = p.add(Op::IndividualSample { k: 10 }, vec![sub]);
             p.mark_output(s);
         }
         p

@@ -325,7 +325,7 @@ mod tests {
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
         let sub = p.add(Op::SliceCols, vec![g, f]);
-        let samp = p.add(Op::IndividualSample { k, replace: false }, vec![sub]);
+        let samp = p.add(Op::IndividualSample { k }, vec![sub]);
         let next = p.add(Op::RowNodes, vec![samp]);
         p.mark_output(samp);
         p.mark_output(next);

@@ -152,7 +152,7 @@ mod tests {
         let f = p.add(keyed_by, vec![]);
         let sub = p.add(Op::SliceCols, vec![g, f]);
         let k = 2;
-        let samp = p.add(Op::IndividualSample { k, replace: false }, vec![sub]);
+        let samp = p.add(Op::IndividualSample { k }, vec![sub]);
         let next = p.add(Op::RowNodes, vec![samp]);
         p.mark_output(samp);
         p.mark_output(next);

@@ -185,13 +185,12 @@ pub enum Op {
     GatherRowBias,
 
     // ---- select ---------------------------------------------------------
-    /// Node-wise sampling of `k` neighbours per frontier.
+    /// Node-wise sampling of `k` neighbours per frontier, without
+    /// replacement: `min(degree, k)` distinct edges (a walk step is `k = 1`).
     /// `[matrix]` or `[matrix, probs_matrix] -> Matrix`.
     IndividualSample {
         /// Neighbours to keep per frontier.
         k: usize,
-        /// Sample with replacement (random-walk semantics).
-        replace: bool,
     },
     /// Layer-wise sampling of `k` row nodes.
     /// `[matrix]` or `[matrix, node_probs_vector] -> Matrix`.
@@ -232,8 +231,6 @@ pub enum Op {
     FusedExtractSelect {
         /// Neighbours to keep per frontier.
         k: usize,
-        /// Sample with replacement.
-        replace: bool,
     },
     /// `CollectiveSample(SliceCols(m, frontiers), probs)` without the
     /// slice: selects in its row space, writes only the selected rows'
@@ -273,8 +270,6 @@ pub enum Op {
     FusedBiasSelect {
         /// Neighbours to keep per frontier.
         k: usize,
-        /// Sample with replacement.
-        replace: bool,
         /// The per-edge bias.
         bias: EdgeBias,
     },
@@ -499,9 +494,7 @@ impl Op {
             Op::GatherVector => "gather_vector".into(),
             Op::GatherRowBias => "gather_row_bias".into(),
             Op::AlignRowVector => "align_row_vector".into(),
-            Op::IndividualSample { k, replace } => {
-                format!("individual_sample(k={k}, replace={replace})")
-            }
+            Op::IndividualSample { k } => format!("individual_sample(k={k})"),
             Op::CollectiveSample { k } => format!("collective_sample(k={k})"),
             Op::Node2VecBias { p, q } => format!("node2vec_bias(p={p}, q={q})"),
             Op::RowNodes => "row_nodes".into(),
@@ -510,9 +503,7 @@ impl Op {
             Op::NextWalkFrontier => "next_walk_frontier".into(),
             Op::CompactRows => "compact_rows".into(),
             Op::Convert(f) => format!("convert[{f}]"),
-            Op::FusedExtractSelect { k, replace } => {
-                format!("fused_extract_select(k={k}, replace={replace})")
-            }
+            Op::FusedExtractSelect { k } => format!("fused_extract_select(k={k})"),
             Op::FusedExtractCollective { k } => format!("fused_extract_collective(k={k})"),
             Op::FusedExtractReduce { reduce } => format!("fused_extract_reduce_{}", reduce.name()),
             Op::FusedEdgeMap { steps } => format!("fused_edge_map({} steps)", steps.len()),
@@ -525,10 +516,9 @@ impl Op {
                 steps.len(),
                 reduce.name()
             ),
-            Op::FusedBiasSelect { k, replace, bias } => format!(
-                "fused_bias_select(k={k}, replace={replace}, {} channels)",
-                bias.channels.len()
-            ),
+            Op::FusedBiasSelect { k, bias } => {
+                format!("fused_bias_select(k={k}, {} channels)", bias.channels.len())
+            }
             Op::Precomputed { slot } => format!("precomputed({slot})"),
         }
     }
@@ -540,11 +530,7 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Op::IndividualSample {
-            k: 5,
-            replace: false
-        }
-        .is_random());
+        assert!(Op::IndividualSample { k: 5 }.is_random());
         assert!(!Op::SliceCols.is_random());
         assert!(Op::InputGraph.is_input());
     }

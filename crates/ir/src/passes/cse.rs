@@ -95,20 +95,8 @@ mod tests {
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
         let sub = p.add(Op::SliceCols, vec![g, f]);
-        let s1 = p.add(
-            Op::IndividualSample {
-                k: 2,
-                replace: false,
-            },
-            vec![sub],
-        );
-        let s2 = p.add(
-            Op::IndividualSample {
-                k: 2,
-                replace: false,
-            },
-            vec![sub],
-        );
+        let s1 = p.add(Op::IndividualSample { k: 2 }, vec![sub]);
+        let s2 = p.add(Op::IndividualSample { k: 2 }, vec![sub]);
         p.mark_output(s1);
         p.mark_output(s2);
         let (out, merged, _) = run(&p);

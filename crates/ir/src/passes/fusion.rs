@@ -122,8 +122,7 @@ fn projected_channels(
 /// leaves...]`, if `id` is a biased `IndividualSample` whose bias chain
 /// [`EdgeBias`] spells.
 fn bias_select(p: &Program, consumers: &[Vec<OpId>], id: OpId) -> Option<(Op, Vec<OpId>)> {
-    let (&Op::IndividualSample { k, replace }, &[sub, probs]) =
-        (&p.node(id).op, &p.node(id).inputs[..])
+    let (&Op::IndividualSample { k }, &[sub, probs]) = (&p.node(id).op, &p.node(id).inputs[..])
     else {
         return None;
     };
@@ -168,7 +167,7 @@ fn bias_select(p: &Program, consumers: &[Vec<OpId>], id: OpId) -> Option<(Op, Ve
         }
     });
     let bias = EdgeBias { channels, combine };
-    Some((Op::FusedBiasSelect { k, replace, bias }, inputs))
+    Some((Op::FusedBiasSelect { k, bias }, inputs))
 }
 
 /// An Extract-Collective rewrite: `k`, the fused inputs `[G, frontiers,
@@ -210,12 +209,12 @@ pub fn run(program: &Program, slots: &[Facts]) -> FusionResult {
     let consumers = prog.consumers();
     for id in 0..prog.len() {
         let node = prog.node(id);
-        let (&Op::IndividualSample { k, replace }, &[sub]) = (&node.op, &node.inputs[..]) else {
+        let (&Op::IndividualSample { k }, &[sub]) = (&node.op, &node.inputs[..]) else {
             continue;
         };
         if prog.node(sub).op == Op::SliceCols && keyed(sub) && consumers[sub] == [id] {
             let slice = prog.node(sub).inputs.clone();
-            prog.replace(id, Op::FusedExtractSelect { k, replace }, slice);
+            prog.replace(id, Op::FusedExtractSelect { k }, slice);
             result.extract_select += 1;
         }
     }
@@ -289,13 +288,7 @@ mod tests {
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
         let sub = p.add(Op::SliceCols, vec![g, f]);
-        let samp = p.add(
-            Op::IndividualSample {
-                k: 10,
-                replace: false,
-            },
-            vec![sub],
-        );
+        let samp = p.add(Op::IndividualSample { k: 10 }, vec![sub]);
         let next = p.add(Op::RowNodes, vec![samp]);
         p.mark_output(samp);
         p.mark_output(next);
@@ -325,13 +318,7 @@ mod tests {
         let f = p.add(Op::InputFrontiers, vec![]);
         let sub = p.add(Op::SliceCols, vec![g, f]);
         let probs = p.add(Op::ScalarOp(EltOp::Pow, 2.0), vec![sub]);
-        let samp = p.add(
-            Op::IndividualSample {
-                k: 10,
-                replace: false,
-            },
-            vec![sub, probs],
-        );
+        let samp = p.add(Op::IndividualSample { k: 10 }, vec![sub, probs]);
         p.mark_output(samp);
         let r = run(&p, &[]);
         assert_eq!(r.extract_select, 0);
@@ -343,13 +330,7 @@ mod tests {
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
         let sub = p.add(Op::SliceCols, vec![g, f]);
-        let samp = p.add(
-            Op::IndividualSample {
-                k: 10,
-                replace: false,
-            },
-            vec![sub],
-        );
+        let samp = p.add(Op::IndividualSample { k: 10 }, vec![sub]);
         let deg = p.add(Op::Reduce(ReduceOp::Count, Axis::Col), vec![sub]);
         p.mark_output(samp);
         p.mark_output(deg);
@@ -546,10 +527,7 @@ mod tests {
             last = p.add(Op::DenseUnary(u), vec![last]);
         }
         let probs = p.add(Op::EdgeValuesFromDense { col }, vec![sub, last]);
-        let select = Op::IndividualSample {
-            k: 4,
-            replace: false,
-        };
+        let select = Op::IndividualSample { k: 4 };
         let samp = p.add(select, vec![sub, probs]);
         p.mark_output(samp);
         let shared = match extra_reader {
@@ -594,8 +572,8 @@ mod tests {
                 unary,
             }),
         };
-        let (k, replace) = (4, false);
-        assert_eq!(fused.op, Op::FusedBiasSelect { k, replace, bias });
+        let k = 4;
+        assert_eq!(fused.op, Op::FusedBiasSelect { k, bias });
         // [sub, B, C, rows, W3], renumbered by DCE
         assert_eq!(fused.inputs, vec![2, 3, 4, 5, 6]);
         // No unary at all is a chain too.
@@ -631,13 +609,7 @@ mod tests {
                 }
             };
             let probs = p.add(Op::Broadcast(EltOp::Mul, Axis::Row), vec![src, arms]);
-            let samp = p.add(
-                Op::IndividualSample {
-                    k: 2,
-                    replace: true,
-                },
-                vec![sub, probs],
-            );
+            let samp = p.add(Op::IndividualSample { k: 2 }, vec![sub, probs]);
             p.mark_output(samp);
             p
         };
@@ -653,8 +625,8 @@ mod tests {
             channels: vec![BiasChannel::Map(steps)],
             combine: None,
         };
-        let (k, replace) = (2, true);
-        assert_eq!(fused.op, Op::FusedBiasSelect { k, replace, bias });
+        let k = 2;
+        assert_eq!(fused.op, Op::FusedBiasSelect { k, bias });
         assert_eq!(fused.inputs, vec![2, 3]);
         assert_eq!(run(&bandit(false), &[]).bias_select, 0);
     }

@@ -552,13 +552,7 @@ mod tests {
         let mut p = Program::new();
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
-        let samp = p.add(
-            Op::FusedExtractSelect {
-                k: 10,
-                replace: false,
-            },
-            vec![g, f],
-        );
+        let samp = p.add(Op::FusedExtractSelect { k: 10 }, vec![g, f]);
         let next = p.add(Op::RowNodes, vec![samp]);
         p.mark_output(samp);
         p.mark_output(next);
@@ -574,10 +568,7 @@ mod tests {
             .expect("compaction realised as a node");
         assert!(matches!(
             out.node(out.node(compacted).inputs[0]).op,
-            Op::FusedExtractSelect {
-                k: 10,
-                replace: false
-            }
+            Op::FusedExtractSelect { k: 10 }
         ));
         // Both outputs follow the compacted matrix.
         assert_eq!(out.outputs()[0], compacted);
@@ -598,13 +589,7 @@ mod tests {
         let sq = q.add(Op::ScalarOp(EltOp::Pow, 2.0), vec![sub]);
         let samp = q.add(Op::CollectiveSample { k: 8 }, vec![sq]);
         let sub2 = q.add(Op::SliceCols, vec![g, f]);
-        let picks = q.add(
-            Op::IndividualSample {
-                k: 2,
-                replace: false,
-            },
-            vec![sub2],
-        );
+        let picks = q.add(Op::IndividualSample { k: 2 }, vec![sub2]);
         q.mark_output(samp);
         q.mark_output(picks);
         let want = vec![(sub, false), (samp, false), (sub2, true), (picks, true)];
@@ -614,13 +599,7 @@ mod tests {
         let mut r = Program::new();
         let g = r.add(Op::InputGraph, vec![]);
         let f = r.add(Op::InputFrontiers, vec![]);
-        let picks = r.add(
-            Op::IndividualSample {
-                k: 2,
-                replace: false,
-            },
-            vec![g],
-        );
+        let picks = r.add(Op::IndividualSample { k: 2 }, vec![g]);
         let sub = r.add(Op::SliceCols, vec![picks, f]);
         let samp = r.add(Op::CollectiveSample { k: 8 }, vec![sub]);
         r.mark_output(samp);

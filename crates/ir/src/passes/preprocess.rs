@@ -210,13 +210,7 @@ mod tests {
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
         let sub = p.add(Op::SliceCols, vec![g, f]);
-        let samp = p.add(
-            Op::IndividualSample {
-                k: 5,
-                replace: false,
-            },
-            vec![sub],
-        );
+        let samp = p.add(Op::IndividualSample { k: 5 }, vec![sub]);
         p.mark_output(samp);
         let r = run(&p);
         assert_eq!(r.hoisted, 0);

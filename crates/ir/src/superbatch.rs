@@ -105,13 +105,7 @@ mod tests {
         let mut p = Program::new();
         let g = p.add(Op::InputGraph, vec![]);
         let f = p.add(Op::InputFrontiers, vec![]);
-        let s = p.add(
-            Op::FusedExtractSelect {
-                k: 10,
-                replace: false,
-            },
-            vec![g, f],
-        );
+        let s = p.add(Op::FusedExtractSelect { k: 10 }, vec![g, f]);
         let next = p.add(Op::RowNodes, vec![s]);
         p.mark_output(s);
         p.mark_output(next);

@@ -5,8 +5,8 @@
 //! through a small projection; GCN-BS, Thanos and SEAL bias by a row
 //! vector. Materialized, each channel and the combined bias is an
 //! nnz-sized array the select reads once. [`EdgeBias`] is the same
-//! arithmetic as a [`ColumnBias`]: [`crate::sample::pick_columns`] asks it
-//! for one column's weights at a time, inside its parallel region, and no
+//! arithmetic as a [`ColumnBias`]: [`crate::sample::select`] asks it for
+//! one column's weights at a time, inside its parallel region, and no
 //! array wider than a column is ever written.
 //!
 //! Every per-edge operation runs in the f32 order of the chain it replaces

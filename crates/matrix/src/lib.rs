@@ -13,10 +13,9 @@
 //! - Compute kernels: axis reductions, vector broadcasts, element-wise
 //!   scalar/dense ops, sparse × dense matrix multiplication (SpMM) and
 //!   sampled dense-dense multiplication (SDDMM).
-//! - Selection kernels: per-column weighted sampling without replacement
-//!   (*individual sample*, node-wise algorithms) and cross-column row
-//!   sampling (*collective sample*, layer-wise algorithms), plus the
-//!   alias table the vertex-centric baseline draws with.
+//! - Selection kernels: one select without replacement behind per-column
+//!   sampling (*individual sample*, node-wise algorithms) and cross-column
+//!   row sampling (*collective sample*, layer-wise algorithms).
 //! - A small dense tensor module ([`dense`]) sufficient for the
 //!   model-driven sampling algorithms (PASS, AS-GCN) and the GNN trainer.
 //!

@@ -4,8 +4,8 @@
 //! matrices, 64 seeded cases per property.
 
 use gsampler_matrix::sample::{
-    collective_sample_seeded, individual_sample, pick_columns, uniform_sample_without_replacement,
-    weighted_sample_without_replacement, AliasTable, Uniform,
+    collective_sample_seeded, individual_sample, select, weighted_sample_without_replacement,
+    Uniform,
 };
 use gsampler_matrix::{
     broadcast, compact, reduce, slice, spmm, Axis, Coo, Csc, Csr, Dense, EltOp, Format, NodeId,
@@ -40,40 +40,42 @@ fn along<T>(axis: Axis, r: T, c: T) -> T {
     }
 }
 
+/// Draw `k` distinct indices from `0..n` uniformly, via Floyd's algorithm
+/// with a `HashSet` for membership: draw `i` is `key.below(counter(col,
+/// i), j + 1)` for `j` the `i`-th of `n - k..n`, its own `j` taken on a
+/// repeat — the reference the select's in-place table must reproduce.
+fn uniform_sample_without_replacement(n: usize, k: usize, key: Key, col: usize) -> Vec<usize> {
+    assert!(k <= n, "k must not exceed the population");
+    let mut chosen = std::collections::HashSet::with_capacity(k);
+    let mut out = Vec::with_capacity(k);
+    for (i, j) in ((n - k)..n).enumerate() {
+        let t = key.below(counter(col, i), j + 1);
+        if chosen.insert(t) {
+            out.push(t);
+        } else {
+            chosen.insert(j);
+            out.push(j);
+        }
+    }
+    out
+}
+
 /// What node-wise selection must choose from column `col` of `deg`
 /// entries with `key`, by the reference primitives: sorted distinct
-/// offsets. A weighted draw with replacement is the first entry whose
-/// running sum exceeds `u · total`, found by a linear scan (the last
-/// positive entry if rounding runs past the end).
+/// offsets.
 fn reference_picks(
     deg: usize,
     k: usize,
-    replace: bool,
     weights: Option<&[f32]>,
     key: Key,
     col: usize,
 ) -> Vec<usize> {
-    let inverse_cdf = |w: &[f32], u: f64| {
-        let total: f64 = w.iter().map(|&x| x as f64).sum();
-        let mut sum = 0f64;
-        let first = w.iter().position(|&x| {
-            sum += x as f64;
-            sum > u * total
-        });
-        first.unwrap_or_else(|| w.iter().rposition(|&x| x > 0.0).unwrap())
-    };
-    let mut picks: Vec<usize> = match (replace, weights) {
-        _ if deg == 0 => Vec::new(),
-        (true, Some(w)) => (0..k)
-            .map(|j| inverse_cdf(w, key.unit(counter(col, j))))
-            .collect(),
-        (true, None) => (0..k).map(|j| key.below(counter(col, j), deg)).collect(),
-        (false, _) if deg <= k => (0..deg).collect(),
-        (false, Some(w)) => weighted_sample_without_replacement(w, k, key, col),
-        (false, None) => uniform_sample_without_replacement(deg, k, key, col),
+    let mut picks: Vec<usize> = match weights {
+        _ if deg <= k => (0..deg).collect(),
+        Some(w) => weighted_sample_without_replacement(w, k, key, col),
+        None => uniform_sample_without_replacement(deg, k, key, col),
     };
     picks.sort_unstable();
-    picks.dedup();
     picks
 }
 
@@ -437,23 +439,23 @@ fn individual_sample_is_subset_with_fanout() {
         let key = Key::new(seed);
         let csc = m.to_csc();
         let weights = csc.values.as_deref().unwrap();
-        for (replace, weighted) in [(false, false), (false, true), (true, false), (true, true)] {
+        for weighted in [false, true] {
             let probs = weighted.then_some(&m);
-            let out = individual_sample(&m, k, replace, probs, &[key], &[0]).unwrap();
+            let out = individual_sample(&m, k, probs, &[key], &[0]).unwrap();
             assert_eq!((out.shape(), out.format()), (m.shape(), m.format()));
             let out = out.to_csc();
             for c in 0..csc.ncols {
                 let col = csc.col_range(c);
                 let w = weighted.then(|| &weights[col.clone()]);
-                let picks = reference_picks(col.len(), k, replace, w, key, c);
+                let picks = reference_picks(col.len(), k, w, key, c);
                 let want: Vec<usize> = picks.iter().map(|off| col.start + off).collect();
                 let got = out.col_range(c);
                 let rows: Vec<NodeId> = want.iter().map(|&p| csc.indices[p]).collect();
                 let vals: Vec<f32> = want.iter().map(|&p| weights[p]).collect();
-                let what = format!("column {c} replace {replace} weighted {weighted}");
+                let what = format!("column {c} weighted {weighted}");
                 assert_eq!(&out.indices[got.clone()], &rows[..], "{what}");
                 assert_eq!(&out.values.as_ref().unwrap()[got], &vals[..]);
-                assert!(replace || want.len() == col.len().min(k));
+                assert_eq!(want.len(), col.len().min(k));
             }
         }
     }
@@ -548,24 +550,6 @@ fn floyd_sampling_distinct() {
 }
 
 #[test]
-fn alias_table_always_returns_positive_weight_items() {
-    for mut rng in cases("alias_table_always_returns_positive_weight_items", 64) {
-        let weights: Vec<f32> = (0..rng.gen_range(1..20))
-            .map(|_| rng.gen_range(0.0..5.0))
-            .collect();
-        let key = Key::new(rng.gen_range(0..200));
-        if !weights.iter().any(|&w| w > 0.0) {
-            continue;
-        }
-        let table = AliasTable::new(&weights).unwrap();
-        for c in 0..50 {
-            let i = table.sample(key, c);
-            assert!(weights[i] > 0.0, "drew zero-weight item {i}");
-        }
-    }
-}
-
-#[test]
 fn spmm_matches_dense_reference() {
     for mut rng in cases("spmm_matches_dense_reference", 64) {
         let (m, k) = (arb_matrix(&mut rng), rng.gen_range(1usize..4));
@@ -616,7 +600,7 @@ fn large_fanout_pick_matches_the_reference_at_its_cost() {
 
     let mut picked = (Vec::new(), Vec::new());
     let pick_time = fastest(&mut || {
-        picked = pick_columns(&csc, None, k, false, &Uniform, &[key], &[0]).unwrap()
+        picked = select(ncols, |c| csc.col_range(c), k, &Uniform, &[key], &[0]).unwrap()
     });
     let mut expected = Vec::new();
     let reference_time = fastest(&mut || {

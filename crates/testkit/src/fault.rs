@@ -55,11 +55,8 @@ impl Fault {
                 .enumerate()
                 .filter_map(|(id, node)| {
                     let op = match (self, &node.op) {
-                        (Fault::FanoutPlusOne, Op::IndividualSample { k, replace }) => {
-                            Op::IndividualSample {
-                                k: k + 1,
-                                replace: *replace,
-                            }
+                        (Fault::FanoutPlusOne, Op::IndividualSample { k }) => {
+                            Op::IndividualSample { k: k + 1 }
                         }
                         (Fault::FanoutPlusOne, Op::CollectiveSample { k }) => {
                             Op::CollectiveSample { k: k + 1 }

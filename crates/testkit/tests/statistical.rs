@@ -6,10 +6,9 @@
 //! and add the regression guard for biased (PASS-style) selection without
 //! replacement: the Efraimidis–Spirakis kernel must match the exact
 //! successive-draw inclusion probabilities, not the with-replacement ones.
-//! Weighted draws *with* replacement (inverse CDF) are held to their own
-//! closed form, one DeepWalk and one Node2Vec step to their transitions,
-//! and the model-driven selects (the bandits, PASS, AS-GCN) to their
-//! biases end to end.
+//! One DeepWalk and one Node2Vec step are held to their transitions, and
+//! the model-driven selects (the bandits, PASS, AS-GCN) to their biases
+//! end to end.
 
 use std::sync::Arc;
 
@@ -17,7 +16,7 @@ use gsampler_baselines::EagerSampler;
 use gsampler_core::builder::LayerBuilder;
 use gsampler_core::{compile, Bindings, DeviceProfile, Graph, Key, SamplerConfig};
 use gsampler_matrix::sample::{
-    collective_sample_seeded, collective_select, individual_sample, individual_sample_seeded,
+    collective_sample_seeded, collective_select, individual_sample_seeded,
     weighted_sample_without_replacement,
 };
 use gsampler_runtime::{num_threads, pool_metrics};
@@ -285,37 +284,6 @@ fn pass_select_matches_the_attention_bias() {
     let counts = spoke_counts(&sampler, &bindings, trials);
     let expected = stats::inclusion_probabilities_without_replacement(&bias, 2);
     stats::assert_inclusion_fits("PASS select k=2", &counts, &expected, trials);
-}
-
-#[test]
-fn weighted_with_replacement_matches_analytic_inclusion() {
-    // The inverse-CDF path: k=3 weighted draws with replacement keep their
-    // distinct outcomes, so spoke i (weight i of 21) is included with
-    // probability 1 - (1 - i/21)^3. Uniform draws (0.42 for every spoke)
-    // or one draw per column fail it decisively.
-    let graph = star();
-    let col = graph.matrix.slice_cols_global(&[0]).unwrap();
-    let weights: Vec<f32> = col.data.to_csc().values_or_ones();
-    let total: f32 = weights.iter().sum();
-    assert_eq!(total, 21.0);
-    let miss = |w: f32| 1.0 - (w / total) as f64;
-    let expected: Vec<f64> = weights.iter().map(|&w| 1.0 - miss(w).powi(3)).collect();
-
-    let mut counts = vec![0u64; 6];
-    for t in 0..3000u64 {
-        let key = [Key::new(0xA11A5 ^ t)];
-        let picked = individual_sample(&col.data, 3, true, Some(&col.data), &key, &[0]).unwrap();
-        assert!(picked.nnz() <= 3);
-        for (r, _, _) in picked.iter_edges() {
-            counts[r as usize - 1] += 1;
-        }
-    }
-    stats::assert_inclusion_fits(
-        "weighted select k=3 with replacement",
-        &counts,
-        &expected,
-        3000,
-    );
 }
 
 #[test]
