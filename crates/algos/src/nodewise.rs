@@ -27,7 +27,7 @@ pub fn graphsage(fanouts: &[usize]) -> Vec<Layer> {
 /// VR-GCN: uniform node-wise sampling with small fanout; the layer also
 /// exposes the full candidate row set so the trainer can mix sampled
 /// neighbours with historical activations (the variance-reduction trick).
-pub fn vrgcn_layer(fanout: usize) -> Layer {
+pub(crate) fn vrgcn_layer(fanout: usize) -> Layer {
     let b = LayerBuilder::new();
     let a = b.graph();
     let f = b.frontiers();
@@ -58,7 +58,7 @@ pub fn shadow_expansion(fanouts: &[usize]) -> Vec<Layer> {
 ///
 /// The bias enters as an edge-probability matrix `1 · ppr[row]` so the
 /// select step samples proportional to the candidate's PPR score.
-pub fn seal_layer(fanout: usize) -> Layer {
+pub(crate) fn seal_layer(fanout: usize) -> Layer {
     let b = LayerBuilder::new();
     let a = b.graph();
     let f = b.frontiers();
@@ -74,7 +74,7 @@ pub fn seal_layer(fanout: usize) -> Layer {
 }
 
 /// Multi-layer SEAL expansion.
-pub fn seal(fanouts: &[usize]) -> Vec<Layer> {
+pub(crate) fn seal(fanouts: &[usize]) -> Vec<Layer> {
     fanouts.iter().map(|&k| seal_layer(k)).collect()
 }
 

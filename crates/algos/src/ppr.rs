@@ -13,7 +13,7 @@ use gsampler_core::Graph;
 // Indexing by node id across several same-length arrays is clearer here
 // than zipped iterators.
 #[allow(clippy::needless_range_loop)]
-pub fn pagerank(graph: &Graph, alpha: f32, iters: usize) -> Vec<f32> {
+pub(crate) fn pagerank(graph: &Graph, alpha: f32, iters: usize) -> Vec<f32> {
     let n = graph.num_nodes();
     if n == 0 {
         return Vec::new();

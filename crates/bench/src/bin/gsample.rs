@@ -17,7 +17,7 @@
 //!   --trace-out FILE             write a Chrome-trace/Perfetto timeline
 //!   --metrics-out FILE           write a flat JSON metrics snapshot
 //!   --faults SPEC                install a fault-injection schedule
-//!                                (same grammar as GSAMPLER_FAULTS)
+//!                                (grammar: `gsampler_engine::faults`)
 //!   --budget MIB                 super-batch planning budget in MiB
 //!                                (default 256 when auto-planning)
 //!   --no-degrade                 disable fault recovery and the memory
@@ -29,7 +29,7 @@
 //!                                still written)
 //! ```
 //!
-//! With a fault schedule installed (flag or environment) the epoch lines
+//! With a fault schedule installed the epoch lines
 //! are followed by a fault report; an unsatisfiable memory budget under
 //! `--no-degrade` is a hard error (exit 1).
 
@@ -142,20 +142,16 @@ fn main() {
         }
     }
 
-    // Fault injection: explicit flag wins over the environment.
-    let faults_on = match faults_spec {
-        Some(spec) => match gsampler_engine::faults::FaultSpec::parse(&spec) {
-            Ok(parsed) => {
-                gsampler_engine::faults::install(parsed);
-                true
-            }
+    let faults_on = faults_spec.is_some();
+    if let Some(spec) = faults_spec {
+        match gsampler_engine::faults::FaultSpec::parse(&spec) {
+            Ok(parsed) => gsampler_engine::faults::install(parsed),
             Err(e) => {
                 eprintln!("invalid --faults spec: {e}");
                 std::process::exit(2);
             }
-        },
-        None => gsampler_bench::install_faults_from_env(),
-    };
+        }
+    }
 
     let (graph, seeds): (Arc<Graph>, Vec<u32>) = match edges_file {
         Some(path) => {

@@ -16,17 +16,15 @@
 //! regions) and `--metrics-out` a flat JSON counters snapshot. `GS_SCALE`
 //! shrinks the datasets for smoke runs.
 //!
-//! `GSAMPLER_FAULTS` installs a fault-injection schedule for the whole
-//! comparison; `--no-degrade` turns recovery off, making an unsatisfiable
-//! super-batch budget a hard error (exit 1) rather than a degraded run.
+//! `--no-degrade` turns recovery off, making an unsatisfiable super-batch
+//! budget a hard error (exit 1) rather than a degraded run.
 
 use std::sync::Arc;
 
 use gsampler_algos::Hyper;
 use gsampler_bench::{
     build_gsampler_with, dataset, eager_epoch, env_scale, fmt_fault_report, fmt_time,
-    gsampler_epoch, install_faults_from_env, print_profile, print_table, vertex_centric_epoch,
-    Algo, BuildOpts, TraceOpts,
+    gsampler_epoch, print_profile, print_table, vertex_centric_epoch, Algo, BuildOpts, TraceOpts,
 };
 use gsampler_core::{DeviceProfile, Error, OptConfig, RecoveryPolicy};
 use gsampler_graphs::DatasetKind;
@@ -37,7 +35,6 @@ fn main() {
     let complex_only = args.iter().any(|a| a == "--complex");
     let profile = args.iter().any(|a| a == "--profile");
     let no_degrade = args.iter().any(|a| a == "--no-degrade");
-    let faults_on = install_faults_from_env();
     let trace = TraceOpts::from_args(&args);
     let algos: Vec<Algo> = if simple_only {
         Algo::SIMPLE.to_vec()
@@ -199,16 +196,5 @@ fn main() {
         speedups.len()
     );
     println!("(paper: 1.14–32.7x, average 6.54x, 19/28 cases above 2x)");
-    if faults_on {
-        let i = gsampler_engine::faults::injected();
-        println!(
-            "fault plane: {} fires (oom={} kernel={} worker_panic={} worker_stall={})",
-            i.total(),
-            i.oom,
-            i.kernel,
-            i.worker_panic,
-            i.worker_stall,
-        );
-    }
     trace.export();
 }

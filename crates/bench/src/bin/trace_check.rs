@@ -1,6 +1,7 @@
-//! `trace-check` — validate a `--trace-out` Chrome-trace JSON file: it
-//! must parse, every event must carry the fields the viewers expect, and
-//! it must contain at least one span per required instrumentation layer.
+//! `trace-check` — validate a `--trace-out` Chrome-trace JSON file with
+//! [`gsampler_obs::check_trace`]: it must parse, every event must carry the
+//! fields the viewers expect, and it must contain at least one event per
+//! required category and per required `cat/name`.
 //!
 //! ```text
 //! trace-check <trace.json> [--require cat1,cat2,...]
@@ -8,145 +9,65 @@
 //! ```
 //!
 //! Default required categories: `pass` (IR pass timings), `kernel`
-//! (dispatches), `pool` (worker-pool regions). The CI smoke additionally
-//! requires `plan` (super-batch / layout decisions). `--require-event`
+//! (dispatches), `pool` (worker-pool regions). `--require-event`
 //! (repeatable) demands at least one event with an exact category *and*
-//! name — the chaos smoke uses it to prove a specific recovery action
-//! (e.g. `degrade/superbatch.factor`) actually happened.
+//! name, e.g. `degrade/superbatch.factor` to prove a recovery action
+//! happened.
 //!
 //! Exit codes: 0 = valid, 1 = missing layer or malformed event,
 //! 2 = usage/IO error.
 
-use std::collections::BTreeMap;
-
-use gsampler_obs::json::Json;
+fn usage(err: &str) -> ! {
+    eprintln!("trace-check: {err}");
+    eprintln!(
+        "usage: trace-check <trace.json> [--require cat1,cat2,...] [--require-event cat/name]..."
+    );
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
-    let mut required = vec!["pass".to_string(), "kernel".to_string(), "pool".to_string()];
-    let mut required_events: Vec<(String, String)> = Vec::new();
+    let mut required = "pass,kernel,pool".to_string();
+    let mut events: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--require" => {
-                let list = it.next().unwrap_or_else(|| {
-                    eprintln!("trace-check: --require needs a comma-separated list");
-                    std::process::exit(2);
-                });
-                required = list.split(',').map(|s| s.trim().to_string()).collect();
+                required = it.next().cloned().unwrap_or_else(|| {
+                    usage("--require needs a comma-separated list");
+                })
             }
-            "--require-event" => {
-                let spec = it.next().unwrap_or_else(|| {
-                    eprintln!("trace-check: --require-event needs cat/name");
-                    std::process::exit(2);
-                });
-                let Some((cat, name)) = spec.split_once('/') else {
-                    eprintln!("trace-check: --require-event wants cat/name, got {spec:?}");
-                    std::process::exit(2);
-                };
-                required_events.push((cat.trim().to_string(), name.trim().to_string()));
-            }
-            other if other.starts_with("--") => {
-                eprintln!("trace-check: unknown flag {other}");
-                std::process::exit(2);
-            }
+            "--require-event" => match it.next() {
+                Some(spec) if spec.contains('/') => events.push(spec.trim().to_string()),
+                _ => usage("--require-event wants cat/name"),
+            },
+            other if other.starts_with("--") => usage(&format!("unknown flag {other}")),
             p => path = Some(p.to_string()),
         }
     }
     let Some(path) = path else {
-        eprintln!(
-            "usage: trace-check <trace.json> [--require cat1,cat2,...] \
-             [--require-event cat/name]..."
-        );
-        std::process::exit(2);
+        usage("no trace file given")
     };
-
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("trace-check: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("trace-check: {path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    let Some(events) = doc.get("traceEvents").and_then(|v| v.as_arr()) else {
-        eprintln!("trace-check: {path} has no traceEvents array");
-        std::process::exit(1);
-    };
-
-    let mut per_cat: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    let mut per_event: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        let cat = ev.get("cat").and_then(|v| v.as_str()).unwrap_or_else(|| {
-            eprintln!("trace-check: event {i} has no cat");
-            std::process::exit(1);
-        });
-        let ph = ev.get("ph").and_then(|v| v.as_str()).unwrap_or_else(|| {
-            eprintln!("trace-check: event {i} has no ph");
-            std::process::exit(1);
-        });
-        for field in ["name", "ts", "pid", "tid"] {
-            if ev.get(field).is_none() {
-                eprintln!("trace-check: event {i} ({cat}) is missing {field}");
-                std::process::exit(1);
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}")));
+    let categories: Vec<&str> = required.split(',').map(str::trim).collect();
+    let events: Vec<&str> = events.iter().map(String::as_str).collect();
+    match gsampler_obs::check_trace(&text, &categories, &events) {
+        Ok(counts) => {
+            println!("trace-check: {path}: {} events", counts.events);
+            for (cat, (spans, instants)) in &counts.categories {
+                println!("  {cat:<10} {spans:>6} spans  {instants:>6} instants");
             }
+            for event in &events {
+                let n = counts.event(event);
+                println!("  required event {event}: {n} occurrences");
+            }
+            println!("trace-check: OK — all required layers present ({required})");
         }
-        if ph == "X" && ev.get("dur").and_then(|v| v.as_f64()).is_none() {
-            eprintln!("trace-check: complete event {i} ({cat}) has no dur");
+        Err(e) => {
+            eprintln!("trace-check: FAIL — {path}: {e}");
             std::process::exit(1);
         }
-        let entry = per_cat.entry(cat.to_string()).or_insert((0, 0));
-        if ph == "X" {
-            entry.0 += 1;
-        } else {
-            entry.1 += 1;
-        }
-        if let Some(name) = ev.get("name").and_then(|v| v.as_str()) {
-            *per_event
-                .entry((cat.to_string(), name.to_string()))
-                .or_insert(0) += 1;
-        }
-    }
-
-    println!("trace-check: {path}: {} events", events.len());
-    for (cat, (spans, instants)) in &per_cat {
-        println!("  {cat:<10} {spans:>6} spans  {instants:>6} instants");
-    }
-    let mut missing = Vec::new();
-    for cat in &required {
-        let (spans, instants) = per_cat.get(cat).copied().unwrap_or((0, 0));
-        if spans + instants == 0 {
-            missing.push(cat.clone());
-        }
-    }
-    let mut missing_events = Vec::new();
-    for (cat, name) in &required_events {
-        let n = per_event
-            .get(&(cat.clone(), name.clone()))
-            .copied()
-            .unwrap_or(0);
-        if n == 0 {
-            missing_events.push(format!("{cat}/{name}"));
-        } else {
-            println!("  required event {cat}/{name}: {n} occurrences");
-        }
-    }
-    if missing.is_empty() && missing_events.is_empty() {
-        println!(
-            "trace-check: OK — all required layers present ({})",
-            required.join(", ")
-        );
-    } else {
-        if !missing.is_empty() {
-            eprintln!("trace-check: FAIL — no events in: {}", missing.join(", "));
-        }
-        if !missing_events.is_empty() {
-            eprintln!(
-                "trace-check: FAIL — required events absent: {}",
-                missing_events.join(", ")
-            );
-        }
-        std::process::exit(1);
     }
 }

@@ -17,7 +17,10 @@ use gsampler_algos::drivers::{self, asgcn_bindings, pass_bindings};
 use gsampler_algos::{layerwise, nodewise, walks, Hyper};
 use gsampler_baselines::{EagerSampler, VertexCentricSampler};
 use gsampler_core::builder::Layer;
-use gsampler_core::{compile, Bindings, DeviceProfile, Graph, OptConfig, Result, SamplerConfig};
+use gsampler_core::multi_gpu::MultiGpuSampler;
+use gsampler_core::{
+    compile, Bindings, DeviceProfile, Graph, OptConfig, Residency, Result, SamplerConfig,
+};
 use gsampler_engine::ExecStats;
 use gsampler_graphs::{Dataset, DatasetKind};
 
@@ -93,7 +96,7 @@ impl Algo {
     /// Super-batching applies to every algorithm except those whose
     /// sampling model is updated between batches (paper §4.4 names PASS;
     /// AS-GCN's learned bias is in the same class).
-    pub fn super_batch_ok(&self) -> bool {
+    pub(crate) fn super_batch_ok(&self) -> bool {
         !matches!(self, Algo::Pass | Algo::AsGcn)
     }
 
@@ -443,6 +446,85 @@ pub fn vertex_centric_epoch(
     })
 }
 
+/// Modeled epoch seconds of GraphSAGE and LADIES sharded across 1, 2, 4
+/// and 8 modeled V100s (paper §7, future work), on device-resident PD and
+/// UVA host-resident PP: one bounded epoch of 16 mini-batches each.
+#[derive(Debug, Clone)]
+pub struct MultiGpuScaling {
+    /// `(dataset, its residency, algorithm, seconds per fleet size)`.
+    pub rows: Vec<(DatasetKind, Residency, Algo, [f64; 4])>,
+}
+
+/// One algorithm's verdict at 4 GPUs: sharding scales near-linearly on PD
+/// (speedup >= 3.0x) and clearly sub-linearly on PP, where every GPU
+/// contends for the one host interconnect (<= 0.75x of PD's speedup).
+#[derive(Debug, Clone, Copy)]
+pub struct ScalingVerdict {
+    /// The algorithm.
+    pub algo: Algo,
+    /// PD's 4-GPU speedup over one GPU.
+    pub pd: f64,
+    /// PP's 4-GPU speedup over one GPU.
+    pub pp: f64,
+}
+
+impl ScalingVerdict {
+    /// Whether the expected shape holds.
+    pub fn holds(&self) -> bool {
+        self.pd >= 3.0 && self.pp <= 0.75 * self.pd
+    }
+}
+
+impl MultiGpuScaling {
+    /// Run the experiment at dataset scale `scale`. Below 0.3 PD has too
+    /// few mini-batches to fill a fleet and the verdict is not expected to
+    /// hold.
+    pub fn run(scale: f64) -> Result<MultiGpuScaling> {
+        let mut h = Hyper::paper();
+        h.layers = 2;
+        let mut rows = Vec::new();
+        for kind in [DatasetKind::OgbnProducts, DatasetKind::OgbnPapers] {
+            let d = dataset(kind, scale);
+            let graph = Arc::new(d.graph);
+            let seeds: Vec<u32> = d.frontiers.into_iter().take(16 * h.batch_size).collect();
+            for algo in [Algo::GraphSage, Algo::Ladies] {
+                let mut seconds = [0.0; 4];
+                for (t, gpus) in seconds.iter_mut().zip([1, 2, 4, 8]) {
+                    let config = SamplerConfig {
+                        opt: OptConfig::all().with_super_batch(4),
+                        batch_size: h.batch_size,
+                        ..SamplerConfig::new()
+                    };
+                    let fleet =
+                        MultiGpuSampler::compile(graph.clone(), algo.layers(&h), config, gpus)?;
+                    *t = fleet.run_epoch(&seeds, &Bindings::new(), 0)?.modeled_time;
+                }
+                rows.push((kind, graph.residency, algo, seconds));
+            }
+        }
+        Ok(MultiGpuScaling { rows })
+    }
+
+    /// The 4-GPU verdict per algorithm.
+    pub fn verdicts(&self) -> Vec<ScalingVerdict> {
+        let at4 = |kind, algo| {
+            let (.., s) = self
+                .rows
+                .iter()
+                .find(|r| r.0 == kind && r.2 == algo)
+                .unwrap();
+            s[0] / s[2]
+        };
+        [Algo::GraphSage, Algo::Ladies]
+            .map(|algo| ScalingVerdict {
+                algo,
+                pd: at4(DatasetKind::OgbnProducts, algo),
+                pp: at4(DatasetKind::OgbnPapers, algo),
+            })
+            .to_vec()
+    }
+}
+
 /// Trace/metrics export destinations parsed from the command line —
 /// `--trace-out FILE` (Chrome-trace/Perfetto JSON timeline) and
 /// `--metrics-out FILE` (flat counters + span aggregates). Shared by the
@@ -508,20 +590,6 @@ impl TraceOpts {
                     std::process::exit(2);
                 }
             }
-        }
-    }
-}
-
-/// Install the `GSAMPLER_FAULTS` fault schedule when the variable is set,
-/// exiting with a usage diagnostic on a malformed spec. Returns whether a
-/// schedule is active. Every harness binary calls this before compiling,
-/// so chaos runs need no per-binary flags.
-pub fn install_faults_from_env() -> bool {
-    match gsampler_engine::faults::install_from_env() {
-        Ok(active) => active,
-        Err(e) => {
-            eprintln!("invalid GSAMPLER_FAULTS spec: {e}");
-            std::process::exit(2);
         }
     }
 }
@@ -680,6 +748,16 @@ mod tests {
         let est = gsampler_epoch(&sampler, &graph, Algo::GraphSage, &d.frontiers, &h).unwrap();
         assert!(est.seconds > 0.0);
         assert_eq!(est.total_batches, 16);
+    }
+
+    #[test]
+    fn multi_gpu_verdict_holds_at_scale_0_3() {
+        // Sharding scales near-linearly on device-resident PD and clearly
+        // sub-linearly on UVA-resident PP, for GraphSAGE and LADIES.
+        let scaling = MultiGpuScaling::run(0.3).unwrap();
+        for verdict in scaling.verdicts() {
+            assert!(verdict.holds(), "{verdict:?} in {:?}", scaling.rows);
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl Error {
 
     /// Whether this is a memory-pressure failure the degradation ladder
     /// can respond to.
-    pub fn is_oom(&self) -> bool {
+    pub(crate) fn is_oom(&self) -> bool {
         matches!(self, Error::Oom(_))
     }
 
@@ -64,7 +64,7 @@ impl Error {
     }
 
     /// Build the matching error for a fired cancel token.
-    pub fn from_cancel(cause: gsampler_runtime::CancelCause) -> Error {
+    pub(crate) fn from_cancel(cause: gsampler_runtime::CancelCause) -> Error {
         match cause {
             gsampler_runtime::CancelCause::Explicit => {
                 Error::Cancelled("cancelled by caller".to_string())

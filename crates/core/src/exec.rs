@@ -70,11 +70,6 @@ impl Bindings {
     pub fn get_vector(&self, name: &str) -> Option<&[f32]> {
         self.named.get(name)?.as_vector()
     }
-
-    /// Look up a node-list binding.
-    pub fn get_node_list(&self, name: &str) -> Option<&[NodeId]> {
-        self.named.get(name)?.as_nodes()
-    }
 }
 
 /// Execute `program` over one or more frontier groups.

@@ -40,7 +40,7 @@ pub struct Graph {
 
 impl Graph {
     /// Wrap a CSC adjacency matrix.
-    pub fn from_csc(name: impl Into<String>, csc: Csc) -> Graph {
+    pub(crate) fn from_csc(name: impl Into<String>, csc: Csc) -> Graph {
         Graph {
             name: name.into(),
             matrix: GraphMatrix::from_sparse(SparseMatrix::Csc(csc)),

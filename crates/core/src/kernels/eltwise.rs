@@ -25,7 +25,7 @@ use crate::value::Value;
 use super::ExecCtx;
 
 /// Keep a matrix's ID spaces while swapping its data (same pattern).
-pub fn with_data(m: &GraphMatrix, data: SparseMatrix) -> GraphMatrix {
+pub(crate) fn with_data(m: &GraphMatrix, data: SparseMatrix) -> GraphMatrix {
     GraphMatrix {
         data,
         row_ids: m.row_ids.clone(),
@@ -50,7 +50,7 @@ pub enum FitMode {
 /// its global ID along that axis (directly for compacted sub-matrices,
 /// modulo the graph's node count `period` for block-diagonal super-batched
 /// ones).
-pub fn fit_vector<'v>(
+pub(crate) fn fit_vector<'v>(
     m: &GraphMatrix,
     v: &'v [f32],
     axis: Axis,
@@ -90,7 +90,7 @@ pub fn fit_vector<'v>(
 }
 
 /// Strict row/column fit — errors on a genuine length mismatch.
-pub fn fit_axis_vector<'v>(
+pub(crate) fn fit_axis_vector<'v>(
     m: &GraphMatrix,
     v: &'v [f32],
     axis: Axis,
@@ -101,13 +101,13 @@ pub fn fit_axis_vector<'v>(
 
 /// Infallible row fit for internal paths where the vector is known to be
 /// full-graph node-indexed.
-pub fn fit_row_vector<'v>(m: &GraphMatrix, v: &'v [f32]) -> Cow<'v, [f32]> {
+pub(crate) fn fit_row_vector<'v>(m: &GraphMatrix, v: &'v [f32]) -> Cow<'v, [f32]> {
     fit_vector(m, v, Axis::Row, usize::MAX, FitMode::Wrap).expect("wrap-mode fit cannot fail")
 }
 
 /// Apply a fused edge-map chain in place to `values`, the edge values of
 /// `m`'s pattern in storage order.
-pub fn apply_steps(
+pub(crate) fn apply_steps(
     values: &mut [f32],
     m: &GraphMatrix,
     steps: &[EdgeMapStep],

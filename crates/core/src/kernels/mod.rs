@@ -90,7 +90,7 @@ impl<'a> ExecCtx<'a> {
 
 /// The group whose half-open column range `col_offsets[b]..col_offsets[b+1]`
 /// contains column `c` (empty groups own nothing).
-pub fn group_of_col(col_offsets: &[usize], c: usize) -> usize {
+pub(crate) fn group_of_col(col_offsets: &[usize], c: usize) -> usize {
     col_offsets.partition_point(|&o| o <= c).saturating_sub(1)
 }
 

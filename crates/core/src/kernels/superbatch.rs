@@ -59,7 +59,7 @@ pub(super) fn gather_block<I: Iterator<Item = usize>>(
 
 /// Segmented (block-diagonal) column extraction from a base-space matrix:
 /// output degrees come straight from the source indptr.
-pub fn segmented_slice_cols(m: &GraphMatrix, ctx: &ExecCtx<'_>) -> Result<Value> {
+pub(crate) fn segmented_slice_cols(m: &GraphMatrix, ctx: &ExecCtx<'_>) -> Result<Value> {
     let csc = m.data.csc();
     let cols_f = ctx.concat_frontiers;
     ctx.check_frontiers(csc.ncols, "segmented_slice_cols")?;
@@ -80,7 +80,7 @@ pub fn segmented_slice_cols(m: &GraphMatrix, ctx: &ExecCtx<'_>) -> Result<Value>
 /// crate's one collective routine, given this layout's segments — a row
 /// belongs to the group its global (block) ID falls in — and one key per
 /// segment, its group's.
-pub fn segmented_collective_sample(
+pub(crate) fn segmented_collective_sample(
     m: &GraphMatrix,
     k: usize,
     probs: Option<&[f32]>,

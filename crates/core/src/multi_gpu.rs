@@ -64,16 +64,6 @@ impl MultiGpuSampler {
         Ok(MultiGpuSampler { shards })
     }
 
-    /// Number of modeled devices.
-    pub fn num_gpus(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-device samplers (e.g. for pass-report inspection).
-    pub fn shards(&self) -> &[Sampler] {
-        &self.shards
-    }
-
     /// Run one epoch with the seeds sharded round-robin by mini-batch.
     ///
     /// Execution is emulated sequentially; the report combines the
@@ -228,7 +218,7 @@ mod tests {
         let g = graph(false);
         let seeds: Vec<u32> = (0..512).collect();
         let fleet = MultiGpuSampler::compile(g, layers(4), config(), 3).unwrap();
-        assert_eq!(fleet.num_gpus(), 3);
+        assert_eq!(fleet.shards.len(), 3);
         let report = fleet.run_epoch(&seeds, &Bindings::new(), 0).unwrap();
         // 16 batches across 3 devices: 6/5/5.
         let mut b = report.per_device_batches.clone();
@@ -239,7 +229,7 @@ mod tests {
         // records: launches equal the shard totals, and the per-kernel
         // profile is available fleet-wide.
         let shard_launches: u64 = fleet
-            .shards()
+            .shards
             .iter()
             .map(|s| s.device().stats().kernel_launches)
             .sum();

@@ -53,7 +53,7 @@ impl Value {
     }
 
     /// Borrow as dense.
-    pub fn as_dense(&self) -> Option<&Dense> {
+    pub(crate) fn as_dense(&self) -> Option<&Dense> {
         match self {
             Value::Dense(d) => Some(d),
             _ => None,
@@ -97,7 +97,7 @@ impl Value {
 
     /// Shape estimate with *actual* dimensions — fed to the cost mapping
     /// so the executor charges real shapes, not planning estimates.
-    pub fn shape_est(&self) -> ShapeEst {
+    pub(crate) fn shape_est(&self) -> ShapeEst {
         match self {
             Value::Matrix(m) => {
                 let (r, c) = m.shape();

@@ -114,11 +114,6 @@ pub fn plan_cache(degrees: &[usize], budget_bytes: u64) -> CachePlan {
     }
 }
 
-/// Convenience: the hit rate alone.
-pub fn degree_cache_hit_rate(degrees: &[usize], budget_bytes: u64) -> f64 {
-    plan_cache(degrees, budget_bytes).hit_rate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +156,7 @@ mod tests {
         let degrees: Vec<usize> = (1..200).map(|i| 200 / i).collect();
         let mut last = 0.0;
         for budget in [1_000u64, 10_000, 100_000, 1_000_000] {
-            let h = degree_cache_hit_rate(&degrees, budget);
+            let h = plan_cache(&degrees, budget).hit_rate;
             assert!(h >= last - 1e-12, "hit rate not monotone");
             last = h;
         }
@@ -256,7 +251,7 @@ mod tests {
             .collect();
         let total_bytes: u64 = degrees.iter().map(|&d| list_bytes(d)).sum();
         let budget = total_bytes / 4;
-        let planned = degree_cache_hit_rate(&degrees, budget);
+        let planned = plan_cache(&degrees, budget).hit_rate;
         assert!(planned > 0.25, "planned {planned} not above proportional");
     }
 }

@@ -46,7 +46,7 @@ impl CostModel {
     }
 
     /// Modeled `(seconds, utilization)` for a kernel.
-    pub fn time_and_utilization(&self, desc: &KernelDesc) -> (f64, f64) {
+    pub(crate) fn time_and_utilization(&self, desc: &KernelDesc) -> (f64, f64) {
         let util = self.utilization(desc.parallelism);
         let t_flops = desc.flops as f64 / self.profile.peak_flops;
         let t_mem = desc.bytes as f64 / self.profile.mem_bandwidth;

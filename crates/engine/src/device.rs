@@ -155,7 +155,7 @@ impl DeviceProfile {
 
     /// Work-item count at which kernels saturate the device's bandwidth
     /// (`peak / per-item latency-bound throughput`).
-    pub fn saturation_parallelism(&self) -> f64 {
+    pub(crate) fn saturation_parallelism(&self) -> f64 {
         self.mem_bandwidth / self.per_item_throughput
     }
 }

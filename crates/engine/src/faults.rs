@@ -1,11 +1,11 @@
 //! Seeded, deterministic fault-injection plane (chaos engineering for the
 //! modeled GPU).
 //!
-//! A [`FaultSpec`] — usually parsed from the `GSAMPLER_FAULTS` environment
-//! variable — describes *which* simulated faults fire *where*:
+//! A [`FaultSpec`] — parsed from `gsample --faults SPEC`, or built by a
+//! test — describes *which* simulated faults fire *where*:
 //!
 //! ```text
-//! GSAMPLER_FAULTS="seed=7;kernel:at=3;oom:at=12;worker-panic:at=1;worker-stall:every=5,count=2,ms=3"
+//! seed=7;kernel:at=3;oom:at=12;worker-panic:at=1;worker-stall:every=5,count=2,ms=3
 //! ```
 //!
 //! Grammar: `;`-separated entries. `seed=N` seeds the probabilistic rules;
@@ -136,7 +136,7 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// Parse the `GSAMPLER_FAULTS` grammar (see module docs).
+    /// Parse the fault-schedule grammar (see module docs).
     pub fn parse(spec: &str) -> Result<FaultSpec, String> {
         let mut out = FaultSpec::default();
         for entry in spec.split(';') {
@@ -357,18 +357,6 @@ pub fn install(spec: FaultSpec) {
     })));
 }
 
-/// Parse and install `GSAMPLER_FAULTS` if set and non-empty. Returns
-/// whether a plane was installed.
-pub fn install_from_env() -> Result<bool, String> {
-    match std::env::var("GSAMPLER_FAULTS") {
-        Ok(spec) if !spec.trim().is_empty() => {
-            install(FaultSpec::parse(&spec)?);
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
-}
-
 /// Remove the installed schedule and unhook the worker pool.
 pub fn clear() {
     ACTIVE.store(false, Ordering::SeqCst);
@@ -385,7 +373,7 @@ pub fn injected() -> InjectedCounts {
 
 /// Poll the allocation site: true when an injected device-OOM fires for
 /// this allocation. One relaxed atomic load when no plane is installed.
-pub fn poll_alloc() -> bool {
+pub(crate) fn poll_alloc() -> bool {
     match current_plane() {
         Some(plane) => matches!(plane.poll(Site::Alloc), Some((FaultKind::DeviceOom, _))),
         None => false,

@@ -32,7 +32,7 @@ pub mod memory;
 pub mod stats;
 pub mod workload;
 
-pub use cache::{degree_cache_hit_rate, list_bytes, plan_cache, CachePlan};
+pub use cache::{list_bytes, plan_cache, CachePlan};
 pub use cost::CostModel;
 pub use device::{DeviceProfile, Residency};
 pub use faults::{FaultKind, FaultSpec, InjectedCounts};
@@ -149,14 +149,9 @@ impl Device {
 
     /// Enter the streaming (spill) degradation mode: from here on,
     /// over-budget and injected-OOM allocations succeed as host-staged
-    /// spills charged at PCIe cost. Sticky until [`Device::leave_spill`].
+    /// spills charged at PCIe cost. Sticky for the device's life.
     pub fn enter_spill(&self) {
         self.spill.store(true, Ordering::SeqCst);
-    }
-
-    /// Leave the streaming degradation mode.
-    pub fn leave_spill(&self) {
-        self.spill.store(false, Ordering::SeqCst);
     }
 
     /// Whether the device is in streaming (spill) mode.
@@ -321,8 +316,6 @@ mod tests {
         assert_eq!(stats.total_bytes_pcie, 500);
         assert!(stats.per_kernel.contains_key("spill::uva"));
         assert_eq!(dev.memory().current(), 1300);
-        dev.leave_spill();
-        assert!(dev.try_alloc(500).is_err());
     }
 
     // Fault-plane integration tests are serialized: the plane is global.
@@ -345,7 +338,6 @@ mod tests {
         assert_eq!(stats.faults.injected_oom, 2);
         assert_eq!(stats.faults.spill_events, 1);
         // Schedule exhausted: allocation works normally again.
-        dev.leave_spill();
         assert!(dev.try_alloc(64).is_ok());
         assert_eq!(faults::injected().oom, 2);
         assert_eq!(faults::injected().alloc_sites, 3);

@@ -38,8 +38,6 @@ impl std::error::Error for OomError {}
 pub struct MemoryTracker {
     current: u64,
     peak: u64,
-    alloc_count: u64,
-    free_count: u64,
 }
 
 impl MemoryTracker {
@@ -49,7 +47,6 @@ impl MemoryTracker {
     pub fn alloc(&mut self, bytes: usize) {
         self.current = self.current.saturating_add(bytes as u64);
         self.peak = self.peak.max(self.current);
-        self.alloc_count += 1;
     }
 
     /// Register an allocation only if it fits under `budget` live bytes.
@@ -63,7 +60,6 @@ impl MemoryTracker {
             Some(next) if next <= budget => {
                 self.current = next;
                 self.peak = self.peak.max(self.current);
-                self.alloc_count += 1;
                 Ok(())
             }
             _ => Err(OomError {
@@ -78,7 +74,6 @@ impl MemoryTracker {
     /// indicates a caller bug but must not poison the whole run.
     pub fn free(&mut self, bytes: usize) {
         self.current = self.current.saturating_sub(bytes as u64);
-        self.free_count += 1;
     }
 
     /// Currently live bytes.
@@ -89,16 +84,6 @@ impl MemoryTracker {
     /// High-water mark in bytes.
     pub fn peak(&self) -> u64 {
         self.peak
-    }
-
-    /// Number of allocations registered.
-    pub fn alloc_count(&self) -> u64 {
-        self.alloc_count
-    }
-
-    /// Number of frees registered.
-    pub fn free_count(&self) -> u64 {
-        self.free_count
     }
 }
 
@@ -115,8 +100,6 @@ mod tests {
         m.alloc(50);
         assert_eq!(m.current(), 200);
         assert_eq!(m.peak(), 300);
-        assert_eq!(m.alloc_count(), 3);
-        assert_eq!(m.free_count(), 1);
     }
 
     #[test]
@@ -129,14 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_byte_traffic_counts_events_but_not_bytes() {
+    fn zero_byte_traffic_moves_no_bytes() {
         let mut m = MemoryTracker::default();
         m.alloc(0);
         m.free(0);
         assert_eq!(m.current(), 0);
         assert_eq!(m.peak(), 0);
-        assert_eq!(m.alloc_count(), 1);
-        assert_eq!(m.free_count(), 1);
     }
 
     #[test]
@@ -175,7 +156,6 @@ mod tests {
         // The failed request left no trace in the accounting.
         assert_eq!(m.current(), 600);
         assert_eq!(m.peak(), 600);
-        assert_eq!(m.alloc_count(), 1);
         // An exactly-fitting request succeeds.
         assert!(m.try_alloc(400, 1000).is_ok());
         assert_eq!(m.current(), 1000);
@@ -198,7 +178,6 @@ mod tests {
         m.alloc(usize::MAX);
         assert_eq!(m.current(), u64::MAX);
         assert_eq!(m.peak(), u64::MAX);
-        assert_eq!(m.alloc_count(), 3);
     }
 
     #[test]

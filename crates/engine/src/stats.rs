@@ -187,7 +187,7 @@ impl ExecStats {
     /// Record one kernel execution together with the worker-pool and
     /// scratch-arena activity (metric deltas captured around the kernel)
     /// it caused.
-    pub fn record_timed_par(
+    pub(crate) fn record_timed_par(
         &mut self,
         desc: KernelDesc,
         time: f64,

@@ -14,7 +14,7 @@ use gsampler_matrix::Dense;
 
 /// Random features in `[-0.5, 0.5)`, the shape used for LJ/FS in the
 /// paper ("randomly generate 128-dimension float feature vector").
-pub fn random_features(num_nodes: usize, dim: usize, seed: u64) -> Dense {
+pub(crate) fn random_features(num_nodes: usize, dim: usize, seed: u64) -> Dense {
     let mut rng = StdRng::seed_from_u64(seed);
     Dense::random(num_nodes, dim, 0.5, &mut rng)
 }

@@ -33,7 +33,7 @@ fn bad_line(lineno: usize, what: impl std::fmt::Display) -> std::io::Error {
 /// unless `num_nodes` or a `# <N> nodes, ...` header comment (the form
 /// [`save_graph`] writes) forces a larger space — the header is what
 /// keeps trailing isolated nodes across a save/load round trip.
-pub fn read_edge_list(
+pub(crate) fn read_edge_list(
     reader: impl BufRead,
     num_nodes: Option<usize>,
 ) -> std::io::Result<ParsedEdgeList> {

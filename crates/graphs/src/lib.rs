@@ -22,5 +22,5 @@ pub mod io;
 pub mod rmat;
 
 pub use datasets::{Dataset, DatasetKind};
-pub use features::{community_features, community_labels, random_edge_weights, random_features};
-pub use rmat::{erdos_renyi, planted_partition, preferential_attachment, rmat_edges, RmatParams};
+pub use features::{community_features, community_labels, random_edge_weights};
+pub use rmat::{planted_partition, rmat_edges, RmatParams};

@@ -1,5 +1,4 @@
-//! Random graph generators: RMAT, Erdős–Rényi, preferential attachment,
-//! and planted partitions.
+//! Random graph generators: RMAT and planted partitions.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,7 +29,7 @@ impl RmatParams {
     }
 
     /// Milder skew (product co-purchase style).
-    pub fn mild() -> RmatParams {
+    pub(crate) fn mild() -> RmatParams {
         RmatParams {
             a: 0.45,
             b: 0.22,
@@ -77,63 +76,6 @@ pub fn rmat_edges(
             continue;
         }
         edges.push((r0 as NodeId, c0 as NodeId));
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    edges
-}
-
-/// Erdős–Rényi G(n, m): `num_edges` distinct uniform random edges.
-pub fn erdos_renyi(num_nodes: usize, num_edges: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut set = std::collections::HashSet::with_capacity(num_edges);
-    let cap = num_nodes * (num_nodes - 1);
-    let target = num_edges.min(cap);
-    while set.len() < target {
-        let u = rng.gen_range(0..num_nodes) as NodeId;
-        let v = rng.gen_range(0..num_nodes) as NodeId;
-        if u != v {
-            set.insert((u, v));
-        }
-    }
-    let mut edges: Vec<_> = set.into_iter().collect();
-    edges.sort_unstable();
-    edges
-}
-
-/// Barabási–Albert preferential attachment: each new node attaches `m`
-/// edges to existing nodes with probability proportional to degree.
-/// Produces directed edges from the new node to its targets plus the
-/// reverse edge (mutual attachment), giving a power-law in-degree tail.
-pub fn preferential_attachment(num_nodes: usize, m: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
-    assert!(num_nodes > m && m >= 1, "need num_nodes > m >= 1");
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Degree-proportional sampling via the repeated-endpoints trick.
-    let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * num_nodes * m);
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(2 * num_nodes * m);
-    // Seed clique over the first m+1 nodes.
-    for i in 0..=m {
-        for j in 0..i {
-            edges.push((i as NodeId, j as NodeId));
-            edges.push((j as NodeId, i as NodeId));
-            endpoints.push(i as NodeId);
-            endpoints.push(j as NodeId);
-        }
-    }
-    for v in (m + 1)..num_nodes {
-        let mut targets = std::collections::HashSet::with_capacity(m);
-        while targets.len() < m {
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
-            if (t as usize) != v {
-                targets.insert(t);
-            }
-        }
-        for t in targets {
-            edges.push((v as NodeId, t));
-            edges.push((t, v as NodeId));
-            endpoints.push(v as NodeId);
-            endpoints.push(t);
-        }
     }
     edges.sort_unstable();
     edges.dedup();
@@ -226,27 +168,6 @@ mod tests {
         assert_eq!(a, b);
         let c = rmat_edges(512, 2000, RmatParams::social(), 8);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn erdos_renyi_exact_count() {
-        let edges = erdos_renyi(100, 500, 3);
-        assert_eq!(edges.len(), 500);
-        for &(u, v) in &edges {
-            assert!(u != v);
-        }
-    }
-
-    #[test]
-    fn preferential_attachment_power_tail() {
-        let edges = preferential_attachment(2000, 3, 4);
-        let mut deg = vec![0usize; 2000];
-        for &(_, v) in &edges {
-            deg[v as usize] += 1;
-        }
-        let max = *deg.iter().max().unwrap();
-        let avg = deg.iter().sum::<usize>() as f64 / 2000.0;
-        assert!(max as f64 > avg * 5.0, "max {max} vs avg {avg}");
     }
 
     #[test]

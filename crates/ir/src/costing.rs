@@ -195,7 +195,7 @@ pub fn kernel_desc(
 /// Structure and compute operators produce output in their input's format;
 /// explicit `Convert` nodes change it; node-wise sampling kernels emit
 /// per-column runs and therefore produce CSC. Non-matrix values have none.
-pub fn output_format(
+pub(crate) fn output_format(
     op: &Op,
     kind: ValueKind,
     first_input_fmt: Option<Format>,
@@ -214,7 +214,7 @@ pub fn output_format(
 /// Derive the storage format of every node's matrix value (or `None` for
 /// non-matrix values), given the program's fact table and that the base
 /// graph is stored in `graph_fmt`.
-pub fn derive_formats(
+pub(crate) fn derive_formats(
     program: &Program,
     facts: &[Facts],
     graph_fmt: Format,
@@ -230,7 +230,7 @@ pub fn derive_formats(
 /// Total modeled time of a program under given formats and shapes.
 /// A kernel reading a [`Facts::graph_resident`] value (the graph, or a
 /// precomputed full-graph value) reads it where the graph lives.
-pub fn price_program(
+pub(crate) fn price_program(
     program: &Program,
     facts: &[Facts],
     fmts: &[Option<Format>],

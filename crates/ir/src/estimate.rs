@@ -91,7 +91,11 @@ fn expected_distinct(draws: f64, n: f64) -> f64 {
 
 /// Estimate the shape of every node of `program` for one mini-batch of
 /// `batch_size` frontiers on a graph described by `stats`.
-pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize) -> Vec<ShapeEst> {
+pub(crate) fn estimate_shapes(
+    program: &Program,
+    stats: &GraphStats,
+    batch_size: usize,
+) -> Vec<ShapeEst> {
     let n = stats.num_nodes as f64;
     let e = stats.num_edges as f64;
     let deg = stats.avg_degree();
@@ -265,7 +269,7 @@ pub fn estimate_shapes(program: &Program, stats: &GraphStats, batch_size: usize)
 /// Estimated peak transient bytes of one batch execution (sum of all
 /// non-input intermediates — a deliberate over-approximation that keeps
 /// the super-batch planner conservative about the memory budget).
-pub fn estimate_transient_bytes(program: &Program, shapes: &[ShapeEst]) -> f64 {
+pub(crate) fn estimate_transient_bytes(program: &Program, shapes: &[ShapeEst]) -> f64 {
     program
         .nodes()
         .iter()

@@ -209,7 +209,7 @@ pub fn apply(program: &Program, facts: &[Facts], plan: &LayoutPlan) -> (Program,
 
 /// Emit the `plan/layout.assignment` trace event for a completed pass;
 /// near-free when tracing is off.
-pub fn emit_assignment_event(mode: LayoutMode, report: &LayoutReport) {
+pub(crate) fn emit_assignment_event(mode: LayoutMode, report: &LayoutReport) {
     if gsampler_obs::is_enabled() {
         let chosen: Vec<String> = report
             .choices

@@ -98,7 +98,7 @@ impl Program {
     }
 
     /// For each node, the list of nodes that consume its output.
-    pub fn consumers(&self) -> Vec<Vec<OpId>> {
+    pub(crate) fn consumers(&self) -> Vec<Vec<OpId>> {
         let mut out = vec![Vec::new(); self.nodes.len()];
         for (id, node) in self.nodes.iter().enumerate() {
             for &input in &node.inputs {
@@ -109,7 +109,7 @@ impl Program {
     }
 
     /// IDs reachable (backwards) from the outputs — the live set.
-    pub fn live_set(&self) -> Vec<bool> {
+    pub(crate) fn live_set(&self) -> Vec<bool> {
         let mut live = vec![false; self.nodes.len()];
         let mut stack: Vec<OpId> = self.outputs.clone();
         while let Some(id) = stack.pop() {
@@ -239,7 +239,7 @@ pub fn identity(value: &impl std::fmt::Debug) -> Option<String> {
 
 /// Structural key for CSE: the node's [`identity`]. Random and input
 /// operators never produce a key (two samples are never "the same value").
-pub fn cse_key(node: &Node) -> Option<String> {
+pub(crate) fn cse_key(node: &Node) -> Option<String> {
     if node.op.is_random() || node.op.is_input() {
         return None;
     }

@@ -17,7 +17,7 @@ use crate::NodeId;
 /// Expand a CSC matrix into column-sorted COO (cheap: the row side is a
 /// straight copy and the column side is a segment fill over the indptr,
 /// run on the worker pool).
-pub fn csc_to_coo(m: &Csc) -> Coo {
+pub(crate) fn csc_to_coo(m: &Csc) -> Coo {
     let nnz = m.nnz();
     let rows = m.indices.clone();
     let mut cols = vec![0 as NodeId; nnz];
@@ -34,7 +34,7 @@ pub fn csc_to_coo(m: &Csc) -> Coo {
 }
 
 /// Expand a CSR matrix into row-sorted COO (cheap; see [`csc_to_coo`]).
-pub fn csr_to_coo(m: &Csr) -> Coo {
+pub(crate) fn csr_to_coo(m: &Csr) -> Coo {
     let nnz = m.nnz();
     let cols = m.indices.clone();
     let mut rows = vec![0 as NodeId; nnz];
@@ -53,7 +53,7 @@ pub fn csr_to_coo(m: &Csr) -> Coo {
 /// Compress a COO matrix into CSC via counting sort over columns
 /// (stable, so row order within a column is preserved when the input is
 /// column-sorted; otherwise rows are sorted per column afterwards).
-pub fn coo_to_csc(m: &Coo) -> Csc {
+pub(crate) fn coo_to_csc(m: &Coo) -> Csc {
     let nnz = m.nnz();
     let mut counts = vec![0usize; m.ncols + 1];
     for &c in &m.cols {
@@ -124,7 +124,7 @@ pub fn csc_to_csr(m: &Csc) -> Csr {
 }
 
 /// Transpose-style conversion CSR → CSC (via the row-sorted COO view).
-pub fn csr_to_csc(m: &Csr) -> Csc {
+pub(crate) fn csr_to_csc(m: &Csr) -> Csc {
     coo_to_csc(&csr_to_coo(m))
 }
 

@@ -10,8 +10,7 @@ use crate::NodeId;
 /// edge, paper Table 5: `sub_A.sum()` on COO) and is the natural output of
 /// sampling operators that pick arbitrary edge subsets. Edges are kept in
 /// *column-major order* (sorted by column, then row) so conversion to CSC is
-/// a single scan; [`Coo::is_col_sorted`] reports whether the invariant holds
-/// for matrices built from unsorted input.
+/// a single scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Coo {
     /// Number of rows.
@@ -89,7 +88,8 @@ impl Coo {
 
     /// True if edges are sorted by `(col, row)` — the canonical order that
     /// makes CSC conversion a single counting scan.
-    pub fn is_col_sorted(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_col_sorted(&self) -> bool {
         (1..self.nnz())
             .all(|i| (self.cols[i - 1], self.rows[i - 1]) <= (self.cols[i], self.rows[i]))
     }

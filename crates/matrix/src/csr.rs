@@ -74,7 +74,7 @@ impl Csr {
     ///
     /// Panics if `r >= nrows`.
     #[inline]
-    pub fn row_range(&self, r: usize) -> std::ops::Range<usize> {
+    pub(crate) fn row_range(&self, r: usize) -> std::ops::Range<usize> {
         self.indptr[r]..self.indptr[r + 1]
     }
 
@@ -84,7 +84,7 @@ impl Csr {
     ///
     /// Panics if `r >= nrows`.
     #[inline]
-    pub fn row_cols(&self, r: usize) -> &[NodeId] {
+    pub(crate) fn row_cols(&self, r: usize) -> &[NodeId] {
         &self.indices[self.row_range(r)]
     }
 

@@ -298,11 +298,6 @@ impl Dense {
         self.zip(rhs, "Dense::sub", |a, b| a - b)
     }
 
-    /// Element-wise multiplication (Hadamard product).
-    pub fn mul(&self, rhs: &Dense) -> Result<Dense> {
-        self.zip(rhs, "Dense::mul", |a, b| a * b)
-    }
-
     /// Multiply every element by a scalar.
     pub fn scale(&self, s: f32) -> Dense {
         self.map(|x| x * s)
@@ -488,7 +483,6 @@ mod tests {
         let b = Dense::from_vec(1, 3, vec![2.0, 2.0, 2.0]).unwrap();
         assert_eq!(a.add(&b).unwrap().as_slice(), &[3.0, 0.0, 5.0]);
         assert_eq!(a.sub(&b).unwrap().as_slice(), &[-1.0, -4.0, 1.0]);
-        assert_eq!(a.mul(&b).unwrap().as_slice(), &[2.0, -4.0, 6.0]);
         assert_eq!(a.relu().as_slice(), &[1.0, 0.0, 3.0]);
         assert_eq!(a.scale(10.0).as_slice(), &[10.0, -20.0, 30.0]);
     }

@@ -1,11 +1,8 @@
 //! Element-wise operations on edge values.
 //!
-//! Three flavours, mirroring the paper's Table 4 compute operators:
+//! Two flavours, mirroring the paper's Table 4 compute operators:
 //!
 //! - scalar: `A ** 2`, `A * 0.5` — [`scalar_op`];
-//! - dense operand: `A * D` where `D` is a dense matrix of the same shape —
-//!   [`dense_op`] (an SDDMM-style kernel: only positions where `A` has an
-//!   edge are touched);
 //! - sparse operand with identical sparsity pattern: combine two
 //!   intermediate matrices derived from the same subgraph — [`sparse_op`].
 //!
@@ -98,28 +95,6 @@ pub fn unary_op(m: &SparseMatrix, op: UnaryOp) -> SparseMatrix {
     let mut out = m.clone();
     map_values_inplace(out.values_mut(), |v| op.apply(v));
     out
-}
-
-/// `A <op> D` where `D` is dense with the same `(nrows, ncols)` shape; only
-/// the stored positions of `A` are evaluated.
-pub fn dense_op(m: &SparseMatrix, d: &Dense, op: EltOp) -> Result<SparseMatrix> {
-    if d.shape() != m.shape() {
-        return Err(Error::ShapeMismatch {
-            op: "eltwise dense_op",
-            lhs: m.shape(),
-            rhs: d.shape(),
-        });
-    }
-    let positions: Vec<f32> = m
-        .iter_edges()
-        .map(|(r, c, _)| d.get(r as usize, c as usize))
-        .collect();
-    let mut out = m.clone();
-    let values = out.values_mut();
-    for (v, dv) in values.iter_mut().zip(positions) {
-        *v = op.apply(*v, dv);
-    }
-    Ok(out)
 }
 
 /// `A <op> B` for two sparse matrices with identical sparsity patterns
@@ -248,21 +223,6 @@ mod tests {
         assert_eq!(sq.values().unwrap(), &[4.0, 1.0, 0.0, 1.0, 4.0, 9.0]);
         let neg = unary_op(&m, UnaryOp::Neg);
         assert_eq!(neg.values().unwrap()[5], -3.0);
-    }
-
-    #[test]
-    fn dense_operand() {
-        let m = sample();
-        let mut d = Dense::zeros(4, 3);
-        for r in 0..4 {
-            for c in 0..3 {
-                d.set(r, c, 10.0);
-            }
-        }
-        let out = dense_op(&m, &d, EltOp::Mul).unwrap();
-        assert_eq!(out.values().unwrap(), &[10.0, 20.0, 30.0, 40.0, 50.0, 60.0]);
-        let bad = Dense::zeros(2, 2);
-        assert!(dense_op(&m, &bad, EltOp::Mul).is_err());
     }
 
     #[test]

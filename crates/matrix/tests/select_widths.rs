@@ -5,8 +5,8 @@
 //! Layer-wise: `collective_select` over 16 segments: the same rows (an
 //! empty segment and one with at most `k` candidates included), and for an
 //! invalid bias the same `InvalidProbability`, the one naming the lowest
-//! invalid row. 16 x 300 weights open the pool's size gate, and at width 2
-//! each call must dispatch a region.
+//! invalid row, whichever work item finds it first. The weights open the
+//! pool's size gate, and at width 2 each call must dispatch a region.
 //!
 //! Node-wise: a weighted `select` over the columns of 16 column groups,
 //! each drawing with its own key: the same positions, and for an invalid
@@ -25,11 +25,25 @@ static WIDTH: Mutex<()> = Mutex::new(());
 const SEGMENTS: usize = 16;
 const ROWS: usize = 300;
 const K: usize = 8;
+/// Rows of segment 7, a work item of its own (at least 256 candidates).
+const LONG: usize = 20_000;
+/// Rows of segment 8, which leads the next work item.
+const SHORT: usize = 40;
 
-/// Segment 3 is empty: its rows went to segment 4.
+/// `ROWS` rows a segment, but segment 3 is empty (its rows went to
+/// segment 4), segment 7 is `LONG` and segment 8 `SHORT`.
 fn runs() -> Vec<usize> {
-    let mut runs: Vec<usize> = (0..=SEGMENTS).map(|b| b * ROWS).collect();
-    runs[4] = runs[3];
+    let len = |b: usize| match b {
+        3 => 0,
+        4 => 2 * ROWS,
+        7 => LONG,
+        8 => SHORT,
+        _ => ROWS,
+    };
+    let mut runs = vec![0];
+    for b in 0..SEGMENTS {
+        runs.push(runs[b] + len(b));
+    }
     runs
 }
 
@@ -39,10 +53,10 @@ fn pools() -> Vec<Key> {
 
 /// Positive, zero and tiny weights; segment 5 has only 3 candidates and
 /// segment 9 none.
-fn weights() -> Vec<f32> {
-    (0..SEGMENTS * ROWS)
-        .map(|i| match (i / ROWS, i % 7) {
-            (5, _) if i % ROWS < 3 => 2.5,
+fn weights(runs: &[usize]) -> Vec<f32> {
+    (0..runs[SEGMENTS])
+        .map(|i| match (runs.partition_point(|&r| r <= i) - 1, i % 7) {
+            (5, _) if i - runs[5] < 3 => 2.5,
             (5 | 9, _) => 0.0,
             (_, 0) => 0.0,
             (_, r) => r as f32 * 0.75 + (i % 13) as f32 * 1e-3,
@@ -87,28 +101,34 @@ fn collective_select_matches_one_serial_pass_at_widths_one_and_two() {
     let _width = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
     let saved = std::env::var("GSAMPLER_THREADS").ok();
     let (runs, pools) = (runs(), pools());
-    let mut cases = vec![("valid", weights())];
+    let lowest = runs[8] - 1;
+    let mut cases = vec![("valid", weights(&runs))];
     for (name, first) in [("NaN", f32::NAN), ("-1", -1.0), ("+inf", f32::INFINITY)] {
-        // Three bad weights in segment 7 (the first one named), another
-        // in segment 12.
-        let mut w = weights();
-        let base = 7 * ROWS + 40;
-        for (at, bad) in [(0, first), (11, -1.0), (29, f32::INFINITY), (77, f32::NAN)] {
-            w[base + at] = bad;
+        // The lowest bad weight is the long segment's last row, found only
+        // after a sweep of it; two more lead the short segment after it, in
+        // the next work item, which a second thread reaches sooner; another
+        // sits in segment 12.
+        let mut w = weights(&runs);
+        for (at, bad) in [(lowest, first), (runs[8], -1.0), (runs[8] + 1, f32::NAN)] {
+            w[at] = bad;
         }
-        w[12 * ROWS + 5] = f32::NAN;
+        w[runs[12] + 5] = f32::NAN;
         cases.push((name, w));
     }
     for threads in ["1", "2"] {
         std::env::set_var("GSAMPLER_THREADS", threads);
         for (name, w) in &cases {
             let want = serial(w, &runs, &pools);
-            let before = pool_metrics();
-            let got = collective_select(w, K, &runs, &pools);
-            let regions = pool_metrics().since(&before).regions;
-            assert_eq!(show(&got), show(&want), "{name} at width {threads}");
-            if threads == "2" {
-                assert!(regions >= 1, "{name}: no pool region at width 2");
+            // Repeated, so a width-2 race over which work item reports an
+            // invalid weight first gets its chances.
+            for _ in 0..8 {
+                let before = pool_metrics();
+                let got = collective_select(w, K, &runs, &pools);
+                let regions = pool_metrics().since(&before).regions;
+                assert_eq!(show(&got), show(&want), "{name} at width {threads}");
+                if threads == "2" {
+                    assert!(regions >= 1, "{name}: no pool region at width 2");
+                }
             }
         }
     }
@@ -129,7 +149,7 @@ fn collective_select_matches_one_serial_pass_at_widths_one_and_two() {
     assert_eq!(in_segment(9), 0, "the segment without candidates");
     assert_eq!(in_segment(0), K);
     let want = Error::InvalidProbability {
-        index: 7 * ROWS + 40,
+        index: lowest,
         value: -1.0,
     };
     assert_eq!(show(&serial(&cases[2].1, &runs, &pools)), show(&Err(want)));

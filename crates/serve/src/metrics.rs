@@ -102,7 +102,7 @@ impl Metrics {
     }
 
     /// A request passed admission and was queued.
-    pub fn note_submitted(&self, tenant: &str, queue_depth: u64) {
+    pub(crate) fn note_submitted(&self, tenant: &str, queue_depth: u64) {
         self.with(tenant, |t| t.submitted += 1);
         gsampler_obs::event(
             "serve",
@@ -117,7 +117,7 @@ impl Metrics {
 
     /// A request completed; `batched` says whether it was served from a
     /// packed super-batch.
-    pub fn note_completed(&self, tenant: &str, latency_us: u64, batched: bool) {
+    pub(crate) fn note_completed(&self, tenant: &str, latency_us: u64, batched: bool) {
         self.with(tenant, |t| {
             t.completed += 1;
             if batched {
@@ -141,7 +141,7 @@ impl Metrics {
 
     /// A request missed its deadline. `shed` says it expired in the queue
     /// and never ran; otherwise it was stopped mid-execution.
-    pub fn note_deadline_missed(&self, tenant: &str, shed: bool) {
+    pub(crate) fn note_deadline_missed(&self, tenant: &str, shed: bool) {
         self.with(tenant, |t| {
             t.failed += 1;
             t.deadline_missed += 1;
@@ -158,7 +158,7 @@ impl Metrics {
     }
 
     /// A request failed after admission.
-    pub fn note_failed(&self, tenant: &str) {
+    pub(crate) fn note_failed(&self, tenant: &str) {
         self.with(tenant, |t| t.failed += 1);
         gsampler_obs::event(
             "serve",

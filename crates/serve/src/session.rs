@@ -122,7 +122,7 @@ impl Session {
     }
 
     /// Whether the session has been quarantined.
-    pub fn is_quarantined(&self) -> bool {
+    pub(crate) fn is_quarantined(&self) -> bool {
         self.quarantined.load(Ordering::Acquire)
     }
 

@@ -57,7 +57,7 @@ impl Case {
     }
 
     /// Parse a fixture.
-    pub fn from_text(text: &str) -> Result<Case, String> {
+    pub(crate) fn from_text(text: &str) -> Result<Case, String> {
         let get = |key: &str| -> Result<String, String> {
             text.lines()
                 .filter(|l| !l.starts_with('#'))

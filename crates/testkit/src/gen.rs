@@ -218,7 +218,7 @@ impl GraphSpec {
     /// Strictly simpler candidate specs, most aggressive first. Every
     /// candidate is itself a valid spec; the shrink loop keeps whichever
     /// still fails and repeats until none do.
-    pub fn shrink_candidates(&self) -> Vec<GraphSpec> {
+    pub(crate) fn shrink_candidates(&self) -> Vec<GraphSpec> {
         let mut out = Vec::new();
         if self.nodes > 4 {
             out.push(GraphSpec {

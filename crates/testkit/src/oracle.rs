@@ -132,7 +132,7 @@ impl Oracle {
     /// epoch).
     /// With `fault` set, the faulted pipeline is compared against the
     /// clean reference; a correct harness MUST report a divergence then.
-    pub fn check_algorithm(
+    pub(crate) fn check_algorithm(
         &self,
         algo: &str,
         frontiers: &[u32],

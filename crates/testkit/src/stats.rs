@@ -11,7 +11,7 @@
 /// Pearson chi-squared statistic of observed counts against expected
 /// probabilities over `trials` draws. Categories with expected count
 /// below 1e-12 must observe zero (returns infinity otherwise).
-pub fn chi_squared(observed: &[u64], expected_probs: &[f64], trials: u64) -> f64 {
+pub(crate) fn chi_squared(observed: &[u64], expected_probs: &[f64], trials: u64) -> f64 {
     assert_eq!(observed.len(), expected_probs.len());
     let mut stat = 0.0;
     for (&o, &p) in observed.iter().zip(expected_probs) {
@@ -32,7 +32,7 @@ pub fn chi_squared(observed: &[u64], expected_probs: &[f64], trials: u64) -> f64
 /// `df` degrees of freedom at significance `alpha` (one of the baked-in
 /// z-scores), via the Wilson–Hilferty cube approximation. Accurate to a
 /// few percent for df >= 1 — plenty for a pass/fail gate at alpha=1e-3.
-pub fn chi_squared_critical(df: usize, alpha: f64) -> f64 {
+pub(crate) fn chi_squared_critical(df: usize, alpha: f64) -> f64 {
     let z = if (alpha - 0.001).abs() < 1e-12 {
         3.0902
     } else if (alpha - 0.01).abs() < 1e-12 {

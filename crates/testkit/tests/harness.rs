@@ -1,7 +1,7 @@
-//! Self-tests for the fuzzing harness: the whole point of a differential
-//! oracle is that it *would* catch a bug, so CI proves it by injecting
-//! known faults and requiring a caught, shrunk repro — and by exercising
-//! the corpus save/load/replay loop on disk.
+//! The differential fuzzer's clean smoke, and its self-tests: the whole
+//! point of a differential oracle is that it *would* catch a bug, so the
+//! suite proves it by injecting known faults and requiring a caught, shrunk
+//! repro — and by exercising the corpus save/load/replay loop on disk.
 
 use std::path::PathBuf;
 
@@ -10,11 +10,52 @@ use gsampler_testkit::fault::Fault;
 use gsampler_testkit::fuzz::{self, FuzzOptions};
 use gsampler_testkit::gen::{GraphSpec, Topology};
 
+/// The clean smoke's cases and master seed, which the fanout self-test
+/// shares.
+const CASES: usize = 50;
+const SEED: u64 = 7;
+
+#[test]
+fn clean_fuzz_smoke_finds_no_divergence() {
+    // 50 arbitrary graphs, every algorithm, every pass ablation and the
+    // super-batched epoch bit-exact. A divergence is shrunk; the message
+    // carries the fixture and how to replay it (the bin persists it under
+    // tests/corpus/, a test writes nothing there).
+    let opts = FuzzOptions {
+        cases: CASES,
+        seed: SEED,
+        corpus_dir: None,
+        ..FuzzOptions::default()
+    };
+    let outcome = fuzz::run(&opts, |_| {});
+    assert_eq!(outcome.cases_run, CASES);
+    let repros: Vec<String> = outcome
+        .failures
+        .iter()
+        .map(|f| {
+            let path = format!("tests/corpus/{}", f.case.filename());
+            format!(
+                "{} on {}\nreplay: save the fixture below as {path}, then run \
+                 `cargo run -p gsampler-testkit --bin gsampler-fuzz -- --replay {path}`\n{}",
+                f.divergence,
+                f.case.spec.describe(),
+                f.case.to_text()
+            )
+        })
+        .collect();
+    assert!(
+        repros.is_empty(),
+        "the differential fuzzer diverged (`gsampler-fuzz --cases {CASES} --seed {SEED}` \
+         saves the same repros itself):\n{}",
+        repros.join("\n")
+    );
+}
+
 #[test]
 fn injected_fanout_fault_is_caught_and_shrunk() {
     let opts = FuzzOptions {
-        cases: 20,
-        seed: 11,
+        cases: CASES,
+        seed: SEED,
         fault: Some(Fault::FanoutPlusOne),
         corpus_dir: None, // fault repros must never pollute the corpus
         stop_on_failure: true,

@@ -9,20 +9,13 @@
 use std::sync::Arc;
 
 use gsampler_graphs::{Dataset, DatasetKind};
-use gsampler_obs::json::Json;
+use gsampler_obs::{check_trace, TraceCounts};
 use gsampler_serve::{EpochServer, ServeConfig, TenantSpec};
 
-/// `(cat, name)` of every event recorded so far.
-fn recorded_events() -> Vec<(String, String)> {
-    let trace = Json::parse(&gsampler_obs::export_chrome_trace()).expect("trace parses");
-    let field = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).unwrap().to_string();
-    trace
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("traceEvents array")
-        .iter()
-        .map(|e| (field(e, "cat"), field(e, "name")))
-        .collect()
+/// The trace recorded so far, checked to hold `events`.
+fn recorded(events: &[&str]) -> TraceCounts {
+    let trace = gsampler_obs::export_chrome_trace();
+    check_trace(&trace, &[], events).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]
@@ -36,15 +29,8 @@ fn planner_events_come_from_register_never_from_submit() {
             .register(TenantSpec::graphsage(tenant, &[4, 4], 1))
             .unwrap();
     }
-    let registered = recorded_events();
-    let planner = |events: &[(String, String)]| -> Vec<String> {
-        let plan = events.iter().filter(|(cat, _)| cat == "plan");
-        plan.map(|(_, name)| name.clone()).collect()
-    };
-    assert!(
-        planner(&registered).iter().any(|n| n == "cache.miss"),
-        "register compiles through the plan database: {registered:?}"
-    );
+    // Register compiles through the plan database.
+    let registered = recorded(&["plan/cache.miss"]);
 
     let tickets: Vec<_> = (0..12u64)
         .map(|r| {
@@ -58,17 +44,13 @@ fn planner_events_come_from_register_never_from_submit() {
     server.shutdown();
     gsampler_obs::disable();
 
-    let all = recorded_events();
-    let burst = &all[registered.len()..];
-    assert!(
-        burst
-            .iter()
-            .any(|(cat, name)| cat == "serve" && name == "request"),
-        "the burst itself was traced: {burst:?}"
-    );
+    // The burst itself was traced, and added no planner event.
+    let all = recorded(&["serve/request"]);
     assert_eq!(
-        planner(burst),
-        Vec::<String>::new(),
-        "serving a request emitted planner events"
+        all.category("plan"),
+        registered.category("plan"),
+        "serving a request emitted planner events: {:?} after register, {:?} after the burst",
+        registered.names,
+        all.names
     );
 }

@@ -21,6 +21,6 @@ pub mod nn;
 pub mod sage;
 pub mod trainer;
 
-pub use nn::{softmax_cross_entropy, Adam, Linear};
+pub use nn::{Adam, Linear};
 pub use sage::{blocks_from_sample, Block, GnnModel};
 pub use trainer::{train_gnn, TrainConfig, TrainReport};

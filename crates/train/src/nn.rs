@@ -108,7 +108,7 @@ impl Adam {
 /// Softmax cross-entropy over logits `(n, classes)`.
 ///
 /// Returns `(mean_loss, dlogits, correct_predictions)`.
-pub fn softmax_cross_entropy(logits: &Dense, labels: &[usize]) -> (f32, Dense, usize) {
+pub(crate) fn softmax_cross_entropy(logits: &Dense, labels: &[usize]) -> (f32, Dense, usize) {
     let n = logits.nrows();
     assert_eq!(labels.len(), n, "one label per row");
     let probs = logits.softmax_rows();

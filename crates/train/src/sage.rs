@@ -32,7 +32,7 @@ pub struct Block {
 impl Block {
     /// Build from a sampled layer matrix: compact isolated rows, keep the
     /// ID lists, normalize columns so aggregation is a mean.
-    pub fn from_matrix(m: &GraphMatrix) -> Block {
+    pub(crate) fn from_matrix(m: &GraphMatrix) -> Block {
         let compacted = m.compact_rows();
         let rows = compacted.global_row_ids();
         let cols = compacted.global_col_ids();
@@ -222,7 +222,7 @@ impl GnnModel {
 
     /// Full-graph inference (for evaluation): `L` rounds of mean
     /// aggregation over the full normalized adjacency.
-    pub fn infer_full(&self, adj: &SparseMatrix, features: &Dense) -> Dense {
+    pub(crate) fn infer_full(&self, adj: &SparseMatrix, features: &Dense) -> Dense {
         let degs = gsampler_matrix::reduce::reduce(
             adj,
             gsampler_matrix::ReduceOp::Count,
