@@ -193,7 +193,7 @@ pub fn run_walk_epoch_with(
 /// PinSAGE neighbourhoods: run `walks_per_seed` restarts-enabled walks per
 /// seed, count visits attributed to each seed, keep the `top_k` most
 /// visited nodes as that seed's neighbourhood (paper Table 2 row 3).
-pub fn pinsage_neighbors(
+pub(crate) fn pinsage_neighbors(
     sampler: &Sampler,
     seeds: &[NodeId],
     hyper: &Hyper,
@@ -217,7 +217,7 @@ pub fn pinsage_neighbors(
 /// HetGNN neighbourhoods: like PinSAGE, but the top-k is taken *per node
 /// type* (types simulated as `node_id % num_types` on our homogeneous
 /// graphs — see DESIGN.md's substitution table).
-pub fn hetgnn_neighbors(
+pub(crate) fn hetgnn_neighbors(
     sampler: &Sampler,
     seeds: &[NodeId],
     hyper: &Hyper,
@@ -280,8 +280,9 @@ fn pinsage_like_counts(
 }
 
 /// A compiled single-layer sampler that induces the subgraph on a node
-/// set — the finalize step of GraphSAINT / ShaDow / SEAL, kept as a
-/// program so its kernel cost is charged like everything else.
+/// set — the finalize step of GraphSAINT and ShaDow, kept as a program so
+/// its kernel cost is charged like everything else. (SEAL's induction is
+/// not driven; see [`Driver::ChainedInduce`](crate::Driver::ChainedInduce).)
 pub fn induce_sampler(graph: std::sync::Arc<Graph>, config: SamplerConfig) -> Result<Sampler> {
     let b = LayerBuilder::new();
     let a = b.graph();
@@ -293,7 +294,7 @@ pub fn induce_sampler(graph: std::sync::Arc<Graph>, config: SamplerConfig) -> Re
 
 /// GraphSAINT (random-walk sampler): walk from the seeds, union the
 /// visited nodes, induce the subgraph. Returns the induced sample.
-pub fn graphsaint_sample(
+pub(crate) fn graphsaint_sample(
     walk_sampler: &Sampler,
     induce: &Sampler,
     seeds: &[NodeId],
@@ -336,7 +337,7 @@ pub fn shadow_sample(
 
 /// Which bandit update rule a [`BanditState`] applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BanditRule {
+pub(crate) enum BanditRule {
     /// GCN-BS: UCB-flavoured additive update with a visit-count bonus.
     GcnBs,
     /// Thanos: EXP3-flavoured multiplicative update.
@@ -346,7 +347,7 @@ pub enum BanditRule {
 /// Host-side bandit arms for GCN-BS / Thanos: one weight per node,
 /// updated from per-batch rewards computed on the sampled subgraph.
 #[derive(Debug, Clone)]
-pub struct BanditState {
+pub(crate) struct BanditState {
     /// Current arm weights (the `"bandit"` binding).
     pub weights: Vec<f32>,
     counts: Vec<u32>,
@@ -429,7 +430,7 @@ pub fn pass_bindings(feature_dim: usize, hidden: usize, seed: u64) -> Bindings {
 }
 
 /// AS-GCN's learned-bias weights (`Wg`: `d × 1`).
-pub fn asgcn_bindings(feature_dim: usize, seed: u64) -> Bindings {
+pub(crate) fn asgcn_bindings(feature_dim: usize, seed: u64) -> Bindings {
     let mut rng = StdRng::seed_from_u64(seed);
     Bindings::new().dense(
         "Wg",
@@ -438,7 +439,7 @@ pub fn asgcn_bindings(feature_dim: usize, seed: u64) -> Bindings {
 }
 
 /// SEAL's static PPR bias binding.
-pub fn seal_bindings(graph: &Graph) -> Bindings {
+pub(crate) fn seal_bindings(graph: &Graph) -> Bindings {
     let ppr = crate::ppr::pagerank(graph, 0.85, 20);
     Bindings::new().vector("ppr", ppr)
 }

@@ -14,7 +14,8 @@
 //! state (random walks, visit counting, bandit updates, subgraph
 //! induction) also provide a driver in [`drivers`]. The [`registry`]
 //! enumerates everything for the coverage experiment (paper Table 2 / our
-//! `table2_coverage` harness).
+//! `table2_coverage` harness), and it is the one place that binds and
+//! drives each algorithm.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,4 +29,4 @@ pub mod registry;
 pub mod walks;
 
 pub use params::Hyper;
-pub use registry::{all_algorithms, AlgoSpec, Driver};
+pub use registry::{algorithm, all_algorithms, AlgoSpec, Drive, Driver};

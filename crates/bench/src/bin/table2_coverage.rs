@@ -6,12 +6,36 @@
 
 use std::sync::Arc;
 
-use gsampler_algos::drivers::{
-    self, asgcn_bindings, pass_bindings, seal_bindings, BanditRule, BanditState,
-};
-use gsampler_algos::{all_algorithms, Driver, Hyper};
-use gsampler_core::{compile, Bindings, OptConfig, SamplerConfig};
+use gsampler_algos::{all_algorithms, Drive, Hyper};
+use gsampler_core::{compile, GraphSample, OptConfig, SamplerConfig};
 use gsampler_graphs::{Dataset, DatasetKind};
+
+/// Edges over the first value of every layer of `batches`.
+fn edges(batches: &[GraphSample]) -> usize {
+    let layers = batches.iter().flat_map(|s| &s.layers);
+    layers
+        .filter_map(|l| l[0].as_matrix())
+        .map(|m| m.nnz())
+        .sum()
+}
+
+/// A row's status: what the registry's drive of it produced.
+fn status(drive: &Drive, h: &Hyper) -> String {
+    match drive {
+        Drive::Samples(b) => format!("ok (batches: {}, edges: {})", b.len(), edges(b)),
+        Drive::Bandit(steps, _) => {
+            format!(
+                "ok (steps: {}, edges: {}, arms updated)",
+                steps.len(),
+                edges(steps)
+            )
+        }
+        Drive::Walk(t) => format!("ok ({} steps)", t.positions.len()),
+        Drive::TopK(n) => format!("ok (top-{} of {} seeds)", h.top_k, n.len()),
+        Drive::Typed(n) => format!("ok ({} typed groups of {} seeds)", h.num_types, n.len()),
+        Drive::Induced(m) => format!("ok (induced {} edges)", m.nnz()),
+    }
+}
 
 fn main() {
     let d = Dataset::generate(DatasetKind::Tiny, 2.0, 1);
@@ -23,99 +47,18 @@ fn main() {
         ..SamplerConfig::new()
     };
     let frontiers: Vec<u32> = (0..h.batch_size as u32).collect();
-    let dim = graph.features.as_ref().unwrap().ncols();
 
     let mut rows = Vec::new();
     for spec in all_algorithms(&h) {
         let name = spec.name;
-        let category = spec.category;
-        let bias = spec.bias;
-        let driver = spec.driver;
-        let sampler = match compile(graph.clone(), spec.layers, config.clone()) {
-            Ok(s) => s,
-            Err(e) => {
-                rows.push(vec![
-                    name.into(),
-                    category.into(),
-                    bias.into(),
-                    format!("compile failed: {e}"),
-                    "no".into(),
-                    "no".into(),
-                ]);
-                continue;
-            }
+        // Every row runs the registry's one drive protocol.
+        let status = match compile(graph.clone(), spec.layers.clone(), config.clone()) {
+            Err(e) => format!("compile failed: {e}"),
+            Ok(sampler) => match spec.drive(&graph, &h, &sampler, config.clone(), &frontiers) {
+                Ok(drive) => status(&drive, &h),
+                Err(e) => format!("FAILED: {e}"),
+            },
         };
-        let status = (|| -> Result<String, gsampler_core::Error> {
-            match driver {
-                Driver::Chained => {
-                    let out = sampler.sample_batch(&frontiers, &Bindings::new())?;
-                    let nnz: usize = out
-                        .layers
-                        .iter()
-                        .filter_map(|l| l[0].as_matrix())
-                        .map(|m| m.nnz())
-                        .sum();
-                    Ok(format!("ok ({} layers, {nnz} edges)", out.layers.len()))
-                }
-                Driver::ModelDriven => {
-                    let b = if name == "PASS" {
-                        pass_bindings(dim, h.hidden, 1)
-                    } else {
-                        asgcn_bindings(dim, 1)
-                    };
-                    let out = sampler.sample_batch(&frontiers, &b)?;
-                    Ok(format!(
-                        "ok ({} edges)",
-                        out.layers[0][0].as_matrix().map_or(0, |m| m.nnz())
-                    ))
-                }
-                Driver::Bandit => {
-                    let rule = if name == "GCN-BS" {
-                        BanditRule::GcnBs
-                    } else {
-                        BanditRule::Thanos
-                    };
-                    let mut state = BanditState::new(graph.num_nodes(), rule);
-                    let out = sampler.sample_batch(&frontiers, &state.bindings())?;
-                    state.update(&out);
-                    Ok("ok (arms updated)".into())
-                }
-                Driver::Walk => {
-                    let t = drivers::run_walk_batch(
-                        &sampler,
-                        &frontiers,
-                        h.walk_length,
-                        name == "Node2Vec",
-                        0.0,
-                        1,
-                    )?;
-                    Ok(format!("ok ({} steps)", t.positions.len()))
-                }
-                Driver::WalkCounting => {
-                    let n = drivers::pinsage_neighbors(&sampler, &frontiers[..4], &h, 1)?;
-                    Ok(format!("ok (top-{} of {} seeds)", h.top_k, n.len()))
-                }
-                Driver::WalkInduce => {
-                    let ind = drivers::induce_sampler(graph.clone(), config.clone())?;
-                    let m = drivers::graphsaint_sample(&sampler, &ind, &frontiers[..8], &h, 1)?;
-                    Ok(format!("ok (induced {} edges)", m.nnz()))
-                }
-                Driver::ChainedInduce => {
-                    if name == "SEAL" {
-                        let b = seal_bindings(&graph);
-                        let out = sampler.sample_batch(&frontiers, &b)?;
-                        Ok(format!(
-                            "ok ({} edges, PPR bias)",
-                            out.layers[0][0].as_matrix().map_or(0, |m| m.nnz())
-                        ))
-                    } else {
-                        let ind = drivers::induce_sampler(graph.clone(), config.clone())?;
-                        let m = drivers::shadow_sample(&sampler, &ind, &frontiers[..8], 1)?;
-                        Ok(format!("ok (induced {} edges)", m.nnz()))
-                    }
-                }
-            }
-        })();
         // Architecture coverage columns: vertex-centric supports only
         // local-view uniform/static walks & fanouts; message-passing
         // (DGL-like) covers the rest case-by-case (paper Table 3).
@@ -123,9 +66,9 @@ fn main() {
         let mp = !matches!(name, "Node2Vec"); // no native GPU Node2Vec in DGL
         rows.push(vec![
             name.into(),
-            category.into(),
-            bias.into(),
-            status.unwrap_or_else(|e| format!("FAILED: {e}")),
+            spec.category.into(),
+            spec.bias.into(),
+            status,
             if vc { "yes" } else { "no" }.into(),
             if mp { "partial" } else { "no" }.into(),
         ]);

@@ -13,8 +13,7 @@
 
 use std::sync::Arc;
 
-use gsampler_algos::drivers::{self, asgcn_bindings, pass_bindings};
-use gsampler_algos::{layerwise, nodewise, walks, Hyper};
+use gsampler_algos::{drivers, AlgoSpec, Driver, Hyper};
 use gsampler_baselines::{EagerSampler, VertexCentricSampler};
 use gsampler_core::builder::Layer;
 use gsampler_core::multi_gpu::MultiGpuSampler;
@@ -88,39 +87,32 @@ impl Algo {
         }
     }
 
+    /// The registry's spec of the same name, built with `h`.
+    fn spec(&self, h: &Hyper) -> AlgoSpec {
+        gsampler_algos::algorithm(self.name(), h).expect("every `Algo` is registered")
+    }
+
     /// True for the walk-driven algorithms.
     pub fn is_walk(&self) -> bool {
-        matches!(self, Algo::DeepWalk | Algo::Node2Vec)
+        self.spec(&Hyper::small()).driver == Driver::Walk
     }
 
     /// Super-batching applies to every algorithm except those whose
     /// sampling model is updated between batches (paper §4.4 names PASS;
     /// AS-GCN's learned bias is in the same class).
     pub(crate) fn super_batch_ok(&self) -> bool {
-        !matches!(self, Algo::Pass | Algo::AsGcn)
+        self.spec(&Hyper::small()).driver != Driver::ModelDriven
     }
 
     /// Layers for the gSampler implementation.
     pub fn layers(&self, h: &Hyper) -> Vec<Layer> {
-        match self {
-            Algo::DeepWalk => vec![walks::deepwalk_step()],
-            Algo::Node2Vec => vec![walks::node2vec_step(h.p, h.q)],
-            Algo::GraphSage => nodewise::graphsage(&h.fanouts),
-            Algo::Ladies => layerwise::ladies(h.layer_width, h.layers),
-            Algo::AsGcn => layerwise::asgcn(h.layer_width, h.layers),
-            Algo::Pass => nodewise::pass(&h.fanouts),
-            Algo::Shadow => nodewise::shadow_expansion(&h.fanouts),
-        }
+        self.spec(h).layers
     }
 
-    /// Model-weight bindings needed by the gSampler implementation.
+    /// Model-weight bindings needed by the gSampler implementation, drawn
+    /// from seed 99.
     pub fn bindings(&self, graph: &Graph, h: &Hyper) -> Bindings {
-        let dim = graph.features.as_ref().map_or(1, |f| f.ncols());
-        match self {
-            Algo::Pass => pass_bindings(dim, h.hidden, 99),
-            Algo::AsGcn => asgcn_bindings(dim, 99),
-            _ => Bindings::new(),
-        }
+        self.spec(h).bindings(graph, h, 99)
     }
 }
 
@@ -729,6 +721,28 @@ mod tests {
             .collect();
         assert_eq!(names.len(), 7);
         assert!(names.contains(&"LADIES"));
+    }
+
+    #[test]
+    fn every_algo_resolves_to_its_registry_spec() {
+        let h = Hyper::small();
+        let all = || Algo::SIMPLE.into_iter().chain(Algo::COMPLEX);
+        for algo in all() {
+            let spec = gsampler_algos::algorithm(algo.name(), &h);
+            let driver = spec
+                .unwrap_or_else(|| panic!("{algo:?} is not registered"))
+                .driver;
+            assert_eq!(algo.is_walk(), driver == Driver::Walk, "{algo:?}");
+            assert_eq!(
+                algo.super_batch_ok(),
+                driver != Driver::ModelDriven,
+                "{algo:?}"
+            );
+        }
+        let walks: Vec<Algo> = all().filter(|a| a.is_walk()).collect();
+        let unbatched: Vec<Algo> = all().filter(|a| !a.super_batch_ok()).collect();
+        assert_eq!(walks, [Algo::DeepWalk, Algo::Node2Vec]);
+        assert_eq!(unbatched, [Algo::AsGcn, Algo::Pass]);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use gsampler_algos::{all_algorithms, Driver, Hyper};
+use gsampler_algos::{algorithm, Driver, Hyper};
 use gsampler_core::{Bindings, Graph, OptConfig, PlanDb, SamplerConfig, Value};
 
 use crate::drive::{self, compile_algorithm, sampler_config};
@@ -226,10 +226,7 @@ impl Oracle {
         // Super-batch path: chained algorithms only (the driver loops own
         // the other modes). Structural validity plus bit-equality with the
         // factor-1 epoch over the same batches.
-        let driver = all_algorithms(&self.hyper)
-            .into_iter()
-            .find(|s| s.name == algo)
-            .map(|s| s.driver);
+        let driver = algorithm(algo, &self.hyper).map(|s| s.driver);
         if driver == Some(Driver::Chained) {
             let epoch = |factor: usize| -> Result<Vec<String>, Divergence> {
                 let opt = OptConfig::all().with_super_batch(factor);

@@ -191,11 +191,7 @@ fn quarantine_keeps_the_epoch_alive_under_unrecoverable_faults() {
     let h = oracle_hyper();
     let mut config = gsampler_testkit::drive::sampler_config(OptConfig::all(), 11, 8);
     config.recovery.quarantine = true;
-    let layers = gsampler_algos::all_algorithms(&h)
-        .into_iter()
-        .find(|s| s.name == "GraphSAGE")
-        .unwrap()
-        .layers;
+    let layers = gsampler_algos::algorithm("GraphSAGE", &h).unwrap().layers;
     let sampler = gsampler_core::compile(graph, layers, config).unwrap();
     let seeds: Vec<u32> = (0..32).collect();
 

@@ -35,9 +35,7 @@ fn pool_heavy_spec() -> GraphSpec {
 }
 
 fn layers_of(h: &gsampler_algos::Hyper, algo: &str) -> Vec<gsampler_core::builder::Layer> {
-    gsampler_algos::all_algorithms(h)
-        .into_iter()
-        .find(|s| s.name == algo)
+    gsampler_algos::algorithm(algo, h)
         .expect("algorithm is registered")
         .layers
 }

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use gsampler_algos::all_algorithms;
+use gsampler_algos::algorithm;
 use gsampler_core::{compile, Bindings, Graph, PlanDb, SamplerConfig};
 use gsampler_ir::passes::OptConfig;
 use gsampler_testkit::drive::{algorithm_names, run_algorithm, sampler_config};
@@ -78,9 +78,7 @@ fn cache_counters_surface_through_sampler_and_epoch_report() {
     let graph = spec.build();
     let frontiers = spec.frontiers(8);
     let h = oracle_hyper();
-    let layers = all_algorithms(&h)
-        .into_iter()
-        .find(|s| s.name == "GraphSAGE")
+    let layers = algorithm("GraphSAGE", &h)
         .expect("GraphSAGE registered")
         .layers;
     let db = Arc::new(PlanDb::in_memory());

@@ -5,11 +5,9 @@
 
 use std::sync::Arc;
 
-use gsampler::algos::drivers::{
-    self, asgcn_bindings, pass_bindings, seal_bindings, BanditRule, BanditState,
-};
-use gsampler::algos::{all_algorithms, AlgoSpec, Driver, Hyper};
-use gsampler::core::{compile, Bindings, Graph, OptConfig, Sampler, SamplerConfig};
+use gsampler::algos::drivers;
+use gsampler::algos::{all_algorithms, AlgoSpec, Drive, Hyper};
+use gsampler::core::{compile, Graph, OptConfig, Sampler, SamplerConfig};
 use gsampler::graphs::Dataset;
 
 fn setup() -> (Arc<Graph>, Hyper) {
@@ -25,8 +23,9 @@ fn config(h: &Hyper) -> SamplerConfig {
     }
 }
 
-fn compile_spec(graph: &Arc<Graph>, spec: AlgoSpec, h: &Hyper) -> Sampler {
-    compile(graph.clone(), spec.layers, config(h)).unwrap_or_else(|e| panic!("compile failed: {e}"))
+fn compile_spec(graph: &Arc<Graph>, spec: &AlgoSpec, h: &Hyper) -> Sampler {
+    compile(graph.clone(), spec.layers.clone(), config(h))
+        .unwrap_or_else(|e| panic!("compile failed: {e}"))
 }
 
 /// Check a sampled adjacency is a genuine subgraph of `graph`.
@@ -51,98 +50,60 @@ fn all_fifteen_algorithms_run() {
 
     for spec in specs {
         let name = spec.name;
-        let driver = spec.driver;
-        let sampler = compile_spec(&graph, spec, &h);
-        match driver {
-            Driver::Chained => {
-                let bindings = Bindings::new();
-                let out = sampler.sample_batch(&frontiers, &bindings).unwrap();
-                for layer in &out.layers {
-                    if let Some(m) = layer[0].as_matrix() {
-                        assert_subgraph(&graph, m, name);
+        let sampler = compile_spec(&graph, &spec, &h);
+        let drive = spec
+            .drive(&graph, &h, &sampler, config(&h), &frontiers)
+            .unwrap_or_else(|e| panic!("{name}: drive failed: {e}"));
+        match drive {
+            Drive::Samples(batches) => {
+                for out in &batches {
+                    // The first layer samples; every layer's matrix is a
+                    // subgraph.
+                    let first = out.layers[0][0].as_matrix().unwrap();
+                    assert!(first.nnz() > 0, "{name} sampled nothing");
+                    for layer in &out.layers {
+                        if let Some(m) = layer[0].as_matrix() {
+                            assert_subgraph(&graph, m, name);
+                        }
                     }
                 }
             }
-            Driver::ModelDriven => {
-                let dim = graph.features.as_ref().unwrap().ncols();
-                let bindings = if name == "PASS" {
-                    pass_bindings(dim, h.hidden, 3)
-                } else {
-                    asgcn_bindings(dim, 3)
-                };
-                let out = sampler.sample_batch(&frontiers, &bindings).unwrap();
-                let m = out.layers[0][0].as_matrix().unwrap();
-                assert_subgraph(&graph, m, name);
-                assert!(m.nnz() > 0, "{name} sampled nothing");
-            }
-            Driver::Bandit => {
-                let rule = if name == "GCN-BS" {
-                    BanditRule::GcnBs
-                } else {
-                    BanditRule::Thanos
-                };
-                let mut state = BanditState::new(graph.num_nodes(), rule);
-                for step in 0..3 {
-                    let out = sampler
-                        .sample_batch_seeded(&frontiers, &state.bindings(), step)
-                        .unwrap();
+            Drive::Bandit(steps, arms) => {
+                assert_eq!(steps.len(), 3);
+                for out in &steps {
                     let m = out.layers[0][0].as_matrix().unwrap();
                     assert_subgraph(&graph, m, name);
-                    state.update(&out);
                 }
                 // Arms must have moved.
-                assert!(state.weights.iter().any(|&w| (w - 1.0).abs() > 1e-6));
+                assert!(arms.iter().any(|&w| (w - 1.0).abs() > 1e-6));
             }
-            Driver::Walk => {
-                let is_n2v = name == "Node2Vec";
-                let trace =
-                    drivers::run_walk_batch(&sampler, &frontiers, h.walk_length, is_n2v, 0.0, 1)
-                        .unwrap();
+            Drive::Walk(trace) => {
                 assert_eq!(trace.positions.len(), h.walk_length);
                 for step in &trace.positions {
                     assert_eq!(step.len(), frontiers.len(), "{name} lost walkers");
                 }
             }
-            Driver::WalkCounting => {
-                let seeds: Vec<u32> = (0..4).collect();
-                if name == "PinSAGE" {
-                    let neigh = drivers::pinsage_neighbors(&sampler, &seeds, &h, 1).unwrap();
-                    assert_eq!(neigh.len(), 4);
-                    for (s, list) in neigh.iter().enumerate() {
-                        assert!(list.len() <= h.top_k, "{name} seed {s} overflow");
-                    }
-                } else {
-                    let neigh = drivers::hetgnn_neighbors(&sampler, &seeds, &h, 1).unwrap();
-                    assert_eq!(neigh.len(), 4);
-                    for groups in &neigh {
-                        assert_eq!(groups.len(), h.num_types);
-                        for (t, group) in groups.iter().enumerate() {
-                            for &v in group {
-                                assert_eq!(v as usize % h.num_types, t, "{name} type mix-up");
-                            }
+            Drive::TopK(neigh) => {
+                assert_eq!(neigh.len(), 4);
+                for (s, list) in neigh.iter().enumerate() {
+                    assert!(list.len() <= h.top_k, "{name} seed {s} overflow");
+                }
+            }
+            Drive::Typed(neigh) => {
+                assert_eq!(neigh.len(), 4);
+                for groups in &neigh {
+                    assert_eq!(groups.len(), h.num_types);
+                    for (t, group) in groups.iter().enumerate() {
+                        for &v in group {
+                            assert_eq!(v as usize % h.num_types, t, "{name} type mix-up");
                         }
                     }
                 }
             }
-            Driver::WalkInduce => {
-                let induce = drivers::induce_sampler(graph.clone(), config(&h)).unwrap();
-                let m =
-                    drivers::graphsaint_sample(&sampler, &induce, &frontiers[..8], &h, 1).unwrap();
+            Drive::Induced(m) => {
                 assert_subgraph(&graph, &m, name);
-            }
-            Driver::ChainedInduce => {
-                if name == "SEAL" {
-                    let bindings = seal_bindings(&graph);
-                    let out = sampler.sample_batch(&frontiers, &bindings).unwrap();
-                    let m = out.layers[0][0].as_matrix().unwrap();
-                    assert_subgraph(&graph, m, name);
-                } else {
-                    let induce = drivers::induce_sampler(graph.clone(), config(&h)).unwrap();
-                    let m = drivers::shadow_sample(&sampler, &induce, &frontiers[..8], 1).unwrap();
-                    assert_subgraph(&graph, &m, name);
-                    // ShaDow's induced subgraph contains the seeds' edges.
-                    assert!(m.nnz() > 0);
-                }
+                // The induced subgraph contains the seeds' edges.
+                assert!(m.nnz() > 0, "{name} induced nothing");
             }
         }
     }
@@ -152,7 +113,7 @@ fn all_fifteen_algorithms_run() {
 fn walk_traces_follow_graph_edges() {
     let (graph, h) = setup();
     let spec = all_algorithms(&h).remove(0); // DeepWalk
-    let sampler = compile_spec(&graph, spec, &h);
+    let sampler = compile_spec(&graph, &spec, &h);
     let seeds: Vec<u32> = vec![0, 1, 2, 3];
     let trace = drivers::run_walk_batch(&sampler, &seeds, 5, false, 0.0, 9).unwrap();
     let csc = graph.matrix.data.to_csc();
@@ -178,7 +139,7 @@ fn walk_groups_match_each_group_walked_alone() {
     // together returns each group's solo trace.
     let (graph, h) = setup();
     let spec = all_algorithms(&h).remove(0); // DeepWalk
-    let sampler = compile_spec(&graph, spec, &h);
+    let sampler = compile_spec(&graph, &spec, &h);
     let groups: Vec<Vec<u32>> = vec![vec![0, 1, 2, 3], vec![4, 5], vec![6, 7, 8]];
     let packed = drivers::run_walk_groups(&sampler, groups.clone(), 6, false, 0.3, 40).unwrap();
     for (g, (seeds, trace)) in groups.iter().zip(&packed).enumerate() {

@@ -256,11 +256,11 @@ fn selection_keeps_no_per_segment_lists() {
 fn sources_under(dirs: &[&str]) -> Vec<(String, String)> {
     let mut files: Vec<String> = Vec::new();
     for dir in dirs {
-        if *dir == "crates/*/src" {
+        if let Some(sub) = dir.strip_prefix("crates/*/") {
             let crates = std::fs::read_dir(root().join("crates")).unwrap();
             for krate in crates {
                 let src = format!(
-                    "crates/{}/src",
+                    "crates/{}/{sub}",
                     krate.unwrap().file_name().to_string_lossy()
                 );
                 if root().join(&src).is_dir() {
@@ -705,4 +705,47 @@ fn one_stop_path() {
         1,
         "`gsample`'s deadline scopes"
     );
+}
+
+#[test]
+fn one_drive_per_algorithm() {
+    // `gsampler_algos::registry` is the one place that binds and drives an
+    // algorithm (`AlgoSpec::bindings`, `AlgoSpec::drive`). Elsewhere a
+    // `Driver` variant is only compared against, never matched, and no
+    // algorithm that shares its driver with another is picked out by name:
+    // those are the names a copy of the drive would have to compare.
+    const REGISTRY: &str = "crates/algos/src/registry.rs";
+    let told_apart = [
+        "DeepWalk", "Node2Vec", "PinSAGE", "HetGNN", "SEAL", "ShaDow", "GCN-BS", "Thanos", "PASS",
+        "AS-GCN",
+    ];
+    let scope = ["crates/*/src", "crates/*/tests", "tests", "src", "examples"];
+    for (file, text) in sources_under(&scope) {
+        if file == REGISTRY {
+            continue;
+        }
+        let code: Vec<&str> = (text.lines())
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .collect();
+        let code = code.join("\n");
+        for (at, _) in code.match_indices("Driver::") {
+            let before = code[..at].trim_end();
+            let before = before.strip_suffix("Some(").unwrap_or(before).trim_end();
+            let line = code[at..].lines().next().unwrap_or_default();
+            assert!(
+                before.ends_with("==") || before.ends_with("!="),
+                "{file} matches a `Driver` variant outside the registry: `{line}`"
+            );
+        }
+        for name in told_apart {
+            let quoted = format!("\"{name}\"");
+            for (at, _) in code.match_indices(&quoted) {
+                let before = code[..at].trim_end();
+                let after = code[at + quoted.len()..].trim_start();
+                let picked =
+                    before.ends_with("==") || before.ends_with("!=") || after.starts_with("=>");
+                assert!(!picked, "{file} picks {name} by name");
+            }
+        }
+    }
 }

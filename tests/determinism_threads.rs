@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use gsampler::algos::drivers::{self, BanditRule, BanditState};
+use gsampler::algos::drivers;
 use gsampler::algos::{all_algorithms, nodewise, Driver, Hyper};
 use gsampler::core::{compile, Bindings, Graph, MultiGpuSampler, OptConfig, SamplerConfig, Value};
 use gsampler::engine::Key;
@@ -139,7 +139,7 @@ fn fingerprint_workload() -> u64 {
         ..SamplerConfig::new()
     };
     for spec in all_algorithms(&hyper) {
-        if !matches!(spec.driver, Driver::Chained) {
+        if spec.driver != Driver::Chained {
             continue;
         }
         let sampler = compile(graph.clone(), spec.layers, config.clone())
@@ -218,32 +218,19 @@ fn epoch_prints(graph: &Arc<Graph>, frontiers: &[u32], factor: usize) -> Vec<(St
         batch_size: 16,
         ..SamplerConfig::new()
     };
-    let dim = graph.features.as_ref().map_or(0, |f| f.ncols());
     let mut out = Vec::new();
     for spec in all_algorithms(&hyper) {
-        let walk = matches!(spec.driver, Driver::Walk);
-        let bindings = match (spec.driver, spec.name) {
-            (Driver::Chained, _) | (Driver::ChainedInduce, "ShaDow") | (Driver::Walk, _) => {
-                Bindings::new()
-            }
-            (Driver::ChainedInduce, _) => drivers::seal_bindings(graph),
-            (Driver::ModelDriven, "PASS") => drivers::pass_bindings(dim, hyper.hidden, 3),
-            (Driver::ModelDriven, _) => drivers::asgcn_bindings(dim, 3),
-            (Driver::Bandit, name) => {
-                let rule = if name == "GCN-BS" {
-                    BanditRule::GcnBs
-                } else {
-                    BanditRule::Thanos
-                };
-                BanditState::new(graph.num_nodes(), rule).bindings()
-            }
-            _ => continue,
-        };
-        let sampler = compile(graph.clone(), spec.layers, config.clone())
+        // The visit-counting and inducing walks are host loops, not epochs.
+        if spec.driver == Driver::WalkCounting || spec.driver == Driver::WalkInduce {
+            continue;
+        }
+        let walk = spec.driver == Driver::Walk;
+        let bindings = spec.bindings(graph, &hyper, 3);
+        let sampler = compile(graph.clone(), spec.layers.clone(), config.clone())
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", spec.name));
         let mut prints = vec![FNV_OFFSET; frontiers.len().div_ceil(16)];
         if walk {
-            let n2v = spec.name == "Node2Vec";
+            let n2v = spec.second_order();
             drivers::run_walk_epoch_with(&sampler, frontiers, &hyper, n2v, 2, |batch, trace| {
                 for step in &trace.positions {
                     fold_value(&mut prints[batch], &Value::Nodes(step.clone()));

@@ -13,11 +13,8 @@
 
 use std::sync::Arc;
 
-use gsampler::algos::drivers::{
-    self, asgcn_bindings, pass_bindings, seal_bindings, BanditRule, BanditState,
-};
-use gsampler::algos::{all_algorithms, Driver, Hyper};
-use gsampler::core::{compile, Bindings, Graph, GraphSample, OptConfig, SamplerConfig, Value};
+use gsampler::algos::{algorithm, all_algorithms, Drive, Hyper};
+use gsampler::core::{compile, Graph, GraphSample, OptConfig, SamplerConfig, Value};
 use gsampler::graphs::Dataset;
 
 /// Fingerprints captured after draws became counter-based (seed 42,
@@ -131,101 +128,53 @@ fn config(h: &Hyper) -> SamplerConfig {
     }
 }
 
-/// Drive one algorithm exactly as the coverage test does, but fold every
-/// output into a fingerprint.
+/// Drive one algorithm by the registry's protocol and fold every output
+/// into a fingerprint.
 fn fingerprint(name: &str) -> u64 {
     let (graph, h) = setup();
     let frontiers: Vec<u32> = (0..h.batch_size as u32).collect();
-    let spec = all_algorithms(&h)
-        .into_iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("unknown algorithm {name}"));
-    let driver = spec.driver;
-    let sampler = compile(graph.clone(), spec.layers, config(&h))
+    let spec = algorithm(name, &h).unwrap_or_else(|| panic!("unknown algorithm {name}"));
+    let sampler = compile(graph.clone(), spec.layers.clone(), config(&h))
         .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
+    let drive = spec
+        .drive(&graph, &h, &sampler, config(&h), &frontiers)
+        .unwrap_or_else(|e| panic!("{name}: drive failed: {e}"));
 
     let mut hash = FNV_OFFSET;
     fold(&mut hash, name.as_bytes());
-    match driver {
-        Driver::Chained => {
-            // Two independent seeded batches: covers the stream plumbing.
-            for step in 0..2u64 {
-                let out = sampler
-                    .sample_batch_seeded(&frontiers, &Bindings::new(), step)
-                    .unwrap();
-                fold_sample(&mut hash, &out);
+    match drive {
+        Drive::Samples(batches) => {
+            for out in &batches {
+                fold_sample(&mut hash, out);
             }
         }
-        Driver::ModelDriven => {
-            let dim = graph.features.as_ref().unwrap().ncols();
-            let bindings = if name == "PASS" {
-                pass_bindings(dim, h.hidden, 3)
-            } else {
-                asgcn_bindings(dim, 3)
-            };
-            let out = sampler.sample_batch(&frontiers, &bindings).unwrap();
-            fold_sample(&mut hash, &out);
-        }
-        Driver::Bandit => {
-            let rule = if name == "GCN-BS" {
-                BanditRule::GcnBs
-            } else {
-                BanditRule::Thanos
-            };
-            let mut state = BanditState::new(graph.num_nodes(), rule);
-            for step in 0..3 {
-                let out = sampler
-                    .sample_batch_seeded(&frontiers, &state.bindings(), step)
-                    .unwrap();
-                fold_sample(&mut hash, &out);
-                state.update(&out);
+        Drive::Bandit(steps, arms) => {
+            for out in &steps {
+                fold_sample(&mut hash, out);
             }
-            fold_f32s(&mut hash, &state.weights);
+            fold_f32s(&mut hash, &arms);
         }
-        Driver::Walk => {
-            let is_n2v = name == "Node2Vec";
-            let trace =
-                drivers::run_walk_batch(&sampler, &frontiers, h.walk_length, is_n2v, 0.0, 1)
-                    .unwrap();
+        Drive::Walk(trace) => {
             for step in &trace.positions {
                 fold_u32s(&mut hash, step);
             }
         }
-        Driver::WalkCounting => {
-            let seeds: Vec<u32> = (0..4).collect();
-            if name == "PinSAGE" {
-                let neigh = drivers::pinsage_neighbors(&sampler, &seeds, &h, 1).unwrap();
-                for list in &neigh {
-                    fold_u32s(&mut hash, list);
-                    fold(&mut hash, b";");
-                }
-            } else {
-                let neigh = drivers::hetgnn_neighbors(&sampler, &seeds, &h, 1).unwrap();
-                for groups in &neigh {
-                    for group in groups {
-                        fold_u32s(&mut hash, group);
-                        fold(&mut hash, b",");
-                    }
-                    fold(&mut hash, b";");
-                }
+        Drive::TopK(lists) => {
+            for list in &lists {
+                fold_u32s(&mut hash, list);
+                fold(&mut hash, b";");
             }
         }
-        Driver::WalkInduce => {
-            let induce = drivers::induce_sampler(graph.clone(), config(&h)).unwrap();
-            let m = drivers::graphsaint_sample(&sampler, &induce, &frontiers[..8], &h, 1).unwrap();
-            fold_value(&mut hash, &Value::Matrix(m));
-        }
-        Driver::ChainedInduce => {
-            if name == "SEAL" {
-                let bindings = seal_bindings(&graph);
-                let out = sampler.sample_batch(&frontiers, &bindings).unwrap();
-                fold_sample(&mut hash, &out);
-            } else {
-                let induce = drivers::induce_sampler(graph.clone(), config(&h)).unwrap();
-                let m = drivers::shadow_sample(&sampler, &induce, &frontiers[..8], 1).unwrap();
-                fold_value(&mut hash, &Value::Matrix(m));
+        Drive::Typed(seeds) => {
+            for groups in &seeds {
+                for group in groups {
+                    fold_u32s(&mut hash, group);
+                    fold(&mut hash, b",");
+                }
+                fold(&mut hash, b";");
             }
         }
+        Drive::Induced(m) => fold_value(&mut hash, &Value::Matrix(m)),
     }
     hash
 }
